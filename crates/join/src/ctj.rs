@@ -4,10 +4,14 @@ use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Valu
 
 use crate::cache::{LocalPjr, Looked, PjrStore};
 use crate::engine::head_slots;
+use crate::leapfrog::SliceLeapfrog;
 use crate::shard::{try_split_at, NoSplit, SplitSpawn};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
+
+/// The match list of a cache entry while its level is being computed.
+type Recording = Vec<(Value, Vec<u32>)>;
 
 /// Configuration of the software partial-join-result cache.
 ///
@@ -465,6 +469,68 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
         true
     }
 
+    /// Appends the match `v` at `positions` to the entry being recorded,
+    /// or drops the entry when it outgrows its capacity. Returns `false`
+    /// when the intermediate budget refused the tuple and the driver must
+    /// stop (the entry is dropped then too).
+    fn record(&mut self, pending: &mut Option<Recording>, v: Value, positions: Vec<u32>) -> bool {
+        let Some(p) = pending.as_mut() else {
+            return true;
+        };
+        if self.config.entry_capacity.is_some_and(|cap| p.len() >= cap) {
+            // Insertion-buffer overflow: drop the partial entry.
+            self.stats.cache_overflows += 1;
+            *pending = None;
+        } else if B::GOVERNED && !self.budget.charge_intermediates(1) {
+            // Memory budget exhausted: the flag is tripped; drop the
+            // partial entry and wind down.
+            *pending = None;
+            return false;
+        } else {
+            p.push((v, positions));
+        }
+        true
+    }
+
+    /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
+    /// sibling slices, recording each match into `pending` and emitting
+    /// its row, when it binds the last variable and lies below `split_cap`
+    /// (so its tail is never donated). `None` (nothing done) otherwise or
+    /// when the level has no slice form; else whether the budget let the
+    /// level run to its end.
+    fn leaf_level(
+        &mut self,
+        d: usize,
+        split_cap: usize,
+        members: &[usize],
+        pending: &mut Option<Recording>,
+        sink: &mut dyn ResultSink,
+    ) -> Option<bool> {
+        if d + 1 != self.plan.arity() || d <= split_cap {
+            return None;
+        }
+        // Out of `self` so the slices can outlive the `&mut self` emits.
+        let cursors = std::mem::take(&mut self.cursors);
+        let live = SliceLeapfrog::over(&cursors, members).map(|mut lf| {
+            let mut m = lf.search(&mut self.stats);
+            while let Some(v) = m {
+                self.binding[d] = v;
+                if pending.is_some()
+                    && !self.record(pending, v, lf.cache_positions(&cursors, members))
+                {
+                    return false;
+                }
+                if !self.emit_result(sink) {
+                    return false;
+                }
+                m = lf.next(&mut self.stats);
+            }
+            true
+        });
+        self.cursors = cursors;
+        live
+    }
+
     /// Standard leapfrog execution at depth `d`, optionally recording the
     /// matches for insertion into the cache once the level completes.
     fn compute<S: SplitSpawn>(
@@ -507,11 +573,16 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
         // while recording. (A demoted or mask-dropped spec computes like
         // plain LFTJ and splits freely.)
         let can_split = record_key.is_none();
-        let mut live = true;
-        let mut pending: Option<Vec<(Value, Vec<u32>)>> = record_key.as_ref().map(|_| Vec::new());
+        let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
         // Recycle this depth's member vector (no per-node allocation).
         let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
-        let mut m = lf.search(&mut self.cursors, &mut self.stats);
+        // A last level that ran on sibling slices skips the cursor loop.
+        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), &mut pending, sink);
+        let mut live = sliced.unwrap_or(true);
+        let mut m = match sliced {
+            Some(_) => None,
+            None => lf.search(&mut self.cursors, &mut self.stats),
+        };
         while let Some(v) = m {
             self.binding[d] = v;
             if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
@@ -538,23 +609,14 @@ impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, 
                     &mut self.stats,
                 );
             }
-            if let Some(p) = pending.as_mut() {
-                if self.config.entry_capacity.is_some_and(|cap| p.len() >= cap) {
-                    // Insertion-buffer overflow: drop the partial entry.
-                    self.stats.cache_overflows += 1;
-                    pending = None;
-                } else if B::GOVERNED && !self.budget.charge_intermediates(1) {
-                    // Memory budget exhausted: the flag is tripped; drop
-                    // the partial entry and wind down.
-                    pending = None;
+            if pending.is_some() {
+                let positions = parts
+                    .iter()
+                    .map(|&(a, _)| self.cursors[a].cache_pos())
+                    .collect();
+                if !self.record(&mut pending, v, positions) {
                     live = false;
                     break;
-                } else {
-                    let positions: Vec<u32> = parts
-                        .iter()
-                        .map(|&(a, _)| self.cursors[a].cache_pos())
-                        .collect();
-                    p.push((v, positions));
                 }
             }
             let descended = if d + 1 == self.plan.arity() {

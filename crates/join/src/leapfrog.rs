@@ -1,4 +1,4 @@
-use triejax_relation::{JoinCursor, Tally, Value};
+use triejax_relation::{seek_in, AccessKind, JoinCursor, Tally, Value, WORD_BYTES};
 
 use crate::EngineStats;
 
@@ -56,27 +56,25 @@ impl Leapfrog {
         stats: &mut EngineStats<T>,
     ) -> Option<Value> {
         stats.match_ops += 1;
-        if self.members.iter().any(|&m| cursors[m].at_end()) {
-            return None;
-        }
-        let k = self.members.len();
-        // Start from the largest current key.
-        let mut max = cursors[self.members[0]].key();
-        let mut argmax = 0;
-        for i in 1..k {
-            let key = cursors[self.members[i]].key();
-            if key > max {
-                max = key;
-                argmax = i;
+        // Start from the largest current key (the first, among equals);
+        // an exhausted member ends the search before any probe.
+        let (mut max, mut p) = (0, 0);
+        for (i, &m) in self.members.iter().enumerate() {
+            if cursors[m].at_end() {
+                return None;
+            }
+            let key = cursors[m].key();
+            if i == 0 || key > max {
+                (max, p) = (key, i);
             }
         }
         // `agree` counts consecutive cursors known to sit on `max`; a match
         // is confirmed only once all k agree.
+        let k = self.members.len();
         let mut agree = 1;
-        self.p = argmax;
         while agree < k {
-            self.p = (self.p + 1) % k;
-            let cur = &mut cursors[self.members[self.p]];
+            p = if p + 1 == k { 0 } else { p + 1 };
+            let cur = &mut cursors[self.members[p]];
             if cur.key() == max {
                 agree += 1;
                 continue;
@@ -93,6 +91,7 @@ impl Leapfrog {
                 agree = 1;
             }
         }
+        self.p = p;
         Some(max)
     }
 
@@ -108,34 +107,111 @@ impl Leapfrog {
         }
         self.search(cursors, stats)
     }
+}
 
-    /// Fast-forwards to the first match at-or-after `v`.
-    ///
-    /// Seeks the round-robin cursor to `v` and realigns; used by the
-    /// root-partitioned parallel engine to enter its shard's value range
-    /// without walking the values before it. Like every leapfrog motion
-    /// this is forward-only.
-    pub fn seek<Cur: JoinCursor, T: Tally>(
-        &mut self,
-        cursors: &mut [Cur],
-        v: Value,
-        stats: &mut EngineStats<T>,
-    ) -> Option<Value> {
-        let first = self.members[self.p];
-        if cursors[first].at_end() {
+/// Most members a [`SliceLeapfrog`] runs over; a level with more falls
+/// back to the cursor loop.
+pub(crate) const SLICE_MEMBERS: usize = 8;
+
+/// [`Leapfrog`] for the last join variable, run on the members' sibling
+/// slices ([`JoinCursor::sibling_slice`]) instead of through their cursors.
+///
+/// Below the last variable nothing is opened, so all a match needs from a
+/// member is its value array: the kernel keeps one slice and one position
+/// per member in fixed local arrays and never touches a cursor frame. It
+/// issues exactly the probes of [`Leapfrog::search`]/[`Leapfrog::next`] —
+/// the seek is the same [`seek_in`] — and tallies them identically; the
+/// cursors themselves stay where the level was opened.
+pub(crate) struct SliceLeapfrog<'s> {
+    sets: [&'s [Value]; SLICE_MEMBERS],
+    /// Offsets into `sets`: 0 is where the member's cursor stands.
+    pos: [usize; SLICE_MEMBERS],
+    k: usize,
+    p: usize,
+}
+
+impl<'s> SliceLeapfrog<'s> {
+    /// A leapfrog over what `members` have left on their deepest open
+    /// level; `None` when there are more than [`SLICE_MEMBERS`] of them or
+    /// one cannot hand out a slice.
+    pub(crate) fn over<Cur: JoinCursor>(cursors: &'s [Cur], members: &[usize]) -> Option<Self> {
+        if members.len() > SLICE_MEMBERS {
             return None;
         }
-        stats.lub_ops += 1;
-        if !cursors[first].seek(v, &mut stats.access) {
+        let mut lf = SliceLeapfrog {
+            sets: [&[]; SLICE_MEMBERS],
+            pos: [0; SLICE_MEMBERS],
+            k: members.len(),
+            p: 0,
+        };
+        for (i, &m) in members.iter().enumerate() {
+            lf.sets[i] = cursors[m].sibling_slice()?;
+        }
+        Some(lf)
+    }
+
+    /// [`Leapfrog::search`] over the slices.
+    #[inline]
+    pub(crate) fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+        stats.match_ops += 1;
+        let k = self.k;
+        let (mut max, mut p) = (0, 0);
+        for i in 0..k {
+            let key = *self.sets[i].get(self.pos[i])?;
+            if i == 0 || key > max {
+                (max, p) = (key, i);
+            }
+        }
+        let mut agree = 1;
+        while agree < k {
+            p = if p + 1 == k { 0 } else { p + 1 };
+            let set = self.sets[p];
+            let mut key = set[self.pos[p]];
+            if key != max {
+                stats.lub_ops += 1;
+                self.pos[p] = seek_in(set, self.pos[p], max, &mut stats.access);
+                key = *set.get(self.pos[p])?;
+            }
+            if key == max {
+                agree += 1;
+            } else {
+                max = key;
+                agree = 1;
+            }
+        }
+        self.p = p;
+        Some(max)
+    }
+
+    /// [`Leapfrog::next`] over the slices.
+    #[inline]
+    pub(crate) fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+        let p = self.p;
+        self.pos[p] += 1;
+        if self.pos[p] >= self.sets[p].len() {
             return None;
         }
-        self.search(cursors, stats)
+        stats.access.record(AccessKind::IndexRead, WORD_BYTES);
+        self.search(stats)
+    }
+
+    /// The [`JoinCursor::cache_pos`] tokens of the current match, in
+    /// member order — what a PJR-cache entry records. `cursors` and
+    /// `members` are the ones this leapfrog was made [`over`](Self::over).
+    pub(crate) fn cache_positions<Cur: JoinCursor>(
+        &self,
+        cursors: &[Cur],
+        members: &[usize],
+    ) -> Vec<u32> {
+        let at = |(&m, &pos): (&usize, &usize)| cursors[m].cache_pos() + pos as u32;
+        members.iter().zip(&self.pos).map(at).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use triejax_relation::{AccessCounter, Counting, Relation, Trie, TrieCursor};
 
     fn unary(vals: &[Value]) -> Trie {
@@ -144,22 +220,112 @@ mod tests {
         )
     }
 
-    fn run_leapfrog(sets: &[&[Value]]) -> Vec<Value> {
+    /// One match: the value and every member's position token on it.
+    type Match = (Value, Vec<u32>);
+
+    /// One side's run: its match sequence and what it tallied.
+    type Run = (Vec<Match>, EngineStats<Counting>);
+
+    /// Runs the cursor loop and the slice kernel from the same starting
+    /// state — member `i` opened and stepped `skips[i]` keys forward, which
+    /// exhausts it when that is its whole set — and returns the cursor
+    /// loop's run and the kernel's (`None` where the kernel declines).
+    fn both_ways(sets: &[&[Value]], skips: &[usize]) -> (Run, Option<Run>) {
         let tries: Vec<Trie> = sets.iter().map(|s| unary(s)).collect();
         let mut cursors: Vec<TrieCursor> = tries.iter().map(TrieCursor::new).collect();
-        let mut opens = AccessCounter::default();
-        let mut stats = EngineStats::<Counting>::default();
-        for c in &mut cursors {
-            assert!(c.open(&mut opens));
+        let mut untallied = AccessCounter::default();
+        for (c, &skip) in cursors.iter_mut().zip(skips) {
+            assert!(c.open(&mut untallied));
+            for _ in 0..skip {
+                c.next(&mut untallied);
+            }
         }
-        let mut lf = Leapfrog::new((0..sets.len()).collect());
+        let members: Vec<usize> = (0..sets.len()).collect();
+
+        let sliced = SliceLeapfrog::over(&cursors, &members).map(|mut lf| {
+            let mut stats = EngineStats::<Counting>::default();
+            let mut out = Vec::new();
+            let mut m = lf.search(&mut stats);
+            while let Some(v) = m {
+                out.push((v, lf.cache_positions(&cursors, &members)));
+                m = lf.next(&mut stats);
+            }
+            (out, stats)
+        });
+
+        let mut stats = EngineStats::<Counting>::default();
+        let mut lf = Leapfrog::new(members);
         let mut out = Vec::new();
         let mut m = lf.search(&mut cursors, &mut stats);
         while let Some(v) = m {
-            out.push(v);
+            out.push((v, cursors.iter().map(JoinCursor::cache_pos).collect()));
             m = lf.next(&mut cursors, &mut stats);
         }
-        out
+        ((out, stats), sliced)
+    }
+
+    /// The matches of `sets`, after checking that the slice kernel found
+    /// the same ones at the same positions for the same tallies.
+    fn run_leapfrog(sets: &[&[Value]]) -> Vec<Value> {
+        let (by_cursor, by_slice) = both_ways(sets, &vec![0; sets.len()]);
+        assert_eq!(Some(&by_cursor), by_slice.as_ref());
+        by_cursor.0.into_iter().map(|(v, _)| v).collect()
+    }
+
+    #[test]
+    fn slice_kernel_handles_exhausted_and_singleton_members() {
+        let a: &[Value] = &[1, 4, 6, 9];
+        let b: &[Value] = &[4];
+        // First member exhausted, last member exhausted, a singleton set,
+        // a singleton remainder: same (non-)matches, same tallies.
+        for (sets, skips) in [
+            (vec![a, a], vec![4, 0]),
+            (vec![a, b, a], vec![0, 0, 4]),
+            (vec![a, b], vec![0, 0]),
+            (vec![a, a], vec![3, 1]),
+        ] {
+            let (by_cursor, by_slice) = both_ways(&sets, &skips);
+            assert_eq!(Some(&by_cursor), by_slice.as_ref(), "{sets:?} {skips:?}");
+        }
+        let (exhausted, _) = both_ways(&[a, a], &[4, 0]);
+        assert_eq!((exhausted.1.match_ops, exhausted.1.lub_ops), (1, 0));
+        assert_eq!(exhausted.1.access, AccessCounter::default());
+    }
+
+    #[test]
+    fn slice_kernel_declines_more_members_than_it_has_room_for() {
+        let set: &[Value] = &[1, 2, 3];
+        let sets = vec![set; SLICE_MEMBERS + 1];
+        let (by_cursor, by_slice) = both_ways(&sets, &vec![0; sets.len()]);
+        assert!(by_slice.is_none(), "the drivers keep the cursor loop");
+        assert_eq!(by_cursor.0.len(), 3);
+        let (_, at_capacity) = both_ways(&sets[1..], &[0; SLICE_MEMBERS]);
+        assert_eq!(at_capacity.expect("fits").0.len(), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The rule of this file: the slice kernel is the cursor loop made
+        /// cheaper, so from any starting state — including members already
+        /// part-way through or past their set — both find the same matches
+        /// at the same positions and tally the same `match_ops`, `lub_ops`
+        /// and memory reads.
+        #[test]
+        fn slice_kernel_equals_the_cursor_loop(
+            members in prop::collection::vec(
+                (prop::collection::btree_set(0u32..24, 1..12), 0usize..12),
+                1..=5,
+            ),
+        ) {
+            let sets: Vec<Vec<Value>> =
+                members.iter().map(|(s, _)| s.iter().copied().collect()).collect();
+            let sets: Vec<&[Value]> = sets.iter().map(Vec::as_slice).collect();
+            let skips: Vec<usize> =
+                members.iter().map(|(s, skip)| *skip.min(&s.len())).collect();
+            let (by_cursor, by_slice) = both_ways(&sets, &skips);
+            prop_assert_eq!(Some(&by_cursor), by_slice.as_ref());
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@ use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
 use crate::engine::head_slots;
+use crate::leapfrog::SliceLeapfrog;
 use crate::shard::{try_split_at, NoSplit, SplitSpawn};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
@@ -338,6 +339,38 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         true
     }
 
+    /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
+    /// sibling slices, emitting a row per match, when it binds the last
+    /// variable and lies below `split_cap` (so its tail is never donated).
+    /// `None` (nothing done) otherwise or when the level has no slice
+    /// form; else whether the budget let every row through.
+    fn leaf_level(
+        &mut self,
+        d: usize,
+        split_cap: usize,
+        members: &[usize],
+        sink: &mut dyn ResultSink,
+    ) -> Option<bool> {
+        if d + 1 != self.plan.arity() || d <= split_cap {
+            return None;
+        }
+        // Out of `self` so the slices can outlive the `&mut self` emits.
+        let cursors = std::mem::take(&mut self.cursors);
+        let live = SliceLeapfrog::over(&cursors, members).map(|mut lf| {
+            let mut m = lf.search(&mut self.stats);
+            while let Some(v) = m {
+                self.binding[d] = v;
+                if !self.emit_result(sink) {
+                    return false;
+                }
+                m = lf.next(&mut self.stats);
+            }
+            true
+        });
+        self.cursors = cursors;
+        live
+    }
+
     /// Returns `false` when the budget stopped the run at this level or
     /// below; cursors are unwound normally either way.
     fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
@@ -352,12 +385,17 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         if !self.open_level(d) {
             return true;
         }
-        let mut live = true;
         // Recycle this depth's member vector: the recursion must not
         // allocate per visited node. The ranged level needs no range
         // checks here — `open_level` already clamped the cursors.
         let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
-        let mut m = lf.search(&mut self.cursors, &mut self.stats);
+        // A last level that ran on sibling slices skips the cursor loop.
+        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), sink);
+        let mut live = sliced.unwrap_or(true);
+        let mut m = match sliced {
+            Some(_) => None,
+            None => lf.search(&mut self.cursors, &mut self.stats),
+        };
         while let Some(v) = m {
             self.binding[d] = v;
             if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
@@ -525,6 +563,53 @@ mod tests {
             assert!(cs.memory_accesses() > 0);
             assert_eq!(fs.memory_accesses(), 0);
         }
+    }
+
+    #[test]
+    fn merged_views_keep_the_cursor_loop_and_the_rebuilt_answer() {
+        use triejax_relation::RelationDelta;
+
+        // The live_delta shape: Cycle3 over a base with pending inserts
+        // (closing 0 -> 1 -> 2 -> 0) and deletes (opening 2 -> 3 -> 4 -> 2).
+        let base = Relation::from_pairs(vec![(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)]);
+        let delta = RelationDelta::empty(2).unwrap().apply_batch(
+            &base,
+            &Relation::from_pairs(vec![(2, 0), (5, 3)]),
+            &Relation::from_pairs(vec![(4, 2)]),
+        );
+        let mut c = Catalog::new();
+        c.insert("G", base.clone());
+        let mut rebuilt = Catalog::new();
+        rebuilt.insert("G", delta.merge_into(&base));
+        let deltas = DeltaMap::from([("G".to_owned(), delta)]);
+        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
+
+        // Merge cursors have no slice form, so the last variable stays on
+        // the cursor loop ...
+        let set = MergeSet::build(&plan, &c, &deltas).unwrap();
+        let cursors: Vec<_> = (0..plan.atom_plans().len())
+            .map(|i| set.cursor(i))
+            .collect();
+        assert!(SliceLeapfrog::over(&cursors, &[0, 1, 2]).is_none());
+
+        // ... and that loop still answers like the rebuilt relation, row
+        // for row, in both tally modes.
+        let mut oracle = CollectSink::new();
+        Lftj::new().execute(&plan, &rebuilt, &mut oracle).unwrap();
+        // 0-1-2 closed by the insert (2, 0), 3-4-5 by (5, 3); 2-3-4 is gone.
+        assert_eq!(oracle.tuples().len(), 6);
+        assert_eq!(oracle.tuples()[0], [0, 1, 2]);
+        let mut counting = CollectSink::new();
+        let stats = Lftj::new()
+            .run_tallied_with::<Counting>(&plan, &c, &deltas, &mut counting)
+            .unwrap();
+        let mut fast = CollectSink::new();
+        Lftj::new()
+            .run_tallied_with::<NoTally>(&plan, &c, &deltas, &mut fast)
+            .unwrap();
+        assert_eq!(counting.tuples(), oracle.tuples());
+        assert_eq!(fast.tuples(), oracle.tuples());
+        assert_eq!(stats.results, 6);
     }
 
     #[test]

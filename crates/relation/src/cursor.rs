@@ -33,18 +33,23 @@ use crate::{AccessKind, Tally, Trie, TrieLevel, Value, WORD_BYTES};
 pub struct TrieCursor<'a> {
     trie: &'a Trie,
     /// Per-depth level views, computed once at construction. The views are
-    /// `Copy` borrows into the trie's flat word buffer; caching them keeps
-    /// the per-probe hot path (`key`, `open`, `seek`) to a single indexed
-    /// read instead of re-slicing the buffer on every call.
+    /// `Copy` borrows into the trie's flat word buffer; `open` reads the
+    /// child range from one and cuts the next frame's slice from another.
     levels: Vec<TrieLevel<'a>>,
-    /// One frame per open level: sibling range `[lo, hi)` and position.
-    frames: Vec<Frame>,
+    /// One frame per open level.
+    frames: Vec<Frame<'a>>,
 }
 
+/// One open level. The frame holds the sibling slice itself, so every
+/// per-probe operation (`key`, `next`, `seek`) is one index into `sib`
+/// and the slice's own bounds check is the at-end check.
 #[derive(Debug, Clone, Copy)]
-struct Frame {
+struct Frame<'a> {
+    /// The level's value array cut at the end of the sibling range
+    /// (`values()[..hi]`), so `pos` stays an absolute level index.
+    sib: &'a [Value],
+    /// First sibling; `lo <= pos <= sib.len()`.
     lo: usize,
-    hi: usize,
     pos: usize,
 }
 
@@ -77,8 +82,8 @@ impl<'a> TrieCursor<'a> {
     /// Panics if the cursor is above the root.
     #[inline]
     pub fn at_end(&self) -> bool {
-        let f = self.frames.last().expect("cursor is above the root");
-        f.pos >= f.hi
+        let f = self.top();
+        f.pos >= f.sib.len()
     }
 
     /// Value of the current node.
@@ -88,9 +93,8 @@ impl<'a> TrieCursor<'a> {
     /// Panics if the cursor is above the root or at the end of a level.
     #[inline]
     pub fn key(&self) -> Value {
-        let f = self.frames.last().expect("cursor is above the root");
-        assert!(f.pos < f.hi, "cursor is at end");
-        self.levels[self.frames.len() - 1].values()[f.pos]
+        let f = self.top();
+        f.sib[f.pos]
     }
 
     /// Index of the current node within its level's value array.
@@ -103,8 +107,8 @@ impl<'a> TrieCursor<'a> {
     /// Panics if the cursor is above the root or at the end of a level.
     #[inline]
     pub fn pos(&self) -> usize {
-        let f = self.frames.last().expect("cursor is above the root");
-        assert!(f.pos < f.hi, "cursor is at end");
+        let f = self.top();
+        assert!(f.pos < f.sib.len(), "cursor is at end");
         f.pos
     }
 
@@ -114,8 +118,56 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics if the cursor is above the root.
     pub fn sibling_range(&self) -> (usize, usize) {
-        let f = self.frames.last().expect("cursor is above the root");
-        (f.lo, f.hi)
+        let f = self.top();
+        (f.lo, f.sib.len())
+    }
+
+    /// The current key followed by its unvisited siblings (empty once the
+    /// level has ended): what a leapfrog over this level has left to look
+    /// at, as one sorted slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is above the root.
+    #[inline]
+    pub fn sibling_slice(&self) -> &'a [Value] {
+        let f = self.top();
+        &f.sib[f.pos..]
+    }
+
+    #[inline]
+    fn top(&self) -> &Frame<'a> {
+        self.frames.last().expect("cursor is above the root")
+    }
+
+    #[inline]
+    fn top_mut(&mut self) -> &mut Frame<'a> {
+        self.frames.last_mut().expect("cursor is above the root")
+    }
+
+    /// Opens the next level on the sibling range `[lo, hi)`, charging the
+    /// fetch of its first value; `false` (nothing pushed) when it is empty.
+    #[inline]
+    fn push<T: Tally>(&mut self, lo: usize, hi: usize, counter: &mut T) -> bool {
+        if lo >= hi {
+            return false;
+        }
+        counter.record(AccessKind::IndexRead, WORD_BYTES);
+        let sib = &self.levels[self.frames.len()].values()[..hi];
+        self.frames.push(Frame { sib, lo, pos: lo });
+        true
+    }
+
+    /// Child range of the current node, charging the two child-range words
+    /// Midwife reads (`child_starts[pos]` and `child_starts[pos + 1]`).
+    #[inline]
+    fn child_range<T: Tally>(&self, counter: &mut T) -> (usize, usize) {
+        let depth = self.frames.len();
+        assert!(depth < self.trie.arity(), "cannot open past the leaf level");
+        let f = self.top();
+        assert!(f.pos < f.sib.len(), "cannot open an ended level");
+        counter.record(AccessKind::IndexRead, 2 * WORD_BYTES);
+        self.levels[depth - 1].child_range(f.pos)
     }
 
     /// Descends to the first child of the current node (or to the first
@@ -132,21 +184,9 @@ impl<'a> TrieCursor<'a> {
         let (lo, hi) = if self.frames.is_empty() {
             (0, self.levels[0].len())
         } else {
-            let depth = self.frames.len();
-            assert!(depth < self.trie.arity(), "cannot open past the leaf level");
-            let f = self.frames.last().expect("non-empty frames");
-            assert!(f.pos < f.hi, "cannot open an ended level");
-            // Midwife reads child_starts[pos] and child_starts[pos + 1].
-            counter.record(AccessKind::IndexRead, 2 * WORD_BYTES);
-            self.levels[depth - 1].child_range(f.pos)
+            self.child_range(counter)
         };
-        if lo >= hi {
-            return false;
-        }
-        // Fetch the first child's value.
-        counter.record(AccessKind::IndexRead, WORD_BYTES);
-        self.frames.push(Frame { lo, hi, pos: lo });
-        true
+        self.push(lo, hi, counter)
     }
 
     /// Descends to the root level restricted to values in `[min, sup)`
@@ -187,13 +227,7 @@ impl<'a> TrieCursor<'a> {
             Some(s) => lower_bound(values, lo, values.len(), s, counter),
             None => values.len(),
         };
-        if lo >= hi {
-            return false;
-        }
-        // Fetch the first in-range value.
-        counter.record(AccessKind::IndexRead, WORD_BYTES);
-        self.frames.push(Frame { lo, hi, pos: lo });
-        true
+        self.push(lo, hi, counter)
     }
 
     /// Descends one level restricted to values in `[min, sup)` (`sup =
@@ -222,14 +256,8 @@ impl<'a> TrieCursor<'a> {
         if self.frames.is_empty() {
             return self.open_root_range(min, sup, counter);
         }
-        let depth = self.frames.len();
-        assert!(depth < self.trie.arity(), "cannot open past the leaf level");
-        let f = self.frames.last().expect("non-empty frames");
-        assert!(f.pos < f.hi, "cannot open an ended level");
-        // Midwife reads child_starts[pos] and child_starts[pos + 1].
-        counter.record(AccessKind::IndexRead, 2 * WORD_BYTES);
-        let (lo, hi) = self.levels[depth - 1].child_range(f.pos);
-        let values = self.levels[depth].values();
+        let (lo, hi) = self.child_range(counter);
+        let values = self.levels[self.frames.len()].values();
         let lo = if min == 0 {
             lo
         } else {
@@ -239,42 +267,7 @@ impl<'a> TrieCursor<'a> {
             Some(s) => lower_bound(values, lo, hi, s, counter),
             None => hi,
         };
-        if lo >= hi {
-            return false;
-        }
-        // Fetch the first in-range value.
-        counter.record(AccessKind::IndexRead, WORD_BYTES);
-        self.frames.push(Frame { lo, hi, pos: lo });
-        true
-    }
-
-    /// Clones this cursor with the root level opened and restricted to
-    /// values in `[min, sup)`, or `None` when the range holds no root
-    /// value.
-    ///
-    /// Shard-handoff convenience over
-    /// [`open_root_range`](Self::open_root_range) for callers that keep a
-    /// prototype cursor per trie and want a positioned, range-clamped
-    /// clone per shard (the in-tree engine drivers construct their own
-    /// cursors and clamp them with `open_root_range` directly). The
-    /// bounding binary searches are untallied — handoff is scheduling
-    /// work, not simulated memory traffic; a shard's own accesses are
-    /// counted when its driver opens the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor is not above the root.
-    pub fn clone_at_root_range(&self, min: Value, sup: Option<Value>) -> Option<TrieCursor<'a>> {
-        assert!(
-            self.frames.is_empty(),
-            "root range clones from above the root"
-        );
-        let mut clone = TrieCursor::new(self.trie);
-        if clone.open_root_range(min, sup, &mut crate::NoTally) {
-            Some(clone)
-        } else {
-            None
-        }
+        self.push(lo, hi, counter)
     }
 
     /// Shrinks the deepest open level's sibling range to values `< sup`,
@@ -293,16 +286,16 @@ impl<'a> TrieCursor<'a> {
     /// Panics when the cursor is above the root, at the end of its level,
     /// or positioned at/beyond `sup`.
     pub fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "clamp applies to an open level");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last_mut().expect("non-empty frames");
-        assert!(f.pos < f.hi, "cursor is at end");
+        let f = self
+            .frames
+            .last_mut()
+            .expect("clamp applies to an open level");
+        let sib = f.sib;
         assert!(
-            values[f.pos] < sup,
+            sib[f.pos] < sup,
             "split boundary must lie beyond the current key"
         );
-        f.hi = lower_bound(values, f.pos, f.hi, sup, counter);
+        f.sib = &sib[..lower_bound(sib, f.pos, sib.len(), sup, counter)];
     }
 
     /// Lenient any-depth variant of [`clamp_sup`](Self::clamp_sup) for
@@ -315,15 +308,16 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics when the cursor is above the root.
     pub(crate) fn clamp_sup_lenient<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "clamp applies to an open level");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last_mut().expect("non-empty frames");
-        if f.pos >= f.hi || values[f.pos] >= sup {
-            f.hi = f.pos;
-            return;
-        }
-        f.hi = lower_bound(values, f.pos, f.hi, sup, counter);
+        let f = self
+            .frames
+            .last_mut()
+            .expect("clamp applies to an open level");
+        let sib = f.sib;
+        let hi = match sib.get(f.pos) {
+            Some(&key) if key < sup => lower_bound(sib, f.pos, sib.len(), sup, counter),
+            _ => f.pos,
+        };
+        f.sib = &sib[..hi];
     }
 
     /// Number of sibling keys strictly after the current position on the
@@ -334,13 +328,10 @@ impl<'a> TrieCursor<'a> {
     /// # Panics
     ///
     /// Panics when the cursor is above the root.
+    #[inline]
     pub fn unvisited(&self) -> usize {
-        let f = self.frames.last().expect("cursor is above the root");
-        if f.pos >= f.hi {
-            0
-        } else {
-            f.hi - f.pos - 1
-        }
+        let f = self.top();
+        f.sib.len().saturating_sub(f.pos + 1)
     }
 
     /// The key at which this cursor would cut the unvisited tail of its
@@ -352,12 +343,10 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics when the cursor is above the root or the tail is empty.
     pub fn split_boundary(&self) -> Value {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "cursor is above the root");
-        let f = self.frames.last().expect("non-empty frames");
+        let f = self.top();
         let remaining = self.unvisited();
         assert!(remaining >= 1, "no unvisited tail to split");
-        self.levels[depth - 1].values()[f.pos + 1 + remaining / 2]
+        f.sib[f.pos + 1 + remaining / 2]
     }
 
     /// Whether any sibling in `[boundary, hi)` remains on the deepest open
@@ -370,11 +359,8 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics when the cursor is above the root.
     pub fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "cursor is above the root");
-        let values = self.levels[depth - 1].values();
-        let f = self.frames.last().expect("non-empty frames");
-        lower_bound(values, f.pos, f.hi, boundary, counter) < f.hi
+        let f = self.top();
+        lower_bound(f.sib, f.pos, f.sib.len(), boundary, counter) < f.sib.len()
     }
 
     /// Ascends one level.
@@ -382,6 +368,7 @@ impl<'a> TrieCursor<'a> {
     /// # Panics
     ///
     /// Panics if the cursor is above the root.
+    #[inline]
     pub fn up(&mut self) {
         self.frames.pop().expect("cursor is above the root");
     }
@@ -394,10 +381,10 @@ impl<'a> TrieCursor<'a> {
     /// Panics if the cursor is above the root or already at the end.
     #[inline]
     pub fn next<T: Tally>(&mut self, counter: &mut T) -> bool {
-        let f = self.frames.last_mut().expect("cursor is above the root");
-        assert!(f.pos < f.hi, "cursor is already at end");
+        let f = self.top_mut();
+        assert!(f.pos < f.sib.len(), "cursor is already at end");
         f.pos += 1;
-        if f.pos < f.hi {
+        if f.pos < f.sib.len() {
             counter.record(AccessKind::IndexRead, WORD_BYTES);
             true
         } else {
@@ -418,18 +405,14 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics when called on a leaf-level node or with `pos` outside the
     /// level.
+    #[inline]
     pub fn open_at(&mut self, pos: usize) {
         let depth = self.frames.len();
         assert!(depth < self.trie.arity(), "cannot open past the leaf level");
-        assert!(
-            pos < self.levels[depth].len(),
-            "open_at index outside level"
-        );
-        self.frames.push(Frame {
-            lo: pos,
-            hi: pos + 1,
-            pos,
-        });
+        let values = self.levels[depth].values();
+        assert!(pos < values.len(), "open_at index outside level");
+        let sib = &values[..pos + 1];
+        self.frames.push(Frame { sib, lo: pos, pos });
     }
 
     /// Repositions the cursor at an absolute index of the current level,
@@ -443,10 +426,11 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Panics if the cursor is above the root or `pos` lies outside the
     /// current sibling range.
+    #[inline]
     pub fn jump(&mut self, pos: usize) {
-        let f = self.frames.last_mut().expect("cursor is above the root");
+        let f = self.top_mut();
         assert!(
-            pos >= f.lo && pos < f.hi,
+            pos >= f.lo && pos < f.sib.len(),
             "jump target outside sibling range"
         );
         f.pos = pos;
@@ -456,49 +440,62 @@ impl<'a> TrieCursor<'a> {
     /// Returns `false` when every remaining sibling is smaller than `v`.
     ///
     /// Seeking is forward-only: positions before the current one are never
-    /// revisited, as required by LeapFrog TrieJoin. Because successive seeks
-    /// within a level are monotone, the target is usually *near* the current
-    /// position, so the search gallops (exponential probe strides from
-    /// `pos`) before binary-searching the bracketed gap — `O(log d)` probes
-    /// for a target `d` ahead, instead of `O(log (hi - pos))` for a
-    /// restart-from-`pos` binary search. Every probed word is tallied
-    /// (one counted probe per value read), keeping Counting-mode figures
-    /// honest.
+    /// revisited, as required by LeapFrog TrieJoin. The search itself is
+    /// [`seek_in`] over the frame's sibling slice.
     ///
     /// # Panics
     ///
     /// Panics if the cursor is above the root or already at the end.
     #[inline]
     pub fn seek<T: Tally>(&mut self, v: Value, counter: &mut T) -> bool {
-        let depth = self.frames.len();
-        let f = self.frames.last_mut().expect("cursor is above the root");
-        assert!(f.pos < f.hi, "cursor is already at end");
-        let values = self.levels[depth - 1].values();
-        counter.record(AccessKind::IndexRead, WORD_BYTES);
-        if values[f.pos] >= v {
-            return true;
-        }
-        // Invariant: values[lo] < v. Gallop until a probe lands >= v (new
-        // exclusive upper bracket) or the stride runs off the sibling range.
-        let (mut lo, mut hi) = (f.pos, f.hi);
-        let mut step = 1usize;
-        while lo + step < f.hi {
-            counter.record(AccessKind::IndexRead, WORD_BYTES);
-            if values[lo + step] < v {
-                lo += step;
-                step <<= 1;
-            } else {
-                hi = lo + step;
-                break;
-            }
-        }
-        f.pos = lower_bound(values, lo + 1, hi, v, counter);
-        f.pos < f.hi
+        let f = self.top_mut();
+        f.pos = seek_in(f.sib, f.pos, v, counter);
+        f.pos < f.sib.len()
     }
 }
 
+/// Lowest-upper-bound search in a sorted slice: the first index at or after
+/// `pos` whose value is `>= v`, or `values.len()` when every remaining
+/// value is smaller. This is [`TrieCursor::seek`] without the cursor — the
+/// leaf-level leapfrog kernel runs it on bare sibling slices — so both
+/// issue the same probes and tally the same reads.
+///
+/// Because successive seeks within a level are monotone, the target is
+/// usually *near* `pos`, so the search gallops (exponential probe strides
+/// from `pos`) before binary-searching the bracketed gap — `O(log d)`
+/// probes for a target `d` ahead, instead of `O(log (len - pos))` for a
+/// restart-from-`pos` binary search. Every probed word is tallied (one
+/// counted probe per value read), keeping Counting-mode figures honest.
+///
+/// # Panics
+///
+/// Panics if `pos` is not a valid index (the "already at end" case).
+#[inline]
+pub fn seek_in<T: Tally>(values: &[Value], pos: usize, v: Value, counter: &mut T) -> usize {
+    counter.record(AccessKind::IndexRead, WORD_BYTES);
+    if values[pos] >= v {
+        return pos;
+    }
+    // Invariant: values[lo] < v. Gallop until a probe lands >= v (new
+    // exclusive upper bracket) or the stride runs off the slice.
+    let (mut lo, mut hi) = (pos, values.len());
+    let mut step = 1usize;
+    while lo + step < values.len() {
+        counter.record(AccessKind::IndexRead, WORD_BYTES);
+        if values[lo + step] < v {
+            lo += step;
+            step <<= 1;
+        } else {
+            hi = lo + step;
+            break;
+        }
+    }
+    lower_bound(values, lo + 1, hi, v, counter)
+}
+
 /// First index in `values[lo..hi]` whose value is `>= v` (counting one
-/// probe per midpoint read, like [`TrieCursor::seek`]).
+/// probe per midpoint read, like [`seek_in`]).
+#[inline]
 fn lower_bound<T: Tally>(
     values: &[Value],
     mut lo: usize,
@@ -563,6 +560,17 @@ mod tests {
         let mut c = AccessCounter::default();
         assert!(!cur.seek(99, &mut c));
         assert_eq!(c.index_reads, 5);
+
+        // The same four searches on the bare slice: `seek_in` is the seek,
+        // so positions and probe counts are the ones checked above.
+        let values = t.level(0).values();
+        let mut pos = 0;
+        for (v, lands, reads) in [(0, 0, 1), (5, 5, 6), (6, 6, 2), (99, 16, 5)] {
+            let mut c = AccessCounter::default();
+            pos = seek_in(values, pos, v, &mut c);
+            assert_eq!((pos, c.index_reads), (lands, reads), "seek_in {v}");
+            assert_eq!(c.index_bytes, reads * WORD_BYTES);
+        }
     }
 
     #[test]
@@ -690,23 +698,6 @@ mod tests {
             "full range still opens"
         );
         assert_eq!(cur.key(), 1);
-    }
-
-    #[test]
-    fn clone_at_root_range_hands_off_a_positioned_cursor() {
-        let t = trie();
-        let proto = TrieCursor::new(&t);
-        let mut shard = proto
-            .clone_at_root_range(3, Some(8))
-            .expect("range holds 3 and 7");
-        assert_eq!(shard.depth(), 1);
-        assert_eq!(shard.key(), 3);
-        let mut c = AccessCounter::default();
-        assert!(shard.next(&mut c));
-        assert_eq!(shard.key(), 7);
-        assert!(proto.clone_at_root_range(4, Some(7)).is_none());
-        // The prototype itself is untouched (still above the root).
-        assert_eq!(proto.depth(), 0);
     }
 
     #[test]

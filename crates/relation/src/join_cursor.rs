@@ -3,8 +3,9 @@
 //!
 //! [`JoinCursor`] captures exactly the operations LeapFrog TrieJoin and
 //! Cached TrieJoin perform — open/up/next/seek plus the root-range
-//! sharding and dynamic-split hooks of the parallel engines and the
-//! positional replay hooks of the PJR cache. [`crate::TrieCursor`]
+//! sharding and dynamic-split hooks of the parallel engines, the
+//! positional replay hooks of the PJR cache and the sibling-slice view
+//! the leaf-level kernel runs on. [`crate::TrieCursor`]
 //! implements it by plain delegation (so the frozen-trie path
 //! monomorphizes to today's code, access tallies included), and
 //! [`crate::MergeCursor`] implements it over `base ∪ delta − tombstones`,
@@ -33,6 +34,9 @@ use crate::{Tally, TrieCursor, Value};
 ///   are the two halves of the handoff: the donor clamps its deepest
 ///   level below the boundary, the donee re-opens the same level
 ///   restricted to the donated tail.
+/// * [`sibling_slice`](Self::sibling_slice) lets the engines run the last
+///   join variable's leapfrog on bare sorted slices instead of through
+///   the cursor, for cursors whose open level is one array.
 /// * [`cache_pos`](Self::cache_pos) / [`reopen_at`](Self::reopen_at) are
 ///   the PJR-cache hooks: a computing driver records the positions a
 ///   cached entry stores, and a replaying driver re-descends from them.
@@ -101,6 +105,15 @@ pub trait JoinCursor {
     /// participant must answer `true` before the tail is donated, and the
     /// binary-search probes are tallied like clamp searches.
     fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool;
+
+    /// The current key followed by its unvisited siblings on the deepest
+    /// open level, when the cursor can hand them out as one sorted slice
+    /// (empty once the level has ended). The engines run the last join
+    /// variable's leapfrog directly on these slices; a cursor that returns
+    /// `None` (the default) is driven through `key`/`seek`/`next` instead.
+    fn sibling_slice(&self) -> Option<&[Value]> {
+        None
+    }
 
     /// The position token a PJR-cache entry stores for the current node.
     /// For plain tries this is the absolute level index; composite
@@ -185,6 +198,11 @@ impl<'a> JoinCursor for TrieCursor<'a> {
     #[inline]
     fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
         TrieCursor::tail_contains(self, boundary, counter)
+    }
+
+    #[inline]
+    fn sibling_slice(&self) -> Option<&[Value]> {
+        Some(TrieCursor::sibling_slice(self))
     }
 
     #[inline]

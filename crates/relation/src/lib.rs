@@ -44,7 +44,7 @@ mod relation;
 mod trie;
 
 pub use access::{AccessCounter, AccessKind, Counting, NoTally, Tally};
-pub use cursor::TrieCursor;
+pub use cursor::{seek_in, TrieCursor};
 pub use delta::RelationDelta;
 pub use error::{RelationError, TrieLayoutError};
 pub use join_cursor::JoinCursor;

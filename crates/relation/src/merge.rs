@@ -708,6 +708,22 @@ mod tests {
     }
 
     #[test]
+    fn merged_levels_have_no_sibling_slice() {
+        // A merged level is the union of two arrays minus tombstones: no
+        // single slice holds it, so the engines keep driving the cursor.
+        let base = Trie::build(&Relation::from_pairs(vec![(1, 2), (1, 6)]));
+        let none = Relation::new(2).unwrap();
+        let mut cur = MergeCursor::new(Some(&base), None, &none);
+        let mut c = AccessCounter::default();
+        assert!(cur.sibling_slice().is_none());
+        assert!(cur.open(&mut c) && cur.open(&mut c));
+        assert!(cur.sibling_slice().is_none(), "not even over a lone side");
+        let mut plain = TrieCursor::new(&base);
+        assert!(plain.open(&mut c) && plain.open(&mut c));
+        assert_eq!(JoinCursor::sibling_slice(&plain), Some(&[2, 6][..]));
+    }
+
+    #[test]
     fn reopen_at_descends_by_value() {
         let base_rel = Relation::from_pairs(vec![(1, 2), (3, 4), (5, 6)]);
         let base = Trie::build(&base_rel);

@@ -1,0 +1,83 @@
+//! Exact software tallies of the sequential engines on grqc-tiny.
+//!
+//! The cursor/leapfrog inner loop may be made cheaper, never different:
+//! an optimisation of that loop must leave every number below untouched
+//! (ARCHITECTURE.md, "an optimisation of this loop may not change a
+//! tally"). The pins were captured on the commit before the slice-frame
+//! and leaf-kernel rewrite; they are the operations the paper's LUB,
+//! Midwife and MatchMaker units would issue for the same query.
+
+use triejax_graph::{Dataset, Scale};
+use triejax_join::{Catalog, CountSink, Ctj, EngineStats, Lftj, ParLftj};
+use triejax_query::{patterns::Pattern, CompiledQuery};
+use triejax_relation::{Counting, NoTally, Tally};
+
+/// `[lub_ops, expand_ops, match_ops, results, index_reads, index_bytes]`.
+type Pin = [u64; 6];
+
+fn pin<T: Tally>(s: &EngineStats<T>) -> Pin {
+    let access = s.access.snapshot();
+    [
+        s.lub_ops,
+        s.expand_ops,
+        s.match_ops,
+        s.results,
+        access.index_reads,
+        access.index_bytes,
+    ]
+}
+
+fn catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.insert("G", Dataset::GrQc.generate(Scale::Tiny).edge_relation());
+    c
+}
+
+/// Per `Pattern::PAPER` entry, in order: the LFTJ pin, then the CTJ pin.
+#[rustfmt::skip]
+const PINS: [(Pin, Pin); 5] = [
+    ([637, 453, 2901, 2346, 6339, 27168], [637, 196, 878, 2346, 4059, 17020]), // Path3
+    ([4623, 2716, 16515, 13371, 38753, 165876], [1205, 281, 1263, 13371, 7188, 29876]), // Path4
+    ([2045, 706, 946, 171, 8826, 38128], [2045, 706, 946, 171, 8826, 38128]), // Cycle3
+    ([12233, 4265, 5656, 1116, 52077, 225368], [9724, 3499, 4881, 1116, 42702, 184804]), // Cycle4
+    ([4649, 1219, 1167, 41, 23902, 100484], [4649, 1219, 1167, 41, 23902, 100484]), // Clique4
+];
+
+#[test]
+fn sequential_counting_tallies_are_pinned() {
+    let c = catalog();
+    for (p, (lftj_pin, ctj_pin)) in Pattern::PAPER.into_iter().zip(PINS) {
+        let plan = CompiledQuery::compile(&p.query()).unwrap();
+        let lftj = Lftj::new()
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        let ctj = Ctj::new()
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!((pin(&lftj), pin(&ctj)), (lftj_pin, ctj_pin), "{p}");
+    }
+}
+
+#[test]
+fn one_worker_pool_and_untallied_runs_do_the_same_operations() {
+    let c = catalog();
+    for (p, (lftj_pin, ctj_pin)) in Pattern::PAPER.into_iter().zip(PINS) {
+        let plan = CompiledQuery::compile(&p.query()).unwrap();
+        let pooled = ParLftj::with_pool(1)
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!(pin(&pooled), lftj_pin, "par-lftj pool 1, {p}");
+
+        // NoTally keeps the discrete op counters and records no access.
+        let ops_only = |pin: Pin| [pin[0], pin[1], pin[2], pin[3], 0, 0];
+        let lftj = Lftj::new()
+            .run_tallied::<NoTally>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        let ctj = Ctj::new()
+            .run_tallied::<NoTally>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!(pin(&lftj), ops_only(lftj_pin), "untallied lftj, {p}");
+        assert_eq!(pin(&ctj), ops_only(ctj_pin), "untallied ctj, {p}");
+        assert_eq!(lftj.memory_accesses() + ctj.memory_accesses(), 0, "{p}");
+    }
+}
