@@ -25,12 +25,15 @@
 //! session **epoch**. Queries snapshot `(catalog, deltas, epoch)` at
 //! [`Session::query`] time, so a long stream keeps reading the state it
 //! started from while later batches land. Engines walk mutated relations
-//! through [`triejax_relation::MergeCursor`]s (`base ∪ inserts −
-//! tombstones`); untouched relations keep their plain trie cursors and
-//! their cached tries. When a relation's delta outgrows
+//! through [`triejax_relation::MergeCursor`]s over a patched view of the
+//! cached base trie (`base ∪ inserts − tombstones`); untouched relations
+//! keep their plain trie cursors. When a relation's delta outgrows
 //! [`Session::with_compact_ratio`] × its base (or on an explicit
 //! [`Session::compact`]), the delta is merged into a fresh frozen base —
-//! an O(base) rebuild paid rarely, amortizing to O(batch) per apply.
+//! an O(base) rebuild paid rarely, amortizing to O(batch) per apply — and
+//! the session cache forgets every trie and view of the base it replaced
+//! ([`TrieCache`] module docs), so its size does not grow with the number
+//! of batches.
 //!
 //! Applies are atomic: the new state is fully computed before it is
 //! swapped in, so a panic mid-apply (fault injection, allocation failure)
@@ -42,28 +45,33 @@
 //! evaluation**: after every applied batch the subscriber's
 //! [`WatchStream`] receives exactly the result tuples that batch *newly
 //! created* — computed by joining only the delta-containing atom
-//! combinations, never by re-running the full query (see the module's
-//! overlap-term decomposition in ARCHITECTURE.md).
+//! combinations, each in a variable order that starts from the batch's own
+//! rows, never by re-running the full query (see the overlap-term
+//! decomposition in ARCHITECTURE.md). A watcher whose evaluation fails is
+//! unsubscribed — its stream hangs up — rather than sent a partial update.
 
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use triejax_exec::{CancelToken, WorkerPool};
-use triejax_query::{CompiledQuery, Query};
-use triejax_relation::{delta, NoTally, Relation, RelationDelta, Value};
+use triejax_exec::{CancelToken, NoBudget, WorkerPool};
+use triejax_query::{CompiledQuery, VarId};
+use triejax_relation::{NoTally, Relation, RelationDelta, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
 use crate::engine::head_slots;
+use crate::lftj::Driver;
+use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
-    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, Lftj, ParCtj, ParLftj, ResultSink,
-    TrieCache, TrieSet,
+    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, ParCtj, ParLftj, ResultSink, TrieCache,
+    TrieSet,
 };
 
 /// Name of the environment variable supplying the default delta-compaction
 /// threshold: a relation's delta is merged into a fresh frozen base when
-/// `delta.len() > ratio × base.len()` after an apply. Unset means `0.5`;
+/// `delta.len() > ratio × base.len()` after an apply. Read once, when a
+/// session is constructed; unset means `0.5`, and
 /// [`Session::with_compact_ratio`] overrides it per session.
 pub const COMPACT_RATIO_ENV: &str = "TRIEJAX_DELTA_COMPACT_RATIO";
 
@@ -154,9 +162,10 @@ pub struct Session {
     /// scoped workers from it).
     pool: WorkerPool,
     cache: Arc<TrieCache>,
-    /// Explicit compaction ratio; `None` falls back to
-    /// [`COMPACT_RATIO_ENV`] at each apply.
-    compact_ratio: Option<f64>,
+    /// The compaction ratio: [`COMPACT_RATIO_ENV`] as it stood when the
+    /// session was constructed, unless [`Session::with_compact_ratio`]
+    /// replaced it.
+    compact_ratio: f64,
 }
 
 impl Session {
@@ -180,7 +189,7 @@ impl Session {
             }),
             pool: WorkerPool::new(),
             cache: Arc::new(cache),
-            compact_ratio: None,
+            compact_ratio: env_compact_ratio(),
         }
     }
 
@@ -239,12 +248,8 @@ impl Session {
     /// Panics if `ratio` is negative or NaN.
     pub fn with_compact_ratio(mut self, ratio: f64) -> Self {
         assert!(ratio >= 0.0, "compact ratio must be non-negative");
-        self.compact_ratio = Some(ratio);
+        self.compact_ratio = ratio;
         self
-    }
-
-    fn effective_compact_ratio(&self) -> f64 {
-        self.compact_ratio.unwrap_or_else(env_compact_ratio)
     }
 
     /// A clone of the current state, taken under the read lock.
@@ -332,6 +337,7 @@ impl Session {
             });
         }
         let arity = inserts.arity();
+        let (no_base, no_delta);
         let (base, created) = match state.catalog.get(name) {
             Some(rel) if rel.arity() != arity => {
                 return Err(JoinError::ArityMismatch {
@@ -340,24 +346,28 @@ impl Session {
                     relation_arity: rel.arity(),
                 });
             }
-            Some(rel) => (rel.clone(), false),
-            None => (
-                Relation::new(arity).expect("batch relations have nonzero arity"),
-                true,
-            ),
+            Some(rel) => (rel, false),
+            None => {
+                no_base = Relation::new(arity).expect("batch relations have nonzero arity");
+                (&no_base, true)
+            }
         };
-        let old_delta = state.deltas.get(name).cloned().unwrap_or_else(|| {
-            RelationDelta::empty(arity).expect("batch relations have nonzero arity")
-        });
-        let (added, _removed) = old_delta.batch_effects(&base, inserts, deletes);
-        let new_delta = old_delta.apply_batch(&base, inserts, deletes);
-        let compact = !base.is_empty()
-            && new_delta.len() as f64 > self.effective_compact_ratio() * base.len() as f64;
+        let old_delta = match state.deltas.get(name) {
+            Some(d) => d,
+            None => {
+                no_delta = RelationDelta::empty(arity).expect("batch relations have nonzero arity");
+                &no_delta
+            }
+        };
+        let (added, _removed) = old_delta.batch_effects(base, inserts, deletes);
+        let new_delta = old_delta.apply_batch(base, inserts, deletes);
+        let compact =
+            !base.is_empty() && new_delta.len() as f64 > self.compact_ratio * base.len() as f64;
 
         let new_catalog = if created || compact {
             let mut cat = (*state.catalog).clone();
             if compact {
-                cat.insert(name, new_delta.merge_into(&base));
+                cat.insert(name, new_delta.merge_into(base));
             } else {
                 cat.insert(name, base.clone());
             }
@@ -382,17 +392,35 @@ impl Session {
         #[cfg(feature = "faults")]
         crate::faults::fire(crate::faults::FaultEvent::DeltaApply);
 
+        self.swap_state(SessionState {
+            catalog: Arc::clone(&new_catalog),
+            deltas: new_deltas,
+            epoch,
+        });
+        // Watchers evaluate against the base this batch was applied to;
+        // only then may the cache forget it.
+        self.notify_watchers(name, base, &new_delta, &added, epoch);
+        if compact {
+            self.forget_replaced_base(&new_catalog, name);
+        }
+        Ok(epoch)
+    }
+
+    fn swap_state(&self, next: SessionState) {
         *self
             .shared
             .state
             .write()
-            .unwrap_or_else(PoisonError::into_inner) = SessionState {
-            catalog: new_catalog,
-            deltas: new_deltas,
-            epoch,
-        };
-        self.notify_watchers(name, &base, &new_delta, &added, epoch);
-        Ok(epoch)
+            .unwrap_or_else(PoisonError::into_inner) = next;
+    }
+
+    /// After a compaction made `catalog`'s relation `name` the frozen
+    /// base: drops the tries and views of the base it replaced from the
+    /// session cache. Queries still running over the old base hold their
+    /// own `Arc`s and are not disturbed.
+    fn forget_replaced_base(&self, catalog: &Catalog, name: &str) {
+        let live = catalog.get(name).expect("compaction stored the new base");
+        self.cache.supersede(name, live.fingerprint());
     }
 
     /// Merges relation `name`'s pending delta into a fresh frozen base,
@@ -419,18 +447,16 @@ impl Session {
             .unwrap_or_else(|| Relation::new(delta.arity()).expect("delta arity is nonzero"));
         let mut cat = (*state.catalog).clone();
         cat.insert(name, delta.merge_into(&base));
+        let catalog = Arc::new(cat);
         let mut dm = (*state.deltas).clone();
         dm.remove(name);
         let epoch = state.epoch + 1;
-        *self
-            .shared
-            .state
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = SessionState {
-            catalog: Arc::new(cat),
+        self.swap_state(SessionState {
+            catalog: Arc::clone(&catalog),
             deltas: Arc::new(dm),
             epoch,
-        };
+        });
+        self.forget_replaced_base(&catalog, name);
         epoch
     }
 
@@ -441,10 +467,14 @@ impl Session {
     ///
     /// Evaluation is semi-naïve: per applied batch only the
     /// delta-containing atom combinations are joined (one term per atom
-    /// referencing the mutated relation), never the full query. Deletions
-    /// cannot create results, so a delete-only batch yields an empty
-    /// update. Dropping the stream unregisters the watcher at the next
-    /// apply; the session is never blocked by a slow or gone subscriber.
+    /// referencing the mutated relation, planned with that atom's
+    /// variables first), never the full query. Deletions cannot create
+    /// results, so a delete-only batch yields an empty update. Dropping
+    /// the stream unregisters the watcher at the next apply; the session
+    /// is never blocked by a slow or gone subscriber. A batch whose
+    /// evaluation fails — say it created a relation the query reads at
+    /// another arity — ends the stream instead of delivering part of an
+    /// update.
     ///
     /// # Errors
     ///
@@ -453,44 +483,24 @@ impl Session {
     pub fn watch(&self, plan: &CompiledQuery) -> Result<WatchStream, JoinError> {
         let slots = head_slots(plan)?;
         let q = plan.query();
-        // Rebuild the query with one synthetic relation name per atom
-        // ("rel@i"): the incremental terms give different atoms over the
-        // same relation *different* views, which the engine's per-(name,
-        // permutation) trie dedup must not conflate. Variable names keep
-        // their positions, so VarIds (assigned by first appearance) and
-        // hence `plan.order()` carry over unchanged.
-        let mut builder = Query::builder(format!("{}@watch", q.name()))
-            .head(q.head().iter().map(|&v| q.var_name(v)));
-        for (i, atom) in q.atoms().iter().enumerate() {
-            builder = builder.atom(
-                format!("{}@{i}", atom.relation()),
-                atom.vars().iter().map(|&v| q.var_name(v)),
-            );
-        }
-        let renamed = builder.build().map_err(|e| JoinError::Plan {
-            detail: format!("standing query could not be rebuilt: {e}"),
-        })?;
-        let term_plan = CompiledQuery::compile_with_order(&renamed, plan.order().to_vec())
+        let terms = (0..q.atoms().len())
+            .map(|j| CompiledQuery::compile_with_order(q, delta_first_order(plan, j)))
+            .collect::<Result<Vec<_>, _>>()
             .map_err(|e| JoinError::Plan {
-                detail: format!("standing query could not be re-planned: {e}"),
+                detail: format!("standing query could not be planned per atom: {e}"),
             })?;
-        let relations = q.atoms().iter().map(|a| a.relation().to_owned()).collect();
         let (tx, rx) = channel();
         self.shared
             .watchers
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .push(Watcher {
-                relations,
-                term_plan,
-                slots,
-                tx,
-            });
+            .push(Watcher { terms, slots, tx });
         Ok(WatchStream { rx })
     }
 
     /// Evaluates every live watcher against the just-applied batch and
-    /// sends its update; watchers whose subscriber is gone are dropped.
+    /// sends its update; watchers whose subscriber is gone, or whose
+    /// evaluation failed, are dropped (which hangs their stream up).
     /// Runs under the apply lock, so updates arrive in epoch order.
     fn notify_watchers(
         &self,
@@ -509,9 +519,13 @@ impl Session {
             return;
         }
         let state = self.state();
+        // The state's own copy when the delta is still pending: what a
+        // view lookup memoizes in it (fingerprints) then serves the
+        // epoch's queries as well.
+        let new_delta = state.deltas.get(name).unwrap_or(new_delta);
         watchers.retain(|w| {
-            let rows = w.evaluate(name, base, new_delta, added, &state);
-            w.tx.send(WatchUpdate { epoch, rows }).is_ok()
+            w.evaluate(name, base, new_delta, added, &state, &self.cache)
+                .is_ok_and(|rows| w.tx.send(WatchUpdate { epoch, rows }).is_ok())
         });
     }
 
@@ -604,34 +618,63 @@ impl WatchStream {
     }
 }
 
-/// The session-side half of a standing query: the renamed term plan plus
+/// The variable order of a standing query's term for atom `atom`: that
+/// atom's variables first, so the join starts from the few rows a batch
+/// added to it, then always a variable that shares an atom with one
+/// already placed (so every later level is an intersection under a bound
+/// prefix, not a scan), ties and disconnected remainders in `plan`'s order.
+fn delta_first_order(plan: &CompiledQuery, atom: usize) -> Vec<VarId> {
+    let atoms = plan.query().atoms();
+    let of_atom = |v: &VarId| atoms[atom].vars().contains(v);
+    let mut order: Vec<VarId> = plan.order().iter().copied().filter(of_atom).collect();
+    while order.len() < plan.arity() {
+        let unplaced = || plan.order().iter().copied().filter(|v| !order.contains(v));
+        let joins_placed = |v: &VarId| {
+            let shares = |a: &triejax_query::Atom| {
+                a.vars().contains(v) && a.vars().iter().any(|u| order.contains(u))
+            };
+            atoms.iter().any(shares)
+        };
+        let next = unplaced().find(joins_placed).or_else(|| unplaced().next());
+        order.push(next.expect("fewer variables placed than the plan has"));
+    }
+    order
+}
+
+/// The session-side half of a standing query: one term plan per atom plus
 /// what it takes to evaluate one batch's increment and deliver it.
 #[derive(Debug)]
 struct Watcher {
-    /// Original relation name per atom; the term plan's atom `i` reads the
-    /// synthetic view `"{relations[i]}@{i}"`.
-    relations: Vec<String>,
-    term_plan: CompiledQuery,
-    /// Evaluation depth → head slot, for sorting concatenated term output
-    /// back into the engine's sequential (binding-order) emission order.
+    /// `terms[j]` is the query planned [delta-first](delta_first_order)
+    /// for atom `j`; all share the query, so atom `i` of any term is atom
+    /// `i` of the watched plan.
+    terms: Vec<CompiledQuery>,
+    /// Evaluation depth → head slot of the *watched* plan, for sorting
+    /// concatenated term output back into its sequential (binding-order)
+    /// emission order.
     slots: Vec<usize>,
     tx: Sender<WatchUpdate>,
 }
 
 impl Watcher {
-    /// The semi-naïve increment of one applied batch: with `A` the tuples
-    /// the batch added to the mutated relation's merged view, `NEW` that
-    /// view after the apply and `MID = NEW − A`, the newly-created results
-    /// are the disjoint union over atoms `j` referencing the relation of
+    /// The increment of one applied batch. With `A` the tuples the batch
+    /// added to the mutated relation's merged view and `NEW` that view
+    /// after the apply, a result is newly created exactly when it reads a
+    /// tuple of `A` at some atom `j` over the relation — so the increment
+    /// is the union over those atoms of
     ///
     /// ```text
-    /// join(NEW at atoms < j, A alone at atom j, MID at atoms > j)
+    /// join(A alone at atom j, NEW at every other atom)
     /// ```
     ///
-    /// (every new result uses `A` somewhere; the term of its *first*
-    /// `A`-using atom counts it exactly once). Removals need no filtering:
-    /// joins are monotone per view, so anything over `NEW`/`MID`/`A` that
-    /// was not a result before the apply is genuinely new.
+    /// A result reading `A` at several atoms comes out of several terms;
+    /// the final sort brings the copies together and they are dropped.
+    /// Removals need no filtering: anything over `NEW` and `A` that reads a
+    /// tuple the relation did not hold before is genuinely new.
+    ///
+    /// `NEW` is `base` patched by `new_delta` — the epoch's own views, from
+    /// `cache` when a query already built them and left there for the next
+    /// one otherwise — and `A` a patch over nothing, private to this call.
     fn evaluate(
         &self,
         name: &str,
@@ -639,80 +682,59 @@ impl Watcher {
         new_delta: &RelationDelta,
         added: &Relation,
         state: &SessionState,
-    ) -> Vec<Vec<Value>> {
-        let touched: Vec<usize> = self
-            .relations
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.as_str() == name)
-            .map(|(i, _)| i)
-            .collect();
-        if touched.is_empty() || added.is_empty() {
-            return Vec::new();
+        cache: &TrieCache,
+    ) -> Result<Vec<Vec<Value>>, JoinError> {
+        /// The view variant of the batch's own rows.
+        const ADDED: u8 = 1;
+        let atoms = self.terms[0].query().atoms();
+        if added.is_empty() || !atoms.iter().any(|a| a.relation() == name) {
+            return Ok(Vec::new());
         }
-        // MID as a delta over the same base: drop the added tuples from
-        // the insert side, tombstone the added tuples that live in the
-        // base (re-inserts of previously tombstoned rows).
-        let mid = RelationDelta::from_parts(
-            delta::difference(new_delta.inserts(), added),
-            delta::union(new_delta.tombstones(), &delta::intersection(added, base)),
-        )
-        .expect("all parts share the batch arity");
+        let nothing = Relation::new(added.arity()).expect("batch relations have nonzero arity");
+        let only_added = RelationDelta::from_parts(added.clone(), nothing.clone())
+            .expect("both parts share the batch arity");
+        let memo = &mut ViewMemo::new();
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for &j in &touched {
-            let mut cat = Catalog::new();
-            let mut dm = DeltaMap::new();
-            let mut resolved = true;
-            for (i, rel) in self.relations.iter().enumerate() {
-                let view = format!("{rel}@{i}");
-                if rel == name {
-                    match i.cmp(&j) {
-                        std::cmp::Ordering::Equal => cat.insert(view, added.clone()),
-                        std::cmp::Ordering::Less => {
-                            cat.insert(view.clone(), base.clone());
-                            if !new_delta.is_empty() {
-                                dm.insert(view, new_delta.clone());
-                            }
-                        }
-                        std::cmp::Ordering::Greater => {
-                            cat.insert(view.clone(), base.clone());
-                            if !mid.is_empty() {
-                                dm.insert(view, mid.clone());
-                            }
-                        }
-                    }
-                } else if let Some(r) = state.catalog.get(rel) {
-                    cat.insert(view.clone(), r.clone());
-                    if let Some(d) = state.deltas.get(rel).filter(|d| !d.is_empty()) {
-                        dm.insert(view, d.clone());
-                    }
+        for (j, term) in self.terms.iter().enumerate() {
+            if atoms[j].relation() != name {
+                continue;
+            }
+            let mut sources = Vec::with_capacity(atoms.len());
+            for (i, atom) in atoms.iter().enumerate() {
+                let rel = atom.relation();
+                let (base, delta, variant) = if i == j {
+                    (&nothing, Some(&only_added), ADDED)
+                } else if rel == name {
+                    (base, Some(new_delta), AtomSource::CURRENT)
+                } else if let Some(other) = state.catalog.get(rel) {
+                    (other, state.deltas.get(rel), AtomSource::CURRENT)
                 } else {
                     // A relation the query needs does not exist yet: the
                     // full join is empty, and so is every increment.
-                    resolved = false;
-                    break;
-                }
+                    return Ok(Vec::new());
+                };
+                sources.push(AtomSource {
+                    name: rel,
+                    base,
+                    delta,
+                    variant,
+                });
             }
-            if !resolved {
-                return Vec::new();
-            }
+            let (set, ..) = MergeSet::assemble(term, &sources, None, Some(cache), memo)?;
             let mut sink = CollectSink::new();
-            if Lftj::new()
-                .run_tallied_with::<NoTally>(&self.term_plan, &cat, &dm, &mut sink)
-                .is_ok()
-            {
-                rows.extend(sink.tuples().iter().cloned());
-            }
+            Driver::<NoTally, NoBudget, _>::new(term, &set)?.run(&mut sink);
+            rows.extend_from_slice(sink.tuples());
         }
-        // Terms are disjoint, so concatenation has no duplicates; sorting
-        // by the binding order restores the sequential emission order.
+        // Sorting by the watched plan's binding order restores its
+        // sequential emission order whatever order each term ran in.
         rows.sort_by(|a, b| {
             self.slots
                 .iter()
                 .map(|&s| a[s])
                 .cmp(self.slots.iter().map(|&s| b[s]))
         });
-        rows
+        rows.dedup();
+        Ok(rows)
     }
 }
 

@@ -8,7 +8,18 @@
 //! phase collapses to a handful of lookups. Keying on a *content
 //! fingerprint* of the base relation (not just its name) means replacing a
 //! relation in the catalog naturally invalidates its cached tries — stale
-//! entries can never be served, only aged out.
+//! entries can never be served. A [`crate::Session`] goes further and
+//! *forgets* them: when a compaction replaces a base relation, the session
+//! declares the new generation current, which drops every entry of that
+//! relation built from another generation and refuses later publications
+//! of one (a query handle that outlived its epoch keeps its own builds to
+//! itself), so the cache stays O(relations × orders × base) however many
+//! batches land.
+//!
+//! Beside the tries the cache keeps, per `(relation, permutation)`, the
+//! **latest** [`MergedView`] of a mutated relation, identified by the
+//! fingerprints of the base, insert and tombstone sets it was built from:
+//! queries of one epoch share it, the next epoch's first query replaces it.
 //!
 //! Insert races follow the shared PJR cache's discipline: first writer
 //! wins, the loser discards its duplicate build and adopts the published
@@ -29,10 +40,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use triejax_exec::{suggested_stripes, Striped};
-use triejax_relation::{Relation, Trie};
+use triejax_relation::{MergedView, Relation, Trie};
 
 /// Environment variable naming the default cross-query trie cache
 /// capacity in mebibytes; unset or `0` disables the cache.
@@ -50,6 +61,29 @@ pub const STORE_ENV: &str = "TRIEJAX_STORE";
 /// Cache key: relation name, content fingerprint of the *base* relation,
 /// and the column permutation the trie is built in.
 type TrieKey = (String, u64, Vec<usize>);
+
+/// What a [`MergedView`] was built from: the fingerprints of the base
+/// relation, the pending inserts and the tombstones.
+pub(crate) type ViewKey = [u64; 3];
+
+/// The merged views and relation generations of a cache; one lock, taken
+/// before any stripe lock.
+#[derive(Debug, Default)]
+struct Views {
+    /// The latest view per `(relation name, permutation)`.
+    latest: HashMap<(String, Vec<usize>), (ViewKey, Arc<MergedView>)>,
+    /// Per relation, the base fingerprint [`TrieCache::supersede`] declared
+    /// current; entries of any other are refused.
+    live: HashMap<String, u64>,
+}
+
+impl Views {
+    fn is_stale(&self, name: &str, base_fingerprint: u64) -> bool {
+        self.live
+            .get(name)
+            .is_some_and(|&live| live != base_fingerprint)
+    }
+}
 
 #[derive(Debug, Default)]
 struct TrieStripe {
@@ -81,6 +115,7 @@ struct TrieStripe {
 #[derive(Debug)]
 pub struct TrieCache {
     stripes: Striped<TrieStripe>,
+    views: Mutex<Views>,
     /// Byte bound over all live entries; `None` is unbounded.
     capacity: Option<u64>,
     /// Total bytes of live entries, maintained outside the stripe locks so
@@ -101,6 +136,7 @@ impl TrieCache {
         let workers = std::thread::available_parallelism().map_or(1, usize::from);
         TrieCache {
             stripes: Striped::with_stripes(suggested_stripes(workers), TrieStripe::default),
+            views: Mutex::default(),
             capacity,
             bytes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -212,8 +248,9 @@ impl TrieCache {
     /// a race, never double-charged against the byte bound).
     ///
     /// An entry larger than the whole capacity is not stored (counted as
-    /// an overflow); the caller still uses the returned trie for its own
-    /// query.
+    /// an overflow), and neither is one of a relation generation that
+    /// a session's compaction retired; the caller still uses the
+    /// returned trie for its own query.
     pub fn insert(
         &self,
         name: &str,
@@ -228,6 +265,12 @@ impl TrieCache {
         }
         #[cfg(feature = "faults")]
         triejax_exec::faults::fire(triejax_exec::faults::FaultEvent::CacheInsert);
+        // Held across the publication so a concurrent `supersede` either
+        // sees the entry and drops it or has already marked it stale.
+        let views = self.views();
+        if views.is_stale(name, fingerprint) {
+            return trie;
+        }
         let key = (name.to_owned(), fingerprint, perm.to_vec());
         let hash = stripe_hash(&key);
         let lane = self.stripes.lane(hash);
@@ -241,10 +284,75 @@ impl TrieCache {
         stripe.fifo.push_back(key.clone());
         stripe.map.insert(key.clone(), Arc::clone(&trie));
         drop(stripe);
+        drop(views);
         self.bytes.fetch_add(entry_bytes, Ordering::AcqRel);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.enforce_capacity(lane, &key);
         trie
+    }
+
+    fn views(&self) -> MutexGuard<'_, Views> {
+        // Every update under this lock is one map operation, so a
+        // panicking holder leaves the tables valid.
+        self.views.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached merged view of `(name, perm)`, when it was built from
+    /// exactly the parts `key` names.
+    pub(crate) fn view(&self, name: &str, perm: &[usize], key: ViewKey) -> Option<Arc<MergedView>> {
+        let views = self.views();
+        let (built_from, view) = views.latest.get(&(name.to_owned(), perm.to_vec()))?;
+        (*built_from == key).then(|| Arc::clone(view))
+    }
+
+    /// Makes `view` the one cached view of `(name, perm)`, replacing the
+    /// previous epoch's. Not stored when its base generation was retired
+    /// or it does not fit the byte bound; the caller uses it either way.
+    pub(crate) fn publish_view(
+        &self,
+        name: &str,
+        perm: &[usize],
+        key: ViewKey,
+        view: Arc<MergedView>,
+    ) -> Arc<MergedView> {
+        let mut views = self.views();
+        let slot = (name.to_owned(), perm.to_vec());
+        let replaced = views.latest.get(&slot).map_or(0, |(_, old)| old.bytes());
+        let bytes = self.bytes() - replaced + view.bytes();
+        if views.is_stale(name, key[0]) || self.capacity.is_some_and(|cap| bytes > cap) {
+            return view;
+        }
+        views.latest.insert(slot, (key, Arc::clone(&view)));
+        self.bytes.fetch_add(view.bytes(), Ordering::AcqRel);
+        self.bytes.fetch_sub(replaced, Ordering::AcqRel);
+        view
+    }
+
+    /// Declares `live_fingerprint` the current generation of base relation
+    /// `name`: every trie and view built from another generation of it is
+    /// dropped, and later publications of one are refused. Runs that
+    /// already hold such an entry keep their `Arc`; only the cache forgets.
+    pub(crate) fn supersede(&self, name: &str, live_fingerprint: u64) {
+        let mut views = self.views();
+        views.live.insert(name.to_owned(), live_fingerprint);
+        let mut freed = 0;
+        views.latest.retain(|(n, _), (key, view)| {
+            let keep = n != name || key[0] == live_fingerprint;
+            freed += if keep { 0 } else { view.bytes() };
+            keep
+        });
+        for lane in 0..self.stripes.stripes() {
+            let (mut stripe, _) = self.stripes.lock(lane as u64);
+            let TrieStripe { map, fifo } = &mut *stripe;
+            fifo.retain(|key| {
+                let keep = key.0 != name || key.1 == live_fingerprint;
+                if !keep {
+                    freed += map.remove(key).map_or(0, |t| t.bytes());
+                }
+                keep
+            });
+        }
+        self.bytes.fetch_sub(freed, Ordering::AcqRel);
     }
 
     /// Evicts oldest-first, stripe by stripe starting at `start_lane`,
@@ -289,7 +397,7 @@ impl TrieCache {
         }
     }
 
-    /// Total bytes of live entries.
+    /// Total bytes of live entries, tries and merged views.
     pub fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Acquire)
     }
@@ -329,11 +437,12 @@ impl TrieCache {
         self.races.load(Ordering::Relaxed)
     }
 
-    /// Number of live entries (sweeps every stripe).
+    /// Number of live entries, tries and merged views (sweeps every
+    /// stripe).
     pub fn len(&self) -> usize {
-        (0..self.stripes.stripes())
-            .map(|i| self.stripes.lock(i as u64).0.map.len())
-            .sum()
+        let views = self.views().latest.len();
+        let tries = |i| self.stripes.lock(i as u64).0.map.len();
+        views + (0..self.stripes.stripes()).map(tries).sum::<usize>()
     }
 
     /// Returns `true` when no entries are cached.

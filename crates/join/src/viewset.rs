@@ -6,15 +6,18 @@
 //! [`JoinCursor`] trait; a `CursorSet` is what hands those cursors out.
 //! [`TrieSet`] yields plain [`TrieCursor`]s (so queries over frozen
 //! relations monomorphize to exactly the pre-delta code), while
-//! [`MergeSet`] yields [`MergeCursor`]s presenting each mutated relation
-//! as `base ∪ delta − tombstones` without rebuilding its base trie.
+//! [`MergeSet`] yields [`MergeCursor`]s over a [`MergedView`] per mutated
+//! relation: the cached base trie plus a patch holding what the delta
+//! changed, walked with the frozen cursor's own slice arithmetic.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use triejax_exec::WorkerPool;
 use triejax_query::CompiledQuery;
-use triejax_relation::{JoinCursor, MergeCursor, Relation, RelationDelta, Trie, TrieCursor, Value};
+use triejax_relation::{
+    JoinCursor, MergeCursor, MergedView, Relation, RelationDelta, Trie, TrieCursor, Value,
+};
 
 use crate::catalog::{build_one, resolve};
 use crate::triecache::TrieCache;
@@ -42,10 +45,7 @@ pub(crate) trait CursorSet<'a>: Sync {
     /// A fresh above-the-root cursor over atom plan `atom`'s view.
     fn cursor(&'a self, atom: usize) -> Self::Cur;
 
-    /// The root-level key universe of atom `atom`'s view, for shard
-    /// planning. May over-approximate (a merged view's union of side
-    /// root values can contain keys with no live tuples below them);
-    /// shard boundaries drawn from phantoms still partition correctly.
+    /// The root-level keys of atom `atom`'s view, for shard planning.
     fn root_values(&'a self, atom: usize) -> &'a [Value];
 }
 
@@ -61,49 +61,70 @@ impl<'a> CursorSet<'a> for TrieSet {
     }
 }
 
-/// One deduplicated `(relation, perm)` view of a mutated relation: the
-/// optional frozen base trie, the optional trie of pending inserts, the
-/// permuted tombstone rows, and the unioned root keys for shard planning.
-#[derive(Debug)]
-struct MergeView {
-    base: Option<Arc<Trie>>,
-    delta: Option<Arc<Trie>>,
-    tombstones: Relation,
-    root_values: Vec<Value>,
+/// What one atom reads: a base relation under its real name and the delta
+/// pending over it. `variant` tells apart different deltas over one
+/// relation inside one [`ViewMemo`]: [`CURRENT`](Self::CURRENT) is the
+/// relation as the session holds it, whose views are worth sharing through
+/// the cache; anything else tags a delta private to one evaluation (the
+/// rows a batch added, in a standing query's terms).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AtomSource<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) base: &'a Relation,
+    pub(crate) delta: Option<&'a RelationDelta>,
+    pub(crate) variant: u8,
 }
 
-/// The tries and tombstones one compiled query needs to run over mutated
-/// relations, deduplicated by `(relation name, column permutation)` like
-/// [`TrieSet`].
+impl AtomSource<'_> {
+    /// The variant of a relation's current base and pending delta.
+    pub(crate) const CURRENT: u8 = 0;
+}
+
+/// One `(relation, variant, perm)` view: the frozen base trie (absent for
+/// an empty base) and the patch over it.
+#[derive(Debug)]
+pub(crate) struct PatchedBase {
+    base: Option<Arc<Trie>>,
+    view: Arc<MergedView>,
+}
+
+/// The views already assembled, by `(relation name, variant, column
+/// permutation)`: what deduplicates the atoms of one plan like a
+/// [`TrieSet`], and lets the terms of one standing-query evaluation share
+/// their views.
+pub(crate) type ViewMemo = HashMap<(String, u8, Vec<usize>), Arc<PatchedBase>>;
+
+/// The views one compiled query needs to run over mutated relations, one
+/// per atom plan (atoms reading the same `(relation, variant, perm)` share
+/// theirs).
 ///
 /// Base tries are cached/served under the base relation's fingerprint
-/// exactly as in [`TrieSet::build_on`]; delta tries are keyed by the
-/// fingerprint of the insert set, so they are shared across queries for
-/// as long as the delta is unchanged and become unreachable the moment a
-/// new batch is applied. Tombstones are permuted per build (they are
-/// plain sorted rows, not tries — the [`MergeCursor`] range-filters them
-/// level by level).
+/// exactly as in [`TrieSet::build_on`]. A view is built from the base trie
+/// and the delta's rows permuted into the atom's column order — work
+/// proportional to what the delta touches — and the view of a relation's
+/// current state is shared through the cache's latest-view slot, when
+/// there is a cache, for as long as base and delta stay what they were.
 #[derive(Debug)]
 pub(crate) struct MergeSet {
-    views: Vec<MergeView>,
-    atom_view: Vec<usize>,
+    atom_views: Vec<Arc<PatchedBase>>,
 }
 
 impl MergeSet {
-    /// Builds (or reuses) every view the plan needs, sequentially on the
-    /// caller's thread and without cache consultation.
+    /// Builds every view the plan needs, sequentially on the caller's
+    /// thread and without cache consultation.
     pub(crate) fn build(
         plan: &CompiledQuery,
         catalog: &Catalog,
         deltas: &DeltaMap,
     ) -> Result<MergeSet, JoinError> {
-        Self::assemble(plan, catalog, deltas, None, None).map(|(s, _, _)| s)
+        let sources = current_sources(plan, catalog, deltas)?;
+        Self::assemble(plan, &sources, None, None, &mut ViewMemo::new()).map(|(s, _, _)| s)
     }
 
     /// Builds every view with cold trie builds parallelized on `pool`,
     /// consulting (and filling) `cache` when one is given. Returns the
-    /// set, the cache hits, and the nanoseconds spent on cold builds
-    /// (mirroring [`TrieSet::build_on`]).
+    /// set, the tries served from the cache, and the nanoseconds spent
+    /// building tries and views (mirroring [`TrieSet::build_on`]).
     pub(crate) fn build_on(
         plan: &CompiledQuery,
         catalog: &Catalog,
@@ -111,151 +132,131 @@ impl MergeSet {
         pool: &WorkerPool,
         cache: Option<&TrieCache>,
     ) -> Result<(MergeSet, u64, u64), JoinError> {
-        Self::assemble(plan, catalog, deltas, Some(pool), cache)
+        let sources = current_sources(plan, catalog, deltas)?;
+        Self::assemble(plan, &sources, Some(pool), cache, &mut ViewMemo::new())
     }
 
-    fn assemble(
+    /// Assembles the set for `plan` whose atom `i` reads `sources[i]`,
+    /// reusing and extending `memo`. Base tries go through `cache`, and so
+    /// do [`CURRENT`](AtomSource::CURRENT) views; other variants stay
+    /// private to the memo (a batch's own rows must not displace the
+    /// epoch's view in the cache).
+    pub(crate) fn assemble(
         plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
+        sources: &[AtomSource<'_>],
         pool: Option<&WorkerPool>,
         cache: Option<&TrieCache>,
+        memo: &mut ViewMemo,
     ) -> Result<(MergeSet, u64, u64), JoinError> {
-        let mut keys: HashMap<(String, Vec<usize>), usize> = HashMap::new();
-        let mut views: Vec<MergeView> = Vec::new();
-        let mut atom_view = Vec::with_capacity(plan.atom_plans().len());
+        let mut atom_views = Vec::with_capacity(sources.len());
         let mut cache_hits = 0u64;
         let mut build_ns = 0u64;
-        for ap in plan.atom_plans() {
-            let rel = resolve(catalog, ap.relation(), ap.arity())?;
-            let delta = deltas.get(ap.relation()).filter(|d| !d.is_empty());
-            if let Some(d) = delta {
-                if d.arity() != ap.arity() {
-                    return Err(JoinError::ArityMismatch {
-                        name: ap.relation().to_owned(),
-                        atom_arity: ap.arity(),
-                        relation_arity: d.arity(),
-                    });
-                }
+        for (ap, src) in plan.atom_plans().iter().zip(sources) {
+            let delta = src.delta.filter(|d| !d.is_empty());
+            let arities = [Some(src.base.arity()), delta.map(RelationDelta::arity)];
+            if let Some(&wrong) = arities.iter().flatten().find(|&&a| a != ap.arity()) {
+                return Err(JoinError::ArityMismatch {
+                    name: src.name.to_owned(),
+                    atom_arity: ap.arity(),
+                    relation_arity: wrong,
+                });
             }
-            let key = (ap.relation().to_owned(), ap.perm().to_vec());
-            let idx = match keys.get(&key) {
-                Some(&i) => i,
+            let key = (src.name.to_owned(), src.variant, ap.perm().to_vec());
+            if let Some(view) = memo.get(&key) {
+                atom_views.push(Arc::clone(view));
+                continue;
+            }
+            let perm = ap.perm();
+            let base = (!src.base.is_empty())
+                .then(|| serve(src, perm, pool, cache, &mut cache_hits, &mut build_ns));
+            let shared = cache
+                .filter(|_| src.variant == AtomSource::CURRENT)
+                .zip(delta)
+                .map(|(c, d)| {
+                    let parts = [src.base, d.inserts(), d.tombstones()];
+                    (c, parts.map(Relation::fingerprint))
+                });
+            let view = match shared.and_then(|(c, key)| c.view(src.name, perm, key)) {
+                Some(view) => view,
                 None => {
-                    let name = ap.relation();
-                    let base = match rel.is_empty() {
-                        true => None,
-                        false => Some(serve(
-                            name,
-                            rel,
-                            ap.perm(),
-                            pool,
-                            cache,
-                            &mut cache_hits,
-                            &mut build_ns,
-                        )),
-                    };
-                    let dtrie = delta
-                        .map(|d| d.inserts())
-                        .filter(|i| !i.is_empty())
-                        .map(|i| {
-                            serve(
-                                name,
-                                i,
-                                ap.perm(),
-                                pool,
-                                cache,
-                                &mut cache_hits,
-                                &mut build_ns,
-                            )
-                        });
-                    let tombstones = match delta {
-                        Some(d) if !d.tombstones().is_empty() => d.tombstones().permute(ap.perm()),
-                        _ => Relation::new(ap.arity()).expect("atom arity is nonzero"),
-                    };
-                    let root_values = union_sorted(
-                        base.as_deref().map_or(&[], |t| t.level(0).values()),
-                        dtrie.as_deref().map_or(&[], |t| t.level(0).values()),
-                    );
-                    views.push(MergeView {
-                        base,
-                        delta: dtrie,
-                        tombstones,
-                        root_values,
+                    let t0 = std::time::Instant::now();
+                    let none = Relation::new(ap.arity()).expect("atom arity is nonzero");
+                    let view = Arc::new(match delta {
+                        Some(d) => MergedView::build(
+                            base.as_deref(),
+                            &d.inserts().permute(perm),
+                            &d.tombstones().permute(perm),
+                        ),
+                        None => MergedView::build(base.as_deref(), &none, &none),
                     });
-                    keys.insert(key, views.len() - 1);
-                    views.len() - 1
+                    build_ns += t0.elapsed().as_nanos() as u64;
+                    match shared {
+                        Some((c, key)) => c.publish_view(src.name, perm, key, view),
+                        None => view,
+                    }
                 }
             };
-            atom_view.push(idx);
+            let view = Arc::new(PatchedBase { base, view });
+            memo.insert(key, Arc::clone(&view));
+            atom_views.push(view);
         }
-        Ok((MergeSet { views, atom_view }, cache_hits, build_ns))
+        Ok((MergeSet { atom_views }, cache_hits, build_ns))
     }
 }
 
-/// Serves one trie from the cache or builds it cold, publishing the build
-/// under `(name, fingerprint(rel), perm)` when a cache is present.
+/// Every atom of `plan` reading the catalog's relation of its name and the
+/// delta pending over it, when there is one.
+fn current_sources<'a>(
+    plan: &'a CompiledQuery,
+    catalog: &'a Catalog,
+    deltas: &'a DeltaMap,
+) -> Result<Vec<AtomSource<'a>>, JoinError> {
+    let source = |ap: &'a triejax_query::AtomPlan| {
+        Ok(AtomSource {
+            name: ap.relation(),
+            base: resolve(catalog, ap.relation(), ap.arity())?,
+            delta: deltas.get(ap.relation()),
+            variant: AtomSource::CURRENT,
+        })
+    };
+    plan.atom_plans().iter().map(source).collect()
+}
+
+/// Serves the base trie of `src` in column order `perm` from the cache, or
+/// builds it cold and publishes it under `(name, fingerprint, perm)`.
+/// Without a cache nothing is hashed.
 fn serve(
-    name: &str,
-    rel: &Relation,
+    src: &AtomSource<'_>,
     perm: &[usize],
     pool: Option<&WorkerPool>,
     cache: Option<&TrieCache>,
     cache_hits: &mut u64,
     build_ns: &mut u64,
 ) -> Arc<Trie> {
-    let fp = rel.fingerprint();
-    if let Some(c) = cache {
-        if let Some(t) = c.lookup(name, fp, perm) {
-            *cache_hits += 1;
-            return t;
-        }
+    if let Some(t) = cache.and_then(|c| c.lookup(src.name, src.base.fingerprint(), perm)) {
+        *cache_hits += 1;
+        return t;
     }
     let t0 = std::time::Instant::now();
-    let built = Arc::new(build_one(rel, perm, pool));
+    let built = Arc::new(build_one(src.base, perm, pool));
     *build_ns += t0.elapsed().as_nanos() as u64;
     match cache {
-        Some(c) => c.insert(name, fp, perm, built),
+        Some(c) => c.insert(src.name, src.base.fingerprint(), perm, built),
         None => built,
     }
-}
-
-/// Sorted-set union of two root-level key slices.
-fn union_sorted(a: &[Value], b: &[Value]) -> Vec<Value> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 impl<'a> CursorSet<'a> for MergeSet {
     type Cur = MergeCursor<'a>;
 
     fn cursor(&'a self, atom: usize) -> MergeCursor<'a> {
-        let v = &self.views[self.atom_view[atom]];
-        MergeCursor::new(v.base.as_deref(), v.delta.as_deref(), &v.tombstones)
+        let v = &self.atom_views[atom];
+        MergeCursor::over(v.base.as_deref(), Arc::clone(&v.view))
     }
 
     fn root_values(&'a self, atom: usize) -> &'a [Value] {
-        &self.views[self.atom_view[atom]].root_values
+        let v = &self.atom_views[atom];
+        v.view.root_values(v.base.as_deref())
     }
 }
 
@@ -316,8 +317,11 @@ mod tests {
     fn views_are_deduplicated_like_trie_sets() {
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let set = MergeSet::build(&plan, &catalog(), &delta_map(vec![(5, 6)], vec![])).unwrap();
-        assert_eq!(set.views.len(), 2, "identity and swapped order");
-        assert_eq!(set.atom_view, vec![0, 0, 1]);
+        let [xy, yz, zx] = &set.atom_views[..] else {
+            panic!("three atoms");
+        };
+        assert!(Arc::ptr_eq(xy, yz), "both read the identity order");
+        assert!(!Arc::ptr_eq(xy, zx), "the swapped order is its own view");
     }
 
     #[test]
@@ -325,9 +329,8 @@ mod tests {
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let deltas = delta_map(vec![(0, 9), (5, 6)], vec![(2, 3)]);
         let set = MergeSet::build(&plan, &catalog(), &deltas).unwrap();
-        // Tombstoned roots may linger (phantoms are allowed); inserted
-        // roots must appear.
-        assert_eq!(set.root_values(0), &[0, 1, 2, 3, 5]);
+        // Inserted roots appear; root 2 lost its only tuple and is gone.
+        assert_eq!(set.root_values(0), &[0, 1, 3, 5]);
     }
 
     #[test]
@@ -357,26 +360,72 @@ mod tests {
         deltas.insert("G".to_owned(), d);
         assert!(plan_touches_delta(&plan, &deltas));
         let set = MergeSet::build(&plan, &c, &deltas).unwrap();
-        assert!(set.views[0].base.is_none());
+        assert!(set.atom_views[0].base.is_none());
         assert_eq!(set.root_values(0), &[4]);
     }
 
     #[test]
-    fn build_on_serves_base_and_delta_tries_from_the_cache() {
+    fn build_on_serves_base_tries_and_the_latest_view_from_the_cache() {
         let pool = WorkerPool::with_workers(2);
         let cache = TrieCache::unbounded();
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let deltas = delta_map(vec![(5, 6)], vec![]);
-        let (_, hits, build_ns) =
+        let (cold, hits, build_ns) =
             MergeSet::build_on(&plan, &catalog(), &deltas, &pool, Some(&cache)).unwrap();
         assert_eq!(hits, 0);
         assert!(build_ns > 0);
-        // 2 base orders + 2 delta orders published.
-        assert_eq!(cache.insertions(), 4);
-        let (_, hits, build_ns) =
+        // Only the two base orders are tries; each also has its view.
+        assert_eq!(cache.insertions(), 2);
+        assert_eq!(cache.len(), 4);
+        let (warm, hits, build_ns) =
             MergeSet::build_on(&plan, &catalog(), &deltas, &pool, Some(&cache)).unwrap();
-        assert_eq!(hits, 4, "warm build is all lookups");
+        assert_eq!(hits, 2, "warm build is all lookups");
         assert_eq!(build_ns, 0);
+        assert!(Arc::ptr_eq(
+            &cold.atom_views[0].view,
+            &warm.atom_views[0].view
+        ));
+
+        // The next epoch's views replace this one's: nothing accumulates.
+        let next = delta_map(vec![(5, 6), (6, 7)], vec![(1, 2)]);
+        let (set, hits, _) =
+            MergeSet::build_on(&plan, &catalog(), &next, &pool, Some(&cache)).unwrap();
+        assert_eq!(hits, 2, "the base tries are still the base tries");
+        assert!(!Arc::ptr_eq(
+            &set.atom_views[0].view,
+            &warm.atom_views[0].view
+        ));
+        assert_eq!((cache.insertions(), cache.len()), (2, 4));
+    }
+
+    #[test]
+    fn private_views_share_the_memo_not_the_cache() {
+        let cache = TrieCache::unbounded();
+        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
+        let (catalog, deltas) = (catalog(), delta_map(vec![(5, 6)], vec![]));
+        let mut sources = current_sources(&plan, &catalog, &deltas).unwrap();
+        for src in &mut sources {
+            src.variant = 1;
+        }
+        let memo = &mut ViewMemo::new();
+        let (a, ..) = MergeSet::assemble(&plan, &sources, None, Some(&cache), memo).unwrap();
+        let (b, ..) = MergeSet::assemble(&plan, &sources, None, Some(&cache), memo).unwrap();
+        assert!(Arc::ptr_eq(&a.atom_views[2], &b.atom_views[2]));
+        assert_eq!(cache.len(), 2, "base tries only");
+    }
+
+    #[test]
+    fn a_delta_of_the_wrong_arity_is_an_error_not_a_panic() {
+        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
+        let triples = Relation::from_tuples(3, vec![[1u32, 2, 3]]).unwrap();
+        let d = RelationDelta::empty(3).unwrap().apply_batch(
+            &Relation::new(3).unwrap(),
+            &triples,
+            &Relation::new(3).unwrap(),
+        );
+        let deltas = DeltaMap::from([("G".to_owned(), d)]);
+        let err = MergeSet::build(&plan, &catalog(), &deltas).unwrap_err();
+        assert!(matches!(err, JoinError::ArityMismatch { .. }));
     }
 
     #[test]

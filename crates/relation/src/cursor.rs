@@ -298,28 +298,6 @@ impl<'a> TrieCursor<'a> {
         f.sib = &sib[..lower_bound(sib, f.pos, sib.len(), sup, counter)];
     }
 
-    /// Lenient any-depth variant of [`clamp_sup`](Self::clamp_sup) for
-    /// composite cursors whose constituent side may sit at the end of the
-    /// level, or at/past the boundary, when the *merged* key is still
-    /// below it. Such a side has nothing left below `sup`, so its frame is
-    /// ended in place without probing.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    pub(crate) fn clamp_sup_lenient<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let f = self
-            .frames
-            .last_mut()
-            .expect("clamp applies to an open level");
-        let sib = f.sib;
-        let hi = match sib.get(f.pos) {
-            Some(&key) if key < sup => lower_bound(sib, f.pos, sib.len(), sup, counter),
-            _ => f.pos,
-        };
-        f.sib = &sib[..hi];
-    }
-
     /// Number of sibling keys strictly after the current position on the
     /// deepest open level (0 when that level has ended). This is the
     /// donor-side size of a prospective dynamic split at the current
@@ -496,7 +474,7 @@ pub fn seek_in<T: Tally>(values: &[Value], pos: usize, v: Value, counter: &mut T
 /// First index in `values[lo..hi]` whose value is `>= v` (counting one
 /// probe per midpoint read, like [`seek_in`]).
 #[inline]
-fn lower_bound<T: Tally>(
+pub(crate) fn lower_bound<T: Tally>(
     values: &[Value],
     mut lo: usize,
     mut hi: usize,

@@ -11,8 +11,9 @@
 //!
 //! The merged view a [`crate::MergeCursor`] exposes is then exactly
 //! `(B − tombstones) ∪ inserts`, with the two unions/differences disjoint
-//! — every tuple of the view comes from exactly one side, which is what
-//! lets the cursor suppress tombstoned values at the leaf level only.
+//! — every tuple of the view comes from exactly one side, so
+//! `|inserts| + |tombstones|` measures how far the view really is from
+//! the base (what the compaction ratio compares).
 //!
 //! Batches fold in with *deletes-first, insert-wins* semantics (a tuple
 //! both deleted and inserted in one batch ends up present):

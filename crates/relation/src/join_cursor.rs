@@ -8,7 +8,8 @@
 //! the leaf-level kernel runs on. [`crate::TrieCursor`]
 //! implements it by plain delegation (so the frozen-trie path
 //! monomorphizes to today's code, access tallies included), and
-//! [`crate::MergeCursor`] implements it over `base ∪ delta − tombstones`,
+//! [`crate::MergeCursor`] implements it over `base ∪ delta − tombstones`
+//! with the same frame arithmetic on a patched view of the base trie,
 //! which is how every engine runs unmodified over mutated relations.
 
 use crate::{Tally, TrieCursor, Value};

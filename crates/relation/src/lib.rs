@@ -49,7 +49,7 @@ pub use delta::RelationDelta;
 pub use error::{RelationError, TrieLayoutError};
 pub use join_cursor::JoinCursor;
 pub use layout::{AddressSpace, ArraySpan, WORD_BYTES};
-pub use merge::MergeCursor;
+pub use merge::{MergeCursor, MergedView};
 pub use relation::Relation;
 pub use trie::{Trie, TrieLevel};
 

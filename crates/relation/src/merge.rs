@@ -1,30 +1,209 @@
-//! A join cursor over `base ∪ delta − tombstones`.
+//! A join cursor over `base ∪ inserts − tombstones`, served from a
+//! *patched view* of the base trie.
 //!
-//! [`MergeCursor`] walks the *merged view* of a mutated relation — the
-//! frozen base [`Trie`], a small delta trie of pending inserts, and a
-//! sorted tombstone set of pending deletes — while presenting the exact
-//! [`JoinCursor`] surface the join engines drive. LFTJ and CTJ therefore
-//! run unmodified over mutated relations: the drivers monomorphize over
-//! the cursor type and never learn a delta exists.
+//! A [`MergedView`] is built by one co-walk of the frozen base [`Trie`],
+//! the sorted pending inserts and the sorted tombstones (all in the same
+//! column order). At every **dirty** node — one with an insert or a
+//! tombstone somewhere below it — the merged sibling list is materialised
+//! once into the view's own per-level buffer, and each key carries a child
+//! descriptor that points either at another list in the view or, for a
+//! *clean* subtree, straight at the base trie's own child range. Subtrees
+//! whose every tuple is tombstoned are dropped while building, so the view
+//! has no phantom nodes: whatever `open` can reach has a tuple below it.
+//! Build cost is proportional to the sibling lists of the dirty nodes,
+//! never to the base; an empty delta builds nothing at all.
 //!
-//! Mechanics: at each level the merged key is the **minimum** over the
-//! sides open at that level; `open` descends only the sides positioned at
-//! the merged key and narrows the tombstone row range by binary search on
-//! the parent column. Tombstones are suppressed at the **leaf level
-//! only**: an inner node whose entire subtree is tombstoned still appears
-//! (a *phantom* node), which can cost wasted probes but never wrong
-//! tuples — the drivers already tolerate `open` returning `false` at any
-//! depth. With the delta in normal form (`inserts ∩ base = ∅`,
-//! `tombstones ⊆ base`), a leaf value belongs to exactly one side, so the
-//! suppression check only ever applies to base-side values.
+//! [`MergeCursor`] then walks two buffers — the base trie and the patch —
+//! with exactly [`crate::TrieCursor`]'s frame arithmetic: every open level
+//! is one sorted slice, `open` is a descriptor read, `seek` is the same
+//! [`seek_in`], and [`JoinCursor::sibling_slice`] is always available, so
+//! the engines' leaf-level slice kernel runs over mutated relations too.
+//! The cursor issues the probes a `TrieCursor` over the rebuilt relation
+//! would and tallies them identically.
+//!
+//! The delta need not be in normal form for the view to be right (an
+//! insert wins over a tombstone of the same tuple, a tombstone naming no
+//! base tuple is ignored), but [`crate::RelationDelta`] keeps it so.
 
-use crate::{AccessKind, JoinCursor, Relation, Tally, Trie, TrieCursor, Value, WORD_BYTES};
+use std::sync::Arc;
 
-/// A [`JoinCursor`] over `base ∪ delta − tombstones`.
-///
-/// Either side may be absent: `base = None` models a relation created
-/// purely by inserts (no frozen trie yet), `delta = None` an unmutated
-/// relation. With both absent the view is empty (`open` returns `false`).
+use crate::cursor::lower_bound;
+use crate::{seek_in, AccessKind, JoinCursor, Relation, Tally, Trie, TrieLevel, Value, WORD_BYTES};
+
+/// A sibling range `[lo, hi)` of one level's value array: the view's own
+/// buffer for that level when `patched`, the base trie's otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Kids {
+    patched: bool,
+    lo: u32,
+    hi: u32,
+}
+
+/// The view's buffers for one level: the merged sibling lists of the dirty
+/// nodes above it, back to back, and per key where its children are (empty
+/// on the leaf level).
+#[derive(Debug, Clone, Default)]
+struct PatchLevel {
+    values: Vec<Value>,
+    kids: Vec<Kids>,
+}
+
+/// The patch that turns a base trie into `base ∪ inserts − tombstones`;
+/// see the module docs. A view is only meaningful beside the base trie it
+/// was built from — [`MergeCursor::over`] pairs them again.
+#[derive(Debug, Clone)]
+pub struct MergedView {
+    root: Kids,
+    levels: Vec<PatchLevel>,
+}
+
+impl MergedView {
+    /// Builds the view of `(base − tombstones) ∪ inserts`. `inserts` and
+    /// `tombstones` are sorted rows in the base trie's column order;
+    /// `base = None` models a relation that exists only as inserts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the present parts disagree on arity.
+    pub fn build(base: Option<&Trie>, inserts: &Relation, tombstones: &Relation) -> MergedView {
+        let arity = tombstones.arity();
+        assert_eq!(inserts.arity(), arity, "delta/tombstone arity mismatch");
+        if let Some(b) = base {
+            assert_eq!(b.arity(), arity, "base/tombstone arity mismatch");
+        }
+        let mut builder = Builder {
+            base: base.map_or_else(Vec::new, |t| (0..arity).map(|l| t.level(l)).collect()),
+            inserts,
+            tombstones,
+            levels: vec![PatchLevel::default(); arity],
+        };
+        let base_root = builder.base.first().map_or(0, |l| l.len());
+        // An untouched base is served as it stands; nothing is copied.
+        let root = if base.is_some() && inserts.is_empty() && tombstones.is_empty() {
+            Kids {
+                patched: false,
+                lo: 0,
+                hi: index(base_root),
+            }
+        } else {
+            builder.merge_node(0, (0, base_root), (0, inserts.len()), (0, tombstones.len()))
+        };
+        MergedView {
+            root,
+            levels: builder.levels,
+        }
+    }
+
+    /// The merged root level as one sorted slice — the key universe shard
+    /// planning cuts. `base` is the trie the view was built from.
+    pub fn root_values<'v>(&'v self, base: Option<&'v Trie>) -> &'v [Value] {
+        let values = match base {
+            Some(b) if !self.root.patched => b.level(0).values(),
+            _ => &self.levels[0].values,
+        };
+        &values[self.root.lo as usize..self.root.hi as usize]
+    }
+
+    /// Footprint of the patch in bytes (the base trie is not counted).
+    pub fn bytes(&self) -> u64 {
+        let level = |l: &PatchLevel| {
+            std::mem::size_of_val(&l.values[..]) + std::mem::size_of_val(&l.kids[..])
+        };
+        (std::mem::size_of::<Self>() + self.levels.iter().map(level).sum::<usize>()) as u64
+    }
+}
+
+/// A position in a view buffer or base level as stored in [`Kids`].
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("level exceeds the u32 index space of a trie")
+}
+
+/// End of the run of rows in `rows[from..hi]` whose column `col` is `k`.
+fn run_end(rows: &Relation, from: usize, hi: usize, col: usize, k: Value) -> usize {
+    (from..hi).find(|&r| rows.tuple(r)[col] != k).unwrap_or(hi)
+}
+
+struct Builder<'a> {
+    /// The base trie's levels; empty without a base.
+    base: Vec<TrieLevel<'a>>,
+    inserts: &'a Relation,
+    tombstones: &'a Relation,
+    levels: Vec<PatchLevel>,
+}
+
+impl Builder<'_> {
+    /// Materialises the merged sibling list of one dirty node at level
+    /// `l`: its base siblings `base`, and the insert and tombstone rows
+    /// that share its path. Returns where the list went — empty when the
+    /// whole subtree is tombstoned, which makes the caller drop its key.
+    fn merge_node(
+        &mut self,
+        l: usize,
+        (mut b, base_hi): (usize, usize),
+        (mut i, ins_hi): (usize, usize),
+        (mut t, tomb_hi): (usize, usize),
+    ) -> Kids {
+        let leaf = l + 1 == self.levels.len();
+        let lo = self.levels[l].values.len();
+        let base = self.base.get(l).copied();
+        loop {
+            // The next key an insert or a tombstone names. Base keys below
+            // it are clean: copied as they stand, their children shared
+            // with the base trie.
+            let ins_key = (i < ins_hi).then(|| self.inserts.tuple(i)[l]);
+            let tomb_key = (t < tomb_hi).then(|| self.tombstones.tuple(t)[l]);
+            let dirty = ins_key.into_iter().chain(tomb_key).min();
+            if let Some(lvl) = base {
+                let clean = |v: &&Value| dirty.is_none_or(|k| **v < k);
+                let run = b + lvl.values()[b..base_hi].iter().take_while(clean).count();
+                self.levels[l]
+                    .values
+                    .extend_from_slice(&lvl.values()[b..run]);
+                if !leaf {
+                    let starts = &lvl.child_starts()[b..=run];
+                    self.levels[l].kids.extend(starts.windows(2).map(|w| Kids {
+                        patched: false,
+                        lo: w[0],
+                        hi: w[1],
+                    }));
+                }
+                b = run;
+            }
+            let Some(k) = dirty else { break };
+            let in_base = base.is_some_and(|lvl| b < base_hi && lvl.values()[b] == k);
+            let ins_end = run_end(self.inserts, i, ins_hi, l, k);
+            let tomb_end = run_end(self.tombstones, t, tomb_hi, l, k);
+            // `None` drops the key; `Some` keeps it, with its child
+            // descriptor on the inner levels.
+            let kids = if leaf {
+                // Insert wins; a base value lives unless tombstoned.
+                (ins_end > i || (in_base && tomb_end == t)).then_some(None)
+            } else {
+                let below = match base {
+                    Some(lvl) if in_base => lvl.child_range(b),
+                    _ => (0, 0),
+                };
+                let kids = self.merge_node(l + 1, below, (i, ins_end), (t, tomb_end));
+                (kids.lo < kids.hi).then_some(Some(kids))
+            };
+            if let Some(kids) = kids {
+                self.levels[l].values.push(k);
+                self.levels[l].kids.extend(kids);
+            }
+            b += usize::from(in_base);
+            (i, t) = (ins_end, tomb_end);
+        }
+        Kids {
+            patched: true,
+            lo: index(lo),
+            hi: index(self.levels[l].values.len()),
+        }
+    }
+}
+
+/// A [`JoinCursor`] over `base ∪ inserts − tombstones`: a
+/// [`crate::TrieCursor`]-shaped walk of a base trie and the
+/// [`MergedView`] patching it.
 ///
 /// # Example
 ///
@@ -36,7 +215,7 @@ use crate::{AccessKind, JoinCursor, Relation, Tally, Trie, TrieCursor, Value, WO
 /// let tomb = Relation::from_pairs(vec![(3, 4)]);
 /// let mut cur = MergeCursor::new(Some(&base), Some(&delta), &tomb);
 /// assert!(cur.open(&mut NoTally)); // merged roots: [1] — 3's subtree is all-tombstoned
-/// assert_eq!(cur.key(), 1);
+/// assert_eq!(cur.sibling_slice(), Some(&[1][..]));
 /// assert!(cur.open(&mut NoTally));
 /// assert_eq!(cur.key(), 2);
 /// assert!(cur.next(&mut NoTally));
@@ -44,215 +223,135 @@ use crate::{AccessKind, JoinCursor, Relation, Tally, Trie, TrieCursor, Value, WO
 /// ```
 #[derive(Debug, Clone)]
 pub struct MergeCursor<'a> {
-    arity: usize,
-    base: Option<TrieCursor<'a>>,
-    delta: Option<TrieCursor<'a>>,
-    /// Pending deletes, sorted row-major, in the same column order as the
-    /// tries. Always a subset of the base relation (normal form).
-    tomb: &'a Relation,
-    frames: Vec<MergeFrame>,
+    /// The base trie's levels; empty without a base.
+    base: Vec<TrieLevel<'a>>,
+    view: Arc<MergedView>,
+    frames: Vec<Frame>,
 }
 
-/// Per-open-level state: which sides hold a frame at this level, and the
-/// tombstone rows whose prefix matches the path above it.
+/// One open level: `values[..hi]` of the buffer `patched` selects is the
+/// sibling slice, `pos <= hi` the current node's absolute index in it.
 #[derive(Debug, Clone, Copy)]
-struct MergeFrame {
-    base_open: bool,
-    delta_open: bool,
-    tomb_lo: usize,
-    tomb_hi: usize,
+struct Frame {
+    patched: bool,
+    hi: usize,
+    pos: usize,
 }
 
 impl<'a> MergeCursor<'a> {
-    /// Creates a cursor above the root of the merged view.
+    /// Builds the merged view of `base`, the inserts in `delta` and
+    /// `tombstones` (sorted rows in the tries' column order), and returns
+    /// a cursor above its root that owns it. Either side may be absent;
+    /// with both absent the view is empty (`open` returns `false`).
     ///
     /// # Panics
     ///
     /// Panics when the present sides and `tombstones` disagree on arity.
-    pub fn new(base: Option<&'a Trie>, delta: Option<&'a Trie>, tombstones: &'a Relation) -> Self {
+    pub fn new(base: Option<&'a Trie>, delta: Option<&Trie>, tombstones: &Relation) -> Self {
         let arity = tombstones.arity();
-        if let Some(b) = base {
-            assert_eq!(b.arity(), arity, "base/tombstone arity mismatch");
-        }
-        if let Some(d) = delta {
-            assert_eq!(d.arity(), arity, "delta/tombstone arity mismatch");
-        }
+        let inserts = Relation::from_tuples(arity, delta.map_or_else(Vec::new, Trie::enumerate))
+            .expect("delta/tombstone arity mismatch");
+        let view = MergedView::build(base, &inserts, tombstones);
+        MergeCursor::over(base, Arc::new(view))
+    }
+
+    /// A cursor above the root of `view`, which must have been built from
+    /// `base` (a view indexes into its base trie; over another trie the
+    /// walk is wrong or panics).
+    pub fn over(base: Option<&'a Trie>, view: Arc<MergedView>) -> Self {
+        let arity = view.levels.len();
         MergeCursor {
-            arity,
-            base: base.map(TrieCursor::new),
-            delta: delta.map(TrieCursor::new),
-            tomb: tombstones,
+            base: base.map_or_else(Vec::new, |t| (0..arity).map(|l| t.level(l)).collect()),
+            view,
             frames: Vec::with_capacity(arity),
         }
     }
 
-    /// Key of the base side at the current level, when it is open there
-    /// and not ended.
-    fn base_key(&self) -> Option<Value> {
-        let f = self.frames.last()?;
-        match &self.base {
-            Some(c) if f.base_open && !c.at_end() => Some(c.key()),
-            _ => None,
+    /// The deepest open level: its sibling slice (cut at the frame's end,
+    /// so positions stay absolute) and the current position.
+    #[inline]
+    fn top(&self) -> (&[Value], usize) {
+        let f = self.frames.last().expect("cursor is above the root");
+        (
+            &self.values(self.frames.len() - 1, f.patched)[..f.hi],
+            f.pos,
+        )
+    }
+
+    #[inline]
+    fn values(&self, level: usize, patched: bool) -> &[Value] {
+        if patched {
+            &self.view.levels[level].values
+        } else {
+            self.base[level].values()
         }
     }
 
-    /// Key of the delta side at the current level, when it is open there
-    /// and not ended.
-    fn delta_key(&self) -> Option<Value> {
-        let f = self.frames.last()?;
-        match &self.delta {
-            Some(c) if f.delta_open && !c.at_end() => Some(c.key()),
-            _ => None,
-        }
-    }
-
-    /// Pops the current frame and ascends every side that was open at it.
-    fn pop_level(&mut self) {
-        let f = self.frames.pop().expect("cursor is above the root");
-        if f.base_open {
-            self.base.as_mut().expect("flagged side exists").up();
-        }
-        if f.delta_open {
-            self.delta.as_mut().expect("flagged side exists").up();
-        }
-    }
-
-    /// `true` when `v` appears in the final tombstone column within the
-    /// current leaf frame's row range. One counted probe per midpoint
-    /// read, mirroring the trie-side binary searches.
-    fn tombstoned<T: Tally>(&self, f: &MergeFrame, v: Value, counter: &mut T) -> bool {
-        let col = self.arity - 1;
-        let (mut lo, mut hi) = (f.tomb_lo, f.tomb_hi);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            counter.record(AccessKind::IndexRead, WORD_BYTES);
-            let tv = self.tomb.tuple(mid)[col];
-            if tv < v {
-                lo = mid + 1;
-            } else if tv > v {
-                hi = mid;
-            } else {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Narrows the parent frame's tombstone row range to rows whose
-    /// column `col` equals `k`. Rows in the parent range share the path
-    /// prefix above `col`, so that column is sorted within the range.
-    fn narrow_tomb<T: Tally>(
-        &self,
-        parent: &MergeFrame,
-        col: usize,
-        k: Value,
-        counter: &mut T,
-    ) -> (usize, usize) {
-        let mut probe = |lo: usize, hi: usize, below: Value| {
-            // First row index in [lo, hi) whose column value is >= below.
-            let (mut lo, mut hi) = (lo, hi);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                counter.record(AccessKind::IndexRead, WORD_BYTES);
-                if self.tomb.tuple(mid)[col] < below {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
+    /// Where the current node's children are (the root list when above
+    /// the root), charging the two child-range words a trie cursor reads.
+    #[inline]
+    fn kids<T: Tally>(&self, counter: &mut T) -> Kids {
+        let depth = self.frames.len();
+        let Some(f) = self.frames.last() else {
+            return self.view.root;
         };
-        if parent.tomb_lo >= parent.tomb_hi {
-            return (parent.tomb_lo, parent.tomb_lo);
-        }
-        let lo = probe(parent.tomb_lo, parent.tomb_hi, k);
-        let hi = probe(lo, parent.tomb_hi, k + 1);
-        (lo, hi)
-    }
-
-    /// At the leaf level, skips base-side values present in the tombstone
-    /// set until an admissible value (or the end of the level) is
-    /// reached. Returns `false` when the level is exhausted. Delta-side
-    /// values are never tombstoned (normal form), and at the leaf a value
-    /// belongs to exactly one side, so only strict base-minimum values
-    /// need the membership check.
-    fn settle_leaf<T: Tally>(&mut self, counter: &mut T) -> bool {
-        debug_assert_eq!(self.frames.len(), self.arity, "settle applies at the leaf");
-        loop {
-            let f = *self.frames.last().expect("leaf frame");
-            let (bk, dk) = (self.base_key(), self.delta_key());
-            match (bk, dk) {
-                (None, None) => return false,
-                (Some(b), dk) if dk.is_none_or(|d| b < d) => {
-                    if self.tombstoned(&f, b, counter) {
-                        let side = self.base.as_mut().expect("base key implies base side");
-                        side.next(counter);
-                        continue;
-                    }
-                    return true;
-                }
-                _ => return true, // minimum comes from the delta side
+        assert!(
+            depth < self.view.levels.len(),
+            "cannot open past the leaf level"
+        );
+        assert!(f.pos < f.hi, "cannot open an ended level");
+        counter.record(AccessKind::IndexRead, 2 * WORD_BYTES);
+        if f.patched {
+            self.view.levels[depth - 1].kids[f.pos]
+        } else {
+            let (lo, hi) = self.base[depth - 1].child_range(f.pos);
+            Kids {
+                patched: false,
+                lo: lo as u32,
+                hi: hi as u32,
             }
         }
+    }
+
+    /// Opens the next level on `[lo, hi)` of the buffer `patched` selects,
+    /// charging the fetch of its first value; `false` when it is empty.
+    #[inline]
+    fn push<T: Tally>(&mut self, patched: bool, lo: usize, hi: usize, counter: &mut T) -> bool {
+        if lo >= hi {
+            return false;
+        }
+        counter.record(AccessKind::IndexRead, WORD_BYTES);
+        self.frames.push(Frame {
+            patched,
+            hi,
+            pos: lo,
+        });
+        true
     }
 }
 
-impl<'a> JoinCursor for MergeCursor<'a> {
+impl JoinCursor for MergeCursor<'_> {
+    #[inline]
     fn depth(&self) -> usize {
         self.frames.len()
     }
 
+    #[inline]
     fn at_end(&self) -> bool {
-        assert!(!self.frames.is_empty(), "cursor is above the root");
-        self.base_key().is_none() && self.delta_key().is_none()
+        let f = self.frames.last().expect("cursor is above the root");
+        f.pos >= f.hi
     }
 
+    #[inline]
     fn key(&self) -> Value {
-        assert!(!self.frames.is_empty(), "cursor is above the root");
-        match (self.base_key(), self.delta_key()) {
-            (Some(b), Some(d)) => b.min(d),
-            (Some(b), None) => b,
-            (None, Some(d)) => d,
-            (None, None) => panic!("cursor is at end"),
-        }
+        let (sib, pos) = self.top();
+        sib[pos]
     }
 
+    #[inline]
     fn open<T: Tally>(&mut self, counter: &mut T) -> bool {
-        let d = self.frames.len();
-        assert!(d < self.arity, "cannot open past the leaf level");
-        let (desc_base, desc_delta, tomb_lo, tomb_hi) = if d == 0 {
-            (
-                self.base.is_some(),
-                self.delta.is_some(),
-                0,
-                self.tomb.len(),
-            )
-        } else {
-            let f = *self.frames.last().expect("non-empty frames");
-            let k = self.key(); // panics on an ended level, like TrieCursor
-            let desc_base = self.base_key() == Some(k);
-            let desc_delta = self.delta_key() == Some(k);
-            let (lo, hi) = self.narrow_tomb(&f, d - 1, k, counter);
-            (desc_base, desc_delta, lo, hi)
-        };
-        let base_open = desc_base && self.base.as_mut().expect("descending side").open(counter);
-        let delta_open = desc_delta && self.delta.as_mut().expect("descending side").open(counter);
-        if !base_open && !delta_open {
-            return false;
-        }
-        self.frames.push(MergeFrame {
-            base_open,
-            delta_open,
-            tomb_lo,
-            tomb_hi,
-        });
-        if self.frames.len() == self.arity && !self.settle_leaf(counter) {
-            // Every admissible leaf value under this node is tombstoned
-            // (a phantom node): undo the descent and report it empty.
-            self.pop_level();
-            return false;
-        }
-        true
+        let kids = self.kids(counter);
+        self.push(kids.patched, kids.lo as usize, kids.hi as usize, counter)
     }
 
     fn open_root_range<T: Tally>(
@@ -265,223 +364,96 @@ impl<'a> JoinCursor for MergeCursor<'a> {
             self.frames.is_empty(),
             "root range opens from above the root"
         );
-        let base_open = self
-            .base
-            .as_mut()
-            .is_some_and(|c| c.open_root_range(min, sup, counter));
-        let delta_open = self
-            .delta
-            .as_mut()
-            .is_some_and(|c| c.open_root_range(min, sup, counter));
-        if !base_open && !delta_open {
-            return false;
-        }
-        self.frames.push(MergeFrame {
-            base_open,
-            delta_open,
-            tomb_lo: 0,
-            tomb_hi: self.tomb.len(),
-        });
-        if self.arity == 1 && !self.settle_leaf(counter) {
-            self.pop_level();
-            return false;
-        }
-        true
+        self.open_range(min, sup, counter)
     }
 
     fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool {
-        let d = self.frames.len();
-        if d == 0 {
-            return self.open_root_range(min, sup, counter);
-        }
-        assert!(d < self.arity, "cannot open past the leaf level");
-        let f = *self.frames.last().expect("non-empty frames");
-        let k = self.key(); // panics on an ended level, like TrieCursor
-        let desc_base = self.base_key() == Some(k);
-        let desc_delta = self.delta_key() == Some(k);
-        let (tomb_lo, tomb_hi) = self.narrow_tomb(&f, d - 1, k, counter);
-        let base_open = desc_base
-            && self
-                .base
-                .as_mut()
-                .expect("descending side")
-                .open_range(min, sup, counter);
-        let delta_open = desc_delta
-            && self
-                .delta
-                .as_mut()
-                .expect("descending side")
-                .open_range(min, sup, counter);
-        if !base_open && !delta_open {
-            return false;
-        }
-        self.frames.push(MergeFrame {
-            base_open,
-            delta_open,
-            tomb_lo,
-            tomb_hi,
-        });
-        if self.frames.len() == self.arity && !self.settle_leaf(counter) {
-            self.pop_level();
-            return false;
-        }
-        true
+        let kids = self.kids(counter);
+        let values = self.values(self.frames.len(), kids.patched);
+        let (lo, hi) = (kids.lo as usize, kids.hi as usize);
+        // An unbounded side needs no probing, as on a plain trie.
+        let lo = match min {
+            0 => lo,
+            _ => lower_bound(values, lo, hi, min, counter),
+        };
+        let hi = match sup {
+            Some(s) => lower_bound(values, lo, hi, s, counter),
+            None => hi,
+        };
+        self.push(kids.patched, lo, hi, counter)
     }
 
     fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
         assert!(!self.frames.is_empty(), "clamp applies to an open level");
-        let f = *self.frames.last().expect("non-empty frames");
+        let (sib, pos) = self.top();
         assert!(
-            self.key() < sup,
+            sib[pos] < sup,
             "split boundary must lie beyond the current key"
         );
-        // Individual sides may sit at or past the boundary (the merged
-        // key is the minimum over sides), so the clamp is lenient per
-        // side: such a side simply ends in place.
-        if f.base_open {
-            self.base
-                .as_mut()
-                .expect("flagged side exists")
-                .clamp_sup_lenient(sup, counter);
-        }
-        if f.delta_open {
-            self.delta
-                .as_mut()
-                .expect("flagged side exists")
-                .clamp_sup_lenient(sup, counter);
-        }
+        let hi = lower_bound(sib, pos, sib.len(), sup, counter);
+        self.frames.last_mut().expect("non-empty frames").hi = hi;
     }
 
+    #[inline]
     fn up(&mut self) {
-        self.pop_level();
+        self.frames.pop().expect("cursor is above the root");
     }
 
+    #[inline]
     fn next<T: Tally>(&mut self, counter: &mut T) -> bool {
-        let k = self.key(); // panics above root / at end, like TrieCursor
-        let f = *self.frames.last().expect("non-empty frames");
-        if f.base_open {
-            if let Some(c) = self.base.as_mut() {
-                if !c.at_end() && c.key() == k {
-                    c.next(counter);
-                }
-            }
+        let f = self.frames.last_mut().expect("cursor is above the root");
+        assert!(f.pos < f.hi, "cursor is already at end");
+        f.pos += 1;
+        if f.pos < f.hi {
+            counter.record(AccessKind::IndexRead, WORD_BYTES);
         }
-        if f.delta_open {
-            if let Some(c) = self.delta.as_mut() {
-                if !c.at_end() && c.key() == k {
-                    c.next(counter);
-                }
-            }
-        }
-        if self.frames.len() == self.arity {
-            self.settle_leaf(counter)
-        } else {
-            !self.at_end()
-        }
+        f.pos < f.hi
     }
 
+    #[inline]
     fn seek<T: Tally>(&mut self, v: Value, counter: &mut T) -> bool {
-        assert!(!self.frames.is_empty(), "cursor is above the root");
-        assert!(!self.at_end(), "cursor is already at end");
-        let f = *self.frames.last().expect("non-empty frames");
-        if f.base_open {
-            if let Some(c) = self.base.as_mut() {
-                if !c.at_end() && c.key() < v {
-                    c.seek(v, counter);
-                }
-            }
-        }
-        if f.delta_open {
-            if let Some(c) = self.delta.as_mut() {
-                if !c.at_end() && c.key() < v {
-                    c.seek(v, counter);
-                }
-            }
-        }
-        if self.frames.len() == self.arity {
-            self.settle_leaf(counter)
-        } else {
-            !self.at_end()
-        }
+        let (sib, pos) = self.top();
+        let pos = seek_in(sib, pos, v, counter);
+        let f = self.frames.last_mut().expect("non-empty frames");
+        f.pos = pos;
+        pos < f.hi
     }
 
     fn fresh(&self) -> Self {
         MergeCursor {
-            arity: self.arity,
-            base: self.base.as_ref().map(|c| TrieCursor::new(c.trie())),
-            delta: self.delta.as_ref().map(|c| TrieCursor::new(c.trie())),
-            tomb: self.tomb,
-            frames: Vec::with_capacity(self.arity),
+            base: self.base.clone(),
+            view: Arc::clone(&self.view),
+            frames: Vec::with_capacity(self.view.levels.len()),
         }
     }
 
+    #[inline]
     fn unvisited(&self) -> usize {
-        assert!(
-            !self.frames.is_empty(),
-            "split hooks apply to an open level"
-        );
-        let f = self.frames.last().expect("non-empty frames");
-        // When the last merge frame flags a side open, that side's own
-        // deepest frame sits at the same depth (descent flags are
-        // monotone: a side that drops out never re-enters deeper), so the
-        // side's deepest-level tail is exactly its share of the merged
-        // tail.
-        let tail = |c: &Option<TrieCursor<'_>>, open: bool| -> usize {
-            match c {
-                Some(c) if open => c.unvisited(),
-                _ => 0,
-            }
-        };
-        tail(&self.base, f.base_open) + tail(&self.delta, f.delta_open)
+        let f = self.frames.last().expect("cursor is above the root");
+        f.hi.saturating_sub(f.pos + 1)
     }
 
     fn split_boundary(&self) -> Value {
-        let depth = self.frames.len();
-        assert!(depth >= 1, "split hooks apply to an open level");
-        let f = self.frames.last().expect("non-empty frames");
-        let tail = |c: &Option<TrieCursor<'_>>, open: bool| -> usize {
-            match c {
-                Some(c) if open => c.unvisited(),
-                _ => 0,
-            }
-        };
-        let base_tail = tail(&self.base, f.base_open);
-        let delta_tail = tail(&self.delta, f.delta_open);
-        assert!(base_tail + delta_tail >= 1, "no unvisited tail to split");
-        // Cut the longer side's tail in half; the boundary is strictly
-        // greater than that side's current key, hence than the merged
-        // key. Boundaries need not exist on the other side — donated
-        // tails cover contiguous value ranges, not members.
-        let donor = if base_tail >= delta_tail {
-            self.base.as_ref().expect("non-zero tail")
-        } else {
-            self.delta.as_ref().expect("non-zero tail")
-        };
-        donor.split_boundary()
+        let remaining = self.unvisited();
+        assert!(remaining >= 1, "no unvisited tail to split");
+        let (sib, pos) = self.top();
+        sib[pos + 1 + remaining / 2]
     }
 
     fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        assert!(
-            !self.frames.is_empty(),
-            "split hooks apply to an open level"
-        );
-        let f = self.frames.last().expect("non-empty frames");
-        let side = |c: &Option<TrieCursor<'_>>, open: bool, counter: &mut T| -> bool {
-            match c {
-                Some(c) if open => c.tail_contains(boundary, counter),
-                _ => false,
-            }
-        };
-        // Probe both sides unconditionally so the tally does not depend
-        // on which side answers first.
-        let in_base = side(&self.base, f.base_open, counter);
-        let in_delta = side(&self.delta, f.delta_open, counter);
-        in_base || in_delta
+        let (sib, pos) = self.top();
+        lower_bound(sib, pos, sib.len(), boundary, counter) < sib.len()
+    }
+
+    #[inline]
+    fn sibling_slice(&self) -> Option<&[Value]> {
+        let (sib, pos) = self.top();
+        Some(&sib[pos..])
     }
 
     fn cache_pos(&self) -> u32 {
-        // Positions are meaningless across a merged view; replay descends
-        // by value (see `reopen_at`).
+        // Replay descends by value (see `reopen_at`), so no position is
+        // recorded.
         0
     }
 
@@ -499,7 +471,7 @@ impl<'a> JoinCursor for MergeCursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessCounter, RelationDelta};
+    use crate::{AccessCounter, RelationDelta, TrieCursor};
 
     /// Enumerates the merged view by exhaustively walking the cursor.
     fn enumerate(cur: &mut MergeCursor<'_>) -> Vec<Vec<Value>> {
@@ -527,7 +499,7 @@ mod tests {
             }
             cur.up();
         }
-        let arity = cur.arity;
+        let arity = cur.view.levels.len();
         let mut out = Vec::new();
         walk(cur, arity, &mut Vec::new(), &mut out);
         out
@@ -568,25 +540,45 @@ mod tests {
         // Neither side: empty view, open refuses.
         let mut cur = MergeCursor::new(None, None, &none);
         assert!(!cur.open(&mut AccessCounter::default()));
+        assert!(!cur.open_range(1, None, &mut AccessCounter::default()));
         assert_eq!(cur.depth(), 0);
     }
 
     #[test]
-    fn fully_tombstoned_subtree_is_a_phantom() {
-        // 3's entire subtree is deleted: the root key 3 still shows (a
-        // phantom), but open() under it reports false and the cursor
-        // recovers above it.
+    fn clean_subtrees_are_shared_and_an_empty_delta_copies_nothing() {
+        let base_rel = Relation::from_pairs(vec![(1, 2), (1, 5), (3, 4), (7, 1), (7, 9)]);
+        let base = Trie::build(&base_rel);
+        let none = Relation::new(2).unwrap();
+        let untouched = MergedView::build(Some(&base), &none, &none);
+        assert!(untouched.levels.iter().all(|l| l.values.is_empty()));
+        assert_eq!(untouched.root_values(Some(&base)), &[1, 3, 7]);
+
+        // One insert under root 3: the root list is copied, 3's children
+        // are rebuilt, 1 and 7 point straight into the base trie.
+        let view = MergedView::build(Some(&base), &Relation::from_pairs(vec![(3, 8)]), &none);
+        assert_eq!(view.levels[0].values, [1, 3, 7]);
+        assert_eq!(view.levels[1].values, [4, 8]);
+        let shared: Vec<bool> = view.levels[0].kids.iter().map(|k| !k.patched).collect();
+        assert_eq!(shared, [true, false, true]);
+        assert!(view.bytes() > untouched.bytes());
+    }
+
+    #[test]
+    fn fully_tombstoned_subtrees_are_dropped() {
+        // 3's entire subtree is deleted: no root key 3 remains, so nothing
+        // the cursor can open is empty.
         let base_rel = Relation::from_pairs(vec![(1, 2), (3, 4), (3, 5)]);
         let base = Trie::build(&base_rel);
         let tomb = Relation::from_pairs(vec![(3, 4), (3, 5)]);
         let mut cur = MergeCursor::new(Some(&base), None, &tomb);
         let mut c = AccessCounter::default();
         assert!(cur.open(&mut c));
-        assert!(cur.seek(3, &mut c));
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.open(&mut c), "all children tombstoned");
-        assert_eq!(cur.depth(), 1, "failed open leaves the cursor in place");
-        assert_eq!(cur.key(), 3);
+        assert_eq!(cur.sibling_slice(), Some(&[1][..]));
+        assert!(!cur.seek(3, &mut c));
+        // Deleting everything leaves a view whose root refuses to open.
+        let mut empty = MergeCursor::new(Some(&base), None, &base_rel);
+        assert!(!empty.open(&mut c));
+        assert_eq!(empty.depth(), 0);
     }
 
     #[test]
@@ -605,7 +597,7 @@ mod tests {
 
     #[test]
     fn root_range_and_clamp_respect_side_skew() {
-        // Base roots [1, 3]; delta roots [5, 7, 9].
+        // Base roots [1, 3]; delta roots [5, 7, 9]: one merged level.
         let base_rel = Relation::from_pairs(vec![(1, 1), (3, 3)]);
         let delta_rel = Relation::from_pairs(vec![(5, 5), (7, 7), (9, 9)]);
         let base = Trie::build(&base_rel);
@@ -614,13 +606,10 @@ mod tests {
         let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
         let mut c = AccessCounter::default();
         assert!(cur.open_root_range(0, None, &mut c));
-        assert_eq!(cur.key(), 1);
-        // unvisited: base 1 (the 3), delta 3 (5/7/9 minus the current? no
-        // — delta is positioned at 5, so 7 and 9 remain) = 1 + 2 = 3.
-        assert_eq!(cur.unvisited(), 3);
-        // Clamp at 5: the base keeps [1, 3], the delta side ends.
+        assert_eq!((cur.key(), cur.unvisited()), (1, 4));
+        // Clamp at 5: [1, 3] stay, the inserted roots are handed away.
         cur.clamp_sup(5, &mut c);
-        assert_eq!(cur.key(), 1);
+        assert_eq!((cur.key(), cur.unvisited()), (1, 1));
         assert!(cur.next(&mut c));
         assert_eq!(cur.key(), 3);
         assert!(!cur.next(&mut c), "5/7/9 were clamped away");
@@ -633,7 +622,7 @@ mod tests {
     }
 
     #[test]
-    fn split_boundary_comes_from_the_longer_side() {
+    fn split_boundary_halves_the_merged_tail() {
         let base_rel = Relation::from_pairs(vec![(1, 1)]);
         let delta_rel = Relation::from_pairs(vec![(2, 2), (4, 4), (6, 6), (8, 8)]);
         let base = Trie::build(&base_rel);
@@ -642,18 +631,15 @@ mod tests {
         let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
         let mut c = AccessCounter::default();
         assert!(cur.open(&mut c));
-        assert_eq!(cur.key(), 1);
-        // Base tail 0, delta tail 3 (positioned at 2; 4/6/8 remain).
-        assert_eq!(cur.unvisited(), 3);
-        let boundary = cur.split_boundary();
-        // Delta donor: values[0 + 1 + 3/2] = values[2] = 6.
-        assert_eq!(boundary, 6);
-        assert!(boundary > cur.key());
+        // Merged roots [1, 2, 4, 6, 8], at 1: the tail is 4 keys and the
+        // boundary the frozen arithmetic's sib[pos + 1 + 4 / 2].
+        assert_eq!((cur.key(), cur.unvisited()), (1, 4));
+        assert_eq!(cur.split_boundary(), 6);
     }
 
     #[test]
     fn deep_split_hooks_cover_both_sides_of_the_merge() {
-        // Children of 1: base [2, 6], delta [4, 8].
+        // Children of 1: base [2, 6], delta [4, 8] — merged [2, 4, 6, 8].
         let base_rel = Relation::from_pairs(vec![(1, 2), (1, 6)]);
         let delta_rel = Relation::from_pairs(vec![(1, 4), (1, 8)]);
         let base = Trie::build(&base_rel);
@@ -663,10 +649,7 @@ mod tests {
         let mut c = AccessCounter::default();
         assert!(cur.open(&mut c));
         assert!(cur.open(&mut c));
-        assert_eq!((cur.depth(), cur.key()), (2, 2));
-        // Base tail 1 (the 6), delta tail 1 (the 8).
-        assert_eq!(cur.unvisited(), 2);
-        // Equal tails: the base wins the tie; boundary = base values[1] = 6.
+        assert_eq!((cur.depth(), cur.key(), cur.unvisited()), (2, 2, 3));
         assert_eq!(cur.split_boundary(), 6);
         let before = c.index_reads;
         assert!(cur.tail_contains(6, &mut c));
@@ -697,30 +680,40 @@ mod tests {
         let mut c = AccessCounter::default();
         assert!(cur.open(&mut c));
         assert!(cur.open_range(3, None, &mut c));
-        assert_eq!(cur.key(), 8, "tombstoned 6 is settled past");
+        assert_eq!(cur.key(), 8, "the tombstoned 6 is not in the level");
         assert!(!cur.next(&mut c));
-        // A window holding only tombstoned values is a phantom: the
-        // descent is undone.
-        let mut phantom = cur.fresh();
-        assert!(phantom.open(&mut c));
-        assert!(!phantom.open_range(3, Some(7), &mut c));
-        assert_eq!(phantom.depth(), 1);
+        // A window holding only the tombstoned value is empty: the
+        // cursor stays where it was.
+        let mut windowed = cur.fresh();
+        assert!(windowed.open(&mut c));
+        assert!(!windowed.open_range(3, Some(7), &mut c));
+        assert_eq!(windowed.depth(), 1);
     }
 
     #[test]
-    fn merged_levels_have_no_sibling_slice() {
-        // A merged level is the union of two arrays minus tombstones: no
-        // single slice holds it, so the engines keep driving the cursor.
-        let base = Trie::build(&Relation::from_pairs(vec![(1, 2), (1, 6)]));
+    fn merged_levels_are_one_sorted_slice() {
+        // Clean and patched levels alike hand the leaf kernel a slice,
+        // and an untouched relation tallies exactly like its trie.
+        let base = Trie::build(&Relation::from_pairs(vec![(1, 2), (1, 6), (3, 3)]));
         let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), None, &none);
-        let mut c = AccessCounter::default();
-        assert!(cur.sibling_slice().is_none());
+        let inserts = Trie::build(&Relation::from_pairs(vec![(1, 4)]));
+        let mut cur = MergeCursor::new(Some(&base), Some(&inserts), &none);
+        let (mut c, mut plain_c) = (AccessCounter::default(), AccessCounter::default());
         assert!(cur.open(&mut c) && cur.open(&mut c));
-        assert!(cur.sibling_slice().is_none(), "not even over a lone side");
+        assert_eq!(cur.sibling_slice(), Some(&[2, 4, 6][..]), "patched level");
+        cur.up();
+        assert!(cur.next(&mut c) && cur.open(&mut c));
+        assert_eq!(cur.sibling_slice(), Some(&[3][..]), "base level");
+
+        let mut untouched = MergeCursor::new(Some(&base), None, &none);
         let mut plain = TrieCursor::new(&base);
-        assert!(plain.open(&mut c) && plain.open(&mut c));
-        assert_eq!(JoinCursor::sibling_slice(&plain), Some(&[2, 6][..]));
+        let mut c = AccessCounter::default();
+        assert!(untouched.open(&mut c) && untouched.open(&mut c) && untouched.seek(5, &mut c));
+        assert!(
+            plain.open(&mut plain_c) && plain.open(&mut plain_c) && plain.seek(5, &mut plain_c)
+        );
+        assert_eq!(untouched.sibling_slice(), JoinCursor::sibling_slice(&plain));
+        assert_eq!(c, plain_c);
     }
 
     #[test]
@@ -739,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn unary_views_suppress_at_the_root() {
+    fn unary_views_drop_tombstones_at_build_time() {
         let base_rel = Relation::from_tuples(1, vec![vec![1u32], vec![2], vec![3]]).unwrap();
         let base = Trie::build(&base_rel);
         let tomb = Relation::from_tuples(1, vec![vec![2u32]]).unwrap();

@@ -2,7 +2,9 @@
 
 use proptest::prelude::*;
 use triejax_exec::WorkerPool;
-use triejax_relation::{AccessCounter, Relation, Trie, TrieCursor, Value};
+use triejax_relation::{
+    AccessCounter, JoinCursor, MergeCursor, Relation, RelationDelta, Trie, TrieCursor, Value,
+};
 
 fn arb_tuples(
     arity: usize,
@@ -12,7 +14,135 @@ fn arb_tuples(
     prop::collection::vec(prop::collection::vec(0..domain, arity), 0..max_len)
 }
 
+/// Depth-first enumeration of everything below the cursor's root.
+fn enumerate<C: JoinCursor>(cur: &mut C, arity: usize) -> Vec<Vec<Value>> {
+    fn walk<C: JoinCursor>(
+        cur: &mut C,
+        arity: usize,
+        row: &mut Vec<Value>,
+        out: &mut Vec<Vec<Value>>,
+    ) {
+        let c = &mut AccessCounter::default();
+        if !cur.open(c) {
+            return;
+        }
+        loop {
+            row.push(cur.key());
+            if cur.depth() == arity {
+                out.push(row.clone());
+            } else {
+                let before = out.len();
+                walk(cur, arity, row, out);
+                assert!(out.len() > before, "phantom node at {row:?}");
+            }
+            row.pop();
+            if !cur.next(c) {
+                break;
+            }
+        }
+        cur.up();
+    }
+    let mut out = Vec::new();
+    walk(cur, arity, &mut Vec::new(), &mut out);
+    out
+}
+
+/// Everything a driver can observe of a cursor between two operations.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    answer: Option<u64>,
+    depth: usize,
+    key: Option<Value>,
+    unvisited: usize,
+    siblings: Vec<Value>,
+    tally: AccessCounter,
+}
+
+/// Applies one scripted operation when the cursor's state allows it (the
+/// guards read only what `Observed` compares, so two cursors that agreed so
+/// far take the same branch) and reports what the cursor shows afterwards.
+fn step<C: JoinCursor>(
+    cur: &mut C,
+    arity: usize,
+    (op, v, w): (u8, Value, Value),
+    c: &mut AccessCounter,
+) -> Observed {
+    let live = cur.depth() > 0 && !cur.at_end();
+    let can_open = cur.depth() < arity && (cur.depth() == 0 || live);
+    let answer = match op {
+        0 if can_open => Some(cur.open(c) as u64),
+        1 if can_open => Some(cur.open_range(v, (w > 0).then_some(v + w), c) as u64),
+        2 if live => Some(cur.next(c) as u64),
+        3 if live => Some(cur.seek(v, c) as u64),
+        4 if cur.depth() > 0 => {
+            cur.up();
+            None
+        }
+        5 if live && cur.key() < v => {
+            cur.clamp_sup(v, c);
+            None
+        }
+        6 if live && cur.unvisited() >= 1 => Some(cur.split_boundary() as u64),
+        7 if cur.depth() > 0 => Some(cur.tail_contains(v, c) as u64),
+        _ => None,
+    };
+    let open = cur.depth() > 0;
+    Observed {
+        answer,
+        depth: cur.depth(),
+        key: (open && !cur.at_end()).then(|| cur.key()),
+        unvisited: if open { cur.unvisited() } else { 0 },
+        siblings: match open {
+            true => cur.sibling_slice().expect("one slice per level").to_vec(),
+            false => Vec::new(),
+        },
+        tally: *c,
+    }
+}
+
 proptest! {
+    /// The patched merged view is indistinguishable from a trie rebuilt
+    /// over `delta.merge_into(base)`: same tuples, no node without a tuple
+    /// below it, and under any operation sequence the same answers, keys,
+    /// sibling slices and tallies as a `TrieCursor` over the rebuilt trie.
+    /// Small domains make overlapping inserts, re-inserted tombstones,
+    /// fully tombstoned subtrees and one-sided views common.
+    #[test]
+    fn merged_view_equals_the_rebuilt_trie(
+        arity in 1usize..=3,
+        raw_base in arb_tuples(3, 40, 5),
+        batches in prop::collection::vec((arb_tuples(3, 12, 5), arb_tuples(3, 30, 5)), 0..4),
+        keep_empty_base in 0u8..2,
+        script in prop::collection::vec((0u8..8, 0u32..7, 0u32..4), 0..60),
+    ) {
+        let cut = |rows: Vec<Vec<Value>>| {
+            Relation::from_tuples(arity, rows.into_iter().map(|mut t| { t.truncate(arity); t }))
+                .unwrap()
+        };
+        let base_rel = cut(raw_base);
+        let mut delta = RelationDelta::empty(arity).unwrap();
+        for (inserts, deletes) in batches {
+            delta = delta.apply_batch(&base_rel, &cut(inserts), &cut(deletes));
+        }
+        let merged_rel = delta.merge_into(&base_rel);
+        let rebuilt = Trie::build(&merged_rel);
+
+        let base = (!base_rel.is_empty() || keep_empty_base == 1).then(|| Trie::build(&base_rel));
+        let inserts = (!delta.inserts().is_empty()).then(|| Trie::build(delta.inserts()));
+        let merged = MergeCursor::new(base.as_ref(), inserts.as_ref(), delta.tombstones());
+
+        let expect: Vec<Vec<Value>> = merged_rel.iter().map(<[Value]>::to_vec).collect();
+        prop_assert_eq!(enumerate(&mut merged.fresh(), arity), expect);
+
+        let (mut ours, mut theirs) = (merged.fresh(), TrieCursor::new(&rebuilt));
+        let (mut c_ours, mut c_theirs) = (AccessCounter::default(), AccessCounter::default());
+        for (i, op) in script.into_iter().enumerate() {
+            let got = step(&mut ours, arity, op, &mut c_ours);
+            let want = step(&mut theirs, arity, op, &mut c_theirs);
+            prop_assert_eq!(got, want, "operation {} = {:?}", i, op);
+        }
+    }
+
     /// Trie enumeration reproduces exactly the sorted deduplicated input.
     #[test]
     fn trie_round_trip(tuples in arb_tuples(3, 60, 16)) {

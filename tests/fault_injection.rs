@@ -5,10 +5,16 @@
 //! panicked run surfaces its payload to the caller (the pool rethrows
 //! after the drain completes), and the very next clean run must be exact
 //! — nothing a dying worker did may outlive its run.
+//!
+//! The fault plan is process-global, and every test here also runs engine
+//! code it wants *un*faulted (reference runs, post-fault clean runs). Each
+//! test therefore holds [`serial`] for its whole body: no sibling's plan
+//! can be installed while it runs, at libtest's default thread count.
 
 #![cfg(feature = "faults")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use triejax_join::faults::{self, FaultAction, FaultEvent, FaultPlan, FaultRule};
@@ -17,6 +23,13 @@ use triejax_join::{
 };
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::Relation;
+
+/// One test of this file at a time; see the module docs. A test that
+/// failed while holding it must not fail the rest, so poison is ignored.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Fires `action` on the first occurrence of `event` on any worker.
 fn first(event: FaultEvent, action: FaultAction) -> FaultRule {
@@ -84,6 +97,7 @@ fn assert_injected(payload: Box<dyn std::any::Any + Send>) {
 /// exact. A hang here is the failure mode this harness exists to catch.
 #[test]
 fn injected_panics_never_hang_the_drain() {
+    let _serial = serial();
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
@@ -136,6 +150,7 @@ fn injected_panics_never_hang_the_drain() {
 /// built once and every other lookup hits it.
 #[test]
 fn cache_insert_panic_leaves_accounting_consistent() {
+    let _serial = serial();
     let catalog = catalog_from(funnel_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
@@ -172,6 +187,7 @@ fn cache_insert_panic_leaves_accounting_consistent() {
 /// any duplicate build reclassified as a race, not a second miss.
 #[test]
 fn delayed_cache_insert_keeps_racing_books_balanced() {
+    let _serial = serial();
     let catalog = catalog_from(funnel_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
@@ -194,6 +210,7 @@ fn delayed_cache_insert_keeps_racing_books_balanced() {
 /// deliver the exact ordered prefix.
 #[test]
 fn budget_trip_during_inflight_handoff_keeps_the_prefix_exact() {
+    let _serial = serial();
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
@@ -229,6 +246,7 @@ fn budget_trip_during_inflight_handoff_keeps_the_prefix_exact() {
 /// leaves no lane for the drain to wait on.
 #[test]
 fn failed_handoff_under_a_deadline_never_hangs() {
+    let _serial = serial();
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let guard = faults::install(
@@ -257,6 +275,7 @@ fn failed_handoff_under_a_deadline_never_hangs() {
 /// be exact and actually exercise the deep path it just survived.
 #[test]
 fn failed_deep_handoff_never_hangs_and_recovers_exactly() {
+    let _serial = serial();
     use triejax_query::Query;
 
     let q = Query::builder("deep_fault")
@@ -324,6 +343,7 @@ fn failed_deep_handoff_never_hangs_and_recovers_exactly() {
 /// normally.
 #[test]
 fn trie_build_panic_surfaces_and_leaves_the_trie_cache_clean() {
+    let _serial = serial();
     use std::sync::Arc;
     use triejax_join::TrieCache;
 
@@ -367,6 +387,7 @@ fn trie_build_panic_surfaces_and_leaves_the_trie_cache_clean() {
 /// A failure replays from its seed alone.
 #[test]
 fn seeded_fault_sweep_terminates_and_stays_exact() {
+    let _serial = serial();
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
@@ -404,6 +425,7 @@ fn seeded_fault_sweep_terminates_and_stays_exact() {
 /// not wedge the apply lock) and deliver exactly its own increment.
 #[test]
 fn killed_apply_leaves_the_session_at_the_prior_epoch() {
+    let _serial = serial();
     use std::sync::Arc;
     use triejax_join::Session;
 

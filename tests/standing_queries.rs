@@ -268,3 +268,94 @@ fn projected_plans_are_rejected_at_watch_time() {
     let plan = CompiledQuery::compile(&q).expect("compiles");
     assert!(matches!(session.watch(&plan), Err(JoinError::Plan { .. })));
 }
+
+/// A watcher whose evaluation fails must hang up, not deliver an update
+/// that silently lacks the failed term's rows. Here the query reads `G`
+/// and a not-yet-existing `H`; creating `H` through `apply` at the wrong
+/// arity makes the term over the new `H` rows unanswerable.
+#[test]
+fn a_failed_evaluation_ends_the_stream_instead_of_a_partial_update() {
+    let mut catalog = Catalog::new();
+    catalog.insert("G", Relation::from_pairs(vec![(0, 1), (1, 2)]));
+    let session = Session::new(catalog).with_pool(1);
+    let q = Query::builder("gh")
+        .head(["x", "y", "z"])
+        .atom("G", ["x", "y"])
+        .atom("H", ["y", "z"])
+        .build()
+        .expect("valid query");
+    let plan = CompiledQuery::compile(&q).expect("compiles");
+    let watch = session.watch(&plan).expect("watchable");
+    let none = Relation::new(2).unwrap();
+
+    // While `H` does not exist the join is empty, and so is the update.
+    session
+        .apply("G", &Relation::from_pairs(vec![(2, 3)]), &none)
+        .expect("apply");
+    assert_eq!(watch.poll().expect("delivered").rows.len(), 0);
+
+    // The apply itself is fine — `H` is a new relation of arity 3 — but
+    // the standing query cannot join it as `H(y, z)`.
+    let triples = Relation::from_tuples(3, vec![[1u32, 2, 3]]).unwrap();
+    session
+        .apply("H", &triples, &Relation::new(3).unwrap())
+        .expect("creating H succeeds");
+    assert!(watch.poll().is_none(), "no partial update");
+
+    // The watcher is gone for good: later batches deliver nothing, and
+    // the subscriber sees the hang-up instead of blocking.
+    session
+        .apply("G", &Relation::from_pairs(vec![(3, 4)]), &none)
+        .expect("apply");
+    assert!(watch.poll().is_none());
+    assert!(watch.recv().is_none(), "the stream hung up");
+}
+
+/// Path4 and Cycle4 are the patterns whose per-atom term plans differ
+/// most from the watched plan's variable order (the term for the last atom
+/// of Path4 runs `z, w, y, x`). Whatever order a term ran in, the update
+/// must come out in the watched plan's sequential order — checked against
+/// the order-preserving difference of full evaluations over batches that
+/// insert, delete, re-insert and (at the default ratio) compact.
+#[test]
+fn term_orders_never_leak_into_the_update_order() {
+    let base: BTreeSet<Edge> = (0..14u32)
+        .flat_map(|a| [(a, (a + 1) % 14), (a, (a + 5) % 14), ((a + 3) % 14, a)])
+        .collect();
+    let batches: Vec<(BTreeSet<Edge>, BTreeSet<Edge>)> = vec![
+        ([(13, 2), (2, 9), (9, 13), (4, 4)].into(), [(0, 1)].into()),
+        ([(0, 1), (6, 0)].into(), [(13, 2), (5, 6), (7, 8)].into()),
+        ([(7, 8), (8, 3), (3, 7), (1, 12)].into(), BTreeSet::new()),
+        (
+            (0..14u32).map(|a| (a, (a + 7) % 14)).collect(),
+            (0..14u32).map(|a| (a, (a + 5) % 14)).collect(),
+        ),
+        ([(5, 6)].into(), [(4, 4), (2, 9)].into()),
+    ];
+    let mut catalog = Catalog::new();
+    catalog.insert("G", relation_of(&base));
+    let session = Session::new(catalog).with_pool(2);
+    let mut truth = base.clone();
+    for pattern in [Pattern::Path4, Pattern::Cycle4] {
+        let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
+        let watch = session.watch(&plan).expect("watchable");
+        let mut before = full_eval(&truth, &plan);
+        for (step, (inserts, deletes)) in batches.iter().enumerate() {
+            session
+                .apply("G", &relation_of(inserts), &relation_of(deletes))
+                .expect("apply");
+            truth.retain(|e| !deletes.contains(e));
+            truth.extend(inserts.iter().copied());
+            let after = full_eval(&truth, &plan);
+            let seen: BTreeSet<&Vec<u32>> = before.iter().collect();
+            let expect: Vec<Vec<u32>> = after
+                .iter()
+                .filter(|r| !seen.contains(r))
+                .cloned()
+                .collect();
+            let update = watch.poll().expect("delivered");
+            assert_eq!(update.rows, expect, "{pattern:?} step {step}");
+            before = after;
+        }
+    }
+}
