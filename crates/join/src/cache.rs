@@ -1,8 +1,12 @@
-//! Partial-join-result (PJR) cache stores for the CTJ engines.
+//! Partial-join-result (PJR) cache stores for the trie-join driver.
 //!
-//! The CTJ driver is generic over a [`PjrStore`], which owns both the
-//! entry storage *and* the hit/miss accounting policy:
+//! The driver ([`crate::lftj::Driver`]) is generic over a [`PjrStore`],
+//! which owns both the entry storage *and* the hit/miss accounting policy:
 //!
+//! * [`NoPjr`] — no cache at all: LFTJ. Zero-sized, and its
+//!   [`PjrStore::CACHING`] `= false` compiles every lookup, recording and
+//!   publish step of the driver away, the way `NoBudget` folds away
+//!   governance.
 //! * [`LocalPjr`] — the single-threaded store used by sequential
 //!   [`crate::Ctj`] (and by `ParCtj`'s one-shard fast path): a plain
 //!   `HashMap`, misses counted at lookup, insertions *dropped* once
@@ -34,16 +38,18 @@
 //! * evictions tick `cache_evictions`; waiting on a stripe lock another
 //!   worker holds ticks `cache_contention`.
 //!
-//! ## Adaptive demotion
+//! ## Adaptive caching
 //!
-//! With [`CtjConfig::adaptive`] set, both stores watch the observed hit
-//! rate per cached depth: a depth whose first [`DEMOTE_LOOKUPS`] lookups
-//! all missed is *demoted* — [`PjrStore::depth_enabled`] flips to `false`,
-//! the driver stops probing (and recording) there, and the worker that
-//! flipped it ticks `cache_demotions` once. The shared store demotes
-//! globally (relaxed atomics; a racing hit can at worst lose the depth one
-//! probation window late), the local store per driver. Demotion never
-//! changes results — a disabled depth simply recomputes like plain LFTJ.
+//! With [`CtjConfig::adaptive`] set, a store starts from the plan-time
+//! mask of [`adaptive_mask`] — a depth whose spec the cost model dropped
+//! starts disabled — and watches the observed hit rate per cached depth:
+//! a depth whose first [`DEMOTE_LOOKUPS`] lookups all missed is *demoted*
+//! — [`PjrStore::depth_enabled`] flips to `false`, the driver stops
+//! probing (and recording) there, and the worker that flipped it ticks
+//! `cache_demotions` once. The shared store demotes globally (relaxed
+//! atomics; a racing hit can at worst lose the depth one probation window
+//! late), the local store per driver. Neither ever changes results — a
+//! disabled depth simply recomputes like plain LFTJ.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -52,9 +58,10 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use triejax_exec::{suggested_stripes, Striped};
+use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Tally, Value, WORD_BYTES};
 
-use crate::{CtjConfig, EngineStats};
+use crate::{Catalog, CtjConfig, EngineStats};
 
 /// A committed cache entry: matched values and their per-participant trie
 /// indexes (atoms in `atoms_at(depth)` order). `Arc` (not `Rc`) so entries
@@ -81,30 +88,84 @@ pub(crate) enum Looked {
 /// this-many lookups all missed is demoted for the rest of the run.
 pub(crate) const DEMOTE_LOOKUPS: u32 = 64;
 
-/// Per-depth probation state of the adaptive policy (worker-local form).
-#[derive(Clone, Copy, Default)]
-struct DepthProbe {
-    lookups: u32,
-    hits: u32,
-    demoted: bool,
+/// Plan-time side of the adaptive cache policy: one flag per depth,
+/// `false` where the spec's estimated per-entry reuse is provably below 2
+/// — the product of the non-key prefix domains bounds how many visits
+/// could ever share an entry, so an estimate of 1 means pure overhead.
+/// Depths without a spec (and depths whose estimate is unknown) stay
+/// enabled; the run-time demotion handles what the estimate cannot see.
+/// Empty when `config` is not adaptive, which is what turns the whole
+/// policy off in the stores.
+pub(crate) fn adaptive_mask(
+    config: &CtjConfig,
+    plan: &CompiledQuery,
+    catalog: &Catalog,
+) -> Vec<bool> {
+    if !config.adaptive {
+        return Vec::new();
+    }
+    let card = |name: &str| catalog.get(name).map(|r| r.len());
+    (0..plan.arity())
+        .map(|d| plan.cache_reuse_estimate(d, card).is_none_or(|r| r >= 2))
+        .collect()
 }
 
-impl DepthProbe {
-    /// Accounts one lookup; returns `true` when this lookup demoted the
-    /// depth (zero hits through the whole probation window).
-    fn observe(&mut self, hit: bool) -> bool {
-        self.lookups += 1;
-        self.hits += u32::from(hit);
-        if !self.demoted && self.hits == 0 && self.lookups >= DEMOTE_LOOKUPS {
-            self.demoted = true;
-            return true;
+/// The adaptive policy's per-depth probation state of one store (every
+/// handle of the shared store sees the same); empty when the policy is
+/// off. Relaxed atomics: a demotion racing a hit can at worst fire one
+/// probation window late, never affects results.
+struct Probation(Vec<DepthProbe>);
+
+#[derive(Default)]
+struct DepthProbe {
+    misses: AtomicU32,
+    hits: AtomicU32,
+    demoted: AtomicBool,
+}
+
+impl Probation {
+    /// Probation from an [`adaptive_mask`]: a depth it disabled starts
+    /// out demoted.
+    fn new(mask: &[bool]) -> Self {
+        let probe = |&on: &bool| DepthProbe {
+            demoted: AtomicBool::new(!on),
+            ..DepthProbe::default()
+        };
+        Probation(mask.iter().map(probe).collect())
+    }
+
+    fn enabled(&self, depth: usize) -> bool {
+        self.0
+            .get(depth)
+            .is_none_or(|p| !p.demoted.load(Ordering::Relaxed))
+    }
+
+    /// Accounts one lookup at `depth`; the one lookup that demotes the
+    /// depth (zero hits through the whole window) ticks `cache_demotions`.
+    fn observe<T: Tally>(&self, depth: usize, hit: bool, stats: &mut EngineStats<T>) {
+        let Some(p) = self.0.get(depth) else {
+            return;
+        };
+        if hit {
+            p.hits.fetch_add(1, Ordering::Relaxed);
+            return;
         }
-        false
+        let misses = p.misses.fetch_add(1, Ordering::Relaxed) + 1;
+        if misses >= DEMOTE_LOOKUPS
+            && p.hits.load(Ordering::Relaxed) == 0
+            && !p.demoted.swap(true, Ordering::Relaxed)
+        {
+            stats.cache_demotions += 1;
+        }
     }
 }
 
 /// Storage + accounting policy for CTJ's partial-join-result cache.
 pub(crate) trait PjrStore {
+    /// `false` only for [`NoPjr`]: the driver then never looks a spec up,
+    /// records or publishes, and the checks compile away.
+    const CACHING: bool = true;
+
     /// Probes for `(depth, key)`, ticking `cache_hits` or `cache_misses`.
     fn lookup<T: Tally>(
         &mut self,
@@ -133,6 +194,35 @@ pub(crate) trait PjrStore {
     fn depth_enabled(&self, _depth: usize) -> bool {
         true
     }
+
+    /// Maximum `(value, indexes)` pairs per entry
+    /// ([`CtjConfig::entry_capacity`]); a longer one is dropped while it
+    /// is being recorded.
+    fn entry_capacity(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// The store of a run without a PJR cache: plain LFTJ.
+pub(crate) struct NoPjr;
+
+impl PjrStore for NoPjr {
+    const CACHING: bool = false;
+
+    fn lookup<T: Tally>(&mut self, _: usize, _: Vec<Value>, _: &mut EngineStats<T>) -> Looked {
+        unreachable!("a driver without a cache never looks a spec up")
+    }
+
+    fn publish<T: Tally>(
+        &mut self,
+        _: usize,
+        _: Vec<Value>,
+        _: u64,
+        _: Vec<(Value, Vec<u32>)>,
+        _: &mut EngineStats<T>,
+    ) {
+        unreachable!("a driver without a cache never records an entry")
+    }
 }
 
 /// Records the storage cost of a newly stored entry (the Figure 18
@@ -154,26 +244,20 @@ fn record_stored<T: Tally>(rows: &[(Value, Vec<u32>)], stats: &mut EngineStats<T
 pub(crate) struct LocalPjr {
     map: HashMap<Key, Entry>,
     max_entries: Option<usize>,
-    /// Per-depth probation state; empty when the adaptive policy is off.
-    probes: Vec<DepthProbe>,
+    entry_capacity: Option<usize>,
+    probation: Probation,
 }
 
 impl LocalPjr {
-    pub(crate) fn new(config: CtjConfig) -> Self {
+    /// A store bounded as `config` says, adapting from the
+    /// [`adaptive_mask`] `adaptive` (empty: the policy is off).
+    pub(crate) fn new(config: CtjConfig, adaptive: &[bool]) -> Self {
         LocalPjr {
             map: HashMap::new(),
             max_entries: config.max_entries,
-            probes: Vec::new(),
+            entry_capacity: config.entry_capacity,
+            probation: Probation::new(adaptive),
         }
-    }
-
-    /// Enables run-time demotion for cached depths up to `depths`.
-    pub(crate) fn with_adaptive(config: CtjConfig, depths: usize) -> Self {
-        let mut store = Self::new(config);
-        if config.adaptive {
-            store.probes = vec![DepthProbe::default(); depths];
-        }
-        store
     }
 }
 
@@ -186,11 +270,7 @@ impl PjrStore for LocalPjr {
     ) -> Looked {
         let probe = (depth, key);
         let hit = self.map.get(&probe).map(Arc::clone);
-        if let Some(p) = self.probes.get_mut(depth) {
-            if p.observe(hit.is_some()) {
-                stats.cache_demotions += 1;
-            }
-        }
+        self.probation.observe(depth, hit.is_some(), stats);
         if let Some(entry) = hit {
             stats.cache_hits += 1;
             return Looked::Hit(entry);
@@ -200,7 +280,11 @@ impl PjrStore for LocalPjr {
     }
 
     fn depth_enabled(&self, depth: usize) -> bool {
-        self.probes.get(depth).is_none_or(|p| !p.demoted)
+        self.probation.enabled(depth)
+    }
+
+    fn entry_capacity(&self) -> Option<usize> {
+        self.entry_capacity
     }
 
     fn publish<T: Tally>(
@@ -247,34 +331,10 @@ pub(crate) struct SharedPjrCache {
     /// lane bounds sum to *exactly* the configured total capacity.
     /// `None` = unbounded; a zero lane bound disables storing there.
     per_lane_cap: Option<(usize, usize)>,
-    /// Per-depth probation state shared by every worker; empty when the
-    /// adaptive policy is off. Relaxed atomics: a demotion racing a hit
-    /// can at worst fire one probation window late, never affects
-    /// results.
-    probes: Vec<SharedDepthProbe>,
-}
-
-/// Per-depth probation state of the adaptive policy (shared form).
-#[derive(Default)]
-struct SharedDepthProbe {
-    lookups: AtomicU32,
-    hits: AtomicU32,
-    demoted: AtomicBool,
-}
-
-impl SharedDepthProbe {
-    /// Accounts one lookup; returns `true` for exactly the one worker
-    /// whose lookup demoted the depth.
-    fn observe(&self, hit: bool) -> bool {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let seen = self.lookups.fetch_add(1, Ordering::Relaxed) + 1;
-        seen >= DEMOTE_LOOKUPS
-            && self.hits.load(Ordering::Relaxed) == 0
-            && !self.demoted.swap(true, Ordering::Relaxed)
-    }
+    entry_capacity: Option<usize>,
+    /// Every worker handle observes and honors it, so a depth demoted
+    /// for one worker is demoted for all.
+    probation: Probation,
 }
 
 /// A plan-side entries hint larger than this is a blown-up upper bound
@@ -283,10 +343,12 @@ impl SharedDepthProbe {
 const CREDIBLE_HINT_MAX: usize = 1 << 20;
 
 impl SharedPjrCache {
-    /// Builds a cache for `workers` concurrent workers with a total
-    /// `capacity` (entries; `None` = unbounded) and an optional expected
-    /// entry-count hint (from [`triejax_query::CompiledQuery`]'s
-    /// cache-capacity estimate) used to pre-size the stripe tables.
+    /// Builds a cache for `workers` concurrent workers bounded as `config`
+    /// says ([`CtjConfig::max_entries`] is the *total* capacity; `None` =
+    /// unbounded), adapting from the [`adaptive_mask`] `adaptive` (empty:
+    /// the policy is off), with an optional expected entry-count hint
+    /// (from [`CompiledQuery`]'s cache-capacity estimate) used to pre-size
+    /// the stripe tables.
     ///
     /// The stripe count is [`suggested_stripes`] for the worker count,
     /// reduced so a small capacity is never spread thinner than one entry
@@ -296,9 +358,11 @@ impl SharedPjrCache {
     /// and the full configured budget is usable.
     pub(crate) fn new(
         workers: usize,
-        capacity: Option<usize>,
+        config: CtjConfig,
+        adaptive: &[bool],
         entries_hint: Option<usize>,
     ) -> Self {
+        let capacity = config.max_entries;
         let mut stripes = suggested_stripes(workers);
         if let Some(cap) = capacity {
             stripes = stripes.min(prev_power_of_two(cap.max(1)));
@@ -319,16 +383,9 @@ impl SharedPjrCache {
                 fifo: VecDeque::new(),
             }),
             per_lane_cap,
-            probes: Vec::new(),
+            entry_capacity: config.entry_capacity,
+            probation: Probation::new(adaptive),
         }
-    }
-
-    /// Enables run-time demotion for cached depths up to `depths`. Every
-    /// worker handle observes and honors the shared demotion state, so a
-    /// depth dead for one worker is dead for all of them.
-    pub(crate) fn with_adaptive(mut self, depths: usize) -> Self {
-        self.probes = (0..depths).map(|_| SharedDepthProbe::default()).collect();
-        self
     }
 
     /// Number of lock stripes (for tests/diagnostics).
@@ -338,7 +395,7 @@ impl SharedPjrCache {
     }
 
     /// A handle for one worker; each pool worker drives its own
-    /// [`crate::ctj::CtjDriver`] through its own handle.
+    /// [`crate::lftj::Driver`] through its own handle.
     pub(crate) fn handle(&self) -> SharedPjrHandle<'_> {
         SharedPjrHandle { cache: self }
     }
@@ -388,11 +445,7 @@ impl PjrStore for SharedPjrHandle<'_> {
         // Clone the Arc out so the stripe lock is released before the
         // (potentially deep) replay and the probation accounting.
         drop(stripe);
-        if let Some(p) = self.cache.probes.get(depth) {
-            if p.observe(hit.is_some()) {
-                stats.cache_demotions += 1;
-            }
-        }
+        self.cache.probation.observe(depth, hit.is_some(), stats);
         if let Some(entry) = hit {
             stats.cache_hits += 1;
             return Looked::Hit(entry);
@@ -403,10 +456,11 @@ impl PjrStore for SharedPjrHandle<'_> {
     }
 
     fn depth_enabled(&self, depth: usize) -> bool {
-        self.cache
-            .probes
-            .get(depth)
-            .is_none_or(|p| !p.demoted.load(Ordering::Relaxed))
+        self.cache.probation.enabled(depth)
+    }
+
+    fn entry_capacity(&self) -> Option<usize> {
+        self.cache.entry_capacity
     }
 
     fn publish<T: Tally>(
@@ -474,6 +528,15 @@ mod tests {
     use super::*;
     use triejax_relation::Counting;
 
+    /// A shared cache of `capacity` total entries, adaptation off.
+    fn shared(workers: usize, capacity: Option<usize>, hint: Option<usize>) -> SharedPjrCache {
+        let config = CtjConfig {
+            max_entries: capacity,
+            ..CtjConfig::default()
+        };
+        SharedPjrCache::new(workers, config, &[], hint)
+    }
+
     fn rows(vals: &[Value]) -> Vec<(Value, Vec<u32>)> {
         vals.iter().map(|&v| (v, vec![0, 1])).collect()
     }
@@ -492,11 +555,13 @@ mod tests {
 
     #[test]
     fn local_counts_misses_at_lookup_and_drops_when_full() {
-        let mut store = LocalPjr::new(CtjConfig {
-            entry_capacity: None,
-            max_entries: Some(1),
-            adaptive: false,
-        });
+        let mut store = LocalPjr::new(
+            CtjConfig {
+                max_entries: Some(1),
+                ..CtjConfig::default()
+            },
+            &[],
+        );
         let mut stats = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[7], &mut stats);
         assert_eq!(stats.cache_misses, 1);
@@ -520,7 +585,7 @@ mod tests {
     /// loser's miss is reclassified as a late hit plus a race.
     #[test]
     fn insert_race_dedupes_the_shared_miss_count() {
-        let cache = SharedPjrCache::new(2, None, None);
+        let cache = shared(2, None, None);
         let mut w0 = cache.handle();
         let mut w1 = cache.handle();
         let mut s0 = EngineStats::<Counting>::new();
@@ -551,7 +616,7 @@ mod tests {
 
     #[test]
     fn entries_published_by_one_handle_hit_on_another() {
-        let cache = SharedPjrCache::new(4, None, None);
+        let cache = shared(4, None, None);
         let mut s = EngineStats::<Counting>::new();
         let mut w0 = cache.handle();
         let (k, t) = miss_key(&mut w0, 1, &[3], &mut s);
@@ -568,7 +633,7 @@ mod tests {
     #[test]
     fn tiny_capacity_evicts_fifo_per_stripe() {
         // Capacity 1 collapses to a single stripe holding one entry.
-        let mut cache = SharedPjrCache::new(4, Some(1), None);
+        let mut cache = shared(4, Some(1), None);
         assert_eq!(cache.stripes(), 1);
         let mut s = EngineStats::<Counting>::new();
         let mut w = cache.handle();
@@ -586,7 +651,7 @@ mod tests {
 
     #[test]
     fn capacity_zero_disables_caching() {
-        let mut cache = SharedPjrCache::new(2, Some(0), None);
+        let mut cache = shared(2, Some(0), None);
         let mut s = EngineStats::<Counting>::new();
         let mut w = cache.handle();
         let (k, t) = miss_key(&mut w, 1, &[9], &mut s);
@@ -598,14 +663,7 @@ mod tests {
 
     #[test]
     fn local_demotes_a_depth_after_a_zero_hit_window() {
-        let mut store = LocalPjr::with_adaptive(
-            CtjConfig {
-                entry_capacity: None,
-                max_entries: None,
-                adaptive: true,
-            },
-            3,
-        );
+        let mut store = LocalPjr::new(CtjConfig::default(), &[true; 3]);
         let mut s = EngineStats::<Counting>::new();
         // Every key distinct: the probation window closes with zero hits.
         for v in 0..DEMOTE_LOOKUPS {
@@ -623,14 +681,7 @@ mod tests {
 
     #[test]
     fn a_single_hit_inside_the_window_keeps_the_depth() {
-        let mut store = LocalPjr::with_adaptive(
-            CtjConfig {
-                entry_capacity: None,
-                max_entries: None,
-                adaptive: true,
-            },
-            3,
-        );
+        let mut store = LocalPjr::new(CtjConfig::default(), &[true; 3]);
         let mut s = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[0], &mut s);
         store.publish(1, k, t, rows(&[1]), &mut s);
@@ -646,11 +697,7 @@ mod tests {
 
     #[test]
     fn non_adaptive_stores_never_demote() {
-        let mut store = LocalPjr::new(CtjConfig {
-            entry_capacity: None,
-            max_entries: None,
-            adaptive: false,
-        });
+        let mut store = LocalPjr::new(CtjConfig::default(), &[]);
         let mut s = EngineStats::<Counting>::new();
         for v in 0..2 * DEMOTE_LOOKUPS {
             miss_key(&mut store, 1, &[v], &mut s);
@@ -661,7 +708,7 @@ mod tests {
 
     #[test]
     fn shared_demotion_is_global_across_handles() {
-        let cache = SharedPjrCache::new(2, None, None).with_adaptive(3);
+        let cache = SharedPjrCache::new(2, CtjConfig::default(), &[true; 3], None);
         let mut s0 = EngineStats::<Counting>::new();
         let mut s1 = EngineStats::<Counting>::new();
         let mut w0 = cache.handle();
@@ -690,7 +737,7 @@ mod tests {
         // 10 does not divide evenly over the stripes: the remainder must
         // be spread so the whole configured budget is usable — no more,
         // no less.
-        let mut cache = SharedPjrCache::new(4, Some(10), None);
+        let mut cache = shared(4, Some(10), None);
         let stripes = cache.stripes();
         assert!(stripes <= 8, "stripe count shrinks to fit the capacity");
         let mut s = EngineStats::<Counting>::new();
@@ -711,12 +758,12 @@ mod tests {
     fn huge_entries_hint_does_not_reserve_memory() {
         // An upper-bound estimate like |G|^2 is not a credible working
         // set; the stripe tables must start small.
-        let cache = SharedPjrCache::new(4, None, Some(200_000_000));
+        let cache = shared(4, None, Some(200_000_000));
         let (stripe, _) = cache.stripes.lock(0);
         assert_eq!(stripe.map.capacity(), 0, "blown-up hint must be ignored");
         drop(stripe);
         // A credible hint does pre-size.
-        let cache = SharedPjrCache::new(4, None, Some(16_000));
+        let cache = shared(4, None, Some(16_000));
         let (stripe, _) = cache.stripes.lock(0);
         assert!(stripe.map.capacity() >= 16_000 / 16);
     }
@@ -726,7 +773,7 @@ mod tests {
     /// builds (unbounded, so no eviction/overflow re-builds).
     #[test]
     fn concurrent_accounting_balances() {
-        let cache = SharedPjrCache::new(4, None, None);
+        let cache = shared(4, None, None);
         let stats: Vec<EngineStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {

@@ -1,17 +1,9 @@
-use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
-use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
+use triejax_relation::{Counting, Tally};
 
-use crate::cache::{LocalPjr, Looked, PjrStore};
-use crate::engine::head_slots;
-use crate::leapfrog::SliceLeapfrog;
-use crate::shard::{try_split_at, NoSplit, SplitSpawn};
-use crate::sink::BatchEmitter;
-use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
-use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
-
-/// The match list of a cache entry while its level is being computed.
-type Recording = Vec<(Value, Vec<u32>)>;
+use crate::cache::{adaptive_mask, LocalPjr};
+use crate::lftj::run_sequential;
+use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink};
 
 /// Configuration of the software partial-join-result cache.
 ///
@@ -102,14 +94,7 @@ impl Ctj {
         catalog: &Catalog,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let tries = TrieSet::build(plan, catalog)?;
-        let store = LocalPjr::with_adaptive(self.config, plan.arity());
-        let mut driver = CtjDriver::with_store(plan, &tries, self.config, store)?;
-        if self.config.adaptive {
-            driver.set_cache_mask(plan_cache_mask(plan, catalog));
-        }
-        driver.run(sink);
-        Ok(driver.stats)
+        self.run(plan, catalog, None, sink)
     }
 
     /// Runs the query with the pending mutations in `deltas` folded in;
@@ -129,33 +114,21 @@ impl Ctj {
         deltas: &DeltaMap,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        if !plan_touches_delta(plan, deltas) {
-            return self.run_tallied(plan, catalog, sink);
-        }
-        let set = MergeSet::build(plan, catalog, deltas)?;
-        let store = LocalPjr::with_adaptive(self.config, plan.arity());
-        let mut driver =
-            CtjDriver::<T, LocalPjr, NoBudget, _>::with_store(plan, &set, self.config, store)?;
-        if self.config.adaptive {
-            driver.set_cache_mask(plan_cache_mask(plan, catalog));
-        }
-        driver.run(sink);
-        Ok(driver.stats)
+        self.run(plan, catalog, Some(deltas), sink)
     }
-}
 
-/// Plan-time side of the adaptive cache policy: one flag per depth,
-/// `false` where the spec's estimated per-entry reuse is provably below 2
-/// — the product of the non-key prefix domains bounds how many visits
-/// could ever share an entry, so an estimate of 1 means pure overhead.
-/// Depths without a spec (and depths whose estimate is unknown) stay
-/// enabled; the run-time demotion policy handles what the estimate
-/// cannot see.
-pub(crate) fn plan_cache_mask(plan: &CompiledQuery, catalog: &Catalog) -> Vec<bool> {
-    let card = |name: &str| catalog.get(name).map(|r| r.len());
-    (0..plan.arity())
-        .map(|d| plan.cache_reuse_estimate(d, card).is_none_or(|r| r >= 2))
-        .collect()
+    /// The trie-join driver over a worker-local store.
+    fn run<T: Tally>(
+        &self,
+        plan: &CompiledQuery,
+        catalog: &Catalog,
+        deltas: Option<&DeltaMap>,
+        sink: &mut dyn ResultSink,
+    ) -> Result<EngineStats<T>, JoinError> {
+        let adaptive = adaptive_mask(&self.config, plan, catalog);
+        let store = LocalPjr::new(self.config, &adaptive);
+        run_sequential(plan, catalog, deltas, store, sink)
+    }
 }
 
 impl JoinEngine for Ctj {
@@ -173,492 +146,12 @@ impl JoinEngine for Ctj {
     }
 }
 
-/// The CTJ backtracking driver, shared by the sequential [`Ctj`] engine
-/// and the per-worker drivers of [`crate::ParCtj`], generic over the
-/// [`PjrStore`] that holds (and accounts for) the partial-join-result
-/// cache: sequential CTJ owns a [`LocalPjr`], while every `ParCtj` worker
-/// drives a handle onto one [`crate::cache::SharedPjrCache`].
-///
-/// Cache entries are keyed by `(depth, key bindings)` only — never by the
-/// root range or the executing worker — which is sound because a valid
-/// [`triejax_query::CacheSpec`] guarantees the memoized match list depends
-/// on nothing but the key bindings. Partial-join results therefore replay
-/// *across root ranges* (and, with the shared store, across workers).
-///
-/// Like the LFTJ driver, the CTJ driver is generic over a [`Budget`]:
-/// [`NoBudget`] (the default) compiles every governance check away, a
-/// [`triejax_exec::BudgetHandle`] polls at root advances, charges rows at
-/// emit/replay points, and charges every recorded cache-entry tuple
-/// against the intermediate budget. A budget-stopped level never
-/// publishes its partially recorded entry.
-pub(crate) struct CtjDriver<
-    'a,
-    T: Tally,
-    C: PjrStore = LocalPjr,
-    B: Budget = NoBudget,
-    Cur: JoinCursor = TrieCursor<'a>,
-> {
-    plan: &'a CompiledQuery,
-    config: CtjConfig,
-    cursors: Vec<Cur>,
-    binding: Vec<Value>,
-    emit: Vec<Value>,
-    slots: Vec<usize>,
-    emitter: BatchEmitter,
-    /// Per depth: participating cursor indices, preallocated once so the
-    /// recursive driver never allocates per node.
-    members_at: Vec<Vec<usize>>,
-    cache: C,
-    /// Plan-time adaptive mask: `false` at depths whose cache spec was
-    /// dropped by the cost model (all `true` when adaptation is off).
-    cache_mask: Vec<bool>,
-    /// Level the `[range_min, range_sup)` restriction applies to: 0 for
-    /// seeded shards, the donated level for sub-root split donees.
-    range_depth: usize,
-    range_min: Value,
-    range_sup: Option<Value>,
-    /// Per level: the upper bound committed splits have clamped it to.
-    sup_at: Vec<Option<Value>>,
-    budget: B,
-    pub(crate) stats: EngineStats<T>,
-}
-
-#[cfg(test)]
-impl<'a, T: Tally, Cur: JoinCursor> CtjDriver<'a, T, LocalPjr, NoBudget, Cur> {
-    /// Driver with a worker-local store (sequential CTJ semantics);
-    /// test-only — the engines wire the adaptive store explicitly.
-    pub(crate) fn new<S: CursorSet<'a, Cur = Cur>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        config: CtjConfig,
-    ) -> Result<Self, JoinError> {
-        Self::with_store(plan, set, config, LocalPjr::new(config))
-    }
-}
-
-impl<'a, T: Tally, C: PjrStore, Cur: JoinCursor> CtjDriver<'a, T, C, NoBudget, Cur> {
-    /// Driver emitting into `cache` — any [`PjrStore`], in particular one
-    /// worker's handle onto the shared sharded cache.
-    pub(crate) fn with_store<S: CursorSet<'a, Cur = Cur>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        config: CtjConfig,
-        cache: C,
-    ) -> Result<Self, JoinError> {
-        Self::with_store_budget(plan, set, config, cache, NoBudget)
-    }
-}
-
-impl<'a, T: Tally, C: PjrStore, B: Budget, Cur: JoinCursor> CtjDriver<'a, T, C, B, Cur> {
-    /// Driver over an explicit store *and* budget (see the type docs).
-    pub(crate) fn with_store_budget<S: CursorSet<'a, Cur = Cur>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        config: CtjConfig,
-        cache: C,
-        budget: B,
-    ) -> Result<Self, JoinError> {
-        let cursors = (0..plan.atom_plans().len())
-            .map(|i| set.cursor(i))
-            .collect();
-        let n = plan.arity();
-        let members_at = (0..n)
-            .map(|d| plan.atoms_at(d).iter().map(|&(a, _)| a).collect())
-            .collect();
-        Ok(CtjDriver {
-            plan,
-            config,
-            cursors,
-            binding: vec![0; n],
-            emit: vec![0; n],
-            slots: head_slots(plan)?,
-            emitter: BatchEmitter::new(n),
-            members_at,
-            cache,
-            cache_mask: vec![true; n],
-            range_depth: 0,
-            range_min: 0,
-            range_sup: None,
-            sup_at: vec![None; n],
-            budget,
-            stats: EngineStats::default(),
-        })
-    }
-
-    /// Installs the plan-time adaptive mask (see [`plan_cache_mask`]).
-    pub(crate) fn set_cache_mask(&mut self, mask: Vec<bool>) {
-        debug_assert_eq!(mask.len(), self.plan.arity());
-        self.cache_mask = mask;
-    }
-
-    /// Emits tuples straight through to the sink instead of batching —
-    /// for sinks that batch themselves (the parallel engines' per-shard
-    /// [`crate::ShardSink`]s).
-    pub(crate) fn emit_passthrough(&mut self) {
-        self.emitter.passthrough();
-    }
-
-    /// Runs the full join.
-    pub(crate) fn run(&mut self, sink: &mut dyn ResultSink) {
-        self.run_range(0, None, sink);
-    }
-
-    /// Runs one root-range shard `[root_min, root_sup)`, keeping the cache
-    /// (and accumulated stats) across calls.
-    pub(crate) fn run_range(
-        &mut self,
-        root_min: Value,
-        root_sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-    ) {
-        self.run_range_split(root_min, root_sup, sink, &mut NoSplit);
-    }
-
-    /// Like [`run_range`](Self::run_range), with a split controller
-    /// polled at the match points of every non-cached level up to the
-    /// controller's depth cap (see [`crate::shard::try_split_at`]);
-    /// [`NoSplit`] monomorphizes the polling away for the sequential
-    /// paths.
-    pub(crate) fn run_range_split<S: SplitSpawn>(
-        &mut self,
-        root_min: Value,
-        root_sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) {
-        self.run_split_at(0, &[], root_min, root_sup, sink, ctl);
-    }
-
-    /// Runs a sub-root split task: binds the donated `prefix`, joins the
-    /// donated level restricted to `[min, sup)` and everything below it,
-    /// then unwinds the prefix so the pooled driver can run more tasks.
-    /// See `Driver::run_split_at` in `lftj.rs` for the protocol; the CTJ
-    /// variant keeps its cache across tasks (entries are keyed by
-    /// bindings alone, so both halves of a split keep hitting it).
-    pub(crate) fn run_split_at<S: SplitSpawn>(
-        &mut self,
-        depth: usize,
-        prefix: &[Value],
-        min: Value,
-        sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) {
-        assert_eq!(
-            prefix.len(),
-            depth,
-            "split prefix binds every level above the donated one"
-        );
-        self.range_depth = depth;
-        self.range_min = min;
-        self.range_sup = sup;
-        for (q, &v) in prefix.iter().enumerate() {
-            for &(a, lvl) in self.plan.atoms_at(q) {
-                if lvl > 0 {
-                    self.stats.expand_ops += 1;
-                }
-                let opened = self.cursors[a].open(&mut self.stats.access);
-                assert!(opened, "split prefix level must be non-empty");
-                let found = self.cursors[a].seek(v, &mut self.stats.access);
-                assert!(
-                    found && self.cursors[a].key() == v,
-                    "split prefix value must exist in every participant"
-                );
-            }
-            self.binding[q] = v;
-        }
-        self.level(depth, sink, ctl);
-        self.emitter.flush(sink);
-        for q in (0..depth).rev() {
-            for &(a, _) in self.plan.atoms_at(q) {
-                self.cursors[a].up();
-            }
-        }
-        self.range_depth = 0;
-        self.range_min = 0;
-        self.range_sup = None;
-    }
-
-    /// Emits the current binding; returns `false` when the budget refused
-    /// the row and the driver must stop.
-    fn emit_result(&mut self, sink: &mut dyn ResultSink) -> bool {
-        if B::GOVERNED && !self.budget.charge_row() {
-            return false;
-        }
-        for d in 0..self.binding.len() {
-            self.emit[self.slots[d]] = self.binding[d];
-        }
-        self.emitter.push(&self.emit, sink);
-        self.stats.results += 1;
-        self.stats
-            .access
-            .record(AccessKind::ResultWrite, self.emit.len() as u64 * WORD_BYTES);
-        true
-    }
-
-    /// Returns `false` when the budget stopped the run at this level or
-    /// below; cursors are unwound normally either way.
-    fn level<S: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut S) -> bool {
-        // Entering a fresh subtree invalidates any split vetoes recorded
-        // for this depth and below — they referred to sibling subtrees.
-        ctl.level_entered(d);
-        let spec = self
-            .plan
-            .cache_spec_at(d)
-            .filter(|_| self.cache_mask[d] && self.cache.depth_enabled(d));
-        let record_key = match spec {
-            Some(spec) => {
-                let key: Vec<Value> = spec
-                    .key_depths()
-                    .iter()
-                    .map(|&kd| self.binding[kd])
-                    .collect();
-                // Cache lookup: hash probe over the key words. The store
-                // accounts the hit/miss and, on a miss, hands the key
-                // back for the publish once the level completes.
-                self.stats
-                    .access
-                    .record(AccessKind::Intermediate, key.len() as u64 * WORD_BYTES);
-                match self.cache.lookup(d, key, &mut self.stats) {
-                    Looked::Hit(entry) => {
-                        return self.replay(d, &entry, sink, ctl);
-                    }
-                    Looked::Miss(key, token) => Some((key, token)),
-                }
-            }
-            None => None,
-        };
-        self.compute(d, record_key, sink, ctl)
-    }
-
-    /// Cache hit: iterate the stored `(value, index)` list, re-opening each
-    /// participating cursor directly at the stored index (paper Fig. 3,
-    /// step 5: "read next z from cache").
-    fn replay<S: SplitSpawn>(
-        &mut self,
-        d: usize,
-        entry: &[(Value, Vec<u32>)],
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) -> bool {
-        let last = d + 1 == self.plan.arity();
-        let parts = self.plan.atoms_at(d);
-        for (v, positions) in entry {
-            self.stats.access.record(
-                AccessKind::Intermediate,
-                (1 + positions.len()) as u64 * WORD_BYTES,
-            );
-            self.binding[d] = *v;
-            if last {
-                if !self.emit_result(sink) {
-                    return false;
-                }
-            } else {
-                for (i, &(a, _)) in parts.iter().enumerate() {
-                    self.cursors[a].reopen_at(positions[i], *v, &mut self.stats.access);
-                }
-                let live = self.level(d + 1, sink, ctl);
-                for &(a, _) in parts {
-                    self.cursors[a].up();
-                }
-                if !live {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Appends the match `v` at `positions` to the entry being recorded,
-    /// or drops the entry when it outgrows its capacity. Returns `false`
-    /// when the intermediate budget refused the tuple and the driver must
-    /// stop (the entry is dropped then too).
-    fn record(&mut self, pending: &mut Option<Recording>, v: Value, positions: Vec<u32>) -> bool {
-        let Some(p) = pending.as_mut() else {
-            return true;
-        };
-        if self.config.entry_capacity.is_some_and(|cap| p.len() >= cap) {
-            // Insertion-buffer overflow: drop the partial entry.
-            self.stats.cache_overflows += 1;
-            *pending = None;
-        } else if B::GOVERNED && !self.budget.charge_intermediates(1) {
-            // Memory budget exhausted: the flag is tripped; drop the
-            // partial entry and wind down.
-            *pending = None;
-            return false;
-        } else {
-            p.push((v, positions));
-        }
-        true
-    }
-
-    /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
-    /// sibling slices, recording each match into `pending` and emitting
-    /// its row, when it binds the last variable and lies below `split_cap`
-    /// (so its tail is never donated). `None` (nothing done) otherwise or
-    /// when the level has no slice form; else whether the budget let the
-    /// level run to its end.
-    fn leaf_level(
-        &mut self,
-        d: usize,
-        split_cap: usize,
-        members: &[usize],
-        pending: &mut Option<Recording>,
-        sink: &mut dyn ResultSink,
-    ) -> Option<bool> {
-        if d + 1 != self.plan.arity() || d <= split_cap {
-            return None;
-        }
-        // Out of `self` so the slices can outlive the `&mut self` emits.
-        let cursors = std::mem::take(&mut self.cursors);
-        let live = SliceLeapfrog::over(&cursors, members).map(|mut lf| {
-            let mut m = lf.search(&mut self.stats);
-            while let Some(v) = m {
-                self.binding[d] = v;
-                if pending.is_some()
-                    && !self.record(pending, v, lf.cache_positions(&cursors, members))
-                {
-                    return false;
-                }
-                if !self.emit_result(sink) {
-                    return false;
-                }
-                m = lf.next(&mut self.stats);
-            }
-            true
-        });
-        self.cursors = cursors;
-        live
-    }
-
-    /// Standard leapfrog execution at depth `d`, optionally recording the
-    /// matches for insertion into the cache once the level completes.
-    fn compute<S: SplitSpawn>(
-        &mut self,
-        d: usize,
-        record_key: Option<(Vec<Value>, u64)>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut S,
-    ) -> bool {
-        // Open level d on every participant (clamped to the task's range
-        // at its ranged depth, so shards never leapfrog outside their
-        // slice).
-        self.sup_at[d] = if d == self.range_depth {
-            self.range_sup
-        } else {
-            None
-        };
-        let parts = self.plan.atoms_at(d);
-        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
-        for (i, &(a, lvl)) in parts.iter().enumerate() {
-            if lvl > 0 {
-                self.stats.expand_ops += 1;
-            }
-            let opened = if ranged {
-                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
-            } else {
-                self.cursors[a].open(&mut self.stats.access)
-            };
-            if !opened {
-                for &(b, _) in &parts[..i] {
-                    self.cursors[b].up();
-                }
-                return true;
-            }
-        }
-
-        // A recorded level must observe every one of its matches —
-        // donating its tail would publish a truncated entry whose
-        // replays silently drop rows — so split polls are suppressed
-        // while recording. (A demoted or mask-dropped spec computes like
-        // plain LFTJ and splits freely.)
-        let can_split = record_key.is_none();
-        let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
-        // Recycle this depth's member vector (no per-node allocation).
-        let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
-        // A last level that ran on sibling slices skips the cursor loop.
-        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), &mut pending, sink);
-        let mut live = sliced.unwrap_or(true);
-        let mut m = match sliced {
-            Some(_) => None,
-            None => lf.search(&mut self.cursors, &mut self.stats),
-        };
-        while let Some(v) = m {
-            self.binding[d] = v;
-            if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
-                // Polling at the task's top level before the (possibly
-                // expensive) subtree visit bounds the overshoot past a
-                // deadline by one value there.
-                live = false;
-                break;
-            }
-            if can_split && d <= ctl.depth_cap() {
-                // Match-point split poll (paper §3.4 spawn-on-match): the
-                // current value v stays with this shard. Only reachable
-                // outside a cache replay, and a split never moves the
-                // cache: entries are keyed by bindings alone, so both
-                // halves keep hitting it.
-                let (prefix, _) = self.binding.split_at(d);
-                try_split_at(
-                    self.plan,
-                    &mut self.cursors,
-                    &mut self.sup_at[d],
-                    d,
-                    prefix,
-                    ctl,
-                    &mut self.stats,
-                );
-            }
-            if pending.is_some() {
-                let positions = parts
-                    .iter()
-                    .map(|&(a, _)| self.cursors[a].cache_pos())
-                    .collect();
-                if !self.record(&mut pending, v, positions) {
-                    live = false;
-                    break;
-                }
-            }
-            let descended = if d + 1 == self.plan.arity() {
-                self.emit_result(sink)
-            } else {
-                self.level(d + 1, sink, ctl)
-            };
-            if !descended {
-                live = false;
-                break;
-            }
-            m = lf.next(&mut self.cursors, &mut self.stats);
-        }
-        self.members_at[d] = lf.into_members();
-        for &(a, _) in parts {
-            self.cursors[a].up();
-        }
-
-        // The level is fully analyzed: commit the entry (paper §3.5). The
-        // store applies its capacity policy (drop / evict / lose an
-        // insert race) and the matching accounting. A budget-stopped
-        // level never publishes: its match list is truncated and a replay
-        // of it would silently drop rows from an un-cancelled rerun.
-        if live {
-            if let (Some((key, token)), Some(p)) = (record_key, pending) {
-                self.cache.publish(d, key, token, p, &mut self.stats);
-            }
-        }
-        // A split at this depth opened a continuation lane for the
-        // donor's output *after* this subtree; adopt it now so that the
-        // stream stays tuple-for-tuple sequential around the handoff.
-        if let Some(lane) = ctl.take_switch(d) {
-            sink.redirect_lane(lane);
-        }
-        live
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectSink, CountSink, Lftj};
+    use crate::lftj::Driver;
+    use crate::{CollectSink, CountSink, Lftj, TrieSet};
+    use triejax_exec::{Budget, NoBudget};
     use triejax_query::patterns::{self, Pattern};
     use triejax_relation::Relation;
 
@@ -791,6 +284,17 @@ mod tests {
         );
     }
 
+    /// The CTJ driver: an unbounded worker-local cache, governed by
+    /// `budget`.
+    fn ctj_driver<'a, B: Budget>(
+        plan: &'a CompiledQuery,
+        tries: &'a TrieSet,
+        budget: B,
+    ) -> Driver<'a, Counting, LocalPjr, B> {
+        let store = LocalPjr::new(CtjConfig::default(), &[]);
+        Driver::new(plan, tries, store, budget).unwrap()
+    }
+
     #[test]
     fn budgeted_ctj_row_limit_is_an_exact_prefix() {
         use std::sync::Arc;
@@ -801,24 +305,15 @@ mod tests {
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        CtjDriver::<Counting>::new(&plan, &tries, CtjConfig::default())
-            .unwrap()
-            .run(&mut full);
+        ctj_driver(&plan, &tries, NoBudget).run(&mut full);
         assert!(full.tuples().len() > 3);
 
         let shared = Arc::new(RunBudget::new().with_row_limit(3));
         let mut capped = CollectSink::new();
-        let mut driver = CtjDriver::<Counting, LocalPjr, BudgetHandle>::with_store_budget(
-            &plan,
-            &tries,
-            CtjConfig::default(),
-            LocalPjr::new(CtjConfig::default()),
-            BudgetHandle::driving(Arc::clone(&shared)),
-        )
-        .unwrap();
-        driver.run(&mut capped);
+        let stats =
+            ctj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
         assert_eq!(capped.tuples(), &full.tuples()[..3]);
-        assert_eq!(driver.stats.results, 3);
+        assert_eq!(stats.results, 3);
         assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));
     }
 
@@ -840,21 +335,11 @@ mod tests {
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        CtjDriver::<Counting>::new(&plan, &tries, CtjConfig::default())
-            .unwrap()
-            .run(&mut full);
+        ctj_driver(&plan, &tries, NoBudget).run(&mut full);
 
         let shared = Arc::new(RunBudget::new().with_intermediate_limit(5));
         let mut capped = CollectSink::new();
-        let mut driver = CtjDriver::<Counting, LocalPjr, BudgetHandle>::with_store_budget(
-            &plan,
-            &tries,
-            CtjConfig::default(),
-            LocalPjr::new(CtjConfig::default()),
-            BudgetHandle::driving(Arc::clone(&shared)),
-        )
-        .unwrap();
-        driver.run(&mut capped);
+        ctj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
         assert_eq!(shared.cancelled(), Some(CancelReason::MemoryBudget));
         assert!(
             full.tuples().starts_with(capped.tuples()),

@@ -2,6 +2,7 @@ use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
+use crate::cache::{Looked, NoPjr, PjrStore};
 use crate::engine::head_slots;
 use crate::leapfrog::SliceLeapfrog;
 use crate::shard::{try_split_at, NoSplit, SplitSpawn};
@@ -61,10 +62,7 @@ impl Lftj {
         catalog: &Catalog,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let tries = TrieSet::build(plan, catalog)?;
-        let mut driver = Driver::new(plan, &tries)?;
-        driver.run(sink);
-        Ok(driver.stats)
+        run_sequential(plan, catalog, None, NoPjr, sink)
     }
 
     /// Runs the query over `catalog` with the pending mutations in
@@ -86,13 +84,7 @@ impl Lftj {
         deltas: &DeltaMap,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        if !plan_touches_delta(plan, deltas) {
-            return self.run_tallied(plan, catalog, sink);
-        }
-        let set = MergeSet::build(plan, catalog, deltas)?;
-        let mut driver = Driver::<T, NoBudget, _>::new(plan, &set)?;
-        driver.run(sink);
-        Ok(driver.stats)
+        run_sequential(plan, catalog, Some(deltas), NoPjr, sink)
     }
 }
 
@@ -111,33 +103,80 @@ impl JoinEngine for Lftj {
     }
 }
 
-/// Shared recursive backtracking driver (also the skeleton CTJ extends and
-/// the per-shard worker of the parallel engine).
+/// The sequential engines' body: one ungoverned [`Driver`] over `cache`
+/// on the calling thread, walking plain trie cursors unless an atom of
+/// the plan reads a relation with a pending delta in `deltas`.
+pub(crate) fn run_sequential<T: Tally, P: PjrStore>(
+    plan: &CompiledQuery,
+    catalog: &Catalog,
+    deltas: Option<&DeltaMap>,
+    cache: P,
+    sink: &mut dyn ResultSink,
+) -> Result<EngineStats<T>, JoinError> {
+    fn drive<'a, T: Tally, P: PjrStore, S: CursorSet<'a>>(
+        plan: &'a CompiledQuery,
+        set: &'a S,
+        cache: P,
+        sink: &mut dyn ResultSink,
+    ) -> Result<EngineStats<T>, JoinError> {
+        Ok(Driver::new(plan, set, cache, NoBudget)?.run(sink))
+    }
+    match deltas.filter(|d| plan_touches_delta(plan, d)) {
+        None => drive(plan, &TrieSet::build(plan, catalog)?, cache, sink),
+        Some(d) => drive(plan, &MergeSet::build(plan, catalog, d)?, cache, sink),
+    }
+}
+
+/// The match list of a cache entry while its level is being computed.
+type Recording = Vec<(Value, Vec<u32>)>;
+
+/// The trie-join driver: the Cached TrieJoin control flow of paper
+/// Figure 4 as recursive backtracking over trie cursors — and, without a
+/// cache, plain LFTJ. Every trie engine runs it: [`Lftj`] and
+/// [`crate::Ctj`] on the calling thread, each worker of
+/// [`crate::ParLftj`]/[`crate::ParCtj`] (one driver per worker, reused
+/// across that worker's shards), and each term of a standing query.
 ///
-/// The driver optionally restricts one level — `range_depth` — to the
-/// value range `[range_min, range_sup)`: the parallel engine gives each
-/// seeded shard a contiguous slice of the first join variable's domain
-/// (`range_depth` 0), and a sub-root split donee a slice of an inner
-/// level under a bound prefix ([`Driver::run_split_at`]), which keeps
-/// every shard's emission order identical to the sequential engine's.
-/// Shard entry clamps that level of every participating cursor to the
-/// range ([`JoinCursor::open_range`]), so the leapfrog never probes
-/// outside the shard.
+/// It is generic over five axes, each monomorphizing away when unused:
 ///
-/// The driver is additionally generic over a [`Budget`]: the default
-/// [`NoBudget`] monomorphizes every cancellation check away, while a
-/// [`triejax_exec::BudgetHandle`] makes the root loop poll for
-/// deadline/token trips and every emission charge the row quota. A
-/// governed driver stops early — `run`/`run_split` still flush whatever
-/// the emitter buffered, so the delivered rows stay an exact stream
-/// prefix.
+/// * `T: Tally` — [`Counting`] charges every simulated word touch,
+///   [`triejax_relation::NoTally`] none.
+/// * `P: PjrStore` — the partial-join-result cache. [`NoPjr`] is LFTJ:
+///   its `CACHING = false` compiles the spec lookup, the recording and
+///   the publish away. [`crate::cache::LocalPjr`] is sequential CTJ's
+///   store, a [`crate::cache::SharedPjrHandle`] one `ParCtj` worker's
+///   view of the cache all workers share.
+/// * `B: Budget` — [`NoBudget`] compiles every cancellation check away;
+///   a [`triejax_exec::BudgetHandle`] polls for deadline/token trips at
+///   the task's top level, charges the row quota at every emission and
+///   every cache-entry tuple against the intermediate budget. A governed
+///   driver stops early, still flushing what the emitter buffered, so the
+///   delivered rows stay an exact stream prefix.
+/// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for sequential
+///   runs, a split handle that donates unvisited sibling tails to idle
+///   workers for the pool.
+/// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
+///   [`TrieCursor`]s over frozen relations (the default) or
+///   [`triejax_relation::MergeCursor`]s over mutated ones
+///   (`base ∪ delta − tombstones`).
 ///
-/// Finally, the driver is generic over the [`JoinCursor`] implementation
-/// its [`CursorSet`] hands out: plain [`TrieCursor`]s for frozen
-/// relations (the default, monomorphizing to the original code) or
-/// [`triejax_relation::MergeCursor`]s when a query runs over mutated
-/// relations (`base ∪ delta − tombstones`).
-pub(crate) struct Driver<'a, T: Tally, B: Budget = NoBudget, Cur: JoinCursor = TrieCursor<'a>> {
+/// The driver restricts one level — `range_depth` — to the value range
+/// `[range_min, range_sup)`: the parallel engines give each seeded shard
+/// a contiguous slice of the first join variable's domain (`range_depth`
+/// 0), and a sub-root split donee a slice of an inner level under a bound
+/// prefix ([`Driver::run_split_at`]), which keeps every shard's emission
+/// order identical to the sequential engine's. Entering that level clamps
+/// every participating cursor to the range ([`JoinCursor::open_range`]),
+/// so the leapfrog never probes outside the shard.
+///
+/// Cache entries are keyed by `(depth, key bindings)` only — never by the
+/// range or the executing worker — which is sound because a valid
+/// [`triejax_query::CacheSpec`] guarantees the memoized match list
+/// depends on nothing but the key bindings. Partial-join results
+/// therefore replay across ranges, across a pooled driver's shards and,
+/// with the shared store, across workers. A budget-stopped level never
+/// publishes its partially recorded entry.
+pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor = TrieCursor<'a>> {
     plan: &'a CompiledQuery,
     cursors: Vec<Cur>,
     binding: Vec<Value>,
@@ -147,6 +186,7 @@ pub(crate) struct Driver<'a, T: Tally, B: Budget = NoBudget, Cur: JoinCursor = T
     /// Per depth: participating cursor indices, preallocated once so the
     /// recursive driver never allocates per node.
     members_at: Vec<Vec<usize>>,
+    cache: P,
     /// Level the `[range_min, range_sup)` restriction applies to: 0 for
     /// seeded shards (and sequential runs, where the range is unbounded),
     /// the donated level for sub-root split donees.
@@ -157,36 +197,16 @@ pub(crate) struct Driver<'a, T: Tally, B: Budget = NoBudget, Cur: JoinCursor = T
     /// (`None` until a split donates a tail there). Reset on level entry.
     sup_at: Vec<Option<Value>>,
     budget: B,
-    pub stats: EngineStats<T>,
+    pub(crate) stats: EngineStats<T>,
 }
 
-impl<'a, T: Tally, Cur: JoinCursor> Driver<'a, T, NoBudget, Cur> {
+impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, Cur> {
+    /// A driver over `set`'s cursors, caching in `cache`, governed by
+    /// `budget` (see the type docs).
     pub(crate) fn new<S: CursorSet<'a, Cur = Cur>>(
         plan: &'a CompiledQuery,
         set: &'a S,
-    ) -> Result<Self, JoinError> {
-        Self::with_root_range(plan, set, 0, None)
-    }
-
-    /// Driver restricted to root-variable values in `[root_min, root_sup)`
-    /// (`None` = unbounded above).
-    pub(crate) fn with_root_range<S: CursorSet<'a, Cur = Cur>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        root_min: Value,
-        root_sup: Option<Value>,
-    ) -> Result<Self, JoinError> {
-        Self::budgeted(plan, set, root_min, root_sup, NoBudget)
-    }
-}
-
-impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
-    /// Root-ranged driver governed by `budget` (see the type docs).
-    pub(crate) fn budgeted<S: CursorSet<'a, Cur = Cur>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        root_min: Value,
-        root_sup: Option<Value>,
+        cache: P,
         budget: B,
     ) -> Result<Self, JoinError> {
         let cursors = (0..plan.atom_plans().len())
@@ -204,9 +224,10 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
             slots: head_slots(plan)?,
             emitter: BatchEmitter::new(n),
             members_at,
+            cache,
             range_depth: 0,
-            range_min: root_min,
-            range_sup: root_sup,
+            range_min: 0,
+            range_sup: None,
             sup_at: vec![None; n],
             budget,
             stats: EngineStats::default(),
@@ -220,28 +241,29 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         self.emitter.passthrough();
     }
 
-    /// Runs the full backtracking join.
-    pub(crate) fn run(&mut self, sink: &mut dyn ResultSink) {
-        self.run_split(sink, &mut NoSplit);
+    /// Runs the full backtracking join and returns its stats.
+    pub(crate) fn run(mut self, sink: &mut dyn ResultSink) -> EngineStats<T> {
+        self.run_range(0, None, sink);
+        self.stats
     }
 
-    /// Runs the join with a split controller polled at every match point
-    /// up to the controller's depth cap: when it reports an idle sibling
-    /// worker, the unvisited tail of the current level is carved off into
-    /// a new task (see [`try_split_at`]). Sequential callers pass
-    /// [`NoSplit`], which monomorphizes the polling away entirely.
-    ///
-    /// A governed driver (see [`Driver::budgeted`]) may stop early; the
-    /// rows already allowed through are flushed either way, so the sink
-    /// always holds an exact prefix of the driver's emission order.
-    pub(crate) fn run_split<C: SplitSpawn>(&mut self, sink: &mut dyn ResultSink, ctl: &mut C) {
-        self.level(0, sink, ctl);
-        self.emitter.flush(sink);
+    /// Runs one root-range shard `[root_min, root_sup)` (`None` =
+    /// unbounded above), keeping the cache and the accumulated stats
+    /// across calls.
+    pub(crate) fn run_range(
+        &mut self,
+        root_min: Value,
+        root_sup: Option<Value>,
+        sink: &mut dyn ResultSink,
+    ) {
+        self.run_split_at(0, &[], root_min, root_sup, sink, &mut NoSplit);
     }
 
-    /// Runs a sub-root split task: binds the donated `prefix` (the values
-    /// the donor had matched above the split level), then joins the
-    /// donated level restricted to `[min, sup)` and everything below it.
+    /// Runs a split task: binds the donated `prefix` (the values the donor
+    /// had matched above the split level), then joins the donated level
+    /// restricted to `[min, sup)` and everything below it, polling `ctl`
+    /// at the match points of every level up to its depth cap (see
+    /// [`try_split_at`]). A root shard is the task with an empty prefix.
     ///
     /// The donor held exactly these prefix values open at every
     /// participating cursor when it handed the tail off, so each rebind
@@ -291,37 +313,6 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         self.range_sup = None;
     }
 
-    /// Opens level `d` on every participating cursor (clamped to
-    /// `[range_min, range_sup)` at the ranged depth); on an empty open
-    /// closes what was opened and returns `false`.
-    fn open_level(&mut self, d: usize) -> bool {
-        let parts = self.plan.atoms_at(d);
-        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
-        for (i, &(a, lvl)) in parts.iter().enumerate() {
-            if lvl > 0 {
-                self.stats.expand_ops += 1;
-            }
-            let opened = if ranged {
-                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
-            } else {
-                self.cursors[a].open(&mut self.stats.access)
-            };
-            if !opened {
-                for &(b, _) in &parts[..i] {
-                    self.cursors[b].up();
-                }
-                return false;
-            }
-        }
-        true
-    }
-
-    fn close_level(&mut self, d: usize) {
-        for &(a, _) in self.plan.atoms_at(d) {
-            self.cursors[a].up();
-        }
-    }
-
     /// Emits the current binding; returns `false` when the budget refused
     /// the row (quota exhausted or run cancelled) and the driver must stop.
     fn emit_result(&mut self, sink: &mut dyn ResultSink) -> bool {
@@ -339,16 +330,115 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         true
     }
 
+    /// Returns `false` when the budget stopped the run at this level or
+    /// below; cursors are unwound normally either way.
+    fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
+        // Entering a fresh subtree invalidates any split vetoes recorded
+        // for this depth and below — they referred to sibling subtrees.
+        ctl.level_entered(d);
+        let mut record_key = None;
+        let spec = if P::CACHING {
+            self.plan.cache_spec_at(d)
+        } else {
+            None
+        };
+        if let Some(spec) = spec.filter(|_| self.cache.depth_enabled(d)) {
+            let key: Vec<Value> = spec
+                .key_depths()
+                .iter()
+                .map(|&kd| self.binding[kd])
+                .collect();
+            // Cache lookup: hash probe over the key words. The store
+            // accounts the hit/miss and, on a miss, hands the key back
+            // for the publish once the level completes.
+            self.stats
+                .access
+                .record(AccessKind::Intermediate, key.len() as u64 * WORD_BYTES);
+            match self.cache.lookup(d, key, &mut self.stats) {
+                Looked::Hit(entry) => return self.replay(d, &entry, sink, ctl),
+                Looked::Miss(key, token) => record_key = Some((key, token)),
+            }
+        }
+        self.compute(d, record_key, sink, ctl)
+    }
+
+    /// Cache hit: iterate the stored `(value, index)` list, re-opening each
+    /// participating cursor directly at the stored index (paper Fig. 3,
+    /// step 5: "read next z from cache").
+    fn replay<C: SplitSpawn>(
+        &mut self,
+        d: usize,
+        entry: &[(Value, Vec<u32>)],
+        sink: &mut dyn ResultSink,
+        ctl: &mut C,
+    ) -> bool {
+        let last = d + 1 == self.plan.arity();
+        let parts = self.plan.atoms_at(d);
+        for (v, positions) in entry {
+            self.stats.access.record(
+                AccessKind::Intermediate,
+                (1 + positions.len()) as u64 * WORD_BYTES,
+            );
+            self.binding[d] = *v;
+            if last {
+                if !self.emit_result(sink) {
+                    return false;
+                }
+            } else {
+                for (i, &(a, _)) in parts.iter().enumerate() {
+                    self.cursors[a].reopen_at(positions[i], *v, &mut self.stats.access);
+                }
+                let live = self.level(d + 1, sink, ctl);
+                for &(a, _) in parts {
+                    self.cursors[a].up();
+                }
+                if !live {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Appends the match `v` at `positions` to the entry being recorded,
+    /// or drops the entry when it outgrows its capacity. Returns `false`
+    /// when the intermediate budget refused the tuple and the driver must
+    /// stop (the entry is dropped then too).
+    fn record(&mut self, pending: &mut Option<Recording>, v: Value, positions: Vec<u32>) -> bool {
+        let Some(p) = pending.as_mut() else {
+            return true;
+        };
+        if self
+            .cache
+            .entry_capacity()
+            .is_some_and(|cap| p.len() >= cap)
+        {
+            // Insertion-buffer overflow: drop the partial entry.
+            self.stats.cache_overflows += 1;
+            *pending = None;
+        } else if B::GOVERNED && !self.budget.charge_intermediates(1) {
+            // Memory budget exhausted: the flag is tripped; drop the
+            // partial entry and wind down.
+            *pending = None;
+            return false;
+        } else {
+            p.push((v, positions));
+        }
+        true
+    }
+
     /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
-    /// sibling slices, emitting a row per match, when it binds the last
-    /// variable and lies below `split_cap` (so its tail is never donated).
-    /// `None` (nothing done) otherwise or when the level has no slice
-    /// form; else whether the budget let every row through.
+    /// sibling slices, recording each match into `pending` and emitting
+    /// its row, when it binds the last variable and lies below `split_cap`
+    /// (so its tail is never donated). `None` (nothing done) otherwise or
+    /// when the level has no slice form; else whether the budget let the
+    /// level run to its end.
     fn leaf_level(
         &mut self,
         d: usize,
         split_cap: usize,
         members: &[usize],
+        pending: &mut Option<Recording>,
         sink: &mut dyn ResultSink,
     ) -> Option<bool> {
         if d + 1 != self.plan.arity() || d <= split_cap {
@@ -360,6 +450,12 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
             let mut m = lf.search(&mut self.stats);
             while let Some(v) = m {
                 self.binding[d] = v;
+                if P::CACHING
+                    && pending.is_some()
+                    && !self.record(pending, v, lf.cache_positions(&cursors, members))
+                {
+                    return false;
+                }
                 if !self.emit_result(sink) {
                     return false;
                 }
@@ -371,26 +467,55 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
         live
     }
 
-    /// Returns `false` when the budget stopped the run at this level or
-    /// below; cursors are unwound normally either way.
-    fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
-        // Entering a fresh subtree invalidates any split vetoes recorded
-        // for this depth and below — they referred to sibling subtrees.
-        ctl.level_entered(d);
+    /// Leapfrog execution at depth `d`, recording the matches for
+    /// insertion into the cache once the level completes when the lookup
+    /// handed back a `record_key`.
+    fn compute<C: SplitSpawn>(
+        &mut self,
+        d: usize,
+        record_key: Option<(Vec<Value>, u64)>,
+        sink: &mut dyn ResultSink,
+        ctl: &mut C,
+    ) -> bool {
+        // Open level d on every participant (clamped to the task's range
+        // at its ranged depth, so shards never leapfrog outside their
+        // slice).
         self.sup_at[d] = if d == self.range_depth {
             self.range_sup
         } else {
             None
         };
-        if !self.open_level(d) {
-            return true;
+        let parts = self.plan.atoms_at(d);
+        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
+        for (i, &(a, lvl)) in parts.iter().enumerate() {
+            if lvl > 0 {
+                self.stats.expand_ops += 1;
+            }
+            let opened = if ranged {
+                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
+            } else {
+                self.cursors[a].open(&mut self.stats.access)
+            };
+            if !opened {
+                for &(b, _) in &parts[..i] {
+                    self.cursors[b].up();
+                }
+                return true;
+            }
         }
+
+        // A recorded level must observe every one of its matches —
+        // donating its tail would publish a truncated entry whose
+        // replays silently drop rows — so split polls are suppressed
+        // while recording. (A demoted or mask-dropped spec computes like
+        // plain LFTJ and splits freely.)
+        let can_split = !P::CACHING || record_key.is_none();
+        let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
         // Recycle this depth's member vector: the recursion must not
-        // allocate per visited node. The ranged level needs no range
-        // checks here — `open_level` already clamped the cursors.
+        // allocate per visited node.
         let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
         // A last level that ran on sibling slices skips the cursor loop.
-        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), sink);
+        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), &mut pending, sink);
         let mut live = sliced.unwrap_or(true);
         let mut m = match sliced {
             Some(_) => None,
@@ -405,10 +530,11 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
                 live = false;
                 break;
             }
-            if d <= ctl.depth_cap() {
+            if can_split && d <= ctl.depth_cap() {
                 // Match-point split poll (paper §3.4 spawn-on-match): the
                 // current value v stays with this shard; only values
-                // beyond the boundary are handed off.
+                // beyond the boundary are handed off. A split never moves
+                // the cache: both halves keep hitting the same entries.
                 let (prefix, _) = self.binding.split_at(d);
                 try_split_at(
                     self.plan,
@@ -419,6 +545,16 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
                     ctl,
                     &mut self.stats,
                 );
+            }
+            if P::CACHING && pending.is_some() {
+                let positions = parts
+                    .iter()
+                    .map(|&(a, _)| self.cursors[a].cache_pos())
+                    .collect();
+                if !self.record(&mut pending, v, positions) {
+                    live = false;
+                    break;
+                }
             }
             let descended = if d + 1 == self.plan.arity() {
                 self.emit_result(sink)
@@ -432,7 +568,20 @@ impl<'a, T: Tally, B: Budget, Cur: JoinCursor> Driver<'a, T, B, Cur> {
             m = lf.next(&mut self.cursors, &mut self.stats);
         }
         self.members_at[d] = lf.into_members();
-        self.close_level(d);
+        for &(a, _) in parts {
+            self.cursors[a].up();
+        }
+
+        // The level is fully analyzed: commit the entry (paper §3.5). The
+        // store applies its capacity policy (drop / evict / lose an
+        // insert race) and the matching accounting. A budget-stopped
+        // level never publishes: its match list is truncated and a replay
+        // of it would silently drop rows from an un-cancelled rerun.
+        if P::CACHING && live {
+            if let (Some((key, token)), Some(p)) = (record_key, pending) {
+                self.cache.publish(d, key, token, p, &mut self.stats);
+            }
+        }
         // A split at this depth opened a continuation lane for the
         // donor's output *after* this subtree; adopt it now so that the
         // stream stays tuple-for-tuple sequential around the handoff.
@@ -616,6 +765,15 @@ mod tests {
         assert_eq!(stats, rebuilt_stats);
     }
 
+    /// The LFTJ driver: no cache, governed by `budget`.
+    fn lftj_driver<'a, B: Budget>(
+        plan: &'a CompiledQuery,
+        tries: &'a TrieSet,
+        budget: B,
+    ) -> Driver<'a, Counting, NoPjr, B> {
+        Driver::new(plan, tries, NoPjr, budget).unwrap()
+    }
+
     #[test]
     fn budgeted_driver_delivers_an_exact_row_limited_prefix() {
         use std::sync::Arc;
@@ -626,24 +784,15 @@ mod tests {
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        Driver::<Counting>::new(&plan, &tries)
-            .unwrap()
-            .run(&mut full);
+        lftj_driver(&plan, &tries, NoBudget).run(&mut full);
         assert!(full.tuples().len() > 2);
 
         let shared = Arc::new(RunBudget::new().with_row_limit(2));
         let mut capped = CollectSink::new();
-        let mut driver = Driver::<Counting, BudgetHandle>::budgeted(
-            &plan,
-            &tries,
-            0,
-            None,
-            BudgetHandle::driving(Arc::clone(&shared)),
-        )
-        .unwrap();
-        driver.run(&mut capped);
+        let stats =
+            lftj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
         assert_eq!(capped.tuples(), &full.tuples()[..2]);
-        assert_eq!(driver.stats.results, 2);
+        assert_eq!(stats.results, 2);
         assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));
     }
 
@@ -660,17 +809,10 @@ mod tests {
         token.cancel();
         let shared = Arc::new(RunBudget::new().with_cancel_token(token));
         let mut sink = CollectSink::new();
-        let mut driver = Driver::<Counting, BudgetHandle>::budgeted(
-            &plan,
-            &tries,
-            0,
-            None,
-            BudgetHandle::driving(Arc::clone(&shared)),
-        )
-        .unwrap();
-        driver.run(&mut sink);
+        let stats =
+            lftj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut sink);
         assert!(sink.tuples().is_empty(), "poll at the first root advance");
-        assert_eq!(driver.stats.results, 0);
+        assert_eq!(stats.results, 0);
     }
 
     #[test]
@@ -680,17 +822,14 @@ mod tests {
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        let mut driver = Driver::<Counting>::new(&plan, &tries).unwrap();
-        driver.run(&mut full);
+        lftj_driver(&plan, &tries, NoBudget).run(&mut full);
 
+        // Two shards on one reused driver, as a pool worker runs them.
+        let mut driver = lftj_driver(&plan, &tries, NoBudget);
         let mut lo = CollectSink::new();
-        Driver::<Counting>::with_root_range(&plan, &tries, 0, Some(3))
-            .unwrap()
-            .run(&mut lo);
+        driver.run_range(0, Some(3), &mut lo);
         let mut hi = CollectSink::new();
-        Driver::<Counting>::with_root_range(&plan, &tries, 3, None)
-            .unwrap()
-            .run(&mut hi);
+        driver.run_range(3, None, &mut hi);
 
         let mut stitched = lo.tuples().to_vec();
         stitched.extend_from_slice(hi.tuples());

@@ -26,6 +26,19 @@
 //!   on-chip PJR cache every TrieJax lane shares, and the reason its hit
 //!   counts match sequential CTJ's instead of being capped below them.
 //!
+//! The four trie engines are presets of **one trie-join driver**: the
+//! Cached TrieJoin control flow of paper Figure 4, which with no cache
+//! is LFTJ. It is generic over the [`Tally`], the run's budget, the split
+//! controller, the cursor (frozen trie or merged view of a mutated
+//! relation) and the partial-join-result store — none for LFTJ, compiled
+//! away; a worker-local one for sequential CTJ; a handle onto the shared
+//! cache for each `ParCtj` worker. `Lftj`/`Ctj` run one driver on the
+//! calling thread; `ParLftj`/`ParCtj` are two presets of one parallel
+//! engine body that runs one driver per pool worker, with every builder
+//! written once. Every run knob resolves the same way — the explicit
+//! builder value, else its `TRIEJAX_*` variable, else the default — and
+//! the crate reads the environment in one place.
+//!
 //! Engines count their work in [`EngineStats`] (operation counts, memory
 //! touches, intermediate results, cache hits, shard/steal scheduling
 //! counters), which the harness uses to regenerate the paper's Figures 17
@@ -68,6 +81,7 @@ mod generic;
 mod intersect;
 mod leapfrog;
 mod lftj;
+mod options;
 mod pairwise;
 mod parctj;
 mod parlftj;
@@ -87,16 +101,15 @@ pub use generic::GenericJoin;
 pub use intersect::intersect_sorted;
 pub use leapfrog::Leapfrog;
 pub use lftj::Lftj;
+pub use options::{COMPACT_RATIO_ENV, STORE_ENV, TRIE_CACHE_ENV};
 pub use pairwise::PairwiseHash;
 pub use parctj::ParCtj;
 pub use parlftj::ParLftj;
-pub use session::{
-    QueryHandle, ResultStream, Session, WatchStream, WatchUpdate, COMPACT_RATIO_ENV,
-};
+pub use session::{QueryHandle, ResultStream, Session, WatchStream, WatchUpdate};
 pub use sink::{CollectSink, CountSink, ResultSink, ShardSink};
 pub use sortmerge::PairwiseSortMerge;
 pub use stats::EngineStats;
-pub use triecache::{TrieCache, STORE_ENV, TRIE_CACHE_ENV};
+pub use triecache::TrieCache;
 pub use triejax_exec::{CancelReason, CancelToken, RunBudget};
 pub use triejax_relation::{Counting, NoTally, RelationDelta, Tally};
 pub use triejax_store::{StoreError, StoredCatalog, StoredTrie};

@@ -1,22 +1,326 @@
-use std::num::NonZeroUsize;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
-use triejax_exec::{Budget, BudgetHandle, CancelToken, NoBudget, RunBudget};
+use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, WorkerCtx};
 use triejax_query::CompiledQuery;
-use triejax_relation::{Counting, Tally};
+use triejax_relation::{Tally, Value};
 
-use triejax_exec::WorkerPool;
-
+use crate::cache::{adaptive_mask, LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::engine::head_slots;
 use crate::lftj::Driver;
-use crate::shard::{
-    can_split, compose_budget, env_split, env_split_depth, execute_sharded, execute_split,
-    make_pool, plan_shards,
-};
+use crate::options::{process_env, Resolved, RunOptions};
+use crate::shard::{can_split, execute_sharded, execute_split, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
-use crate::{
-    Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink, TrieCache, TrieSet,
-};
+use crate::{Catalog, CtjConfig, DeltaMap, EngineStats, JoinError, ResultSink, TrieSet};
+
+/// Stamps the surface the two parallel presets share onto `$engine` (a
+/// struct with one `opts: RunOptions` field): `Default`, every builder and
+/// run method, and [`crate::JoinEngine`] under `$name`. `$ctj` says
+/// whether the preset's drivers carry the PJR cache. Everything here is
+/// written once; the runs all go through [`run_parallel`].
+macro_rules! parallel_engine {
+    ($engine:ident, $name:literal, ctj: $ctj:literal) => {
+        impl Default for $engine {
+            fn default() -> Self {
+                $engine {
+                    opts: $crate::options::RunOptions {
+                        ctj: $ctj,
+                        ..Default::default()
+                    },
+                }
+            }
+        }
+
+        impl $engine {
+            /// Engine with the default pool size (the `TRIEJAX_POOL`
+            /// environment variable, else one worker per core) and
+            /// plan-seeded shard granularity; identical to
+            /// `Default::default()`.
+            pub fn new() -> Self {
+                Self::default()
+            }
+
+            /// Engine with an explicit pool (worker) count; shard
+            /// granularity is still seeded from the plan.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `workers == 0`.
+            pub fn with_pool(workers: usize) -> Self {
+                let mut engine = Self::default();
+                let workers = std::num::NonZeroUsize::new(workers).expect("workers must be positive");
+                engine.opts.workers = Some(workers);
+                engine
+            }
+
+            /// The configured worker count, or `None` for automatic.
+            pub fn workers(&self) -> Option<usize> {
+                self.opts.workers.map(std::num::NonZeroUsize::get)
+            }
+
+            /// Sets an explicit shard count, keeping the pool size
+            /// (otherwise the count is seeded from the plan).
+            ///
+            /// # Panics
+            ///
+            /// Panics if `shards == 0`.
+            pub fn with_granularity(mut self, shards: usize) -> Self {
+                let shards = std::num::NonZeroUsize::new(shards).expect("shards must be positive");
+                self.opts.granularity = Some(shards);
+                self
+            }
+
+            /// The configured shard count, or `None` for plan-seeded.
+            pub fn granularity(&self) -> Option<usize> {
+                self.opts.granularity.map(std::num::NonZeroUsize::get)
+            }
+
+            /// Enables or disables dynamic shard splitting (TrieJax §3.4
+            /// spawn-on-match), overriding the `TRIEJAX_SPLIT`
+            /// environment default.
+            ///
+            /// With splitting on, the plan seeds only one coarse
+            /// root-range shard per worker; whenever a worker goes idle
+            /// mid-run, a running shard observes it at its next
+            /// root-level advance and hands the unvisited tail of its
+            /// range off as a freshly spawned shard. Results remain
+            /// tuple-for-tuple identical to the sequential engine;
+            /// [`crate::EngineStats::splits`] and
+            /// [`crate::EngineStats::split_depth`] report the rebalancing.
+            /// With splitting off (the default), skew is absorbed by 4x
+            /// oversharding plus work stealing alone. Splitting never
+            /// moves a PJR cache: entries are keyed by bindings alone, so
+            /// both halves of a split keep hitting the same entries.
+            ///
+            /// ```
+            #[doc = concat!("use triejax_join::", stringify!($engine), ";")]
+            ///
+            #[doc = concat!("let engine = ", stringify!($engine), "::with_pool(4).with_split(true);")]
+            /// assert_eq!(engine.splitting(), Some(true));
+            /// ```
+            pub fn with_split(mut self, on: bool) -> Self {
+                self.opts.split = Some(on);
+                self
+            }
+
+            /// The configured splitting choice, or `None` for the
+            /// `TRIEJAX_SPLIT` environment default.
+            pub fn splitting(&self) -> Option<bool> {
+                self.opts.split
+            }
+
+            /// Caps how deep dynamic splits may donate work (TrieJax §3.4
+            /// spawn-on-match at *any* trie level), overriding the
+            /// `TRIEJAX_SPLIT_DEPTH` environment default.
+            ///
+            /// Depth 0 (the default) keeps the root-only splitting of
+            /// [`with_split`](Self::with_split); depth `d` additionally
+            /// lets a running shard donate the unvisited sibling tail of
+            /// any trie level up to `d` — under the bound prefix —
+            /// whenever a worker goes idle, which is the only way to
+            /// rebalance a query whose root domain is too narrow to carve
+            /// (e.g. a single hub vertex). `usize::MAX` uncaps the depth.
+            /// Splitting itself must still be enabled (via
+            /// [`with_split`](Self::with_split) or `TRIEJAX_SPLIT`) for
+            /// any handoff to happen. Results remain tuple-for-tuple
+            /// identical to the sequential engine;
+            /// [`crate::EngineStats::deep_splits`] reports how many
+            /// handoffs happened below the root. One CTJ rule: a level
+            /// being recorded into the PJR cache never donates its tail
+            /// (the published entry must hold the level's whole match
+            /// list), so splits only fire at depths without a live cache
+            /// spec.
+            ///
+            /// ```
+            #[doc = concat!("use triejax_join::", stringify!($engine), ";")]
+            ///
+            #[doc = concat!("let engine = ", stringify!($engine), "::with_pool(4).with_split(true).with_split_depth(2);")]
+            /// assert_eq!(engine.split_depth(), Some(2));
+            /// ```
+            pub fn with_split_depth(mut self, depth: usize) -> Self {
+                self.opts.split_depth = Some(depth);
+                self
+            }
+
+            /// The configured split-depth cap, or `None` for the
+            /// `TRIEJAX_SPLIT_DEPTH` environment default.
+            pub fn split_depth(&self) -> Option<usize> {
+                self.opts.split_depth
+            }
+
+            /// The split-depth cap this run will use: the explicit one if
+            /// set, otherwise the `TRIEJAX_SPLIT_DEPTH` environment
+            /// default (0 — root only — when the variable is unset; `max`
+            /// uncaps).
+            ///
+            /// # Panics
+            ///
+            /// Panics when `TRIEJAX_SPLIT_DEPTH` is consulted and set to
+            /// anything but a non-negative integer or `"max"`.
+            pub fn effective_split_depth(&self) -> usize {
+                self.opts.split_depth(&$crate::options::process_env)
+            }
+
+            /// The splitting choice this run will use: the explicit one
+            /// if set, otherwise the `TRIEJAX_SPLIT` environment default
+            /// (off when the variable is unset).
+            ///
+            /// # Panics
+            ///
+            /// Panics when `TRIEJAX_SPLIT` is consulted and set to
+            /// anything but a recognised on/off spelling
+            /// (`0`/`1`/`true`/`false`/`on`/`off`).
+            pub fn effective_split(&self) -> bool {
+                self.opts.split(&$crate::options::process_env)
+            }
+
+            /// Caps the run's wall-clock time, overriding the
+            /// `TRIEJAX_DEADLINE_MS` environment default. A run that
+            /// outlives the deadline is cancelled cooperatively: workers
+            /// stop at their next poll point, the rows already streamed to
+            /// the sink stay an exact prefix of the full result, and the
+            /// engine returns [`crate::JoinError::Cancelled`] carrying the
+            /// partial [`crate::EngineStats`].
+            pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
+                self.opts.deadline = Some(deadline);
+                self
+            }
+
+            /// Caps delivered result rows at `limit`, overriding the
+            /// `TRIEJAX_ROW_LIMIT` environment default. The sink receives
+            /// exactly the first `min(total, limit)` rows of the
+            /// sequential result stream and the engine returns
+            /// [`crate::JoinError::Cancelled`] with
+            /// [`triejax_exec::CancelReason::RowLimit`] when the cap
+            /// actually truncated the run.
+            pub fn with_row_limit(mut self, limit: u64) -> Self {
+                self.opts.row_limit = Some(limit);
+                self
+            }
+
+            /// Caps charged intermediate tuples — for CTJ, the rows
+            /// recorded into partial-join-result cache entries — at
+            /// `limit`.
+            pub fn with_intermediate_limit(mut self, limit: u64) -> Self {
+                self.opts.intermediate_limit = Some(limit);
+                self
+            }
+
+            /// Ties every run of this engine to `token`: firing it from
+            /// any thread cancels the run cooperatively (see
+            /// [`with_deadline`](Self::with_deadline) for the delivery
+            /// contract).
+            pub fn with_cancel_token(mut self, token: $crate::CancelToken) -> Self {
+                self.opts.cancel = Some(token);
+                self
+            }
+
+            /// Consults (and fills) `cache` before building tries,
+            /// overriding the `TRIEJAX_TRIE_CACHE_MB` process default.
+            /// Share one cache across engines to amortize trie
+            /// construction over a query stream; see
+            /// [`crate::TrieCache`].
+            pub fn with_trie_cache(mut self, cache: std::sync::Arc<$crate::TrieCache>) -> Self {
+                self.opts.trie_cache = Some(Some(cache));
+                self
+            }
+
+            /// Disables trie caching for this engine even when
+            /// `TRIEJAX_TRIE_CACHE_MB` configures a process-wide cache.
+            pub fn without_trie_cache(mut self) -> Self {
+                self.opts.trie_cache = Some(None);
+                self
+            }
+
+            /// The trie cache the next run will consult: the explicit
+            /// choice if one was made, otherwise the process-wide
+            /// [`crate::TrieCache::global`] (`None` disables caching).
+            ///
+            /// # Panics
+            ///
+            /// Panics when `TRIEJAX_TRIE_CACHE_MB` is consulted (first
+            /// call process-wide) and set to anything but a non-negative
+            /// integer.
+            pub fn effective_trie_cache(&self) -> Option<std::sync::Arc<$crate::TrieCache>> {
+                self.opts.trie_cache()
+            }
+
+            /// The shared [`crate::RunBudget`] the next run will be
+            /// governed by — the explicit builder knobs with
+            /// `TRIEJAX_DEADLINE_MS` / `TRIEJAX_ROW_LIMIT` as per-knob
+            /// environment fallbacks — or `None` when nothing governs the
+            /// run and the engine stays on its zero-cost ungoverned code
+            /// paths.
+            ///
+            /// # Panics
+            ///
+            /// Panics when a consulted environment knob is set to
+            /// anything but a non-negative integer.
+            pub fn effective_budget(&self) -> Option<std::sync::Arc<$crate::RunBudget>> {
+                self.opts.budget(&$crate::options::process_env)
+            }
+
+            /// Runs the query with an explicit [`crate::Tally`] choice;
+            /// see [`crate::Lftj::run_tallied`] for the counting/fast
+            /// trade-off. The usual pairing for pure throughput is
+            /// [`crate::NoTally`].
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`crate::JoinError`] when the catalog is missing
+            /// a relation, a relation's arity mismatches its atom, or the
+            /// plan projects variables away from the head.
+            pub fn run_tallied<T: $crate::Tally>(
+                &mut self,
+                plan: &triejax_query::CompiledQuery,
+                catalog: &$crate::Catalog,
+                sink: &mut dyn $crate::ResultSink,
+            ) -> Result<$crate::EngineStats<T>, $crate::JoinError> {
+                $crate::parlftj::run_parallel(&self.opts, plan, catalog, None, sink)
+            }
+
+            /// Runs the query over `catalog` with the pending mutations
+            /// in `deltas` folded in: every atom over a mutated relation
+            /// walks a [`triejax_relation::MergeCursor`] presenting
+            /// `base ∪ inserts − tombstones`, without rebuilding the base
+            /// trie. When no atom of the plan touches a non-empty delta,
+            /// this is exactly [`run_tallied`](Self::run_tallied) — the
+            /// frozen fast path, monomorphized to plain trie cursors.
+            /// Cache-spec validity is unaffected: PJR entries are keyed by
+            /// bindings alone, and a merged view changes which bindings
+            /// occur, not what an entry means.
+            ///
+            /// # Errors
+            ///
+            /// As [`run_tallied`](Self::run_tallied), plus an arity
+            /// mismatch between a delta and its atom.
+            pub fn run_tallied_with<T: $crate::Tally>(
+                &mut self,
+                plan: &triejax_query::CompiledQuery,
+                catalog: &$crate::Catalog,
+                deltas: &$crate::DeltaMap,
+                sink: &mut dyn $crate::ResultSink,
+            ) -> Result<$crate::EngineStats<T>, $crate::JoinError> {
+                $crate::parlftj::run_parallel(&self.opts, plan, catalog, Some(deltas), sink)
+            }
+        }
+
+        impl $crate::JoinEngine for $engine {
+            fn name(&self) -> &'static str {
+                $name
+            }
+
+            fn execute(
+                &mut self,
+                plan: &triejax_query::CompiledQuery,
+                catalog: &$crate::Catalog,
+                sink: &mut dyn $crate::ResultSink,
+            ) -> Result<$crate::EngineStats, $crate::JoinError> {
+                self.run_tallied::<$crate::Counting>(plan, catalog, sink)
+            }
+        }
+    };
+}
+pub(crate) use parallel_engine;
 
 /// Parallel LeapFrog TrieJoin: root-partitioned LFTJ on the shared
 /// [`triejax_exec::WorkerPool`] runtime.
@@ -26,9 +330,9 @@ use crate::{
 /// statically partitioned (paper §3.4). The software construction: shard
 /// the first join variable's value domain into many more contiguous
 /// *root ranges* than there are workers, queue them on a work-stealing
-/// pool (`triejax-exec`), and run an independent sequential driver per
-/// shard. Skewed root domains rebalance by stealing; a heavy range is one
-/// unit of work among many, not a thread's whole static share.
+/// pool (`triejax-exec`), and run them on one trie-join driver per worker.
+/// Skewed root domains rebalance by stealing; a heavy range is one unit
+/// of work among many, not a thread's whole static share.
 ///
 /// Shards emit through [`crate::ShardSink`]s into an order-preserving
 /// [`triejax_exec::OrderedMerge`]: batches stream to the caller's sink while later
@@ -41,6 +345,12 @@ use crate::{
 /// paper's exact access totals and `ParLftj` when you want wall-clock
 /// speed. [`EngineStats::shards`] and [`EngineStats::steals`] report how
 /// the run was scheduled.
+///
+/// `ParLftj` and [`crate::ParCtj`] are two presets of one engine: every
+/// builder below is shared, every knob resolves when the query runs (the
+/// explicit value, else its `TRIEJAX_*` variable, else the default), and
+/// they differ only in whether the workers' drivers carry a
+/// partial-join-result cache.
 ///
 /// # Example
 ///
@@ -60,53 +370,14 @@ use crate::{
 /// assert_eq!(seq.tuples(), par.tuples()); // identical, order included
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ParLftj {
-    /// Explicit worker count; `None` = `TRIEJAX_POOL` or one per core.
-    workers: Option<NonZeroUsize>,
-    /// Explicit shard count; `None` = seeded from the plan's root-domain
-    /// estimate (see `CompiledQuery::shard_granularity`).
-    granularity: Option<NonZeroUsize>,
-    /// Explicit dynamic-splitting choice; `None` = `TRIEJAX_SPLIT` or off.
-    split: Option<bool>,
-    /// Explicit sub-root split depth cap; `None` = `TRIEJAX_SPLIT_DEPTH`
-    /// or 0 (root-only splits).
-    split_depth: Option<usize>,
-    /// Explicit wall-clock deadline; `None` = `TRIEJAX_DEADLINE_MS` or none.
-    deadline: Option<Duration>,
-    /// Explicit result-row cap; `None` = `TRIEJAX_ROW_LIMIT` or none.
-    row_limit: Option<u64>,
-    /// Cap on charged intermediate tuples; builder-only (no env default).
-    intermediate_limit: Option<u64>,
-    /// External cancellation token the caller can fire from another thread.
-    cancel: Option<CancelToken>,
-    /// Cross-query trie cache choice: `None` = the `TRIEJAX_TRIE_CACHE_MB`
-    /// process default, `Some(None)` = explicitly disabled, `Some(Some(c))`
-    /// = an explicit cache instance.
-    trie_cache: Option<Option<std::sync::Arc<TrieCache>>>,
+    opts: RunOptions,
 }
 
+parallel_engine!(ParLftj, "par-lftj", ctj: false);
+
 impl ParLftj {
-    /// Engine with the default pool size (the `TRIEJAX_POOL` environment
-    /// variable, else one worker per core) and plan-seeded shard
-    /// granularity; identical to `Default::default()`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine with an explicit pool (worker) count; shard granularity is
-    /// still seeded from the plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0`.
-    pub fn with_pool(workers: usize) -> Self {
-        ParLftj {
-            workers: Some(NonZeroUsize::new(workers).expect("workers must be positive")),
-            ..Self::default()
-        }
-    }
-
     /// Engine with an explicit shard count, one worker per shard — the
     /// pre-pool behaviour, kept for callers that want deterministic
     /// scheduling in experiments.
@@ -115,442 +386,228 @@ impl ParLftj {
     ///
     /// Panics if `shards == 0`.
     pub fn with_shards(shards: usize) -> Self {
-        let n = NonZeroUsize::new(shards).expect("shards must be positive");
-        ParLftj {
-            workers: Some(n),
-            granularity: Some(n),
-            ..Self::default()
-        }
-    }
-
-    /// The configured worker count, or `None` for automatic.
-    pub fn workers(&self) -> Option<usize> {
-        self.workers.map(NonZeroUsize::get)
-    }
-
-    /// Sets an explicit shard count, keeping the pool size (otherwise the
-    /// count is seeded from the plan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_granularity(mut self, shards: usize) -> Self {
-        self.granularity = Some(NonZeroUsize::new(shards).expect("shards must be positive"));
-        self
-    }
-
-    /// The configured shard count, or `None` for plan-seeded.
-    pub fn granularity(&self) -> Option<usize> {
-        self.granularity.map(NonZeroUsize::get)
-    }
-
-    /// Enables or disables dynamic shard splitting (TrieJax §3.4
-    /// spawn-on-match), overriding the `TRIEJAX_SPLIT` environment
-    /// default.
-    ///
-    /// With splitting on, the plan seeds only one coarse root-range shard
-    /// per worker; whenever a worker goes idle mid-run, a running shard
-    /// observes it at its next root-level advance and hands the unvisited
-    /// tail of its range off as a freshly spawned shard. Results remain
-    /// tuple-for-tuple identical to sequential [`crate::Lftj`];
-    /// [`EngineStats::splits`] and [`EngineStats::split_depth`] report the
-    /// rebalancing. With splitting off (the default), skew is absorbed by
-    /// 4x oversharding plus work stealing alone.
-    ///
-    /// ```
-    /// use triejax_join::ParLftj;
-    ///
-    /// let engine = ParLftj::with_pool(4).with_split(true);
-    /// assert_eq!(engine.splitting(), Some(true));
-    /// ```
-    pub fn with_split(mut self, on: bool) -> Self {
-        self.split = Some(on);
-        self
-    }
-
-    /// The configured splitting choice, or `None` for the `TRIEJAX_SPLIT`
-    /// environment default.
-    pub fn splitting(&self) -> Option<bool> {
-        self.split
-    }
-
-    /// Caps how deep dynamic splits may donate work (TrieJax §3.4
-    /// spawn-on-match at *any* trie level), overriding the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default.
-    ///
-    /// Depth 0 (the default) keeps the root-only splitting of
-    /// [`with_split`](Self::with_split); depth `d` additionally lets a
-    /// running shard donate the unvisited sibling tail of any trie level
-    /// up to `d` — under the bound prefix — whenever a worker goes idle,
-    /// which is the only way to rebalance a query whose root domain is
-    /// too narrow to carve (e.g. a single hub vertex). `usize::MAX`
-    /// uncaps the depth. Splitting itself must still be enabled (via
-    /// [`with_split`](Self::with_split) or `TRIEJAX_SPLIT`) for any
-    /// handoff to happen. Results remain tuple-for-tuple identical to
-    /// sequential [`crate::Lftj`]; [`EngineStats::deep_splits`] reports
-    /// how many handoffs happened below the root.
-    ///
-    /// ```
-    /// use triejax_join::ParLftj;
-    ///
-    /// let engine = ParLftj::with_pool(4).with_split(true).with_split_depth(2);
-    /// assert_eq!(engine.split_depth(), Some(2));
-    /// ```
-    pub fn with_split_depth(mut self, depth: usize) -> Self {
-        self.split_depth = Some(depth);
-        self
-    }
-
-    /// The configured split-depth cap, or `None` for the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default.
-    pub fn split_depth(&self) -> Option<usize> {
-        self.split_depth
-    }
-
-    /// The split-depth cap this run will use: the explicit one if set,
-    /// otherwise the `TRIEJAX_SPLIT_DEPTH` environment default (0 — root
-    /// only — when the variable is unset; `max` uncaps).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT_DEPTH` is consulted and set to anything
-    /// but a non-negative integer or `"max"`.
-    pub fn effective_split_depth(&self) -> usize {
-        self.split_depth.unwrap_or_else(env_split_depth)
-    }
-
-    /// The splitting choice this run will use: the explicit one if set,
-    /// otherwise the `TRIEJAX_SPLIT` environment default (off when the
-    /// variable is unset).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `TRIEJAX_SPLIT` is consulted and set to anything but a
-    /// recognised on/off spelling (`0`/`1`/`true`/`false`/`on`/`off`) — an
-    /// explicitly configured mode that silently fell back to "off" would
-    /// defeat the configuration's purpose (e.g. CI pinning
-    /// `TRIEJAX_SPLIT=1` to force the split paths through the test suite).
-    pub fn effective_split(&self) -> bool {
-        self.split.unwrap_or_else(env_split)
-    }
-
-    /// Caps the run's wall-clock time, overriding the `TRIEJAX_DEADLINE_MS`
-    /// environment default. A run that outlives the deadline is cancelled
-    /// cooperatively: workers stop at their next poll point, the rows
-    /// already streamed to the sink stay an exact prefix of the full
-    /// result, and the engine returns [`JoinError::Cancelled`] carrying
-    /// the partial [`EngineStats`].
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Caps delivered result rows at `limit`, overriding the
-    /// `TRIEJAX_ROW_LIMIT` environment default. The sink receives exactly
-    /// the first `min(total, limit)` rows of the sequential result stream
-    /// and the engine returns [`JoinError::Cancelled`] with
-    /// [`triejax_exec::CancelReason::RowLimit`] when the cap actually
-    /// truncated the run.
-    pub fn with_row_limit(mut self, limit: u64) -> Self {
-        self.row_limit = Some(limit);
-        self
-    }
-
-    /// Caps charged intermediate tuples (materialized candidate sets;
-    /// cache entry rows in [`crate::ParCtj`]) at `limit`.
-    pub fn with_intermediate_limit(mut self, limit: u64) -> Self {
-        self.intermediate_limit = Some(limit);
-        self
-    }
-
-    /// Ties every run of this engine to `token`: firing it from any
-    /// thread cancels the run cooperatively (see
-    /// [`with_deadline`](Self::with_deadline) for the delivery contract).
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Consults (and fills) `cache` before building tries, overriding the
-    /// `TRIEJAX_TRIE_CACHE_MB` process default. Share one cache across
-    /// engines to amortize trie construction over a query stream; see
-    /// [`TrieCache`].
-    pub fn with_trie_cache(mut self, cache: std::sync::Arc<TrieCache>) -> Self {
-        self.trie_cache = Some(Some(cache));
-        self
-    }
-
-    /// Disables trie caching for this engine even when
-    /// `TRIEJAX_TRIE_CACHE_MB` configures a process-wide cache.
-    pub fn without_trie_cache(mut self) -> Self {
-        self.trie_cache = Some(None);
-        self
-    }
-
-    /// The trie cache the next run will consult: the explicit choice if
-    /// one was made, otherwise the process-wide [`TrieCache::global`]
-    /// (`None` disables caching).
-    pub fn effective_trie_cache(&self) -> Option<std::sync::Arc<TrieCache>> {
-        match &self.trie_cache {
-            Some(choice) => choice.clone(),
-            None => TrieCache::global(),
-        }
-    }
-
-    /// The shared [`RunBudget`] the next run will be governed by — the
-    /// explicit builder knobs with `TRIEJAX_DEADLINE_MS` /
-    /// `TRIEJAX_ROW_LIMIT` as per-knob environment fallbacks — or `None`
-    /// when nothing governs the run and the engine stays on its zero-cost
-    /// ungoverned code paths.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a consulted environment knob is set to anything but a
-    /// non-negative integer.
-    pub fn effective_budget(&self) -> Option<std::sync::Arc<RunBudget>> {
-        compose_budget(
-            self.deadline,
-            self.row_limit,
-            self.intermediate_limit,
-            self.cancel.as_ref(),
-        )
-    }
-
-    /// Runs the query with an explicit [`Tally`] choice; see
-    /// [`crate::Lftj::run_tallied`] for the counting/fast trade-off. The
-    /// usual pairing is `ParLftj` + [`triejax_relation::NoTally`] for pure
-    /// throughput.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JoinError`] when the catalog is missing a relation, a
-    /// relation's arity mismatches its atom, or the plan projects
-    /// variables away from the head.
-    pub fn run_tallied<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        self.run_tallied_opt(plan, catalog, None, sink)
-    }
-
-    /// Runs the query over `catalog` with the pending mutations in
-    /// `deltas` folded in: every atom over a mutated relation walks a
-    /// [`triejax_relation::MergeCursor`] presenting
-    /// `base ∪ inserts − tombstones`, without rebuilding the base trie.
-    /// When no atom of the plan touches a non-empty delta, this is
-    /// exactly [`run_tallied`](Self::run_tallied) — the frozen fast path,
-    /// monomorphized to plain trie cursors.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_tallied`](Self::run_tallied), plus an arity mismatch
-    /// between a delta and its atom.
-    pub fn run_tallied_with<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        self.run_tallied_opt(plan, catalog, Some(deltas), sink)
-    }
-
-    /// Shared budget dispatch of [`run_tallied`](Self::run_tallied) and
-    /// [`run_tallied_with`](Self::run_tallied_with).
-    fn run_tallied_opt<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: Option<&DeltaMap>,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        match self.effective_budget() {
-            // Ungoverned: monomorphize with NoBudget — byte-identical to
-            // the pre-governance engine.
-            None => self
-                .run_budgeted::<T, NoBudget>(plan, catalog, deltas, sink, NoBudget, NoBudget, None),
-            Some(shared) => {
-                let stats = self.run_budgeted::<T, BudgetHandle>(
-                    plan,
-                    catalog,
-                    deltas,
-                    sink,
-                    BudgetHandle::driving(shared.clone()),
-                    BudgetHandle::worker(shared.clone()),
-                    Some(&shared),
-                )?;
-                match shared.cancelled() {
-                    Some(reason) => Err(JoinError::Cancelled {
-                        reason,
-                        partial: Box::new(stats.to_counting()),
-                    }),
-                    None => Ok(stats),
-                }
-            }
-        }
-    }
-
-    /// Cursor-set dispatch: frozen plans build a [`TrieSet`] (plain trie
-    /// cursors, the pre-delta code paths), delta-touching plans a
-    /// [`MergeSet`]; either way the body is
-    /// [`run_set_budgeted`](Self::run_set_budgeted).
-    #[allow(clippy::too_many_arguments)]
-    fn run_budgeted<T: Tally, B: Budget + Clone + Send + Sync>(
-        &self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: Option<&DeltaMap>,
-        sink: &mut dyn ResultSink,
-        driving: B,
-        worker: B,
-        budget: Option<&RunBudget>,
-    ) -> Result<EngineStats<T>, JoinError> {
-        // The pool exists before the tries so construction itself runs on
-        // it (partitioned builds, or one task per cold trie).
-        let pool = make_pool(self.workers);
-        let cache = self.effective_trie_cache();
-        // build_on times only actual cold-build work internally, so a
-        // query fully served from the cache (or a preloaded store) reports
-        // trie_build_ns == 0 exactly.
-        match deltas.filter(|d| plan_touches_delta(plan, d)) {
-            None => {
-                let (tries, hits, ns) = TrieSet::build_on(plan, catalog, &pool, cache.as_deref())?;
-                self.run_set_budgeted(
-                    plan, catalog, &tries, &pool, hits, ns, sink, driving, worker, budget,
-                )
-            }
-            Some(d) => {
-                let (set, hits, ns) =
-                    MergeSet::build_on(plan, catalog, d, &pool, cache.as_deref())?;
-                self.run_set_budgeted(
-                    plan, catalog, &set, &pool, hits, ns, sink, driving, worker, budget,
-                )
-            }
-        }
-    }
-
-    /// The engine body, generic over the run's [`Budget`] and the
-    /// [`CursorSet`] its shard drivers walk: `driving` is the handle for
-    /// the sequential fast path (it charges the row quota at emit time),
-    /// `worker` is cloned into every shard driver (flag polling only —
-    /// the ordered drain owns the quota in a parallel run), and `budget`
-    /// is what the drain and the task wrappers poll.
-    #[allow(clippy::too_many_arguments)]
-    fn run_set_budgeted<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
-        &self,
-        plan: &'s CompiledQuery,
-        catalog: &Catalog,
-        set: &'s S,
-        pool: &WorkerPool,
-        trie_cache_hits: u64,
-        trie_build_ns: u64,
-        sink: &mut dyn ResultSink,
-        driving: B,
-        worker: B,
-        budget: Option<&RunBudget>,
-    ) -> Result<EngineStats<T>, JoinError> {
-        // Splitting needs a spare worker to hand work to, plus either a
-        // root domain wide enough to carve or permission to split below
-        // the root (where a narrow root domain is irrelevant); otherwise
-        // fall back to the static schedule (and its sequential
-        // single-shard fast path).
-        let depth_cap = self.effective_split_depth();
-        let split = self.effective_split()
-            && pool.workers() > 1
-            && (can_split(plan, set) || depth_cap >= 1);
-        let ranges = plan_shards(
-            plan,
-            catalog,
-            set,
-            pool.workers(),
-            self.granularity.map(NonZeroUsize::get),
-            split,
-        );
-
-        // With splitting on, even a single seeded range spreads itself
-        // across the idle pool; without it, a lone range runs
-        // sequentially.
-        if !split && ranges.len() <= 1 {
-            let mut driver = Driver::<T, B, S::Cur>::budgeted(plan, set, 0, None, driving)?;
-            driver.run(sink);
-            let mut stats = driver.stats;
-            stats.shards = 1;
-            stats.trie_build_ns = trie_build_ns;
-            stats.trie_cache_hits = trie_cache_hits;
-            return Ok(stats);
-        }
-
-        // Validate the emission plan up front so shard workers cannot fail.
-        head_slots(plan)?;
-        let new_driver = |min, sup| {
-            let mut d = Driver::<T, B, S::Cur>::budgeted(plan, set, min, sup, worker.clone())
-                .expect("emission plan validated before the parallel phase");
-            d.emit_passthrough(); // the ShardSink already batches
-            d
-        };
-        let (shard_stats, pool_stats) = if split {
-            execute_split(
-                pool,
-                &ranges,
-                plan.arity(),
-                depth_cap,
-                sink,
-                budget,
-                |_ctx, depth, prefix, min, sup, shard_sink, ctl| {
-                    let mut driver = new_driver(0, None);
-                    driver.run_split_at(depth, prefix, min, sup, shard_sink, ctl);
-                    driver.stats
-                },
-            )
-        } else {
-            execute_sharded(
-                pool,
-                &ranges,
-                plan.arity(),
-                sink,
-                budget,
-                |_ctx, _lane, min, sup, shard_sink| {
-                    let mut driver = new_driver(min, sup);
-                    driver.run(shard_sink);
-                    driver.stats
-                },
-            )
-        };
-
-        let mut stats = EngineStats::<T>::default();
-        for shard in &shard_stats {
-            stats.merge(shard);
-        }
-        // Split shards are shards too: count every task the pool ran.
-        stats.shards = pool_stats.tasks as u64;
-        stats.steals = pool_stats.steals;
-        stats.trie_build_ns = trie_build_ns;
-        stats.trie_cache_hits = trie_cache_hits;
-        Ok(stats)
+        Self::with_pool(shards).with_granularity(shards)
     }
 }
 
-impl JoinEngine for ParLftj {
-    fn name(&self) -> &'static str {
-        "par-lftj"
+/// The one parallel engine body, behind both presets and
+/// [`crate::QueryHandle`]: resolves `opts`, builds the query's tries (or
+/// merged views, when an atom reads a relation with a pending delta in
+/// `deltas`) on the pool, and runs the join. A governed run that was cut
+/// short returns [`JoinError::Cancelled`] with its partial stats.
+pub(crate) fn run_parallel<T: Tally>(
+    opts: &RunOptions,
+    plan: &CompiledQuery,
+    catalog: &Catalog,
+    deltas: Option<&DeltaMap>,
+    sink: &mut dyn ResultSink,
+) -> Result<EngineStats<T>, JoinError> {
+    let run = opts.resolve(&process_env);
+    let Some(shared) = run.budget.clone() else {
+        // Ungoverned: NoBudget compiles every governance check away.
+        return run_budgeted(&run, plan, catalog, deltas, sink, NoBudget, NoBudget);
+    };
+    let driving = BudgetHandle::driving(Arc::clone(&shared));
+    let worker = BudgetHandle::worker(Arc::clone(&shared));
+    let stats = run_budgeted(&run, plan, catalog, deltas, sink, driving, worker)?;
+    match shared.cancelled() {
+        Some(reason) => Err(JoinError::Cancelled {
+            reason,
+            partial: Box::new(stats.to_counting()),
+        }),
+        None => Ok(stats),
+    }
+}
+
+/// Builds the cursor set — a [`TrieSet`] for frozen plans (plain trie
+/// cursors, the pre-delta code paths), a [`MergeSet`] for delta-touching
+/// ones — and runs [`run_set`] over it. `driving` governs the
+/// single-shard fast path (it charges the row quota at emit time);
+/// `worker` is cloned into every pooled driver (flag polling only — the
+/// ordered drain owns the quota in a parallel run).
+fn run_budgeted<T: Tally, B: Budget + Clone + Send + Sync>(
+    run: &Resolved,
+    plan: &CompiledQuery,
+    catalog: &Catalog,
+    deltas: Option<&DeltaMap>,
+    sink: &mut dyn ResultSink,
+    driving: B,
+    worker: B,
+) -> Result<EngineStats<T>, JoinError> {
+    // The pool exists before the tries so construction itself runs on it
+    // (partitioned builds, or one task per cold trie). build_on times only
+    // actual cold-build work, so a query fully served from the cache (or
+    // a preloaded store) reports trie_build_ns == 0 exactly.
+    let cache = run.trie_cache.as_deref();
+    let (mut stats, hits, ns) = match deltas.filter(|d| plan_touches_delta(plan, d)) {
+        None => {
+            let (tries, hits, ns) = TrieSet::build_on(plan, catalog, &run.pool, cache)?;
+            let stats = run_set(run, plan, catalog, &tries, sink, driving, worker)?;
+            (stats, hits, ns)
+        }
+        Some(d) => {
+            let (set, hits, ns) = MergeSet::build_on(plan, catalog, d, &run.pool, cache)?;
+            let stats = run_set(run, plan, catalog, &set, sink, driving, worker)?;
+            (stats, hits, ns)
+        }
+    };
+    stats.trie_build_ns = ns;
+    stats.trie_cache_hits = hits;
+    Ok(stats)
+}
+
+/// How a pooled run schedules its shards.
+struct Schedule {
+    ranges: Vec<(Value, Option<Value>)>,
+    split: bool,
+    /// Workers that may run a driver.
+    workers: usize,
+}
+
+/// The engine body over one cursor set: plans the shards, then runs
+/// either the single-shard fast path on the calling thread or the pool,
+/// with the store the run's engine calls for.
+fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
+    run: &Resolved,
+    plan: &'s CompiledQuery,
+    catalog: &Catalog,
+    set: &'s S,
+    sink: &mut dyn ResultSink,
+    driving: B,
+    worker: B,
+) -> Result<EngineStats<T>, JoinError> {
+    let pool_workers = run.pool.workers();
+    // Splitting needs a spare worker to hand work to, plus either a root
+    // domain wide enough to carve or permission to split below the root
+    // (where a narrow root domain is irrelevant); otherwise fall back to
+    // the static schedule (and its sequential single-shard fast path).
+    let split = run.split && pool_workers > 1 && (can_split(plan, set) || run.split_depth >= 1);
+    let ranges = plan_shards(plan, catalog, set, pool_workers, run.granularity, split);
+    let adaptive = |config: &CtjConfig| adaptive_mask(config, plan, catalog);
+
+    // With splitting on, even a single seeded range spreads itself across
+    // the idle pool; without it, a lone range runs sequentially: one
+    // driver on the calling thread — for CTJ on a worker-local store (no
+    // stripe locks to pay when nothing is shared), whose capacity bounds
+    // live entries by dropping new inserts rather than evicting.
+    if !split && ranges.len() <= 1 {
+        let mut stats = match run.ctj {
+            None => Driver::new(plan, set, NoPjr, driving)?.run(sink),
+            Some(config) => {
+                let store = LocalPjr::new(config, &adaptive(&config));
+                Driver::new(plan, set, store, driving)?.run(sink)
+            }
+        };
+        stats.shards = 1;
+        return Ok(stats);
     }
 
-    fn execute(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats, JoinError> {
-        self.run_tallied::<Counting>(plan, catalog, sink)
+    // Validate the emission plan up front so shard workers cannot fail.
+    head_slots(plan)?;
+    // With splitting, every configured worker may end up running a
+    // spawned shard; without it, a run never uses more workers than it
+    // has planned ranges.
+    let workers = if split {
+        pool_workers
+    } else {
+        pool_workers.min(ranges.len())
+    };
+    let schedule = Schedule {
+        ranges,
+        split,
+        workers,
+    };
+    let (mut stats, pool_stats) = match run.ctj {
+        None => run_pooled(run, plan, set, &schedule, sink, &worker, || NoPjr),
+        Some(config) => {
+            // One cache shared by every worker, striped for the worker
+            // count, pre-sized from the plan's entry estimate.
+            let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
+            let cache = SharedPjrCache::new(workers, config, &adaptive(&config), hint);
+            run_pooled(run, plan, set, &schedule, sink, &worker, || cache.handle())
+        }
+    };
+    // Split shards are shards too: count every task the pool ran.
+    stats.shards = pool_stats.tasks as u64;
+    stats.steals = pool_stats.steals;
+    Ok(stats)
+}
+
+/// Runs the scheduled shards on the pool with one driver per worker —
+/// created on the worker's first shard over the store `cache` hands it,
+/// reused for the rest — and returns the drivers' summed stats beside the
+/// pool's. Cache counters sum cleanly because the shared store already
+/// deduplicated insert races (a raced build is a late hit plus a
+/// `cache_races` tick, never a second miss).
+fn run_pooled<'s, T, B, S, P>(
+    run: &Resolved,
+    plan: &'s CompiledQuery,
+    set: &'s S,
+    schedule: &Schedule,
+    sink: &mut dyn ResultSink,
+    worker: &B,
+    cache: impl Fn() -> P + Sync,
+) -> (EngineStats<T>, PoolStats)
+where
+    T: Tally,
+    B: Budget + Clone + Send + Sync,
+    S: CursorSet<'s>,
+    P: PjrStore + Send,
+{
+    // Addressed by `WorkerCtx::worker`: a slot's mutex is only ever taken
+    // by its owning worker during the run.
+    let drivers: Vec<Mutex<Option<_>>> = (0..schedule.workers).map(|_| Mutex::new(None)).collect();
+    let new_driver = || {
+        let mut d = Driver::new(plan, set, cache(), worker.clone())
+            .expect("emission plan validated before the parallel phase");
+        d.emit_passthrough(); // the ShardSink already batches
+        d
+    };
+    let slot = |ctx: WorkerCtx| drivers[ctx.worker].lock().expect("worker driver poisoned");
+    let budget = run.budget.as_deref();
+    let (ranges, arity) = (&schedule.ranges, plan.arity());
+    let pool_stats = if schedule.split {
+        execute_split(
+            &run.pool,
+            ranges,
+            arity,
+            run.split_depth,
+            sink,
+            budget,
+            |ctx, depth, prefix, min, sup, out, ctl| {
+                slot(ctx)
+                    .get_or_insert_with(&new_driver)
+                    .run_split_at(depth, prefix, min, sup, out, ctl);
+            },
+        )
+    } else {
+        execute_sharded(
+            &run.pool,
+            ranges,
+            arity,
+            sink,
+            budget,
+            |ctx, min, sup, out| {
+                slot(ctx)
+                    .get_or_insert_with(&new_driver)
+                    .run_range(min, sup, out);
+            },
+        )
+    };
+    let mut stats = EngineStats::default();
+    for slot in drivers {
+        if let Some(driver) = slot.into_inner().expect("worker driver poisoned") {
+            stats.merge(&driver.stats);
+        }
     }
+    (stats, pool_stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectSink, CountSink, Lftj};
+    use crate::{CollectSink, CountSink, JoinEngine, Lftj, ParCtj};
+    use std::time::Duration;
     use triejax_query::patterns::{self, Pattern};
     use triejax_relation::{NoTally, Relation};
 
@@ -677,14 +734,24 @@ mod tests {
         );
     }
 
+    /// Both presets of the engine, each paired with a pattern it runs.
+    fn presets(workers: usize) -> [(Pattern, Box<dyn JoinEngine>); 2] {
+        [
+            (Pattern::Cycle4, Box::new(ParLftj::with_pool(workers))),
+            (Pattern::Path4, Box::new(ParCtj::with_pool(workers))),
+        ]
+    }
+
     #[test]
     fn empty_graph_yields_nothing() {
         let c = catalog(&[]);
-        let plan = CompiledQuery::compile(&patterns::cycle4()).unwrap();
-        let mut sink = CountSink::default();
-        let stats = ParLftj::with_pool(4).execute(&plan, &c, &mut sink).unwrap();
-        assert_eq!(sink.count(), 0);
-        assert_eq!(stats.results, 0);
+        for (p, mut engine) in presets(4) {
+            let plan = CompiledQuery::compile(&p.query()).unwrap();
+            let mut sink = CountSink::default();
+            let stats = engine.execute(&plan, &c, &mut sink).unwrap();
+            assert_eq!(sink.count(), 0, "{}", engine.name());
+            assert_eq!(stats.results, 0);
+        }
     }
 
     #[test]
@@ -725,10 +792,12 @@ mod tests {
     #[test]
     fn missing_relation_is_an_error() {
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let mut sink = CountSink::default();
-        assert!(ParLftj::new()
-            .execute(&plan, &Catalog::new(), &mut sink)
-            .is_err());
+        let engines: [Box<dyn JoinEngine>; 2] = [Box::new(ParLftj::new()), Box::new(ParCtj::new())];
+        for mut engine in engines {
+            let mut sink = CountSink::default();
+            let err = engine.execute(&plan, &Catalog::new(), &mut sink);
+            assert!(err.is_err(), "{}", engine.name());
+        }
     }
 
     #[test]
@@ -847,9 +916,15 @@ mod tests {
             .unwrap();
         let plan = CompiledQuery::compile(&q).unwrap();
         let c = catalog(&test_edges());
-        let mut sink = CountSink::default();
-        let err = ParLftj::with_pool(2).execute(&plan, &c, &mut sink);
-        assert!(matches!(err, Err(JoinError::Plan { .. })));
+        for (_, mut engine) in presets(2) {
+            let mut sink = CountSink::default();
+            let err = engine.execute(&plan, &c, &mut sink);
+            assert!(
+                matches!(err, Err(JoinError::Plan { .. })),
+                "{}",
+                engine.name()
+            );
+        }
     }
 
     #[test]

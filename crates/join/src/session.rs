@@ -50,6 +50,7 @@
 //! decomposition in ARCHITECTURE.md). A watcher whose evaluation fails is
 //! unsubscribed — its stream hangs up — rather than sent a partial update.
 
+use std::num::NonZeroUsize;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -57,36 +58,18 @@ use std::time::Duration;
 
 use triejax_exec::{CancelToken, NoBudget, WorkerPool};
 use triejax_query::{CompiledQuery, VarId};
-use triejax_relation::{NoTally, Relation, RelationDelta, Value};
+use triejax_relation::{Counting, NoTally, Relation, RelationDelta, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
+use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
+use crate::options::{compact_ratio, process_env, RunOptions};
+use crate::parlftj::run_parallel;
 use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
-    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, ParCtj, ParLftj, ResultSink, TrieCache,
-    TrieSet,
+    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, ResultSink, TrieCache, TrieSet,
 };
-
-/// Name of the environment variable supplying the default delta-compaction
-/// threshold: a relation's delta is merged into a fresh frozen base when
-/// `delta.len() > ratio × base.len()` after an apply. Read once, when a
-/// session is constructed; unset means `0.5`, and
-/// [`Session::with_compact_ratio`] overrides it per session.
-pub const COMPACT_RATIO_ENV: &str = "TRIEJAX_DELTA_COMPACT_RATIO";
-
-/// Reads the compaction ratio from the environment (default `0.5`).
-fn env_compact_ratio() -> f64 {
-    match std::env::var(COMPACT_RATIO_ENV) {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = v.trim().parse::<f64>().ok().filter(|r| *r >= 0.0);
-            parsed.unwrap_or_else(|| {
-                panic!("{COMPACT_RATIO_ENV} must be a non-negative number, got {v:?}")
-            })
-        }
-        _ => 0.5,
-    }
-}
 
 /// Rows per batch pushed through a stream's channel — same batching the
 /// shard sinks use, so streaming adds one copy, not per-tuple signalling.
@@ -162,7 +145,7 @@ pub struct Session {
     /// scoped workers from it).
     pool: WorkerPool,
     cache: Arc<TrieCache>,
-    /// The compaction ratio: [`COMPACT_RATIO_ENV`] as it stood when the
+    /// The compaction ratio: [`crate::COMPACT_RATIO_ENV`] as it stood when the
     /// session was constructed, unless [`Session::with_compact_ratio`]
     /// replaced it.
     compact_ratio: f64,
@@ -189,7 +172,7 @@ impl Session {
             }),
             pool: WorkerPool::new(),
             cache: Arc::new(cache),
-            compact_ratio: env_compact_ratio(),
+            compact_ratio: compact_ratio(&process_env),
         }
     }
 
@@ -238,7 +221,7 @@ impl Session {
     }
 
     /// Sets this session's delta-compaction threshold, overriding
-    /// [`COMPACT_RATIO_ENV`]: after an apply leaves a relation with
+    /// [`crate::COMPACT_RATIO_ENV`]: after an apply leaves a relation with
     /// `delta.len() > ratio × base.len()`, the delta is merged into a
     /// fresh frozen base. `0.0` compacts after every apply; `f64::INFINITY`
     /// disables auto-compaction.
@@ -538,13 +521,11 @@ impl Session {
             plan: plan.clone(),
             catalog: state.catalog,
             deltas: state.deltas,
-            cache: Arc::clone(&self.cache),
-            workers: self.pool.workers(),
-            granularity: None,
-            split: None,
-            deadline: None,
-            row_limit: None,
-            ctj: false,
+            opts: RunOptions {
+                workers: NonZeroUsize::new(self.pool.workers()),
+                trie_cache: Some(Some(Arc::clone(&self.cache))),
+                ..RunOptions::default()
+            },
         }
     }
 
@@ -722,7 +703,7 @@ impl Watcher {
             }
             let (set, ..) = MergeSet::assemble(term, &sources, None, Some(cache), memo)?;
             let mut sink = CollectSink::new();
-            Driver::<NoTally, NoBudget, _>::new(term, &set)?.run(&mut sink);
+            Driver::<NoTally, _, _, _>::new(term, &set, NoPjr, NoBudget)?.run(&mut sink);
             rows.extend_from_slice(sink.tuples());
         }
         // Sorting by the watched plan's binding order restores its
@@ -739,8 +720,9 @@ impl Watcher {
 }
 
 /// One query's configuration against a [`Session`]: the per-query budgets
-/// (row limit, deadline, shard granularity, splitting) layered over the
-/// session's shared state.
+/// (row limit, deadline, shard granularity, splitting, engine) layered
+/// over the session's pool and trie cache. Unset knobs resolve as for
+/// [`crate::ParLftj`] when the query runs.
 ///
 /// Consume it with [`QueryHandle::stream`] for incremental pull-based
 /// delivery, or [`QueryHandle::run`] to drive a sink synchronously.
@@ -749,20 +731,14 @@ pub struct QueryHandle {
     plan: CompiledQuery,
     catalog: Arc<Catalog>,
     deltas: Arc<DeltaMap>,
-    cache: Arc<TrieCache>,
-    workers: usize,
-    granularity: Option<usize>,
-    split: Option<bool>,
-    deadline: Option<Duration>,
-    row_limit: Option<u64>,
-    ctj: bool,
+    opts: RunOptions,
 }
 
 impl QueryHandle {
     /// Caps delivered rows: the stream (or sink) receives exactly the
     /// first `min(total, limit)` rows of the sequential result order.
     pub fn with_row_limit(mut self, limit: u64) -> Self {
-        self.row_limit = Some(limit);
+        self.opts.row_limit = Some(limit);
         self
     }
 
@@ -770,7 +746,7 @@ impl QueryHandle {
     /// cancelled cooperatively with the delivered rows staying an exact
     /// sequential prefix.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
+        self.opts.deadline = Some(deadline);
         self
     }
 
@@ -779,24 +755,24 @@ impl QueryHandle {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` (when the query runs).
+    /// Panics if `shards == 0`.
     pub fn with_granularity(mut self, shards: usize) -> Self {
-        self.granularity = Some(shards);
+        self.opts.granularity = Some(NonZeroUsize::new(shards).expect("shards must be positive"));
         self
     }
 
     /// Enables or disables dynamic shard splitting for this query,
     /// overriding the `TRIEJAX_SPLIT` environment default.
     pub fn with_split(mut self, on: bool) -> Self {
-        self.split = Some(on);
+        self.opts.split = Some(on);
         self
     }
 
-    /// Runs this query on [`ParCtj`] (the cached-TrieJoin engine) instead
-    /// of the default [`ParLftj`]; result tuples and their order are
-    /// identical either way.
+    /// Runs this query as [`crate::ParCtj`] (the cached-TrieJoin engine)
+    /// instead of the default [`crate::ParLftj`]; result tuples and their
+    /// order are identical either way.
     pub fn with_ctj(mut self) -> Self {
-        self.ctj = true;
+        self.opts.ctj = true;
         self
     }
 
@@ -837,45 +813,17 @@ impl QueryHandle {
         }
     }
 
-    /// Builds the configured engine and runs it. Both engines share the
-    /// builder surface, so the only divergence is the type name.
+    /// Runs the configured engine, tied to `token` when one is given.
     fn execute_into(
         &self,
         token: Option<CancelToken>,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats, JoinError> {
-        macro_rules! run {
-            ($engine:ty) => {{
-                let mut e =
-                    <$engine>::with_pool(self.workers).with_trie_cache(Arc::clone(&self.cache));
-                if let Some(g) = self.granularity {
-                    e = e.with_granularity(g);
-                }
-                if let Some(s) = self.split {
-                    e = e.with_split(s);
-                }
-                if let Some(d) = self.deadline {
-                    e = e.with_deadline(d);
-                }
-                if let Some(l) = self.row_limit {
-                    e = e.with_row_limit(l);
-                }
-                if let Some(t) = token {
-                    e = e.with_cancel_token(t);
-                }
-                e.run_tallied_with::<triejax_relation::Counting>(
-                    &self.plan,
-                    &self.catalog,
-                    &self.deltas,
-                    sink,
-                )
-            }};
-        }
-        if self.ctj {
-            run!(ParCtj)
-        } else {
-            run!(ParLftj)
-        }
+        let opts = RunOptions {
+            cancel: token,
+            ..self.opts.clone()
+        };
+        run_parallel::<Counting>(&opts, &self.plan, &self.catalog, Some(&self.deltas), sink)
     }
 }
 
@@ -1193,6 +1141,16 @@ mod tests {
         let a = session.snapshot(&plans).unwrap().to_bytes();
         let b = session.snapshot(&plans).unwrap().to_bytes();
         assert_eq!(a, b, "same state must serialize to the same bytes");
+    }
+
+    /// Granularity 0 used to pass the builder and panic inside the run —
+    /// under `stream()` on the producer thread, re-raised by `next()`.
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_granularity_panics_at_the_builder() {
+        let session = grid_session(2);
+        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
+        let _ = session.query(&plan).with_granularity(0);
     }
 
     #[test]

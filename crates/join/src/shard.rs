@@ -10,129 +10,6 @@ use triejax_relation::{JoinCursor, Tally, Value};
 use crate::viewset::CursorSet;
 use crate::{Catalog, EngineStats, ResultSink, ShardSink};
 
-/// Name of the environment variable enabling dynamic shard splitting for
-/// engines that were not configured explicitly. Accepts `1`/`true`/`on`
-/// and `0`/`false`/`off`; unset or empty means off.
-pub(crate) const SPLIT_ENV: &str = "TRIEJAX_SPLIT";
-
-/// Reads the default splitting choice from `TRIEJAX_SPLIT`.
-///
-/// # Panics
-///
-/// Panics on anything but a recognised on/off spelling — an explicitly
-/// configured mode that silently fell back to "off" would defeat the
-/// configuration's purpose (e.g. CI pinning `TRIEJAX_SPLIT=1` to force
-/// the split paths through the whole test suite).
-pub(crate) fn env_split() -> bool {
-    match std::env::var(SPLIT_ENV) {
-        Ok(v) => match v.trim() {
-            "" | "0" | "false" | "off" => false,
-            "1" | "true" | "on" => true,
-            other => panic!("{SPLIT_ENV} must be 0/1/true/false/on/off, got {other:?}"),
-        },
-        Err(_) => false,
-    }
-}
-
-/// Name of the environment variable supplying a default maximum split
-/// depth for engines that were not configured explicitly
-/// (`ParLftj::with_split_depth` / `ParCtj::with_split_depth`). `0` (or
-/// unset/empty) keeps dynamic splitting at the root level only; `max`
-/// allows handoffs at every trie level; any other value is the deepest
-/// level allowed to split. Only meaningful when splitting itself is on.
-pub(crate) const SPLIT_DEPTH_ENV: &str = "TRIEJAX_SPLIT_DEPTH";
-
-/// Reads the default split-depth cap from `TRIEJAX_SPLIT_DEPTH`.
-///
-/// # Panics
-///
-/// Panics on anything but an unsigned integer or `max` (see
-/// [`env_split`] for why silent fallback is worse).
-pub(crate) fn env_split_depth() -> usize {
-    match std::env::var(SPLIT_DEPTH_ENV) {
-        Ok(v) => match v.trim() {
-            "" => 0,
-            "max" => usize::MAX,
-            n => n.parse::<usize>().unwrap_or_else(|_| {
-                panic!("{SPLIT_DEPTH_ENV} must be a non-negative integer or \"max\", got {v:?}")
-            }),
-        },
-        Err(_) => 0,
-    }
-}
-
-/// Name of the environment variable supplying a default wall-clock
-/// deadline, in milliseconds, for engines that were not given one through
-/// [`crate::ParLftj::with_deadline`] / [`crate::ParCtj::with_deadline`].
-/// Unset or empty means no deadline.
-pub(crate) const DEADLINE_ENV: &str = "TRIEJAX_DEADLINE_MS";
-
-/// Name of the environment variable supplying a default result-row limit
-/// for engines that were not given one through
-/// [`crate::ParLftj::with_row_limit`] / [`crate::ParCtj::with_row_limit`].
-/// Unset or empty means unlimited; `0` is valid and delivers nothing.
-pub(crate) const ROW_LIMIT_ENV: &str = "TRIEJAX_ROW_LIMIT";
-
-/// Reads the default deadline from `TRIEJAX_DEADLINE_MS`. `None` when the
-/// variable is unset or empty; panics on junk — a configured deadline
-/// that silently fell back to "unlimited" would defeat its purpose.
-pub(crate) fn env_deadline() -> Option<std::time::Duration> {
-    let v = std::env::var(DEADLINE_ENV).ok()?;
-    if v.trim().is_empty() {
-        return None;
-    }
-    let ms = v.trim().parse::<u64>().unwrap_or_else(|_| {
-        panic!("{DEADLINE_ENV} must be a non-negative integer of milliseconds, got {v:?}")
-    });
-    Some(std::time::Duration::from_millis(ms))
-}
-
-/// Reads the default row limit from `TRIEJAX_ROW_LIMIT`. `None` when the
-/// variable is unset or empty; panics on junk (see [`env_deadline`]).
-pub(crate) fn env_row_limit() -> Option<u64> {
-    let v = std::env::var(ROW_LIMIT_ENV).ok()?;
-    if v.trim().is_empty() {
-        return None;
-    }
-    Some(
-        v.trim().parse::<u64>().unwrap_or_else(|_| {
-            panic!("{ROW_LIMIT_ENV} must be a non-negative integer, got {v:?}")
-        }),
-    )
-}
-
-/// Composes a run's shared [`RunBudget`] from the engine's explicit knobs
-/// and the environment defaults (explicit wins, per knob). `None` when
-/// nothing governs the run, so the engines can stay on their zero-cost
-/// [`triejax_exec::NoBudget`] monomorphization.
-pub(crate) fn compose_budget(
-    deadline: Option<std::time::Duration>,
-    row_limit: Option<u64>,
-    intermediate_limit: Option<u64>,
-    cancel: Option<&triejax_exec::CancelToken>,
-) -> Option<std::sync::Arc<RunBudget>> {
-    let deadline = deadline.or_else(env_deadline);
-    let row_limit = row_limit.or_else(env_row_limit);
-    if deadline.is_none() && row_limit.is_none() && intermediate_limit.is_none() && cancel.is_none()
-    {
-        return None;
-    }
-    let mut budget = RunBudget::new();
-    if let Some(d) = deadline {
-        budget = budget.with_deadline(d);
-    }
-    if let Some(l) = row_limit {
-        budget = budget.with_row_limit(l);
-    }
-    if let Some(l) = intermediate_limit {
-        budget = budget.with_intermediate_limit(l);
-    }
-    if let Some(t) = cancel {
-        budget = budget.with_cancel_token(t.clone());
-    }
-    Some(std::sync::Arc::new(budget))
-}
-
 /// Plans the contiguous root-value ranges `[min, sup)` a parallel run
 /// executes as independent work units.
 ///
@@ -277,27 +154,26 @@ fn drain_into(
 /// and a ready [`ShardSink`]. The sink is created *before* `work` runs so
 /// its `Drop` closes the lane even when the shard body panics, keeping
 /// the foreground drain (which runs on the calling thread, so `sink`
-/// needs no `Send` bound) from blocking forever. Task results come back
-/// in shard order alongside the pool's scheduling stats.
+/// needs no `Send` bound) from blocking forever. Returns the pool's
+/// scheduling stats.
 ///
 /// When `budget` governs the run, the drain enforces it (see
-/// [`drain_into`]) and shards claimed after cancellation return
-/// `R::default()` without running their driver — the lane still opens and
-/// closes, so the drain always terminates.
-pub(crate) fn execute_sharded<R, F>(
+/// [`drain_into`]) and shards claimed after cancellation are dropped
+/// without running their driver — the lane still opens and closes, so
+/// the drain always terminates.
+pub(crate) fn execute_sharded<F>(
     pool: &WorkerPool,
     ranges: &[(Value, Option<Value>)],
     arity: usize,
     sink: &mut dyn ResultSink,
     budget: Option<&RunBudget>,
     work: F,
-) -> (Vec<R>, PoolStats)
+) -> PoolStats
 where
-    R: Send + Default,
-    F: Fn(WorkerCtx, usize, Value, Option<Value>, &mut ShardSink<'_>) -> R + Sync,
+    F: Fn(WorkerCtx, Value, Option<Value>, &mut ShardSink<'_>) + Sync,
 {
     let merge = OrderedMerge::new(ranges.len());
-    let ((results, pool_stats), ()) = pool.run_with_foreground(
+    let ((_, pool_stats), ()) = pool.run_with_foreground(
         ranges,
         |ctx, lane, &(min, sup)| {
             let mut shard_sink = ShardSink::new(&merge, lane, arity);
@@ -309,22 +185,13 @@ where
             if budget.is_some_and(|b| b.cancelled().is_some()) {
                 // Cancelled while queued: drop the task (the ShardSink
                 // Drop closes the lane on the way out).
-                return R::default();
+                return;
             }
-            work(ctx, lane, min, sup, &mut shard_sink)
+            work(ctx, min, sup, &mut shard_sink);
         },
         || drain_into(&merge, sink, arity, budget),
     );
-    (results, pool_stats)
-}
-
-/// Builds the pool for a parallel run: the engine's explicit worker count
-/// when set, otherwise the environment/core-count default.
-pub(crate) fn make_pool(workers: Option<std::num::NonZeroUsize>) -> WorkerPool {
-    match workers {
-        Some(w) => WorkerPool::with_workers(w.get()),
-        None => WorkerPool::new(),
-    }
+    pool_stats
 }
 
 /// The split protocol between a driver's level loops and the runtime.
@@ -682,10 +549,10 @@ impl Drop for SplitHandle<'_> {
 /// spawning entry point plus mid-run merge lanes. `work` receives the
 /// worker context, the task's depth and prefix, its level range, its
 /// [`ShardSink`] and a [`SplitHandle`] (capped at `depth_cap`) to thread
-/// into the driver's level loops. Results come back in completion order
-/// (the engines only merge stats, which commutes); the streamed tuples
-/// stay in exact submission order through the merge.
-pub(crate) fn execute_split<R, F>(
+/// into the driver's level loops; the streamed tuples stay in exact
+/// submission order through the merge. Returns the pool's scheduling
+/// stats.
+pub(crate) fn execute_split<F>(
     pool: &WorkerPool,
     ranges: &[(Value, Option<Value>)],
     arity: usize,
@@ -693,9 +560,8 @@ pub(crate) fn execute_split<R, F>(
     sink: &mut dyn ResultSink,
     budget: Option<&RunBudget>,
     work: F,
-) -> (Vec<R>, PoolStats)
+) -> PoolStats
 where
-    R: Send + Default,
     F: Fn(
             WorkerCtx,
             usize,
@@ -704,8 +570,7 @@ where
             Option<Value>,
             &mut ShardSink<'_>,
             &mut SplitHandle<'_>,
-        ) -> R
-        + Sync,
+        ) + Sync,
 {
     let merge = OrderedMerge::new(ranges.len());
     let seeds: Vec<SplitTask> = ranges
@@ -720,14 +585,14 @@ where
             gen: 0,
         })
         .collect();
-    let ((results, pool_stats), ()) = pool.run_spawning(
+    let ((_, pool_stats), ()) = pool.run_spawning(
         seeds,
         |ctx, spawner, task| {
             let mut shard_sink = ShardSink::new(&merge, task.lane, arity);
             #[cfg(feature = "faults")]
             triejax_exec::faults::fire(triejax_exec::faults::FaultEvent::TaskStart);
             if budget.is_some_and(|b| b.cancelled().is_some()) {
-                return R::default();
+                return;
             }
             let mut handle = SplitHandle::new(spawner, &merge, task.lane, task.gen, depth_cap);
             work(
@@ -738,11 +603,11 @@ where
                 task.sup,
                 &mut shard_sink,
                 &mut handle,
-            )
+            );
         },
         || drain_into(&merge, sink, arity, budget),
     );
-    (results, pool_stats)
+    pool_stats
 }
 
 #[cfg(test)]

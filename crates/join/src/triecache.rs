@@ -45,18 +45,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use triejax_exec::{suggested_stripes, Striped};
 use triejax_relation::{MergedView, Relation, Trie};
 
-/// Environment variable naming the default cross-query trie cache
-/// capacity in mebibytes; unset or `0` disables the cache.
-pub const TRIE_CACHE_ENV: &str = "TRIEJAX_TRIE_CACHE_MB";
-
-/// Environment variable naming a saved [`StoredCatalog`] file to preload
-/// into the process-wide default trie cache (unset or empty: no preload).
-/// With the store set but `TRIEJAX_TRIE_CACHE_MB` unset, the default cache
-/// is created unbounded so every stored trie stays servable; an explicit
-/// `TRIEJAX_TRIE_CACHE_MB=0` still disables caching entirely.
-///
-/// [`StoredCatalog`]: triejax_store::StoredCatalog
-pub const STORE_ENV: &str = "TRIEJAX_STORE";
+use crate::options::{default_trie_cache, process_env};
 
 /// Cache key: relation name, content fingerprint of the *base* relation,
 /// and the column permutation the trie is built in.
@@ -183,21 +172,7 @@ impl TrieCache {
     pub fn global() -> Option<Arc<TrieCache>> {
         static GLOBAL: OnceLock<Option<Arc<TrieCache>>> = OnceLock::new();
         GLOBAL
-            .get_or_init(|| {
-                let store = env_store();
-                let cache = match (env_mb(), &store) {
-                    (None | Some(0), None) | (Some(0), Some(_)) => return None,
-                    (None, Some(_)) => TrieCache::unbounded(),
-                    (Some(mb), _) => TrieCache::with_capacity_mb(mb),
-                };
-                if let Some(path) = store {
-                    let stored = triejax_store::StoredCatalog::open(&path).unwrap_or_else(|e| {
-                        panic!("{STORE_ENV}={path:?} could not be opened: {e}")
-                    });
-                    cache.preload(&stored);
-                }
-                Some(Arc::new(cache))
-            })
+            .get_or_init(|| default_trie_cache(&process_env).map(Arc::new))
             .clone()
     }
 
@@ -460,30 +435,6 @@ fn stripe_hash(key: &TrieKey) -> u64 {
     h.finish()
 }
 
-/// Parses `TRIEJAX_TRIE_CACHE_MB`: `None` when unset or empty, panics on
-/// junk so a typo'd knob fails loudly instead of silently disabling the
-/// cache.
-fn env_mb() -> Option<u64> {
-    let v = std::env::var(TRIE_CACHE_ENV).ok()?;
-    if v.trim().is_empty() {
-        return None;
-    }
-    Some(v.trim().parse::<u64>().unwrap_or_else(|_| {
-        panic!("{TRIE_CACHE_ENV} must be a non-negative integer (mebibytes), got {v:?}")
-    }))
-}
-
-/// Reads `TRIEJAX_STORE`: `None` when unset or empty, otherwise the path
-/// verbatim (existence and validity are checked at open time, which panics
-/// with the typed store error on failure).
-fn env_store() -> Option<String> {
-    let v = std::env::var(STORE_ENV).ok()?;
-    if v.trim().is_empty() {
-        return None;
-    }
-    Some(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -619,13 +570,16 @@ mod tests {
 
     #[test]
     fn env_parse_rejects_junk() {
-        // Direct parse-path check without touching process env.
-        assert_eq!("64".trim().parse::<u64>().ok(), Some(64));
-        let err = std::panic::catch_unwind(|| {
-            "junk".parse::<u64>().unwrap_or_else(|_| {
-                panic!("{TRIE_CACHE_ENV} must be a non-negative integer (mebibytes), got \"junk\"")
-            })
-        });
-        assert!(err.is_err());
+        let junk = |key: &str| (key == crate::TRIE_CACHE_ENV).then(|| "junk".to_owned());
+        let err = std::panic::catch_unwind(|| default_trie_cache(&junk)).unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("TRIEJAX_TRIE_CACHE_MB must be a non-negative integer"));
+        let sized = |key: &str| (key == crate::TRIE_CACHE_ENV).then(|| " 64 ".to_owned());
+        let cache = default_trie_cache(&sized).expect("a sized cache");
+        assert_eq!(cache.capacity_bytes(), Some(64 << 20));
+        assert!(
+            default_trie_cache(&|_: &str| None).is_none(),
+            "unset: no cache"
+        );
     }
 }

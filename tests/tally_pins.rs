@@ -8,7 +8,7 @@
 //! Midwife and MatchMaker units would issue for the same query.
 
 use triejax_graph::{Dataset, Scale};
-use triejax_join::{Catalog, CountSink, Ctj, EngineStats, Lftj, ParLftj};
+use triejax_join::{Catalog, CountSink, Ctj, CtjConfig, EngineStats, Lftj, ParCtj, ParLftj};
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::{Counting, NoTally, Tally};
 
@@ -67,6 +67,13 @@ fn one_worker_pool_and_untallied_runs_do_the_same_operations() {
             .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
             .unwrap();
         assert_eq!(pin(&pooled), lftj_pin, "par-lftj pool 1, {p}");
+        // An explicit config, so a TRIEJAX_CACHE_CAP leg cannot shrink
+        // the one-shard run's worker-local cache under the pin.
+        let pooled = ParCtj::with_pool(1)
+            .config(CtjConfig::default())
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!(pin(&pooled), ctj_pin, "par-ctj pool 1, {p}");
 
         // NoTally keeps the discrete op counters and records no access.
         let ops_only = |pin: Pin| [pin[0], pin[1], pin[2], pin[3], 0, 0];
@@ -79,5 +86,24 @@ fn one_worker_pool_and_untallied_runs_do_the_same_operations() {
         assert_eq!(pin(&lftj), ops_only(lftj_pin), "untallied lftj, {p}");
         assert_eq!(pin(&ctj), ops_only(ctj_pin), "untallied ctj, {p}");
         assert_eq!(lftj.memory_accesses() + ctj.memory_accesses(), 0, "{p}");
+    }
+}
+
+/// LFTJ is CTJ without a cache: where the plan has no cache spec
+/// (Cycle3, Clique4) the two engines run the one driver to the same
+/// numbers, every `EngineStats` field included.
+#[test]
+fn lftj_and_ctj_agree_in_every_field_without_a_cache_spec() {
+    let c = catalog();
+    for p in [Pattern::Cycle3, Pattern::Clique4] {
+        let plan = CompiledQuery::compile(&p.query()).unwrap();
+        assert!(plan.cache_specs().is_empty(), "{p} has no cache spec");
+        let lftj = Lftj::new()
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        let ctj = Ctj::new()
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!(lftj, ctj, "{p}");
     }
 }
