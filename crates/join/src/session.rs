@@ -58,7 +58,7 @@ use std::time::Duration;
 
 use triejax_exec::{CancelToken, NoBudget, WorkerPool};
 use triejax_query::{CompiledQuery, VarId};
-use triejax_relation::{Counting, NoTally, Relation, RelationDelta, Value};
+use triejax_relation::{NoTally, Relation, RelationDelta, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
 use crate::cache::NoPjr;
@@ -779,6 +779,11 @@ impl QueryHandle {
     /// Runs the query synchronously on the calling thread, pushing every
     /// result row into `sink` in exact sequential order.
     ///
+    /// Sessions serve untallied ([`NoTally`]): the returned stats carry
+    /// result, operation, shard and cache counters but no memory-access
+    /// counts. For paper figures, run an engine's
+    /// [`JoinEngine::execute`](crate::JoinEngine::execute) instead.
+    ///
     /// # Errors
     ///
     /// Propagates the engine's [`JoinError`]; a budget-terminated run
@@ -823,7 +828,8 @@ impl QueryHandle {
             cancel: token,
             ..self.opts.clone()
         };
-        run_parallel::<Counting>(&opts, &self.plan, &self.catalog, Some(&self.deltas), sink)
+        run_parallel::<NoTally>(&opts, &self.plan, &self.catalog, Some(&self.deltas), sink)
+            .map(|stats| stats.to_counting())
     }
 }
 
@@ -873,7 +879,10 @@ impl ResultStream {
     /// The engine's final result, available once the stream is exhausted
     /// (iteration returned `None`): the run's [`EngineStats`] on success,
     /// or the [`JoinError`] — e.g. `Cancelled` after a row limit truncated
-    /// the stream. `None` while tuples may still arrive.
+    /// the stream. `None` while tuples may still arrive. As with
+    /// [`QueryHandle::run`], the stats carry no memory-access counts; an
+    /// engine's [`JoinEngine::execute`](crate::JoinEngine::execute) gives
+    /// the paper figures.
     pub fn outcome(&mut self) -> Option<&Result<EngineStats, JoinError>> {
         if self.outcome.is_none() && self.rx.is_none() {
             self.join_worker();

@@ -505,12 +505,16 @@ mod tests {
 
     #[test]
     fn byte_bound_is_exact_after_every_insert() {
-        let r = rel(0, 16);
-        let one = arc_trie(&r).bytes();
+        // A trie's bytes include its root directory, which is sized by the
+        // largest root value: every relation here shares the root 0..16 so
+        // every trie has the same bytes.
+        let shaped = |i: u32| Relation::from_pairs((0..16u32).map(|j| (j, i * 31 + j)));
+        let one = arc_trie(&shaped(0)).bytes();
+        assert!((1..10).all(|i| arc_trie(&shaped(i)).bytes() == one));
         // Room for exactly two entries of this shape.
         let cache = TrieCache::new(Some(2 * one));
         for i in 0..10u32 {
-            let ri = rel(i, 16);
+            let ri = shaped(i);
             cache.insert("G", TrieCache::fingerprint(&ri), &[0, 1], arc_trie(&ri));
             assert!(
                 cache.bytes() <= 2 * one,
@@ -522,7 +526,7 @@ mod tests {
         assert_eq!(cache.evictions(), 8, "each overflowing insert evicts");
         assert_eq!(cache.len(), 2);
         // The newest entry survived its own insert's eviction pass.
-        let last = rel(9, 16);
+        let last = shaped(9);
         assert!(cache
             .lookup("G", TrieCache::fingerprint(&last), &[0, 1])
             .is_some());

@@ -36,6 +36,8 @@ pub struct TrieCursor<'a> {
     /// `Copy` borrows into the trie's flat word buffer; `open` reads the
     /// child range from one and cuts the next frame's slice from another.
     levels: Vec<TrieLevel<'a>>,
+    /// The trie's root directory (empty when it has none).
+    root_dir: &'a [u32],
     /// One frame per open level.
     frames: Vec<Frame<'a>>,
 }
@@ -59,6 +61,7 @@ impl<'a> TrieCursor<'a> {
         TrieCursor {
             trie,
             levels: (0..trie.arity()).map(|i| trie.level(i)).collect(),
+            root_dir: trie.root_dir(),
             frames: Vec::with_capacity(trie.arity()),
         }
     }
@@ -419,15 +422,29 @@ impl<'a> TrieCursor<'a> {
     ///
     /// Seeking is forward-only: positions before the current one are never
     /// revisited, as required by LeapFrog TrieJoin. The search itself is
-    /// [`seek_in`] over the frame's sibling slice.
+    /// [`seek_in`] over the frame's sibling slice — the sorted-array search
+    /// the paper's LUB unit performs, probe for probe under [`crate::Counting`].
+    ///
+    /// The one exception is an untallied ([`crate::NoTally`]) seek on the
+    /// root level of a trie with a root directory: there the lower bound
+    /// over the whole root is one table read, clamped into the frame's
+    /// `[pos, end]` (so shard-clamped root frames stay exact). Both paths
+    /// land on the same position.
     ///
     /// # Panics
     ///
     /// Panics if the cursor is above the root or already at the end.
     #[inline]
     pub fn seek<T: Tally>(&mut self, v: Value, counter: &mut T) -> bool {
+        let dir = self.root_dir;
+        let at_root = self.frames.len() == 1;
         let f = self.top_mut();
-        f.pos = seek_in(f.sib, f.pos, v, counter);
+        f.pos = if !T::ENABLED && at_root && !dir.is_empty() {
+            let lub = dir.get(v as usize).map_or(usize::MAX, |&d| d as usize);
+            lub.max(f.pos).min(f.sib.len())
+        } else {
+            seek_in(f.sib, f.pos, v, counter)
+        };
         f.pos < f.sib.len()
     }
 }
@@ -496,7 +513,7 @@ pub(crate) fn lower_bound<T: Tally>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessCounter, Relation};
+    use crate::{AccessCounter, NoTally, Relation};
 
     fn trie() -> Trie {
         // Level 0: [1, 3, 7]; children: 1 -> [2, 5], 3 -> [4], 7 -> [1, 9]
@@ -549,6 +566,94 @@ mod tests {
             assert_eq!((pos, c.index_reads), (lands, reads), "seek_in {v}");
             assert_eq!(c.index_bytes, reads * WORD_BYTES);
         }
+    }
+
+    /// Where a cursor stands: at-end flag and unvisited siblings.
+    fn stand(cur: &TrieCursor) -> (bool, usize) {
+        (cur.at_end(), cur.sibling_slice().len())
+    }
+
+    /// Seeks every probe in `0..=max + 2` (capped) plus `u32::MAX` on the
+    /// root, from a fresh open and as one ascending sequence, with an
+    /// untallied and a tallied cursor: both must land on the same positions.
+    fn untallied_root_seeks_match_the_gallop(t: &Trie) {
+        let top = t
+            .level(0)
+            .values()
+            .last()
+            .map_or(0, |&m| m.saturating_add(2));
+        let probes: Vec<Value> = (0..=top.min(1 << 12)).chain([top, Value::MAX]).collect();
+        let (mut fast, mut slow) = (TrieCursor::new(t), TrieCursor::new(t));
+        let mut c = AccessCounter::default();
+        if !slow.open(&mut c) {
+            assert!(!fast.open(&mut NoTally));
+            return;
+        }
+        for &v in &probes {
+            let (mut f, mut s) = (TrieCursor::new(t), TrieCursor::new(t));
+            f.open(&mut NoTally);
+            s.open(&mut c);
+            assert_eq!(f.seek(v, &mut NoTally), s.seek(v, &mut c), "seek {v}");
+            assert_eq!(stand(&f), stand(&s), "seek {v}");
+        }
+        fast.open(&mut NoTally);
+        for &v in &probes {
+            if slow.at_end() {
+                break;
+            }
+            assert_eq!(fast.seek(v, &mut NoTally), slow.seek(v, &mut c), "seek {v}");
+            assert_eq!(stand(&fast), stand(&slow), "seek {v}");
+        }
+    }
+
+    #[test]
+    fn untallied_root_seeks_land_where_the_gallop_does() {
+        let roots =
+            |vals: &[Value]| Trie::build(&Relation::from_pairs(vals.iter().map(|&x| (x, 7))));
+        // Last root value u32::MAX - 1: too sparse for a directory.
+        let huge = roots(&[0, 5, u32::MAX - 1]);
+        assert!(huge.root_dir().is_empty());
+        // Exactly at the density cap: max + 2 == 2 * len.
+        let at_cap = roots(&[0, 3, 4, 6]);
+        assert_eq!(at_cap.root_dir().len(), 8);
+        // Arity 1, where the root is also the leaf.
+        let unary = Trie::build(
+            &Relation::from_tuples(
+                1,
+                (0..40u32).step_by(2).map(|v| vec![v]).collect::<Vec<_>>(),
+            )
+            .unwrap(),
+        );
+        assert!(!unary.root_dir().is_empty());
+        for t in [
+            huge,
+            at_cap,
+            unary,
+            trie(),
+            Trie::build(&Relation::new(2).unwrap()),
+        ] {
+            untallied_root_seeks_match_the_gallop(&t);
+        }
+    }
+
+    #[test]
+    fn untallied_root_seek_respects_a_clamped_frame() {
+        // Root 0..20 with a directory; a shard owning [5, 12).
+        let t = Trie::build(&Relation::from_pairs((0..20u32).map(|x| (x, x))));
+        assert!(!t.root_dir().is_empty());
+        let mut cur = TrieCursor::new(&t);
+        assert!(cur.open_root_range(5, Some(12), &mut NoTally));
+        assert!(
+            cur.seek(2, &mut NoTally),
+            "behind the frame start stays put"
+        );
+        assert_eq!(cur.key(), 5);
+        assert!(cur.seek(9, &mut NoTally));
+        assert_eq!(cur.key(), 9);
+        assert!(cur.seek(3, &mut NoTally), "seeks never move backwards");
+        assert_eq!(cur.key(), 9);
+        assert!(!cur.seek(12, &mut NoTally), "the shard ends before 12");
+        assert_eq!(cur.sibling_range(), (5, 12));
     }
 
     #[test]

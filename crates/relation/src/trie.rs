@@ -100,6 +100,12 @@ struct LevelMeta {
 /// [`Trie::from_parts`] validates and re-adopts it, so a trie can be copied
 /// byte-for-byte to disk and back ("relocated") without rebuilding.
 ///
+/// Beside the buffer sits one derived, never-serialized table: when the
+/// root level is dense, a *root directory* mapping every value `v` up to
+/// one past the largest root value to the root's lower bound of `v`.
+/// Untallied cursors answer a root-level seek with one read of it instead
+/// of a galloping search; see [`TrieCursor::seek`](crate::TrieCursor::seek).
+///
 /// # Example
 ///
 /// ```
@@ -118,6 +124,40 @@ pub struct Trie {
     words: Vec<u32>,
     meta: Vec<LevelMeta>,
     tuple_count: usize,
+    /// `root_dir[v]` is the first root position whose value is `>= v`,
+    /// for `v` in `0..=max + 1`; empty when the root is too sparse (see
+    /// [`root_directory`]). Derived from `words`, so never serialized.
+    root_dir: Vec<u32>,
+}
+
+/// Most words the root directory may spend per root value. A root whose
+/// largest value `max` needs more (`max + 2 > 2 * len`) gets none, so
+/// sparse ids — or a corrupted store frame claiming a huge `max` — never
+/// cause an allocation larger than twice the root level itself.
+const ROOT_DIR_WORDS_PER_VALUE: usize = 2;
+
+/// Builds the root directory of the root level `values`: entry `v` is the
+/// lower bound of `v` in `values`, for every `v` in `0..=max + 1` where
+/// `max` is the last value. Empty when `values` is empty or the table
+/// would exceed [`ROOT_DIR_WORDS_PER_VALUE`] words per value. Never panics,
+/// whatever `values` holds.
+fn root_directory(values: &[Value]) -> Vec<u32> {
+    let Some(&max) = values.last() else {
+        return Vec::new();
+    };
+    let entries = max as usize + 2;
+    if entries > ROOT_DIR_WORDS_PER_VALUE * values.len() || u32::try_from(values.len()).is_err() {
+        return Vec::new();
+    }
+    let mut dir = Vec::with_capacity(entries);
+    let mut i = 0;
+    for v in 0..entries {
+        while i < values.len() && (values[i] as usize) < v {
+            i += 1;
+        }
+        dir.push(i as u32);
+    }
+    dir
 }
 
 /// One level under construction: owned arrays with fragment-local offsets,
@@ -182,6 +222,9 @@ impl Trie {
             });
         }
         Trie {
+            root_dir: levels
+                .first()
+                .map_or_else(Vec::new, |l| root_directory(&l.values)),
             words,
             meta,
             tuple_count,
@@ -275,10 +318,14 @@ impl Trie {
                 found: tuple_count,
             });
         }
+        let root_dir = dims.first().map_or_else(Vec::new, |&(values_len, _)| {
+            root_directory(&words[..values_len])
+        });
         Ok(Trie {
             words,
             meta,
             tuple_count,
+            root_dir,
         })
     }
 
@@ -333,9 +380,18 @@ impl Trie {
             .collect()
     }
 
-    /// Total index footprint in bytes (values plus child-range words).
+    /// Total in-memory footprint in bytes: values, child-range words and
+    /// the derived root directory. The directory is never serialized, so a
+    /// stored trie's size is [`Trie::words`] alone; the resident size —
+    /// what a cache bounded in bytes must charge — includes it.
     pub fn bytes(&self) -> u64 {
-        self.words.len() as u64 * WORD_BYTES
+        (self.words.len() + self.root_dir.len()) as u64 * WORD_BYTES
+    }
+
+    /// The root directory (empty when the root is too sparse to have one).
+    #[inline]
+    pub(crate) fn root_dir(&self) -> &[u32] {
+        &self.root_dir
     }
 
     /// Places every level's arrays in the simulated address space.
@@ -674,8 +730,62 @@ mod tests {
     #[test]
     fn bytes_counts_all_words() {
         let trie = Trie::build(&figure6_r());
-        // 4 + 5 values, 5 child starts = 14 words.
-        assert_eq!(trie.bytes(), 14 * 4);
+        // 4 + 5 values, 5 child starts = 14 words, plus the root directory
+        // over 0..=5 (root [1, 2, 3, 4] is dense) = 6 words.
+        assert_eq!(trie.root_dir(), &[0, 0, 1, 2, 3, 4]);
+        assert_eq!(trie.bytes(), (14 + 6) * 4);
+        // A sparse root has no directory: only the stored words count.
+        let sparse = Trie::build(&Relation::from_pairs(vec![(1, 1), (90, 2)]));
+        assert!(sparse.root_dir().is_empty());
+        assert_eq!(sparse.bytes(), sparse.words().len() as u64 * 4);
+    }
+
+    #[test]
+    fn root_directory_exists_only_for_dense_roots() {
+        let pairs = |roots: &[Value]| Relation::from_pairs(roots.iter().map(|&x| (x, 0)));
+        // At the cap: max + 2 == 2 * len.
+        let at_cap = Trie::build(&pairs(&[0, 3, 4, 6]));
+        assert_eq!(at_cap.root_dir(), &[0, 1, 1, 1, 2, 3, 3, 4]);
+        // One past the cap.
+        assert!(Trie::build(&pairs(&[0, 3, 4, 7])).root_dir().is_empty());
+        // A root ending at u32::MAX - 1 (or u32::MAX): sizing the table
+        // neither overflows nor allocates.
+        for top in [u32::MAX - 1, u32::MAX] {
+            let huge = Trie::build(&pairs(&[0, 1, top]));
+            assert!(huge.root_dir().is_empty(), "root ending at {top}");
+        }
+        assert!(Trie::build(&Relation::new(2).unwrap())
+            .root_dir()
+            .is_empty());
+        // Arity 1: the root is the leaf level.
+        let unary = Relation::from_tuples(1, vec![vec![1u32], vec![2], vec![3]]).unwrap();
+        assert_eq!(Trie::build(&unary).root_dir(), &[0, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn from_parts_derives_the_directory_from_untrusted_roots() {
+        let trie = Trie::build(&figure6_r());
+        let rebuilt = Trie::from_parts(
+            trie.words().to_vec(),
+            &trie.level_dims(),
+            trie.tuple_count(),
+        )
+        .unwrap();
+        assert_eq!(rebuilt.root_dir(), trie.root_dir());
+        assert_eq!(rebuilt.bytes(), trie.bytes());
+        // A corrupted root claiming a huge last value: no directory, no
+        // large allocation.
+        let mut words = trie.words().to_vec();
+        words[3] = u32::MAX - 1;
+        let lying = Trie::from_parts(words, &trie.level_dims(), trie.tuple_count()).unwrap();
+        assert!(lying.root_dir().is_empty());
+        // An unsorted root within the cap still builds a bounded table
+        // without panicking.
+        let mut words = trie.words().to_vec();
+        words[..4].copy_from_slice(&[5, 0, 4, 2]);
+        let unsorted = Trie::from_parts(words, &trie.level_dims(), trie.tuple_count()).unwrap();
+        assert_eq!(unsorted.root_dir().len(), 4);
+        assert!(unsorted.root_dir().iter().all(|&d| d <= 4));
     }
 
     #[test]

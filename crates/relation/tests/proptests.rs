@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use triejax_exec::WorkerPool;
 use triejax_relation::{
-    AccessCounter, JoinCursor, MergeCursor, Relation, RelationDelta, Trie, TrieCursor, Value,
+    AccessCounter, JoinCursor, MergeCursor, NoTally, Relation, RelationDelta, Trie, TrieCursor,
+    Value,
 };
 
 fn arb_tuples(
@@ -189,6 +190,53 @@ proptest! {
         }
         // Keep the borrow checker quiet about `vals` mutability lint.
         vals.clear();
+    }
+
+    /// An untallied seek lands where the tallied one does — same answer,
+    /// position, at-end flag and key — on dense roots (which usually carry
+    /// a root directory) and roots spread ×1000 (which never do), inside a
+    /// random `open_root_range` clamp, over seek sequences that mix
+    /// `max + 1`, targets past `max`, targets behind the current key and
+    /// forward strides.
+    #[test]
+    fn untallied_seek_equals_tallied_seek(
+        roots in prop::collection::btree_set(0u32..48, 1..40),
+        spread in prop::sample::select(vec![1u32, 1000]),
+        (min, width) in (0u32..56, 0u32..56),
+        seeks in prop::collection::vec((0u8..4, 0u32..64), 1..40),
+    ) {
+        let trie = Trie::build(&Relation::from_pairs(roots.iter().map(|&x| (x * spread, x))));
+        // The directory is the only resident word beyond the stored ones,
+        // and exists exactly when `max + 2 <= 2 * len`.
+        let max = roots.last().unwrap() * spread;
+        let has_dir = trie.bytes() > trie.words().len() as u64 * 4;
+        prop_assert_eq!(has_dir, max as usize + 2 <= 2 * roots.len());
+        let (min, sup) = (min * spread, (width > 0).then_some((min + width) * spread));
+
+        let (mut fast, mut slow) = (TrieCursor::new(&trie), TrieCursor::new(&trie));
+        let mut c = AccessCounter::default();
+        let opened = slow.open_root_range(min, sup, &mut c);
+        prop_assert_eq!(fast.open_root_range(min, sup, &mut NoTally), opened);
+        prop_assume!(opened);
+        for (i, (kind, w)) in seeks.into_iter().enumerate() {
+            if slow.at_end() {
+                break;
+            }
+            let key = slow.key();
+            let v = match kind {
+                0 => max + 1,
+                1 => max + 1 + w,
+                2 => key.saturating_sub(w),
+                _ => key + w * spread / 4,
+            };
+            let found = slow.seek(v, &mut c);
+            prop_assert_eq!(fast.seek(v, &mut NoTally), found, "seek {} to {}", i, v);
+            prop_assert_eq!(fast.at_end(), slow.at_end(), "seek {} to {}", i, v);
+            prop_assert_eq!(fast.sibling_slice(), slow.sibling_slice(), "seek {} to {}", i, v);
+            if found {
+                prop_assert_eq!((fast.pos(), fast.key()), (slow.pos(), slow.key()));
+            }
+        }
     }
 
     /// Parallel trie construction is byte-identical to the sequential

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use triejax_join::Catalog;
 use triejax_join::{CollectSink, JoinEngine, Lftj, Session};
 use triejax_query::{patterns::Pattern, CompiledQuery};
-use triejax_relation::Relation;
+use triejax_relation::{Relation, Trie};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 7];
 
@@ -149,6 +149,40 @@ fn interleaved_streams_on_one_session_stay_independent() {
     assert_eq!(got_a, want_cycle);
     assert_eq!(got_b, want_path);
     assert!(a.next().is_none() && b.next().is_none());
+}
+
+/// Sessions seek the root level through a root directory only when the
+/// root ids are dense. On ids spread ×1000 no trie has one, and `run()`
+/// and `stream()` still deliver the sequential order on every paper
+/// pattern and pool size.
+#[test]
+fn sparse_ids_serve_the_sequential_order() {
+    let edges: Vec<(u32, u32)> = (0..14u32)
+        .flat_map(|a| (0..14u32).map(move |b| (a, b)))
+        .filter(|&(a, b)| a != b && (a * 7 + b) % 3 != 0)
+        .map(|(a, b)| (a * 1000, b * 1000))
+        .collect();
+    let forward = Relation::from_pairs(edges.clone());
+    for trie in [
+        Trie::build(&forward),
+        Trie::build(&forward.permute(&[1, 0])),
+    ] {
+        assert_eq!(trie.bytes(), trie.words().len() as u64 * 4, "no directory");
+    }
+    let catalog = catalog_from(edges);
+    for pattern in Pattern::PAPER {
+        let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
+        let reference = sequential(&plan, &catalog);
+        assert!(!reference.is_empty(), "{pattern:?} has results");
+        for pool in [1, 2] {
+            let session = Session::new(catalog.clone()).with_pool(pool);
+            let mut sink = CollectSink::new();
+            session.query(&plan).run(&mut sink).expect("runs");
+            assert_eq!(sink.tuples(), &reference[..], "run {pattern:?} pool={pool}");
+            let got: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+            assert_eq!(got, reference, "stream {pattern:?} pool={pool}");
+        }
+    }
 }
 
 /// Streams served from a reopened store behave identically to streams on
