@@ -208,11 +208,81 @@ impl<'s> SliceLeapfrog<'s> {
     }
 }
 
+/// The last join variable's intersection as word ANDs over the members'
+/// presence bitmaps ([`JoinCursor::sibling_bits`]), for untallied runs over
+/// tries that keep leaf bitmaps.
+///
+/// It ANDs the members' words up to the shortest bitmap and walks the set
+/// bits in ascending order, so it yields exactly the values
+/// [`SliceLeapfrog`] matches, in the same order. It does different work
+/// though, and counts it by its own rule: one `match_op` per intersection
+/// ([`search`](Self::search)) plus one per yielded value, and no
+/// `lub_ops` — there is no search. It records no memory access; tallied
+/// runs keep the sorted-array kernel, which models the paper's LUB unit.
+pub(crate) struct BitLeapfrog<'s> {
+    sets: [&'s [u64]; SLICE_MEMBERS],
+    k: usize,
+    /// Words every member has: the shortest bitmap's length.
+    words: usize,
+    /// Next word to AND, and the unvisited set bits of the previous one.
+    w: usize,
+    bits: u64,
+}
+
+impl<'s> BitLeapfrog<'s> {
+    /// A bitmap intersection of what `members` have on their deepest open
+    /// level; `None` when there are none or more than [`SLICE_MEMBERS`] of
+    /// them, or one cannot hand out a bitmap.
+    pub(crate) fn over<Cur: JoinCursor>(cursors: &'s [Cur], members: &[usize]) -> Option<Self> {
+        if !(1..=SLICE_MEMBERS).contains(&members.len()) {
+            return None;
+        }
+        let mut lf = BitLeapfrog {
+            sets: [&[]; SLICE_MEMBERS],
+            k: members.len(),
+            words: usize::MAX,
+            w: 0,
+            bits: 0,
+        };
+        for (i, &m) in members.iter().enumerate() {
+            lf.sets[i] = cursors[m].sibling_bits()?;
+            lf.words = lf.words.min(lf.sets[i].len());
+        }
+        Some(lf)
+    }
+
+    /// The first common value, counting the intersection.
+    #[inline]
+    pub(crate) fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+        stats.match_ops += 1;
+        self.next(stats)
+    }
+
+    /// The next common value in ascending order.
+    #[inline]
+    pub(crate) fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+        while self.bits == 0 {
+            if self.w >= self.words {
+                return None;
+            }
+            let w = self.w;
+            self.bits = self.sets[1..self.k]
+                .iter()
+                .fold(self.sets[0][w], |acc, s| acc & s[w]);
+            self.w += 1;
+        }
+        let bit = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        stats.match_ops += 1;
+        Some(((self.w - 1) * 64 + bit) as Value)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use triejax_relation::{AccessCounter, Counting, Relation, Trie, TrieCursor};
+    use triejax_relation::{AccessCounter, Counting, NoTally, Relation, Trie, TrieCursor};
 
     fn unary(vals: &[Value]) -> Trie {
         Trie::build(
@@ -326,6 +396,37 @@ mod tests {
             let (by_cursor, by_slice) = both_ways(&sets, &skips);
             prop_assert_eq!(Some(&by_cursor), by_slice.as_ref());
         }
+    }
+
+    #[test]
+    fn bit_kernel_counts_one_match_per_intersection_and_per_value() {
+        // Dense unary tries keep a one-parent leaf bitmap; 70 and 130 put
+        // matches past the first word and the sets' bitmaps differ in length.
+        let sets: [&[Value]; 3] = [
+            &[1, 4, 6, 9, 11, 70, 130],
+            &[0, 4, 9, 11, 70, 71, 130],
+            &[4, 5, 9, 70, 100],
+        ];
+        let tries: Vec<Trie> = sets.iter().map(|s| unary(s)).collect();
+        let mut cursors: Vec<TrieCursor> = tries.iter().map(TrieCursor::new).collect();
+        for c in &mut cursors {
+            assert!(c.has_leaf_bits());
+            assert!(c.open(&mut NoTally));
+        }
+        let mut lf = BitLeapfrog::over(&cursors, &[0, 1, 2]).expect("whole leaf frames");
+        let mut stats = EngineStats::<NoTally>::default();
+        let mut out = Vec::new();
+        let mut m = lf.search(&mut stats);
+        while let Some(v) = m {
+            out.push(v);
+            m = lf.next(&mut stats);
+        }
+        assert_eq!(out, run_leapfrog(&sets));
+        assert_eq!(out, vec![4, 9, 70]);
+        assert_eq!((stats.match_ops, stats.lub_ops), (1 + 3, 0));
+        // An advanced member hands out no bitmap: the driver falls back.
+        cursors[1].next(&mut NoTally);
+        assert!(BitLeapfrog::over(&cursors, &[0, 1, 2]).is_none());
     }
 
     #[test]

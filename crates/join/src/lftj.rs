@@ -4,7 +4,7 @@ use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Valu
 
 use crate::cache::{Looked, NoPjr, PjrStore};
 use crate::engine::head_slots;
-use crate::leapfrog::SliceLeapfrog;
+use crate::leapfrog::{BitLeapfrog, SliceLeapfrog, SLICE_MEMBERS};
 use crate::shard::{try_split_at, NoSplit, SplitSpawn};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
@@ -196,6 +196,11 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     /// Per level: the upper bound committed splits have clamped it to
     /// (`None` until a split donates a tail there). Reset on level entry.
     sup_at: Vec<Option<Value>>,
+    /// Whether the last level tries [`BitLeapfrog`] first: an untallied
+    /// run whose last variable joins 2..=[`SLICE_MEMBERS`] cursors that all
+    /// keep leaf bitmaps. Decided once here, so runs without bitmaps never
+    /// ask for them.
+    bit_leaf: bool,
     budget: B,
     pub(crate) stats: EngineStats<T>,
 }
@@ -209,13 +214,18 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         cache: P,
         budget: B,
     ) -> Result<Self, JoinError> {
-        let cursors = (0..plan.atom_plans().len())
+        let cursors: Vec<Cur> = (0..plan.atom_plans().len())
             .map(|i| set.cursor(i))
             .collect();
         let n = plan.arity();
-        let members_at = (0..n)
+        let members_at: Vec<Vec<usize>> = (0..n)
             .map(|d| plan.atoms_at(d).iter().map(|&(a, _)| a).collect())
             .collect();
+        let bit_leaf = !T::ENABLED
+            && members_at.last().is_some_and(|m| {
+                (2..=SLICE_MEMBERS).contains(&m.len())
+                    && m.iter().all(|&a| cursors[a].has_leaf_bits())
+            });
         Ok(Driver {
             plan,
             cursors,
@@ -229,6 +239,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             range_min: 0,
             range_sup: None,
             sup_at: vec![None; n],
+            bit_leaf,
             budget,
             stats: EngineStats::default(),
         })
@@ -433,6 +444,11 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
     /// (so its tail is never donated). `None` (nothing done) otherwise or
     /// when the level has no slice form; else whether the budget let the
     /// level run to its end.
+    ///
+    /// A level that records nothing runs as a [`BitLeapfrog`] instead when
+    /// [`Self::bit_leaf`] allows it and every member hands out a bitmap:
+    /// the same rows in the same order, as word ANDs. A recording level
+    /// keeps the sorted kernel, whose positions the cache entry stores.
     fn leaf_level(
         &mut self,
         d: usize,
@@ -446,23 +462,39 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         }
         // Out of `self` so the slices can outlive the `&mut self` emits.
         let cursors = std::mem::take(&mut self.cursors);
-        let live = SliceLeapfrog::over(&cursors, members).map(|mut lf| {
-            let mut m = lf.search(&mut self.stats);
-            while let Some(v) = m {
-                self.binding[d] = v;
-                if P::CACHING
-                    && pending.is_some()
-                    && !self.record(pending, v, lf.cache_positions(&cursors, members))
-                {
-                    return false;
+        let live = (self.bit_leaf && !(P::CACHING && pending.is_some()))
+            .then(|| BitLeapfrog::over(&cursors, members))
+            .flatten()
+            .map(|mut lf| {
+                let mut m = lf.search(&mut self.stats);
+                while let Some(v) = m {
+                    self.binding[d] = v;
+                    if !self.emit_result(sink) {
+                        return false;
+                    }
+                    m = lf.next(&mut self.stats);
                 }
-                if !self.emit_result(sink) {
-                    return false;
-                }
-                m = lf.next(&mut self.stats);
-            }
-            true
-        });
+                true
+            })
+            .or_else(|| {
+                SliceLeapfrog::over(&cursors, members).map(|mut lf| {
+                    let mut m = lf.search(&mut self.stats);
+                    while let Some(v) = m {
+                        self.binding[d] = v;
+                        if P::CACHING
+                            && pending.is_some()
+                            && !self.record(pending, v, lf.cache_positions(&cursors, members))
+                        {
+                            return false;
+                        }
+                        if !self.emit_result(sink) {
+                            return false;
+                        }
+                        m = lf.next(&mut self.stats);
+                    }
+                    true
+                })
+            });
         self.cursors = cursors;
         live
     }
@@ -692,25 +724,37 @@ mod tests {
 
     #[test]
     fn untallied_run_matches_counting_run() {
-        let c = catalog(&[(0, 1), (1, 2), (2, 0), (2, 3), (3, 1), (0, 2), (1, 3)]);
-        for q in [patterns::path3(), patterns::cycle3(), patterns::clique4()] {
-            let plan = CompiledQuery::compile(&q).unwrap();
-            let mut counting = CollectSink::new();
-            let cs = Lftj::new()
-                .run_tallied::<Counting>(&plan, &c, &mut counting)
-                .unwrap();
-            let mut fast = CollectSink::new();
-            let fs = Lftj::new()
-                .run_tallied::<NoTally>(&plan, &c, &mut fast)
-                .unwrap();
-            // Tuple-for-tuple identical, including emission order.
-            assert_eq!(counting.tuples(), fast.tuples(), "{}", q.name());
-            // Same discrete work, no access accounting.
-            assert_eq!(cs.lub_ops, fs.lub_ops);
-            assert_eq!(cs.match_ops, fs.match_ops);
-            assert_eq!(cs.results, fs.results);
-            assert!(cs.memory_accesses() > 0);
-            assert_eq!(fs.memory_accesses(), 0);
+        let edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 1), (0, 2), (1, 3)];
+        // The same graph with ids spread x1000: leaves too sparse for
+        // bitmaps, so the untallied run does the counting run's work.
+        let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
+        for (c, bitmaps) in [(catalog(&edges), true), (catalog(&spread), false)] {
+            for q in [patterns::path3(), patterns::cycle3(), patterns::clique4()] {
+                let plan = CompiledQuery::compile(&q).unwrap();
+                let mut counting = CollectSink::new();
+                let cs = Lftj::new()
+                    .run_tallied::<Counting>(&plan, &c, &mut counting)
+                    .unwrap();
+                let mut fast = CollectSink::new();
+                let fs = Lftj::new()
+                    .run_tallied::<NoTally>(&plan, &c, &mut fast)
+                    .unwrap();
+                // Tuple-for-tuple identical, including emission order.
+                assert_eq!(counting.tuples(), fast.tuples(), "{}", q.name());
+                assert_eq!(cs.results, fs.results);
+                assert_eq!(cs.expand_ops, fs.expand_ops);
+                assert!(cs.memory_accesses() > 0);
+                assert_eq!(fs.memory_accesses(), 0);
+                // Path3's last variable joins one atom, so only Cycle3 and
+                // Clique4 intersect bitmaps; elsewhere the work is the same.
+                let bit_leaf = bitmaps && q.name() != "path3";
+                assert_eq!(
+                    (cs.lub_ops, cs.match_ops) == (fs.lub_ops, fs.match_ops),
+                    !bit_leaf,
+                    "{}",
+                    q.name()
+                );
+            }
         }
     }
 

@@ -1,3 +1,5 @@
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
 use triejax_exec::OrderedMerge;
 use triejax_relation::Value;
 
@@ -261,9 +263,15 @@ impl ResultSink for ShardSink<'_> {
 
     fn redirect_lane(&mut self, lane: usize) {
         debug_assert_ne!(lane, self.lane, "redirect must move to a fresh lane");
-        self.flush();
+        // The caller already took `lane` off the split handle, so from here
+        // this sink answers for it: adopt it even when the flush unwinds,
+        // and drop then closes it.
+        let flushed = catch_unwind(AssertUnwindSafe(|| self.flush()));
         self.merge.finish(self.lane);
         self.lane = lane;
+        if let Err(payload) = flushed {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -271,11 +279,14 @@ impl Drop for ShardSink<'_> {
     fn drop(&mut self) {
         // When the shard body panicked, only the lane close matters (it
         // unblocks the drainer); flushing would hand the truncated
-        // mid-shard buffer downstream as if it were valid output.
-        if !std::thread::panicking() {
-            self.flush();
-        }
+        // mid-shard buffer downstream as if it were valid output. A flush
+        // that panics itself still closes the lane before unwinding on.
+        let flushed =
+            (!std::thread::panicking()).then(|| catch_unwind(AssertUnwindSafe(|| self.flush())));
         self.merge.finish(self.lane);
+        if let Some(Err(payload)) = flushed {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -440,6 +451,67 @@ mod tests {
         let mut rows: Vec<Value> = Vec::new();
         merge.drain(|batch| rows.extend(batch));
         assert_eq!(rows, vec![1, 1, 5, 5, 9, 9]);
+    }
+
+    /// Drains `merge` on its own thread: the rows, or `None` when the drain
+    /// is still blocked after a few seconds on a lane nobody finished.
+    #[cfg(feature = "faults")]
+    fn drain_within(merge: std::sync::Arc<OrderedMerge<Vec<Value>>>) -> Option<Vec<Value>> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Joined only when it finishes in time: a blocked drain cannot be.
+        let drainer = std::thread::spawn(move || {
+            let mut rows = Vec::new();
+            merge.drain(|b| rows.extend(b));
+            let _ = tx.send(rows);
+        });
+        let rows = rx.recv_timeout(std::time::Duration::from_secs(5)).ok()?;
+        drainer.join().expect("the drain does not panic");
+        Some(rows)
+    }
+
+    /// A flush that panics inside the merge push — the final one on drop,
+    /// or the one `redirect_lane` makes before leaving its lane — still
+    /// closes every lane the sink answers for, including the continuation
+    /// it was moving to, so the drain ends.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_panicking_flush_still_closes_every_lane() {
+        use crate::faults::{self, FaultAction, FaultEvent, FaultPlan, FaultRule};
+        use std::sync::Arc;
+
+        // A worker id no pool uses, so sibling tests' pushes never match.
+        const ME: usize = 7_919;
+        let fail_first_push = || {
+            faults::install(FaultPlan::new().rule(FaultRule {
+                worker: Some(ME),
+                event: FaultEvent::MergePush,
+                ordinal: 0,
+                action: FaultAction::Panic,
+            }))
+        };
+        faults::set_worker(ME);
+
+        let merge = Arc::new(OrderedMerge::new(1));
+        let guard = fail_first_push();
+        let dropped = catch_unwind(AssertUnwindSafe(|| {
+            ShardSink::new(&merge, 0, 1).push(&[1]);
+        }));
+        drop(guard);
+        assert!(dropped.is_err(), "the final flush panicked");
+        assert_eq!(drain_within(merge), Some(vec![]), "drop closed the lane");
+
+        let merge = Arc::new(OrderedMerge::new(1));
+        let cont = merge.open_lane_after(0);
+        let guard = fail_first_push();
+        let redirected = catch_unwind(AssertUnwindSafe(|| {
+            let mut sink = ShardSink::new(&merge, 0, 1);
+            sink.push(&[1]);
+            sink.redirect_lane(cont);
+        }));
+        drop(guard);
+        faults::set_worker(faults::NOT_A_WORKER);
+        assert!(redirected.is_err(), "the redirect's flush panicked");
+        assert_eq!(drain_within(merge), Some(vec![]), "both lanes closed");
     }
 
     #[test]

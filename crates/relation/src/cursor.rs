@@ -38,6 +38,10 @@ pub struct TrieCursor<'a> {
     levels: Vec<TrieLevel<'a>>,
     /// The trie's root directory (empty when it has none).
     root_dir: &'a [u32],
+    /// The trie's leaf bitmaps and words per parent node (`0` when it has
+    /// none).
+    leaf_bits: &'a [u64],
+    leaf_words: usize,
     /// One frame per open level.
     frames: Vec<Frame<'a>>,
 }
@@ -58,10 +62,13 @@ struct Frame<'a> {
 impl<'a> TrieCursor<'a> {
     /// Creates a cursor positioned above the root of `trie`.
     pub fn new(trie: &'a Trie) -> Self {
+        let (leaf_bits, leaf_words) = trie.leaf_bits();
         TrieCursor {
             trie,
             levels: (0..trie.arity()).map(|i| trie.level(i)).collect(),
             root_dir: trie.root_dir(),
+            leaf_bits,
+            leaf_words,
             frames: Vec::with_capacity(trie.arity()),
         }
     }
@@ -136,6 +143,46 @@ impl<'a> TrieCursor<'a> {
     pub fn sibling_slice(&self) -> &'a [Value] {
         let f = self.top();
         &f.sib[f.pos..]
+    }
+
+    /// `true` when the trie has leaf bitmaps, so a whole leaf frame can be
+    /// handed out by [`sibling_bits`](Self::sibling_bits).
+    #[inline]
+    pub fn has_leaf_bits(&self) -> bool {
+        self.leaf_words > 0
+    }
+
+    /// The open leaf level's siblings as a presence bitmap (bit `v` of word
+    /// `v / 64` set when `v` is a sibling), when the trie has leaf bitmaps
+    /// and the frame is the whole, unvisited child list of its parent —
+    /// what [`open`](Self::open) pushes. A frame shrunk by a range open or
+    /// [`clamp_sup`](Self::clamp_sup), or advanced by
+    /// [`next`](Self::next)/[`seek`](Self::seek), gets `None`: the bitmap
+    /// holds the whole list, so it equals
+    /// [`sibling_slice`](Self::sibling_slice) as a set exactly then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is above the root.
+    #[inline]
+    pub fn sibling_bits(&self) -> Option<&'a [u64]> {
+        let depth = self.frames.len();
+        if self.leaf_words == 0 || depth != self.levels.len() {
+            return None;
+        }
+        let f = self.top();
+        let (node, (lo, hi)) = match depth.checked_sub(2) {
+            Some(up) => {
+                let parent = self.frames[up].pos;
+                (parent, self.levels[up].child_range(parent))
+            }
+            None => (0, (0, self.levels[0].len())),
+        };
+        if f.pos != lo || f.lo != lo || f.sib.len() != hi {
+            return None;
+        }
+        let w = self.leaf_words;
+        Some(&self.leaf_bits[node * w..(node + 1) * w])
     }
 
     #[inline]

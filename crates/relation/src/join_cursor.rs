@@ -38,6 +38,10 @@ use crate::{Tally, TrieCursor, Value};
 /// * [`sibling_slice`](Self::sibling_slice) lets the engines run the last
 ///   join variable's leapfrog on bare sorted slices instead of through
 ///   the cursor, for cursors whose open level is one array.
+/// * [`has_leaf_bits`](Self::has_leaf_bits) /
+///   [`sibling_bits`](Self::sibling_bits) let untallied engines intersect
+///   the last join variable's sibling sets as presence bitmaps instead,
+///   for cursors whose trie keeps leaf bitmaps.
 /// * [`cache_pos`](Self::cache_pos) / [`reopen_at`](Self::reopen_at) are
 ///   the PJR-cache hooks: a computing driver records the positions a
 ///   cached entry stores, and a replaying driver re-descends from them.
@@ -113,6 +117,22 @@ pub trait JoinCursor {
     /// variable's leapfrog directly on these slices; a cursor that returns
     /// `None` (the default) is driven through `key`/`seek`/`next` instead.
     fn sibling_slice(&self) -> Option<&[Value]> {
+        None
+    }
+
+    /// `true` when [`sibling_bits`](Self::sibling_bits) can hand out a
+    /// bitmap for a whole leaf frame of this cursor; the engines decide
+    /// once per run whether the bitmap kernel is worth trying. `false` by
+    /// default.
+    fn has_leaf_bits(&self) -> bool {
+        false
+    }
+
+    /// The deepest open level's unvisited siblings as a presence bitmap
+    /// (bit `v` of word `v / 64` set when `v` is one), when the cursor
+    /// holds one for exactly that set; `None` (the default) otherwise. See
+    /// [`TrieCursor::sibling_bits`].
+    fn sibling_bits(&self) -> Option<&[u64]> {
         None
     }
 
@@ -204,6 +224,16 @@ impl<'a> JoinCursor for TrieCursor<'a> {
     #[inline]
     fn sibling_slice(&self) -> Option<&[Value]> {
         Some(TrieCursor::sibling_slice(self))
+    }
+
+    #[inline]
+    fn has_leaf_bits(&self) -> bool {
+        TrieCursor::has_leaf_bits(self)
+    }
+
+    #[inline]
+    fn sibling_bits(&self) -> Option<&[u64]> {
+        TrieCursor::sibling_bits(self)
     }
 
     #[inline]

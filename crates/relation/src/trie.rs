@@ -100,11 +100,18 @@ struct LevelMeta {
 /// [`Trie::from_parts`] validates and re-adopts it, so a trie can be copied
 /// byte-for-byte to disk and back ("relocated") without rebuilding.
 ///
-/// Beside the buffer sits one derived, never-serialized table: when the
-/// root level is dense, a *root directory* mapping every value `v` up to
-/// one past the largest root value to the root's lower bound of `v`.
-/// Untallied cursors answer a root-level seek with one read of it instead
-/// of a galloping search; see [`TrieCursor::seek`](crate::TrieCursor::seek).
+/// Beside the buffer sit two derived, never-serialized indexes, each
+/// built only while it costs at most two `u32` words per value of the
+/// level it indexes:
+///
+/// * a *root directory* mapping every value `v` up to one past the largest
+///   root value to the root's lower bound of `v`. Untallied cursors answer
+///   a root-level seek with one read of it instead of a galloping search;
+///   see [`TrieCursor::seek`](crate::TrieCursor::seek).
+/// * *leaf bitmaps*: per parent node of the leaf level, one presence bit
+///   per value `0..=max` of the leaf level. Untallied drivers intersect the
+///   last join variable's sibling sets as word ANDs over them; see
+///   [`TrieCursor::sibling_bits`](crate::TrieCursor::sibling_bits).
 ///
 /// # Example
 ///
@@ -128,25 +135,33 @@ pub struct Trie {
     /// for `v` in `0..=max + 1`; empty when the root is too sparse (see
     /// [`root_directory`]). Derived from `words`, so never serialized.
     root_dir: Vec<u32>,
+    /// The leaf bitmaps (see [`leaf_bitmaps`]): parent node `i`'s children
+    /// are the set bits of `leaf_bits[i * leaf_words..(i + 1) * leaf_words]`.
+    /// Empty, with `leaf_words == 0`, when the leaf level is too sparse.
+    /// Derived from `words`, so never serialized.
+    leaf_bits: Vec<u64>,
+    leaf_words: usize,
 }
 
-/// Most words the root directory may spend per root value. A root whose
-/// largest value `max` needs more (`max + 2 > 2 * len`) gets none, so
-/// sparse ids — or a corrupted store frame claiming a huge `max` — never
-/// cause an allocation larger than twice the root level itself.
-const ROOT_DIR_WORDS_PER_VALUE: usize = 2;
+/// Most `u32` words a derived index may spend per value of the level it
+/// indexes. A root whose largest value `max` needs more (`max + 2 > 2 *
+/// len`) gets no directory, and a leaf level whose bitmaps need more
+/// (`parents * (max / 64 + 1)` `u64` words `> len`) gets none, so sparse
+/// ids — or a corrupted store frame claiming a huge `max` — never cause an
+/// allocation larger than twice the indexed level itself.
+const DERIVED_WORDS_PER_VALUE: usize = 2;
 
 /// Builds the root directory of the root level `values`: entry `v` is the
 /// lower bound of `v` in `values`, for every `v` in `0..=max + 1` where
 /// `max` is the last value. Empty when `values` is empty or the table
-/// would exceed [`ROOT_DIR_WORDS_PER_VALUE`] words per value. Never panics,
+/// would exceed [`DERIVED_WORDS_PER_VALUE`] words per value. Never panics,
 /// whatever `values` holds.
 fn root_directory(values: &[Value]) -> Vec<u32> {
     let Some(&max) = values.last() else {
         return Vec::new();
     };
     let entries = max as usize + 2;
-    if entries > ROOT_DIR_WORDS_PER_VALUE * values.len() || u32::try_from(values.len()).is_err() {
+    if entries > DERIVED_WORDS_PER_VALUE * values.len() || u32::try_from(values.len()).is_err() {
         return Vec::new();
     }
     let mut dir = Vec::with_capacity(entries);
@@ -158,6 +173,37 @@ fn root_directory(values: &[Value]) -> Vec<u32> {
         dir.push(i as u32);
     }
     dir
+}
+
+/// Builds the leaf bitmaps of the leaf level `leaf`, whose parent nodes own
+/// the child ranges `starts[i]..starts[i + 1]` (`[0, leaf.len()]` when the
+/// leaf is the root): one bitmap of `W = max / 64 + 1` words per parent,
+/// where `max` is the largest leaf value, with bit `v` set when `v` is
+/// among that parent's children. Returns the bitmaps and `W`, or nothing
+/// when the leaf level is empty or the bitmaps would exceed
+/// [`DERIVED_WORDS_PER_VALUE`] `u32` words per leaf value. `starts` must
+/// be monotone and end at `leaf.len()` ([`Trie::from_parts`] checks it);
+/// the values themselves may be anything, unsorted or not.
+fn leaf_bitmaps(leaf: &[Value], starts: &[u32]) -> (Vec<u64>, usize) {
+    let Some(&max) = leaf.iter().max() else {
+        return (Vec::new(), 0);
+    };
+    let words = max as usize / 64 + 1;
+    let parents = starts.len().saturating_sub(1);
+    let fits = parents
+        .checked_mul(2 * words)
+        .is_some_and(|w| w <= DERIVED_WORDS_PER_VALUE * leaf.len());
+    if !fits {
+        return (Vec::new(), 0);
+    }
+    let mut bits = vec![0u64; parents * words];
+    for (i, w) in starts.windows(2).enumerate() {
+        let node = &mut bits[i * words..(i + 1) * words];
+        for &v in &leaf[w[0] as usize..w[1] as usize] {
+            node[v as usize / 64] |= 1 << (v % 64);
+        }
+    }
+    (bits, words)
 }
 
 /// One level under construction: owned arrays with fragment-local offsets,
@@ -222,13 +268,29 @@ impl Trie {
             });
         }
         Trie {
-            root_dir: levels
-                .first()
-                .map_or_else(Vec::new, |l| root_directory(&l.values)),
             words,
             meta,
             tuple_count,
+            ..Trie::default()
         }
+        .derive_indexes()
+    }
+
+    /// Builds the derived indexes — root directory and leaf bitmaps — from
+    /// the word buffer.
+    fn derive_indexes(mut self) -> Trie {
+        let Some(leaf) = self.arity().checked_sub(1) else {
+            return self;
+        };
+        self.root_dir = root_directory(self.level(0).values());
+        let values = self.level(leaf).values();
+        (self.leaf_bits, self.leaf_words) = match leaf.checked_sub(1) {
+            Some(parent) => leaf_bitmaps(values, self.level(parent).child_starts()),
+            // A root leaf: one parent owning the whole level.
+            None => u32::try_from(values.len())
+                .map_or((Vec::new(), 0), |len| leaf_bitmaps(values, &[0, len])),
+        };
+        self
     }
 
     /// Re-adopts a previously exported flat buffer (see [`Trie::words`] /
@@ -318,15 +380,13 @@ impl Trie {
                 found: tuple_count,
             });
         }
-        let root_dir = dims.first().map_or_else(Vec::new, |&(values_len, _)| {
-            root_directory(&words[..values_len])
-        });
         Ok(Trie {
             words,
             meta,
             tuple_count,
-            root_dir,
-        })
+            ..Trie::default()
+        }
+        .derive_indexes())
     }
 
     /// Number of attributes (trie depth).
@@ -381,17 +441,25 @@ impl Trie {
     }
 
     /// Total in-memory footprint in bytes: values, child-range words and
-    /// the derived root directory. The directory is never serialized, so a
-    /// stored trie's size is [`Trie::words`] alone; the resident size —
-    /// what a cache bounded in bytes must charge — includes it.
+    /// the derived root directory and leaf bitmaps. The derived indexes are
+    /// never serialized, so a stored trie's size is [`Trie::words`] alone;
+    /// the resident size — what a cache bounded in bytes must charge —
+    /// includes them.
     pub fn bytes(&self) -> u64 {
-        (self.words.len() + self.root_dir.len()) as u64 * WORD_BYTES
+        (self.words.len() + self.root_dir.len() + 2 * self.leaf_bits.len()) as u64 * WORD_BYTES
     }
 
     /// The root directory (empty when the root is too sparse to have one).
     #[inline]
     pub(crate) fn root_dir(&self) -> &[u32] {
         &self.root_dir
+    }
+
+    /// The leaf bitmaps and the words per parent node (empty and `0` when
+    /// the leaf level is too sparse to have them).
+    #[inline]
+    pub(crate) fn leaf_bits(&self) -> (&[u64], usize) {
+        (&self.leaf_bits, self.leaf_words)
     }
 
     /// Places every level's arrays in the simulated address space.
@@ -731,12 +799,18 @@ mod tests {
     fn bytes_counts_all_words() {
         let trie = Trie::build(&figure6_r());
         // 4 + 5 values, 5 child starts = 14 words, plus the root directory
-        // over 0..=5 (root [1, 2, 3, 4] is dense) = 6 words.
+        // over 0..=5 (root [1, 2, 3, 4] is dense) = 6 words, plus one
+        // one-`u64` leaf bitmap per root node = 8 words.
         assert_eq!(trie.root_dir(), &[0, 0, 1, 2, 3, 4]);
-        assert_eq!(trie.bytes(), (14 + 6) * 4);
-        // A sparse root has no directory: only the stored words count.
-        let sparse = Trie::build(&Relation::from_pairs(vec![(1, 1), (90, 2)]));
+        assert_eq!(
+            trie.leaf_bits(),
+            (&[0b110, 0b100, 0b10_0000, 0b1_0000][..], 1)
+        );
+        assert_eq!(trie.bytes(), (14 + 6 + 8) * 4);
+        // A sparse trie has neither index: only the stored words count.
+        let sparse = Trie::build(&Relation::from_pairs(vec![(1, 1), (90, 200)]));
         assert!(sparse.root_dir().is_empty());
+        assert_eq!(sparse.leaf_bits().1, 0);
         assert_eq!(sparse.bytes(), sparse.words().len() as u64 * 4);
     }
 
@@ -786,6 +860,45 @@ mod tests {
         let unsorted = Trie::from_parts(words, &trie.level_dims(), trie.tuple_count()).unwrap();
         assert_eq!(unsorted.root_dir().len(), 4);
         assert!(unsorted.root_dir().iter().all(|&d| d <= 4));
+    }
+
+    #[test]
+    fn leaf_bitmaps_exist_only_within_the_cap() {
+        // Four parents and four leaf values: at the cap while one word per
+        // parent suffices (every leaf value below 64), past it from 64 on.
+        let rel = |top: Value| Relation::from_pairs([(0, 1), (1, 2), (2, 3), (3, top)]);
+        let at_cap = Trie::build(&rel(63));
+        assert_eq!(at_cap.leaf_bits(), (&[0b10, 0b100, 0b1000, 1 << 63][..], 1));
+        assert_eq!(Trie::build(&rel(64)).leaf_bits(), (&[][..], 0));
+        // Arity 1: the root is the leaf level, one parent for all of it.
+        let unary = Relation::from_tuples(1, vec![vec![0u32], vec![65]]).unwrap();
+        assert_eq!(Trie::build(&unary).leaf_bits(), (&[1, 0b10][..], 2));
+        let empty = Trie::build(&Relation::new(2).unwrap());
+        assert_eq!(empty.leaf_bits(), (&[][..], 0));
+    }
+
+    #[test]
+    fn from_parts_derives_leaf_bitmaps_from_untrusted_leaves() {
+        let trie = Trie::build(&figure6_r());
+        // Leaf values sit at words 9..14 (4 root values, 5 child starts).
+        let leaf = 9..14;
+        // A corrupted leaf claiming a huge value: no bitmaps, no large
+        // allocation, and no panic.
+        for top in [u32::MAX - 1, u32::MAX] {
+            let mut words = trie.words().to_vec();
+            words[leaf.end - 1] = top;
+            let lying = Trie::from_parts(words, &trie.level_dims(), trie.tuple_count()).unwrap();
+            assert_eq!(lying.leaf_bits(), (&[][..], 0), "leaf holding {top}");
+        }
+        // Unsorted leaf frames within the cap still build bounded bitmaps
+        // holding exactly each parent's values.
+        let mut words = trie.words().to_vec();
+        words[leaf].copy_from_slice(&[2, 1, 0, 5, 3]);
+        let unsorted = Trie::from_parts(words, &trie.level_dims(), trie.tuple_count()).unwrap();
+        assert_eq!(
+            unsorted.leaf_bits(),
+            (&[0b110, 0b1, 0b10_0000, 0b1000][..], 1)
+        );
     }
 
     #[test]

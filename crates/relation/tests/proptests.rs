@@ -206,10 +206,13 @@ proptest! {
         seeks in prop::collection::vec((0u8..4, 0u32..64), 1..40),
     ) {
         let trie = Trie::build(&Relation::from_pairs(roots.iter().map(|&x| (x * spread, x))));
-        // The directory is the only resident word beyond the stored ones,
-        // and exists exactly when `max + 2 <= 2 * len`.
+        // Beyond the stored words, the resident ones are the leaf bitmaps —
+        // one `u64` per root here, every leaf being a single value below
+        // 64 — and the directory, which exists exactly when
+        // `max + 2 <= 2 * len`.
         let max = roots.last().unwrap() * spread;
-        let has_dir = trie.bytes() > trie.words().len() as u64 * 4;
+        let leaf_bytes = 8 * roots.len() as u64;
+        let has_dir = trie.bytes() > trie.words().len() as u64 * 4 + leaf_bytes;
         prop_assert_eq!(has_dir, max as usize + 2 <= 2 * roots.len());
         let (min, sup) = (min * spread, (width > 0).then_some((min + width) * spread));
 
@@ -235,6 +238,62 @@ proptest! {
             prop_assert_eq!(fast.sibling_slice(), slow.sibling_slice(), "seek {} to {}", i, v);
             if found {
                 prop_assert_eq!((fast.pos(), fast.key()), (slow.pos(), slow.key()));
+            }
+        }
+    }
+
+    /// A trie keeps leaf bitmaps exactly when they fit the cap — at most
+    /// one `u64` word per leaf value across all parents — and a cursor
+    /// hands one out exactly when its leaf frame is the whole child list
+    /// of its parent, as a set equal to `sibling_slice`. Under random
+    /// operation scripts on dense and spread ids, a frame narrowed by
+    /// `open_range` or `clamp_sup`, or moved by `next` or `seek`, gets
+    /// `None`.
+    #[test]
+    fn sibling_bits_equal_the_whole_sibling_slice(
+        arity in 1usize..=3,
+        raw in arb_tuples(3, 60, 12),
+        spread in prop::sample::select(vec![1u32, 7, 1000]),
+        script in prop::collection::vec((0u8..8, 0u32..90, 0u32..30), 0..60),
+    ) {
+        let rel = Relation::from_tuples(
+            arity,
+            raw.into_iter().map(|t| t[..arity].iter().map(|&v| v * spread).collect::<Vec<_>>()),
+        )
+        .unwrap();
+        let trie = Trie::build(&rel);
+        let leaf = trie.level(arity - 1).values();
+        let parents = if arity == 1 { 1 } else { trie.level(arity - 2).len() };
+        let fits = leaf.iter().max().is_some_and(|&max| parents * (max as usize / 64 + 1) <= leaf.len());
+        let mut cur = TrieCursor::new(&trie);
+        prop_assert_eq!(cur.has_leaf_bits(), fits);
+
+        let c = &mut AccessCounter::default();
+        for (i, (op, v, w)) in script.into_iter().enumerate() {
+            let before = (cur.depth() > 0 && !cur.at_end()).then(|| cur.key());
+            step(&mut cur, arity, (op, v * spread / 4, w * spread / 4), c);
+            if cur.depth() != arity {
+                continue;
+            }
+            // The whole child list of the leaf frame's parent.
+            let mut whole = cur.clone();
+            whole.up();
+            whole.open(&mut NoTally);
+            let is_whole = cur.sibling_slice() == whole.sibling_slice();
+            let bits = cur.sibling_bits();
+            prop_assert_eq!(bits.is_some(), fits && is_whole, "operation {}", i);
+            let moved = match op {
+                2 => before.is_some(),
+                3 => before.is_some() && (cur.at_end() || before != Some(cur.key())),
+                _ => false,
+            };
+            prop_assert!(!(moved && bits.is_some()), "operation {} moved", i);
+            if let Some(bits) = bits {
+                let set: Vec<Value> = (0..bits.len() * 64)
+                    .filter(|&b| bits[b / 64] >> (b % 64) & 1 == 1)
+                    .map(|b| b as Value)
+                    .collect();
+                prop_assert_eq!(&set[..], cur.sibling_slice(), "operation {}", i);
             }
         }
     }

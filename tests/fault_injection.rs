@@ -391,28 +391,68 @@ fn seeded_fault_sweep_terminates_and_stays_exact() {
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
-    let events = [
-        FaultEvent::TaskStart,
-        FaultEvent::Steal,
-        FaultEvent::SplitHandoff,
-        FaultEvent::CacheInsert,
-        FaultEvent::MergePush,
-        FaultEvent::TrieBuild,
-    ];
     for seed in 0..12u64 {
-        let guard = faults::install(FaultPlan::from_seed(seed, &events, 4));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sink = CollectSink::new();
-            ParCtj::with_pool(4)
-                .with_split(true)
-                .with_granularity(1)
-                .execute(&plan, &catalog, &mut sink)
-                .expect("a faulted run that completes completes cleanly");
-            sink
-        }));
+        let guard = faults::install(FaultPlan::from_seed(seed, &SWEEP_EVENTS, 4));
+        let outcome = catch_unwind(AssertUnwindSafe(|| sweep_run(&plan, &catalog)));
         drop(guard);
         match outcome {
             Ok(sink) => assert_eq!(sink.tuples(), reference, "seed {seed}"),
+            Err(payload) => assert_injected(payload),
+        }
+    }
+}
+
+/// The event classes the seeded sweep draws its plans over.
+const SWEEP_EVENTS: [FaultEvent; 6] = [
+    FaultEvent::TaskStart,
+    FaultEvent::Steal,
+    FaultEvent::SplitHandoff,
+    FaultEvent::CacheInsert,
+    FaultEvent::MergePush,
+    FaultEvent::TrieBuild,
+];
+
+/// One run of the seeded sweep's engine configuration.
+fn sweep_run(plan: &CompiledQuery, catalog: &Catalog) -> CollectSink {
+    let mut sink = CollectSink::new();
+    ParCtj::with_pool(4)
+        .with_split(true)
+        .with_granularity(1)
+        .execute(plan, catalog, &mut sink)
+        .expect("a faulted run that completes completes cleanly");
+    sink
+}
+
+/// Seeds 5 and 10 of the sweep each panic at a worker's third or fourth
+/// merge push while delays shift the schedule. When that push was the
+/// flush of a sink leaving its lane (at task end, or for a continuation
+/// lane after a sub-root split), the lane was never finished and the drain
+/// waited forever — about one sweep in thirty. Replays both schedules many
+/// times, each under a timeout, so a lost lane fails instead of hanging.
+#[test]
+fn merge_push_panics_never_hang() {
+    let _serial = serial();
+    let catalog = std::sync::Arc::new(catalog_from(hub_edges()));
+    let plan =
+        std::sync::Arc::new(CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles"));
+    let reference = reference_tuples(&plan, &catalog);
+    for round in 0..200 {
+        let seed = [5, 10][round % 2];
+        let guard = faults::install(FaultPlan::from_seed(seed, &SWEEP_EVENTS, 4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (plan, catalog) = (plan.clone(), catalog.clone());
+        // Joined only when it finishes in time: a hung run cannot be.
+        let run = std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| sweep_run(&plan, &catalog)));
+            let _ = tx.send(outcome);
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("round {round}, seed {seed}: the faulted run hung"));
+        run.join().expect("the run thread catches its own panic");
+        drop(guard);
+        match outcome {
+            Ok(sink) => assert_eq!(sink.tuples(), reference, "round {round}, seed {seed}"),
             Err(payload) => assert_injected(payload),
         }
     }

@@ -6,9 +6,9 @@
 
 use proptest::prelude::*;
 use triejax_join::Catalog;
-use triejax_join::{CollectSink, JoinEngine, Lftj, Session};
+use triejax_join::{CancelReason, CollectSink, JoinEngine, JoinError, Lftj, Session};
 use triejax_query::{patterns::Pattern, CompiledQuery};
-use triejax_relation::{Relation, Trie};
+use triejax_relation::{Relation, Trie, TrieCursor};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 7];
 
@@ -181,6 +181,66 @@ fn sparse_ids_serve_the_sequential_order() {
             assert_eq!(sink.tuples(), &reference[..], "run {pattern:?} pool={pool}");
             let got: Vec<Vec<u32>> = session.query(&plan).stream().collect();
             assert_eq!(got, reference, "stream {pattern:?} pool={pool}");
+        }
+    }
+}
+
+/// On dense ids every trie keeps leaf bitmaps, so untallied sessions
+/// intersect the last variable as word ANDs. `run()` and `stream()` still
+/// deliver the sequential order on every paper pattern and pool size, and
+/// a row limit still cuts the exact sequential prefix.
+#[test]
+fn dense_ids_serve_the_sequential_order() {
+    let edges: Vec<(u32, u32)> = (0..40u32)
+        .flat_map(|a| (0..40u32).map(move |b| (a, b)))
+        .filter(|&(a, b)| a != b && (a * 7 + b) % 3 != 0)
+        .collect();
+    let forward = Relation::from_pairs(edges.clone());
+    for trie in [
+        Trie::build(&forward),
+        Trie::build(&forward.permute(&[1, 0])),
+    ] {
+        assert!(TrieCursor::new(&trie).has_leaf_bits(), "leaf bitmaps");
+    }
+    let catalog = catalog_from(edges);
+    for pattern in Pattern::PAPER {
+        let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
+        let reference = sequential(&plan, &catalog);
+        assert!(!reference.is_empty(), "{pattern:?} has results");
+        let limit = reference.len() / 3 + 1;
+        for pool in [1, 2] {
+            let session = Session::new(catalog.clone()).with_pool(pool);
+            let mut sink = CollectSink::new();
+            session.query(&plan).run(&mut sink).expect("runs");
+            assert_eq!(sink.tuples(), &reference[..], "run {pattern:?} pool={pool}");
+            let got: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+            assert_eq!(got, reference, "stream {pattern:?} pool={pool}");
+            let mut sink = CollectSink::new();
+            let limited = session
+                .query(&plan)
+                .with_row_limit(limit as u64)
+                .run(&mut sink);
+            assert!(
+                matches!(
+                    limited,
+                    Err(JoinError::Cancelled {
+                        reason: CancelReason::RowLimit,
+                        ..
+                    })
+                ),
+                "{pattern:?} stops at the row limit"
+            );
+            assert_eq!(
+                sink.tuples(),
+                &reference[..limit],
+                "limited run {pattern:?}"
+            );
+            let got: Vec<Vec<u32>> = session
+                .query(&plan)
+                .with_row_limit(limit as u64)
+                .stream()
+                .collect();
+            assert_eq!(got, &reference[..limit], "limited stream {pattern:?}");
         }
     }
 }
