@@ -107,8 +107,7 @@ impl TrieSet {
             let idx = match keys.get(&key) {
                 Some(&i) => i,
                 None => {
-                    let permuted = rel.permute(ap.perm());
-                    tries.push(Arc::new(Trie::build(&permuted)));
+                    tries.push(Arc::new(build_in_order(rel, ap.perm(), None)));
                     keys.insert(key, tries.len() - 1);
                     tries.len() - 1
                 }
@@ -272,16 +271,27 @@ pub(crate) fn resolve<'a>(
     Ok(rel)
 }
 
-/// One cold trie build: permute into the atom's attribute order, then
-/// build. With a pool the permute chunk-sorts and the build partitions by
-/// root key; without one both run sequentially (the per-task body when
-/// many builds already share the pool).
+/// One cold trie build: [`build_in_order`], announced to the fault
+/// injector.
 pub(crate) fn build_one(rel: &Relation, perm: &[usize], pool: Option<&WorkerPool>) -> Trie {
     #[cfg(feature = "faults")]
     triejax_exec::faults::fire(triejax_exec::faults::FaultEvent::TrieBuild);
-    match pool {
-        Some(p) => Trie::par_build(&rel.permute_on(perm, p), p),
-        None => Trie::build(&rel.permute(perm)),
+    build_in_order(rel, perm, pool)
+}
+
+/// Builds the trie of `rel` in the attribute order `perm`. The identity
+/// order is built in place: a relation is already sorted and
+/// duplicate-free, so it is its own trie order and nothing is copied.
+/// Any other order is permuted first. With a pool the permute chunk-sorts
+/// and the build partitions by root key; without one both run sequentially
+/// (the per-task body when many builds already share the pool).
+fn build_in_order(rel: &Relation, perm: &[usize], pool: Option<&WorkerPool>) -> Trie {
+    let identity = perm.len() == rel.arity() && perm.iter().enumerate().all(|(i, &p)| i == p);
+    match (pool, identity) {
+        (Some(p), true) => Trie::par_build(rel, p),
+        (None, true) => Trie::build(rel),
+        (Some(p), false) => Trie::par_build(&rel.permute_on(perm, p), p),
+        (None, false) => Trie::build(&rel.permute(perm)),
     }
 }
 
@@ -351,6 +361,27 @@ mod tests {
                 assert_eq!(a, b, "parallel build must be byte-identical");
             }
         }
+    }
+
+    #[test]
+    fn identity_orders_build_in_place_byte_identically() {
+        let rel = Relation::from_tuples(
+            3,
+            (0..60u32)
+                .map(|i| vec![i % 7, i % 5, i % 11])
+                .collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let pool = WorkerPool::with_workers(3);
+        let identity = [0, 1, 2];
+        let reference = Trie::build(&rel.permute(&identity));
+        assert_eq!(build_one(&rel, &identity, None), reference);
+        assert_eq!(build_one(&rel, &identity, Some(&pool)), reference);
+        // Other orders still permute first.
+        let swapped = [2, 0, 1];
+        let reference = Trie::build(&rel.permute(&swapped));
+        assert_eq!(build_one(&rel, &swapped, None), reference);
+        assert_eq!(build_one(&rel, &swapped, Some(&pool)), reference);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ([`Session::open`]): the stored tries preload the session cache, so the
 //! first query of a cold process runs with zero trie builds. The inverse,
 //! [`Session::snapshot`], warms the cache with a set of plans and packages
-//! catalog + tries (+ any pending deltas, as format version 2) for
+//! catalog + tries (+ any pending deltas) for
 //! [`StoredCatalog::save`].
 //!
 //! # Mutation
@@ -179,25 +179,23 @@ impl Session {
     /// Opens a session from a saved [`StoredCatalog`] file: the stored
     /// relations become the catalog and every stored trie preloads the
     /// session cache, so queries whose tries were saved run with **zero**
-    /// trie builds ([`EngineStats::trie_build_ns`] stays `0`). A
-    /// version-2 file's delta section is restored as the session's
-    /// pending deltas.
+    /// trie builds ([`EngineStats::trie_build_ns`] stays `0`). The file's
+    /// delta section is restored as the session's pending deltas. Files
+    /// of store format versions 1 and 2 open too, their tries re-keyed to
+    /// the current fingerprint (see `triejax-store`).
     ///
     /// # Errors
     ///
     /// Returns the [`StoreError`] if the file cannot be read or fails
     /// validation.
     pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, StoreError> {
-        Ok(Session::from_stored(&StoredCatalog::open(path)?))
+        Ok(Session::from_stored(StoredCatalog::open(path)?))
     }
 
     /// Builds a session from an already-loaded stored catalog (the
-    /// in-memory form of [`Session::open`]).
-    pub fn from_stored(stored: &StoredCatalog) -> Self {
-        let mut catalog = Catalog::new();
-        for (name, rel) in stored.relations() {
-            catalog.insert(name.clone(), rel.clone());
-        }
+    /// in-memory form of [`Session::open`]). The stored relations move into
+    /// the session's catalog; nothing is copied but the pending deltas.
+    pub fn from_stored(stored: StoredCatalog) -> Self {
         let mut deltas = DeltaMap::new();
         for (name, delta) in stored.deltas() {
             if !delta.is_empty() {
@@ -205,7 +203,11 @@ impl Session {
             }
         }
         let cache = TrieCache::unbounded();
-        cache.preload(stored);
+        cache.preload(&stored);
+        let mut catalog = Catalog::new();
+        for (name, rel) in stored.into_relations() {
+            catalog.insert(name, rel);
+        }
         Session::from_parts(catalog, deltas, cache)
     }
 
@@ -531,10 +533,9 @@ impl Session {
 
     /// Builds (into the session cache) every trie the given plans need,
     /// then packages the catalog plus all cached tries — and any pending
-    /// deltas, which make the file format version 2 — as a
-    /// [`StoredCatalog`] ready for [`StoredCatalog::save`]. Entries are
-    /// emitted in sorted key order, so the same session state always
-    /// serializes to the same bytes.
+    /// deltas — as a [`StoredCatalog`] ready for [`StoredCatalog::save`].
+    /// Entries are emitted in sorted key order, so the same session state
+    /// always serializes to the same bytes.
     ///
     /// # Errors
     ///
@@ -1130,9 +1131,8 @@ mod tests {
 
         // A fresh session from the stored bytes (as a cold process would
         // open them) answers with zero trie builds.
-        let reopened =
-            Session::from_stored(&StoredCatalog::from_bytes(&stored.to_bytes()).unwrap())
-                .with_pool(2);
+        let reopened = Session::from_stored(StoredCatalog::from_bytes(&stored.to_bytes()).unwrap())
+            .with_pool(2);
         let mut sink = CollectSink::new();
         let stats = reopened.query(&plan).run(&mut sink).unwrap();
         assert_eq!(sink.tuples(), expect);
@@ -1455,9 +1455,8 @@ mod tests {
         let expect = sequential_tuples(&session, &plan);
 
         let stored = session.snapshot(std::slice::from_ref(&plan)).unwrap();
-        let reopened =
-            Session::from_stored(&StoredCatalog::from_bytes(&stored.to_bytes()).unwrap())
-                .with_pool(2);
+        let reopened = Session::from_stored(StoredCatalog::from_bytes(&stored.to_bytes()).unwrap())
+            .with_pool(2);
         assert_eq!(reopened.deltas().len(), 1, "delta survived the store");
         let got: Vec<Vec<Value>> = reopened.query(&plan).stream().collect();
         assert_eq!(got, expect);

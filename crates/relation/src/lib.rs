@@ -37,6 +37,7 @@ mod access;
 mod cursor;
 pub mod delta;
 mod error;
+mod hash;
 mod join_cursor;
 mod layout;
 mod merge;
@@ -47,6 +48,7 @@ pub use access::{AccessCounter, AccessKind, Counting, NoTally, Tally};
 pub use cursor::{seek_in, TrieCursor};
 pub use delta::RelationDelta;
 pub use error::{RelationError, TrieLayoutError};
+pub use hash::lane_hash;
 pub use join_cursor::JoinCursor;
 pub use layout::{AddressSpace, ArraySpan, WORD_BYTES};
 pub use merge::{MergeCursor, MergedView};

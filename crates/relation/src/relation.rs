@@ -1,3 +1,4 @@
+use crate::hash::hash_values;
 use crate::{RelationError, Value};
 use triejax_exec::WorkerPool;
 
@@ -78,7 +79,9 @@ impl Relation {
         I: IntoIterator<Item = T>,
         T: AsRef<[Value]>,
     {
-        let mut rel = Relation::new(arity)?;
+        if arity == 0 {
+            return Err(RelationError::ZeroArity);
+        }
         let mut data = Vec::new();
         for t in tuples {
             let t = t.as_ref();
@@ -89,6 +92,28 @@ impl Relation {
                 });
             }
             data.extend_from_slice(t);
+        }
+        Relation::from_values(arity, data)
+    }
+
+    /// Adopts a row-major value buffer (`arity` values per tuple) as a
+    /// relation without copying it. A buffer that is already strictly
+    /// ascending — what [`Relation::values`] hands out, and so what a store
+    /// file holds — is taken as is after one comparison pass; any other
+    /// buffer is sorted and deduplicated first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RelationError::ZeroArity`] for `arity == 0`, or
+    /// [`RelationError::ArityMismatch`] (naming the length of the trailing
+    /// partial tuple) if `data.len()` is not a multiple of `arity`.
+    pub fn from_values(arity: usize, data: Vec<Value>) -> Result<Self, RelationError> {
+        let mut rel = Relation::new(arity)?;
+        if !data.len().is_multiple_of(arity) {
+            return Err(RelationError::ArityMismatch {
+                expected: arity,
+                found: data.len() % arity,
+            });
         }
         rel.data = data;
         rel.normalize();
@@ -245,25 +270,28 @@ impl Relation {
         (self.data.len() * std::mem::size_of::<Value>()) as u64
     }
 
-    /// The memoized content fingerprint: a 64-bit FNV-1a hash over the
-    /// arity and the normalized row buffer.
+    /// The memoized content fingerprint: the [`lane_hash`](crate::lane_hash)
+    /// of the normalized row buffer's little-endian bytes, seeded with the
+    /// arity.
     ///
     /// Two relations with equal tuples always share a fingerprint, and the
-    /// value is stable across processes and Rust versions — it keys both
-    /// the in-process trie cache and the persistent store, so a trie saved
-    /// by one process is found by another as long as the data is unchanged.
-    /// Computed on first use, then free: relations whose fingerprint is
-    /// never asked for (e.g. the permuted intermediate a trie build
-    /// consumes) never pay the hash.
+    /// value is stable across processes, platforms and Rust versions — it
+    /// keys both the in-process trie cache and the persistent store, so a
+    /// trie saved by one process is found by another as long as the data is
+    /// unchanged. Computed on first use, then free: relations whose
+    /// fingerprint is never asked for (e.g. the permuted intermediate a trie
+    /// build consumes) never pay the hash. Changing this function changes
+    /// every stored key, so it needs a store format version bump (store
+    /// format 3 introduced it; older files are re-keyed when they open).
     pub fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
-            .get_or_init(|| content_fingerprint(self.arity, &self.data))
+            .get_or_init(|| hash_values(self.arity as u64, &self.data))
     }
 
-    /// The raw row-major value buffer (length `arity * len`), for
-    /// serialization. Reconstruct with [`Relation::from_tuples`] over
-    /// `values().chunks_exact(arity)`.
+    /// The raw row-major value buffer (length `arity * len`), sorted and
+    /// duplicate-free, for serialization. Reconstruct with
+    /// [`Relation::from_values`], which adopts the buffer without copying.
     pub fn values(&self) -> &[Value] {
         &self.data
     }
@@ -292,30 +320,6 @@ impl Relation {
         // rehashes.
         self.fingerprint = std::sync::OnceLock::new();
     }
-}
-
-/// 64-bit FNV-1a over the arity and the normalized row buffer.
-///
-/// Hand-rolled rather than `DefaultHasher` because the value is persisted:
-/// it must be identical across processes, platforms, and Rust releases for
-/// store lookups to hit.
-fn content_fingerprint(arity: usize, data: &[Value]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut byte = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    for b in (arity as u64).to_le_bytes() {
-        byte(b);
-    }
-    for &v in data {
-        for b in v.to_le_bytes() {
-            byte(b);
-        }
-    }
-    h
 }
 
 /// Sorts row-major `data` lexicographically by row and removes duplicate
@@ -400,6 +404,28 @@ mod tests {
         let a = Relation::from_pairs(vec![(2, 1), (1, 2), (2, 1)]);
         let b = Relation::from_tuples(2, vec![vec![1u32, 2], vec![2, 1]]).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn from_values_adopts_sorted_buffers_and_normalizes_others() {
+        let sorted = vec![1u32, 2, 1, 3, 4, 0];
+        let ptr = sorted.as_ptr();
+        let rel = Relation::from_values(2, sorted).unwrap();
+        assert_eq!(rel.values().as_ptr(), ptr, "a sorted buffer is adopted");
+        assert_eq!(rel, Relation::from_pairs(vec![(1, 2), (1, 3), (4, 0)]));
+        let unsorted = Relation::from_values(2, vec![4, 0, 1, 2, 4, 0]).unwrap();
+        assert_eq!(unsorted, Relation::from_pairs(vec![(1, 2), (4, 0)]));
+        assert_eq!(
+            Relation::from_values(2, vec![1, 2, 3]).unwrap_err(),
+            RelationError::ArityMismatch {
+                expected: 2,
+                found: 1
+            }
+        );
+        assert_eq!(
+            Relation::from_values(0, Vec::new()).unwrap_err(),
+            RelationError::ZeroArity
+        );
     }
 
     #[test]
@@ -509,7 +535,9 @@ mod tests {
         // Golden value: the persisted store format depends on this hash
         // never changing. If this test fails, the store version must bump.
         let rel = Relation::from_pairs(vec![(1, 2), (3, 4)]);
-        assert_eq!(rel.fingerprint(), 8_260_193_526_488_586_819);
+        assert_eq!(rel.fingerprint(), 3_477_876_841_789_237_809);
+        let triples = Relation::from_tuples(3, vec![vec![1u32, 2, 3], vec![4, 5, 6]]).unwrap();
+        assert_eq!(triples.fingerprint(), 15_813_784_252_158_167_135);
     }
 
     #[test]

@@ -314,10 +314,14 @@ impl Trie {
         dims: &[(usize, usize)],
         tuple_count: usize,
     ) -> Result<Trie, TrieLayoutError> {
-        let expected: usize = dims.iter().map(|&(v, c)| v + c).sum();
-        if expected != words.len() {
+        // Checked: a lying offset table must not overflow the sum into a
+        // match (and the per-level offsets below stay within it).
+        let expected = dims
+            .iter()
+            .try_fold(0usize, |acc, &(v, c)| acc.checked_add(v)?.checked_add(c));
+        if expected != Some(words.len()) {
             return Err(TrieLayoutError::WordCount {
-                expected,
+                expected: expected.unwrap_or(usize::MAX),
                 found: words.len(),
             });
         }
@@ -513,57 +517,53 @@ impl From<&Relation> for Trie {
     }
 }
 
-/// Runs the sequential grouping loop over the row range `lo..hi`, producing
-/// this fragment's level arrays with *fragment-local* `child_starts`
-/// offsets. [`Trie::build`] is exactly `build_fragment(rel, 0, rel.len())`
-/// packed into the flat buffer, which is what makes the partition/stitch
-/// scheme byte-identical by construction: both paths execute the same loop
-/// over the same row groups.
+/// Builds the level arrays of the row range `lo..hi` in one pass, with
+/// *fragment-local* `child_starts` offsets. Row `i` opens a new node on
+/// every level from the first column where it differs from row `i - 1`
+/// down to the leaf (the first row of the range opens one on every level),
+/// and a new node's `child_starts` entry is the number of nodes the next
+/// level holds before its first child — which the same row opens next.
+/// No per-level group vectors are needed.
+///
+/// [`Trie::build`] is exactly `build_fragment(rel, 0, rel.len())` packed
+/// into the flat buffer, which is what makes the partition/stitch scheme
+/// of [`Trie::par_build`] byte-identical by construction: both paths run
+/// the same pass over the same rows.
 fn build_fragment(relation: &Relation, lo: usize, hi: usize) -> Vec<LevelFrag> {
     let arity = relation.arity();
     let nrows = hi - lo;
-    let mut levels: Vec<LevelFrag> = vec![LevelFrag::default(); arity];
-
-    // Each group is the row range below one node of the previous level;
-    // the pseudo-root owns all rows of the fragment.
-    let mut groups: Vec<(usize, usize)> = vec![(lo, hi)];
-    for level in 0..arity {
-        // Each level holds at most one node per source row; reserving
-        // up front keeps the build free of reallocation churn.
-        let mut values = Vec::with_capacity(nrows);
-        let mut next_groups = Vec::with_capacity(nrows);
-        let mut counts = Vec::with_capacity(groups.len());
-        for &(s, e) in &groups {
-            let before = values.len();
-            let mut i = s;
-            while i < e {
-                let v = relation.tuple(i)[level];
-                let mut j = i + 1;
-                while j < e && relation.tuple(j)[level] == v {
-                    j += 1;
-                }
-                values.push(v);
-                next_groups.push((i, j));
-                i = j;
+    // Each level holds at most one node per source row; reserving up front
+    // keeps the pass free of reallocation churn.
+    let mut levels: Vec<LevelFrag> = (0..arity)
+        .map(|l| LevelFrag {
+            values: Vec::with_capacity(nrows),
+            child_starts: Vec::with_capacity(if l + 1 < arity { nrows + 1 } else { 0 }),
+        })
+        .collect();
+    let rows = &relation.values()[lo * arity..hi * arity];
+    let mut prev: Option<&[Value]> = None;
+    for row in rows.chunks_exact(arity) {
+        let first = prev.map_or(0, |p| {
+            p.iter().zip(row).position(|(a, b)| a != b).unwrap_or(arity)
+        });
+        for l in first..arity {
+            if l + 1 < arity {
+                let next = levels[l + 1].values.len() as u32;
+                levels[l].child_starts.push(next);
             }
-            counts.push((values.len() - before) as u32);
+            levels[l].values.push(row[l]);
         }
-        if level > 0 {
-            let mut starts = Vec::with_capacity(counts.len() + 1);
-            let mut acc = 0u32;
-            starts.push(0);
-            for c in counts {
-                acc += c;
-                starts.push(acc);
-            }
-            levels[level - 1].child_starts = starts;
-        }
-        // Non-leaf levels hold only the distinct values, typically far
+        prev = Some(row);
+    }
+    for l in 0..arity.saturating_sub(1) {
+        let end = levels[l + 1].values.len() as u32;
+        let level = &mut levels[l];
+        level.child_starts.push(end);
+        // Non-leaf levels hold only the distinct prefixes, typically far
         // fewer than nrows: return the over-reservation rather than
         // retaining it until the fragment is packed.
-        values.shrink_to_fit();
-        levels[level].values = values;
-        groups = next_groups;
+        level.values.shrink_to_fit();
+        level.child_starts.shrink_to_fit();
     }
     levels
 }
@@ -723,6 +723,12 @@ mod tests {
                 index: 0,
                 ..
             })
+        ));
+        // Dims whose sum overflows cannot wrap around to the buffer length.
+        let wrap = [(usize::MAX, 0), (words.len() + 1, 0)];
+        assert!(matches!(
+            Trie::from_parts(words.clone(), &wrap, trie.tuple_count()),
+            Err(TrieLayoutError::WordCount { .. })
         ));
         // Tuple count disagreeing with the leaf width.
         assert!(matches!(

@@ -155,6 +155,33 @@ proptest! {
         prop_assert_eq!(trie.tuple_count(), rel.len());
     }
 
+    /// The one-pass build holds exactly the relation's rows, and its flat
+    /// buffer is one `from_parts` accepts and re-adopts unchanged — on
+    /// arities 1–4, roots uniform or piled up near zero, and domains
+    /// sparse (24 ids) or dense (3 ids, so most prefixes repeat).
+    #[test]
+    fn trie_build_matches_the_rows(
+        arity in 1usize..=4,
+        raw in arb_tuples(4, 120, 24),
+        skew in 0u32..2,
+        domain in prop::sample::select(vec![3u32, 24]),
+    ) {
+        let tuples = raw.into_iter().map(|t| {
+            let mut t: Vec<Value> = t[..arity].iter().map(|&v| v % domain).collect();
+            if skew == 1 {
+                t[0] = (t[0] * t[0]) / domain;
+            }
+            t
+        });
+        let rel = Relation::from_tuples(arity, tuples).unwrap();
+        let trie = Trie::build(&rel);
+        let rows: Vec<Vec<Value>> = rel.iter().map(<[Value]>::to_vec).collect();
+        prop_assert_eq!(trie.enumerate(), rows);
+        prop_assert_eq!(trie.tuple_count(), rel.len());
+        let adopted = Trie::from_parts(trie.words().to_vec(), &trie.level_dims(), rel.len());
+        prop_assert_eq!(adopted.as_ref(), Ok(&trie));
+    }
+
     /// Every trie level stores sorted runs within each parent's child range.
     #[test]
     fn trie_sibling_runs_are_sorted(tuples in arb_tuples(2, 80, 12)) {

@@ -7,21 +7,35 @@
 //! on a crafted length field.
 
 use crate::StoreError;
+use triejax_relation::Relation;
 
-/// 64-bit FNV-1a over a byte slice — the store's checksum function.
-///
-/// Chosen because it is trivially dependency-free and stable across
-/// platforms; the checksum guards against torn writes and bit rot, not
-/// adversaries.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues a byte-serial 64-bit FNV-1a hash from state `h` over `bytes`.
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// 64-bit FNV-1a over a byte slice — the checksum of format versions 1
+/// and 2, kept to read those files.
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+/// The relation fingerprint of format versions 1 and 2: FNV-1a over the
+/// arity as a little-endian `u64`, then every value as a little-endian
+/// `u32`. Kept to re-key the tries of those files.
+pub(crate) fn legacy_fingerprint(relation: &Relation) -> u64 {
+    let arity = fnv1a64_from(FNV_OFFSET, &(relation.arity() as u64).to_le_bytes());
+    relation
+        .values()
+        .iter()
+        .fold(arity, |h, v| fnv1a64_from(h, &v.to_le_bytes()))
 }
 
 /// Append-only little-endian payload writer.
@@ -171,6 +185,13 @@ mod tests {
             r.words(1 << 40),
             Err(StoreError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn legacy_fingerprint_is_byte_fnv_over_arity_and_rows() {
+        // The value earlier builds pinned for this relation.
+        let rel = Relation::from_pairs(vec![(1, 2), (3, 4)]);
+        assert_eq!(legacy_fingerprint(&rel), 8_260_193_526_488_586_819);
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //! validated buffer adoption ([`Trie::from_parts`]) — no pointer fix-ups,
 //! no rebuild.
 //!
-//! # File format (versions 1 and 2)
+//! # File format (version 3)
 //!
 //! All integers little-endian.
 //!
 //! ```text
 //! magic        8 bytes   "TJXSTORE"
-//! version      u32
+//! version      u32       3
 //! payload_len  u64
-//! checksum     u64       FNV-1a 64 over the payload bytes
+//! checksum     u64       lane hash over the payload bytes
 //! payload:
 //!   rel_count  u64
 //!   per relation:
@@ -35,26 +35,44 @@
 //!     perm_len u64, perm u64[], tuple_count u64,
 //!     level_count u64, (values_len u64, child_len u64) per level,
 //!     word_count u64, words u32[]
-//!   delta_count u64                                    -- version 2 only
+//!   delta_count u64
 //!   per delta:
 //!     name_len u64, name (UTF-8), arity u64,
 //!     insert_word_count u64, words u32[],
 //!     tombstone_word_count u64, words u32[]
 //! ```
 //!
-//! Version 2 appends the pending [`RelationDelta`]s of a mutable session
-//! (`triejax-join`'s `Session::apply`) so a snapshot taken mid-mutation
-//! round-trips exactly. A catalog with **no** deltas still serializes as
-//! version 1 — byte-for-byte what earlier builds wrote — so frozen
-//! snapshots stay byte-stable across this format revision, and version-1
-//! files remain readable forever.
+//! The checksum and every trie's fingerprint ([`Relation::fingerprint`])
+//! are the [`lane_hash`]: four independent FNV-style multiply chains over
+//! little-endian words, so validating a file costs about a pass over its
+//! bytes. The delta section carries the pending [`RelationDelta`]s of a
+//! mutable session (`triejax-join`'s `Session::apply`), so a snapshot taken
+//! mid-mutation round-trips exactly; a frozen catalog writes
+//! `delta_count = 0`.
+//!
+//! # Older versions
+//!
+//! Versions 1 and 2 still open. They share version 3's layout, except that
+//! version 1 has no delta section, and they hash with byte-serial FNV-1a
+//! instead: the checksum over the payload, and the fingerprint over the
+//! arity (as a `u64`) and the row words. The reader verifies their
+//! checksum with FNV-1a and re-keys their tries: a stored trie whose
+//! fingerprint equals the FNV-1a fingerprint of the relation of the same
+//! name in the file is re-filed under that relation's current
+//! fingerprint, so it keeps serving with zero builds. Any other key was
+//! already stale when the file was saved and stays unreachable. Only old
+//! files pay the byte-serial hashing.
+//!
+//! # Validation
 //!
 //! Every length is validated against the remaining bytes before any
 //! allocation, every trie's offset table is structurally validated by
-//! [`Trie::from_parts`], and every delta's insert/tombstone sets are
-//! checked for equal arity and disjointness at parse time; corrupt input
-//! yields a typed [`StoreError`], never a panic or a silently-wrong
-//! catalog.
+//! [`Trie::from_parts`] and its permutation checked against its depth,
+//! and every delta's insert/tombstone sets are checked for equal arity and
+//! disjointness at parse time; corrupt input yields a typed
+//! [`StoreError`], never a panic or a silently-wrong catalog. Row buffers
+//! are adopted as read ([`Relation::from_values`]): one strict-ascending
+//! check, and a sort only for a file whose rows are out of order.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,18 +82,17 @@ mod format;
 
 pub use error::StoreError;
 
-use format::{fnv1a64, Reader, Writer};
+use format::{fnv1a64, legacy_fingerprint, Reader, Writer};
 use std::path::Path;
 use std::sync::Arc;
-use triejax_relation::{delta, Relation, RelationDelta, Trie, TrieLayoutError};
+use triejax_relation::{delta, lane_hash, Relation, RelationDelta, Trie, TrieLayoutError};
 
 /// The magic bytes opening every store file.
 const MAGIC: &[u8; 8] = b"TJXSTORE";
 
-/// The newest store format version this build writes (version-1 files are
-/// still read; a catalog without deltas still *writes* version 1, keeping
-/// frozen snapshots byte-stable).
-pub const FORMAT_VERSION: u32 = 2;
+/// The store format version this build writes. Versions 1 and 2 are still
+/// read (see the crate docs).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// The oldest store format version this build reads.
 const MIN_FORMAT_VERSION: u32 = 1;
@@ -164,7 +181,7 @@ impl StoredCatalog {
 
     /// Adds a named pending [`RelationDelta`] (a mutable session's
     /// uncompacted inserts and tombstones over the relation of the same
-    /// name). A catalog holding any delta serializes as format version 2.
+    /// name).
     pub fn insert_delta(&mut self, name: impl Into<String>, delta: RelationDelta) {
         self.deltas.push((name.into(), delta));
     }
@@ -175,9 +192,13 @@ impl StoredCatalog {
         &self.deltas
     }
 
-    /// Serializes the catalog: version 1 when it holds no pending deltas
-    /// (byte-identical to what pre-delta builds wrote), version 2
-    /// otherwise.
+    /// Moves the stored relations out, in insertion order, so an opener
+    /// adopts them instead of copying them.
+    pub fn into_relations(self) -> Vec<(String, Relation)> {
+        self.relations
+    }
+
+    /// Serializes the catalog as format version 3.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Writer::new();
         p.u64(self.relations.len() as u64);
@@ -207,28 +228,23 @@ impl StoredCatalog {
             p.u64(t.trie.words().len() as u64);
             p.words(t.trie.words());
         }
-        let version = if self.deltas.is_empty() {
-            MIN_FORMAT_VERSION
-        } else {
-            p.u64(self.deltas.len() as u64);
-            for (name, d) in &self.deltas {
-                p.u64(name.len() as u64);
-                p.bytes(name.as_bytes());
-                p.u64(d.arity() as u64);
-                p.u64(d.inserts().values().len() as u64);
-                p.words(d.inserts().values());
-                p.u64(d.tombstones().values().len() as u64);
-                p.words(d.tombstones().values());
-            }
-            FORMAT_VERSION
-        };
+        p.u64(self.deltas.len() as u64);
+        for (name, d) in &self.deltas {
+            p.u64(name.len() as u64);
+            p.bytes(name.as_bytes());
+            p.u64(d.arity() as u64);
+            p.u64(d.inserts().values().len() as u64);
+            p.words(d.inserts().values());
+            p.u64(d.tombstones().values().len() as u64);
+            p.words(d.tombstones().values());
+        }
         let payload = p.into_bytes();
 
         let mut out = Vec::with_capacity(28 + payload.len());
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        out.extend_from_slice(&lane_hash(&payload).to_le_bytes());
         out.extend_from_slice(&payload);
         out
     }
@@ -274,7 +290,10 @@ impl StoredCatalog {
             });
         }
         let payload = &bytes[payload_start..];
-        let found = fnv1a64(payload);
+        let found = match version {
+            1 | 2 => fnv1a64(payload),
+            _ => lane_hash(payload),
+        };
         if found != checksum {
             return Err(StoreError::ChecksumMismatch {
                 expected: checksum,
@@ -290,24 +309,8 @@ impl StoredCatalog {
             let arity = r.count()?;
             let word_count = r.count()?;
             let data = r.words(word_count)?;
-            if arity == 0 {
-                return Err(StoreError::Malformed {
-                    detail: format!("relation {name:?} has arity 0"),
-                });
-            }
-            if data.len() % arity != 0 {
-                return Err(StoreError::Malformed {
-                    detail: format!(
-                        "relation {name:?} row buffer of {} words is not divisible by \
-                         arity {arity}",
-                        data.len()
-                    ),
-                });
-            }
-            let rel = Relation::from_tuples(arity, data.chunks_exact(arity)).map_err(|e| {
-                StoreError::Malformed {
-                    detail: format!("relation {name:?}: {e}"),
-                }
+            let rel = Relation::from_values(arity, data).map_err(|e| StoreError::Malformed {
+                detail: format!("relation {name:?}: {e}"),
             })?;
             catalog.insert_relation(name, rel);
         }
@@ -346,6 +349,19 @@ impl StoredCatalog {
                     detail: format!("stored trie {name:?}: {other}"),
                 },
             })?;
+            // A cursor opens one level per perm entry: a trie filed under
+            // anything but a permutation of its own levels would panic or
+            // mis-join mid-query, so it is rejected here.
+            if !is_permutation(&perm, trie.arity()) {
+                return Err(StoreError::Malformed {
+                    detail: format!(
+                        "stored trie {name:?} of {} levels is filed under a perm of length \
+                         {} that is not a permutation of its levels",
+                        trie.arity(),
+                        perm.len()
+                    ),
+                });
+            }
             catalog.insert_trie(name, fingerprint, perm, Arc::new(trie));
         }
         if version >= 2 {
@@ -361,19 +377,8 @@ impl StoredCatalog {
                 let side = |what: &str, r: &mut Reader<'_>| -> Result<Relation, StoreError> {
                     let word_count = r.count()?;
                     let data = r.words(word_count)?;
-                    if data.len() % arity != 0 {
-                        return Err(StoreError::Malformed {
-                            detail: format!(
-                                "delta {what} of {name:?}: {} words not divisible by \
-                                 arity {arity}",
-                                data.len()
-                            ),
-                        });
-                    }
-                    Relation::from_tuples(arity, data.chunks_exact(arity)).map_err(|e| {
-                        StoreError::Malformed {
-                            detail: format!("delta {what} of {name:?}: {e}"),
-                        }
+                    Relation::from_values(arity, data).map_err(|e| StoreError::Malformed {
+                        detail: format!("delta {what} of {name:?}: {e}"),
                     })
                 };
                 let inserts = side("inserts", &mut r)?;
@@ -398,7 +403,32 @@ impl StoredCatalog {
                 detail: format!("{} unparsed bytes inside payload", r.remaining()),
             });
         }
+        if version < 3 {
+            catalog.rekey_legacy_tries();
+        }
         Ok(catalog)
+    }
+
+    /// Re-files the tries of a version-1 or version-2 file under the
+    /// current fingerprint: a trie keyed by the FNV-1a fingerprint of the
+    /// same-name relation in the file is that relation's trie. Any other
+    /// key was stale when saved and stays as it is, unreachable.
+    fn rekey_legacy_tries(&mut self) {
+        let legacy: Vec<u64> = self
+            .relations
+            .iter()
+            .map(|(_, rel)| legacy_fingerprint(rel))
+            .collect();
+        for t in &mut self.tries {
+            let owner = self
+                .relations
+                .iter()
+                .zip(&legacy)
+                .find(|((name, _), &fp)| *name == t.name && fp == t.fingerprint);
+            if let Some(((_, rel), _)) = owner {
+                t.fingerprint = rel.fingerprint();
+            }
+        }
     }
 
     /// Writes the catalog to `path` (atomically enough for a build
@@ -425,6 +455,15 @@ impl StoredCatalog {
     }
 }
 
+/// Whether `perm` is a permutation of `0..n`.
+fn is_permutation(perm: &[usize], n: usize) -> bool {
+    let mut seen = vec![false; n];
+    perm.len() == n
+        && perm
+            .iter()
+            .all(|&p| p < n && !std::mem::replace(&mut seen[p], true))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,16 +488,43 @@ mod tests {
         cat
     }
 
-    /// Wraps a raw payload in a valid header (correct checksum), so tests
-    /// can hand-craft payload-level corruption.
+    /// Wraps a raw payload in a valid version-3 header (correct checksum),
+    /// so tests can hand-craft payload-level corruption.
     fn frame(payload: &[u8]) -> Vec<u8> {
+        framed(FORMAT_VERSION, lane_hash(payload), payload)
+    }
+
+    fn framed(version: u32, checksum: u64, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out.extend_from_slice(&checksum.to_le_bytes());
         out.extend_from_slice(payload);
         out
+    }
+
+    /// What an earlier build wrote for `cat` as format `version` (1 or 2):
+    /// the same payload — without the delta section for version 1 — with
+    /// every trie keyed by the FNV-1a fingerprint of its relation, under an
+    /// FNV-1a checksum.
+    fn legacy_bytes(cat: &StoredCatalog, version: u32) -> Vec<u8> {
+        let mut old = cat.clone();
+        for t in &mut old.tries {
+            let owner = cat
+                .relations
+                .iter()
+                .find(|(name, rel)| *name == t.name && rel.fingerprint() == t.fingerprint);
+            if let Some((_, rel)) = owner {
+                t.fingerprint = legacy_fingerprint(rel);
+            }
+        }
+        let mut payload = old.to_bytes().split_off(28);
+        if version == 1 {
+            assert!(cat.deltas.is_empty(), "version 1 has no delta section");
+            payload.truncate(payload.len() - 8);
+        }
+        framed(version, fnv1a64(&payload), &payload)
     }
 
     #[test]
@@ -656,13 +722,15 @@ mod tests {
     }
 
     #[test]
-    fn delta_free_catalogs_still_write_version_1() {
+    fn every_catalog_writes_version_3() {
         let bytes = sample_catalog().to_bytes();
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
         assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            1,
-            "frozen snapshots must stay byte-stable across the v2 revision"
+            u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
+            lane_hash(&bytes[28..])
         );
+        // A frozen catalog still carries the (empty) delta section.
+        assert_eq!(&bytes[bytes.len() - 8..], &[0; 8]);
         assert!(StoredCatalog::from_bytes(&bytes)
             .unwrap()
             .deltas()
@@ -670,7 +738,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_round_trip_as_version_2() {
+    fn deltas_round_trip_as_version_3() {
         let mut cat = sample_catalog();
         let d = RelationDelta::from_parts(
             Relation::from_pairs(vec![(7, 8), (9, 1)]),
@@ -679,12 +747,99 @@ mod tests {
         .unwrap();
         cat.insert_delta("edge", d.clone());
         let bytes = cat.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
         let back = StoredCatalog::from_bytes(&bytes).unwrap();
         assert_eq!(back.deltas().len(), 1);
         assert_eq!(back.deltas()[0].0, "edge");
         assert_eq!(back.deltas()[0].1, d);
         assert_eq!(back.to_bytes(), bytes, "re-serialization is stable");
+    }
+
+    #[test]
+    fn legacy_files_open_with_their_tries_re_keyed() {
+        let mut cat = sample_catalog();
+        // A stale trie, keyed by data the file no longer holds.
+        let stale = Relation::from_pairs(vec![(5, 6)]);
+        cat.insert_trie(
+            "edge",
+            legacy_fingerprint(&stale),
+            vec![0, 1],
+            Arc::new(Trie::build(&stale)),
+        );
+        let fresh = cat.relations()[0].1.fingerprint();
+        for version in [1, 2] {
+            let mut file = cat.clone();
+            if version == 2 {
+                file.insert_delta(
+                    "edge",
+                    RelationDelta::from_parts(
+                        Relation::from_pairs(vec![(7, 8)]),
+                        Relation::from_pairs(vec![(1, 2)]),
+                    )
+                    .unwrap(),
+                );
+            }
+            let bytes = legacy_bytes(&file, version);
+            let back = StoredCatalog::from_bytes(&bytes)
+                .unwrap_or_else(|e| panic!("version {version} does not open: {e}"));
+            assert_eq!(back.relations(), file.relations());
+            assert_eq!(back.deltas(), file.deltas());
+            let keys: Vec<u64> = back.tries().iter().map(|t| t.fingerprint).collect();
+            assert_eq!(
+                keys,
+                [fresh, fresh, legacy_fingerprint(&stale)],
+                "version {version}: live tries re-keyed, the stale one left alone"
+            );
+            // Saving again writes version 3 with the current keys.
+            let again = StoredCatalog::from_bytes(&back.to_bytes()).unwrap();
+            assert_eq!(again.tries()[0].fingerprint, fresh);
+        }
+        // A legacy file checked with the new hash, or a new file checked
+        // with the old one, is a checksum mismatch.
+        let v1 = legacy_bytes(&sample_catalog(), 1);
+        let mut as_v3 = v1.clone();
+        as_v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            StoredCatalog::from_bytes(&as_v3).unwrap_err(),
+            StoreError::ChecksumMismatch { .. }
+        ));
+        let mut as_v2 = sample_catalog().to_bytes();
+        as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            StoredCatalog::from_bytes(&as_v2).unwrap_err(),
+            StoreError::ChecksumMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn a_trie_filed_under_a_non_permutation_is_rejected() {
+        let edges = Relation::from_pairs(vec![(1, 2), (2, 3)]);
+        let unary = Relation::from_tuples(1, vec![vec![1u32], vec![2]]).unwrap();
+        let cases: [(&Relation, Vec<usize>); 5] = [
+            // A 1-level trie under a 2-column perm: a query would open
+            // past its leaf.
+            (&unary, vec![0, 1]),
+            // A 2-level trie under a 1-column perm: a query would mis-join.
+            (&edges, vec![0]),
+            (&edges, vec![0, 0]),
+            (&edges, vec![1, 2]),
+            (&edges, vec![]),
+        ];
+        for (rel, perm) in cases {
+            let mut cat = StoredCatalog::new();
+            cat.insert_relation("edge", edges.clone());
+            cat.insert_trie(
+                "edge",
+                edges.fingerprint(),
+                perm.clone(),
+                Arc::new(Trie::build(rel)),
+            );
+            let err = StoredCatalog::from_bytes(&cat.to_bytes()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Malformed { ref detail } if detail.contains("permutation")),
+                "perm {perm:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -712,15 +867,15 @@ mod tests {
 
     #[test]
     fn version_1_files_do_not_carry_a_delta_section() {
-        // A v1 frame that *appends* delta-looking bytes must be rejected
-        // as trailing garbage, not silently parsed.
-        let cat = sample_catalog();
-        let mut bytes = cat.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
+        // A v1 frame whose payload *ends* in delta-looking bytes must be
+        // rejected as unparsed bytes, not silently parsed.
+        let v1 = legacy_bytes(&sample_catalog(), 1);
+        let mut payload = v1[28..].to_vec();
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        let bytes = framed(1, fnv1a64(&payload), &payload);
         assert!(matches!(
             StoredCatalog::from_bytes(&bytes).unwrap_err(),
-            StoreError::Malformed { .. } | StoreError::Truncated { .. }
+            StoreError::Malformed { ref detail } if detail.contains("unparsed")
         ));
     }
 }

@@ -14,6 +14,7 @@ use triejax_join::{
 };
 use triejax_query::{patterns, CompiledQuery, Query};
 use triejax_relation::{Relation, Trie};
+use triejax_store::StoreError;
 
 const POOL_SIZES: [usize; 3] = [1, 2, 7];
 
@@ -35,7 +36,7 @@ fn save_open(session: &Session, plans: &[CompiledQuery]) -> Session {
     let stored = session.snapshot(plans).expect("snapshot");
     let bytes = stored.to_bytes();
     let reopened = StoredCatalog::from_bytes(&bytes).expect("reopen");
-    Session::from_stored(&reopened)
+    Session::from_stored(reopened)
 }
 
 /// Every stored trie must survive the byte format bit-for-bit: same flat
@@ -155,6 +156,124 @@ fn cycle3_cycle4_serve_with_zero_builds_after_reopen() {
         producer.trie_cache().insertions(),
         "reopened cache holds exactly the stored tries"
     );
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues byte-serial FNV-1a, the hash of store format versions 1 and 2.
+fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What an earlier build wrote for `stored` as format `version` (1 or 2):
+/// the same payload — without the delta section for version 1 — with every
+/// trie keyed by the FNV-1a fingerprint of its relation (arity as a `u64`,
+/// then the row words), under an FNV-1a checksum.
+fn legacy_file(stored: &StoredCatalog, version: u32) -> Vec<u8> {
+    let mut old = StoredCatalog::new();
+    for (name, rel) in stored.relations() {
+        old.insert_relation(name.clone(), rel.clone());
+    }
+    for t in stored.tries() {
+        let (_, rel) = stored
+            .relations()
+            .iter()
+            .find(|(name, rel)| *name == t.name && rel.fingerprint() == t.fingerprint)
+            .expect("every stored trie indexes a stored relation");
+        let arity = fnv1a64(FNV_OFFSET, &(rel.arity() as u64).to_le_bytes());
+        let legacy = rel
+            .values()
+            .iter()
+            .fold(arity, |h, v| fnv1a64(h, &v.to_le_bytes()));
+        old.insert_trie(t.name.clone(), legacy, t.perm.clone(), Arc::clone(&t.trie));
+    }
+    for (name, delta) in stored.deltas() {
+        old.insert_delta(name.clone(), delta.clone());
+    }
+    let mut payload = old.to_bytes().split_off(28);
+    if version == 1 {
+        assert!(stored.deltas().is_empty(), "version 1 has no delta section");
+        payload.truncate(payload.len() - 8);
+    }
+    let mut file = b"TJXSTORE".to_vec();
+    file.extend_from_slice(&version.to_le_bytes());
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&fnv1a64(FNV_OFFSET, &payload).to_le_bytes());
+    file.extend_from_slice(&payload);
+    file
+}
+
+/// Files written by earlier builds — version 1, and version 2 with a
+/// pending delta — open with their legacy checksums and fingerprints, and
+/// Cycle3/Cycle4 over them run with zero trie builds: the reader re-keys
+/// their tries to the current fingerprint.
+#[test]
+fn legacy_files_serve_cycle3_cycle4_with_zero_builds() {
+    let catalog = catalog_from(
+        (0..24u32)
+            .flat_map(|i| [(i, (i + 1) % 24), (i, (i + 3) % 24), ((i + 5) % 24, i)])
+            .collect(),
+    );
+    let plans: Vec<CompiledQuery> = [patterns::cycle3(), patterns::cycle4()]
+        .iter()
+        .map(|q: &Query| CompiledQuery::compile(q).expect("compiles"))
+        .collect();
+    for version in [1, 2] {
+        let producer = Session::new(catalog.clone()).with_pool(2);
+        if version == 2 {
+            // A pending delta on a relation the queries do not read, so
+            // their tries are the stored ones and nothing else.
+            let h = Relation::from_pairs(vec![(1, 2), (2, 3)]);
+            let none = Relation::new(2).expect("arity 2");
+            producer.apply("H", &h, &none).expect("applies");
+        }
+        let stored = producer.snapshot(&plans).expect("snapshot");
+        let file = legacy_file(&stored, version);
+        let reopened = StoredCatalog::from_bytes(&file)
+            .unwrap_or_else(|e| panic!("version {version} does not open: {e}"));
+        assert_eq!(reopened.deltas(), stored.deltas());
+        let reopened = Session::from_stored(reopened).with_pool(2);
+        for plan in &plans {
+            let mut sink = CollectSink::new();
+            let stats = reopened.query(plan).run(&mut sink).expect("serves");
+            assert_eq!(
+                sink.tuples(),
+                sequential(plan, &catalog),
+                "version {version}"
+            );
+            assert_eq!(
+                stats.trie_build_ns, 0,
+                "version {version}: the re-keyed stored tries serve"
+            );
+            assert!(stats.trie_cache_hits > 0);
+        }
+    }
+}
+
+/// A checksum-valid file holding a trie filed under a permutation that is
+/// not one of its own levels fails when it opens, rather than panicking (or
+/// mis-joining) in the middle of a query.
+#[test]
+fn a_trie_under_a_foreign_perm_fails_at_open() {
+    let edges = Relation::from_pairs(vec![(0, 1), (1, 2), (2, 0)]);
+    let unary = Relation::from_tuples(1, vec![vec![0u32], vec![1], vec![2]]).expect("unary");
+    let mut stored = StoredCatalog::new();
+    stored.insert_trie(
+        "G",
+        edges.fingerprint(),
+        vec![0, 1],
+        Arc::new(Trie::build(&unary)),
+    );
+    stored.insert_relation("G", edges);
+    let path =
+        std::env::temp_dir().join(format!("triejax_foreign_perm_{}.tjx", std::process::id()));
+    stored.save(&path).expect("save");
+    let opened = Session::open(&path);
+    std::fs::remove_file(&path).ok();
+    let err = opened.expect_err("the file must not open");
+    assert!(matches!(err, StoreError::Malformed { .. }), "{err:?}");
 }
 
 /// Stale-by-fingerprint: after the base data changes, a preloaded store

@@ -263,7 +263,7 @@ fn store_served_streams_match_and_skip_builds() {
         .expect("snapshot");
     let bytes = stored.to_bytes();
     let reopened = triejax_join::StoredCatalog::from_bytes(&bytes).expect("reopen");
-    let session = Session::from_stored(&reopened).with_pool(4);
+    let session = Session::from_stored(reopened).with_pool(4);
 
     let mut stream = session.query(&plan).stream();
     let got: Vec<Vec<u32>> = stream.by_ref().collect();
