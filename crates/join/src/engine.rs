@@ -73,6 +73,22 @@ pub(crate) fn head_slots(plan: &CompiledQuery) -> Result<Vec<usize>, JoinError> 
         .collect()
 }
 
+/// The inverse of [`head_slots`]: for each head slot, the evaluation
+/// depth whose bound value it shows — the gather order a driver's
+/// [`crate::sink::BatchEmitter`] writes rows in.
+///
+/// # Errors
+///
+/// As [`head_slots`].
+pub(crate) fn head_order(plan: &CompiledQuery) -> Result<Vec<usize>, JoinError> {
+    let slots = head_slots(plan)?;
+    let mut order = vec![0; slots.len()];
+    for (depth, slot) in slots.into_iter().enumerate() {
+        order[slot] = depth;
+    }
+    Ok(order)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +100,8 @@ mod tests {
         let plan = CompiledQuery::compile_with_order(&q, vec![2, 0, 1]).unwrap();
         // depth 0 binds z (head slot 2), depth 1 binds x (slot 0), ...
         assert_eq!(head_slots(&plan).unwrap(), vec![2, 0, 1]);
+        // ... so slot 0 shows depth 1, slot 1 depth 2, slot 2 depth 0.
+        assert_eq!(head_order(&plan).unwrap(), vec![1, 2, 0]);
     }
 
     #[test]

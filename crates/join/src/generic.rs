@@ -2,7 +2,7 @@ use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, Tally, Trie, Value, WORD_BYTES};
 
-use crate::engine::head_slots;
+use crate::engine::head_order;
 use crate::intersect::intersect_sorted;
 use crate::sink::BatchEmitter;
 use crate::viewset::{merged_catalog, plan_touches_delta};
@@ -151,8 +151,6 @@ struct GjDriver<'a, T: Tally, B: Budget = NoBudget> {
     /// positions).
     hints: Vec<Vec<usize>>,
     binding: Vec<Value>,
-    emit: Vec<Value>,
-    slots: Vec<usize>,
     emitter: BatchEmitter,
     budget: B,
     stats: EngineStats<T>,
@@ -170,9 +168,7 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
             pushed: vec![Vec::new(); plan.arity()],
             hints: vec![Vec::new(); plan.arity()],
             binding: vec![0; plan.arity()],
-            emit: vec![0; plan.arity()],
-            slots: head_slots(plan)?,
-            emitter: BatchEmitter::new(plan.arity()),
+            emitter: BatchEmitter::new(head_order(plan)?),
             budget,
             stats: EngineStats::default(),
         })
@@ -196,14 +192,12 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
         if B::GOVERNED && !self.budget.charge_row() {
             return false;
         }
-        for d in 0..self.binding.len() {
-            self.emit[self.slots[d]] = self.binding[d];
-        }
-        self.emitter.push(&self.emit, sink);
+        self.emitter.push(&self.binding, sink);
         self.stats.results += 1;
-        self.stats
-            .access
-            .record(AccessKind::ResultWrite, self.emit.len() as u64 * WORD_BYTES);
+        self.stats.access.record(
+            AccessKind::ResultWrite,
+            self.binding.len() as u64 * WORD_BYTES,
+        );
         true
     }
 

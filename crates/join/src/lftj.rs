@@ -3,7 +3,7 @@ use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
 use crate::cache::{Looked, NoPjr, PjrStore};
-use crate::engine::head_slots;
+use crate::engine::{head_order, head_slots};
 use crate::leapfrog::{BitLeapfrog, SliceLeapfrog, SLICE_MEMBERS};
 use crate::shard::{try_split_at, NoSplit, SplitSpawn};
 use crate::sink::BatchEmitter;
@@ -154,7 +154,8 @@ type Recording = Vec<(Value, Vec<u32>)>;
 ///   delivered rows stay an exact stream prefix.
 /// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for sequential
 ///   runs, a split handle that donates unvisited sibling tails to idle
-///   workers for the pool.
+///   workers for the pool, a [`BatchStop`] that ends each batch of a
+///   [`Resumable`] run.
 /// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
 ///   [`TrieCursor`]s over frozen relations (the default) or
 ///   [`triejax_relation::MergeCursor`]s over mutated ones
@@ -180,8 +181,6 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     plan: &'a CompiledQuery,
     cursors: Vec<Cur>,
     binding: Vec<Value>,
-    emit: Vec<Value>,
-    slots: Vec<usize>,
     emitter: BatchEmitter,
     /// Per depth: participating cursor indices, preallocated once so the
     /// recursive driver never allocates per node.
@@ -201,6 +200,10 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     /// keep leaf bitmaps. Decided once here, so runs without bitmaps never
     /// ask for them.
     bit_leaf: bool,
+    /// Levels on the current path replaying or recording a PJR entry. A
+    /// stopping controller may stop the run only while none is: a cached
+    /// level cannot resume mid-entry. Kept only for stopping controllers.
+    pinned: usize,
     budget: B,
     pub(crate) stats: EngineStats<T>,
 }
@@ -230,9 +233,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             plan,
             cursors,
             binding: vec![0; n],
-            emit: vec![0; n],
-            slots: head_slots(plan)?,
-            emitter: BatchEmitter::new(n),
+            emitter: BatchEmitter::new(head_order(plan)?),
             members_at,
             cache,
             range_depth: 0,
@@ -240,9 +241,15 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             range_sup: None,
             sup_at: vec![None; n],
             bit_leaf,
+            pinned: 0,
             budget,
             stats: EngineStats::default(),
         })
+    }
+
+    /// The parts a [`Resumable`] run keeps between batches.
+    fn into_parts(self) -> (P, B, EngineStats<T>) {
+        (self.cache, self.budget, self.stats)
     }
 
     /// Emits tuples straight through to the sink instead of batching —
@@ -330,19 +337,39 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         if B::GOVERNED && !self.budget.charge_row() {
             return false;
         }
-        for d in 0..self.binding.len() {
-            self.emit[self.slots[d]] = self.binding[d];
-        }
-        self.emitter.push(&self.emit, sink);
+        self.emitter.push(&self.binding, sink);
         self.stats.results += 1;
-        self.stats
-            .access
-            .record(AccessKind::ResultWrite, self.emit.len() as u64 * WORD_BYTES);
+        self.stats.access.record(
+            AccessKind::ResultWrite,
+            self.binding.len() as u64 * WORD_BYTES,
+        );
         true
     }
 
-    /// Returns `false` when the budget stopped the run at this level or
-    /// below; cursors are unwound normally either way.
+    /// Whether a stopping controller ends the run at this match point.
+    #[inline]
+    fn stops_here<C: SplitSpawn>(&self, ctl: &C) -> bool {
+        C::STOPS && self.pinned == 0 && ctl.batch_full(self.stats.results)
+    }
+
+    /// Stops the run at the match `v` of depth `d`, before visiting it:
+    /// hands `ctl` every tail the task has left, root-most first — past the
+    /// bound value at each level from the task's own down to `d - 1`, then
+    /// from `v` on at `d`.
+    fn stop<C: SplitSpawn>(&self, d: usize, v: Value, ctl: &mut C) {
+        for q in self.range_depth..d {
+            let sup = self.sup_at[q];
+            let next = self.binding[q].checked_add(1);
+            if let Some(min) = next.filter(|&m| sup.is_none_or(|s| m < s)) {
+                ctl.handoff(q, &self.binding[..q], min, sup);
+            }
+        }
+        ctl.handoff(d, &self.binding[..d], v, self.sup_at[d]);
+    }
+
+    /// Returns `false` when the budget or a stopping controller stopped
+    /// the run at this level or below; cursors are unwound normally either
+    /// way.
     fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
         // Entering a fresh subtree invalidates any split vetoes recorded
         // for this depth and below — they referred to sibling subtrees.
@@ -366,7 +393,12 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 .access
                 .record(AccessKind::Intermediate, key.len() as u64 * WORD_BYTES);
             match self.cache.lookup(d, key, &mut self.stats) {
-                Looked::Hit(entry) => return self.replay(d, &entry, sink, ctl),
+                Looked::Hit(entry) => {
+                    self.pinned += usize::from(C::STOPS);
+                    let live = self.replay(d, &entry, sink, ctl);
+                    self.pinned -= usize::from(C::STOPS);
+                    return live;
+                }
                 Looked::Miss(key, token) => record_key = Some((key, token)),
             }
         }
@@ -440,24 +472,24 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
 
     /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
     /// sibling slices, recording each match into `pending` and emitting
-    /// its row, when it binds the last variable and lies below `split_cap`
-    /// (so its tail is never donated). `None` (nothing done) otherwise or
-    /// when the level has no slice form; else whether the budget let the
-    /// level run to its end.
+    /// its row, when it binds the last variable and lies below `ctl`'s
+    /// split cap (so its tail is never donated). `None` (nothing done)
+    /// otherwise or when the level has no slice form; else whether the
+    /// level ran to its end (the budget or a stop may cut it short).
     ///
     /// A level that records nothing runs as a [`BitLeapfrog`] instead when
     /// [`Self::bit_leaf`] allows it and every member hands out a bitmap:
     /// the same rows in the same order, as word ANDs. A recording level
     /// keeps the sorted kernel, whose positions the cache entry stores.
-    fn leaf_level(
+    fn leaf_level<C: SplitSpawn>(
         &mut self,
         d: usize,
-        split_cap: usize,
         members: &[usize],
         pending: &mut Option<Recording>,
         sink: &mut dyn ResultSink,
+        ctl: &mut C,
     ) -> Option<bool> {
-        if d + 1 != self.plan.arity() || d <= split_cap {
+        if d + 1 != self.plan.arity() || d <= ctl.depth_cap() {
             return None;
         }
         // Out of `self` so the slices can outlive the `&mut self` emits.
@@ -468,6 +500,10 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             .map(|mut lf| {
                 let mut m = lf.search(&mut self.stats);
                 while let Some(v) = m {
+                    if self.stops_here(ctl) {
+                        self.stop(d, v, ctl);
+                        return false;
+                    }
                     self.binding[d] = v;
                     if !self.emit_result(sink) {
                         return false;
@@ -480,6 +516,10 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 SliceLeapfrog::over(&cursors, members).map(|mut lf| {
                     let mut m = lf.search(&mut self.stats);
                     while let Some(v) = m {
+                        if self.stops_here(ctl) {
+                            self.stop(d, v, ctl);
+                            return false;
+                        }
                         self.binding[d] = v;
                         if P::CACHING
                             && pending.is_some()
@@ -542,12 +582,15 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         // while recording. (A demoted or mask-dropped spec computes like
         // plain LFTJ and splits freely.)
         let can_split = !P::CACHING || record_key.is_none();
+        // For the same reason a recorded level pins the run against stops.
+        let pin = C::STOPS && record_key.is_some();
+        self.pinned += usize::from(pin);
         let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
         // Recycle this depth's member vector: the recursion must not
         // allocate per visited node.
         let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
         // A last level that ran on sibling slices skips the cursor loop.
-        let sliced = self.leaf_level(d, ctl.depth_cap(), lf.members(), &mut pending, sink);
+        let sliced = self.leaf_level(d, lf.members(), &mut pending, sink, ctl);
         let mut live = sliced.unwrap_or(true);
         let mut m = match sliced {
             Some(_) => None,
@@ -559,6 +602,11 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 // Polling at the task's top level before the (possibly
                 // expensive) subtree visit bounds the overshoot past a
                 // deadline by one value there.
+                live = false;
+                break;
+            }
+            if self.stops_here(ctl) {
+                self.stop(d, v, ctl);
                 live = false;
                 break;
             }
@@ -603,6 +651,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         for &(a, _) in parts {
             self.cursors[a].up();
         }
+        self.pinned -= usize::from(pin);
 
         // The level is fully analyzed: commit the entry (paper §3.5). The
         // store applies its capacity policy (drop / evict / lose an
@@ -621,6 +670,159 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             sink.redirect_lane(lane);
         }
         live
+    }
+}
+
+/// One unvisited tail of a trie level: `[min, sup)` at `depth`, under the
+/// values `prefix` binds at the levels above (a root range when `depth`
+/// is 0).
+#[derive(Debug)]
+struct Tail {
+    depth: usize,
+    prefix: Vec<Value>,
+    min: Value,
+    sup: Option<Value>,
+}
+
+/// The controller of one batch of a [`Resumable`] run: never splits,
+/// stops the driver at its first stop point once `stop_at` rows are out,
+/// and keeps the run's unvisited tails as a stack, the next to resume on
+/// top.
+struct BatchStop {
+    stop_at: u64,
+    tails: Vec<Tail>,
+}
+
+impl SplitSpawn for BatchStop {
+    const STOPS: bool = true;
+
+    fn batch_full(&self, results: u64) -> bool {
+        results >= self.stop_at
+    }
+
+    fn should_split(&mut self) -> bool {
+        false
+    }
+
+    fn generation(&self) -> u64 {
+        0
+    }
+
+    /// A stop hands its tails over root-most first, so the deepest — the
+    /// siblings the run stopped among — ends up on top.
+    fn handoff(&mut self, depth: usize, prefix: &[Value], min: Value, sup: Option<Value>) {
+        self.tails.push(Tail {
+            depth,
+            prefix: prefix.to_vec(),
+            min,
+            sup,
+        });
+    }
+}
+
+/// The sink of a driver whose emitter collects: no row ever reaches it.
+struct NoSink;
+
+impl ResultSink for NoSink {
+    fn push(&mut self, _tuple: &[Value]) {
+        unreachable!("a collecting emitter keeps its rows")
+    }
+}
+
+/// A trie join run a batch of rows at a time on the caller's thread: the
+/// engine of a one-worker [`crate::ResultStream`].
+///
+/// It owns what outlives a batch — the plan, the cursor set, the driver's
+/// owned parts (PJR store, budget, accumulated stats) — and the stack of
+/// unvisited tails. Each [`step`](Self::step) builds a [`Driver`] over the
+/// set and resumes tails deepest-first through [`Driver::run_split_at`]
+/// until the batch is full. The driver then stops at its next match
+/// point at any depth, recording one tail per open level. A stop never
+/// fires while a level on the current path replays or records a PJR
+/// entry, because a cached level cannot resume mid-entry; there the batch
+/// overshoots to the first point past it. The stack's depths increase
+/// towards the top, so it holds at most the seeded root ranges plus one
+/// tail per level.
+pub(crate) struct Resumable<T: Tally, S, P, B> {
+    plan: CompiledQuery,
+    set: S,
+    /// The driver's owned parts between batches (`None` only while one
+    /// runs).
+    parts: Option<(P, B, EngineStats<T>)>,
+    tails: Vec<Tail>,
+}
+
+impl<T: Tally, S, P: PjrStore, B: Budget> Resumable<T, S, P, B>
+where
+    S: for<'s> CursorSet<'s>,
+{
+    /// A run of `plan` over `set` that visits the root `ranges` in order,
+    /// adding to `stats`.
+    ///
+    /// # Errors
+    ///
+    /// [`JoinError::Plan`] for a plan the driver cannot emit.
+    pub(crate) fn new(
+        plan: CompiledQuery,
+        set: S,
+        ranges: &[(Value, Option<Value>)],
+        stats: EngineStats<T>,
+        cache: P,
+        budget: B,
+    ) -> Result<Self, JoinError> {
+        head_slots(&plan)?;
+        let tails = ranges
+            .iter()
+            .rev()
+            .map(|&(min, sup)| Tail {
+                depth: 0,
+                prefix: Vec::new(),
+                min,
+                sup,
+            })
+            .collect();
+        Ok(Resumable {
+            plan,
+            set,
+            parts: Some((cache, budget, stats)),
+            tails,
+        })
+    }
+
+    /// Appends the next `rows` rows to `out` — more when the stop falls
+    /// inside a cached level, fewer when the run ends or its budget stops
+    /// it — and returns whether the run has rows left. The driver writes
+    /// them straight into `out`.
+    pub(crate) fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
+        let (cache, budget, stats) = self.parts.take().expect("a batch panicked");
+        let mut driver = Driver::new(&self.plan, &self.set, cache, budget)
+            .expect("emission plan validated when the run was created");
+        driver.stats = stats;
+        driver.emitter.collect(std::mem::take(out));
+        let mut ctl = BatchStop {
+            stop_at: driver.stats.results + rows,
+            tails: std::mem::take(&mut self.tails),
+        };
+        while !ctl.batch_full(driver.stats.results) {
+            let Some(t) = ctl.tails.pop() else {
+                break;
+            };
+            driver.run_split_at(t.depth, &t.prefix, t.min, t.sup, &mut NoSink, &mut ctl);
+            if B::GOVERNED && driver.budget.poll().is_some() {
+                // A tripped budget ends the run: nothing past the cut
+                // resumes.
+                ctl.tails.clear();
+            }
+        }
+        *out = driver.emitter.take_rows();
+        self.tails = ctl.tails;
+        self.parts = Some(driver.into_parts());
+        !self.tails.is_empty()
+    }
+
+    /// The run's accumulated stats.
+    pub(crate) fn into_stats(self) -> EngineStats<T> {
+        self.parts.expect("a batch panicked").2
     }
 }
 
@@ -878,5 +1080,232 @@ mod tests {
         let mut stitched = lo.tuples().to_vec();
         stitched.extend_from_slice(hi.tuples());
         assert_eq!(stitched, full.tuples());
+    }
+
+    /// What a [`Resumable`] run stopped every `k` rows delivered: the rows,
+    /// the rows of each batch, and the depth each batch stopped at.
+    struct Stepped {
+        rows: Vec<Vec<Value>>,
+        batches: Vec<usize>,
+        stops: Vec<usize>,
+        results: u64,
+    }
+
+    fn stepped<T: Tally, S, P: PjrStore>(plan: &CompiledQuery, set: S, cache: P, k: u64) -> Stepped
+    where
+        S: for<'s> CursorSet<'s>,
+    {
+        let stats = EngineStats::default();
+        let mut run =
+            Resumable::<T, _, _, _>::new(plan.clone(), set, &[(0, None)], stats, cache, NoBudget)
+                .unwrap();
+        let (mut sink, mut batch) = (CollectSink::new(), Vec::new());
+        let (mut batches, mut stops) = (Vec::new(), Vec::new());
+        loop {
+            batch.clear();
+            let more = run.step(k, &mut batch);
+            sink.push_rows(&batch, plan.arity());
+            batches.push(batch.len() / plan.arity());
+            if !more {
+                break;
+            }
+            stops.push(run.tails.last().expect("a stopped run has tails").depth);
+            let depths: Vec<usize> = run.tails.iter().map(|t| t.depth).collect();
+            assert!(depths.windows(2).all(|w| w[0] < w[1]), "{depths:?}");
+        }
+        Stepped {
+            rows: sink.tuples().to_vec(),
+            batches,
+            stops,
+            results: run.into_stats().results,
+        }
+    }
+
+    /// The sequential order of `plan` over `set`: one unstopped driver.
+    fn sequential<'a, S: CursorSet<'a>>(plan: &'a CompiledQuery, set: &'a S) -> Vec<Vec<Value>> {
+        let mut sink = CollectSink::new();
+        Driver::<NoTally, _, _, _>::new(plan, set, NoPjr, NoBudget)
+            .unwrap()
+            .run(&mut sink);
+        sink.tuples().to_vec()
+    }
+
+    /// A driver stopped after every k rows and resumed through its tails
+    /// reproduces the sequential order, on all five paper patterns, LFTJ
+    /// and CTJ, frozen tries and views with a pending delta, with and
+    /// without leaf bitmaps. LFTJ batches are exactly k rows and stop at
+    /// every depth; CTJ batches may overshoot, never undershoot. (Beyond
+    /// k = 1..=7, one k ends its first batch exactly at a root boundary.)
+    #[test]
+    fn a_driver_stopped_every_k_rows_resumes_in_sequential_order() {
+        use crate::cache::LocalPjr;
+        use crate::CtjConfig;
+        use triejax_query::patterns::Pattern;
+        use triejax_relation::RelationDelta;
+
+        let edges: Vec<(u32, u32)> = (0..9u32)
+            .flat_map(|a| (0..9u32).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && (a * 5 + b * 3) % 4 != 0)
+            .collect();
+        let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
+        // Tiny entries overflow while recording: a pinned level whose
+        // entry is dropped must still not be stopped in.
+        let ctj = [
+            CtjConfig::default(),
+            CtjConfig {
+                entry_capacity: Some(2),
+                ..CtjConfig::default()
+            },
+        ];
+        let (mut bit_leaf_stops, mut overshoots) = (0, 0);
+        for (c, dense) in [(catalog(&edges), true), (catalog(&spread), false)] {
+            let base = c.get("G").unwrap();
+            let (ins, del) = if dense {
+                (vec![(0, 4), (4, 0), (9, 1)], vec![(1, 2), (2, 7)])
+            } else {
+                (vec![(0, 4000), (9000, 1000)], vec![(1000, 2000)])
+            };
+            let delta = RelationDelta::empty(2).unwrap().apply_batch(
+                base,
+                &Relation::from_pairs(ins),
+                &Relation::from_pairs(del),
+            );
+            let deltas = DeltaMap::from([("G".to_owned(), delta)]);
+            for pattern in Pattern::PAPER {
+                let plan = CompiledQuery::compile(&pattern.query()).unwrap();
+                let tries = TrieSet::build(&plan, &c).unwrap();
+                let merged = MergeSet::build(&plan, &c, &deltas).unwrap();
+                let (frozen_order, merged_order) =
+                    (sequential(&plan, &tries), sequential(&plan, &merged));
+                assert!(!frozen_order.is_empty() && frozen_order != merged_order);
+                let bit_leaf = Driver::<NoTally, _, _, _>::new(&plan, &tries, NoPjr, NoBudget)
+                    .unwrap()
+                    .bit_leaf;
+                // Plus the rows under the first root value: a batch of
+                // that many stops at the root.
+                let root = head_slots(&plan).unwrap()[0];
+                let first_root = frozen_order
+                    .iter()
+                    .take_while(|r| r[root] == frozen_order[0][root]);
+                let mut lftj_stops = std::collections::BTreeSet::new();
+                for k in (1..=7u64).chain([first_root.count() as u64]) {
+                    let build = || TrieSet::build(&plan, &c).unwrap();
+                    let view = || MergeSet::build(&plan, &c, &deltas).unwrap();
+                    let context = format!("{pattern} dense={dense} k={k}");
+                    let runs = [
+                        (
+                            stepped::<NoTally, _, _>(&plan, build(), NoPjr, k),
+                            &frozen_order,
+                        ),
+                        (
+                            stepped::<Counting, _, _>(&plan, build(), NoPjr, k),
+                            &frozen_order,
+                        ),
+                        (
+                            stepped::<NoTally, _, _>(&plan, view(), NoPjr, k),
+                            &merged_order,
+                        ),
+                    ];
+                    for (i, (run, want)) in runs.iter().enumerate() {
+                        assert_eq!(&run.rows, *want, "{context} lftj run {i}");
+                        assert_eq!(run.results, want.len() as u64);
+                        let (last, full) = run.batches.split_last().unwrap();
+                        assert!(full.iter().all(|&b| b as u64 == k), "{context}: {full:?}");
+                        assert!(*last as u64 <= k);
+                        lftj_stops.extend(run.stops.iter().copied());
+                    }
+                    if bit_leaf {
+                        bit_leaf_stops += runs[0].0.stops.len();
+                    }
+                    for config in ctj {
+                        let store = || LocalPjr::new(config, &[]);
+                        let runs = [
+                            (
+                                stepped::<NoTally, _, _>(&plan, build(), store(), k),
+                                &frozen_order,
+                            ),
+                            (
+                                stepped::<Counting, _, _>(&plan, view(), store(), k),
+                                &merged_order,
+                            ),
+                        ];
+                        for (run, want) in runs {
+                            assert_eq!(&run.rows, want, "{context} ctj {config:?}");
+                            let (_, full) = run.batches.split_last().unwrap();
+                            assert!(full.iter().all(|&b| b as u64 >= k), "{context}");
+                            overshoots += full.iter().filter(|&&b| b as u64 > k).count();
+                        }
+                    }
+                }
+                let every_depth: std::collections::BTreeSet<usize> = (0..plan.arity()).collect();
+                assert_eq!(lftj_stops, every_depth, "{pattern} dense={dense}");
+            }
+        }
+        assert!(
+            bit_leaf_stops > 0,
+            "some batches stopped inside bitmap leaves"
+        );
+        assert!(
+            overshoots > 0,
+            "some CTJ batches ran on through a cached level"
+        );
+    }
+
+    /// A budget that trips ends a resumable run at once: a zero deadline or
+    /// a pre-fired token before any row, a row limit after exactly its rows
+    /// — with tails still pending, none is resumed.
+    #[test]
+    fn a_tripped_budget_ends_a_resumable_run() {
+        use std::sync::Arc;
+        use std::time::Duration;
+        use triejax_exec::{BudgetHandle, CancelReason, CancelToken, RunBudget};
+
+        let c = catalog(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4)]);
+        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
+        let full = sequential(&plan, &TrieSet::build(&plan, &c).unwrap());
+        let token = CancelToken::new();
+        token.cancel();
+        let budgets = [
+            (
+                RunBudget::new().with_deadline(Duration::ZERO),
+                0,
+                CancelReason::Deadline,
+            ),
+            (
+                RunBudget::new().with_cancel_token(token),
+                0,
+                CancelReason::External,
+            ),
+            (
+                RunBudget::new().with_row_limit(3),
+                3,
+                CancelReason::RowLimit,
+            ),
+        ];
+        for (budget, rows, reason) in budgets {
+            let shared = Arc::new(budget);
+            let set = TrieSet::build(&plan, &c).unwrap();
+            let handle = BudgetHandle::driving(Arc::clone(&shared));
+            let stats = EngineStats::default();
+            let mut run = Resumable::<NoTally, _, _, _>::new(
+                plan.clone(),
+                set,
+                &[(0, None)],
+                stats,
+                NoPjr,
+                handle,
+            )
+            .unwrap();
+            let (mut sink, mut batch) = (CollectSink::new(), Vec::new());
+            // One row per batch: the limit trips while tails are pending.
+            while run.step(1, &mut batch) {
+                sink.push_rows(&batch, 3);
+                batch.clear();
+            }
+            sink.push_rows(&batch, 3);
+            assert_eq!(sink.tuples(), &full[..rows], "{reason:?}");
+            assert_eq!(shared.cancelled(), Some(reason));
+            assert_eq!(run.into_stats().results, rows as u64);
+        }
     }
 }

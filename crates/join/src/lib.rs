@@ -85,6 +85,7 @@ mod options;
 mod pairwise;
 mod parctj;
 mod parlftj;
+mod row;
 mod session;
 mod shard;
 mod sink;
@@ -105,6 +106,7 @@ pub use options::{COMPACT_RATIO_ENV, STORE_ENV, TRIE_CACHE_ENV};
 pub use pairwise::PairwiseHash;
 pub use parctj::ParCtj;
 pub use parlftj::ParLftj;
+pub use row::Row;
 pub use session::{QueryHandle, ResultStream, Session, WatchStream, WatchUpdate};
 pub use sink::{CollectSink, CountSink, ResultSink, ShardSink};
 pub use sortmerge::PairwiseSortMerge;

@@ -1,12 +1,12 @@
 use std::sync::{Arc, Mutex};
 
-use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, WorkerCtx};
+use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, RunBudget, WorkerCtx};
 use triejax_query::CompiledQuery;
-use triejax_relation::{Tally, Value};
+use triejax_relation::{NoTally, Tally, Value};
 
 use crate::cache::{adaptive_mask, LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::engine::head_slots;
-use crate::lftj::Driver;
+use crate::lftj::{Driver, Resumable};
 use crate::options::{process_env, Resolved, RunOptions};
 use crate::shard::{can_split, execute_sharded, execute_split, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
@@ -410,7 +410,16 @@ pub(crate) fn run_parallel<T: Tally>(
     let driving = BudgetHandle::driving(Arc::clone(&shared));
     let worker = BudgetHandle::worker(Arc::clone(&shared));
     let stats = run_budgeted(&run, plan, catalog, deltas, sink, driving, worker)?;
-    match shared.cancelled() {
+    settle(stats, Some(&shared))
+}
+
+/// A finished run's result: its stats, or [`JoinError::Cancelled`]
+/// carrying them when `budget` cut the run short.
+fn settle<T: Tally>(
+    stats: EngineStats<T>,
+    budget: Option<&RunBudget>,
+) -> Result<EngineStats<T>, JoinError> {
+    match budget.and_then(RunBudget::cancelled) {
         Some(reason) => Err(JoinError::Cancelled {
             reason,
             partial: Box::new(stats.to_counting()),
@@ -601,6 +610,110 @@ where
         }
     }
     (stats, pool_stats)
+}
+
+/// A one-worker run, a batch of rows at a time on the caller's thread:
+/// what a one-worker [`crate::ResultStream`] pulls. The cursor set, PJR
+/// store and budget behind it are erased.
+pub(crate) trait BatchRun: Send {
+    /// Appends the next batch of about `rows` rows to `out` (see
+    /// [`Resumable::step`]); `false` once the run has no rows left.
+    fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool;
+
+    /// The run's result, as [`run_parallel`] would have returned it.
+    fn finish(self: Box<Self>) -> Result<EngineStats, JoinError>;
+}
+
+/// A [`Resumable`] run plus the budget its result is settled against.
+struct Batched<S, P, B> {
+    run: Resumable<NoTally, S, P, B>,
+    budget: Option<Arc<RunBudget>>,
+}
+
+impl<S, P, B> BatchRun for Batched<S, P, B>
+where
+    S: for<'s> CursorSet<'s> + Send,
+    P: PjrStore + Send,
+    B: Budget + Send,
+{
+    fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
+        self.run.step(rows, out)
+    }
+
+    fn finish(self: Box<Self>) -> Result<EngineStats, JoinError> {
+        settle(self.run.into_stats(), self.budget.as_deref()).map(|s| s.to_counting())
+    }
+}
+
+/// The one-worker counterpart of [`run_parallel`] under the resolved
+/// `run`: builds the query's cursor set exactly as it does, then hands the
+/// join back unstarted, as a [`BatchRun`] over that set.
+pub(crate) fn run_batched(
+    run: &Resolved,
+    plan: CompiledQuery,
+    catalog: &Catalog,
+    deltas: Option<&DeltaMap>,
+) -> Result<Box<dyn BatchRun>, JoinError> {
+    let cache = run.trie_cache.as_deref();
+    match deltas.filter(|d| plan_touches_delta(&plan, d)) {
+        None => {
+            let built = TrieSet::build_on(&plan, catalog, &run.pool, cache)?;
+            batched_over(run, plan, catalog, built)
+        }
+        Some(d) => {
+            let built = MergeSet::build_on(&plan, catalog, d, &run.pool, cache)?;
+            batched_over(run, plan, catalog, built)
+        }
+    }
+}
+
+/// [`run_batched`] over a built set (with its cache hits and build
+/// nanoseconds): the planned root ranges, the run's store and budget.
+fn batched_over<S>(
+    run: &Resolved,
+    plan: CompiledQuery,
+    catalog: &Catalog,
+    (set, trie_cache_hits, trie_build_ns): (S, u64, u64),
+) -> Result<Box<dyn BatchRun>, JoinError>
+where
+    S: for<'s> CursorSet<'s> + Send + 'static,
+{
+    fn boxed<S, P, B>(
+        plan: CompiledQuery,
+        set: S,
+        ranges: &[(Value, Option<Value>)],
+        stats: EngineStats<NoTally>,
+        store: P,
+        (budget, shared): (B, Option<Arc<RunBudget>>),
+    ) -> Result<Box<dyn BatchRun>, JoinError>
+    where
+        S: for<'s> CursorSet<'s> + Send + 'static,
+        P: PjrStore + Send + 'static,
+        B: Budget + Send + 'static,
+    {
+        Ok(Box::new(Batched {
+            run: Resumable::new(plan, set, ranges, stats, store, budget)?,
+            budget: shared,
+        }))
+    }
+    let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity, false);
+    let stats = EngineStats {
+        shards: ranges.len() as u64,
+        trie_cache_hits,
+        trie_build_ns,
+        ..EngineStats::default()
+    };
+    let store = run
+        .ctj
+        .map(|config| LocalPjr::new(config, &adaptive_mask(&config, &plan, catalog)));
+    let shared = run.budget.clone();
+    let driving = |b: &Arc<RunBudget>| (BudgetHandle::driving(Arc::clone(b)), shared.clone());
+    match (store, &run.budget) {
+        (None, None) => boxed(plan, set, &ranges, stats, NoPjr, (NoBudget, None)),
+        (None, Some(b)) => boxed(plan, set, &ranges, stats, NoPjr, driving(b)),
+        (Some(s), None) => boxed(plan, set, &ranges, stats, s, (NoBudget, None)),
+        (Some(s), Some(b)) => boxed(plan, set, &ranges, stats, s, driving(b)),
+    }
 }
 
 #[cfg(test)]

@@ -65,15 +65,21 @@ use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
 use crate::options::{compact_ratio, process_env, RunOptions};
-use crate::parlftj::run_parallel;
+use crate::parlftj::{run_batched, run_parallel, BatchRun};
 use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
-    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, ResultSink, TrieCache, TrieSet,
+    Catalog, CollectSink, DeltaMap, EngineStats, JoinError, ResultSink, Row, TrieCache, TrieSet,
 };
 
-/// Rows per batch pushed through a stream's channel — same batching the
-/// shard sinks use, so streaming adds one copy, not per-tuple signalling.
+/// Rows per batch pushed through a pooled stream's channel — same
+/// batching the shard sinks use, so streaming adds one copy, not
+/// per-tuple signalling.
 const STREAM_BATCH_ROWS: usize = 256;
+
+/// Rows a one-worker stream's join emits per refill before it stops:
+/// enough to amortize setting the driver up and resuming it, few enough
+/// that the batch stays in cache while the consumer reads it.
+const INLINE_BATCH_ROWS: u64 = 4096;
 
 /// Batches buffered in a stream's channel before the producing engine
 /// blocks: bounds the memory between a fast producer and a slow consumer.
@@ -794,28 +800,27 @@ impl QueryHandle {
         self.execute_into(None, sink)
     }
 
-    /// Starts the query on a background thread and returns the pull-based
-    /// stream of its results. See [`ResultStream`] for the delivery and
-    /// cancellation contract.
+    /// Starts the query and returns the pull-based stream of its results.
+    /// At one worker the join runs on the consumer's thread, a batch of
+    /// rows per refill; on a larger pool a producer thread runs it. See
+    /// [`ResultStream`] for the delivery and cancellation contract.
     pub fn stream(self) -> ResultStream {
-        let token = CancelToken::new();
-        let cancel = token.clone();
         let arity = self.plan.arity();
-        let (tx, rx) = sync_channel::<Vec<Value>>(STREAM_CHANNEL_BATCHES);
-        let worker = std::thread::spawn(move || {
-            let mut sink = ChannelSink::new(tx, arity);
-            let result = self.execute_into(Some(token), &mut sink);
-            sink.flush();
-            result
-        });
+        let run = self.opts.resolve(&process_env);
+        let (source, outcome) = if run.pool.workers() == 1 {
+            match run_batched(&run, self.plan, &self.catalog, Some(&self.deltas)) {
+                Ok(join) => (Source::Inline(join), None),
+                Err(e) => (Source::Done, Some(Err(e))),
+            }
+        } else {
+            (Source::Producer(Producer::spawn(self)), None)
+        };
         ResultStream {
             arity,
-            rx: Some(rx),
             batch: Vec::new(),
             pos: 0,
-            cancel,
-            worker: Some(worker),
-            outcome: None,
+            source,
+            outcome,
         }
     }
 
@@ -840,33 +845,51 @@ impl QueryHandle {
 ///
 /// * **Order** — tuples arrive in the exact sequential engine order
 ///   (tuple-for-tuple what [`crate::Lftj`] would emit), incrementally
-///   while later shards are still executing.
+///   while the rest of the join has yet to run. Each is a [`Row`], which
+///   holds narrow tuples without a heap allocation.
 /// * **Budgets** — a row-limited or deadlined query ends the stream after
 ///   an exact sequential prefix; [`ResultStream::outcome`] then reports
 ///   the [`JoinError::Cancelled`] carrying the partial stats.
-/// * **Backpressure** — a bounded channel separates the engine from the
-///   consumer; a slow consumer blocks the producer after
-///   a fixed number of buffered batches instead of buffering the result.
-/// * **Drop** — dropping the stream mid-iteration fires the query's
+/// * **Memory** — at one worker the join runs on the consumer's thread
+///   and buffers one batch of rows: each refill resumes the join where
+///   the last one stopped and stops it again once the batch is full. A
+///   stop cannot fall inside a level that replays or records a
+///   partial-join-result entry ([`QueryHandle::with_ctj`]), so there the
+///   batch grows by the rest of that level's output. On a larger pool a
+///   producer thread runs the pool into a bounded channel, which blocks
+///   it after a fixed number of batches; but the pool's ordered merge
+///   behind it has no backpressure, so shards that finish ahead of the
+///   one being drained buffer their whole output until the consumer gets
+///   to them.
+/// * **Drop** — dropping the stream mid-iteration stops the join: at one
+///   worker nothing runs between pulls; on a pool it fires the query's
 ///   cancel token, disconnects the channel (which immediately unblocks
-///   any waiting producer), and joins the engine thread: cooperative
+///   any waiting producer), and joins the engine thread — cooperative
 ///   cancellation, never a hung pool.
 pub struct ResultStream {
     arity: usize,
-    rx: Option<Receiver<Vec<Value>>>,
     /// The batch currently being sliced into rows, and the cursor into it.
     batch: Vec<Value>,
     pos: usize,
-    cancel: CancelToken,
-    worker: Option<JoinHandle<Result<EngineStats, JoinError>>>,
+    source: Source,
     outcome: Option<Result<EngineStats, JoinError>>,
+}
+
+/// Where a [`ResultStream`]'s batches come from.
+enum Source {
+    /// One worker: the join itself, run a batch per refill.
+    Inline(Box<dyn BatchRun>),
+    /// A larger pool: the thread running it.
+    Producer(Producer),
+    /// The run is over and its outcome settled.
+    Done,
 }
 
 impl std::fmt::Debug for ResultStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ResultStream")
             .field("arity", &self.arity)
-            .field("live", &self.worker.is_some())
+            .field("live", &!matches!(self.source, Source::Done))
             .finish_non_exhaustive()
     }
 }
@@ -885,50 +908,89 @@ impl ResultStream {
     /// engine's [`JoinEngine::execute`](crate::JoinEngine::execute) gives
     /// the paper figures.
     pub fn outcome(&mut self) -> Option<&Result<EngineStats, JoinError>> {
-        if self.outcome.is_none() && self.rx.is_none() {
-            self.join_worker();
-        }
-        self.outcome.as_ref()
+        self.outcome
+            .as_ref()
+            .filter(|_| self.pos == self.batch.len())
     }
 
-    fn join_worker(&mut self) {
-        if let Some(handle) = self.worker.take() {
-            match handle.join() {
-                Ok(result) => self.outcome = Some(result),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
+    /// Replaces the spent batch with the next one; `false` once no rows
+    /// are left, the outcome then settled.
+    fn refill(&mut self) -> bool {
+        self.batch.clear();
+        self.pos = 0;
+        let live = match &mut self.source {
+            Source::Inline(join) => join.step(INLINE_BATCH_ROWS, &mut self.batch),
+            Source::Producer(producer) => producer.recv().map(|b| self.batch = b).is_some(),
+            Source::Done => return false,
+        };
+        if !live {
+            self.outcome = Some(match std::mem::replace(&mut self.source, Source::Done) {
+                Source::Inline(join) => join.finish(),
+                Source::Producer(mut producer) => producer.join(),
+                Source::Done => unreachable!("a settled stream never refills"),
+            });
         }
+        !self.batch.is_empty()
     }
 }
 
 impl Iterator for ResultStream {
-    type Item = Vec<Value>;
+    type Item = Row;
 
-    fn next(&mut self) -> Option<Vec<Value>> {
-        loop {
-            if self.pos < self.batch.len() {
-                let row = self.batch[self.pos..self.pos + self.arity].to_vec();
-                self.pos += self.arity;
-                return Some(row);
-            }
-            let rx = self.rx.as_ref()?;
-            match rx.recv() {
-                Ok(batch) => {
-                    self.batch = batch;
-                    self.pos = 0;
-                }
-                Err(_) => {
-                    // Producer finished (or failed): all rows delivered.
-                    self.rx = None;
-                    self.join_worker();
-                    return None;
-                }
-            }
+    #[inline]
+    fn next(&mut self) -> Option<Row> {
+        if self.pos == self.batch.len() && !self.refill() {
+            return None;
         }
+        let row = Row::from(&self.batch[self.pos..self.pos + self.arity]);
+        self.pos += self.arity;
+        Some(row)
     }
 }
 
-impl Drop for ResultStream {
+/// A pooled stream's producer: the thread running the query into a
+/// [`ChannelSink`], the receiving end of its channel, and the token that
+/// cancels it.
+struct Producer {
+    rx: Option<Receiver<Vec<Value>>>,
+    cancel: CancelToken,
+    worker: Option<JoinHandle<Result<EngineStats, JoinError>>>,
+}
+
+impl Producer {
+    fn spawn(query: QueryHandle) -> Self {
+        let token = CancelToken::new();
+        let cancel = token.clone();
+        let (tx, rx) = sync_channel::<Vec<Value>>(STREAM_CHANNEL_BATCHES);
+        let worker = std::thread::spawn(move || {
+            let mut sink = ChannelSink::new(tx, query.plan.arity());
+            let result = query.execute_into(Some(token), &mut sink);
+            sink.flush();
+            result
+        });
+        Producer {
+            rx: Some(rx),
+            cancel,
+            worker: Some(worker),
+        }
+    }
+
+    /// The next batch; `None` once the producer finished (or failed).
+    fn recv(&self) -> Option<Vec<Value>> {
+        self.rx.as_ref()?.recv().ok()
+    }
+
+    /// The finished producer's result, re-raising its panic.
+    fn join(&mut self) -> Result<EngineStats, JoinError> {
+        self.rx = None;
+        let handle = self.worker.take().expect("a producer is joined once");
+        handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+}
+
+impl Drop for Producer {
     fn drop(&mut self) {
         self.cancel.cancel();
         // Disconnecting the receiver makes any blocked `send` in the
@@ -943,10 +1005,10 @@ impl Drop for ResultStream {
     }
 }
 
-/// The producer-side sink of a [`ResultStream`]: batches rows and sends
-/// them through the bounded channel. Once the consumer disconnects, rows
-/// are discarded without blocking (the cancel token ends the run at its
-/// next poll point).
+/// The producer-side sink of a pooled [`ResultStream`]: batches rows and
+/// sends them through the bounded channel. Once the consumer disconnects,
+/// rows are discarded without blocking (the cancel token ends the run at
+/// its next poll point).
 struct ChannelSink {
     tx: SyncSender<Vec<Value>>,
     buf: Vec<Value>,
@@ -969,7 +1031,7 @@ impl ChannelSink {
         if self.buf.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.buf);
+        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.batch_values));
         if !self.disconnected && self.tx.send(batch).is_err() {
             self.disconnected = true;
         }
@@ -1039,9 +1101,69 @@ mod tests {
             let plan = CompiledQuery::compile(&pattern).unwrap();
             let expect = sequential_tuples(&session, &plan);
             let mut stream = session.query(&plan).stream();
-            let got: Vec<Vec<Value>> = stream.by_ref().collect();
+            let got: Vec<Row> = stream.by_ref().collect();
             assert_eq!(got, expect, "stream must equal sequential order");
             assert!(stream.outcome().unwrap().is_ok());
+        }
+    }
+
+    /// At one worker the join runs on the consumer's thread — no producer
+    /// thread — and still streams the sequential order in batches, with
+    /// the stats a `run()` reports.
+    #[test]
+    fn one_worker_streams_run_on_the_consumers_thread() {
+        let session = grid_session(1);
+        let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
+        let expect = sequential_tuples(&session, &plan);
+        assert!(
+            expect.len() as u64 > 2 * INLINE_BATCH_ROWS,
+            "several batches"
+        );
+        let mut stream = session.query(&plan).stream();
+        assert!(matches!(stream.source, Source::Inline(_)));
+        let first = stream.next().unwrap();
+        assert_eq!(
+            stream.batch.len(),
+            INLINE_BATCH_ROWS as usize * plan.arity()
+        );
+        assert_eq!(first, expect[0]);
+        let rest: Vec<Row> = stream.by_ref().collect();
+        assert_eq!(rest, expect[1..]);
+        let stats = stream.outcome().unwrap().as_ref().unwrap();
+        assert_eq!((stats.results, stats.shards), (expect.len() as u64, 1));
+        let pooled = grid_session(2).query(&plan).stream();
+        assert!(matches!(pooled.source, Source::Producer(_)));
+    }
+
+    /// A one-worker stream answers to its budget like `run()` does: a zero
+    /// deadline or a pre-fired token ends it before any row, and the
+    /// outcome says which.
+    #[test]
+    fn one_worker_streams_stop_at_a_zero_deadline_or_a_fired_token() {
+        let session = grid_session(1);
+        let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
+        let token = CancelToken::new();
+        token.cancel();
+        let mut fired = session.query(&plan);
+        fired.opts.cancel = Some(token);
+        let cases = [
+            (
+                session.query(&plan).with_deadline(Duration::ZERO),
+                CancelReason::Deadline,
+            ),
+            (fired, CancelReason::External),
+        ];
+        for (handle, want) in cases {
+            let mut stream = handle.stream();
+            assert!(matches!(stream.source, Source::Inline(_)));
+            assert_eq!(stream.next(), None, "{want:?}: no row");
+            match stream.outcome().unwrap() {
+                Err(JoinError::Cancelled { reason, partial }) => {
+                    assert_eq!(*reason, want);
+                    assert_eq!(partial.results, 0);
+                }
+                other => panic!("expected {want:?}, got {other:?}"),
+            }
         }
     }
 
@@ -1052,7 +1174,7 @@ mod tests {
         let mut sink = CollectSink::new();
         let stats = session.query(&plan).run(&mut sink).unwrap();
         assert!(stats.results > 0);
-        let streamed: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let streamed: Vec<Row> = session.query(&plan).stream().collect();
         assert_eq!(streamed, sink.tuples());
     }
 
@@ -1063,7 +1185,7 @@ mod tests {
         let expect = sequential_tuples(&session, &plan);
         assert!(expect.len() > 5);
         let mut stream = session.query(&plan).with_row_limit(5).stream();
-        let got: Vec<Vec<Value>> = stream.by_ref().collect();
+        let got: Vec<Row> = stream.by_ref().collect();
         assert_eq!(got, expect[..5], "row limit keeps the sequential prefix");
         match stream.outcome().unwrap() {
             Err(JoinError::Cancelled { reason, .. }) => {
@@ -1085,7 +1207,7 @@ mod tests {
         assert_eq!(first, expect[..2]);
         drop(stream);
         // The session stays fully usable afterwards.
-        let again: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let again: Vec<Row> = session.query(&plan).stream().collect();
         assert_eq!(again, expect);
     }
 
@@ -1166,8 +1288,8 @@ mod tests {
     fn ctj_streams_identically() {
         let session = grid_session(3);
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let lftj: Vec<Vec<Value>> = session.query(&plan).stream().collect();
-        let ctj: Vec<Vec<Value>> = session.query(&plan).with_ctj().stream().collect();
+        let lftj: Vec<Row> = session.query(&plan).stream().collect();
+        let ctj: Vec<Row> = session.query(&plan).with_ctj().stream().collect();
         assert_eq!(lftj, ctj);
     }
 
@@ -1205,7 +1327,7 @@ mod tests {
         let session = grid_session(2).with_compact_ratio(f64::INFINITY);
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         assert_eq!(session.epoch(), 0);
-        let before: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let before: Vec<Row> = session.query(&plan).stream().collect();
 
         // Grow the graph by a vertex: new triangles appear through 12.
         let inserts = Relation::from_pairs(vec![(0, 12), (12, 1)]);
@@ -1216,7 +1338,7 @@ mod tests {
         assert_eq!(session.epoch(), 1);
         assert!(!session.deltas().is_empty(), "delta is pending");
 
-        let after: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let after: Vec<Row> = session.query(&plan).stream().collect();
         assert!(after.len() > before.len());
         assert_eq!(after, rebuilt_tuples(&session, &plan));
     }
@@ -1225,7 +1347,7 @@ mod tests {
     fn query_handles_snapshot_the_epoch_they_were_created_at() {
         let session = grid_session(2).with_compact_ratio(f64::INFINITY);
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let before: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let before: Vec<Row> = session.query(&plan).stream().collect();
         let handle = session.query(&plan);
         session
             .apply(
@@ -1235,9 +1357,9 @@ mod tests {
             )
             .unwrap();
         // The pre-apply handle still sees epoch 0's result.
-        let stale: Vec<Vec<Value>> = handle.stream().collect();
+        let stale: Vec<Row> = handle.stream().collect();
         assert_eq!(stale, before);
-        let fresh: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let fresh: Vec<Row> = session.query(&plan).stream().collect();
         assert!(fresh.len() < before.len());
     }
 
@@ -1257,7 +1379,7 @@ mod tests {
             )
             .unwrap();
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let rows: Vec<Vec<Value>> = session.query(&plan).stream().collect();
+        let rows: Vec<Row> = session.query(&plan).stream().collect();
         assert!(rows.is_empty(), "breaking edge (1,2) kills the triangle");
         // Restore it: the triangle is back.
         session
@@ -1458,7 +1580,7 @@ mod tests {
         let reopened = Session::from_stored(StoredCatalog::from_bytes(&stored.to_bytes()).unwrap())
             .with_pool(2);
         assert_eq!(reopened.deltas().len(), 1, "delta survived the store");
-        let got: Vec<Vec<Value>> = reopened.query(&plan).stream().collect();
+        let got: Vec<Row> = reopened.query(&plan).stream().collect();
         assert_eq!(got, expect);
     }
 }

@@ -209,7 +209,22 @@ where
 /// switches to the continuation ([`take_switch`](SplitSpawn::take_switch))
 /// so everything it produces *after* the donated subtree drains after the
 /// donee — keeping the merged stream tuple-for-tuple sequential.
+///
+/// A *stopping* controller ([`STOPS`](SplitSpawn::STOPS)) never splits;
+/// it ends the run once [`batch_full`](SplitSpawn::batch_full) says so,
+/// and the driver hands it every tail the stop left unvisited through
+/// [`handoff`](SplitSpawn::handoff) — the same `(depth, prefix, min,
+/// sup)` a split donates, so [`crate::lftj::Driver::run_split_at`]
+/// resumes each one.
 pub(crate) trait SplitSpawn {
+    /// `true` only for a stopping controller; `false` compiles every stop
+    /// check out of the driver.
+    const STOPS: bool = false;
+    /// Whether a run that has emitted `results` rows must stop at its
+    /// next stop point (only asked when [`STOPS`](Self::STOPS)).
+    fn batch_full(&self, _results: u64) -> bool {
+        false
+    }
     /// Cheap poll: is handing work off worthwhile right now? Takes `&mut`
     /// so controllers can apply hysteresis (cooldowns, handoff ceilings).
     fn should_split(&mut self) -> bool;

@@ -290,28 +290,39 @@ impl Drop for ShardSink<'_> {
     }
 }
 
-/// Driver-side batching helper: accumulates emitted rows and forwards them
-/// to the sink through [`ResultSink::push_batch`], taking the virtual call
-/// out of the per-tuple path. Drivers must [`flush`](Self::flush) before
-/// returning.
+/// Driver-side emission helper: writes each result row in head order,
+/// gathering the driver's binding through `order`, and forwards the rows
+/// to the sink in batches through [`ResultSink::push_rows`], taking the
+/// virtual call out of the per-tuple path. Drivers must
+/// [`flush`](Self::flush) before returning.
 ///
-/// [`passthrough`](Self::passthrough) disables the buffering: the parallel
-/// engines use it because their drivers already write into a [`ShardSink`]
-/// that batches — stacking a second same-sized buffer in front of it would
-/// just copy every row twice.
+/// Two other modes. [`passthrough`](Self::passthrough) hands every row
+/// straight to `sink.push`: the parallel engines use it because their
+/// drivers already write into a [`ShardSink`] that batches, and a second
+/// same-sized buffer in front of it would just copy every row twice.
+/// [`collect`](Self::collect) keeps every row for the owner to
+/// [take](Self::take_rows): a one-worker stream's refill, whose buffer is
+/// the batch its consumer reads.
 #[derive(Debug)]
 pub(crate) struct BatchEmitter {
-    arity: usize,
-    /// Flush threshold in values; `0` = passthrough (no buffering).
+    /// Head slot → the binding depth whose value it shows.
+    order: Vec<usize>,
+    /// Flush threshold in values; [`PASSTHROUGH`] and [`COLLECT`] mark
+    /// the other two modes.
     batch_values: usize,
     rows: Vec<Value>,
 }
 
+/// [`BatchEmitter::batch_values`] of the passthrough mode.
+const PASSTHROUGH: usize = 0;
+/// [`BatchEmitter::batch_values`] of the collecting mode: never reached.
+const COLLECT: usize = usize::MAX;
+
 impl BatchEmitter {
-    pub(crate) fn new(arity: usize) -> Self {
-        let batch_values = ShardSink::DEFAULT_BATCH_ROWS * arity.max(1);
+    pub(crate) fn new(order: Vec<usize>) -> Self {
+        let batch_values = ShardSink::DEFAULT_BATCH_ROWS * order.len().max(1);
         BatchEmitter {
-            arity: arity.max(1),
+            order,
             batch_values,
             rows: Vec::new(),
         }
@@ -320,26 +331,39 @@ impl BatchEmitter {
     /// Switches to passthrough: every tuple goes straight to `sink.push`.
     pub(crate) fn passthrough(&mut self) {
         debug_assert!(self.rows.is_empty(), "switch modes before emitting");
-        self.batch_values = 0;
+        self.batch_values = PASSTHROUGH;
     }
 
+    /// Switches to collecting into `rows`: nothing reaches a sink, and
+    /// [`take_rows`](Self::take_rows) hands the rows back.
+    pub(crate) fn collect(&mut self, rows: Vec<Value>) {
+        debug_assert!(self.rows.is_empty(), "switch modes before emitting");
+        self.batch_values = COLLECT;
+        self.rows = rows;
+    }
+
+    /// The rows collected so far, leaving the buffer empty.
+    pub(crate) fn take_rows(&mut self) -> Vec<Value> {
+        std::mem::take(&mut self.rows)
+    }
+
+    /// Emits the row `binding` shows in head order.
     #[inline]
-    pub(crate) fn push(&mut self, tuple: &[Value], sink: &mut dyn ResultSink) {
-        if self.batch_values == 0 {
-            sink.push(tuple);
-            return;
-        }
-        self.rows.extend_from_slice(tuple);
-        if self.rows.len() >= self.batch_values {
+    pub(crate) fn push(&mut self, binding: &[Value], sink: &mut dyn ResultSink) {
+        self.rows.extend(self.order.iter().map(|&d| binding[d]));
+        if self.batch_values == PASSTHROUGH {
+            sink.push(&self.rows);
+            self.rows.clear();
+        } else if self.rows.len() >= self.batch_values {
             self.flush(sink);
         }
     }
 
     pub(crate) fn flush(&mut self, sink: &mut dyn ResultSink) {
-        if self.rows.is_empty() {
+        if self.rows.is_empty() || self.batch_values == COLLECT {
             return;
         }
-        sink.push_rows(&self.rows, self.arity);
+        sink.push_rows(&self.rows, self.order.len());
         self.rows.clear();
     }
 }
@@ -412,7 +436,7 @@ mod tests {
 
     #[test]
     fn passthrough_emitter_skips_buffering() {
-        let mut emitter = BatchEmitter::new(2);
+        let mut emitter = BatchEmitter::new(vec![0, 1]);
         emitter.passthrough();
         let mut sink = CollectSink::new();
         emitter.push(&[1, 2], &mut sink);
@@ -423,7 +447,7 @@ mod tests {
 
     #[test]
     fn batch_emitter_flushes_complete_rows() {
-        let mut emitter = BatchEmitter::new(3);
+        let mut emitter = BatchEmitter::new(vec![0, 1, 2]);
         let mut sink = CollectSink::new();
         emitter.push(&[1, 2, 3], &mut sink);
         emitter.push(&[4, 5, 6], &mut sink);
@@ -432,6 +456,20 @@ mod tests {
         assert_eq!(sink.tuples(), &[vec![1, 2, 3], vec![4, 5, 6]]);
         emitter.flush(&mut sink); // empty flush is a no-op
         assert_eq!(sink.len(), 2);
+    }
+
+    /// Rows come out in head order whatever order the binding is in, and a
+    /// collecting emitter keeps them from the sink for its owner.
+    #[test]
+    fn emitters_gather_head_order_and_collect_for_their_owner() {
+        let mut emitter = BatchEmitter::new(vec![2, 0, 1]);
+        emitter.collect(vec![9]);
+        let mut sink = CollectSink::new();
+        emitter.push(&[1, 2, 3], &mut sink);
+        emitter.flush(&mut sink);
+        assert!(sink.is_empty(), "collected rows never reach the sink");
+        assert_eq!(emitter.take_rows(), vec![9, 3, 1, 2]);
+        assert!(emitter.take_rows().is_empty());
     }
 
     #[test]

@@ -167,17 +167,12 @@ impl PairwiseSortMerge {
                     .expect("full join covers head")
             })
             .collect();
-        let mut emit = vec![0; head_pos.len()];
-        let mut emitter = BatchEmitter::new(head_pos.len());
+        let words = head_pos.len() as u64 * WORD_BYTES;
+        let mut emitter = BatchEmitter::new(head_pos);
         for row in &acc.rows {
-            for (slot, &pos) in head_pos.iter().enumerate() {
-                emit[slot] = row[pos];
-            }
-            emitter.push(&emit, sink);
+            emitter.push(row, sink);
             stats.results += 1;
-            stats
-                .access
-                .record(AccessKind::ResultWrite, emit.len() as u64 * WORD_BYTES);
+            stats.access.record(AccessKind::ResultWrite, words);
         }
         emitter.flush(sink);
         Ok(stats)

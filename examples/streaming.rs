@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example streaming`
 
-use triejax_join::{Catalog, Session};
+use triejax_join::{Catalog, Row, Session};
 use triejax_query::{patterns, CompiledQuery};
 use triejax_relation::Relation;
 
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Stop early: taking 5 rows and dropping the stream cancels the
     // run cooperatively — workers notice the token and park; nothing
     // blocks on a full channel.
-    let early: Vec<Vec<u32>> = session.query(&plan).stream().take(5).collect();
+    let early: Vec<Row> = session.query(&plan).stream().take(5).collect();
     println!(
         "took {} rows, then dropped the stream — no hang",
         early.len()
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 3. Or declare the limit up front: the budget trips inside the
     // engine, and the stream still ends with an exact prefix.
     let mut limited = session.query(&plan).with_row_limit(5).stream();
-    let prefix: Vec<Vec<u32>> = limited.by_ref().collect();
+    let prefix: Vec<Row> = limited.by_ref().collect();
     assert_eq!(prefix, early, "both 5-row prefixes are identical");
     println!("row-limited stream returned the same 5-row prefix");
 

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use triejax_join::{
     Catalog, CollectSink, Counting, Ctj, DeltaMap, GenericJoin, JoinEngine, Lftj, NoTally, ParCtj,
-    ParLftj, Session,
+    ParLftj, Row, Session,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::Relation;
@@ -151,7 +151,7 @@ fn check_scenario(
                 &context,
             );
             // The serving path (query handles snapshot the epoch) agrees.
-            let streamed: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+            let streamed: Vec<Row> = session.query(&plan).stream().collect();
             assert_eq!(streamed, expect, "{context}: session stream");
         }
 
@@ -159,7 +159,7 @@ fn check_scenario(
         session.compact("G");
         assert!(session.deltas().is_empty());
         let expect = rebuilt_reference(&truth, &plan);
-        let streamed: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+        let streamed: Vec<Row> = session.query(&plan).stream().collect();
         assert_eq!(streamed, expect, "{pattern} ratio={ratio}: post-compact");
     }
 }
@@ -268,7 +268,7 @@ fn delta_only_relations_serve_every_engine() {
             &expect,
             "delta-only",
         );
-        let streamed: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+        let streamed: Vec<Row> = session.query(&plan).stream().collect();
         assert_eq!(streamed, expect, "{pattern}: delta-only stream");
     }
 }

@@ -8,7 +8,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use triejax_join::{Catalog, CollectSink, JoinEngine, JoinError, Lftj, Session, WatchUpdate};
+use triejax_join::{Catalog, CollectSink, JoinEngine, JoinError, Lftj, Row, Session, WatchUpdate};
 use triejax_query::{patterns::Pattern, CompiledQuery, Query};
 use triejax_relation::Relation;
 
@@ -220,7 +220,7 @@ fn watchers_interleave_with_ad_hoc_queries() {
 
     // Start streaming at epoch 0, consume a prefix, then mutate.
     let mut stale_stream = session.query(&plan).stream();
-    let prefix: Vec<Vec<u32>> = stale_stream.by_ref().take(4).collect();
+    let prefix: Vec<Row> = stale_stream.by_ref().take(4).collect();
     assert_eq!(prefix, before[..4]);
 
     let mut truth = base.clone();
@@ -245,11 +245,11 @@ fn watchers_interleave_with_ad_hoc_queries() {
     assert_eq!(watch.poll().expect("delivered").rows, expect);
 
     // … while the pre-apply stream finishes with its epoch-0 answer …
-    let rest: Vec<Vec<u32>> = stale_stream.collect();
+    let rest: Vec<Row> = stale_stream.collect();
     assert_eq!(rest, before[4..]);
 
     // … and a fresh ad-hoc query serves the new epoch.
-    let fresh: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+    let fresh: Vec<Row> = session.query(&plan).stream().collect();
     assert_eq!(fresh, after);
 }
 

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use triejax_join::Catalog;
-use triejax_join::{CancelReason, CollectSink, JoinEngine, JoinError, Lftj, Session};
+use triejax_join::{CancelReason, CollectSink, JoinEngine, JoinError, Lftj, Row, Session};
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::{Relation, Trie, TrieCursor};
 
@@ -50,7 +50,7 @@ proptest! {
                     handle = handle.with_ctj();
                 }
                 let mut stream = handle.stream();
-                let got: Vec<Vec<u32>> = stream.by_ref().collect();
+                let got: Vec<Row> = stream.by_ref().collect();
                 prop_assert_eq!(&got, &reference, "pool={} ctj={}", pool, ctj);
                 let stats = stream
                     .outcome()
@@ -63,7 +63,8 @@ proptest! {
     }
 
     /// A row limit yields exactly the first `limit` tuples of the
-    /// sequential order — a true prefix, never a different subset.
+    /// sequential order — a true prefix, never a different subset — for
+    /// every pool size.
     #[test]
     fn row_limits_stream_exact_prefixes(
         edges in prop::collection::btree_set((0u32..18, 0u32..18), 1..110),
@@ -75,17 +76,19 @@ proptest! {
         let plan = CompiledQuery::compile(&triejax_query::patterns::cycle3())
             .expect("compiles");
         let reference = sequential(&plan, &catalog);
-
-        let session = Session::new(catalog).with_pool(2);
-        let stream = session.query(&plan).with_row_limit(limit).stream();
-        let got: Vec<Vec<u32>> = stream.collect();
         let want = &reference[..reference.len().min(limit as usize)];
-        prop_assert_eq!(got.as_slice(), want);
+
+        for pool in POOL_SIZES {
+            let session = Session::new(catalog.clone()).with_pool(pool);
+            let stream = session.query(&plan).with_row_limit(limit).stream();
+            let got: Vec<Row> = stream.collect();
+            prop_assert_eq!(got.as_slice(), want, "pool={}", pool);
+        }
     }
 
     /// Dropping a stream after a partial read cancels the run without
     /// hanging, and the tuples read before the drop are still the exact
-    /// sequential prefix.
+    /// sequential prefix, for every pool size.
     #[test]
     fn early_drop_keeps_the_prefix_and_never_hangs(
         edges in prop::collection::btree_set((0u32..22, 0u32..22), 40..130),
@@ -98,18 +101,57 @@ proptest! {
             .expect("compiles");
         let reference = sequential(&plan, &catalog);
 
-        let session = Session::new(catalog).with_pool(4);
-        let mut stream = session.query(&plan).stream();
-        let mut got = Vec::new();
-        for _ in 0..take {
-            match stream.next() {
-                Some(row) => got.push(row),
-                None => break,
+        for pool in POOL_SIZES {
+            let session = Session::new(catalog.clone()).with_pool(pool);
+            let mut stream = session.query(&plan).stream();
+            let mut got = Vec::new();
+            for _ in 0..take {
+                match stream.next() {
+                    Some(row) => got.push(row),
+                    None => break,
+                }
+            }
+            drop(stream); // must cancel cooperatively, not deadlock
+            let want = &reference[..got.len()];
+            prop_assert_eq!(got.as_slice(), want, "prefix before drop, pool={}", pool);
+        }
+    }
+}
+
+/// A stream's rows read as slices, equal the sequential engine's
+/// `Vec<u32>` tuples, order like them, and convert back into them — also
+/// when the head is wider than a row holds inline and the row lives on
+/// the heap.
+#[test]
+fn rows_equal_order_and_round_trip_at_every_width() {
+    let catalog = catalog_from((0..30u32).map(|i| (i, (i + 1) % 30)).collect());
+    let vars: Vec<String> = (0..=Row::INLINE + 1).map(|i| format!("x{i}")).collect();
+    let mut wide = triejax_query::Query::builder("wide_path").head(vars.clone());
+    for pair in vars.windows(2) {
+        wide = wide.atom("G", pair.to_vec());
+    }
+    let queries = [
+        triejax_query::patterns::path3(),
+        wide.build().expect("a path query"),
+    ];
+    for q in queries {
+        let plan = CompiledQuery::compile(&q).expect("compiles");
+        let reference = sequential(&plan, &catalog);
+        assert_eq!(reference.len(), 30, "{}: one path per start", q.name());
+        for pool in POOL_SIZES {
+            let session = Session::new(catalog.clone()).with_pool(pool);
+            let rows: Vec<Row> = session.query(&plan).stream().collect();
+            assert_eq!(rows, reference, "{} pool={pool}", q.name());
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]),
+                "ascending like the tuples"
+            );
+            for (row, tuple) in rows.into_iter().zip(&reference) {
+                assert_eq!(row.len(), plan.arity());
+                assert_eq!(&row[..], tuple.as_slice(), "Deref to the values");
+                assert_eq!(Vec::from(row), *tuple, "round trip");
             }
         }
-        drop(stream); // must cancel cooperatively, not deadlock
-        let want = &reference[..got.len()];
-        prop_assert_eq!(got.as_slice(), want, "prefix before drop");
     }
 }
 
@@ -179,7 +221,7 @@ fn sparse_ids_serve_the_sequential_order() {
             let mut sink = CollectSink::new();
             session.query(&plan).run(&mut sink).expect("runs");
             assert_eq!(sink.tuples(), &reference[..], "run {pattern:?} pool={pool}");
-            let got: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+            let got: Vec<Row> = session.query(&plan).stream().collect();
             assert_eq!(got, reference, "stream {pattern:?} pool={pool}");
         }
     }
@@ -213,7 +255,7 @@ fn dense_ids_serve_the_sequential_order() {
             let mut sink = CollectSink::new();
             session.query(&plan).run(&mut sink).expect("runs");
             assert_eq!(sink.tuples(), &reference[..], "run {pattern:?} pool={pool}");
-            let got: Vec<Vec<u32>> = session.query(&plan).stream().collect();
+            let got: Vec<Row> = session.query(&plan).stream().collect();
             assert_eq!(got, reference, "stream {pattern:?} pool={pool}");
             let mut sink = CollectSink::new();
             let limited = session
@@ -235,7 +277,7 @@ fn dense_ids_serve_the_sequential_order() {
                 &reference[..limit],
                 "limited run {pattern:?}"
             );
-            let got: Vec<Vec<u32>> = session
+            let got: Vec<Row> = session
                 .query(&plan)
                 .with_row_limit(limit as u64)
                 .stream()
@@ -266,7 +308,7 @@ fn store_served_streams_match_and_skip_builds() {
     let session = Session::from_stored(reopened).with_pool(4);
 
     let mut stream = session.query(&plan).stream();
-    let got: Vec<Vec<u32>> = stream.by_ref().collect();
+    let got: Vec<Row> = stream.by_ref().collect();
     assert_eq!(got, reference);
     let stats = stream
         .outcome()
