@@ -9,24 +9,18 @@
 //! of that execution model, shared by every parallel join engine:
 //!
 //! * [`WorkerPool`] — a reusable, scoped worker pool. A query's root-value
-//!   domain is split into contiguous *root ranges* (shards); each worker
-//!   owns a shard queue and **steals** from its siblings once its own
-//!   queue runs dry. On top of stealing, the pool's *dynamic* entry point
-//!   ([`WorkerPool::run_spawning`]) hands every task a [`Spawner`]: a
-//!   running task polls [`Spawner::should_split`] (relaxed loads of the
-//!   idle-worker and pending-task counts) and, the moment a sibling
-//!   parks idle with no handoff already waiting for it, carves off
-//!   the unvisited tail of its range as a freshly spawned task — true
-//!   spawn-on-match, not just static oversharding, so even a single
-//!   pathological shard rebalances instead of straggling.
+//!   domain is split into many more contiguous *root ranges* (shards)
+//!   than there are workers; each worker owns a shard queue and
+//!   **steals** from its siblings once its own queue runs dry, so a heavy
+//!   range is one unit of work among many instead of a thread's whole
+//!   static share. A second entry point, [`WorkerPool::run_spawning`],
+//!   lets running tasks submit new ones through a [`Spawner`].
 //! * [`OrderedMerge`] — an order-preserving merge of per-shard *batch*
 //!   streams. Workers flush small batches as they are produced (instead of
 //!   materializing each shard's full result), and a foreground drainer
 //!   forwards them downstream in shard order as soon as every earlier
 //!   shard has caught up. Memory is bounded by the out-of-order tail, not
-//!   by the result set. Lanes can be opened mid-run
-//!   ([`OrderedMerge::open_lane_after`]) so a split's tail streams out
-//!   exactly where the parent shard would have emitted it.
+//!   by the result set.
 //! * [`Striped`] — lock-striped shared state, the primitive behind
 //!   runtime structures *shared by* all workers (TrieJax's on-chip PJR
 //!   cache is shared by every lane; its software analogue, the shared
@@ -40,10 +34,10 @@
 //! engine parallelize through the same runtime (see `triejax_join::ParLftj`
 //! and `triejax_join::ParCtj`).
 //!
-//! The default worker count honours the `TRIEJAX_POOL` environment
-//! variable, falling back to [`std::thread::available_parallelism`]; CI
-//! exercises the multi-worker code paths with `TRIEJAX_POOL=2` even on
-//! single-core runners.
+//! [`WorkerPool::new`] runs one worker per core
+//! ([`std::thread::available_parallelism`]); this crate reads no
+//! environment. `triejax-join` resolves its `TRIEJAX_POOL` knob into an
+//! explicit [`WorkerPool::with_workers`].
 //!
 //! Two further layers make the runtime governable and testable:
 //!
@@ -54,9 +48,9 @@
 //!   ([`BudgetHandle`]); a tripped budget winds the whole pool run down
 //!   cooperatively instead of abandoning merge lanes.
 //! * `faults` (tests / `--features faults` only) — a deterministic
-//!   fault-injection harness that forces panics, delays, and failed
-//!   split handoffs at precise `(worker, event, ordinal)` points, so the
-//!   no-hang/no-lost-lane properties above are *tested*, not assumed.
+//!   fault-injection harness that forces panics and delays at precise
+//!   `(worker, event, ordinal)` points, so the no-hang/no-lost-lane
+//!   properties above are *tested*, not assumed.
 //!
 //! # Example
 //!

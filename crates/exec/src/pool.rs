@@ -5,9 +5,6 @@ use std::sync::Mutex;
 
 use crate::split::{SpawnState, Spawner};
 
-/// Name of the environment variable overriding the default worker count.
-pub(crate) const POOL_ENV: &str = "TRIEJAX_POOL";
-
 /// A reusable scoped worker pool with work-stealing shard queues.
 ///
 /// Tasks are distributed round-robin across per-worker queues; a worker
@@ -46,12 +43,11 @@ impl Default for WorkerPool {
 }
 
 impl WorkerPool {
-    /// Pool with the default worker count: the `TRIEJAX_POOL` environment
-    /// variable if set to a positive integer, otherwise
-    /// [`std::thread::available_parallelism`].
+    /// Pool with one worker per core
+    /// ([`std::thread::available_parallelism`]).
     pub fn new() -> Self {
         WorkerPool {
-            workers: default_workers(),
+            workers: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
         }
     }
 
@@ -230,24 +226,16 @@ impl WorkerPool {
 
     /// Runs a dynamically growing task set: every task receives a
     /// [`Spawner`] through which it may submit *new* tasks to the same
-    /// run — the pool's split protocol, the software analogue of the
-    /// paper's §3.4 spawn-on-match scheduling. The run terminates once
-    /// every task, seeded or spawned, has completed.
+    /// run. The run terminates once every task, seeded or spawned, has
+    /// completed.
     ///
     /// Unlike [`run`](Self::run), the full configured worker count is
-    /// spawned even when `seeds` has fewer entries: filling the spare
-    /// workers is precisely what splitting is for (a single heavy seed
-    /// carves off tails until every worker has work). Workers that find
-    /// nothing to do park on a condvar; [`Spawner::should_split`] reports
-    /// whether more siblings are parked than spawned tasks are already
-    /// waiting for them, so a running task can poll for split
-    /// opportunities with a pair of relaxed atomic loads.
+    /// spawned even when `seeds` has fewer entries, so spawned tasks
+    /// always find a worker. Workers that find nothing to do park on a
+    /// condvar until a spawn or the last completion wakes them.
     ///
-    /// Task results are returned in **completion order** (splitting makes
-    /// a stable submission order meaningless); callers that need ordered
-    /// output should order it by data carried in `R`, or stream it
-    /// through an [`crate::OrderedMerge`] whose lanes the tasks manage —
-    /// see [`crate::OrderedMerge::open_lane_after`].
+    /// Task results are returned in **completion order**; callers that
+    /// need ordered output should order it by data carried in `R`.
     ///
     /// `foreground` runs on the calling thread while the workers run,
     /// exactly as in [`run_with_foreground`](Self::run_with_foreground),
@@ -261,13 +249,12 @@ impl WorkerPool {
     /// ```
     /// use triejax_exec::WorkerPool;
     ///
-    /// // One seed covering [0, 16) splits itself in half whenever a
-    /// // sibling is idle, until the ranges are too small to split.
+    /// // One seed covering [0, 16) halves itself until ranges are short.
     /// let pool = WorkerPool::with_workers(4);
     /// let ((chunks, stats), ()) = pool.run_spawning(
     ///     vec![(0u32, 16u32)],
     ///     |_ctx, spawner, (lo, mut hi)| {
-    ///         if spawner.should_split() && hi - lo >= 2 {
+    ///         while hi - lo > 4 {
     ///             let mid = lo + (hi - lo) / 2;
     ///             spawner.spawn((mid, hi));
     ///             hi = mid;
@@ -406,29 +393,9 @@ pub struct PoolStats {
     /// Tasks obtained by stealing from a sibling's queue rather than from
     /// the worker's own.
     pub steals: u64,
-    /// Tasks submitted *during* the run through [`Spawner::spawn`]
-    /// (dynamic splits); always zero for the fixed-task entry points.
+    /// Tasks submitted *during* the run through [`Spawner::spawn`];
+    /// always zero for the fixed-task entry points.
     pub spawned: u64,
-}
-
-/// Resolves the default worker count (see [`WorkerPool::new`]).
-///
-/// # Panics
-///
-/// Panics when `TRIEJAX_POOL` is set to anything but a positive integer:
-/// an explicitly configured pool size that silently fell back to the core
-/// count would defeat the configuration's purpose (e.g. CI pinning the
-/// pool to 2 to force the parallel code paths on a single-core runner).
-fn default_workers() -> NonZeroUsize {
-    if let Ok(v) = std::env::var(POOL_ENV) {
-        return v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .and_then(NonZeroUsize::new)
-            .unwrap_or_else(|| panic!("{POOL_ENV} must be a positive integer, got {v:?}"));
-    }
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 #[cfg(test)]
@@ -591,48 +558,6 @@ mod tests {
         assert_eq!(stats.tasks, 4);
         assert_eq!(stats.spawned, 3);
         assert_eq!(stats.workers, 3);
-    }
-
-    #[test]
-    fn single_worker_never_reports_an_idle_sibling() {
-        let pool = WorkerPool::with_workers(1);
-        let ((results, stats), ()) = pool.run_spawning(
-            vec![0u32, 1, 2],
-            |_ctx, spawner, t| {
-                assert!(!spawner.should_split(), "the only worker is running");
-                t
-            },
-            || (),
-        );
-        assert_eq!(results.len(), 3);
-        assert_eq!(stats.spawned, 0);
-    }
-
-    /// The split signal fires: with a single seed on a two-worker pool,
-    /// the second worker must eventually park, at which point the running
-    /// task observes `should_split()` and hands work off to it.
-    #[test]
-    fn idle_sibling_raises_the_split_signal() {
-        let pool = WorkerPool::with_workers(2);
-        let ((results, stats), ()) = pool.run_spawning(
-            vec![true],
-            |ctx, spawner, heavy| {
-                if heavy {
-                    // Spin until the sibling parks (bounded by the test
-                    // harness timeout; parking takes microseconds).
-                    while !spawner.should_split() {
-                        std::thread::yield_now();
-                    }
-                    spawner.spawn(false);
-                    ctx.worker
-                } else {
-                    ctx.worker
-                }
-            },
-            || (),
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(stats.spawned, 1);
     }
 
     #[test]

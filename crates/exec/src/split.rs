@@ -4,7 +4,7 @@ use std::sync::{Condvar, Mutex};
 
 /// Shared scheduling state of one [`crate::WorkerPool::run_spawning`]
 /// invocation: per-worker queues plus the counters that make dynamic task
-/// submission terminate correctly and splitting decisions cheap.
+/// submission terminate correctly.
 ///
 /// The counter protocol: a task is *pending* from submission until a
 /// worker claims it and *running* from claim until completion. A claim
@@ -21,8 +21,6 @@ pub(crate) struct SpawnState<T> {
     pending: AtomicUsize,
     /// Tasks claimed and currently executing.
     running: AtomicUsize,
-    /// Workers currently parked waiting for work — the split signal.
-    idle: AtomicUsize,
     /// Tasks submitted through [`Spawner::spawn`] (seeds excluded).
     spawned: AtomicU64,
     /// Tasks obtained by stealing from a sibling's queue.
@@ -50,7 +48,6 @@ impl<T> SpawnState<T> {
             queues,
             pending: AtomicUsize::new(pending),
             running: AtomicUsize::new(0),
-            idle: AtomicUsize::new(0),
             spawned: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             gate: Mutex::new(()),
@@ -116,9 +113,7 @@ impl<T> SpawnState<T> {
             if self.running.load(Ordering::SeqCst) == 0 {
                 return false;
             }
-            self.idle.fetch_add(1, Ordering::SeqCst);
             gate = self.bell.wait(gate).expect("gate poisoned");
-            self.idle.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -132,16 +127,8 @@ impl<T> SpawnState<T> {
 }
 
 /// Handle through which a running task submits new tasks to its own pool
-/// run and polls for split opportunities — the software analogue of the
-/// paper's §3.4 *spawn-on-match*: hardware join units spawn sub-join work
-/// into a shared pool the moment a unit is free to take it.
-///
-/// Every task invoked by [`crate::WorkerPool::run_spawning`] receives a
-/// `Spawner`. The intended discipline (followed by the parallel join
-/// engines) is to poll [`should_split`](Self::should_split) at a cheap,
-/// natural boundary of the task's own loop — a pair of relaxed atomic
-/// loads — and only when it reports an unserved idle sibling, carve off
-/// a piece of the remaining work and [`spawn`](Self::spawn) it.
+/// run. Every task invoked by [`crate::WorkerPool::run_spawning`] receives
+/// one.
 pub struct Spawner<'s, T> {
     state: &'s SpawnState<T>,
     worker: usize,
@@ -167,36 +154,12 @@ impl<'s, T> Spawner<'s, T> {
         let _gate = self.state.gate.lock().expect("gate poisoned");
         self.state.bell.notify_one();
     }
-
-    /// Number of sibling workers currently parked with nothing to do.
-    pub fn idle_workers(&self) -> usize {
-        self.state.idle.load(Ordering::Relaxed)
-    }
-
-    /// Number of tasks submitted but not yet claimed by any worker.
-    pub fn pending_tasks(&self) -> usize {
-        self.state.pending.load(Ordering::Relaxed)
-    }
-
-    /// `true` when splitting off work would help right now: more sibling
-    /// workers are parked idle than there are spawned-but-unclaimed
-    /// tasks already waiting for them. Counting the pending tasks damps
-    /// the signal during a woken worker's wake-up latency — without it,
-    /// one parked sibling would keep the signal up for the whole
-    /// latency and a polling task would burst out O(log range) splits
-    /// when a single handoff balances the pool. Two relaxed atomic
-    /// loads, cheap enough to poll on every iteration of a hot loop.
-    pub fn should_split(&self) -> bool {
-        self.idle_workers() > self.pending_tasks()
-    }
 }
 
 impl<T> std::fmt::Debug for Spawner<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Spawner")
             .field("worker", &self.worker)
-            .field("idle", &self.idle_workers())
-            .field("pending", &self.pending_tasks())
             .finish()
     }
 }

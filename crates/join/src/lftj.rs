@@ -5,7 +5,6 @@ use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Valu
 use crate::cache::{Looked, NoPjr, PjrStore};
 use crate::engine::{head_order, head_slots};
 use crate::leapfrog::{BitLeapfrog, SliceLeapfrog, SLICE_MEMBERS};
-use crate::shard::{try_split_at, NoSplit, SplitSpawn};
 use crate::sink::BatchEmitter;
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
@@ -130,6 +129,38 @@ pub(crate) fn run_sequential<T: Tally, P: PjrStore>(
 /// The match list of a cache entry while its level is being computed.
 type Recording = Vec<(Value, Vec<u32>)>;
 
+/// The stop protocol between a driver's level loops and the run that
+/// owns it.
+///
+/// A *stopping* controller ([`STOPS`](SplitSpawn::STOPS)) ends the run once
+/// [`batch_full`](SplitSpawn::batch_full) says so, and the driver hands it
+/// every tail the stop left unvisited through
+/// [`handoff`](SplitSpawn::handoff), as `(depth, prefix, min, sup)`, so
+/// [`Driver::run_tail`] resumes each one.
+pub(crate) trait SplitSpawn {
+    /// `true` only for a stopping controller; `false` compiles every stop
+    /// check out of the driver.
+    const STOPS: bool = false;
+    /// Whether a run that has emitted `results` rows must stop at its
+    /// next stop point (only asked when [`STOPS`](Self::STOPS)).
+    fn batch_full(&self, _results: u64) -> bool {
+        false
+    }
+    /// Takes the unvisited tail `[min, sup)` at `depth` under the bound
+    /// `prefix` (one value per level above `depth`).
+    fn handoff(&mut self, depth: usize, prefix: &[Value], min: Value, sup: Option<Value>);
+}
+
+/// The no-op controller of runs that never stop early: the generic
+/// drivers monomorphize their stop checks away.
+pub(crate) struct NoSplit;
+
+impl SplitSpawn for NoSplit {
+    fn handoff(&mut self, _depth: usize, _prefix: &[Value], _min: Value, _sup: Option<Value>) {
+        unreachable!("NoSplit never stops a run")
+    }
+}
+
 /// The trie-join driver: the Cached TrieJoin control flow of paper
 /// Figure 4 as recursive backtracking over trie cursors — and, without a
 /// cache, plain LFTJ. Every trie engine runs it: [`Lftj`] and
@@ -152,20 +183,18 @@ type Recording = Vec<(Value, Vec<u32>)>;
 ///   every cache-entry tuple against the intermediate budget. A governed
 ///   driver stops early, still flushing what the emitter buffered, so the
 ///   delivered rows stay an exact stream prefix.
-/// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for sequential
-///   runs, a split handle that donates unvisited sibling tails to idle
-///   workers for the pool, a [`BatchStop`] that ends each batch of a
-///   [`Resumable`] run.
+/// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for runs to the
+///   end, a [`BatchStop`] that ends each batch of a [`Resumable`] run.
 /// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
 ///   [`TrieCursor`]s over frozen relations (the default) or
 ///   [`triejax_relation::MergeCursor`]s over mutated ones
 ///   (`base ∪ delta − tombstones`).
 ///
 /// The driver restricts one level — `range_depth` — to the value range
-/// `[range_min, range_sup)`: the parallel engines give each seeded shard
-/// a contiguous slice of the first join variable's domain (`range_depth`
-/// 0), and a sub-root split donee a slice of an inner level under a bound
-/// prefix ([`Driver::run_split_at`]), which keeps every shard's emission
+/// `[range_min, range_sup)`: the parallel engines give each shard a
+/// contiguous slice of the first join variable's domain (`range_depth`
+/// 0), and a resumed tail is a slice of an inner level under a bound
+/// prefix ([`Driver::run_tail`]), which keeps every shard's emission
 /// order identical to the sequential engine's. Entering that level clamps
 /// every participating cursor to the range ([`JoinCursor::open_range`]),
 /// so the leapfrog never probes outside the shard.
@@ -187,14 +216,11 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     members_at: Vec<Vec<usize>>,
     cache: P,
     /// Level the `[range_min, range_sup)` restriction applies to: 0 for
-    /// seeded shards (and sequential runs, where the range is unbounded),
-    /// the donated level for sub-root split donees.
+    /// shards (and sequential runs, where the range is unbounded), the
+    /// tail's level for a resumed tail.
     range_depth: usize,
     range_min: Value,
     range_sup: Option<Value>,
-    /// Per level: the upper bound committed splits have clamped it to
-    /// (`None` until a split donates a tail there). Reset on level entry.
-    sup_at: Vec<Option<Value>>,
     /// Whether the last level tries [`BitLeapfrog`] first: an untallied
     /// run whose last variable joins 2..=[`SLICE_MEMBERS`] cursors that all
     /// keep leaf bitmaps. Decided once here, so runs without bitmaps never
@@ -239,7 +265,6 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             range_depth: 0,
             range_min: 0,
             range_sup: None,
-            sup_at: vec![None; n],
             bit_leaf,
             pinned: 0,
             budget,
@@ -274,20 +299,20 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         root_sup: Option<Value>,
         sink: &mut dyn ResultSink,
     ) {
-        self.run_split_at(0, &[], root_min, root_sup, sink, &mut NoSplit);
+        self.run_tail(0, &[], root_min, root_sup, sink, &mut NoSplit);
     }
 
-    /// Runs a split task: binds the donated `prefix` (the values the donor
-    /// had matched above the split level), then joins the donated level
-    /// restricted to `[min, sup)` and everything below it, polling `ctl`
-    /// at the match points of every level up to its depth cap (see
-    /// [`try_split_at`]). A root shard is the task with an empty prefix.
+    /// Runs one tail: binds `prefix` (the values matched above level
+    /// `depth` when the tail was handed off), then joins level `depth`
+    /// restricted to `[min, sup)` and everything below it, asking `ctl`
+    /// whether to stop at every match point. A root shard is the tail
+    /// with an empty prefix.
     ///
-    /// The donor held exactly these prefix values open at every
-    /// participating cursor when it handed the tail off, so each rebind
-    /// seek lands on its value by construction. The prefix levels are
-    /// unwound before returning so a pooled driver can run further tasks.
-    pub(crate) fn run_split_at<C: SplitSpawn>(
+    /// The run that handed the tail off held exactly these prefix values
+    /// open at every participating cursor, so each rebind seek lands on
+    /// its value by construction. The prefix levels are unwound before
+    /// returning so a pooled driver can run further shards.
+    pub(crate) fn run_tail<C: SplitSpawn>(
         &mut self,
         depth: usize,
         prefix: &[Value],
@@ -299,7 +324,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         assert_eq!(
             prefix.len(),
             depth,
-            "split prefix binds every level above the donated one"
+            "a tail's prefix binds every level above it"
         );
         self.range_depth = depth;
         self.range_min = min;
@@ -310,11 +335,11 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                     self.stats.expand_ops += 1;
                 }
                 let opened = self.cursors[a].open(&mut self.stats.access);
-                assert!(opened, "split prefix level must be non-empty");
+                assert!(opened, "a tail's prefix level must be non-empty");
                 let found = self.cursors[a].seek(v, &mut self.stats.access);
                 assert!(
                     found && self.cursors[a].key() == v,
-                    "split prefix value must exist in every participant"
+                    "a tail's prefix value must exist in every participant"
                 );
             }
             self.binding[q] = v;
@@ -352,28 +377,31 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         C::STOPS && self.pinned == 0 && ctl.batch_full(self.stats.results)
     }
 
+    /// The upper bound of level `d`: the task's own at its ranged level,
+    /// none below it.
+    fn sup_at(&self, d: usize) -> Option<Value> {
+        (d == self.range_depth).then_some(self.range_sup).flatten()
+    }
+
     /// Stops the run at the match `v` of depth `d`, before visiting it:
     /// hands `ctl` every tail the task has left, root-most first — past the
     /// bound value at each level from the task's own down to `d - 1`, then
     /// from `v` on at `d`.
     fn stop<C: SplitSpawn>(&self, d: usize, v: Value, ctl: &mut C) {
         for q in self.range_depth..d {
-            let sup = self.sup_at[q];
+            let sup = self.sup_at(q);
             let next = self.binding[q].checked_add(1);
             if let Some(min) = next.filter(|&m| sup.is_none_or(|s| m < s)) {
                 ctl.handoff(q, &self.binding[..q], min, sup);
             }
         }
-        ctl.handoff(d, &self.binding[..d], v, self.sup_at[d]);
+        ctl.handoff(d, &self.binding[..d], v, self.sup_at(d));
     }
 
     /// Returns `false` when the budget or a stopping controller stopped
     /// the run at this level or below; cursors are unwound normally either
     /// way.
     fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
-        // Entering a fresh subtree invalidates any split vetoes recorded
-        // for this depth and below — they referred to sibling subtrees.
-        ctl.level_entered(d);
         let mut record_key = None;
         let spec = if P::CACHING {
             self.plan.cache_spec_at(d)
@@ -472,10 +500,10 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
 
     /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
     /// sibling slices, recording each match into `pending` and emitting
-    /// its row, when it binds the last variable and lies below `ctl`'s
-    /// split cap (so its tail is never donated). `None` (nothing done)
-    /// otherwise or when the level has no slice form; else whether the
-    /// level ran to its end (the budget or a stop may cut it short).
+    /// its row, when it binds the last variable below the root. `None`
+    /// (nothing done) otherwise or when the level has no slice form; else
+    /// whether the level ran to its end (the budget or a stop may cut it
+    /// short).
     ///
     /// A level that records nothing runs as a [`BitLeapfrog`] instead when
     /// [`Self::bit_leaf`] allows it and every member hands out a bitmap:
@@ -489,7 +517,9 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         sink: &mut dyn ResultSink,
         ctl: &mut C,
     ) -> Option<bool> {
-        if d + 1 != self.plan.arity() || d <= ctl.depth_cap() {
+        // A one-level plan's root stays on the cursor loop, which polls
+        // the budget at the task's top level.
+        if d + 1 != self.plan.arity() || d == 0 {
             return None;
         }
         // Out of `self` so the slices can outlive the `&mut self` emits.
@@ -552,11 +582,6 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         // Open level d on every participant (clamped to the task's range
         // at its ranged depth, so shards never leapfrog outside their
         // slice).
-        self.sup_at[d] = if d == self.range_depth {
-            self.range_sup
-        } else {
-            None
-        };
         let parts = self.plan.atoms_at(d);
         let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
         for (i, &(a, lvl)) in parts.iter().enumerate() {
@@ -576,13 +601,9 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             }
         }
 
-        // A recorded level must observe every one of its matches —
-        // donating its tail would publish a truncated entry whose
-        // replays silently drop rows — so split polls are suppressed
-        // while recording. (A demoted or mask-dropped spec computes like
-        // plain LFTJ and splits freely.)
-        let can_split = !P::CACHING || record_key.is_none();
-        // For the same reason a recorded level pins the run against stops.
+        // A recorded level must observe every one of its matches — a stop
+        // inside it would publish a truncated entry whose replays silently
+        // drop rows — so it pins the run against stops.
         let pin = C::STOPS && record_key.is_some();
         self.pinned += usize::from(pin);
         let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
@@ -609,22 +630,6 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 self.stop(d, v, ctl);
                 live = false;
                 break;
-            }
-            if can_split && d <= ctl.depth_cap() {
-                // Match-point split poll (paper §3.4 spawn-on-match): the
-                // current value v stays with this shard; only values
-                // beyond the boundary are handed off. A split never moves
-                // the cache: both halves keep hitting the same entries.
-                let (prefix, _) = self.binding.split_at(d);
-                try_split_at(
-                    self.plan,
-                    &mut self.cursors,
-                    &mut self.sup_at[d],
-                    d,
-                    prefix,
-                    ctl,
-                    &mut self.stats,
-                );
             }
             if P::CACHING && pending.is_some() {
                 let positions = parts
@@ -663,12 +668,6 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 self.cache.publish(d, key, token, p, &mut self.stats);
             }
         }
-        // A split at this depth opened a continuation lane for the
-        // donor's output *after* this subtree; adopt it now so that the
-        // stream stays tuple-for-tuple sequential around the handoff.
-        if let Some(lane) = ctl.take_switch(d) {
-            sink.redirect_lane(lane);
-        }
         live
     }
 }
@@ -684,8 +683,8 @@ struct Tail {
     sup: Option<Value>,
 }
 
-/// The controller of one batch of a [`Resumable`] run: never splits,
-/// stops the driver at its first stop point once `stop_at` rows are out,
+/// The controller of one batch of a [`Resumable`] run: stops the driver
+/// at its first stop point once `stop_at` rows are out,
 /// and keeps the run's unvisited tails as a stack, the next to resume on
 /// top.
 struct BatchStop {
@@ -698,14 +697,6 @@ impl SplitSpawn for BatchStop {
 
     fn batch_full(&self, results: u64) -> bool {
         results >= self.stop_at
-    }
-
-    fn should_split(&mut self) -> bool {
-        false
-    }
-
-    fn generation(&self) -> u64 {
-        0
     }
 
     /// A stop hands its tails over root-most first, so the deepest — the
@@ -735,7 +726,7 @@ impl ResultSink for NoSink {
 /// It owns what outlives a batch — the plan, the cursor set, the driver's
 /// owned parts (PJR store, budget, accumulated stats) — and the stack of
 /// unvisited tails. Each [`step`](Self::step) builds a [`Driver`] over the
-/// set and resumes tails deepest-first through [`Driver::run_split_at`]
+/// set and resumes tails deepest-first through [`Driver::run_tail`]
 /// until the batch is full. The driver then stops at its next match
 /// point at any depth, recording one tail per open level. A stop never
 /// fires while a level on the current path replays or records a PJR
@@ -807,7 +798,7 @@ where
             let Some(t) = ctl.tails.pop() else {
                 break;
             };
-            driver.run_split_at(t.depth, &t.prefix, t.min, t.sup, &mut NoSink, &mut ctl);
+            driver.run_tail(t.depth, &t.prefix, t.min, t.sup, &mut NoSink, &mut ctl);
             if B::GOVERNED && driver.budget.poll().is_some() {
                 // A tripped budget ends the run: nothing past the cut
                 // resumes.

@@ -28,11 +28,11 @@
 //!
 //! The four trie engines are presets of **one trie-join driver**: the
 //! Cached TrieJoin control flow of paper Figure 4, which with no cache
-//! is LFTJ. It is generic over the [`Tally`], the run's budget, the split
-//! controller, the cursor (frozen trie or merged view of a mutated
-//! relation) and the partial-join-result store — none for LFTJ, compiled
-//! away; a worker-local one for sequential CTJ; a handle onto the shared
-//! cache for each `ParCtj` worker. `Lftj`/`Ctj` run one driver on the
+//! is LFTJ. It is generic over the [`Tally`], the run's budget, the stop
+//! controller of a batched run, the cursor (frozen trie or merged view of
+//! a mutated relation) and the partial-join-result store — none for LFTJ,
+//! compiled away; a worker-local one for sequential CTJ; a handle onto
+//! the shared cache for each `ParCtj` worker. `Lftj`/`Ctj` run one driver on the
 //! calling thread; `ParLftj`/`ParCtj` are two presets of one parallel
 //! engine body that runs one driver per pool worker, with every builder
 //! written once. Every run knob resolves the same way — the explicit

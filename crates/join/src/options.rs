@@ -6,11 +6,10 @@
 //! variable, else the built-in default. A variable that is set to
 //! anything unparsable panics instead of falling back — a configured
 //! knob that silently reverted to its default would defeat its purpose
-//! (CI pins `TRIEJAX_SPLIT=1` or a tiny `TRIEJAX_CACHE_CAP` precisely to
+//! (CI pins `TRIEJAX_POOL=2` or a tiny `TRIEJAX_CACHE_CAP` precisely to
 //! force those paths through the whole suite). Unset and blank are the
-//! same. Two knobs are process-wide rather than per run: the default
-//! pool size (`TRIEJAX_POOL`, read by `triejax-exec`) and the default
-//! trie cache ([`TrieCache::global`], built once per process).
+//! same. One knob is process-wide rather than per run: the default trie
+//! cache ([`TrieCache::global`], built once per process).
 
 use std::num::NonZeroUsize;
 use std::str::FromStr;
@@ -41,11 +40,8 @@ pub const TRIE_CACHE_ENV: &str = "TRIEJAX_TRIE_CACHE_MB";
 /// [`StoredCatalog`]: triejax_store::StoredCatalog
 pub const STORE_ENV: &str = "TRIEJAX_STORE";
 
-/// Dynamic shard splitting on/off (default off).
-const SPLIT_ENV: &str = "TRIEJAX_SPLIT";
-/// Deepest trie level a split may donate (default 0, root only; `max`
-/// uncaps it).
-const SPLIT_DEPTH_ENV: &str = "TRIEJAX_SPLIT_DEPTH";
+/// Worker count (default one per core).
+const POOL_ENV: &str = "TRIEJAX_POOL";
 /// Wall-clock deadline in milliseconds (default none).
 const DEADLINE_ENV: &str = "TRIEJAX_DEADLINE_MS";
 /// Result-row cap (default none; `0` is valid and delivers nothing).
@@ -89,6 +85,12 @@ fn switch(env: Env, key: &str, what: &str) -> Option<bool> {
     })
 }
 
+/// The default pool ([`POOL_ENV`]): that many workers, else one per core.
+pub(crate) fn default_pool(env: Env) -> WorkerPool {
+    parsed::<NonZeroUsize>(env, POOL_ENV, "a positive integer")
+        .map_or_else(WorkerPool::new, |w| WorkerPool::with_workers(w.get()))
+}
+
 /// The session's compaction ratio default ([`COMPACT_RATIO_ENV`]).
 pub(crate) fn compact_ratio(env: Env) -> f64 {
     let Some(v) = var(env, COMPACT_RATIO_ENV) else {
@@ -124,10 +126,6 @@ pub(crate) struct RunOptions {
     pub(crate) workers: Option<NonZeroUsize>,
     /// Shard count; unset = seeded from the plan's root-domain estimate.
     pub(crate) granularity: Option<NonZeroUsize>,
-    /// Dynamic shard splitting; unset = `TRIEJAX_SPLIT` or off.
-    pub(crate) split: Option<bool>,
-    /// Sub-root split depth cap; unset = `TRIEJAX_SPLIT_DEPTH` or 0.
-    pub(crate) split_depth: Option<usize>,
     /// Wall-clock deadline; unset = `TRIEJAX_DEADLINE_MS` or none.
     pub(crate) deadline: Option<Duration>,
     /// Result-row cap; unset = `TRIEJAX_ROW_LIMIT` or none.
@@ -172,8 +170,6 @@ impl From<CtjConfig> for CacheOptions {
 pub(crate) struct Resolved {
     pub(crate) pool: WorkerPool,
     pub(crate) granularity: Option<usize>,
-    pub(crate) split: bool,
-    pub(crate) split_depth: usize,
     /// `None` when nothing governs the run, so the engine stays on its
     /// zero-cost [`triejax_exec::NoBudget`] code paths.
     pub(crate) budget: Option<Arc<RunBudget>>,
@@ -192,34 +188,18 @@ impl RunOptions {
     pub(crate) fn resolve(&self, env: Env) -> Resolved {
         Resolved {
             budget: self.budget(env),
-            pool: self.pool(),
+            pool: self.pool(env),
             granularity: self.granularity.map(NonZeroUsize::get),
-            split: self.split(env),
-            split_depth: self.split_depth(env),
             trie_cache: self.trie_cache(),
             ctj: self.ctj.then(|| self.cache_config(env)),
         }
     }
 
-    /// The run's pool: the explicit worker count, else `TRIEJAX_POOL` or
-    /// one worker per core.
-    fn pool(&self) -> WorkerPool {
+    /// The run's pool: the explicit worker count, else
+    /// [`default_pool`].
+    fn pool(&self, env: Env) -> WorkerPool {
         self.workers
-            .map_or_else(WorkerPool::new, |w| WorkerPool::with_workers(w.get()))
-    }
-
-    pub(crate) fn split(&self, env: Env) -> bool {
-        self.split
-            .or_else(|| switch(env, SPLIT_ENV, "0/1/true/false/on/off"))
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn split_depth(&self, env: Env) -> usize {
-        self.split_depth
-            .unwrap_or_else(|| match var(env, SPLIT_DEPTH_ENV) {
-                Some(v) if v.trim() == "max" => usize::MAX,
-                _ => parsed(env, SPLIT_DEPTH_ENV, "a non-negative integer or \"max\"").unwrap_or(0),
-            })
+            .map_or_else(|| default_pool(env), |w| WorkerPool::with_workers(w.get()))
     }
 
     /// The shared [`RunBudget`] of the run, `None` when nothing governs it.
@@ -300,15 +280,13 @@ mod tests {
     #[test]
     fn unset_knobs_take_their_variables_and_set_ones_ignore_them() {
         let env = fake(&[
-            (SPLIT_ENV, "on"),
-            (SPLIT_DEPTH_ENV, "max"),
+            (POOL_ENV, "3"),
             (ROW_LIMIT_ENV, " 7 "),
             (CACHE_CAP_ENV, "3"),
             (CACHE_ADAPT_ENV, "1"),
         ]);
         let run = ctj().resolve(&env);
-        assert!(run.split);
-        assert_eq!(run.split_depth, usize::MAX);
+        assert_eq!(run.pool.workers(), 3);
         assert_eq!(run.budget.unwrap().row_limit(), Some(7));
         let adaptive_cap3 = CtjConfig {
             entry_capacity: None,
@@ -318,25 +296,23 @@ mod tests {
         assert_eq!(run.ctj, Some(adaptive_cap3));
 
         let set = RunOptions {
-            split: Some(false),
-            split_depth: Some(1),
+            workers: NonZeroUsize::new(5),
             row_limit: Some(2),
             cache: CtjConfig::default().into(),
             ..ctj()
         }
         .resolve(&env);
-        assert!(!set.split);
-        assert_eq!(set.split_depth, 1);
+        assert_eq!(set.pool.workers(), 5);
         assert_eq!(set.budget.unwrap().row_limit(), Some(2));
         assert_eq!(set.ctj, Some(CtjConfig::default()), "with_config sets all");
     }
 
     #[test]
     fn defaults_apply_when_neither_knob_nor_variable_is_set() {
-        let env = fake(&[(SPLIT_ENV, " "), (CACHE_CAP_ENV, "")]);
+        let env = fake(&[(POOL_ENV, " "), (CACHE_CAP_ENV, "")]);
         let run = ctj().resolve(&env);
-        assert!(!run.split, "blank is unset");
-        assert_eq!(run.split_depth, 0);
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        assert_eq!(run.pool.workers(), cores, "blank is unset");
         assert!(run.budget.is_none(), "ungoverned");
         assert_eq!(run.ctj, Some(CtjConfig::default()));
         assert_eq!(RunOptions::default().resolve(&env).ctj, None, "LFTJ");
@@ -368,15 +344,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "TRIEJAX_SPLIT must be 0/1/true/false/on/off, got \"maybe\"")]
+    #[should_panic(expected = "TRIEJAX_CACHE_ADAPT must be an on/off spelling, got \"maybe\"")]
     fn a_junk_switch_panics() {
-        RunOptions::default().resolve(&fake(&[(SPLIT_ENV, " maybe ")]));
+        ctj().resolve(&fake(&[(CACHE_ADAPT_ENV, " maybe ")]));
     }
 
     #[test]
-    #[should_panic(expected = "TRIEJAX_SPLIT_DEPTH must be a non-negative integer or \"max\"")]
-    fn a_junk_depth_panics() {
-        RunOptions::default().resolve(&fake(&[(SPLIT_DEPTH_ENV, "-1")]));
+    #[should_panic(expected = "TRIEJAX_POOL must be a positive integer, got \"0\"")]
+    fn a_zero_pool_panics() {
+        default_pool(&fake(&[(POOL_ENV, "0")]));
     }
 
     #[test]

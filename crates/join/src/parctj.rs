@@ -276,11 +276,8 @@ mod tests {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let mut sink = CountSink::default();
-        // The static schedule: a dynamic split (TRIEJAX_SPLIT in the CI
-        // legs) adds a shard whenever a worker happens to go idle.
         let stats = ParCtj::with_pool(2)
             .with_granularity(5)
-            .with_split(false)
             .execute(&plan, &c, &mut sink)
             .unwrap();
         assert_eq!(stats.shards, 5);
@@ -302,41 +299,6 @@ mod tests {
         assert_eq!(cfg.max_entries, Some(5));
     }
 
-    /// A root domain too narrow to ever carve (< 3 values) must not pay
-    /// for the splitting machinery: the run falls back to the static
-    /// schedule — and for a domain of one value, its sequential
-    /// single-shard fast path (worker-local drop-new cache semantics) —
-    /// exactly as if splitting were off.
-    #[test]
-    fn split_on_a_tiny_root_domain_falls_back_to_the_static_schedule() {
-        let c = catalog(&[(0, 1), (1, 0)]);
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let mut reference = CollectSink::new();
-        let static_stats = ParCtj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut reference)
-            .unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParCtj::with_pool(4)
-            .with_split(true)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert_eq!(stats.shards, static_stats.shards, "static schedule");
-        assert_eq!(stats.splits, 0);
-
-        // One root value: even the static schedule is a single shard, so
-        // a split-requested run takes the sequential fast path.
-        let c1 = catalog(&[(0, 1)]);
-        let plan1 = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let mut sink1 = CountSink::default();
-        let stats1 = ParCtj::with_pool(4)
-            .with_split(true)
-            .execute(&plan1, &c1, &mut sink1)
-            .unwrap();
-        assert_eq!(stats1.shards, 1, "sequential fast path");
-    }
-
     #[test]
     fn row_limit_returns_cancelled_with_an_exact_prefix() {
         let c = catalog(&test_edges());
@@ -345,27 +307,24 @@ mod tests {
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
         assert!(reference.tuples().len() > 4);
         for workers in [1, 2, 7] {
-            for split in [false, true] {
-                let mut sink = CollectSink::new();
-                let err = ParCtj::with_pool(workers)
-                    .with_split(split)
-                    .with_row_limit(4)
-                    .execute(&plan, &c, &mut sink)
-                    .unwrap_err();
-                match err {
-                    JoinError::Cancelled { reason, partial } => {
-                        assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
-                        assert!(partial.results >= 4);
-                    }
-                    other => panic!("expected Cancelled, got {other:?}"),
+            let mut sink = CollectSink::new();
+            let err = ParCtj::with_pool(workers)
+                .with_row_limit(4)
+                .execute(&plan, &c, &mut sink)
+                .unwrap_err();
+            match err {
+                JoinError::Cancelled { reason, partial } => {
+                    assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
+                    assert!(partial.results >= 4);
                 }
-                assert_eq!(
-                    sink.tuples(),
-                    &reference.tuples()[..4],
-                    "{workers} workers, split={split}: the delivered rows \
-                     must be the exact ordered prefix"
-                );
+                other => panic!("expected Cancelled, got {other:?}"),
             }
+            assert_eq!(
+                sink.tuples(),
+                &reference.tuples()[..4],
+                "{workers} workers: the delivered rows must be the exact \
+                 ordered prefix"
+            );
         }
     }
 

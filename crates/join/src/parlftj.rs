@@ -1,6 +1,6 @@
 use std::sync::{Arc, Mutex};
 
-use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, RunBudget, WorkerCtx};
+use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, RunBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{NoTally, Tally, Value};
 
@@ -8,7 +8,7 @@ use crate::cache::{adaptive_mask, LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::engine::head_slots;
 use crate::lftj::{Driver, Resumable};
 use crate::options::{process_env, Resolved, RunOptions};
-use crate::shard::{can_split, execute_sharded, execute_split, plan_shards};
+use crate::shard::{execute_sharded, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{Catalog, CtjConfig, DeltaMap, EngineStats, JoinError, ResultSink, TrieSet};
 
@@ -47,7 +47,8 @@ macro_rules! parallel_engine {
             /// Panics if `workers == 0`.
             pub fn with_pool(workers: usize) -> Self {
                 let mut engine = Self::default();
-                let workers = std::num::NonZeroUsize::new(workers).expect("workers must be positive");
+                let workers =
+                    std::num::NonZeroUsize::new(workers).expect("workers must be positive");
                 engine.opts.workers = Some(workers);
                 engine
             }
@@ -72,105 +73,6 @@ macro_rules! parallel_engine {
             /// The configured shard count, or `None` for plan-seeded.
             pub fn granularity(&self) -> Option<usize> {
                 self.opts.granularity.map(std::num::NonZeroUsize::get)
-            }
-
-            /// Enables or disables dynamic shard splitting (TrieJax §3.4
-            /// spawn-on-match), overriding the `TRIEJAX_SPLIT`
-            /// environment default.
-            ///
-            /// With splitting on, the plan seeds only one coarse
-            /// root-range shard per worker; whenever a worker goes idle
-            /// mid-run, a running shard observes it at its next
-            /// root-level advance and hands the unvisited tail of its
-            /// range off as a freshly spawned shard. Results remain
-            /// tuple-for-tuple identical to the sequential engine;
-            /// [`crate::EngineStats::splits`] and
-            /// [`crate::EngineStats::split_depth`] report the rebalancing.
-            /// With splitting off (the default), skew is absorbed by 4x
-            /// oversharding plus work stealing alone. Splitting never
-            /// moves a PJR cache: entries are keyed by bindings alone, so
-            /// both halves of a split keep hitting the same entries.
-            ///
-            /// ```
-            #[doc = concat!("use triejax_join::", stringify!($engine), ";")]
-            ///
-            #[doc = concat!("let engine = ", stringify!($engine), "::with_pool(4).with_split(true);")]
-            /// assert_eq!(engine.splitting(), Some(true));
-            /// ```
-            pub fn with_split(mut self, on: bool) -> Self {
-                self.opts.split = Some(on);
-                self
-            }
-
-            /// The configured splitting choice, or `None` for the
-            /// `TRIEJAX_SPLIT` environment default.
-            pub fn splitting(&self) -> Option<bool> {
-                self.opts.split
-            }
-
-            /// Caps how deep dynamic splits may donate work (TrieJax §3.4
-            /// spawn-on-match at *any* trie level), overriding the
-            /// `TRIEJAX_SPLIT_DEPTH` environment default.
-            ///
-            /// Depth 0 (the default) keeps the root-only splitting of
-            /// [`with_split`](Self::with_split); depth `d` additionally
-            /// lets a running shard donate the unvisited sibling tail of
-            /// any trie level up to `d` — under the bound prefix —
-            /// whenever a worker goes idle, which is the only way to
-            /// rebalance a query whose root domain is too narrow to carve
-            /// (e.g. a single hub vertex). `usize::MAX` uncaps the depth.
-            /// Splitting itself must still be enabled (via
-            /// [`with_split`](Self::with_split) or `TRIEJAX_SPLIT`) for
-            /// any handoff to happen. Results remain tuple-for-tuple
-            /// identical to the sequential engine;
-            /// [`crate::EngineStats::deep_splits`] reports how many
-            /// handoffs happened below the root. One CTJ rule: a level
-            /// being recorded into the PJR cache never donates its tail
-            /// (the published entry must hold the level's whole match
-            /// list), so splits only fire at depths without a live cache
-            /// spec.
-            ///
-            /// ```
-            #[doc = concat!("use triejax_join::", stringify!($engine), ";")]
-            ///
-            #[doc = concat!("let engine = ", stringify!($engine), "::with_pool(4).with_split(true).with_split_depth(2);")]
-            /// assert_eq!(engine.split_depth(), Some(2));
-            /// ```
-            pub fn with_split_depth(mut self, depth: usize) -> Self {
-                self.opts.split_depth = Some(depth);
-                self
-            }
-
-            /// The configured split-depth cap, or `None` for the
-            /// `TRIEJAX_SPLIT_DEPTH` environment default.
-            pub fn split_depth(&self) -> Option<usize> {
-                self.opts.split_depth
-            }
-
-            /// The split-depth cap this run will use: the explicit one if
-            /// set, otherwise the `TRIEJAX_SPLIT_DEPTH` environment
-            /// default (0 — root only — when the variable is unset; `max`
-            /// uncaps).
-            ///
-            /// # Panics
-            ///
-            /// Panics when `TRIEJAX_SPLIT_DEPTH` is consulted and set to
-            /// anything but a non-negative integer or `"max"`.
-            pub fn effective_split_depth(&self) -> usize {
-                self.opts.split_depth(&$crate::options::process_env)
-            }
-
-            /// The splitting choice this run will use: the explicit one
-            /// if set, otherwise the `TRIEJAX_SPLIT` environment default
-            /// (off when the variable is unset).
-            ///
-            /// # Panics
-            ///
-            /// Panics when `TRIEJAX_SPLIT` is consulted and set to
-            /// anything but a recognised on/off spelling
-            /// (`0`/`1`/`true`/`false`/`on`/`off`).
-            pub fn effective_split(&self) -> bool {
-                self.opts.split(&$crate::options::process_env)
             }
 
             /// Caps the run's wall-clock time, overriding the
@@ -465,14 +367,6 @@ fn run_budgeted<T: Tally, B: Budget + Clone + Send + Sync>(
     Ok(stats)
 }
 
-/// How a pooled run schedules its shards.
-struct Schedule {
-    ranges: Vec<(Value, Option<Value>)>,
-    split: bool,
-    /// Workers that may run a driver.
-    workers: usize,
-}
-
 /// The engine body over one cursor set: plans the shards, then runs
 /// either the single-shard fast path on the calling thread or the pool,
 /// with the store the run's engine calls for.
@@ -485,21 +379,14 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
     driving: B,
     worker: B,
 ) -> Result<EngineStats<T>, JoinError> {
-    let pool_workers = run.pool.workers();
-    // Splitting needs a spare worker to hand work to, plus either a root
-    // domain wide enough to carve or permission to split below the root
-    // (where a narrow root domain is irrelevant); otherwise fall back to
-    // the static schedule (and its sequential single-shard fast path).
-    let split = run.split && pool_workers > 1 && (can_split(plan, set) || run.split_depth >= 1);
-    let ranges = plan_shards(plan, catalog, set, pool_workers, run.granularity, split);
+    let ranges = plan_shards(plan, catalog, set, run.pool.workers(), run.granularity);
     let adaptive = |config: &CtjConfig| adaptive_mask(config, plan, catalog);
 
-    // With splitting on, even a single seeded range spreads itself across
-    // the idle pool; without it, a lone range runs sequentially: one
-    // driver on the calling thread — for CTJ on a worker-local store (no
-    // stripe locks to pay when nothing is shared), whose capacity bounds
-    // live entries by dropping new inserts rather than evicting.
-    if !split && ranges.len() <= 1 {
+    // A lone range runs sequentially: one driver on the calling thread —
+    // for CTJ on a worker-local store (no stripe locks to pay when
+    // nothing is shared), whose capacity bounds live entries by dropping
+    // new inserts rather than evicting.
+    if ranges.len() <= 1 {
         let mut stats = match run.ctj {
             None => Driver::new(plan, set, NoPjr, driving)?.run(sink),
             Some(config) => {
@@ -513,36 +400,24 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
 
     // Validate the emission plan up front so shard workers cannot fail.
     head_slots(plan)?;
-    // With splitting, every configured worker may end up running a
-    // spawned shard; without it, a run never uses more workers than it
-    // has planned ranges.
-    let workers = if split {
-        pool_workers
-    } else {
-        pool_workers.min(ranges.len())
-    };
-    let schedule = Schedule {
-        ranges,
-        split,
-        workers,
-    };
     let (mut stats, pool_stats) = match run.ctj {
-        None => run_pooled(run, plan, set, &schedule, sink, &worker, || NoPjr),
+        None => run_pooled(run, plan, set, &ranges, sink, &worker, || NoPjr),
         Some(config) => {
-            // One cache shared by every worker, striped for the worker
-            // count, pre-sized from the plan's entry estimate.
+            // One cache shared by every worker, striped for the workers
+            // the run uses (never more than it has ranges), pre-sized
+            // from the plan's entry estimate.
+            let workers = run.pool.workers().min(ranges.len());
             let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
             let cache = SharedPjrCache::new(workers, config, &adaptive(&config), hint);
-            run_pooled(run, plan, set, &schedule, sink, &worker, || cache.handle())
+            run_pooled(run, plan, set, &ranges, sink, &worker, || cache.handle())
         }
     };
-    // Split shards are shards too: count every task the pool ran.
     stats.shards = pool_stats.tasks as u64;
     stats.steals = pool_stats.steals;
     Ok(stats)
 }
 
-/// Runs the scheduled shards on the pool with one driver per worker —
+/// Runs the planned shards on the pool with one driver per worker —
 /// created on the worker's first shard over the store `cache` hands it,
 /// reused for the rest — and returns the drivers' summed stats beside the
 /// pool's. Cache counters sum cleanly because the shared store already
@@ -552,7 +427,7 @@ fn run_pooled<'s, T, B, S, P>(
     run: &Resolved,
     plan: &'s CompiledQuery,
     set: &'s S,
-    schedule: &Schedule,
+    ranges: &[(Value, Option<Value>)],
     sink: &mut dyn ResultSink,
     worker: &B,
     cache: impl Fn() -> P + Sync,
@@ -565,44 +440,29 @@ where
 {
     // Addressed by `WorkerCtx::worker`: a slot's mutex is only ever taken
     // by its owning worker during the run.
-    let drivers: Vec<Mutex<Option<_>>> = (0..schedule.workers).map(|_| Mutex::new(None)).collect();
+    let drivers: Vec<Mutex<Option<_>>> =
+        (0..run.pool.workers()).map(|_| Mutex::new(None)).collect();
     let new_driver = || {
         let mut d = Driver::new(plan, set, cache(), worker.clone())
             .expect("emission plan validated before the parallel phase");
         d.emit_passthrough(); // the ShardSink already batches
         d
     };
-    let slot = |ctx: WorkerCtx| drivers[ctx.worker].lock().expect("worker driver poisoned");
     let budget = run.budget.as_deref();
-    let (ranges, arity) = (&schedule.ranges, plan.arity());
-    let pool_stats = if schedule.split {
-        execute_split(
-            &run.pool,
-            ranges,
-            arity,
-            run.split_depth,
-            sink,
-            budget,
-            |ctx, depth, prefix, min, sup, out, ctl| {
-                slot(ctx)
-                    .get_or_insert_with(&new_driver)
-                    .run_split_at(depth, prefix, min, sup, out, ctl);
-            },
-        )
-    } else {
-        execute_sharded(
-            &run.pool,
-            ranges,
-            arity,
-            sink,
-            budget,
-            |ctx, min, sup, out| {
-                slot(ctx)
-                    .get_or_insert_with(&new_driver)
-                    .run_range(min, sup, out);
-            },
-        )
-    };
+    let pool_stats = execute_sharded(
+        &run.pool,
+        ranges,
+        plan.arity(),
+        sink,
+        budget,
+        |ctx, min, sup, out| {
+            drivers[ctx.worker]
+                .lock()
+                .expect("worker driver poisoned")
+                .get_or_insert_with(&new_driver)
+                .run_range(min, sup, out);
+        },
+    );
     let mut stats = EngineStats::default();
     for slot in drivers {
         if let Some(driver) = slot.into_inner().expect("worker driver poisoned") {
@@ -696,7 +556,7 @@ where
             budget: shared,
         }))
     }
-    let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity, false);
+    let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity);
     let stats = EngineStats {
         shards: ranges.len() as u64,
         trie_cache_hits,
@@ -788,16 +648,10 @@ mod tests {
                     .execute(&plan, &c, &mut sink)
                     .unwrap();
                 assert_eq!(sink.tuples(), reference.tuples(), "{p} x{shards}");
-                // Only the *seeded* shard count is bounded by the request:
-                // when `TRIEJAX_SPLIT` is on, idle workers may split extra
-                // shards off mid-run, and each is counted in both `shards`
-                // and `splits`.
-                let seeded = stats.shards - stats.splits;
                 assert!(
-                    seeded >= 1 && seeded <= shards as u64,
-                    "{p} x{shards}: reported {} shards ({} split off)",
-                    stats.shards,
-                    stats.splits
+                    (1..=shards as u64).contains(&stats.shards),
+                    "{p} x{shards}: reported {} shards",
+                    stats.shards
                 );
             }
         }
@@ -834,12 +688,7 @@ mod tests {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let mut sink = CountSink::default();
-        // Pinned to the static schedule: with splitting (builder or env)
-        // the initial cut is deliberately coarse, not oversharded.
-        let stats = ParLftj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
+        let stats = ParLftj::with_pool(4).execute(&plan, &c, &mut sink).unwrap();
         assert!(
             stats.shards > 4,
             "4 workers over a 40-value domain should overshard, got {}",
@@ -880,28 +729,6 @@ mod tests {
         assert_eq!(sink.tuples(), reference.tuples());
     }
 
-    /// A root domain too narrow to ever carve (< 3 values) must not pay
-    /// for the splitting machinery: the run falls back to the static
-    /// schedule and behaves exactly as if splitting were off.
-    #[test]
-    fn split_on_a_tiny_root_domain_falls_back_to_the_static_schedule() {
-        let c = catalog(&[(0, 1), (1, 0)]);
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let mut reference = CollectSink::new();
-        let static_stats = ParLftj::with_pool(4)
-            .with_split(false)
-            .execute(&plan, &c, &mut reference)
-            .unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParLftj::with_pool(4)
-            .with_split(true)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert_eq!(stats.shards, static_stats.shards, "static schedule");
-        assert_eq!(stats.splits, 0);
-    }
-
     #[test]
     fn missing_relation_is_an_error() {
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
@@ -921,30 +748,27 @@ mod tests {
         Lftj::new().execute(&plan, &c, &mut reference).unwrap();
         assert!(reference.tuples().len() > 3);
         for workers in [1, 2, 7] {
-            for split in [false, true] {
-                let mut sink = CollectSink::new();
-                let err = ParLftj::with_pool(workers)
-                    .with_split(split)
-                    .with_row_limit(3)
-                    .execute(&plan, &c, &mut sink)
-                    .unwrap_err();
-                match err {
-                    JoinError::Cancelled { reason, partial } => {
-                        assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
-                        assert!(
-                            partial.results >= 3,
-                            "workers emitted at least the delivered rows"
-                        );
-                    }
-                    other => panic!("expected Cancelled, got {other:?}"),
+            let mut sink = CollectSink::new();
+            let err = ParLftj::with_pool(workers)
+                .with_row_limit(3)
+                .execute(&plan, &c, &mut sink)
+                .unwrap_err();
+            match err {
+                JoinError::Cancelled { reason, partial } => {
+                    assert_eq!(reason, triejax_exec::CancelReason::RowLimit);
+                    assert!(
+                        partial.results >= 3,
+                        "workers emitted at least the delivered rows"
+                    );
                 }
-                assert_eq!(
-                    sink.tuples(),
-                    &reference.tuples()[..3],
-                    "{workers} workers, split={split}: the delivered rows \
-                     must be the exact ordered prefix"
-                );
+                other => panic!("expected Cancelled, got {other:?}"),
             }
+            assert_eq!(
+                sink.tuples(),
+                &reference.tuples()[..3],
+                "{workers} workers: the delivered rows must be the exact \
+                 ordered prefix"
+            );
         }
     }
 
@@ -1011,10 +835,7 @@ mod tests {
 
     #[test]
     fn effective_budget_is_none_without_knobs() {
-        assert!(ParLftj::with_pool(4)
-            .with_split(true)
-            .effective_budget()
-            .is_none());
+        assert!(ParLftj::with_pool(4).effective_budget().is_none());
         let governed = ParLftj::new().with_row_limit(10).effective_budget();
         assert_eq!(governed.unwrap().row_limit(), Some(10));
     }

@@ -64,7 +64,7 @@ use triejax_store::{StoreError, StoredCatalog};
 use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
-use crate::options::{compact_ratio, process_env, RunOptions};
+use crate::options::{compact_ratio, default_pool, process_env, RunOptions};
 use crate::parlftj::{run_batched, run_parallel, BatchRun};
 use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
@@ -176,7 +176,7 @@ impl Session {
                 apply: Mutex::new(()),
                 watchers: Mutex::new(Vec::new()),
             }),
-            pool: WorkerPool::new(),
+            pool: default_pool(&process_env),
             cache: Arc::new(cache),
             compact_ratio: compact_ratio(&process_env),
         }
@@ -727,7 +727,7 @@ impl Watcher {
 }
 
 /// One query's configuration against a [`Session`]: the per-query budgets
-/// (row limit, deadline, shard granularity, splitting, engine) layered
+/// (row limit, deadline, shard granularity, engine) layered
 /// over the session's pool and trie cache. Unset knobs resolve as for
 /// [`crate::ParLftj`] when the query runs.
 ///
@@ -765,13 +765,6 @@ impl QueryHandle {
     /// Panics if `shards == 0`.
     pub fn with_granularity(mut self, shards: usize) -> Self {
         self.opts.granularity = Some(NonZeroUsize::new(shards).expect("shards must be positive"));
-        self
-    }
-
-    /// Enables or disables dynamic shard splitting for this query,
-    /// overriding the `TRIEJAX_SPLIT` environment default.
-    pub fn with_split(mut self, on: bool) -> Self {
-        self.opts.split = Some(on);
         self
     }
 

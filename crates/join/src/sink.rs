@@ -38,15 +38,6 @@ pub trait ResultSink {
             self.push(t);
         }
     }
-
-    /// Switches the sink's output lane mid-stream — the continuation half
-    /// of a sub-root dynamic split: after donating a tail at depth ≥ 1,
-    /// the driver redirects its sink to the continuation lane when it
-    /// exits the split level, so everything it produces afterwards drains
-    /// *after* the donee's output. A no-op for every sink except
-    /// [`ShardSink`], which flushes and closes its current lane first.
-    #[doc(hidden)]
-    fn redirect_lane(&mut self, _lane: usize) {}
 }
 
 /// Counts results without storing them — the usual sink for benchmarks,
@@ -260,19 +251,6 @@ impl ResultSink for ShardSink<'_> {
             self.flush();
         }
     }
-
-    fn redirect_lane(&mut self, lane: usize) {
-        debug_assert_ne!(lane, self.lane, "redirect must move to a fresh lane");
-        // The caller already took `lane` off the split handle, so from here
-        // this sink answers for it: adopt it even when the flush unwinds,
-        // and drop then closes it.
-        let flushed = catch_unwind(AssertUnwindSafe(|| self.flush()));
-        self.merge.finish(self.lane);
-        self.lane = lane;
-        if let Err(payload) = flushed {
-            resume_unwind(payload);
-        }
-    }
 }
 
 impl Drop for ShardSink<'_> {
@@ -472,25 +450,6 @@ mod tests {
         assert!(emitter.take_rows().is_empty());
     }
 
-    #[test]
-    fn redirect_lane_flushes_then_moves_the_stream() {
-        // Lanes drain in order 0, 1, 2. The shard starts on lane 0, a
-        // donee owns lane 1, and the shard continues on lane 2: rows
-        // pushed after the redirect must drain after the donee's.
-        let merge = OrderedMerge::new(3);
-        {
-            let mut donor = ShardSink::new(&merge, 0, 2);
-            donor.push(&[1, 1]);
-            donor.redirect_lane(2);
-            donor.push(&[9, 9]);
-            let mut donee = ShardSink::new(&merge, 1, 2);
-            donee.push(&[5, 5]);
-        }
-        let mut rows: Vec<Value> = Vec::new();
-        merge.drain(|batch| rows.extend(batch));
-        assert_eq!(rows, vec![1, 1, 5, 5, 9, 9]);
-    }
-
     /// Drains `merge` on its own thread: the rows, or `None` when the drain
     /// is still blocked after a few seconds on a lane nobody finished.
     #[cfg(feature = "faults")]
@@ -507,49 +466,31 @@ mod tests {
         Some(rows)
     }
 
-    /// A flush that panics inside the merge push — the final one on drop,
-    /// or the one `redirect_lane` makes before leaving its lane — still
-    /// closes every lane the sink answers for, including the continuation
-    /// it was moving to, so the drain ends.
+    /// A final flush that panics inside the merge push still closes the
+    /// lane, so the drain ends.
     #[cfg(feature = "faults")]
     #[test]
-    fn a_panicking_flush_still_closes_every_lane() {
+    fn a_panicking_final_flush_still_closes_the_lane() {
         use crate::faults::{self, FaultAction, FaultEvent, FaultPlan, FaultRule};
         use std::sync::Arc;
 
         // A worker id no pool uses, so sibling tests' pushes never match.
         const ME: usize = 7_919;
-        let fail_first_push = || {
-            faults::install(FaultPlan::new().rule(FaultRule {
-                worker: Some(ME),
-                event: FaultEvent::MergePush,
-                ordinal: 0,
-                action: FaultAction::Panic,
-            }))
-        };
         faults::set_worker(ME);
-
         let merge = Arc::new(OrderedMerge::new(1));
-        let guard = fail_first_push();
+        let guard = faults::install(FaultPlan::new().rule(FaultRule {
+            worker: Some(ME),
+            event: FaultEvent::MergePush,
+            ordinal: 0,
+            action: FaultAction::Panic,
+        }));
         let dropped = catch_unwind(AssertUnwindSafe(|| {
             ShardSink::new(&merge, 0, 1).push(&[1]);
         }));
         drop(guard);
+        faults::set_worker(faults::NOT_A_WORKER);
         assert!(dropped.is_err(), "the final flush panicked");
         assert_eq!(drain_within(merge), Some(vec![]), "drop closed the lane");
-
-        let merge = Arc::new(OrderedMerge::new(1));
-        let cont = merge.open_lane_after(0);
-        let guard = fail_first_push();
-        let redirected = catch_unwind(AssertUnwindSafe(|| {
-            let mut sink = ShardSink::new(&merge, 0, 1);
-            sink.push(&[1]);
-            sink.redirect_lane(cont);
-        }));
-        drop(guard);
-        faults::set_worker(faults::NOT_A_WORKER);
-        assert!(redirected.is_err(), "the redirect's flush panicked");
-        assert_eq!(drain_within(merge), Some(vec![]), "both lanes closed");
     }
 
     #[test]

@@ -62,26 +62,11 @@ pub struct EngineStats<T: Tally = Counting> {
     /// and took the shard — rather than from the owning worker's queue
     /// (parallel engines only).
     pub steals: u64,
-    /// Dynamic shard splits performed (parallel engines with splitting
-    /// enabled, see `ParLftj::with_split`/`ParCtj::with_split` and the
-    /// `TRIEJAX_SPLIT` environment default): a running shard observed an
-    /// idle sibling worker and carved the unvisited tail of its root
-    /// range off into a freshly spawned shard. Split shards are included
-    /// in [`shards`](Self::shards).
+    /// Dynamic shard splits performed. Always 0: the parallel engines
+    /// run one static schedule (4x oversharding plus work stealing), and
+    /// no shard splits itself mid-run. Kept so reports that read it stay
+    /// valid.
     pub splits: u64,
-    /// Dynamic splits performed *below* the root level (depth ≥ 1):
-    /// spawn-on-match handoffs that donated the sibling tail of an inner
-    /// trie level under a bound prefix (paper §3.4, enabled by
-    /// `ParLftj::with_split_depth`/`ParCtj::with_split_depth` and the
-    /// `TRIEJAX_SPLIT_DEPTH` environment default). A subset of
-    /// [`splits`](Self::splits).
-    pub deep_splits: u64,
-    /// Deepest split generation reached: `0` when no split happened, `1`
-    /// when an initial shard split, `2` when a split shard split again,
-    /// and so on. Unlike the other counters this merges by *maximum* —
-    /// it measures how long the longest handoff chain grew, which is the
-    /// paper's §3.4 spawn depth, not a volume.
-    pub split_depth: u64,
     /// Wall-clock nanoseconds spent building (or fetching) the query's
     /// [`crate::TrieSet`] before the join proper started (parallel engines
     /// only; the sequential engines report 0). Set once per run by the
@@ -149,8 +134,6 @@ impl<T: Tally> EngineStats<T> {
             shards: self.shards,
             steals: self.steals,
             splits: self.splits,
-            deep_splits: self.deep_splits,
-            split_depth: self.split_depth,
             trie_build_ns: self.trie_build_ns,
             trie_cache_hits: self.trie_cache_hits,
             access: self.access.snapshot(),
@@ -175,8 +158,6 @@ impl<T: Tally> EngineStats<T> {
         self.shards += other.shards;
         self.steals += other.steals;
         self.splits += other.splits;
-        self.deep_splits += other.deep_splits;
-        self.split_depth = self.split_depth.max(other.split_depth);
         self.trie_build_ns += other.trie_build_ns;
         self.trie_cache_hits += other.trie_cache_hits;
         Tally::merge(&mut self.access, &other.access);
@@ -224,18 +205,12 @@ mod tests {
         b.cache_races = 2;
         b.cache_contention = 3;
         a.splits = 4;
-        a.deep_splits = 2;
-        a.split_depth = 3;
         b.splits = 1;
-        b.deep_splits = 1;
-        b.split_depth = 2;
         b.cache_demotions = 1;
         b.access.record(AccessKind::ResultWrite, 8);
         a.merge(&b);
         assert_eq!(a.results, 5);
         assert_eq!(a.splits, 5, "splits sum");
-        assert_eq!(a.deep_splits, 3, "deep splits sum");
-        assert_eq!(a.split_depth, 3, "split depth merges by maximum");
         assert_eq!(a.cache_demotions, 1, "demotions sum");
         assert_eq!(a.lub_ops, 1);
         assert_eq!(a.match_ops, 7);

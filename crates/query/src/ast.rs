@@ -244,23 +244,17 @@ impl QueryBuilder {
                 vars: ids,
             });
         }
-        // Duplicate head variables are never allowed; a full join must
-        // additionally cover exactly the body variables.
+        // Duplicate head variables are never allowed, every head variable
+        // must be bound by some atom, and a full join must additionally
+        // cover every body variable.
         let mut seen_in_head = vec![false; var_names.len()];
         for &h in &head {
-            if seen_in_head[h] {
+            if seen_in_head[h] || !atoms.iter().any(|a| a.vars.contains(&h)) {
                 return Err(QueryError::HeadBodyMismatch);
             }
             seen_in_head[h] = true;
         }
-        if allow_projection {
-            // Every head variable must still be bound by some atom.
-            for &h in &head {
-                if !atoms.iter().any(|a| a.vars.contains(&h)) {
-                    return Err(QueryError::HeadBodyMismatch);
-                }
-            }
-        } else if seen_in_head.iter().any(|&s| !s) || head.len() != var_names.len() {
+        if !allow_projection && head.len() != var_names.len() {
             return Err(QueryError::HeadBodyMismatch);
         }
         Ok(Query {
@@ -379,6 +373,15 @@ mod tests {
             .atom("R", ["x", "y"])
             .build()
             .unwrap_err();
+        assert_eq!(err, QueryError::HeadBodyMismatch);
+        // A head variable no atom binds: covering the body is not enough.
+        let err = Query::builder("q")
+            .head(["x", "y", "w"])
+            .atom("G", ["x", "y"])
+            .build()
+            .unwrap_err();
+        assert_eq!(err, QueryError::HeadBodyMismatch);
+        let err = crate::parse_query("q(x,y,w) :- G(x,y).").unwrap_err();
         assert_eq!(err, QueryError::HeadBodyMismatch);
     }
 

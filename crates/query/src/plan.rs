@@ -379,23 +379,6 @@ impl CompiledQuery {
         workers.saturating_mul(OVERSHARD).min(root_domain)
     }
 
-    /// Suggested number of *initial* root-range shards when dynamic shard
-    /// splitting is enabled: one per worker, clamped to the domain size.
-    ///
-    /// With splitting, oversharding up front is wasted planning — a shard
-    /// that turns out to carry the heavy hitters carves off the unvisited
-    /// tail of its range at run time the moment a worker goes idle — so
-    /// the initial cut only needs to hand every worker a starting range.
-    /// Compare [`shard_granularity`](Self::shard_granularity), the 4x
-    /// oversharding used when skew can only be absorbed by stealing
-    /// statically planned shards.
-    pub fn initial_shard_granularity(&self, root_domain: usize, workers: usize) -> usize {
-        if workers <= 1 || root_domain <= 1 {
-            return 1;
-        }
-        workers.min(root_domain)
-    }
-
     /// Human-readable plan summary (variable order plus cache specs).
     pub fn describe(&self) -> String {
         use std::fmt::Write as _;

@@ -155,8 +155,8 @@ impl<'a> TrieCursor<'a> {
     /// The open leaf level's siblings as a presence bitmap (bit `v` of word
     /// `v / 64` set when `v` is a sibling), when the trie has leaf bitmaps
     /// and the frame is the whole, unvisited child list of its parent —
-    /// what [`open`](Self::open) pushes. A frame shrunk by a range open or
-    /// [`clamp_sup`](Self::clamp_sup), or advanced by
+    /// what [`open`](Self::open) pushes. A frame shrunk by a range open, or
+    /// advanced by
     /// [`next`](Self::next)/[`seek`](Self::seek), gets `None`: the bitmap
     /// holds the whole list, so it equals
     /// [`sibling_slice`](Self::sibling_slice) as a set exactly then.
@@ -287,9 +287,8 @@ impl<'a> TrieCursor<'a> {
     /// like [`open`](Self::open) and then locates the bounds by counted
     /// binary search within the child range.
     ///
-    /// This is the donee-entry operation of a sub-root dynamic split: the
-    /// spawned task re-binds the donor's prefix and then opens the donated
-    /// level clamped to the handed-off tail `[boundary, old_sup)`.
+    /// A resumed run enters its tail this way: it re-binds the tail's
+    /// prefix, then opens the tail's level restricted to `[min, sup)`.
     ///
     /// Returns `false` (cursor depth unchanged) when no child value falls
     /// inside the range.
@@ -318,77 +317,6 @@ impl<'a> TrieCursor<'a> {
             None => hi,
         };
         self.push(lo, hi, counter)
-    }
-
-    /// Shrinks the deepest open level's sibling range to values `< sup`,
-    /// locating the new bound by counted binary search (one probe per
-    /// midpoint read, like [`seek`](Self::seek)).
-    ///
-    /// This is the parent side of a dynamic shard split: after handing
-    /// the unvisited tail `[sup, old_sup)` of the level — the root for a
-    /// classic range split, an inner level under a bound prefix for a
-    /// sub-root split — to a freshly spawned task, a driver clamps every
-    /// participating cursor so its own leapfrog never walks into the
-    /// range it just gave away.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root, at the end of its level,
-    /// or positioned at/beyond `sup`.
-    pub fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        let f = self
-            .frames
-            .last_mut()
-            .expect("clamp applies to an open level");
-        let sib = f.sib;
-        assert!(
-            sib[f.pos] < sup,
-            "split boundary must lie beyond the current key"
-        );
-        f.sib = &sib[..lower_bound(sib, f.pos, sib.len(), sup, counter)];
-    }
-
-    /// Number of sibling keys strictly after the current position on the
-    /// deepest open level (0 when that level has ended). This is the
-    /// donor-side size of a prospective dynamic split at the current
-    /// depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    #[inline]
-    pub fn unvisited(&self) -> usize {
-        let f = self.top();
-        f.sib.len().saturating_sub(f.pos + 1)
-    }
-
-    /// The key at which this cursor would cut the unvisited tail of its
-    /// deepest open level in half — the boundary a dynamic split donates.
-    /// Requires `unvisited() >= 1`; the returned key is strictly greater
-    /// than [`key`](Self::key).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root or the tail is empty.
-    pub fn split_boundary(&self) -> Value {
-        let f = self.top();
-        let remaining = self.unvisited();
-        assert!(remaining >= 1, "no unvisited tail to split");
-        f.sib[f.pos + 1 + remaining / 2]
-    }
-
-    /// Whether any sibling in `[boundary, hi)` remains on the deepest open
-    /// level — the participant-validation probe of a sub-root dynamic
-    /// split. The probe is a counted binary search, charged exactly like a
-    /// root clamp search, so instrumented counts stay exact under deep
-    /// splitting.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the cursor is above the root.
-    pub fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        let f = self.top();
-        lower_bound(f.sib, f.pos, f.sib.len(), boundary, counter) < f.sib.len()
     }
 
     /// Ascends one level.
@@ -831,61 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn clamp_sup_shrinks_the_live_frame() {
-        // Root level: [1, 3, 7].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        assert!(cur.open_root_range(0, None, &mut c));
-        assert_eq!(cur.key(), 1);
-        let before = c.index_reads;
-        cur.clamp_sup(7, &mut c);
-        assert!(c.index_reads > before, "the bounding search is counted");
-        assert_eq!(cur.key(), 1, "current position is untouched");
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.next(&mut c), "7 was clamped away");
-    }
-
-    #[test]
-    fn clamp_sup_can_leave_only_the_current_key() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(3, &mut c);
-        cur.clamp_sup(4, &mut c); // everything after 3 is handed off
-        assert_eq!(cur.key(), 3);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond the current key")]
-    fn clamp_sup_at_or_before_the_current_key_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(3, &mut c);
-        cur.clamp_sup(3, &mut c);
-    }
-
-    #[test]
-    fn clamp_sup_applies_to_the_deepest_open_level() {
-        // Children of root value 1 are [2, 5] (see `trie()`): clamping
-        // the open leaf level keeps the parent's range untouched.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.open(&mut c);
-        cur.clamp_sup(5, &mut c);
-        assert!(!cur.next(&mut c), "5 was clamped away");
-        cur.up();
-        assert!(cur.next(&mut c), "the root level keeps its full range");
-    }
-
-    #[test]
     #[should_panic(expected = "above the root")]
     fn open_root_range_below_root_panics() {
         let t = trie();
@@ -945,77 +818,5 @@ mod tests {
         cur.open(&mut c);
         assert!(!cur.open_range(6, Some(9), &mut c));
         assert_eq!((cur.depth(), cur.key()), (1, 1));
-    }
-
-    #[test]
-    fn clamp_sup_shrinks_an_inner_level() {
-        // Children of 7: [1, 9]; clamping at 9 hands the tail away.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c);
-        assert_eq!((cur.key(), cur.unvisited()), (1, 1));
-        cur.clamp_sup(9, &mut c);
-        assert_eq!(cur.unvisited(), 0);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    fn tail_validation_probes_are_tallied_below_the_root() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c); // children [1, 9], at 1
-        let before = c.index_reads;
-        assert!(cur.tail_contains(9, &mut c));
-        assert_eq!(
-            c.index_reads - before,
-            2,
-            "deep-tail validation is charged per binary probe"
-        );
-        // Children of 1: [2, 5] hold nothing at or beyond 6.
-        let mut other = TrieCursor::new(&t);
-        other.open(&mut c);
-        other.open(&mut c);
-        let before = c.index_reads;
-        assert!(!other.tail_contains(6, &mut c));
-        assert!(c.index_reads > before);
-    }
-
-    #[test]
-    fn split_boundary_halves_an_inner_tail() {
-        // Children of 7: [1, 9]; from 1 the midpoint of the 1-key tail is 9.
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        cur.open(&mut c);
-        assert_eq!(cur.split_boundary(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "no unvisited tail")]
-    fn split_boundary_with_no_tail_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.next(&mut c); // at 3
-        cur.open(&mut c); // children [4]: no tail
-        let _ = cur.split_boundary();
-    }
-
-    #[test]
-    #[should_panic(expected = "open level")]
-    fn clamp_sup_above_the_root_panics() {
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.clamp_sup(5, &mut c);
     }
 }

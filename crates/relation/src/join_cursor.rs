@@ -2,12 +2,12 @@
 //! behind it.
 //!
 //! [`JoinCursor`] captures exactly the operations LeapFrog TrieJoin and
-//! Cached TrieJoin perform — open/up/next/seek plus the root-range
-//! sharding and dynamic-split hooks of the parallel engines, the
-//! positional replay hooks of the PJR cache and the sibling-slice view
-//! the leaf-level kernel runs on. [`crate::TrieCursor`]
-//! implements it by plain delegation (so the frozen-trie path
-//! monomorphizes to today's code, access tallies included), and
+//! Cached TrieJoin perform — open/up/next/seek plus the range opens of
+//! sharded and resumed runs, the positional replay hooks of the PJR cache
+//! and the sibling-slice view the leaf-level kernel runs on.
+//! [`crate::TrieCursor`] implements it by plain delegation (so the
+//! frozen-trie path monomorphizes to today's code, access tallies
+//! included), and
 //! [`crate::MergeCursor`] implements it over `base ∪ delta − tombstones`
 //! with the same frame arithmetic on a patched view of the base trie,
 //! which is how every engine runs unmodified over mutated relations.
@@ -21,20 +21,11 @@ use crate::{Tally, TrieCursor, Value};
 /// methods exist for the parallel engines:
 ///
 /// * [`fresh`](Self::fresh) yields an above-the-root cursor over the same
-///   underlying data, used to validate a prospective shard range before a
-///   static shard seeds.
-/// * [`unvisited`](Self::unvisited) / [`split_boundary`](Self::split_boundary)
-///   expose the donor side of a dynamic split at *any* depth: how many
-///   sibling keys remain beyond the current one on the deepest open
-///   level, and the midpoint key at which to cut that tail.
-/// * [`tail_contains`](Self::tail_contains) is the participant-validation
-///   probe of a split: does any sibling at or beyond the boundary remain
-///   on this cursor's deepest level? The probe is charged like a clamp
-///   search so instrumented counts stay exact under deep splitting.
-/// * [`clamp_sup`](Self::clamp_sup) / [`open_range`](Self::open_range)
-///   are the two halves of the handoff: the donor clamps its deepest
-///   level below the boundary, the donee re-opens the same level
-///   restricted to the donated tail.
+///   underlying data.
+/// * [`open_root_range`](Self::open_root_range) /
+///   [`open_range`](Self::open_range) open a level restricted to a value
+///   range: the root for a shard, an inner level under a re-bound prefix
+///   for a resumed run's tail.
 /// * [`sibling_slice`](Self::sibling_slice) lets the engines run the last
 ///   join variable's leapfrog on bare sorted slices instead of through
 ///   the cursor, for cursors whose open level is one array.
@@ -75,10 +66,6 @@ pub trait JoinCursor {
     /// `false` (depth unchanged) when no child value falls inside it.
     fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool;
 
-    /// Shrinks the deepest open level to values `< sup` after a dynamic
-    /// split handed the tail `[sup, ..)` at that depth to another task.
-    fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T);
-
     /// Ascends one level.
     fn up(&mut self);
 
@@ -89,27 +76,11 @@ pub trait JoinCursor {
     /// `false` when every remaining sibling is smaller.
     fn seek<T: Tally>(&mut self, v: Value, counter: &mut T) -> bool;
 
-    /// A new cursor above the root of the same underlying data, used to
-    /// probe a prospective split range without disturbing `self`.
+    /// A new cursor above the root of the same underlying data, leaving
+    /// `self` undisturbed.
     fn fresh(&self) -> Self
     where
         Self: Sized;
-
-    /// Number of sibling keys strictly after the current position on the
-    /// deepest open level (0 when that level has ended).
-    fn unvisited(&self) -> usize;
-
-    /// The key at which this cursor would cut the unvisited tail of its
-    /// deepest open level in half — the split boundary a dynamic split
-    /// donates. Requires `unvisited() >= 1`; the returned key is strictly
-    /// greater than [`key`](Self::key).
-    fn split_boundary(&self) -> Value;
-
-    /// Whether any sibling at or beyond `boundary` remains on the deepest
-    /// open level. Validation probe of a prospective split: every
-    /// participant must answer `true` before the tail is donated, and the
-    /// binary-search probes are tallied like clamp searches.
-    fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool;
 
     /// The current key followed by its unvisited siblings on the deepest
     /// open level, when the cursor can hand them out as one sorted slice
@@ -183,10 +154,6 @@ impl<'a> JoinCursor for TrieCursor<'a> {
         TrieCursor::open_range(self, min, sup, counter)
     }
 
-    fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        TrieCursor::clamp_sup(self, sup, counter)
-    }
-
     #[inline]
     fn up(&mut self) {
         TrieCursor::up(self)
@@ -204,21 +171,6 @@ impl<'a> JoinCursor for TrieCursor<'a> {
 
     fn fresh(&self) -> Self {
         TrieCursor::new(self.trie())
-    }
-
-    #[inline]
-    fn unvisited(&self) -> usize {
-        TrieCursor::unvisited(self)
-    }
-
-    #[inline]
-    fn split_boundary(&self) -> Value {
-        TrieCursor::split_boundary(self)
-    }
-
-    #[inline]
-    fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        TrieCursor::tail_contains(self, boundary, counter)
     }
 
     #[inline]
@@ -293,49 +245,6 @@ mod tests {
         assert_eq!(inherent_key, generic_key);
         assert_eq!(ci.index_reads, cg.index_reads);
         assert_eq!(ci.index_bytes, cg.index_bytes);
-    }
-
-    #[test]
-    fn split_hooks_mirror_the_raw_level() {
-        // Root level: [1, 3, 7].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        assert!(JoinCursor::open(&mut cur, &mut c));
-        assert_eq!(JoinCursor::unvisited(&cur), 2);
-        // pos 0, remaining 2: boundary = values[0 + 1 + 1] = 7.
-        assert_eq!(JoinCursor::split_boundary(&cur), 7);
-        assert!(JoinCursor::next(&mut cur, &mut c));
-        assert_eq!(JoinCursor::unvisited(&cur), 1);
-        assert_eq!(JoinCursor::split_boundary(&cur), 7);
-        assert!(JoinCursor::next(&mut cur, &mut c));
-        assert_eq!(JoinCursor::unvisited(&cur), 0);
-        assert!(!JoinCursor::next(&mut cur, &mut c));
-        assert_eq!(JoinCursor::unvisited(&cur), 0, "ended level has no tail");
-    }
-
-    #[test]
-    fn deep_split_hooks_work_one_level_down() {
-        // Children of 7: [1, 9].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        assert!(JoinCursor::open(&mut cur, &mut c));
-        assert!(JoinCursor::seek(&mut cur, 7, &mut c));
-        assert!(JoinCursor::open(&mut cur, &mut c));
-        assert_eq!(JoinCursor::unvisited(&cur), 1);
-        assert_eq!(JoinCursor::split_boundary(&cur), 9);
-        assert!(JoinCursor::tail_contains(&cur, 9, &mut c));
-        // Donor side: clamp below the boundary.
-        JoinCursor::clamp_sup(&mut cur, 9, &mut c);
-        assert_eq!(JoinCursor::unvisited(&cur), 0);
-        // Donee side: re-descend under the same prefix into the tail.
-        let mut donee = JoinCursor::fresh(&cur);
-        assert!(JoinCursor::open(&mut donee, &mut c));
-        assert!(JoinCursor::seek(&mut donee, 7, &mut c));
-        assert!(donee.open_range(9, None, &mut c));
-        assert_eq!(JoinCursor::key(&donee), 9);
-        assert!(!JoinCursor::next(&mut donee, &mut c));
     }
 
     #[test]

@@ -383,17 +383,6 @@ impl JoinCursor for MergeCursor<'_> {
         self.push(kids.patched, lo, hi, counter)
     }
 
-    fn clamp_sup<T: Tally>(&mut self, sup: Value, counter: &mut T) {
-        assert!(!self.frames.is_empty(), "clamp applies to an open level");
-        let (sib, pos) = self.top();
-        assert!(
-            sib[pos] < sup,
-            "split boundary must lie beyond the current key"
-        );
-        let hi = lower_bound(sib, pos, sib.len(), sup, counter);
-        self.frames.last_mut().expect("non-empty frames").hi = hi;
-    }
-
     #[inline]
     fn up(&mut self) {
         self.frames.pop().expect("cursor is above the root");
@@ -425,24 +414,6 @@ impl JoinCursor for MergeCursor<'_> {
             view: Arc::clone(&self.view),
             frames: Vec::with_capacity(self.view.levels.len()),
         }
-    }
-
-    #[inline]
-    fn unvisited(&self) -> usize {
-        let f = self.frames.last().expect("cursor is above the root");
-        f.hi.saturating_sub(f.pos + 1)
-    }
-
-    fn split_boundary(&self) -> Value {
-        let remaining = self.unvisited();
-        assert!(remaining >= 1, "no unvisited tail to split");
-        let (sib, pos) = self.top();
-        sib[pos + 1 + remaining / 2]
-    }
-
-    fn tail_contains<T: Tally>(&self, boundary: Value, counter: &mut T) -> bool {
-        let (sib, pos) = self.top();
-        lower_bound(sib, pos, sib.len(), boundary, counter) < sib.len()
     }
 
     #[inline]
@@ -605,69 +576,18 @@ mod tests {
         let none = Relation::new(2).unwrap();
         let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
         let mut c = AccessCounter::default();
-        assert!(cur.open_root_range(0, None, &mut c));
-        assert_eq!((cur.key(), cur.unvisited()), (1, 4));
-        // Clamp at 5: [1, 3] stay, the inserted roots are handed away.
-        cur.clamp_sup(5, &mut c);
-        assert_eq!((cur.key(), cur.unvisited()), (1, 1));
+        // Clamped below 5: [1, 3] stay, the inserted roots are cut off.
+        assert!(cur.open_root_range(0, Some(5), &mut c));
+        assert_eq!(cur.sibling_slice(), Some(&[1, 3][..]));
         assert!(cur.next(&mut c));
         assert_eq!(cur.key(), 3);
         assert!(!cur.next(&mut c), "5/7/9 were clamped away");
-        // The handed-off range opens on a fresh cursor.
+        // The rest of the range opens on a fresh cursor.
         let mut tail = cur.fresh();
         assert!(tail.open_root_range(5, None, &mut c));
         assert_eq!(tail.key(), 5);
         assert!(tail.next(&mut c));
         assert_eq!(tail.key(), 7);
-    }
-
-    #[test]
-    fn split_boundary_halves_the_merged_tail() {
-        let base_rel = Relation::from_pairs(vec![(1, 1)]);
-        let delta_rel = Relation::from_pairs(vec![(2, 2), (4, 4), (6, 6), (8, 8)]);
-        let base = Trie::build(&base_rel);
-        let dtrie = Trie::build(&delta_rel);
-        let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
-        let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        // Merged roots [1, 2, 4, 6, 8], at 1: the tail is 4 keys and the
-        // boundary the frozen arithmetic's sib[pos + 1 + 4 / 2].
-        assert_eq!((cur.key(), cur.unvisited()), (1, 4));
-        assert_eq!(cur.split_boundary(), 6);
-    }
-
-    #[test]
-    fn deep_split_hooks_cover_both_sides_of_the_merge() {
-        // Children of 1: base [2, 6], delta [4, 8] — merged [2, 4, 6, 8].
-        let base_rel = Relation::from_pairs(vec![(1, 2), (1, 6)]);
-        let delta_rel = Relation::from_pairs(vec![(1, 4), (1, 8)]);
-        let base = Trie::build(&base_rel);
-        let dtrie = Trie::build(&delta_rel);
-        let none = Relation::new(2).unwrap();
-        let mut cur = MergeCursor::new(Some(&base), Some(&dtrie), &none);
-        let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        assert!(cur.open(&mut c));
-        assert_eq!((cur.depth(), cur.key(), cur.unvisited()), (2, 2, 3));
-        assert_eq!(cur.split_boundary(), 6);
-        let before = c.index_reads;
-        assert!(cur.tail_contains(6, &mut c));
-        assert!(c.index_reads > before, "deep validation probes are tallied");
-        assert!(!cur.tail_contains(9, &mut c));
-        // Donor half: clamp the child level below 6 → only 2 and 4 remain.
-        cur.clamp_sup(6, &mut c);
-        assert!(cur.next(&mut c));
-        assert_eq!(cur.key(), 4);
-        assert!(!cur.next(&mut c), "6 and 8 were donated");
-        // Donee half: re-descend under the prefix into [6, ∞).
-        let mut donee = cur.fresh();
-        assert!(donee.open(&mut c));
-        assert!(donee.open_range(6, None, &mut c));
-        assert_eq!((donee.depth(), donee.key()), (2, 6));
-        assert!(donee.next(&mut c));
-        assert_eq!(donee.key(), 8);
-        assert!(!donee.next(&mut c));
     }
 
     #[test]

@@ -54,7 +54,6 @@ struct Observed {
     answer: Option<u64>,
     depth: usize,
     key: Option<Value>,
-    unvisited: usize,
     siblings: Vec<Value>,
     tally: AccessCounter,
 }
@@ -79,12 +78,6 @@ fn step<C: JoinCursor>(
             cur.up();
             None
         }
-        5 if live && cur.key() < v => {
-            cur.clamp_sup(v, c);
-            None
-        }
-        6 if live && cur.unvisited() >= 1 => Some(cur.split_boundary() as u64),
-        7 if cur.depth() > 0 => Some(cur.tail_contains(v, c) as u64),
         _ => None,
     };
     let open = cur.depth() > 0;
@@ -92,7 +85,6 @@ fn step<C: JoinCursor>(
         answer,
         depth: cur.depth(),
         key: (open && !cur.at_end()).then(|| cur.key()),
-        unvisited: if open { cur.unvisited() } else { 0 },
         siblings: match open {
             true => cur.sibling_slice().expect("one slice per level").to_vec(),
             false => Vec::new(),
@@ -114,7 +106,7 @@ proptest! {
         raw_base in arb_tuples(3, 40, 5),
         batches in prop::collection::vec((arb_tuples(3, 12, 5), arb_tuples(3, 30, 5)), 0..4),
         keep_empty_base in 0u8..2,
-        script in prop::collection::vec((0u8..8, 0u32..7, 0u32..4), 0..60),
+        script in prop::collection::vec((0u8..5, 0u32..7, 0u32..4), 0..60),
     ) {
         let cut = |rows: Vec<Vec<Value>>| {
             Relation::from_tuples(arity, rows.into_iter().map(|mut t| { t.truncate(arity); t }))
@@ -274,14 +266,13 @@ proptest! {
     /// hands one out exactly when its leaf frame is the whole child list
     /// of its parent, as a set equal to `sibling_slice`. Under random
     /// operation scripts on dense and spread ids, a frame narrowed by
-    /// `open_range` or `clamp_sup`, or moved by `next` or `seek`, gets
-    /// `None`.
+    /// `open_range`, or moved by `next` or `seek`, gets `None`.
     #[test]
     fn sibling_bits_equal_the_whole_sibling_slice(
         arity in 1usize..=3,
         raw in arb_tuples(3, 60, 12),
         spread in prop::sample::select(vec![1u32, 7, 1000]),
-        script in prop::collection::vec((0u8..8, 0u32..90, 0u32..30), 0..60),
+        script in prop::collection::vec((0u8..5, 0u32..90, 0u32..30), 0..60),
     ) {
         let rel = Relation::from_tuples(
             arity,

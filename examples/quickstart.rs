@@ -1,7 +1,6 @@
 //! Quickstart: find every triangle in a small graph, first with the
 //! software Cached TrieJoin engine, then on the shared parallel runtime
-//! (the pool-based `ParCtj` builder with dynamic splitting enabled),
-//! then on the simulated TrieJax accelerator — and check they all
+//! (the pool-based `ParCtj` builder), then on the simulated TrieJax accelerator — and check they all
 //! agree, tuple for tuple.
 //!
 //! Run with: `cargo run --release --example quickstart`
@@ -38,19 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. The same join on the shared parallel runtime: a pool of
-    // workers over root-range shards, dynamic splitting on, one PJR
-    // cache shared by every worker. The merged stream is guaranteed to
+    // workers stealing root-range shards, one PJR cache shared by every
+    // worker. The merged stream is guaranteed to
     // be tuple-for-tuple identical to the sequential engine — same
     // tuples, same order.
     let mut parallel = CollectSink::new();
-    let par_stats =
-        ParCtj::with_pool(2)
-            .with_split(true)
-            .execute(&plan, &catalog, &mut parallel)?;
+    let par_stats = ParCtj::with_pool(2).execute(&plan, &catalog, &mut parallel)?;
     assert_eq!(parallel.tuples(), software.tuples());
     println!(
-        "parallel CTJ agrees in order: {} shards, {} stolen, {} split off mid-run\n",
-        par_stats.shards, par_stats.steals, par_stats.splits
+        "parallel CTJ agrees in order: {} shards, {} stolen\n",
+        par_stats.shards, par_stats.steals
     );
 
     // 3. The TrieJax accelerator (cycle-level simulation).

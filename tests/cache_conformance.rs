@@ -253,13 +253,7 @@ fn constant_eviction_keeps_results_exact() {
             .expect("runs");
 
         for counting in [true, false] {
-            // Pinned to the static 8-shard schedule so the shard count
-            // stays exact even when TRIEJAX_SPLIT is set in the
-            // environment (split stress lives in parallel_agreement.rs).
-            let mut engine = ParCtj::with_pool(2)
-                .cache_capacity(2)
-                .with_granularity(8)
-                .with_split(false);
+            let mut engine = ParCtj::with_pool(2).cache_capacity(2).with_granularity(8);
             let mut sink = CollectSink::new();
             let evictions = if counting {
                 let stats = engine

@@ -2,9 +2,8 @@
 //! parallel engines must terminate (no deadlock, no lost merge lane),
 //! deliver an **exact ordered prefix** of the sequential result to the
 //! sink, and report consistent partial statistics — at pool sizes 1, 2
-//! and 7, with dynamic splitting on and off, for both `ParLftj` and
-//! `ParCtj`, with the cancellation point varied across the whole run by a
-//! randomized row limit.
+//! and 7, for both `ParLftj` and `ParCtj`, with the cancellation point
+//! varied across the whole run by a randomized row limit.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -23,8 +22,8 @@ fn catalog_from(edges: Vec<(u32, u32)>) -> Catalog {
     c
 }
 
-/// Hub graph: many parents funnel through one hub vertex, giving dynamic
-/// splitting enough root-level work to actually fire.
+/// Hub graph: many parents funnel through one hub vertex, so one root
+/// value carries most of the run.
 fn hub_edges() -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for i in 1..220u32 {
@@ -84,32 +83,28 @@ fn check_cancellation_matrix(catalog: &Catalog, pattern: Pattern, limit: u64) {
     let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
     let reference = reference_tuples(&plan, catalog);
     for pool in POOL_SIZES {
-        for split in [false, true] {
-            check_row_limited(
-                &mut |sink| {
-                    ParLftj::with_pool(pool)
-                        .with_split(split)
-                        .with_row_limit(limit)
-                        .execute(&plan, catalog, sink)
-                        .map(|s| s.results)
-                },
-                &reference,
-                limit,
-                &format!("{pattern} parlftj pool={pool} split={split} limit={limit}"),
-            );
-            check_row_limited(
-                &mut |sink| {
-                    ParCtj::with_pool(pool)
-                        .with_split(split)
-                        .with_row_limit(limit)
-                        .execute(&plan, catalog, sink)
-                        .map(|s| s.results)
-                },
-                &reference,
-                limit,
-                &format!("{pattern} parctj pool={pool} split={split} limit={limit}"),
-            );
-        }
+        check_row_limited(
+            &mut |sink| {
+                ParLftj::with_pool(pool)
+                    .with_row_limit(limit)
+                    .execute(&plan, catalog, sink)
+                    .map(|s| s.results)
+            },
+            &reference,
+            limit,
+            &format!("{pattern} parlftj pool={pool} limit={limit}"),
+        );
+        check_row_limited(
+            &mut |sink| {
+                ParCtj::with_pool(pool)
+                    .with_row_limit(limit)
+                    .execute(&plan, catalog, sink)
+                    .map(|s| s.results)
+            },
+            &reference,
+            limit,
+            &format!("{pattern} parctj pool={pool} limit={limit}"),
+        );
     }
 }
 
@@ -118,7 +113,7 @@ proptest! {
 
     /// Random graphs, random cancellation point: the row limit lands
     /// anywhere from "before the first row" to "past the end", and every
-    /// pool size × split mode × engine combination must deliver the exact
+    /// pool size × engine combination must deliver the exact
     /// prefix without hanging.
     #[test]
     fn row_limited_runs_deliver_exact_prefixes(
@@ -130,54 +125,6 @@ proptest! {
         prop_assume!(!edges.is_empty());
         let catalog = catalog_from(edges);
         check_cancellation_matrix(&catalog, Pattern::PAPER[pattern_idx], limit);
-    }
-}
-
-/// Forced-split runs (single coarse seed, 4 workers) cancelled mid-run:
-/// the in-flight `open_lane_after` handoffs must not leak lanes — the
-/// drain terminates and delivers the exact prefix — and the partial stats
-/// stay consistent: every task the pool ran is either the seed or a
-/// recorded split, so `shards == 1 + splits`.
-#[test]
-fn forced_split_cancellation_keeps_stats_consistent() {
-    let catalog = catalog_from(hub_edges());
-    let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
-    let reference = reference_tuples(&plan, &catalog);
-    assert!(reference.len() > 16, "fixture must have work to cancel");
-    for limit in [1u64, 7, 16] {
-        for engine in ["parlftj", "parctj"] {
-            let mut sink = CollectSink::new();
-            let result = if engine == "parlftj" {
-                ParLftj::with_pool(4)
-                    .with_granularity(1)
-                    .with_split(true)
-                    .with_row_limit(limit)
-                    .execute(&plan, &catalog, &mut sink)
-            } else {
-                ParCtj::with_pool(4)
-                    .with_granularity(1)
-                    .with_split(true)
-                    .with_row_limit(limit)
-                    .execute(&plan, &catalog, &mut sink)
-            };
-            let err = result.expect_err("limit below total must cancel");
-            match err {
-                JoinError::Cancelled { reason, partial } => {
-                    assert_eq!(reason, CancelReason::RowLimit, "{engine} limit={limit}");
-                    assert_eq!(
-                        partial.shards,
-                        1 + partial.splits,
-                        "{engine} limit={limit}: every pool task is the seed or a split"
-                    );
-                }
-                other => panic!("{engine} limit={limit}: wrong error {other:?}"),
-            }
-            assert_eq!(
-                sink.tuples(),
-                &reference[..limit as usize],
-                "{engine} limit={limit}"
-            );
-        }
     }
 }
 
@@ -222,11 +169,14 @@ fn zero_deadline_cancels_both_engines() {
     let catalog = catalog_from(hub_edges());
     let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
     let reference = reference_tuples(&plan, &catalog);
-    for split in [false, true] {
+    let engines: [Box<dyn JoinEngine>; 2] = [
+        Box::new(ParLftj::with_pool(2).with_deadline(Duration::ZERO)),
+        Box::new(ParCtj::with_pool(2).with_deadline(Duration::ZERO)),
+    ];
+    for mut engine in engines {
+        let name = engine.name();
         let mut sink = CollectSink::new();
-        let err = ParCtj::with_pool(2)
-            .with_split(split)
-            .with_deadline(Duration::ZERO)
+        let err = engine
             .execute(&plan, &catalog, &mut sink)
             .expect_err("a zero deadline must cancel");
         assert!(
@@ -237,8 +187,8 @@ fn zero_deadline_cancels_both_engines() {
                     ..
                 }
             ),
-            "split={split}: {err:?}"
+            "{name}: {err:?}"
         );
-        assert!(reference.starts_with(sink.tuples()), "split={split}");
+        assert!(reference.starts_with(sink.tuples()), "{name}");
     }
 }

@@ -1,6 +1,6 @@
 //! Deterministic fault injection against the parallel runtime (compiled
-//! only with `--features faults`): injected panics, delays, and failed
-//! handoffs at every event class must never hang the ordered drain, never
+//! only with `--features faults`): injected panics and delays at every
+//! event class must never hang the ordered drain, never
 //! leak a merge lane, and never corrupt shared-cache accounting. A
 //! panicked run surfaces its payload to the caller (the pool rethrows
 //! after the drain completes), and the very next clean run must be exact
@@ -18,9 +18,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use triejax_join::faults::{self, FaultAction, FaultEvent, FaultPlan, FaultRule};
-use triejax_join::{
-    CancelReason, Catalog, CollectSink, CountSink, JoinEngine, JoinError, Lftj, ParCtj, ParLftj,
-};
+use triejax_join::{Catalog, CollectSink, CountSink, JoinEngine, Lftj, ParCtj, ParLftj};
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::Relation;
 
@@ -48,7 +46,7 @@ fn catalog_from(edges: Vec<(u32, u32)>) -> Catalog {
 }
 
 /// Hub star (every vertex joined to 0, both ways): enough root-level
-/// work for splits, steals, and cache traffic to actually occur.
+/// work for steals and cache traffic to actually occur.
 fn hub_edges() -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for i in 1..220u32 {
@@ -104,43 +102,32 @@ fn injected_panics_never_hang_the_drain() {
     for event in [
         FaultEvent::TaskStart,
         FaultEvent::Steal,
-        FaultEvent::SplitHandoff,
         FaultEvent::MergePush,
     ] {
-        for action in [FaultAction::Panic, FaultAction::FailHandoff] {
-            let guard = faults::install(FaultPlan::new().rule(first(event, action)));
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut sink = CollectSink::new();
-                ParLftj::with_pool(4)
-                    .with_granularity(1)
-                    .with_split(true)
-                    .execute(&plan, &catalog, &mut sink)
-                    .expect("a faulted run that completes completes cleanly");
-                sink
-            }));
-            drop(guard);
-            match outcome {
-                Ok(sink) => assert_eq!(
-                    sink.tuples(),
-                    reference,
-                    "{event:?}/{action:?}: untripped run must be exact"
-                ),
-                Err(payload) => assert_injected(payload),
-            }
-            // Whatever the dying worker left behind must not outlive its
-            // run: the next clean run is exact.
-            let mut clean = CollectSink::new();
+        let guard = faults::install(FaultPlan::new().rule(first(event, FaultAction::Panic)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut sink = CollectSink::new();
             ParLftj::with_pool(4)
-                .with_granularity(1)
-                .with_split(true)
-                .execute(&plan, &catalog, &mut clean)
-                .expect("clean run");
-            assert_eq!(
-                clean.tuples(),
+                .execute(&plan, &catalog, &mut sink)
+                .expect("a faulted run that completes completes cleanly");
+            sink
+        }));
+        drop(guard);
+        match outcome {
+            Ok(sink) => assert_eq!(
+                sink.tuples(),
                 reference,
-                "{event:?}/{action:?}: post-fault"
-            );
+                "{event:?}: untripped run must be exact"
+            ),
+            Err(payload) => assert_injected(payload),
         }
+        // Whatever the dying worker left behind must not outlive its run:
+        // the next clean run is exact.
+        let mut clean = CollectSink::new();
+        ParLftj::with_pool(4)
+            .execute(&plan, &catalog, &mut clean)
+            .expect("clean run");
+        assert_eq!(clean.tuples(), reference, "{event:?}: post-fault");
     }
 }
 
@@ -204,138 +191,6 @@ fn delayed_cache_insert_keeps_racing_books_balanced() {
     assert_eq!(stats.cache_misses, 1);
 }
 
-/// The tentpole race: the budget trips while a split handoff is in
-/// flight — the new merge lane is open but its task not yet spawned (the
-/// injected delay pins the window). The drain must still terminate and
-/// deliver the exact ordered prefix.
-#[test]
-fn budget_trip_during_inflight_handoff_keeps_the_prefix_exact() {
-    let _serial = serial();
-    let catalog = catalog_from(hub_edges());
-    let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
-    let reference = reference_tuples(&plan, &catalog);
-    for limit in [1u64, 5, 40] {
-        let guard = faults::install(
-            FaultPlan::new().rule(first(FaultEvent::SplitHandoff, FaultAction::Delay(3))),
-        );
-        let mut sink = CollectSink::new();
-        let err = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
-            .with_row_limit(limit)
-            .execute(&plan, &catalog, &mut sink)
-            .expect_err("limit below total must cancel");
-        drop(guard);
-        match err {
-            JoinError::Cancelled { reason, .. } => {
-                assert_eq!(reason, CancelReason::RowLimit, "limit={limit}")
-            }
-            other => panic!("limit={limit}: wrong error {other:?}"),
-        }
-        assert_eq!(
-            sink.tuples(),
-            &reference[..limit as usize],
-            "limit={limit}: prefix must survive the in-flight handoff"
-        );
-    }
-}
-
-/// A failed handoff during a deadline-cancelled run: the handoff site
-/// closes its freshly opened lane before panicking, so even the
-/// combination of an injected handoff failure and a tripping budget
-/// leaves no lane for the drain to wait on.
-#[test]
-fn failed_handoff_under_a_deadline_never_hangs() {
-    let _serial = serial();
-    let catalog = catalog_from(hub_edges());
-    let plan = CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles");
-    let guard = faults::install(
-        FaultPlan::new().rule(first(FaultEvent::SplitHandoff, FaultAction::FailHandoff)),
-    );
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let mut sink = CollectSink::new();
-        let _ = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
-            .with_deadline(Duration::from_millis(1))
-            .execute(&plan, &catalog, &mut sink);
-    }));
-    drop(guard);
-    if let Err(payload) = outcome {
-        assert_injected(payload);
-    }
-}
-
-/// A handoff failing at depth >= 1: the fixture's root domain is a single
-/// value, so the only handoffs a splitting run can attempt are sub-root
-/// ones — the window where the tail lane is open (and, uniquely for deep
-/// handoffs, the continuation lane about to be) but the task not yet
-/// spawned. The injected failure must close the fresh lane before
-/// unwinding, so the drain terminates, and the very next clean run must
-/// be exact and actually exercise the deep path it just survived.
-#[test]
-fn failed_deep_handoff_never_hangs_and_recovers_exactly() {
-    let _serial = serial();
-    use triejax_query::Query;
-
-    let q = Query::builder("deep_fault")
-        .head(["x", "y", "z"])
-        .atom("R", ["x", "y"])
-        .atom("S", ["y", "z"])
-        .build()
-        .unwrap();
-    let plan = CompiledQuery::compile(&q).expect("compiles");
-    let mut catalog = Catalog::new();
-    catalog.insert(
-        "R",
-        Relation::from_pairs((0..260u32).map(|y| (0, y)).collect::<Vec<_>>()),
-    );
-    let mut s: Vec<(u32, u32)> = (0..26_000u32).map(|z| (0, z)).collect();
-    for y in 1..260u32 {
-        for z in 0..4u32 {
-            s.push((y, (y * 31 + z) % 260));
-        }
-    }
-    catalog.insert("S", Relation::from_pairs(s));
-    let reference = reference_tuples(&plan, &catalog);
-
-    for action in [FaultAction::Panic, FaultAction::FailHandoff] {
-        let guard = faults::install(FaultPlan::new().rule(first(FaultEvent::SplitHandoff, action)));
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut sink = CollectSink::new();
-            ParLftj::with_pool(4)
-                .with_granularity(1)
-                .with_split(true)
-                .with_split_depth(usize::MAX)
-                .execute(&plan, &catalog, &mut sink)
-                .expect("a faulted run that completes completes cleanly");
-            sink
-        }));
-        drop(guard);
-        match outcome {
-            Ok(sink) => assert_eq!(
-                sink.tuples(),
-                reference,
-                "{action:?}: untripped run must be exact"
-            ),
-            Err(payload) => assert_injected(payload),
-        }
-        let mut clean = CollectSink::new();
-        let stats = ParLftj::with_pool(4)
-            .with_granularity(1)
-            .with_split(true)
-            .with_split_depth(usize::MAX)
-            .execute(&plan, &catalog, &mut clean)
-            .expect("clean run");
-        assert_eq!(clean.tuples(), reference, "{action:?}: post-fault");
-        assert!(
-            stats.deep_splits > 0,
-            "{action:?}: the clean run must take the sub-root path \
-             (root domain is 1, so every handoff here is deep)"
-        );
-    }
-}
-
 /// A trie build task dying on the pool (panic at the `TrieBuild` site)
 /// must surface the injected payload — never hang the run — and leave
 /// no half-built trie behind: the shared trie cache stays empty, and
@@ -382,7 +237,7 @@ fn trie_build_panic_surfaces_and_leaves_the_trie_cache_clean() {
     assert_eq!(cache.insertions(), 2, "both distinct builds fill the cache");
 }
 
-/// Seed-driven sweep: deterministic plans drawn over all six event
+/// Seed-driven sweep: deterministic plans drawn over all five event
 /// classes. Every schedule must terminate; completed runs must be exact.
 /// A failure replays from its seed alone.
 #[test]
@@ -403,10 +258,9 @@ fn seeded_fault_sweep_terminates_and_stays_exact() {
 }
 
 /// The event classes the seeded sweep draws its plans over.
-const SWEEP_EVENTS: [FaultEvent; 6] = [
+const SWEEP_EVENTS: [FaultEvent; 5] = [
     FaultEvent::TaskStart,
     FaultEvent::Steal,
-    FaultEvent::SplitHandoff,
     FaultEvent::CacheInsert,
     FaultEvent::MergePush,
     FaultEvent::TrieBuild,
@@ -416,19 +270,16 @@ const SWEEP_EVENTS: [FaultEvent; 6] = [
 fn sweep_run(plan: &CompiledQuery, catalog: &Catalog) -> CollectSink {
     let mut sink = CollectSink::new();
     ParCtj::with_pool(4)
-        .with_split(true)
-        .with_granularity(1)
         .execute(plan, catalog, &mut sink)
         .expect("a faulted run that completes completes cleanly");
     sink
 }
 
-/// Seeds 5 and 10 of the sweep each panic at a worker's third or fourth
-/// merge push while delays shift the schedule. When that push was the
-/// flush of a sink leaving its lane (at task end, or for a continuation
-/// lane after a sub-root split), the lane was never finished and the drain
-/// waited forever — about one sweep in thirty. Replays both schedules many
-/// times, each under a timeout, so a lost lane fails instead of hanging.
+/// Two schedules panic at the third or fourth merge push while a delay
+/// shifts the schedule. When that push is the flush of a sink leaving
+/// its lane at task end, the lane must still be finished, or the drain
+/// waits forever. Replays both schedules many times, each under a
+/// timeout, so a lost lane fails instead of hanging.
 #[test]
 fn merge_push_panics_never_hang() {
     let _serial = serial();
@@ -436,9 +287,20 @@ fn merge_push_panics_never_hang() {
     let plan =
         std::sync::Arc::new(CompiledQuery::compile(&Pattern::Path3.query()).expect("compiles"));
     let reference = reference_tuples(&plan, &catalog);
+    let schedule = |round: usize| {
+        let (ordinal, delay) = [(3, FaultEvent::TaskStart), (2, FaultEvent::Steal)][round % 2];
+        FaultPlan::new()
+            .rule(FaultRule {
+                ordinal,
+                ..first(FaultEvent::MergePush, FaultAction::Panic)
+            })
+            .rule(FaultRule {
+                ordinal: 1,
+                ..first(delay, FaultAction::Delay(7))
+            })
+    };
     for round in 0..200 {
-        let seed = [5, 10][round % 2];
-        let guard = faults::install(FaultPlan::from_seed(seed, &SWEEP_EVENTS, 4));
+        let guard = faults::install(schedule(round));
         let (tx, rx) = std::sync::mpsc::channel();
         let (plan, catalog) = (plan.clone(), catalog.clone());
         // Joined only when it finishes in time: a hung run cannot be.
@@ -448,11 +310,11 @@ fn merge_push_panics_never_hang() {
         });
         let outcome = rx
             .recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("round {round}, seed {seed}: the faulted run hung"));
+            .unwrap_or_else(|_| panic!("round {round}: the faulted run hung"));
         run.join().expect("the run thread catches its own panic");
         drop(guard);
         match outcome {
-            Ok(sink) => assert_eq!(sink.tuples(), reference, "round {round}, seed {seed}"),
+            Ok(sink) => assert_eq!(sink.tuples(), reference, "round {round}"),
             Err(payload) => assert_injected(payload),
         }
     }

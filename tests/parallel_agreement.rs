@@ -98,91 +98,6 @@ fn check_all_parallel_engines(catalog: &Catalog, pattern: Pattern) {
     }
 }
 
-/// Forced-split mode: a single coarse seed on a 4-worker pool, so the
-/// only way the run can use its workers is the dynamic split protocol —
-/// a running shard observes an idle sibling at a root-level advance and
-/// hands off the unvisited tail of its range. The merged stream must
-/// stay tuple-for-tuple sequential regardless of how the range got
-/// carved up. Returns the total splits observed (both engines, both
-/// tally modes); when `require_splits` is set, every individual run must
-/// have split at least once.
-fn check_forced_split(catalog: &Catalog, pattern: Pattern, require_splits: bool) -> u64 {
-    let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
-    let mut ref_sink = CollectSink::new();
-    Lftj::new()
-        .execute(&plan, catalog, &mut ref_sink)
-        .expect("runs");
-    let reference = ref_sink.tuples();
-
-    type SplitRun<'a> = (
-        &'a str,
-        &'a mut dyn FnMut(&mut CollectSink) -> (u64, u64, u64),
-    );
-
-    let mut total_splits = 0;
-    for counting in [true, false] {
-        let mut lftj_engine = ParLftj::with_pool(4).with_granularity(1).with_split(true);
-        let mut ctj_engine = ParCtj::with_pool(4).with_granularity(1).with_split(true);
-        let runs: [SplitRun<'_>; 2] = [
-            ("parlftj", &mut |sink| {
-                if counting {
-                    let s = lftj_engine
-                        .run_tallied::<Counting>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                } else {
-                    let s = lftj_engine
-                        .run_tallied::<NoTally>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                }
-            }),
-            ("parctj", &mut |sink| {
-                if counting {
-                    let s = ctj_engine
-                        .run_tallied::<Counting>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                } else {
-                    let s = ctj_engine
-                        .run_tallied::<NoTally>(&plan, catalog, sink)
-                        .expect("runs");
-                    (s.splits, s.split_depth, s.shards)
-                }
-            }),
-        ];
-        for (name, run) in runs {
-            let mut sink = CollectSink::new();
-            let (splits, depth, shards) = run(&mut sink);
-            assert_eq!(
-                sink.tuples(),
-                reference,
-                "{pattern}: {name} counting={counting} forced-split stream"
-            );
-            // Every split spawns exactly one shard beyond the seed, and a
-            // handoff chain is at least one generation deep.
-            assert_eq!(
-                shards,
-                1 + splits,
-                "{pattern}: {name} counting={counting} shard accounting"
-            );
-            assert!(
-                splits == 0 || depth >= 1,
-                "{pattern}: {name} split without a recorded generation"
-            );
-            if require_splits {
-                assert!(
-                    splits > 0,
-                    "{pattern}: {name} counting={counting} never split \
-                     despite three idle workers"
-                );
-            }
-            total_splits += splits;
-        }
-    }
-    total_splits
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -216,51 +131,6 @@ proptest! {
         let catalog = catalog_from(edges);
         check_all_parallel_engines(&catalog, Pattern::PAPER[pattern_idx]);
     }
-
-    /// Forced-split runs agree on arbitrary skewed graphs too (splits may
-    /// or may not fire on small inputs; the stream must be exact either
-    /// way).
-    #[test]
-    fn forced_split_agrees_on_skewed_graphs(
-        raw in prop::collection::vec((0u64..1_000_000, 0u64..1_000_000), 20..160),
-        pattern_idx in 0usize..Pattern::PAPER.len(),
-    ) {
-        let edges: Vec<(u32, u32)> = raw
-            .into_iter()
-            .map(|(a, b)| (power_law(a, 32), (power_law(b, 32) + 1) % 33))
-            .filter(|(a, b)| a != b)
-            .collect();
-        prop_assume!(!edges.is_empty());
-        let catalog = catalog_from(edges);
-        check_forced_split(&catalog, Pattern::PAPER[pattern_idx], false);
-    }
-}
-
-/// The acceptance workload: coarse initial shards (a single seed), pool
-/// of 4, power-law root domain heavy enough that the seed is still busy
-/// long after its siblings park. Both engines must actually split, in
-/// both tally modes, and still match the sequential stream exactly.
-#[test]
-fn forced_split_fires_and_stays_exact_on_power_law_hubs() {
-    let mut edges = Vec::new();
-    // A hub star (every vertex joined to vertex 0, both ways) plus a
-    // power-law fringe: root 0's subtree dwarfs everything, so the seed
-    // shard is guaranteed to still be running when its siblings go idle.
-    for i in 1..220u32 {
-        edges.push((0, i));
-        edges.push((i, 0));
-    }
-    for i in 1..220u32 {
-        edges.push((i, i / 2));
-    }
-    let catalog = catalog_from(edges);
-    // Cycle3 completes before the sibling workers even park (a run too
-    // short to rebalance is *supposed* to finish unsplit), so it only
-    // checks exactness; Path4's root-0 subtree keeps the seed busy long
-    // past every park, so it must split — in every engine and tally mode.
-    check_forced_split(&catalog, Pattern::Cycle3, false);
-    let splits = check_forced_split(&catalog, Pattern::Path4, true);
-    assert!(splits > 0, "the hub workload must split");
 }
 
 /// A directed star: the worst root-domain skew (one hub joins everything).

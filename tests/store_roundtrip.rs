@@ -1,8 +1,7 @@
 //! Persistence round-trip properties: a catalog saved through
 //! `triejax-store` and re-opened cold must hold **byte-identical** tries
 //! and answer every query **tuple-for-tuple identically** — across pool
-//! sizes 1/2/7, with dynamic splitting on and off, on both parallel
-//! engines — and the paper's Cycle3/Cycle4 queries must run with *zero*
+//! sizes 1/2/7, on both parallel engines — and the paper's Cycle3/Cycle4 queries must run with *zero*
 //! trie-build work after a store preload (the acceptance signal that a
 //! cold process serves in O(bytes-read)).
 
@@ -55,40 +54,36 @@ fn assert_tries_byte_identical(stored: &StoredCatalog) {
     }
 }
 
-/// Runs `plan` on a store-preloaded cache across every pool size, split
-/// mode, and both engines; each run must be tuple-identical to sequential
-/// LFTJ and do zero trie-build work.
+/// Runs `plan` on a store-preloaded cache across every pool size and
+/// both engines; each run must be tuple-identical to sequential LFTJ and
+/// do zero trie-build work.
 fn check_store_served_runs(plan: &CompiledQuery, catalog: &Catalog, stored: &StoredCatalog) {
     let reference = sequential(plan, catalog);
     for pool in POOL_SIZES {
-        for split in [false, true] {
-            for ctj in [false, true] {
-                // A fresh preloaded cache per run: every trie must come
-                // from the store, none from a previous run's build.
-                let cache = Arc::new(TrieCache::unbounded());
-                cache.preload(stored);
-                let mut sink = CollectSink::new();
-                let stats = if ctj {
-                    ParCtj::with_pool(pool)
-                        .with_split(split)
-                        .with_trie_cache(Arc::clone(&cache))
-                        .run_tallied::<Counting>(plan, catalog, &mut sink)
-                        .expect("runs")
-                } else {
-                    ParLftj::with_pool(pool)
-                        .with_split(split)
-                        .with_trie_cache(Arc::clone(&cache))
-                        .run_tallied::<Counting>(plan, catalog, &mut sink)
-                        .expect("runs")
-                };
-                let label = format!("pool={pool} split={split} ctj={ctj}");
-                assert_eq!(sink.tuples(), reference, "{label}: tuples");
-                assert_eq!(
-                    stats.trie_build_ns, 0,
-                    "{label}: store-served run must do zero build work"
-                );
-                assert!(stats.trie_cache_hits > 0, "{label}: no store hits");
-            }
+        for ctj in [false, true] {
+            // A fresh preloaded cache per run: every trie must come from
+            // the store, none from a previous run's build.
+            let cache = Arc::new(TrieCache::unbounded());
+            cache.preload(stored);
+            let mut sink = CollectSink::new();
+            let stats = if ctj {
+                ParCtj::with_pool(pool)
+                    .with_trie_cache(Arc::clone(&cache))
+                    .run_tallied::<Counting>(plan, catalog, &mut sink)
+                    .expect("runs")
+            } else {
+                ParLftj::with_pool(pool)
+                    .with_trie_cache(Arc::clone(&cache))
+                    .run_tallied::<Counting>(plan, catalog, &mut sink)
+                    .expect("runs")
+            };
+            let label = format!("pool={pool} ctj={ctj}");
+            assert_eq!(sink.tuples(), reference, "{label}: tuples");
+            assert_eq!(
+                stats.trie_build_ns, 0,
+                "{label}: store-served run must do zero build work"
+            );
+            assert!(stats.trie_cache_hits > 0, "{label}: no store hits");
         }
     }
 }
@@ -98,7 +93,7 @@ proptest! {
 
     /// Random graphs: snapshot → bytes → reopen preserves every trie
     /// bit-for-bit and every query result tuple-for-tuple, for every pool
-    /// size, split mode, and engine.
+    /// size and engine.
     #[test]
     fn save_open_is_lossless_on_random_graphs(
         edges in prop::collection::btree_set((0u32..20, 0u32..20), 1..120),
