@@ -3,9 +3,10 @@ use std::sync::Arc;
 
 use triejax_exec::WorkerPool;
 use triejax_query::CompiledQuery;
-use triejax_relation::{AddressSpace, Relation, Trie};
+use triejax_relation::{AddressSpace, Relation, Tally, Trie};
 
-use crate::triecache::TrieCache;
+use crate::stats::EngineStats;
+use crate::triecache::{TrieCache, TrieLoad};
 use crate::JoinError;
 
 /// A named collection of base relations (the "database").
@@ -137,19 +138,33 @@ impl TrieSet {
     /// # Errors
     ///
     /// Returns [`JoinError::MissingRelation`] or [`JoinError::ArityMismatch`]
-    /// when the catalog does not satisfy the query's schema.
+    /// when the catalog does not satisfy the query's schema, and
+    /// [`JoinError::Store`] when a trie preloaded from a store fails the
+    /// check of its first touch.
     pub fn build_on(
         plan: &CompiledQuery,
         catalog: &Catalog,
         pool: &WorkerPool,
         cache: Option<&TrieCache>,
     ) -> Result<(TrieSet, u64, u64), JoinError> {
+        let (set, served) = TrieSet::serve_on(plan, catalog, pool, cache)?;
+        Ok((set, served.hits, served.build_ns))
+    }
+
+    /// [`TrieSet::build_on`], reporting everything fetching the tries
+    /// cost, first touches of store entries included.
+    pub(crate) fn serve_on(
+        plan: &CompiledQuery,
+        catalog: &Catalog,
+        pool: &WorkerPool,
+        cache: Option<&TrieCache>,
+    ) -> Result<(TrieSet, Served), JoinError> {
         let mut keys: HashMap<(String, Vec<usize>), usize> = HashMap::new();
         let mut slots: Vec<Option<Arc<Trie>>> = Vec::new();
         let mut pending: Vec<PendingBuild<'_>> = Vec::new();
         let mut atom_trie = Vec::with_capacity(plan.atom_plans().len());
         let mut fingerprints: HashMap<&str, u64> = HashMap::new();
-        let mut cache_hits = 0u64;
+        let mut served = Served::default();
         for ap in plan.atom_plans() {
             let rel = resolve(catalog, ap.relation(), ap.arity())?;
             let key = (ap.relation().to_owned(), ap.perm().to_vec());
@@ -157,21 +172,18 @@ impl TrieSet {
                 Some(&i) => i,
                 None => {
                     let i = slots.len();
-                    let mut served = None;
+                    let mut hit = None;
                     let mut fingerprint = None;
                     if let Some(c) = cache {
                         let fp = *fingerprints
                             .entry(ap.relation())
                             .or_insert_with(|| TrieCache::fingerprint(rel));
-                        match c.lookup(ap.relation(), fp, ap.perm()) {
-                            Some(t) => {
-                                cache_hits += 1;
-                                served = Some(t);
-                            }
+                        match served.fetch(c, ap.relation(), fp, ap.perm())? {
+                            Some(t) => hit = Some(t),
                             None => fingerprint = Some(fp),
                         }
                     }
-                    if served.is_none() {
+                    if hit.is_none() {
                         pending.push(PendingBuild {
                             slot: i,
                             rel,
@@ -180,7 +192,7 @@ impl TrieSet {
                             fingerprint,
                         });
                     }
-                    slots.push(served);
+                    slots.push(hit);
                     keys.insert(key, i);
                     i
                 }
@@ -200,7 +212,7 @@ impl TrieSet {
         } else {
             Vec::new()
         };
-        let build_ns = build_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        served.build_ns = build_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         for (pb, trie) in pending.iter().zip(built) {
             let trie = Arc::new(trie);
             let published = match (cache, pb.fingerprint) {
@@ -213,7 +225,7 @@ impl TrieSet {
             .into_iter()
             .map(|s| s.expect("every slot is served or built"))
             .collect();
-        Ok((TrieSet { tries, atom_trie }, cache_hits, build_ns))
+        Ok((TrieSet { tries, atom_trie }, served))
     }
 
     /// The trie backing atom-plan `i`.
@@ -269,6 +281,47 @@ pub(crate) fn resolve<'a>(
         });
     }
     Ok(rel)
+}
+
+/// What fetching a query's tries cost: tries served from the trie cache,
+/// nanoseconds of cold builds, and the first touches of store entries
+/// among the served ones.
+#[derive(Debug, Default)]
+pub(crate) struct Served {
+    pub(crate) hits: u64,
+    pub(crate) build_ns: u64,
+    pub(crate) load: TrieLoad,
+}
+
+impl Served {
+    /// Looks `(name, fingerprint, perm)` up in `cache`, counting a hit and
+    /// any first touch; a stored entry that fails its check fails the
+    /// query.
+    pub(crate) fn fetch(
+        &mut self,
+        cache: &TrieCache,
+        name: &str,
+        fingerprint: u64,
+        perm: &[usize],
+    ) -> Result<Option<Arc<Trie>>, JoinError> {
+        let found = cache
+            .fetch(name, fingerprint, perm, &mut self.load)
+            .map_err(|error| JoinError::Store {
+                relation: name.to_owned(),
+                perm: perm.to_vec(),
+                error,
+            })?;
+        self.hits += u64::from(found.is_some());
+        Ok(found)
+    }
+
+    /// Records the cost in a run's stats.
+    pub(crate) fn stamp<T: Tally>(&self, stats: &mut EngineStats<T>) {
+        stats.trie_cache_hits = self.hits;
+        stats.trie_build_ns = self.build_ns;
+        stats.trie_load_ns = self.load.ns;
+        stats.store_entries_verified = self.load.entries;
+    }
 }
 
 /// One cold trie build: [`build_in_order`], announced to the fault

@@ -2,6 +2,7 @@ use std::error::Error;
 use std::fmt;
 
 use triejax_exec::CancelReason;
+use triejax_store::StoreError;
 
 use crate::stats::EngineStats;
 
@@ -45,6 +46,17 @@ pub enum JoinError {
         /// the rows actually delivered once the budget cut the stream.
         partial: Box<EngineStats>,
     },
+    /// A trie preloaded from a store file failed the check of its first
+    /// touch (see `triejax-store`). The entry is never served, and every
+    /// query that needs it fails with this same error.
+    Store {
+        /// The relation the trie indexes.
+        relation: String,
+        /// The attribute permutation the trie is stored under.
+        perm: Vec<usize>,
+        /// What the check found.
+        error: StoreError,
+    },
 }
 
 impl fmt::Display for JoinError {
@@ -65,11 +77,23 @@ impl fmt::Display for JoinError {
             JoinError::Cancelled { reason, .. } => {
                 write!(f, "query cancelled: {reason}")
             }
+            JoinError::Store {
+                relation,
+                perm,
+                error,
+            } => write!(f, "stored trie of {relation} in order {perm:?}: {error}"),
         }
     }
 }
 
-impl Error for JoinError {}
+impl Error for JoinError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            JoinError::Store { error, .. } => Some(error),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -97,6 +121,13 @@ mod tests {
         };
         assert!(e.to_string().contains("cancelled"));
         assert!(e.to_string().contains("deadline"));
+        let e = JoinError::Store {
+            relation: "G".into(),
+            perm: vec![1, 0],
+            error: StoreError::BadMagic,
+        };
+        assert!(e.to_string().contains("[1, 0]") && e.to_string().contains("magic"));
+        assert!(e.source().is_some());
     }
 
     #[test]

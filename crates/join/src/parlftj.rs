@@ -5,6 +5,7 @@ use triejax_query::CompiledQuery;
 use triejax_relation::{NoTally, Tally, Value};
 
 use crate::cache::{adaptive_mask, LocalPjr, NoPjr, PjrStore, SharedPjrCache};
+use crate::catalog::Served;
 use crate::engine::head_slots;
 use crate::lftj::{Driver, Resumable};
 use crate::options::{process_env, Resolved, RunOptions};
@@ -350,20 +351,19 @@ fn run_budgeted<T: Tally, B: Budget + Clone + Send + Sync>(
     // actual cold-build work, so a query fully served from the cache (or
     // a preloaded store) reports trie_build_ns == 0 exactly.
     let cache = run.trie_cache.as_deref();
-    let (mut stats, hits, ns) = match deltas.filter(|d| plan_touches_delta(plan, d)) {
+    let (mut stats, served) = match deltas.filter(|d| plan_touches_delta(plan, d)) {
         None => {
-            let (tries, hits, ns) = TrieSet::build_on(plan, catalog, &run.pool, cache)?;
+            let (tries, served) = TrieSet::serve_on(plan, catalog, &run.pool, cache)?;
             let stats = run_set(run, plan, catalog, &tries, sink, driving, worker)?;
-            (stats, hits, ns)
+            (stats, served)
         }
         Some(d) => {
-            let (set, hits, ns) = MergeSet::build_on(plan, catalog, d, &run.pool, cache)?;
+            let (set, served) = MergeSet::build_on(plan, catalog, d, &run.pool, cache)?;
             let stats = run_set(run, plan, catalog, &set, sink, driving, worker)?;
-            (stats, hits, ns)
+            (stats, served)
         }
     };
-    stats.trie_build_ns = ns;
-    stats.trie_cache_hits = hits;
+    served.stamp(&mut stats);
     Ok(stats)
 }
 
@@ -517,7 +517,7 @@ pub(crate) fn run_batched(
     let cache = run.trie_cache.as_deref();
     match deltas.filter(|d| plan_touches_delta(&plan, d)) {
         None => {
-            let built = TrieSet::build_on(&plan, catalog, &run.pool, cache)?;
+            let built = TrieSet::serve_on(&plan, catalog, &run.pool, cache)?;
             batched_over(run, plan, catalog, built)
         }
         Some(d) => {
@@ -527,13 +527,13 @@ pub(crate) fn run_batched(
     }
 }
 
-/// [`run_batched`] over a built set (with its cache hits and build
-/// nanoseconds): the planned root ranges, the run's store and budget.
+/// [`run_batched`] over a built set (with what fetching its tries cost):
+/// the planned root ranges, the run's store and budget.
 fn batched_over<S>(
     run: &Resolved,
     plan: CompiledQuery,
     catalog: &Catalog,
-    (set, trie_cache_hits, trie_build_ns): (S, u64, u64),
+    (set, served): (S, Served),
 ) -> Result<Box<dyn BatchRun>, JoinError>
 where
     S: for<'s> CursorSet<'s> + Send + 'static,
@@ -557,12 +557,11 @@ where
         }))
     }
     let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity);
-    let stats = EngineStats {
+    let mut stats = EngineStats {
         shards: ranges.len() as u64,
-        trie_cache_hits,
-        trie_build_ns,
         ..EngineStats::default()
     };
+    served.stamp(&mut stats);
     let store = run
         .ctj
         .map(|config| LocalPjr::new(config, &adaptive_mask(&config, &plan, catalog)));

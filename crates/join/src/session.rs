@@ -185,10 +185,13 @@ impl Session {
     /// Opens a session from a saved [`StoredCatalog`] file: the stored
     /// relations become the catalog and every stored trie preloads the
     /// session cache, so queries whose tries were saved run with **zero**
-    /// trie builds ([`EngineStats::trie_build_ns`] stays `0`). The file's
-    /// delta section is restored as the session's pending deltas. Files
-    /// of store format versions 1 and 2 open too, their tries re-keyed to
-    /// the current fingerprint (see `triejax-store`).
+    /// trie builds ([`EngineStats::trie_build_ns`] stays `0`). A stored
+    /// trie is checked and decoded by the first query that needs it
+    /// ([`EngineStats::trie_load_ns`]); one that fails the check fails
+    /// that query, and every later one that needs it, with
+    /// [`JoinError::Store`]. The file's delta entries are restored as the
+    /// session's pending deltas. Files of store format versions 1–3 open
+    /// too (see `triejax-store`).
     ///
     /// # Errors
     ///
@@ -541,12 +544,15 @@ impl Session {
     /// then packages the catalog plus all cached tries — and any pending
     /// deltas — as a [`StoredCatalog`] ready for [`StoredCatalog::save`].
     /// Entries are emitted in sorted key order, so the same session state
-    /// always serializes to the same bytes.
+    /// always serializes to the same bytes. A trie the session opened from
+    /// a store and no query has touched yet is packaged from its stored
+    /// bytes, unread.
     ///
     /// # Errors
     ///
     /// Returns a [`JoinError`] if a plan references a relation the catalog
-    /// is missing or whose arity mismatches.
+    /// is missing or whose arity mismatches, or needs a stored trie that
+    /// fails its first-touch check.
     pub fn snapshot(&self, plans: &[CompiledQuery]) -> Result<StoredCatalog, JoinError> {
         let state = self.state();
         for plan in plans {
@@ -559,9 +565,11 @@ impl Session {
             stored.insert_relation(name, rel.clone());
         }
         let mut entries = self.cache.entries();
-        entries.sort_by(|a, b| (&a.0, &a.2, a.1).cmp(&(&b.0, &b.2, b.1)));
-        for (name, fingerprint, perm, trie) in entries {
-            stored.insert_trie(name, fingerprint, perm, trie);
+        entries.sort_by(|a, b| {
+            (&a.name, &a.perm, a.fingerprint).cmp(&(&b.name, &b.perm, b.fingerprint))
+        });
+        for trie in entries {
+            stored.insert_stored_trie(trie);
         }
         let mut deltas: Vec<_> = state.deltas.iter().collect();
         deltas.sort_by_key(|(name, _)| name.to_owned());

@@ -75,6 +75,15 @@ pub struct EngineStats<T: Tally = Counting> {
     /// Tries served from the cross-query [`crate::TrieCache`] instead of
     /// being built (parallel engines with a trie cache only).
     pub trie_cache_hits: u64,
+    /// Wall-clock nanoseconds spent checking and decoding store entries
+    /// on their first touch (see `triejax-store`): the part of fetching
+    /// the query's tries that read a store file's trie bodies. Not part of
+    /// [`EngineStats::trie_build_ns`], which stays `0` for a query served
+    /// entirely from a store.
+    pub trie_load_ns: u64,
+    /// Store entries this query was the first to touch, and so checked
+    /// and decoded.
+    pub store_entries_verified: u64,
     /// Simulated memory touches, reported through the [`Tally`].
     pub access: T,
 }
@@ -136,6 +145,8 @@ impl<T: Tally> EngineStats<T> {
             splits: self.splits,
             trie_build_ns: self.trie_build_ns,
             trie_cache_hits: self.trie_cache_hits,
+            trie_load_ns: self.trie_load_ns,
+            store_entries_verified: self.store_entries_verified,
             access: self.access.snapshot(),
         }
     }
@@ -160,6 +171,8 @@ impl<T: Tally> EngineStats<T> {
         self.splits += other.splits;
         self.trie_build_ns += other.trie_build_ns;
         self.trie_cache_hits += other.trie_cache_hits;
+        self.trie_load_ns += other.trie_load_ns;
+        self.store_entries_verified += other.store_entries_verified;
         Tally::merge(&mut self.access, &other.access);
     }
 }

@@ -35,6 +35,13 @@
 //! saved catalog path additionally *preloads* the default cache with every
 //! trie in the store, so a cold process serves its first query with zero
 //! trie builds.
+//!
+//! A preloaded entry is a [`StoredTrie`]: until a lookup wants it, it is a
+//! window into the store file, charged at its stored size. The first
+//! lookup checks and decodes it (its *first touch*, reported as
+//! `EngineStats::trie_load_ns`) and files the trie in its place; a body that fails its
+//! check stays filed, unserved, and every lookup of it returns the same
+//! [`StoreError`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -44,6 +51,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use triejax_exec::{suggested_stripes, Striped};
 use triejax_relation::{MergedView, Relation, Trie};
+use triejax_store::{StoreError, StoredCatalog, StoredTrie};
 
 use crate::options::{default_trie_cache, process_env};
 
@@ -74,9 +82,36 @@ impl Views {
     }
 }
 
+/// A cached trie: built (or checked) and ready, or a stored window not
+/// yet touched — or one whose check failed.
+#[derive(Debug, Clone)]
+enum Slot {
+    Ready(Arc<Trie>),
+    Stored(StoredTrie),
+}
+
+impl Slot {
+    /// The bytes the slot is charged against the capacity: a ready trie's
+    /// resident footprint, a stored one's stored size.
+    fn bytes(&self) -> u64 {
+        match self {
+            Slot::Ready(t) => t.bytes(),
+            Slot::Stored(t) => t.stored_bytes(),
+        }
+    }
+}
+
+/// First-touch work done by lookups: store entries checked and decoded,
+/// and the wall-clock nanoseconds it took.
+#[derive(Debug, Default)]
+pub(crate) struct TrieLoad {
+    pub(crate) entries: u64,
+    pub(crate) ns: u64,
+}
+
 #[derive(Debug, Default)]
 struct TrieStripe {
-    map: HashMap<TrieKey, Arc<Trie>>,
+    map: HashMap<TrieKey, Slot>,
     /// Insertion order within the stripe, for FIFO eviction.
     fifo: VecDeque<TrieKey>,
 }
@@ -96,10 +131,11 @@ struct TrieStripe {
 /// let cache = TrieCache::with_capacity_mb(64);
 /// let rel = Relation::from_pairs(vec![(1, 2), (2, 3)]);
 /// let fp = TrieCache::fingerprint(&rel);
-/// assert!(cache.lookup("G", fp, &[0, 1]).is_none()); // cold
+/// assert!(cache.lookup("G", fp, &[0, 1])?.is_none()); // cold
 /// let built = Arc::new(Trie::build(&rel));
 /// cache.insert("G", fp, &[0, 1], Arc::clone(&built));
-/// assert!(cache.lookup("G", fp, &[0, 1]).is_some()); // warm
+/// assert!(cache.lookup("G", fp, &[0, 1])?.is_some()); // warm
+/// # Ok::<(), triejax_join::StoreError>(())
 /// ```
 #[derive(Debug)]
 pub struct TrieCache {
@@ -176,44 +212,112 @@ impl TrieCache {
             .clone()
     }
 
-    /// Inserts every trie of a stored catalog, making them servable under
+    /// Files every trie of a stored catalog, making them servable under
     /// their saved `(name, fingerprint, perm)` keys. Tries whose base data
     /// has since changed are simply never looked up (stale-by-fingerprint).
-    pub fn preload(&self, stored: &triejax_store::StoredCatalog) {
+    /// A trie not yet checked is filed as it is, and checked by the first
+    /// lookup that wants it.
+    pub fn preload(&self, stored: &StoredCatalog) {
         for t in stored.tries() {
-            self.insert(&t.name, t.fingerprint, &t.perm, Arc::clone(&t.trie));
+            let slot = match t.is_checked().then(|| t.trie()) {
+                Some(Ok(trie)) => Slot::Ready(trie),
+                _ => Slot::Stored(t.clone()),
+            };
+            self.publish(&t.name, t.fingerprint, &t.perm, slot);
         }
     }
 
-    /// Snapshots every live entry as `(name, fingerprint, perm, trie)`
-    /// (sweeps the stripes; order unspecified) — the producer side of a
-    /// persistent store: run the queries to warm the cache, then snapshot
-    /// and save.
-    pub fn entries(&self) -> Vec<(String, u64, Vec<usize>, Arc<Trie>)> {
+    /// Snapshots every live entry as a [`StoredTrie`] (sweeps the stripes;
+    /// order unspecified) — the producer side of a persistent store: run
+    /// the queries to warm the cache, then snapshot and save. An entry
+    /// preloaded from a store and never looked up is handed back as read,
+    /// so saving it copies its stored bytes.
+    pub fn entries(&self) -> Vec<StoredTrie> {
         (0..self.stripes.stripes())
             .flat_map(|i| {
                 let (stripe, _) = self.stripes.lock(i as u64);
                 stripe
                     .map
                     .iter()
-                    .map(|((n, fp, perm), t)| (n.clone(), *fp, perm.clone(), Arc::clone(t)))
+                    .map(|((n, fp, perm), slot)| match slot {
+                        Slot::Ready(t) => {
+                            StoredTrie::new(n.clone(), *fp, perm.clone(), Arc::clone(t))
+                        }
+                        Slot::Stored(t) => t.clone(),
+                    })
                     .collect::<Vec<_>>()
             })
             .collect()
     }
 
     /// Looks up the trie for `(name, fingerprint, perm)`, counting a hit
-    /// or a miss.
-    pub fn lookup(&self, name: &str, fingerprint: u64, perm: &[usize]) -> Option<Arc<Trie>> {
+    /// or a miss. A preloaded entry is checked on its first lookup.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`StoreError`] a preloaded entry failed its check with;
+    /// every lookup of that entry returns it again.
+    pub fn lookup(
+        &self,
+        name: &str,
+        fingerprint: u64,
+        perm: &[usize],
+    ) -> Result<Option<Arc<Trie>>, StoreError> {
+        self.fetch(name, fingerprint, perm, &mut TrieLoad::default())
+    }
+
+    /// [`TrieCache::lookup`], adding any first-touch work to `load`.
+    pub(crate) fn fetch(
+        &self,
+        name: &str,
+        fingerprint: u64,
+        perm: &[usize],
+        load: &mut TrieLoad,
+    ) -> Result<Option<Arc<Trie>>, StoreError> {
         let key = (name.to_owned(), fingerprint, perm.to_vec());
-        let (stripe, _) = self.stripes.lock(stripe_hash(&key));
+        let hash = stripe_hash(&key);
+        let (stripe, _) = self.stripes.lock(hash);
         let found = stripe.map.get(&key).cloned();
         drop(stripe);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        let trie = match found {
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return Ok(None);
+            }
+            Some(Slot::Ready(t)) => t,
+            Some(Slot::Stored(stored)) => {
+                let first_touch = !stored.is_checked();
+                let t0 = std::time::Instant::now();
+                let checked = stored.trie();
+                if first_touch {
+                    load.entries += 1;
+                    load.ns += t0.elapsed().as_nanos() as u64;
+                }
+                let trie = checked?;
+                self.settle(&key, hash, &stored, &trie);
+                trie
+            }
         };
-        found
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(trie))
+    }
+
+    /// Files the checked `trie` in place of the stored window it came
+    /// from, recharging the entry at its resident size.
+    fn settle(&self, key: &TrieKey, hash: u64, stored: &StoredTrie, trie: &Arc<Trie>) {
+        let (mut stripe, _) = self.stripes.lock(hash);
+        let Some(slot) = stripe.map.get_mut(key) else {
+            return;
+        };
+        if !matches!(slot, Slot::Stored(s) if s.same_entry(stored)) {
+            return;
+        }
+        *slot = Slot::Ready(Arc::clone(trie));
+        drop(stripe);
+        self.bytes.fetch_add(trie.bytes(), Ordering::AcqRel);
+        self.bytes
+            .fetch_sub(stored.stored_bytes(), Ordering::AcqRel);
+        self.enforce_capacity(self.stripes.lane(hash), key);
     }
 
     /// Publishes a built trie under `(name, fingerprint, perm)` and returns
@@ -233,10 +337,20 @@ impl TrieCache {
         perm: &[usize],
         trie: Arc<Trie>,
     ) -> Arc<Trie> {
-        let entry_bytes = trie.bytes();
+        match self.publish(name, fingerprint, perm, Slot::Ready(Arc::clone(&trie))) {
+            Some(Slot::Ready(existing)) => existing,
+            _ => trie,
+        }
+    }
+
+    /// Files `slot` under `(name, fingerprint, perm)` unless it is too big
+    /// or of a retired generation, or the key is taken. Returns the slot
+    /// already filed under the key when it was taken (a lost race).
+    fn publish(&self, name: &str, fingerprint: u64, perm: &[usize], slot: Slot) -> Option<Slot> {
+        let entry_bytes = slot.bytes();
         if self.capacity.is_some_and(|cap| entry_bytes > cap) {
             self.overflows.fetch_add(1, Ordering::Relaxed);
-            return trie;
+            return None;
         }
         #[cfg(feature = "faults")]
         triejax_exec::faults::fire(triejax_exec::faults::FaultEvent::CacheInsert);
@@ -244,26 +358,26 @@ impl TrieCache {
         // sees the entry and drops it or has already marked it stale.
         let views = self.views();
         if views.is_stale(name, fingerprint) {
-            return trie;
+            return None;
         }
         let key = (name.to_owned(), fingerprint, perm.to_vec());
         let hash = stripe_hash(&key);
         let lane = self.stripes.lane(hash);
         let (mut stripe, _) = self.stripes.lock(hash);
         if let Some(existing) = stripe.map.get(&key) {
-            let existing = Arc::clone(existing);
+            let existing = existing.clone();
             drop(stripe);
             self.races.fetch_add(1, Ordering::Relaxed);
-            return existing;
+            return Some(existing);
         }
         stripe.fifo.push_back(key.clone());
-        stripe.map.insert(key.clone(), Arc::clone(&trie));
+        stripe.map.insert(key.clone(), slot);
         drop(stripe);
         drop(views);
         self.bytes.fetch_add(entry_bytes, Ordering::AcqRel);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         self.enforce_capacity(lane, &key);
-        trie
+        None
     }
 
     fn views(&self) -> MutexGuard<'_, Views> {
@@ -452,9 +566,12 @@ mod tests {
         let cache = TrieCache::unbounded();
         let r = rel(1, 8);
         let fp = TrieCache::fingerprint(&r);
-        assert!(cache.lookup("G", fp, &[0, 1]).is_none());
+        assert!(cache.lookup("G", fp, &[0, 1]).unwrap().is_none());
         let t = cache.insert("G", fp, &[0, 1], arc_trie(&r));
-        let got = cache.lookup("G", fp, &[0, 1]).expect("warm lookup hits");
+        let got = cache
+            .lookup("G", fp, &[0, 1])
+            .unwrap()
+            .expect("warm lookup hits");
         assert!(Arc::ptr_eq(&t, &got));
         assert_eq!(
             (cache.hits(), cache.misses(), cache.insertions()),
@@ -478,6 +595,7 @@ mod tests {
         cache.insert("G", TrieCache::fingerprint(&a), &[0, 1], arc_trie(&a));
         assert!(cache
             .lookup("G", TrieCache::fingerprint(&b), &[0, 1])
+            .unwrap()
             .is_none());
     }
 
@@ -487,7 +605,7 @@ mod tests {
         let r = rel(3, 8);
         let fp = TrieCache::fingerprint(&r);
         cache.insert("G", fp, &[0, 1], arc_trie(&r));
-        assert!(cache.lookup("G", fp, &[1, 0]).is_none());
+        assert!(cache.lookup("G", fp, &[1, 0]).unwrap().is_none());
     }
 
     #[test]
@@ -497,7 +615,7 @@ mod tests {
         let fp = TrieCache::fingerprint(&r);
         let t = cache.insert("G", fp, &[0, 1], arc_trie(&r));
         assert_eq!(t.tuple_count(), r.len(), "caller keeps its build");
-        assert!(cache.lookup("G", fp, &[0, 1]).is_none());
+        assert!(cache.lookup("G", fp, &[0, 1]).unwrap().is_none());
         assert_eq!(cache.bytes(), 0);
         assert_eq!(cache.overflows(), 1);
         assert!(cache.is_empty());
@@ -530,6 +648,7 @@ mod tests {
         let last = shaped(9);
         assert!(cache
             .lookup("G", TrieCache::fingerprint(&last), &[0, 1])
+            .unwrap()
             .is_some());
     }
 
@@ -560,17 +679,23 @@ mod tests {
         producer.insert("G", fp, &[0, 1], arc_trie(&r));
         producer.insert("G", fp, &[1, 0], arc_trie(&r.permute(&[1, 0])));
         let mut stored = triejax_store::StoredCatalog::new();
-        for (name, fpr, perm, trie) in producer.entries() {
-            stored.insert_trie(name, fpr, perm, trie);
+        for t in producer.entries() {
+            stored.insert_stored_trie(t);
         }
         let stored =
             triejax_store::StoredCatalog::from_bytes(&stored.to_bytes()).expect("round trip");
         let consumer = TrieCache::unbounded();
         consumer.preload(&stored);
         assert_eq!(consumer.len(), 2);
-        let got = consumer.lookup("G", fp, &[0, 1]).expect("preload serves");
+        let got = consumer
+            .lookup("G", fp, &[0, 1])
+            .unwrap()
+            .expect("preload serves");
         assert_eq!(*got, Trie::build(&r));
-        assert!(consumer.lookup("G", fp.wrapping_add(1), &[0, 1]).is_none());
+        assert!(consumer
+            .lookup("G", fp.wrapping_add(1), &[0, 1])
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use triejax_relation::{
     JoinCursor, MergeCursor, MergedView, Relation, RelationDelta, Trie, TrieCursor, Value,
 };
 
-use crate::catalog::{build_one, resolve};
+use crate::catalog::{build_one, resolve, Served};
 use crate::triecache::TrieCache;
 use crate::{Catalog, JoinError, TrieSet};
 
@@ -118,20 +118,21 @@ impl MergeSet {
         deltas: &DeltaMap,
     ) -> Result<MergeSet, JoinError> {
         let sources = current_sources(plan, catalog, deltas)?;
-        Self::assemble(plan, &sources, None, None, &mut ViewMemo::new()).map(|(s, _, _)| s)
+        Self::assemble(plan, &sources, None, None, &mut ViewMemo::new()).map(|(s, _)| s)
     }
 
     /// Builds every view with cold trie builds parallelized on `pool`,
     /// consulting (and filling) `cache` when one is given. Returns the
-    /// set, the tries served from the cache, and the nanoseconds spent
-    /// building tries and views (mirroring [`TrieSet::build_on`]).
+    /// set and what it cost: tries served from the cache, nanoseconds
+    /// spent building tries and views, and first touches of store entries
+    /// (mirroring [`TrieSet::build_on`]).
     pub(crate) fn build_on(
         plan: &CompiledQuery,
         catalog: &Catalog,
         deltas: &DeltaMap,
         pool: &WorkerPool,
         cache: Option<&TrieCache>,
-    ) -> Result<(MergeSet, u64, u64), JoinError> {
+    ) -> Result<(MergeSet, Served), JoinError> {
         let sources = current_sources(plan, catalog, deltas)?;
         Self::assemble(plan, &sources, Some(pool), cache, &mut ViewMemo::new())
     }
@@ -147,10 +148,9 @@ impl MergeSet {
         pool: Option<&WorkerPool>,
         cache: Option<&TrieCache>,
         memo: &mut ViewMemo,
-    ) -> Result<(MergeSet, u64, u64), JoinError> {
+    ) -> Result<(MergeSet, Served), JoinError> {
         let mut atom_views = Vec::with_capacity(sources.len());
-        let mut cache_hits = 0u64;
-        let mut build_ns = 0u64;
+        let mut served = Served::default();
         for (ap, src) in plan.atom_plans().iter().zip(sources) {
             let delta = src.delta.filter(|d| !d.is_empty());
             let arities = [Some(src.base.arity()), delta.map(RelationDelta::arity)];
@@ -168,7 +168,8 @@ impl MergeSet {
             }
             let perm = ap.perm();
             let base = (!src.base.is_empty())
-                .then(|| serve(src, perm, pool, cache, &mut cache_hits, &mut build_ns));
+                .then(|| serve(src, perm, pool, cache, &mut served))
+                .transpose()?;
             let shared = cache
                 .filter(|_| src.variant == AtomSource::CURRENT)
                 .zip(delta)
@@ -189,7 +190,7 @@ impl MergeSet {
                         ),
                         None => MergedView::build(base.as_deref(), &none, &none),
                     });
-                    build_ns += t0.elapsed().as_nanos() as u64;
+                    served.build_ns += t0.elapsed().as_nanos() as u64;
                     match shared {
                         Some((c, key)) => c.publish_view(src.name, perm, key, view),
                         None => view,
@@ -200,7 +201,7 @@ impl MergeSet {
             memo.insert(key, Arc::clone(&view));
             atom_views.push(view);
         }
-        Ok((MergeSet { atom_views }, cache_hits, build_ns))
+        Ok((MergeSet { atom_views }, served))
     }
 }
 
@@ -230,20 +231,20 @@ fn serve(
     perm: &[usize],
     pool: Option<&WorkerPool>,
     cache: Option<&TrieCache>,
-    cache_hits: &mut u64,
-    build_ns: &mut u64,
-) -> Arc<Trie> {
-    if let Some(t) = cache.and_then(|c| c.lookup(src.name, src.base.fingerprint(), perm)) {
-        *cache_hits += 1;
-        return t;
+    served: &mut Served,
+) -> Result<Arc<Trie>, JoinError> {
+    if let Some(c) = cache {
+        if let Some(t) = served.fetch(c, src.name, src.base.fingerprint(), perm)? {
+            return Ok(t);
+        }
     }
     let t0 = std::time::Instant::now();
     let built = Arc::new(build_one(src.base, perm, pool));
-    *build_ns += t0.elapsed().as_nanos() as u64;
-    match cache {
+    served.build_ns += t0.elapsed().as_nanos() as u64;
+    Ok(match cache {
         Some(c) => c.insert(src.name, src.base.fingerprint(), perm, built),
         None => built,
-    }
+    })
 }
 
 impl<'a> CursorSet<'a> for MergeSet {
@@ -370,17 +371,17 @@ mod tests {
         let cache = TrieCache::unbounded();
         let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
         let deltas = delta_map(vec![(5, 6)], vec![]);
-        let (cold, hits, build_ns) =
+        let (cold, served) =
             MergeSet::build_on(&plan, &catalog(), &deltas, &pool, Some(&cache)).unwrap();
-        assert_eq!(hits, 0);
-        assert!(build_ns > 0);
+        assert_eq!(served.hits, 0);
+        assert!(served.build_ns > 0);
         // Only the two base orders are tries; each also has its view.
         assert_eq!(cache.insertions(), 2);
         assert_eq!(cache.len(), 4);
-        let (warm, hits, build_ns) =
+        let (warm, served) =
             MergeSet::build_on(&plan, &catalog(), &deltas, &pool, Some(&cache)).unwrap();
-        assert_eq!(hits, 2, "warm build is all lookups");
-        assert_eq!(build_ns, 0);
+        assert_eq!(served.hits, 2, "warm build is all lookups");
+        assert_eq!(served.build_ns, 0);
         assert!(Arc::ptr_eq(
             &cold.atom_views[0].view,
             &warm.atom_views[0].view
@@ -388,9 +389,9 @@ mod tests {
 
         // The next epoch's views replace this one's: nothing accumulates.
         let next = delta_map(vec![(5, 6), (6, 7)], vec![(1, 2)]);
-        let (set, hits, _) =
+        let (set, served) =
             MergeSet::build_on(&plan, &catalog(), &next, &pool, Some(&cache)).unwrap();
-        assert_eq!(hits, 2, "the base tries are still the base tries");
+        assert_eq!(served.hits, 2, "the base tries are still the base tries");
         assert!(!Arc::ptr_eq(
             &set.atom_views[0].view,
             &warm.atom_views[0].view

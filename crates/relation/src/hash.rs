@@ -1,6 +1,6 @@
 //! The lane hash: one platform-stable 64-bit hash for everything that is
 //! persisted or compared across processes — [`Relation::fingerprint`]
-//! (arity plus rows) and the store's payload checksum.
+//! (arity plus rows) and the store's checksums.
 //!
 //! The input is read as little-endian `u64` words, dealt round-robin to
 //! four independent lanes. Each lane folds its words as FNV-1a does bytes —
@@ -58,7 +58,7 @@ fn finish(seed: u64, lanes: [u64; 4], tail: impl Iterator<Item = u64>, len: usiz
     h ^ (h >> 33)
 }
 
-/// The lane hash of `bytes` — the store's payload checksum.
+/// The lane hash of `bytes` — the store's checksum of a section.
 ///
 /// # Example
 ///

@@ -175,31 +175,44 @@ impl Relation {
     /// output column `i` is input column `perm[i]`.
     ///
     /// This is how one edge table yields tries in different attribute
-    /// orders, e.g. `T(z, w)` versus `T(w, z)` in paper Figure 2.
+    /// orders, e.g. `T(z, w)` versus `T(w, z)` in paper Figure 2. The
+    /// identity order is a copy. Swapping the columns of a binary relation
+    /// is a counting sort over the target ids when they are dense (a CSR
+    /// transpose), and a sort of packed `u64` row keys when they are not.
+    /// Wider relations comparison-sort row indexes.
     ///
     /// # Panics
     ///
     /// Panics if `perm` is not a permutation of `0..arity`.
     pub fn permute(&self, perm: &[usize]) -> Relation {
         self.validate_perm(perm);
-        let mut data = Vec::with_capacity(self.data.len());
-        for t in self.iter() {
-            for &p in perm {
-                data.push(t[p]);
+        let data = match perm {
+            // The identity order is the relation's own: nothing to sort.
+            [0] | [0, 1] => self.data.clone(),
+            [1, 0] => transpose_pairs(&self.data),
+            _ => {
+                let mut data = Vec::with_capacity(self.data.len());
+                for t in self.iter() {
+                    for &p in perm {
+                        data.push(t[p]);
+                    }
+                }
+                sort_dedup_rows(&mut data, self.arity);
+                data
             }
-        }
-        let mut rel = Relation {
+        };
+        Relation {
             arity: self.arity,
             data,
             fingerprint: std::sync::OnceLock::new(),
-        };
-        rel.normalize();
-        rel
+        }
     }
 
     /// Parallel [`Relation::permute`]: column-permutes row chunks as pool
     /// tasks (each chunk sorted and deduplicated locally), then k-way
-    /// merge-deduplicates the sorted chunks on the caller's thread.
+    /// merge-deduplicates the sorted chunks on the caller's thread. Unary
+    /// and binary relations take the sequential path, which does not
+    /// comparison-sort them.
     ///
     /// The result is the sorted duplicate-free set of permuted tuples, which
     /// is independent of the chunking — `permute_on` is deterministic and
@@ -213,7 +226,9 @@ impl Relation {
         let arity = self.arity;
         let n = self.len();
         let k = pool.workers().min(n);
-        if k <= 1 {
+        // Binary and unary permutes are a counting sort or a copy, cheaper
+        // than any chunked comparison sort.
+        if k <= 1 || arity <= 2 {
             return self.permute(perm);
         }
         let chunks: Vec<(usize, usize)> = (0..k)
@@ -282,7 +297,8 @@ impl Relation {
     /// fingerprint is never asked for (e.g. the permuted intermediate a trie
     /// build consumes) never pay the hash. Changing this function changes
     /// every stored key, so it needs a store format version bump (store
-    /// format 3 introduced it; older files are re-keyed when they open).
+    /// format 3 introduced it; older files are re-keyed when they open). A
+    /// store's relation checksum is this fingerprint.
     pub fn fingerprint(&self) -> u64 {
         *self
             .fingerprint
@@ -325,10 +341,17 @@ impl Relation {
 /// Sorts row-major `data` lexicographically by row and removes duplicate
 /// rows. A strict-ascending pre-check skips all work when the rows are
 /// already sorted *and* duplicate-free (the common case for data that went
-/// through [`Relation`] construction once); otherwise row **indexes** are
-/// sorted instead of a `Vec<&[Value]>` of slice refs, halving the scratch
-/// allocation on the `permute` hot path.
+/// through [`Relation`] construction once). Rows of arity 1 and 2 are
+/// checked and sorted in place by packed `u64` keys, whose integer order
+/// is the rows' lexicographic order; wider rows sort row **indexes**
+/// instead of a `Vec<&[Value]>` of slice refs, halving the scratch
+/// allocation.
 fn sort_dedup_rows(data: &mut Vec<Value>, arity: usize) {
+    match arity {
+        1 => return sort_dedup_packed::<1>(data),
+        2 => return sort_dedup_packed::<2>(data),
+        _ => {}
+    }
     let n = data.len() / arity;
     let already_sorted =
         (1..n).all(|i| data[(i - 1) * arity..i * arity] < data[i * arity..(i + 1) * arity]);
@@ -348,6 +371,69 @@ fn sort_dedup_rows(data: &mut Vec<Value>, arity: usize) {
         out.extend_from_slice(&data[i as usize * arity..(i as usize + 1) * arity]);
     }
     *data = out;
+}
+
+/// Whether `keys` is strictly ascending.
+fn strictly_ascending(mut keys: impl Iterator<Item = u64>) -> bool {
+    let Some(mut prev) = keys.next() else {
+        return true;
+    };
+    keys.all(|k| std::mem::replace(&mut prev, k) < k)
+}
+
+/// [`sort_dedup_rows`] for rows of `N <= 2` values, compared as packed
+/// `u64` keys and sorted in place.
+fn sort_dedup_packed<const N: usize>(data: &mut Vec<Value>) {
+    let key = |r: &[Value; N]| r.iter().fold(0u64, |k, &v| k << 32 | u64::from(v));
+    let (rows, _) = data.as_chunks_mut::<N>();
+    if strictly_ascending(rows.iter().map(key)) {
+        return;
+    }
+    rows.sort_unstable_by_key(key);
+    let mut kept = 0;
+    for i in 0..rows.len() {
+        if kept == 0 || rows[i] != rows[kept - 1] {
+            rows[kept] = rows[i];
+            kept += 1;
+        }
+    }
+    data.truncate(N * kept);
+}
+
+/// The column swap of a strictly ascending binary row buffer, strictly
+/// ascending again. When the second column's ids are dense — at most two
+/// ids per row below the largest — a counting sort places each row in its
+/// target id's bucket, in source order, which is already first-column
+/// order within a bucket: a CSR transpose, no comparisons. Sparse ids sort
+/// the swapped rows as packed keys instead.
+fn transpose_pairs(data: &[Value]) -> Vec<Value> {
+    let rows = data.len() / 2;
+    let max = data.chunks_exact(2).map(|r| r[1]).max().unwrap_or(0) as usize;
+    if max / 2 > rows || u32::try_from(rows).is_err() {
+        let mut out = Vec::with_capacity(data.len());
+        for r in data.chunks_exact(2) {
+            out.extend_from_slice(&[r[1], r[0]]);
+        }
+        sort_dedup_rows(&mut out, 2);
+        return out;
+    }
+    // starts[v] is where target id v's rows begin, advanced as they land.
+    let mut starts = vec![0u32; max + 2];
+    for r in data.chunks_exact(2) {
+        starts[r[1] as usize + 1] += 1;
+    }
+    for v in 1..starts.len() {
+        starts[v] += starts[v - 1];
+    }
+    let mut out = vec![0; data.len()];
+    for r in data.chunks_exact(2) {
+        let at = &mut starts[r[1] as usize];
+        let i = *at as usize * 2;
+        out[i] = r[1];
+        out[i + 1] = r[0];
+        *at += 1;
+    }
+    out
 }
 
 impl<'a> IntoIterator for &'a Relation {

@@ -206,12 +206,23 @@ fn leaf_bitmaps(leaf: &[Value], starts: &[u32]) -> (Vec<u64>, usize) {
     (bits, words)
 }
 
-/// One level under construction: owned arrays with fragment-local offsets,
-/// packed into the flat buffer once the build completes.
-#[derive(Debug, Clone, Default)]
-struct LevelFrag {
-    values: Vec<Value>,
-    child_starts: Vec<u32>,
+/// A trie's flat word buffer under construction, with its per-level
+/// `(value count, child-range entry count)` dims.
+#[derive(Debug)]
+struct Flat {
+    words: Vec<u32>,
+    dims: Vec<(usize, usize)>,
+}
+
+impl Flat {
+    /// Where each level's value array and child-range array start.
+    fn starts(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.dims.iter().scan(0, |at, &(v, c)| {
+            let level = (*at, *at + v);
+            *at += v + c;
+            Some(level)
+        })
+    }
 }
 
 impl Trie {
@@ -219,7 +230,7 @@ impl Trie {
     ///
     /// Use [`Relation::permute`] first to index a different attribute order.
     pub fn build(relation: &Relation) -> Trie {
-        Trie::pack(build_fragment(relation, 0, relation.len()), relation.len())
+        Trie::adopt(build_flat(relation, 0, relation.len()), relation.len())
     }
 
     /// Builds the trie for `relation` with the row range partitioned across
@@ -227,48 +238,40 @@ impl Trie {
     ///
     /// Rows are split into contiguous ranges whose boundaries are snapped
     /// forward to the next root-key change, so no root value ever spans two
-    /// partitions. Each partition then runs the exact sequential grouping
-    /// loop of [`Trie::build`] as an independent pool task, and the
-    /// per-partition level fragments are stitched back together by rebasing
-    /// `child_starts` offsets. Because the grouping recursion never crosses a
-    /// root-key boundary, concatenating the fragments in partition order
-    /// reproduces the sequential word buffer exactly — every engine,
-    /// the simulator and [`Trie::assign_addresses`] consume the result
-    /// unchanged.
+    /// partitions. Each partition then runs the exact sequential pass of
+    /// [`Trie::build`] as an independent pool task, and the per-partition
+    /// buffers are stitched back together by rebasing `child_starts`
+    /// offsets. Because the grouping never crosses a root-key boundary,
+    /// concatenating the levels in partition order reproduces the
+    /// sequential word buffer exactly — every engine, the simulator and
+    /// [`Trie::assign_addresses`] consume the result unchanged.
     pub fn par_build(relation: &Relation, pool: &WorkerPool) -> Trie {
         let parts = partition_rows(relation, pool.workers());
         if parts.len() <= 1 {
             return Trie::build(relation);
         }
-        let (frags, _stats) = pool.run(&parts, |_ctx, _lane, &(s, e)| {
-            build_fragment(relation, s, e)
-        });
-        Trie::pack(stitch_fragments(frags, relation.arity()), relation.len())
+        let (frags, _stats) = pool.run(&parts, |_ctx, _lane, &(s, e)| build_flat(relation, s, e));
+        Trie::adopt(stitch_fragments(&frags), relation.len())
     }
 
-    /// Packs per-level owned arrays into the flat single-buffer layout.
-    fn pack(levels: Vec<LevelFrag>, tuple_count: usize) -> Trie {
-        let total: usize = levels
-            .iter()
-            .map(|l| l.values.len() + l.child_starts.len())
-            .sum();
-        let mut words = Vec::with_capacity(total);
-        let mut meta = Vec::with_capacity(levels.len());
-        for l in &levels {
-            let values_start = words.len();
-            words.extend_from_slice(&l.values);
-            let child_start = words.len();
-            words.extend_from_slice(&l.child_starts);
-            meta.push(LevelMeta {
-                values_start,
-                values_len: l.values.len(),
-                child_start,
-                child_len: l.child_starts.len(),
-                ..LevelMeta::default()
-            });
-        }
+    /// Adopts a structurally valid flat buffer: lays out the level table
+    /// and derives the indexes.
+    fn adopt(flat: Flat, tuple_count: usize) -> Trie {
+        let meta = flat
+            .starts()
+            .zip(&flat.dims)
+            .map(
+                |((values_start, child_start), &(values_len, child_len))| LevelMeta {
+                    values_start,
+                    values_len,
+                    child_start,
+                    child_len,
+                    ..LevelMeta::default()
+                },
+            )
+            .collect();
         Trie {
-            words,
+            words: flat.words,
             meta,
             tuple_count,
             ..Trie::default()
@@ -325,10 +328,8 @@ impl Trie {
                 found: words.len(),
             });
         }
-        let mut meta = Vec::with_capacity(dims.len());
         let mut offset = 0usize;
         for (l, &(values_len, child_len)) in dims.iter().enumerate() {
-            let values_start = offset;
             let child_start = offset + values_len;
             offset = child_start + child_len;
             let leaf = l + 1 == dims.len();
@@ -369,13 +370,6 @@ impl Trie {
                     });
                 }
             }
-            meta.push(LevelMeta {
-                values_start,
-                values_len,
-                child_start,
-                child_len,
-                ..LevelMeta::default()
-            });
         }
         let leaf_len = dims.last().map_or(0, |&(v, _)| v);
         if tuple_count != leaf_len {
@@ -384,13 +378,8 @@ impl Trie {
                 found: tuple_count,
             });
         }
-        Ok(Trie {
-            words,
-            meta,
-            tuple_count,
-            ..Trie::default()
-        }
-        .derive_indexes())
+        let dims = dims.to_vec();
+        Ok(Trie::adopt(Flat { words, dims }, tuple_count))
     }
 
     /// Number of attributes (trie depth).
@@ -517,55 +506,94 @@ impl From<&Relation> for Trie {
     }
 }
 
-/// Builds the level arrays of the row range `lo..hi` in one pass, with
-/// *fragment-local* `child_starts` offsets. Row `i` opens a new node on
-/// every level from the first column where it differs from row `i - 1`
-/// down to the leaf (the first row of the range opens one on every level),
-/// and a new node's `child_starts` entry is the number of nodes the next
-/// level holds before its first child — which the same row opens next.
-/// No per-level group vectors are needed.
+/// Builds the flat buffer of the row range `lo..hi`, with
+/// *fragment-local* `child_starts` offsets, in two passes over the rows.
+/// Row `i` opens a new node on every level from the first column where it
+/// differs from row `i - 1` down to the leaf (the first row of the range
+/// opens one on every level). The first pass counts each level's nodes,
+/// which sizes the one buffer exactly; the second fills it.
 ///
-/// [`Trie::build`] is exactly `build_fragment(rel, 0, rel.len())` packed
-/// into the flat buffer, which is what makes the partition/stitch scheme
-/// of [`Trie::par_build`] byte-identical by construction: both paths run
-/// the same pass over the same rows.
-fn build_fragment(relation: &Relation, lo: usize, hi: usize) -> Vec<LevelFrag> {
+/// Neither pass branches on the data. Each level keeps the count of its
+/// nodes so far, advanced by the row's "opens a node here" flag; the row
+/// writes its value at the level's last node (rewriting an equal value
+/// when it opened none), and every non-leaf level writes the next level's
+/// count as the end of its last node's child range — the start of the
+/// next node's, should the next row open one.
+///
+/// [`Trie::build`] is exactly `build_flat(rel, 0, rel.len())`, which is
+/// what makes the partition/stitch scheme of [`Trie::par_build`]
+/// byte-identical by construction: both paths run the same passes over
+/// the same rows.
+fn build_flat(relation: &Relation, lo: usize, hi: usize) -> Flat {
     let arity = relation.arity();
-    let nrows = hi - lo;
-    // Each level holds at most one node per source row; reserving up front
-    // keeps the pass free of reallocation churn.
-    let mut levels: Vec<LevelFrag> = (0..arity)
-        .map(|l| LevelFrag {
-            values: Vec::with_capacity(nrows),
-            child_starts: Vec::with_capacity(if l + 1 < arity { nrows + 1 } else { 0 }),
-        })
-        .collect();
     let rows = &relation.values()[lo * arity..hi * arity];
-    let mut prev: Option<&[Value]> = None;
-    for row in rows.chunks_exact(arity) {
-        let first = prev.map_or(0, |p| {
-            p.iter().zip(row).position(|(a, b)| a != b).unwrap_or(arity)
-        });
-        for l in first..arity {
-            if l + 1 < arity {
-                let next = levels[l + 1].values.len() as u32;
-                levels[l].child_starts.push(next);
-            }
-            levels[l].values.push(row[l]);
+    // A constant arity and per-level state in arrays let the compiler
+    // unroll the per-level loops and keep the state in registers.
+    match arity {
+        1 => fill_flat(rows, [0; 1]),
+        2 => fill_flat(rows, [0; 2]),
+        3 => fill_flat(rows, [0; 3]),
+        _ => fill_flat(rows, vec![0; arity]),
+    }
+}
+
+/// [`build_flat`]'s two passes over the row-major `rows`, whose arity is
+/// the length of `state`.
+#[inline(always)]
+fn fill_flat<S: AsMut<[usize]> + Clone>(rows: &[Value], state: S) -> Flat {
+    let (mut nodes, mut last, mut end) = (state.clone(), state.clone(), state);
+    let (nodes, last, end) = (nodes.as_mut(), last.as_mut(), end.as_mut());
+    let arity = nodes.len();
+    // Consecutive row pairs; the first row opens a node on every level.
+    let pairs = || {
+        let rest = &rows[arity.min(rows.len())..];
+        rows.chunks_exact(arity).zip(rest.chunks_exact(arity))
+    };
+    nodes.fill(usize::from(!rows.is_empty()));
+    for (prev, row) in pairs() {
+        let mut new = false;
+        for ((n, a), b) in nodes.iter_mut().zip(row).zip(prev) {
+            new |= a != b;
+            *n += usize::from(new);
         }
-        prev = Some(row);
     }
-    for l in 0..arity.saturating_sub(1) {
-        let end = levels[l + 1].values.len() as u32;
-        let level = &mut levels[l];
-        level.child_starts.push(end);
-        // Non-leaf levels hold only the distinct prefixes, typically far
-        // fewer than nrows: return the over-reservation rather than
-        // retaining it until the fragment is packed.
-        level.values.shrink_to_fit();
-        level.child_starts.shrink_to_fit();
+    let dims: Vec<(usize, usize)> = nodes
+        .iter()
+        .enumerate()
+        .map(|(l, &n)| (n, if l + 1 < arity { n + 1 } else { 0 }))
+        .collect();
+    let total = dims.iter().map(|&(v, c)| v + c).sum();
+    let mut flat = Flat {
+        words: vec![0; total],
+        dims,
+    };
+    // Per level: the index of its last node's value, and of that node's
+    // child-range end, both one before the level's first entry until the
+    // first row opens a node. Child-range entry 0 is the zero the buffer
+    // starts with.
+    nodes.fill(0);
+    for ((l, e), (v, c)) in last.iter_mut().zip(end.iter_mut()).zip(flat.starts()) {
+        (*l, *e) = (v.wrapping_sub(1), c);
     }
-    levels
+    let words = &mut flat.words[..];
+    let before: Vec<Value> = rows
+        .get(..arity)
+        .map_or(Vec::new(), |r| r.iter().map(|v| !v).collect());
+    let firsts = rows.get(..arity).map(|r| (&before[..], r));
+    for (prev, row) in firsts.into_iter().chain(pairs()) {
+        let mut new = false;
+        for l in 0..arity {
+            new |= row[l] != prev[l];
+            nodes[l] += usize::from(new);
+            last[l] = last[l].wrapping_add(usize::from(new));
+            end[l] += usize::from(new);
+            words[last[l]] = row[l];
+        }
+        for l in 1..arity {
+            words[end[l - 1]] = nodes[l] as u32;
+        }
+    }
+    flat
 }
 
 /// Splits `0..relation.len()` into at most `parts` contiguous row ranges
@@ -594,31 +622,39 @@ fn partition_rows(relation: &Relation, parts: usize) -> Vec<(usize, usize)> {
     bounds.windows(2).map(|w| (w[0], w[1])).collect()
 }
 
-/// Concatenates per-partition level fragments in partition order, rebasing
-/// each fragment's `child_starts` by the number of next-level values already
-/// emitted (a fragment's last cumulative entry *is* its next-level value
-/// count, so the running base is simply the last element stitched so far).
-fn stitch_fragments(frags: Vec<Vec<LevelFrag>>, arity: usize) -> Vec<LevelFrag> {
-    let mut levels: Vec<LevelFrag> = vec![LevelFrag::default(); arity];
-    for (l, out) in levels.iter_mut().enumerate() {
-        let total: usize = frags.iter().map(|f| f[l].values.len()).sum();
-        let mut values = Vec::with_capacity(total);
-        let mut starts: Vec<u32> = Vec::new();
-        for f in &frags {
-            values.extend_from_slice(&f[l].values);
-            if l + 1 < arity {
-                if starts.is_empty() {
-                    starts.extend_from_slice(&f[l].child_starts);
-                } else {
-                    let base = *starts.last().expect("non-empty starts");
-                    starts.extend(f[l].child_starts.iter().skip(1).map(|&c| base + c));
-                }
+/// Concatenates per-partition buffers level by level in partition order,
+/// rebasing each fragment's `child_starts` by the number of next-level
+/// values already emitted (a fragment's last cumulative entry *is* its
+/// next-level value count, so the running base is simply the last entry
+/// stitched so far). The result is sized exactly up front.
+fn stitch_fragments(frags: &[Flat]) -> Flat {
+    let arity = frags.first().map_or(0, |f| f.dims.len());
+    let dims: Vec<(usize, usize)> = (0..arity)
+        .map(|l| {
+            let values = frags.iter().map(|f| f.dims[l].0).sum();
+            (values, if l + 1 < arity { values + 1 } else { 0 })
+        })
+        .collect();
+    let total = dims.iter().map(|&(v, c)| v + c).sum();
+    let mut words = Vec::with_capacity(total);
+    let starts: Vec<Vec<(usize, usize)>> = frags.iter().map(|f| f.starts().collect()).collect();
+    for l in 0..arity {
+        for (f, s) in frags.iter().zip(&starts) {
+            let (v, _) = s[l];
+            words.extend_from_slice(&f.words[v..v + f.dims[l].0]);
+        }
+        if l + 1 < arity {
+            words.push(0);
+            let mut base = 0;
+            for (f, s) in frags.iter().zip(&starts) {
+                let (_, c) = s[l];
+                let ends = &f.words[c + 1..c + f.dims[l].1];
+                words.extend(ends.iter().map(|&e| base + e));
+                base += f.dims[l + 1].0 as u32;
             }
         }
-        out.values = values;
-        out.child_starts = starts;
     }
-    levels
+    Flat { words, dims }
 }
 
 #[cfg(test)]

@@ -15,6 +15,36 @@ fn arb_tuples(
     prop::collection::vec(prop::collection::vec(0..domain, arity), 0..max_len)
 }
 
+/// The flat buffer and dims of the trie of `rel`, built the plain way: one
+/// growing array per level, a node pushed wherever a row's prefix changes,
+/// then the levels concatenated.
+fn per_level_build(rel: &Relation) -> (Vec<u32>, Vec<(usize, usize)>) {
+    let arity = rel.arity();
+    let mut levels: Vec<(Vec<Value>, Vec<u32>)> = vec![(Vec::new(), Vec::new()); arity];
+    let mut prev: Option<&[Value]> = None;
+    for row in rel.iter() {
+        let first = prev.map_or(0, |p| p.iter().zip(row).position(|(a, b)| a != b).unwrap());
+        for l in first..arity {
+            if l + 1 < arity {
+                let next = levels[l + 1].0.len() as u32;
+                levels[l].1.push(next);
+            }
+            levels[l].0.push(row[l]);
+        }
+        prev = Some(row);
+    }
+    for l in 0..arity.saturating_sub(1) {
+        let end = levels[l + 1].0.len() as u32;
+        levels[l].1.push(end);
+    }
+    let dims = levels.iter().map(|(v, c)| (v.len(), c.len())).collect();
+    let words = levels
+        .into_iter()
+        .flat_map(|(v, c)| v.into_iter().chain(c))
+        .collect();
+    (words, dims)
+}
+
 /// Depth-first enumeration of everything below the cursor's root.
 fn enumerate<C: JoinCursor>(cur: &mut C, arity: usize) -> Vec<Vec<Value>> {
     fn walk<C: JoinCursor>(
@@ -172,6 +202,44 @@ proptest! {
         prop_assert_eq!(trie.tuple_count(), rel.len());
         let adopted = Trie::from_parts(trie.words().to_vec(), &trie.level_dims(), rel.len());
         prop_assert_eq!(adopted.as_ref(), Ok(&trie));
+    }
+
+    /// The count-then-fill build writes exactly the buffer a per-level push
+    /// build does, on arities 1–4 and dense or sparse domains, sequential
+    /// or partitioned.
+    #[test]
+    fn trie_build_is_byte_identical_to_a_per_level_build(
+        arity in 1usize..=4,
+        raw in arb_tuples(4, 120, 24),
+        domain in prop::sample::select(vec![2u32, 5, 24]),
+    ) {
+        let tuples = raw.into_iter().map(|t| t[..arity].iter().map(|&v| v % domain).collect::<Vec<_>>());
+        let rel = Relation::from_tuples(arity, tuples).unwrap();
+        let (words, dims) = per_level_build(&rel);
+        let trie = Trie::build(&rel);
+        prop_assert_eq!(trie.words(), &words[..]);
+        prop_assert_eq!(trie.level_dims(), dims);
+        let par = Trie::par_build(&rel, &WorkerPool::with_workers(3));
+        prop_assert_eq!(par.words(), &words[..]);
+    }
+
+    /// Swapping a binary relation's columns — a counting sort over dense
+    /// ids, a packed-key sort over sparse ones — gives exactly the rows a
+    /// comparison sort of the swapped tuples gives.
+    #[test]
+    fn binary_permute_matches_a_comparison_sort(
+        pairs in prop::collection::vec((0u32..40, 0u32..40), 0..120),
+        spread in prop::sample::select(vec![1u32, 1000, 1 << 26]),
+    ) {
+        let rel = Relation::from_pairs(pairs.iter().map(|&(a, b)| (a, b * spread)));
+        let mut swapped: Vec<Vec<Value>> = rel.iter().map(|t| vec![t[1], t[0]]).collect();
+        swapped.sort();
+        swapped.dedup();
+        let flat: Vec<Value> = swapped.concat();
+        prop_assert_eq!(rel.permute(&[1, 0]).values(), &flat[..]);
+        let pool = WorkerPool::with_workers(2);
+        prop_assert_eq!(rel.permute_on(&[1, 0], &pool).values(), &flat[..]);
+        prop_assert_eq!(rel.permute(&[0, 1]), rel);
     }
 
     /// Every trie level stores sorted runs within each parent's child range.

@@ -1,5 +1,6 @@
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors produced while reading or writing a stored catalog.
 ///
@@ -9,11 +10,14 @@ use std::fmt;
 /// ([`StoreError::UnsupportedVersion`]) from an attack on the offset table
 /// ([`StoreError::OversizeOffset`]). Corrupt input is always rejected with
 /// one of these — never a panic, never a silently-garbage catalog.
-#[derive(Debug)]
+///
+/// Errors clone and compare, so a stored trie that fails its first-touch
+/// check can hand the same error to every later query.
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum StoreError {
     /// The underlying file could not be read or written.
-    Io(std::io::Error),
+    Io(Arc<std::io::Error>),
     /// The buffer ended before a declared field or array was complete.
     Truncated {
         /// Bytes the next field required.
@@ -30,11 +34,12 @@ pub enum StoreError {
         /// Newest version this build understands.
         supported: u32,
     },
-    /// The payload hash does not match the checksum in the header.
+    /// The hash of a checked section — a legacy payload, the directory,
+    /// or one entry's body — does not match the checksum recorded for it.
     ChecksumMismatch {
-        /// Checksum recorded in the header.
+        /// Checksum recorded in the file.
         expected: u64,
-        /// Checksum recomputed over the payload.
+        /// Checksum recomputed over the section.
         found: u64,
     },
     /// A stored trie's child-range table points outside its level arrays.
@@ -73,7 +78,7 @@ impl fmt::Display for StoreError {
             ),
             StoreError::ChecksumMismatch { expected, found } => write!(
                 f,
-                "store payload checksum {found:#018x} does not match header {expected:#018x}"
+                "store checksum {found:#018x} does not match the recorded {expected:#018x}"
             ),
             StoreError::OversizeOffset {
                 level,
@@ -90,10 +95,21 @@ impl fmt::Display for StoreError {
     }
 }
 
+// Every variant displays every field it holds, so two errors of one
+// variant are equal exactly when they display alike.
+impl PartialEq for StoreError {
+    fn eq(&self, other: &Self) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+            && self.to_string() == other.to_string()
+    }
+}
+
+impl Eq for StoreError {}
+
 impl Error for StoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            StoreError::Io(e) => Some(e),
+            StoreError::Io(e) => Some(&**e),
             _ => None,
         }
     }
@@ -101,7 +117,7 @@ impl Error for StoreError {
 
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
+        StoreError::Io(Arc::new(e))
     }
 }
 
@@ -142,6 +158,16 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
+    }
+
+    #[test]
+    fn errors_clone_and_compare() {
+        let io = StoreError::from(std::io::Error::other("disk"));
+        assert_eq!(io.clone(), io);
+        assert_ne!(io, StoreError::BadMagic);
+        let bad = StoreError::Malformed { detail: "x".into() };
+        assert_eq!(bad.clone(), bad);
+        assert_ne!(bad, StoreError::Malformed { detail: "y".into() });
     }
 
     #[test]

@@ -57,12 +57,27 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// Writes a `u32` array as raw little-endian words (no length prefix;
-    /// callers write the count themselves first).
+    /// Writes a length-prefixed UTF-8 string.
+    pub(crate) fn string(&mut self, v: &str) {
+        self.u64(v.len() as u64);
+        self.bytes(v.as_bytes());
+    }
+
+    /// Writes a `u32` array as raw little-endian words (no length prefix).
     pub(crate) fn words(&mut self, v: &[u32]) {
+        self.buf.reserve(4 * v.len());
         for &w in v {
             self.buf.extend_from_slice(&w.to_le_bytes());
         }
+    }
+
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
@@ -138,11 +153,17 @@ impl<'a> Reader<'a> {
             needed: usize::MAX,
             available: self.remaining(),
         })?;
-        let s = self.take(nbytes)?;
-        Ok(s.chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
+        Ok(decode_words(self.take(nbytes)?))
     }
+}
+
+/// The little-endian `u32` words of `bytes` (a trailing partial word is
+/// ignored; callers check the length).
+pub(crate) fn decode_words(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+        .collect()
 }
 
 #[cfg(test)]

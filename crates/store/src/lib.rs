@@ -4,101 +4,133 @@
 //! rip through joins" — this crate makes the *once* literal across process
 //! boundaries. A [`StoredCatalog`] serializes base relations together with
 //! their built [`Trie`] indexes into a single versioned, checksummed file.
-//! A cold process calls [`StoredCatalog::open`] and can serve queries in
-//! O(bytes-read) with **zero** trie builds: each stored trie is keyed by the
-//! same `(name, content fingerprint, permutation)` scheme the in-process
-//! trie cache uses, so after the underlying data changes, stale entries are
-//! simply unreachable — there is no invalidation protocol.
+//! A cold process calls [`StoredCatalog::open`] and can serve queries with
+//! **zero** trie builds: each stored trie is keyed by the same `(name,
+//! content fingerprint, permutation)` scheme the in-process trie cache
+//! uses, so after the underlying data changes, stale entries are simply
+//! unreachable — there is no invalidation protocol.
 //!
 //! Relocation is what makes this cheap: a [`Trie`] is one contiguous `u32`
 //! buffer plus a per-level offset table ([`Trie::words`] /
-//! [`Trie::level_dims`]), so saving is a buffer copy and opening is a
+//! [`Trie::level_dims`]), so saving is a buffer copy and loading is a
 //! validated buffer adoption ([`Trie::from_parts`]) — no pointer fix-ups,
 //! no rebuild.
 //!
-//! # File format (version 3)
+//! # File format (version 4)
 //!
-//! All integers little-endian.
+//! All integers little-endian. A directory names every entry and says where
+//! its body lies, so each body is addressable and checked on its own.
 //!
 //! ```text
 //! magic        8 bytes   "TJXSTORE"
-//! version      u32       3
-//! payload_len  u64
-//! checksum     u64       lane hash over the payload bytes
-//! payload:
-//!   rel_count  u64
-//!   per relation:
-//!     name_len u64, name (UTF-8), arity u64, word_count u64, words u32[]
-//!   trie_count u64
-//!   per trie:
-//!     name_len u64, name (UTF-8), fingerprint u64,
-//!     perm_len u64, perm u64[], tuple_count u64,
-//!     level_count u64, (values_len u64, child_len u64) per level,
-//!     word_count u64, words u32[]
-//!   delta_count u64
-//!   per delta:
-//!     name_len u64, name (UTF-8), arity u64,
-//!     insert_word_count u64, words u32[],
-//!     tombstone_word_count u64, words u32[]
+//! version      u32       4
+//! dir_len      u64       bytes of the directory
+//! dir_checksum u64       lane hash over the directory
+//! directory:
+//!   entry_count u64
+//!   per entry:
+//!     kind u64           1 relation, 2 trie, 3 delta
+//!     name_len u64, name (UTF-8)
+//!     key, by kind:
+//!       relation: arity u64
+//!       trie:     fingerprint u64, perm_len u64, perm u64[], tuple_count u64,
+//!                 level_count u64, (values_len u64, child_len u64) per level
+//!       delta:    arity u64, insert_word_count u64, tombstone_word_count u64
+//!     offset u64, len u64  the body's bytes, from the start of the bodies
+//!     checksum u64         lane hash over the body; for a relation, its
+//!                          fingerprint (the lane hash seeded with the arity)
+//! bodies, back to back in directory order, each a u32 array:
+//!   relation: its rows, row-major; trie: its flat word buffer
+//!   (Trie::words); delta: its inserts' rows, then its tombstones' rows
 //! ```
 //!
-//! The checksum and every trie's fingerprint ([`Relation::fingerprint`])
+//! The checksums and every trie's fingerprint ([`Relation::fingerprint`])
 //! are the [`lane_hash`]: four independent FNV-style multiply chains over
-//! little-endian words, so validating a file costs about a pass over its
-//! bytes. The delta section carries the pending [`RelationDelta`]s of a
+//! little-endian words, so checking a body costs about a pass over its
+//! bytes. A relation's checksum *is* its fingerprint, so checking it also
+//! computes the key its tries are found by, and no query hashes the
+//! relation again. The delta entries carry the pending [`RelationDelta`]s of a
 //! mutable session (`triejax-join`'s `Session::apply`), so a snapshot taken
-//! mid-mutation round-trips exactly; a frozen catalog writes
-//! `delta_count = 0`.
+//! mid-mutation round-trips exactly; a frozen catalog has none.
+//!
+//! # What is checked when
+//!
+//! [`StoredCatalog::open`] reads the file once into one shared buffer.
+//! Opening ([`StoredCatalog::open`], [`StoredCatalog::from_bytes`]) checks,
+//! before anything is served:
+//!
+//! * the header, the directory's checksum and its structure: every length
+//!   is checked against the bytes that remain before anything is
+//!   allocated, and the bodies must tile the rest of the file exactly;
+//! * every relation and every delta: its checksum, its rows (adopted as
+//!   read by [`Relation::from_values`]: one strict-ascending pass, and a
+//!   sort only for rows out of order), and for a delta that its inserts
+//!   and tombstones are disjoint;
+//! * every trie's directory entry: that its word count matches its level
+//!   table and that its permutation is a permutation of its levels;
+//! * across entries: no relation is named twice, and every delta belongs
+//!   to a relation in the file, of its arity, and to no other delta.
+//!
+//! A trie body is checked on its **first touch** — the first
+//! [`StoredTrie::trie`] call, which is the first trie-cache lookup that
+//! wants it: its checksum, its decode, [`Trie::from_parts`]'s structural
+//! validation and its derived indexes. The outcome is kept, so a trie is
+//! checked once, and a body that fails returns the same typed
+//! [`StoreError`] to every caller: it is never served, and nothing panics.
+//! A query that never reads a trie never pays for it. Callers that want
+//! every byte checked before they serve call [`StoredCatalog::verify`].
 //!
 //! # Older versions
 //!
-//! Versions 1 and 2 still open. They share version 3's layout, except that
-//! version 1 has no delta section, and they hash with byte-serial FNV-1a
-//! instead: the checksum over the payload, and the fingerprint over the
-//! arity (as a `u64`) and the row words. The reader verifies their
-//! checksum with FNV-1a and re-keys their tries: a stored trie whose
-//! fingerprint equals the FNV-1a fingerprint of the relation of the same
-//! name in the file is re-filed under that relation's current
-//! fingerprint, so it keeps serving with zero builds. Any other key was
-//! already stale when the file was saved and stays unreachable. Only old
-//! files pay the byte-serial hashing.
-//!
-//! # Validation
-//!
-//! Every length is validated against the remaining bytes before any
-//! allocation, every trie's offset table is structurally validated by
-//! [`Trie::from_parts`] and its permutation checked against its depth,
-//! and every delta's insert/tombstone sets are checked for equal arity and
-//! disjointness at parse time; corrupt input yields a typed
-//! [`StoreError`], never a panic or a silently-wrong catalog. Row buffers
-//! are adopted as read ([`Relation::from_values`]): one strict-ascending
-//! check, and a sort only for a file whose rows are out of order.
+//! Versions 1–3 still open, through the eager reader they were written
+//! for: one checksum over the whole payload, every trie decoded and checked
+//! at open. Versions 1 and 2 also hash with byte-serial FNV-1a, and their
+//! tries are re-keyed to the current fingerprint as they open. Saving any
+//! catalog writes version 4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod format;
+mod legacy;
 
 pub use error::StoreError;
 
-use format::{fnv1a64, legacy_fingerprint, Reader, Writer};
+use format::{decode_words, fnv1a64, Reader, Writer};
+use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use triejax_relation::{delta, lane_hash, Relation, RelationDelta, Trie, TrieLayoutError};
 
 /// The magic bytes opening every store file.
 const MAGIC: &[u8; 8] = b"TJXSTORE";
 
-/// The store format version this build writes. Versions 1 and 2 are still
-/// read (see the crate docs).
-pub const FORMAT_VERSION: u32 = 3;
+/// The store format version this build writes. Versions 1–3 are still read
+/// (see the crate docs).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// The oldest store format version this build reads.
 const MIN_FORMAT_VERSION: u32 = 1;
 
+/// Bytes before the first section: magic, version, section length and
+/// section checksum.
+const HEADER_BYTES: usize = 28;
+
+/// Directory entry kinds.
+const RELATION: u64 = 1;
+const TRIE: u64 = 2;
+const DELTA: u64 = 3;
+
 /// One pre-built trie in a stored catalog, addressed by the same
 /// `(name, fingerprint, perm)` triple the in-process trie cache uses.
+///
+/// A trie read from a version-4 file is a window into the file's buffer
+/// until its first [`StoredTrie::trie`] call checks and decodes it; one
+/// inserted built, or read from an older file, is ready from the start.
+/// Clones share the window and the outcome of its check.
 #[derive(Debug, Clone)]
 pub struct StoredTrie {
     /// Name of the relation the trie indexes.
@@ -109,8 +141,112 @@ pub struct StoredTrie {
     pub fingerprint: u64,
     /// The attribute permutation the trie was built under.
     pub perm: Vec<usize>,
-    /// The trie itself, shared so openers can hand it straight to a cache.
-    pub trie: Arc<Trie>,
+    body: Arc<TrieBody>,
+}
+
+/// A stored trie: built, or a window into a file with the outcome of its
+/// check once it has had one.
+enum TrieBody {
+    /// Inserted built (or read from a legacy file): nothing to check.
+    Built(Arc<Trie>),
+    /// Read from a version-4 file: checked on its first touch.
+    Stored {
+        window: Window,
+        trie: OnceLock<Result<Arc<Trie>, StoreError>>,
+    },
+}
+
+/// A trie body inside a shared file buffer, with the directory's account
+/// of it.
+struct Window {
+    file: Arc<Vec<u8>>,
+    range: Range<usize>,
+    checksum: u64,
+    dims: Vec<(usize, usize)>,
+    tuple_count: usize,
+}
+
+impl Window {
+    fn bytes(&self) -> &[u8] {
+        &self.file[self.range.clone()]
+    }
+
+    /// Checks and decodes the body of the trie `name`.
+    fn load(&self, name: &str) -> Result<Arc<Trie>, StoreError> {
+        let bytes = self.bytes();
+        check_body(bytes, self.checksum)?;
+        let trie = Trie::from_parts(decode_words(bytes), &self.dims, self.tuple_count)
+            .map_err(|e| layout_error(name, e))?;
+        Ok(Arc::new(trie))
+    }
+}
+
+impl fmt::Debug for TrieBody {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrieBody::Built(t) => f.debug_tuple("Built").field(&t.tuple_count()).finish(),
+            TrieBody::Stored { window, trie } => f
+                .debug_struct("Stored")
+                .field("range", &window.range)
+                .field("checked", &trie.get().map(Result::is_ok))
+                .finish(),
+        }
+    }
+}
+
+impl StoredTrie {
+    /// A stored trie that is already built (and so needs no check).
+    pub fn new(
+        name: impl Into<String>,
+        fingerprint: u64,
+        perm: Vec<usize>,
+        trie: Arc<Trie>,
+    ) -> Self {
+        StoredTrie {
+            name: name.into(),
+            fingerprint,
+            perm,
+            body: Arc::new(TrieBody::Built(trie)),
+        }
+    }
+
+    /// The trie. The first call on a trie read from a version-4 file checks
+    /// its body — checksum, decode, [`Trie::from_parts`] and the derived
+    /// indexes — and every later call, on any clone, returns that outcome.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`StoreError`] the body failed its check with.
+    pub fn trie(&self) -> Result<Arc<Trie>, StoreError> {
+        match &*self.body {
+            TrieBody::Built(t) => Ok(Arc::clone(t)),
+            TrieBody::Stored { window, trie } => {
+                trie.get_or_init(|| window.load(&self.name)).clone()
+            }
+        }
+    }
+
+    /// Whether the trie has been checked (or was built): a
+    /// [`StoredTrie::trie`] call will not touch the file's bytes.
+    pub fn is_checked(&self) -> bool {
+        match &*self.body {
+            TrieBody::Built(_) => true,
+            TrieBody::Stored { trie, .. } => trie.get().is_some(),
+        }
+    }
+
+    /// Bytes of the trie's flat word buffer, as stored.
+    pub fn stored_bytes(&self) -> u64 {
+        match &*self.body {
+            TrieBody::Built(t) => 4 * t.words().len() as u64,
+            TrieBody::Stored { window, .. } => window.range.len() as u64,
+        }
+    }
+
+    /// Whether `other` is a clone of this entry (the same body).
+    pub fn same_entry(&self, other: &StoredTrie) -> bool {
+        Arc::ptr_eq(&self.body, &other.body)
+    }
 }
 
 /// A serializable catalog: named base relations plus the tries built over
@@ -133,6 +269,7 @@ pub struct StoredTrie {
 /// // ... later, in a cold process:
 /// let reopened = StoredCatalog::open("graph.tjx")?;
 /// assert_eq!(reopened.tries().len(), 1); // zero Trie::build calls
+/// reopened.verify()?; // every trie body checked now, not on first touch
 /// # Ok::<(), triejax_store::StoreError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -161,12 +298,14 @@ impl StoredCatalog {
         perm: Vec<usize>,
         trie: Arc<Trie>,
     ) {
-        self.tries.push(StoredTrie {
-            name: name.into(),
-            fingerprint,
-            perm,
-            trie,
-        });
+        self.tries
+            .push(StoredTrie::new(name, fingerprint, perm, trie));
+    }
+
+    /// Adds a stored trie as it is: one read from a file and not yet
+    /// checked is saved again from its bytes, without decoding them.
+    pub fn insert_stored_trie(&mut self, trie: StoredTrie) {
+        self.tries.push(trie);
     }
 
     /// The stored relations, in insertion order.
@@ -198,237 +337,86 @@ impl StoredCatalog {
         self.relations
     }
 
-    /// Serializes the catalog as format version 3.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut p = Writer::new();
-        p.u64(self.relations.len() as u64);
-        for (name, rel) in &self.relations {
-            p.u64(name.len() as u64);
-            p.bytes(name.as_bytes());
-            p.u64(rel.arity() as u64);
-            p.u64(rel.values().len() as u64);
-            p.words(rel.values());
-        }
-        p.u64(self.tries.len() as u64);
-        for t in &self.tries {
-            p.u64(t.name.len() as u64);
-            p.bytes(t.name.as_bytes());
-            p.u64(t.fingerprint);
-            p.u64(t.perm.len() as u64);
-            for &x in &t.perm {
-                p.u64(x as u64);
-            }
-            p.u64(t.trie.tuple_count() as u64);
-            let dims = t.trie.level_dims();
-            p.u64(dims.len() as u64);
-            for (v, c) in dims {
-                p.u64(v as u64);
-                p.u64(c as u64);
-            }
-            p.u64(t.trie.words().len() as u64);
-            p.words(t.trie.words());
-        }
-        p.u64(self.deltas.len() as u64);
-        for (name, d) in &self.deltas {
-            p.u64(name.len() as u64);
-            p.bytes(name.as_bytes());
-            p.u64(d.arity() as u64);
-            p.u64(d.inserts().values().len() as u64);
-            p.words(d.inserts().values());
-            p.u64(d.tombstones().values().len() as u64);
-            p.words(d.tombstones().values());
-        }
-        let payload = p.into_bytes();
+    /// Checks every stored trie now (see [`StoredTrie::trie`]), so that no
+    /// query meets a damaged one later.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`StoreError`] a trie fails its check with.
+    pub fn verify(&self) -> Result<(), StoreError> {
+        self.tries.iter().try_for_each(|t| t.trie().map(drop))
+    }
 
-        let mut out = Vec::with_capacity(28 + payload.len());
+    /// Serializes the catalog as format version 4. A trie read from a file
+    /// is written from its stored bytes under its stored checksum, whether
+    /// it was checked or not, so saving never launders a damaged body.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let entries = self.relations.len() + self.tries.len() + self.deltas.len();
+        let mut dir = Writer::new();
+        let mut bodies = Writer::new();
+        dir.u64(entries as u64);
+        for (name, rel) in &self.relations {
+            dir.u64(RELATION);
+            dir.string(name);
+            dir.u64(rel.arity() as u64);
+            let start = bodies.len();
+            bodies.words(rel.values());
+            body_entry(&mut dir, &bodies, start, Some(rel.fingerprint()));
+        }
+        for t in &self.tries {
+            dir.u64(TRIE);
+            dir.string(&t.name);
+            dir.u64(t.fingerprint);
+            dir.u64(t.perm.len() as u64);
+            for &x in &t.perm {
+                dir.u64(x as u64);
+            }
+            let start = bodies.len();
+            let checksum = match &*t.body {
+                TrieBody::Built(trie) => {
+                    dir_dims(&mut dir, trie.tuple_count(), &trie.level_dims());
+                    bodies.words(trie.words());
+                    None
+                }
+                TrieBody::Stored { window, .. } => {
+                    dir_dims(&mut dir, window.tuple_count, &window.dims);
+                    bodies.bytes(window.bytes());
+                    Some(window.checksum)
+                }
+            };
+            body_entry(&mut dir, &bodies, start, checksum);
+        }
+        for (name, d) in &self.deltas {
+            dir.u64(DELTA);
+            dir.string(name);
+            dir.u64(d.arity() as u64);
+            dir.u64(d.inserts().values().len() as u64);
+            dir.u64(d.tombstones().values().len() as u64);
+            let start = bodies.len();
+            bodies.words(d.inserts().values());
+            bodies.words(d.tombstones().values());
+            body_entry(&mut dir, &bodies, start, None);
+        }
+        let (dir, bodies) = (dir.into_bytes(), bodies.into_bytes());
+        let mut out = Vec::with_capacity(HEADER_BYTES + dir.len() + bodies.len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&lane_hash(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&(dir.len() as u64).to_le_bytes());
+        out.extend_from_slice(&lane_hash(&dir).to_le_bytes());
+        out.extend_from_slice(&dir);
+        out.extend_from_slice(&bodies);
         out
     }
 
-    /// Parses a catalog from bytes, validating header, checksum, and every
-    /// structural invariant of the payload.
+    /// Parses a catalog from bytes (copied into the catalog's own buffer),
+    /// checking what [`StoredCatalog::open`] checks.
     ///
     /// # Errors
     ///
     /// Returns the [`StoreError`] describing the first problem found; see
     /// the variant docs for the taxonomy.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
-        if bytes.len() < 8 {
-            return Err(StoreError::Truncated {
-                needed: 8,
-                available: bytes.len(),
-            });
-        }
-        if &bytes[..8] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let mut h = Reader::new(&bytes[8..]);
-        let version = h.u32()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let payload_len = h.count()?;
-        let checksum = h.u64()?;
-        let payload_start = bytes.len() - h.remaining();
-        let available = bytes.len() - payload_start;
-        if available < payload_len {
-            return Err(StoreError::Truncated {
-                needed: payload_len,
-                available,
-            });
-        }
-        if available > payload_len {
-            return Err(StoreError::Malformed {
-                detail: format!("{} trailing bytes after payload", available - payload_len),
-            });
-        }
-        let payload = &bytes[payload_start..];
-        let found = match version {
-            1 | 2 => fnv1a64(payload),
-            _ => lane_hash(payload),
-        };
-        if found != checksum {
-            return Err(StoreError::ChecksumMismatch {
-                expected: checksum,
-                found,
-            });
-        }
-
-        let mut r = Reader::new(payload);
-        let mut catalog = StoredCatalog::new();
-        let rel_count = r.count()?;
-        for _ in 0..rel_count {
-            let name = r.string()?;
-            let arity = r.count()?;
-            let word_count = r.count()?;
-            let data = r.words(word_count)?;
-            let rel = Relation::from_values(arity, data).map_err(|e| StoreError::Malformed {
-                detail: format!("relation {name:?}: {e}"),
-            })?;
-            catalog.insert_relation(name, rel);
-        }
-        let trie_count = r.count()?;
-        for _ in 0..trie_count {
-            let name = r.string()?;
-            let fingerprint = r.u64()?;
-            let perm_len = r.count()?;
-            let mut perm = Vec::with_capacity(perm_len.min(r.remaining() / 8));
-            for _ in 0..perm_len {
-                perm.push(r.count()?);
-            }
-            let tuple_count = r.count()?;
-            let level_count = r.count()?;
-            let mut dims = Vec::with_capacity(level_count.min(r.remaining() / 16));
-            for _ in 0..level_count {
-                let v = r.count()?;
-                let c = r.count()?;
-                dims.push((v, c));
-            }
-            let word_count = r.count()?;
-            let words = r.words(word_count)?;
-            let trie = Trie::from_parts(words, &dims, tuple_count).map_err(|e| match e {
-                TrieLayoutError::Offset {
-                    level,
-                    index,
-                    offset,
-                    limit,
-                } => StoreError::OversizeOffset {
-                    level,
-                    index,
-                    offset,
-                    limit,
-                },
-                other => StoreError::Malformed {
-                    detail: format!("stored trie {name:?}: {other}"),
-                },
-            })?;
-            // A cursor opens one level per perm entry: a trie filed under
-            // anything but a permutation of its own levels would panic or
-            // mis-join mid-query, so it is rejected here.
-            if !is_permutation(&perm, trie.arity()) {
-                return Err(StoreError::Malformed {
-                    detail: format!(
-                        "stored trie {name:?} of {} levels is filed under a perm of length \
-                         {} that is not a permutation of its levels",
-                        trie.arity(),
-                        perm.len()
-                    ),
-                });
-            }
-            catalog.insert_trie(name, fingerprint, perm, Arc::new(trie));
-        }
-        if version >= 2 {
-            let delta_count = r.count()?;
-            for _ in 0..delta_count {
-                let name = r.string()?;
-                let arity = r.count()?;
-                if arity == 0 {
-                    return Err(StoreError::Malformed {
-                        detail: format!("delta for {name:?} has arity 0"),
-                    });
-                }
-                let side = |what: &str, r: &mut Reader<'_>| -> Result<Relation, StoreError> {
-                    let word_count = r.count()?;
-                    let data = r.words(word_count)?;
-                    Relation::from_values(arity, data).map_err(|e| StoreError::Malformed {
-                        detail: format!("delta {what} of {name:?}: {e}"),
-                    })
-                };
-                let inserts = side("inserts", &mut r)?;
-                let tombstones = side("tombstones", &mut r)?;
-                if !delta::intersection(&inserts, &tombstones).is_empty() {
-                    return Err(StoreError::Malformed {
-                        detail: format!(
-                            "delta of {name:?} lists the same row as insert and tombstone"
-                        ),
-                    });
-                }
-                let d = RelationDelta::from_parts(inserts, tombstones).map_err(|e| {
-                    StoreError::Malformed {
-                        detail: format!("delta of {name:?}: {e}"),
-                    }
-                })?;
-                catalog.insert_delta(name, d);
-            }
-        }
-        if !r.is_exhausted() {
-            return Err(StoreError::Malformed {
-                detail: format!("{} unparsed bytes inside payload", r.remaining()),
-            });
-        }
-        if version < 3 {
-            catalog.rekey_legacy_tries();
-        }
-        Ok(catalog)
-    }
-
-    /// Re-files the tries of a version-1 or version-2 file under the
-    /// current fingerprint: a trie keyed by the FNV-1a fingerprint of the
-    /// same-name relation in the file is that relation's trie. Any other
-    /// key was stale when saved and stays as it is, unreachable.
-    fn rekey_legacy_tries(&mut self) {
-        let legacy: Vec<u64> = self
-            .relations
-            .iter()
-            .map(|(_, rel)| legacy_fingerprint(rel))
-            .collect();
-        for t in &mut self.tries {
-            let owner = self
-                .relations
-                .iter()
-                .zip(&legacy)
-                .find(|((name, _), &fp)| *name == t.name && fp == t.fingerprint);
-            if let Some(((_, rel), _)) = owner {
-                t.fingerprint = rel.fingerprint();
-            }
-        }
+        StoredCatalog::from_file(Arc::new(bytes.to_vec()))
     }
 
     /// Writes the catalog to `path` (atomically enough for a build
@@ -442,30 +430,394 @@ impl StoredCatalog {
         Ok(())
     }
 
-    /// Reads and validates a catalog from `path`. Cost is O(bytes-read):
-    /// no trie is ever rebuilt.
+    /// Reads a catalog from `path` into one buffer, checking its header,
+    /// directory, relations and deltas; each trie is checked on its first
+    /// touch (see the crate docs). No trie is ever rebuilt.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if the file cannot be read, or any
     /// validation error from [`StoredCatalog::from_bytes`].
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path)?;
-        StoredCatalog::from_bytes(&bytes)
+        StoredCatalog::from_file(Arc::new(std::fs::read(path)?))
+    }
+
+    /// Parses the file held in `file`: the header, then the payload of a
+    /// version 1–3 file or the directory of a version-4 file.
+    fn from_file(file: Arc<Vec<u8>>) -> Result<Self, StoreError> {
+        let bytes = &file[..];
+        if bytes.len() < MAGIC.len() {
+            return Err(StoreError::Truncated {
+                needed: MAGIC.len(),
+                available: bytes.len(),
+            });
+        }
+        if &bytes[..MAGIC.len()] != MAGIC {
+            return Err(StoreError::BadMagic);
+        }
+        let mut h = Reader::new(&bytes[MAGIC.len()..]);
+        let version = h.u32()?;
+        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+            return Err(StoreError::UnsupportedVersion {
+                found: version,
+                supported: FORMAT_VERSION,
+            });
+        }
+        let head_len = h.count()?;
+        let checksum = h.u64()?;
+        let available = bytes.len() - HEADER_BYTES;
+        if available < head_len {
+            return Err(StoreError::Truncated {
+                needed: head_len,
+                available,
+            });
+        }
+        let head = &bytes[HEADER_BYTES..HEADER_BYTES + head_len];
+        let found = match version {
+            1 | 2 => fnv1a64(head),
+            _ => lane_hash(head),
+        };
+        if found != checksum {
+            return Err(StoreError::ChecksumMismatch {
+                expected: checksum,
+                found,
+            });
+        }
+        let catalog = if version < 4 {
+            if available > head_len {
+                return Err(StoreError::Malformed {
+                    detail: format!("{} trailing bytes after payload", available - head_len),
+                });
+            }
+            legacy::parse(version, head)?
+        } else {
+            parse_directory(head, &file, HEADER_BYTES + head_len)?
+        };
+        catalog.check_names()?;
+        Ok(catalog)
+    }
+
+    /// Rejects a catalog no session could serve faithfully: a relation
+    /// named twice (which copy would a query read?), or a delta with no
+    /// relation of its name, of another arity, or beside a second delta of
+    /// the same relation.
+    fn check_names(&self) -> Result<(), StoreError> {
+        let malformed = |detail: String| Err(StoreError::Malformed { detail });
+        let mut arity: HashMap<&str, usize> = HashMap::new();
+        for (name, rel) in &self.relations {
+            if arity.insert(name, rel.arity()).is_some() {
+                return malformed(format!("relation {name:?} is stored twice"));
+            }
+        }
+        let mut seen = HashSet::new();
+        for (name, d) in &self.deltas {
+            match arity.get(name.as_str()) {
+                None => {
+                    return malformed(format!("delta of {name:?} has no relation of that name"))
+                }
+                Some(&a) if a != d.arity() => {
+                    return malformed(format!(
+                        "delta of {name:?} has arity {} but its relation has arity {a}",
+                        d.arity()
+                    ))
+                }
+                Some(_) if !seen.insert(name) => {
+                    return malformed(format!("relation {name:?} has two deltas"))
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 }
 
-/// Whether `perm` is a permutation of `0..n`.
-fn is_permutation(perm: &[usize], n: usize) -> bool {
-    let mut seen = vec![false; n];
-    perm.len() == n
+/// Writes a trie's tuple count and level table into its directory entry.
+fn dir_dims(dir: &mut Writer, tuple_count: usize, dims: &[(usize, usize)]) {
+    dir.u64(tuple_count as u64);
+    dir.u64(dims.len() as u64);
+    for &(v, c) in dims {
+        dir.u64(v as u64);
+        dir.u64(c as u64);
+    }
+}
+
+/// Closes a directory entry whose body was written to `bodies` from
+/// `start` on: its offset, length and checksum (the lane hash of the body
+/// unless one is given).
+fn body_entry(dir: &mut Writer, bodies: &Writer, start: usize, checksum: Option<u64>) {
+    let body = &bodies.as_bytes()[start..];
+    dir.u64(start as u64);
+    dir.u64(body.len() as u64);
+    dir.u64(checksum.unwrap_or_else(|| lane_hash(body)));
+}
+
+/// Parses and checks a version-4 directory whose checksum has been
+/// verified, and the relation and delta bodies it names; the bodies start
+/// at `bodies_start` in `file`.
+fn parse_directory(
+    dir: &[u8],
+    file: &Arc<Vec<u8>>,
+    bodies_start: usize,
+) -> Result<StoredCatalog, StoreError> {
+    let bodies_len = file.len() - bodies_start;
+    let mut r = Reader::new(dir);
+    let mut catalog = StoredCatalog::new();
+    let entries = r.count()?;
+    let mut next = 0;
+    for _ in 0..entries {
+        let kind = r.u64()?;
+        let name = r.string()?;
+        let key = match kind {
+            RELATION => Key::Relation { arity: r.count()? },
+            TRIE => {
+                let fingerprint = r.u64()?;
+                let perm_len = r.count()?;
+                let mut perm = Vec::with_capacity(perm_len.min(r.remaining() / 8));
+                for _ in 0..perm_len {
+                    perm.push(r.count()?);
+                }
+                let tuple_count = r.count()?;
+                let levels = r.count()?;
+                let mut dims = Vec::with_capacity(levels.min(r.remaining() / 16));
+                for _ in 0..levels {
+                    dims.push((r.count()?, r.count()?));
+                }
+                Key::Trie {
+                    fingerprint,
+                    perm,
+                    tuple_count,
+                    dims,
+                }
+            }
+            DELTA => Key::Delta {
+                arity: r.count()?,
+                insert_words: r.count()?,
+                tombstone_words: r.count()?,
+            },
+            other => {
+                return Err(StoreError::Malformed {
+                    detail: format!("entry {name:?} has unknown kind {other}"),
+                })
+            }
+        };
+        let offset = r.count()?;
+        let len = r.count()?;
+        let checksum = r.u64()?;
+        if offset != next {
+            return Err(StoreError::Malformed {
+                detail: format!("entry {name:?} starts at byte {offset}, not at {next}"),
+            });
+        }
+        if len > bodies_len - offset {
+            return Err(StoreError::Truncated {
+                needed: len,
+                available: bodies_len - offset,
+            });
+        }
+        if len % 4 != 0 {
+            return Err(StoreError::Malformed {
+                detail: format!("entry {name:?} is {len} bytes, not whole u32 words"),
+            });
+        }
+        next = offset + len;
+        let range = bodies_start + offset..bodies_start + next;
+        let body = &file[range.clone()];
+        match key {
+            Key::Relation { arity } => {
+                let rel = Relation::from_values(arity, decode_words(body)).map_err(|e| {
+                    StoreError::Malformed {
+                        detail: format!("relation {name:?}: {e}"),
+                    }
+                })?;
+                // The relation's checksum is its fingerprint: checking it
+                // computes the fingerprint every query keys its tries by.
+                if rel.fingerprint() != checksum {
+                    return Err(StoreError::ChecksumMismatch {
+                        expected: checksum,
+                        found: rel.fingerprint(),
+                    });
+                }
+                catalog.insert_relation(name, rel);
+            }
+            Key::Trie {
+                fingerprint,
+                perm,
+                tuple_count,
+                dims,
+            } => {
+                let words = dims
+                    .iter()
+                    .try_fold(0usize, |acc, &(v, c)| acc.checked_add(v)?.checked_add(c));
+                if words != Some(len / 4) {
+                    return Err(StoreError::Malformed {
+                        detail: format!(
+                            "stored trie {name:?} is {} words but its levels need {words:?}",
+                            len / 4
+                        ),
+                    });
+                }
+                check_perm(&name, &perm, dims.len())?;
+                let window = Window {
+                    file: Arc::clone(file),
+                    range,
+                    checksum,
+                    dims,
+                    tuple_count,
+                };
+                catalog.tries.push(StoredTrie {
+                    name,
+                    fingerprint,
+                    perm,
+                    body: Arc::new(TrieBody::Stored {
+                        window,
+                        trie: OnceLock::new(),
+                    }),
+                });
+            }
+            Key::Delta {
+                arity,
+                insert_words,
+                tombstone_words,
+            } => {
+                if insert_words.checked_add(tombstone_words) != Some(len / 4) {
+                    return Err(StoreError::Malformed {
+                        detail: format!(
+                            "delta of {name:?} is {} words, not {insert_words} inserted and \
+                             {tombstone_words} tombstoned",
+                            len / 4
+                        ),
+                    });
+                }
+                check_body(body, checksum)?;
+                let mut inserts = decode_words(body);
+                let tombstones = inserts.split_off(insert_words);
+                let d = delta_from_sides(&name, arity, inserts, tombstones)?;
+                catalog.insert_delta(name, d);
+            }
+        }
+    }
+    if !r.is_exhausted() {
+        return Err(StoreError::Malformed {
+            detail: format!("{} unparsed bytes inside the directory", r.remaining()),
+        });
+    }
+    if next != bodies_len {
+        return Err(StoreError::Malformed {
+            detail: format!("{} trailing bytes after the last entry", bodies_len - next),
+        });
+    }
+    Ok(catalog)
+}
+
+/// The key of a version-4 directory entry.
+enum Key {
+    Relation {
+        arity: usize,
+    },
+    Trie {
+        fingerprint: u64,
+        perm: Vec<usize>,
+        tuple_count: usize,
+        dims: Vec<(usize, usize)>,
+    },
+    Delta {
+        arity: usize,
+        insert_words: usize,
+        tombstone_words: usize,
+    },
+}
+
+/// Fails with [`StoreError::ChecksumMismatch`] unless `body` hashes to
+/// `checksum`.
+fn check_body(body: &[u8], checksum: u64) -> Result<(), StoreError> {
+    let found = lane_hash(body);
+    if found != checksum {
+        return Err(StoreError::ChecksumMismatch {
+            expected: checksum,
+            found,
+        });
+    }
+    Ok(())
+}
+
+/// The store's error for a trie buffer [`Trie::from_parts`] rejects.
+fn layout_error(name: &str, e: TrieLayoutError) -> StoreError {
+    match e {
+        TrieLayoutError::Offset {
+            level,
+            index,
+            offset,
+            limit,
+        } => StoreError::OversizeOffset {
+            level,
+            index,
+            offset,
+            limit,
+        },
+        other => StoreError::Malformed {
+            detail: format!("stored trie {name:?}: {other}"),
+        },
+    }
+}
+
+/// A cursor opens one level per perm entry: a trie filed under anything but
+/// a permutation of its own `levels` would panic or mis-join mid-query, so
+/// it is rejected.
+fn check_perm(name: &str, perm: &[usize], levels: usize) -> Result<(), StoreError> {
+    let mut seen = vec![false; levels];
+    let ok = perm.len() == levels
         && perm
             .iter()
-            .all(|&p| p < n && !std::mem::replace(&mut seen[p], true))
+            .all(|&p| p < levels && !std::mem::replace(&mut seen[p], true));
+    if ok {
+        return Ok(());
+    }
+    Err(StoreError::Malformed {
+        detail: format!(
+            "stored trie {name:?} of {levels} levels is filed under a perm of length {} that \
+             is not a permutation of its levels",
+            perm.len()
+        ),
+    })
+}
+
+/// A delta from its stored sides' row words: a non-zero arity, whole rows
+/// on each side, and no row both inserted and tombstoned.
+fn delta_from_sides(
+    name: &str,
+    arity: usize,
+    inserts: Vec<u32>,
+    tombstones: Vec<u32>,
+) -> Result<RelationDelta, StoreError> {
+    let malformed = |detail: String| StoreError::Malformed { detail };
+    if arity == 0 {
+        return Err(malformed(format!("delta for {name:?} has arity 0")));
+    }
+    let side = |what: &str, words: Vec<u32>| {
+        Relation::from_values(arity, words)
+            .map_err(|e| malformed(format!("delta {what} of {name:?}: {e}")))
+    };
+    let inserts = side("inserts", inserts)?;
+    let tombstones = side("tombstones", tombstones)?;
+    if !delta::intersection(&inserts, &tombstones).is_empty() {
+        return Err(malformed(format!(
+            "delta of {name:?} lists the same row as insert and tombstone"
+        )));
+    }
+    RelationDelta::from_parts(inserts, tombstones)
+        .map_err(|e| malformed(format!("delta of {name:?}: {e}")))
 }
 
 #[cfg(test)]
+extern crate self as triejax_store;
+
+#[cfg(test)]
+#[path = "../tests/support/legacy.rs"]
+mod legacy_writer;
+
+#[cfg(test)]
 mod tests {
+    use super::legacy_writer::{fnv_fingerprint, legacy_file};
     use super::*;
 
     fn sample_catalog() -> StoredCatalog {
@@ -488,10 +840,11 @@ mod tests {
         cat
     }
 
-    /// Wraps a raw payload in a valid version-3 header (correct checksum),
-    /// so tests can hand-craft payload-level corruption.
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        framed(FORMAT_VERSION, lane_hash(payload), payload)
+    /// Wraps a raw version-3 payload in a valid header (correct checksum),
+    /// so tests can hand-craft payload-level corruption for the legacy
+    /// reader.
+    fn frame_v3(payload: &[u8]) -> Vec<u8> {
+        framed(3, lane_hash(payload), payload)
     }
 
     fn framed(version: u32, checksum: u64, payload: &[u8]) -> Vec<u8> {
@@ -504,27 +857,22 @@ mod tests {
         out
     }
 
-    /// What an earlier build wrote for `cat` as format `version` (1 or 2):
-    /// the same payload — without the delta section for version 1 — with
-    /// every trie keyed by the FNV-1a fingerprint of its relation, under an
-    /// FNV-1a checksum.
-    fn legacy_bytes(cat: &StoredCatalog, version: u32) -> Vec<u8> {
-        let mut old = cat.clone();
-        for t in &mut old.tries {
-            let owner = cat
-                .relations
-                .iter()
-                .find(|(name, rel)| *name == t.name && rel.fingerprint() == t.fingerprint);
-            if let Some((_, rel)) = owner {
-                t.fingerprint = legacy_fingerprint(rel);
-            }
+    /// A version-4 file of one hand-made directory and the bodies after it.
+    fn frame_v4(dir: Writer, bodies: &[u8]) -> Vec<u8> {
+        let dir = dir.into_bytes();
+        let mut out = framed(4, lane_hash(&dir), &dir);
+        out.extend_from_slice(bodies);
+        out
+    }
+
+    /// The byte range of the body of the `i`-th trie in a version-4 file
+    /// written by `to_bytes`.
+    fn trie_window(bytes: &[u8], i: usize) -> Range<usize> {
+        let cat = StoredCatalog::from_bytes(bytes).unwrap();
+        match &*cat.tries[i].body {
+            TrieBody::Stored { window, .. } => window.range.clone(),
+            TrieBody::Built(_) => panic!("a version-4 trie is a window"),
         }
-        let mut payload = old.to_bytes().split_off(28);
-        if version == 1 {
-            assert!(cat.deltas.is_empty(), "version 1 has no delta section");
-            payload.truncate(payload.len() - 8);
-        }
-        framed(version, fnv1a64(&payload), &payload)
     }
 
     #[test]
@@ -545,7 +893,14 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.fingerprint, b.fingerprint);
             assert_eq!(a.perm, b.perm);
-            assert_eq!(*a.trie, *b.trie, "tries must be byte-identical");
+            assert!(!a.is_checked(), "opening leaves trie bodies unread");
+            assert_eq!(a.stored_bytes(), b.stored_bytes());
+            assert_eq!(
+                *a.trie().unwrap(),
+                *b.trie().unwrap(),
+                "tries must be byte-identical"
+            );
+            assert!(a.is_checked());
         }
     }
 
@@ -560,6 +915,26 @@ mod tests {
     }
 
     #[test]
+    fn saving_an_opened_catalog_rewrites_the_same_bytes() {
+        let mut cat = sample_catalog();
+        cat.insert_delta(
+            "edge",
+            RelationDelta::from_parts(
+                Relation::from_pairs(vec![(7, 8)]),
+                Relation::from_pairs(vec![(1, 2)]),
+            )
+            .unwrap(),
+        );
+        let bytes = cat.to_bytes();
+        let untouched = StoredCatalog::from_bytes(&bytes).unwrap();
+        assert_eq!(untouched.to_bytes(), bytes, "no entry touched");
+        untouched.tries()[1].trie().unwrap();
+        assert_eq!(untouched.to_bytes(), bytes, "one entry touched");
+        untouched.verify().unwrap();
+        assert_eq!(untouched.to_bytes(), bytes, "every entry touched");
+    }
+
+    #[test]
     fn open_missing_file_is_io_error() {
         let err = StoredCatalog::open("/nonexistent/definitely/missing.tjx").unwrap_err();
         assert!(matches!(err, StoreError::Io(_)));
@@ -568,7 +943,7 @@ mod tests {
     #[test]
     fn truncated_files_are_rejected_at_every_cut() {
         let bytes = sample_catalog().to_bytes();
-        // Cut inside the magic, the header, and the payload.
+        // Cut inside the magic, the header, the directory and the bodies.
         for cut in [0, 4, 8, 12, 20, 27, 28, bytes.len() / 2, bytes.len() - 1] {
             let err = StoredCatalog::from_bytes(&bytes[..cut]).unwrap_err();
             assert!(
@@ -603,13 +978,59 @@ mod tests {
 
     #[test]
     fn flipped_payload_bit_is_a_checksum_mismatch() {
-        let mut bytes = sample_catalog().to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
+        // In the directory: caught when the file opens.
+        let bytes = sample_catalog().to_bytes();
+        let mut dir = bytes.clone();
+        dir[HEADER_BYTES + 3] ^= 0x01;
         assert!(matches!(
-            StoredCatalog::from_bytes(&bytes).unwrap_err(),
+            StoredCatalog::from_bytes(&dir).unwrap_err(),
             StoreError::ChecksumMismatch { .. }
         ));
+        // In a relation body: caught when the file opens.
+        let mut rel = bytes.clone();
+        rel[trie_window(&bytes, 0).start - 1] ^= 0x01;
+        assert!(matches!(
+            StoredCatalog::from_bytes(&rel).unwrap_err(),
+            StoreError::ChecksumMismatch { .. }
+        ));
+        // In the last trie body: caught on first touch, or by verify().
+        let mut trie = bytes.clone();
+        let last = trie.len() - 1;
+        trie[last] ^= 0x01;
+        let opened = StoredCatalog::from_bytes(&trie).expect("trie bodies wait for first touch");
+        assert!(matches!(
+            opened.verify().unwrap_err(),
+            StoreError::ChecksumMismatch { .. }
+        ));
+    }
+
+    #[test]
+    fn a_damaged_trie_fails_its_first_touch_and_every_later_one() {
+        let mut bytes = sample_catalog().to_bytes();
+        let window = trie_window(&bytes, 1);
+        bytes[window.start + 2] ^= 0x10;
+        let opened = StoredCatalog::from_bytes(&bytes).unwrap();
+        let good = opened.tries()[0].trie().expect("the other trie serves");
+        assert_eq!(*good, Trie::build(&opened.relations()[0].1));
+        let first = opened.tries()[1].trie().unwrap_err();
+        assert!(
+            matches!(first, StoreError::ChecksumMismatch { .. }),
+            "{first:?}"
+        );
+        assert!(opened.tries()[1].is_checked());
+        let clone = opened.clone();
+        assert_eq!(
+            clone.tries()[1].trie().unwrap_err(),
+            first,
+            "same error again"
+        );
+        assert_eq!(opened.verify().unwrap_err(), first);
+        // Saving keeps the damaged body and its recorded checksum, so the
+        // damage is found again after a reopen.
+        let resaved = opened.to_bytes();
+        assert_eq!(resaved, bytes);
+        let reopened = StoredCatalog::from_bytes(&resaved).unwrap();
+        assert_eq!(reopened.verify().unwrap_err(), first);
     }
 
     #[test]
@@ -620,18 +1041,38 @@ mod tests {
             StoredCatalog::from_bytes(&bytes).unwrap_err(),
             StoreError::Malformed { .. }
         ));
+        let mut legacy = legacy_file(&sample_catalog(), 3);
+        legacy.push(0);
+        assert!(matches!(
+            StoredCatalog::from_bytes(&legacy).unwrap_err(),
+            StoreError::Malformed { .. }
+        ));
     }
 
     #[test]
     fn oversize_offset_is_rejected_with_its_own_error() {
-        // Hand-craft a payload with a valid checksum whose trie offset
-        // table points past the leaf level: 0 relations, 1 binary trie
-        // with values [1] and child_starts [0, 9] over a 1-wide leaf.
+        // A binary trie with values [1] and child_starts [0, 9] over a
+        // 1-wide leaf: the offset table points past the leaf level.
+        let expect = |err: StoreError| {
+            assert!(
+                matches!(
+                    err,
+                    StoreError::OversizeOffset {
+                        level: 0,
+                        offset: 9,
+                        limit: 1,
+                        ..
+                    }
+                ),
+                "got {err:?}"
+            );
+        };
+        let words = [1, 0, 9, 5]; // values, starts 0..9 (!), leaf value
+                                  // Version 3, hand-crafted with a valid checksum: caught at open.
         let mut p = Writer::new();
         p.u64(0); // rel_count
         p.u64(1); // trie_count
-        p.u64(1);
-        p.bytes(b"t");
+        p.string("t");
         p.u64(0xDEAD); // fingerprint
         p.u64(2); // perm_len
         p.u64(0);
@@ -643,21 +1084,27 @@ mod tests {
         p.u64(1); // level 1 values (leaf)
         p.u64(0);
         p.u64(4); // word_count
-        p.words(&[1, 0, 9, 5]); // values, starts 0..9 (!), leaf value
-        let bytes = frame(&p.into_bytes());
-        let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                StoreError::OversizeOffset {
-                    level: 0,
-                    offset: 9,
-                    limit: 1,
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
+        p.words(&words);
+        expect(StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err());
+
+        // Version 4: the same trie is caught on first touch.
+        let mut body = Writer::new();
+        body.words(&words);
+        let body = body.into_bytes();
+        let mut dir = Writer::new();
+        dir.u64(1); // entry_count
+        dir.u64(TRIE);
+        dir.string("t");
+        dir.u64(0xDEAD);
+        dir.u64(2);
+        dir.u64(0);
+        dir.u64(1);
+        dir_dims(&mut dir, 1, &[(1, 2), (1, 0)]);
+        dir.u64(0); // offset
+        dir.u64(body.len() as u64);
+        dir.u64(lane_hash(&body));
+        let opened = StoredCatalog::from_bytes(&frame_v4(dir, &body)).unwrap();
+        expect(opened.verify().unwrap_err());
     }
 
     #[test]
@@ -665,27 +1112,25 @@ mod tests {
         // Row buffer not divisible by arity.
         let mut p = Writer::new();
         p.u64(1);
-        p.u64(1);
-        p.bytes(b"r");
+        p.string("r");
         p.u64(2); // arity
         p.u64(3); // word_count — not a multiple of 2
         p.words(&[1, 2, 3]);
         p.u64(0);
         assert!(matches!(
-            StoredCatalog::from_bytes(&frame(&p.into_bytes())).unwrap_err(),
+            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
             StoreError::Malformed { .. }
         ));
 
         // Zero-arity relation.
         let mut p = Writer::new();
         p.u64(1);
-        p.u64(1);
-        p.bytes(b"r");
+        p.string("r");
         p.u64(0);
         p.u64(0);
         p.u64(0);
         assert!(matches!(
-            StoredCatalog::from_bytes(&frame(&p.into_bytes())).unwrap_err(),
+            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
             StoreError::Malformed { .. }
         ));
 
@@ -695,21 +1140,82 @@ mod tests {
         p.u64(2);
         p.bytes(&[0xFF, 0xFE]);
         assert!(matches!(
-            StoredCatalog::from_bytes(&frame(&p.into_bytes())).unwrap_err(),
+            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
             StoreError::Malformed { .. }
         ));
 
         // Inflated word count: claims 2^40 words in an 8-byte payload.
         let mut p = Writer::new();
         p.u64(1);
-        p.u64(1);
-        p.bytes(b"r");
+        p.string("r");
         p.u64(2);
         p.u64(1 << 40);
         assert!(matches!(
-            StoredCatalog::from_bytes(&frame(&p.into_bytes())).unwrap_err(),
+            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
             StoreError::Truncated { .. }
         ));
+
+        // Version 4: a relation body of 3 words under arity 2, an entry
+        // of an unknown kind, and one that starts past its predecessor.
+        let relation = |kind: u64, arity: u64, offset: u64| {
+            let body: Vec<u8> = [1u32, 2, 3].iter().flat_map(|w| w.to_le_bytes()).collect();
+            let mut dir = Writer::new();
+            dir.u64(1);
+            dir.u64(kind);
+            dir.string("r");
+            dir.u64(arity);
+            dir.u64(offset);
+            dir.u64(body.len() as u64);
+            dir.u64(lane_hash(&body));
+            StoredCatalog::from_bytes(&frame_v4(dir, &body)).unwrap_err()
+        };
+        for err in [
+            relation(RELATION, 2, 0),
+            relation(9, 1, 0),
+            relation(RELATION, 1, 4),
+        ] {
+            assert!(matches!(err, StoreError::Malformed { .. }), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn catalogs_no_session_could_serve_are_rejected_at_open() {
+        let edges = || Relation::from_pairs(vec![(1, 2), (2, 3)]);
+        let delta = |arity: usize| {
+            let row: Vec<u32> = (0..arity as u32).collect();
+            RelationDelta::from_parts(
+                Relation::from_tuples(arity, [&row]).unwrap(),
+                Relation::new(arity).unwrap(),
+            )
+            .unwrap()
+        };
+        let mut twice = StoredCatalog::new();
+        twice.insert_relation("G", edges());
+        twice.insert_relation("G", Relation::from_pairs(vec![(5, 6)]));
+        let mut wide = StoredCatalog::new();
+        wide.insert_relation("G", edges());
+        wide.insert_delta("G", delta(3));
+        let mut orphan = StoredCatalog::new();
+        orphan.insert_relation("G", edges());
+        orphan.insert_delta("H", delta(2));
+        let mut doubled = StoredCatalog::new();
+        doubled.insert_relation("G", edges());
+        doubled.insert_delta("G", delta(2));
+        doubled.insert_delta("G", delta(2));
+        for (what, cat, says) in [
+            ("a relation named twice", twice, "stored twice"),
+            ("a delta of another arity", wide, "arity 3"),
+            ("a delta without its relation", orphan, "no relation"),
+            ("two deltas of one relation", doubled, "two deltas"),
+        ] {
+            for (version, bytes) in [(4, cat.to_bytes()), (3, legacy_file(&cat, 3))] {
+                let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
+                assert!(
+                    matches!(err, StoreError::Malformed { ref detail } if detail.contains(says)),
+                    "{what}, version {version}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -722,15 +1228,16 @@ mod tests {
     }
 
     #[test]
-    fn every_catalog_writes_version_3() {
+    fn every_catalog_writes_version_4() {
         let bytes = sample_catalog().to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
+        let dir_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
         assert_eq!(
             u64::from_le_bytes(bytes[20..28].try_into().unwrap()),
-            lane_hash(&bytes[28..])
+            lane_hash(&bytes[HEADER_BYTES..HEADER_BYTES + dir_len])
         );
-        // A frozen catalog still carries the (empty) delta section.
-        assert_eq!(&bytes[bytes.len() - 8..], &[0; 8]);
+        // One relation and two tries, and no delta.
+        assert_eq!(&bytes[HEADER_BYTES..HEADER_BYTES + 8], &3u64.to_le_bytes());
         assert!(StoredCatalog::from_bytes(&bytes)
             .unwrap()
             .deltas()
@@ -738,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn deltas_round_trip_as_version_3() {
+    fn deltas_round_trip_as_version_4() {
         let mut cat = sample_catalog();
         let d = RelationDelta::from_parts(
             Relation::from_pairs(vec![(7, 8), (9, 1)]),
@@ -747,7 +1254,7 @@ mod tests {
         .unwrap();
         cat.insert_delta("edge", d.clone());
         let bytes = cat.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 3);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 4);
         let back = StoredCatalog::from_bytes(&bytes).unwrap();
         assert_eq!(back.deltas().len(), 1);
         assert_eq!(back.deltas()[0].0, "edge");
@@ -762,14 +1269,14 @@ mod tests {
         let stale = Relation::from_pairs(vec![(5, 6)]);
         cat.insert_trie(
             "edge",
-            legacy_fingerprint(&stale),
+            fnv_fingerprint(&stale),
             vec![0, 1],
             Arc::new(Trie::build(&stale)),
         );
         let fresh = cat.relations()[0].1.fingerprint();
-        for version in [1, 2] {
+        for version in [1, 2, 3] {
             let mut file = cat.clone();
-            if version == 2 {
+            if version >= 2 {
                 file.insert_delta(
                     "edge",
                     RelationDelta::from_parts(
@@ -779,7 +1286,7 @@ mod tests {
                     .unwrap(),
                 );
             }
-            let bytes = legacy_bytes(&file, version);
+            let bytes = legacy_file(&file, version);
             let back = StoredCatalog::from_bytes(&bytes)
                 .unwrap_or_else(|e| panic!("version {version} does not open: {e}"));
             assert_eq!(back.relations(), file.relations());
@@ -787,23 +1294,25 @@ mod tests {
             let keys: Vec<u64> = back.tries().iter().map(|t| t.fingerprint).collect();
             assert_eq!(
                 keys,
-                [fresh, fresh, legacy_fingerprint(&stale)],
+                [fresh, fresh, fnv_fingerprint(&stale)],
                 "version {version}: live tries re-keyed, the stale one left alone"
             );
-            // Saving again writes version 3 with the current keys.
+            assert!(back.tries().iter().all(StoredTrie::is_checked));
+            // Saving again writes version 4 with the current keys.
             let again = StoredCatalog::from_bytes(&back.to_bytes()).unwrap();
             assert_eq!(again.tries()[0].fingerprint, fresh);
+            assert_eq!(again.to_bytes(), file.to_bytes());
         }
-        // A legacy file checked with the new hash, or a new file checked
-        // with the old one, is a checksum mismatch.
-        let v1 = legacy_bytes(&sample_catalog(), 1);
+        // A legacy file checked with the new hash, or a lane-hashed file
+        // checked with the old one, is a checksum mismatch.
+        let v1 = legacy_file(&sample_catalog(), 1);
         let mut as_v3 = v1.clone();
         as_v3[8..12].copy_from_slice(&3u32.to_le_bytes());
         assert!(matches!(
             StoredCatalog::from_bytes(&as_v3).unwrap_err(),
             StoreError::ChecksumMismatch { .. }
         ));
-        let mut as_v2 = sample_catalog().to_bytes();
+        let mut as_v2 = legacy_file(&sample_catalog(), 3);
         as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
         assert!(matches!(
             StoredCatalog::from_bytes(&as_v2).unwrap_err(),
@@ -834,31 +1343,32 @@ mod tests {
                 perm.clone(),
                 Arc::new(Trie::build(rel)),
             );
-            let err = StoredCatalog::from_bytes(&cat.to_bytes()).unwrap_err();
-            assert!(
-                matches!(err, StoreError::Malformed { ref detail } if detail.contains("permutation")),
-                "perm {perm:?}: {err:?}"
-            );
+            for bytes in [cat.to_bytes(), legacy_file(&cat, 3)] {
+                let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
+                assert!(
+                    matches!(err, StoreError::Malformed { ref detail } if detail.contains("permutation")),
+                    "perm {perm:?}: {err:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn overlapping_delta_sides_are_rejected_at_parse_time() {
-        // Hand-craft a v2 payload whose delta lists (1,2) as both insert
+        // Hand-craft a v3 payload whose delta lists (1,2) as both insert
         // and tombstone — from_parts can't see this (it only checks
         // arity), so the store validates disjointness itself.
         let mut p = Writer::new();
         p.u64(0); // rel_count
         p.u64(0); // trie_count
         p.u64(1); // delta_count
-        p.u64(1);
-        p.bytes(b"r");
+        p.string("r");
         p.u64(2); // arity
         p.u64(2); // insert words
         p.words(&[1, 2]);
         p.u64(2); // tombstone words
         p.words(&[1, 2]);
-        let err = StoredCatalog::from_bytes(&frame(&p.into_bytes())).unwrap_err();
+        let err = StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err();
         assert!(
             matches!(err, StoreError::Malformed { ref detail } if detail.contains("insert and tombstone")),
             "got {err:?}"
@@ -869,8 +1379,8 @@ mod tests {
     fn version_1_files_do_not_carry_a_delta_section() {
         // A v1 frame whose payload *ends* in delta-looking bytes must be
         // rejected as unparsed bytes, not silently parsed.
-        let v1 = legacy_bytes(&sample_catalog(), 1);
-        let mut payload = v1[28..].to_vec();
+        let v1 = legacy_file(&sample_catalog(), 1);
+        let mut payload = v1[HEADER_BYTES..].to_vec();
         payload.extend_from_slice(&0u64.to_le_bytes());
         let bytes = framed(1, fnv1a64(&payload), &payload);
         assert!(matches!(

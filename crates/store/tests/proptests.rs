@@ -1,11 +1,16 @@
 //! The byte boundary of the store: whatever is done to a valid file — cut
-//! short, one bit flipped, a length field made to lie — opening it returns
-//! a typed [`StoreError`], never a panic or an outsized allocation, and a
-//! flipped payload bit is always caught by the checksum.
+//! short, one bit flipped, a length field made to lie — opening it and
+//! checking every trie returns a typed [`StoreError`], never a panic or an
+//! outsized allocation, and a flipped bit past the header is always caught
+//! by a checksum. The same holds for files of format version 3, which the
+//! legacy reader opens.
+
+mod support;
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use support::legacy::legacy_file;
 use triejax_relation::{lane_hash, Relation, RelationDelta, Trie, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
@@ -59,54 +64,104 @@ fn catalog(shapes: &[(usize, Vec<Vec<Value>>, usize)], delta: &[Vec<Value>]) -> 
     cat
 }
 
-/// Offsets (within the payload) of every field that counts bytes or
-/// entries, found by walking the version-3 layout.
-fn length_fields(payload: &[u8]) -> Vec<usize> {
+/// Reads the little-endian `u64` at `*at`, advancing past it, and records
+/// its offset in `fields` when it counts bytes or entries.
+fn field(bytes: &[u8], at: &mut usize, fields: &mut Vec<usize>, is_length: bool) -> usize {
+    if is_length {
+        fields.push(*at);
+    }
+    let v = u64::from_le_bytes(bytes[*at..*at + 8].try_into().unwrap()) as usize;
+    *at += 8;
+    v
+}
+
+/// Offsets (within the directory) of every field of a version-4 directory
+/// that counts bytes or entries, or places a body.
+fn length_fields_v4(dir: &[u8]) -> Vec<usize> {
     let mut fields = Vec::new();
     let mut at = 0;
-    let mut read = |at: &mut usize, is_length: bool| {
-        if is_length {
-            fields.push(*at);
+    let f = &mut fields;
+    for _ in 0..field(dir, &mut at, f, true) {
+        let kind = field(dir, &mut at, f, false);
+        at += field(dir, &mut at, f, true); // name
+        match kind {
+            1 => {
+                field(dir, &mut at, f, false); // arity
+            }
+            2 => {
+                field(dir, &mut at, f, false); // fingerprint
+                for _ in 0..field(dir, &mut at, f, true) {
+                    field(dir, &mut at, f, false); // perm entry
+                }
+                field(dir, &mut at, f, false); // tuple count
+                for _ in 0..field(dir, &mut at, f, true) {
+                    field(dir, &mut at, f, true); // values
+                    field(dir, &mut at, f, true); // child entries
+                }
+            }
+            _ => {
+                field(dir, &mut at, f, false); // arity
+                field(dir, &mut at, f, true); // insert words
+                field(dir, &mut at, f, true); // tombstone words
+            }
         }
-        let v = u64::from_le_bytes(payload[*at..*at + 8].try_into().unwrap()) as usize;
-        *at += 8;
-        v
-    };
-    for _ in 0..read(&mut at, true) {
-        at += read(&mut at, true); // name
-        read(&mut at, false); // arity
-        at += 4 * read(&mut at, true);
+        field(dir, &mut at, f, true); // offset
+        field(dir, &mut at, f, true); // length
+        field(dir, &mut at, f, false); // checksum
     }
-    for _ in 0..read(&mut at, true) {
-        at += read(&mut at, true); // name
-        read(&mut at, false); // fingerprint
-        for _ in 0..read(&mut at, true) {
-            read(&mut at, false); // perm entry
-        }
-        read(&mut at, false); // tuple count
-        for _ in 0..read(&mut at, true) {
-            read(&mut at, true); // values
-            read(&mut at, true); // child entries
-        }
-        at += 4 * read(&mut at, true);
+    assert_eq!(at, dir.len(), "the walk covers the directory");
+    fields
+}
+
+/// Offsets (within the payload) of every field of a version-3 payload that
+/// counts bytes or entries.
+fn length_fields_v3(payload: &[u8]) -> Vec<usize> {
+    let mut fields = Vec::new();
+    let mut at = 0;
+    let (p, f) = (payload, &mut fields);
+    for _ in 0..field(p, &mut at, f, true) {
+        at += field(p, &mut at, f, true); // name
+        field(p, &mut at, f, false); // arity
+        at += 4 * field(p, &mut at, f, true);
     }
-    for _ in 0..read(&mut at, true) {
-        at += read(&mut at, true); // name
-        read(&mut at, false); // arity
-        at += 4 * read(&mut at, true); // inserts
-        at += 4 * read(&mut at, true); // tombstones
+    for _ in 0..field(p, &mut at, f, true) {
+        at += field(p, &mut at, f, true); // name
+        field(p, &mut at, f, false); // fingerprint
+        for _ in 0..field(p, &mut at, f, true) {
+            field(p, &mut at, f, false); // perm entry
+        }
+        field(p, &mut at, f, false); // tuple count
+        for _ in 0..field(p, &mut at, f, true) {
+            field(p, &mut at, f, true); // values
+            field(p, &mut at, f, true); // child entries
+        }
+        at += 4 * field(p, &mut at, f, true);
+    }
+    for _ in 0..field(p, &mut at, f, true) {
+        at += field(p, &mut at, f, true); // name
+        field(p, &mut at, f, false); // arity
+        at += 4 * field(p, &mut at, f, true); // inserts
+        at += 4 * field(p, &mut at, f, true); // tombstones
     }
     assert_eq!(at, payload.len(), "the walk covers the payload");
     fields
 }
 
-/// `bytes`' header around a new `payload`, with a correct length and
-/// checksum.
-fn reframe(bytes: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = bytes[..12].to_vec();
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&lane_hash(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+/// Opens `bytes` and checks every trie in it.
+fn open_and_verify(bytes: &[u8]) -> Result<StoredCatalog, StoreError> {
+    let catalog = StoredCatalog::from_bytes(bytes)?;
+    catalog.verify()?;
+    Ok(catalog)
+}
+
+/// `bytes`' header around a new first section `head` (a version-3 payload
+/// or a version-4 directory of the same length), with a correct checksum,
+/// and `bytes`' bodies after it.
+fn reframe(bytes: &[u8], head: &[u8]) -> Vec<u8> {
+    let mut out = bytes[..20].to_vec();
+    out.extend_from_slice(&lane_hash(head).to_le_bytes());
+    out.extend_from_slice(head);
+    out.extend_from_slice(&bytes[HEADER + head.len()..]);
     out
 }
 
@@ -121,7 +176,8 @@ fn arb_shape() -> impl Strategy<Value = (usize, Vec<Vec<Value>>, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cuts, bit flips and lying length fields all give a typed error.
+    /// Cuts, bit flips and lying length fields all give a typed error, on
+    /// version-4 files and version-3 ones alike.
     #[test]
     fn damaged_files_give_typed_errors(
         shapes in prop::collection::vec(arb_shape(), 1..3),
@@ -129,39 +185,50 @@ proptest! {
         cut in any::<u64>(),
         lie in any::<u64>(),
     ) {
-        let bytes = catalog(&shapes, &delta).to_bytes();
-        prop_assert!(StoredCatalog::from_bytes(&bytes).is_ok());
+        let catalog = catalog(&shapes, &delta);
+        for version in [4, 3] {
+            let bytes = match version {
+                4 => catalog.to_bytes(),
+                _ => legacy_file(&catalog, 3),
+            };
+            prop_assert!(open_and_verify(&bytes).is_ok());
 
-        // Cut anywhere: inside the header, or short of the payload it
-        // announces.
-        let cut = (cut % bytes.len() as u64) as usize;
-        let err = StoredCatalog::from_bytes(&bytes[..cut]).unwrap_err();
-        prop_assert!(matches!(err, StoreError::Truncated { .. }), "cut {}: {:?}", cut, err);
+            // Cut anywhere: inside the header, or short of the sections
+            // it announces.
+            let cut = (cut % bytes.len() as u64) as usize;
+            let err = open_and_verify(&bytes[..cut]).unwrap_err();
+            prop_assert!(matches!(err, StoreError::Truncated { .. }), "v{} cut {}: {:?}", version, cut, err);
 
-        // Every single-bit flip fails; inside the payload it is a checksum
-        // mismatch.
-        for bit in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let err = StoredCatalog::from_bytes(&flipped).unwrap_err();
-            prop_assert!(
-                bit / 8 < HEADER || matches!(err, StoreError::ChecksumMismatch { .. }),
-                "bit {}: {:?}", bit, err
-            );
-        }
-
-        // Each length field in turn claiming more than it holds, under a
-        // valid checksum so the parser itself has to catch it.
-        let payload = &bytes[HEADER..];
-        for at in length_fields(payload) {
-            let truth = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-            for claim in [truth + 1 + lie % 64, 1 << 40, u64::MAX - lie % 4] {
-                let mut lying = payload.to_vec();
-                lying[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+            // Every single-bit flip fails; past the header it is a
+            // checksum mismatch.
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let err = open_and_verify(&flipped).unwrap_err();
                 prop_assert!(
-                    StoredCatalog::from_bytes(&reframe(&bytes, &lying)).is_err(),
-                    "field at {} claiming {} (truly {}) parsed", at, claim, truth
+                    bit / 8 < HEADER || matches!(err, StoreError::ChecksumMismatch { .. }),
+                    "v{} bit {}: {:?}", version, bit, err
                 );
+            }
+
+            // Each length field in turn claiming more than it holds, under
+            // a valid checksum so the parser itself has to catch it.
+            let head_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+            let head = &bytes[HEADER..HEADER + head_len];
+            let fields = match version {
+                4 => length_fields_v4(head),
+                _ => length_fields_v3(head),
+            };
+            for at in fields {
+                let truth = u64::from_le_bytes(head[at..at + 8].try_into().unwrap());
+                for claim in [truth + 1 + lie % 64, 1 << 40, u64::MAX - lie % 4] {
+                    let mut lying = head.to_vec();
+                    lying[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                    prop_assert!(
+                        open_and_verify(&reframe(&bytes, &lying)).is_err(),
+                        "v{}: field at {} claiming {} (truly {}) parsed", version, at, claim, truth
+                    );
+                }
             }
         }
     }

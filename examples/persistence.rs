@@ -57,8 +57,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stored.tries().len()
     );
 
-    // 2. Consumer: a cold process opens the file — O(bytes-read), no
-    // trie construction — and serves the same queries.
+    // 2. Consumer: a cold process opens the file — one read, no trie
+    // construction; each stored trie is checked by the first query that
+    // needs it — and serves the same queries.
     let reopened = Session::open(&path)?;
     for (plan, expect) in plans.iter().zip(&warm) {
         let mut sink = CollectSink::new();
@@ -70,23 +71,47 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         assert_eq!(stats.trie_build_ns, 0, "a cold open must build nothing");
         println!(
-            "reopened session served {} tuples with {} store hits and 0 ns of builds",
+            "reopened session served {} tuples with {} store hits ({} checked on first touch \
+             in {} ns) and 0 ns of builds",
             sink.len(),
-            stats.trie_cache_hits
+            stats.trie_cache_hits,
+            stats.store_entries_verified,
+            stats.trie_load_ns
         );
     }
 
-    // 3. The checksum guards the whole payload: flip one bit and the
-    // open fails loudly instead of serving corrupt tries.
-    let mut raw = std::fs::read(&path)?;
-    let last = raw.len() - 1;
-    raw[last] ^= 1;
+    // 3. Checksums guard every byte. The directory is checked when the
+    // file opens: flip a bit in it and the open fails loudly. Each trie
+    // body is checked on its first touch: flip a bit in one and the file
+    // still opens, but `verify()` — and the first query that needs that
+    // trie — fails instead of serving it.
+    let raw = std::fs::read(&path)?;
     let corrupt = std::env::temp_dir().join("triejax_corrupt_demo.tjx");
-    std::fs::write(&corrupt, &raw)?;
+    let mut bad_directory = raw.clone();
+    bad_directory[30] ^= 1;
+    std::fs::write(&corrupt, &bad_directory)?;
     match StoredCatalog::open(&corrupt) {
-        Err(e) => println!("\ncorrupted copy rejected as expected: {e}"),
-        Ok(_) => panic!("a corrupted store must not open"),
+        Err(e) => println!("\ncopy with a flipped directory bit rejected at open: {e}"),
+        Ok(_) => panic!("a corrupted directory must not open"),
     }
+    // The last trie's body ends the file (a frozen catalog stores no
+    // deltas after it).
+    let mut bad_trie = raw;
+    let last = bad_trie.len() - 1;
+    bad_trie[last] ^= 1;
+    std::fs::write(&corrupt, &bad_trie)?;
+    let opened = StoredCatalog::open(&corrupt)?;
+    match opened.verify() {
+        Err(e) => println!("copy with a flipped trie bit opens, fails verify(): {e}"),
+        Ok(()) => panic!("a corrupted trie must not verify"),
+    }
+    let session = Session::open(&corrupt)?;
+    let failed = plans
+        .iter()
+        .filter_map(|plan| session.query(plan).run(&mut CollectSink::new()).err())
+        .inspect(|e| println!("and the first query that needs it fails: {e}"))
+        .count();
+    assert!(failed > 0, "a query must meet the corrupted trie");
     std::fs::remove_file(&corrupt).ok();
     Ok(())
 }

@@ -3,13 +3,19 @@
 //! and answer every query **tuple-for-tuple identically** — across pool
 //! sizes 1/2/7, on both parallel engines — and the paper's Cycle3/Cycle4 queries must run with *zero*
 //! trie-build work after a store preload (the acceptance signal that a
-//! cold process serves in O(bytes-read)).
+//! cold process serves from the file it read). A trie body damaged on disk is
+//! found by the first query that needs it, which fails with a typed error,
+//! while queries that do not need it keep serving.
 
+#[path = "../crates/store/tests/support/legacy.rs"]
+mod legacy;
+
+use legacy::legacy_file;
 use proptest::prelude::*;
 use std::sync::Arc;
 use triejax_join::{
-    Catalog, CollectSink, Counting, JoinEngine, Lftj, ParCtj, ParLftj, Session, StoredCatalog,
-    TrieCache,
+    Catalog, CollectSink, Counting, JoinEngine, JoinError, Lftj, ParCtj, ParLftj, Session,
+    StoredCatalog, TrieCache,
 };
 use triejax_query::{patterns, CompiledQuery, Query};
 use triejax_relation::{Relation, Trie};
@@ -48,9 +54,10 @@ fn assert_tries_byte_identical(stored: &StoredCatalog) {
         assert_eq!(a.name, b.name);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.perm, b.perm);
-        assert_eq!(a.trie.words(), b.trie.words(), "flat buffers must match");
-        assert_eq!(a.trie.level_dims(), b.trie.level_dims());
-        assert_eq!(*a.trie, *b.trie);
+        let (a, b) = (a.trie().expect("checks"), b.trie().expect("built"));
+        assert_eq!(a.words(), b.words(), "flat buffers must match");
+        assert_eq!(a.level_dims(), b.level_dims());
+        assert_eq!(*a, *b);
     }
 }
 
@@ -153,57 +160,10 @@ fn cycle3_cycle4_serve_with_zero_builds_after_reopen() {
     );
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues byte-serial FNV-1a, the hash of store format versions 1 and 2.
-fn fnv1a64(h: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(h, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// What an earlier build wrote for `stored` as format `version` (1 or 2):
-/// the same payload — without the delta section for version 1 — with every
-/// trie keyed by the FNV-1a fingerprint of its relation (arity as a `u64`,
-/// then the row words), under an FNV-1a checksum.
-fn legacy_file(stored: &StoredCatalog, version: u32) -> Vec<u8> {
-    let mut old = StoredCatalog::new();
-    for (name, rel) in stored.relations() {
-        old.insert_relation(name.clone(), rel.clone());
-    }
-    for t in stored.tries() {
-        let (_, rel) = stored
-            .relations()
-            .iter()
-            .find(|(name, rel)| *name == t.name && rel.fingerprint() == t.fingerprint)
-            .expect("every stored trie indexes a stored relation");
-        let arity = fnv1a64(FNV_OFFSET, &(rel.arity() as u64).to_le_bytes());
-        let legacy = rel
-            .values()
-            .iter()
-            .fold(arity, |h, v| fnv1a64(h, &v.to_le_bytes()));
-        old.insert_trie(t.name.clone(), legacy, t.perm.clone(), Arc::clone(&t.trie));
-    }
-    for (name, delta) in stored.deltas() {
-        old.insert_delta(name.clone(), delta.clone());
-    }
-    let mut payload = old.to_bytes().split_off(28);
-    if version == 1 {
-        assert!(stored.deltas().is_empty(), "version 1 has no delta section");
-        payload.truncate(payload.len() - 8);
-    }
-    let mut file = b"TJXSTORE".to_vec();
-    file.extend_from_slice(&version.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a64(FNV_OFFSET, &payload).to_le_bytes());
-    file.extend_from_slice(&payload);
-    file
-}
-
-/// Files written by earlier builds — version 1, and version 2 with a
-/// pending delta — open with their legacy checksums and fingerprints, and
-/// Cycle3/Cycle4 over them run with zero trie builds: the reader re-keys
-/// their tries to the current fingerprint.
+/// Files written by earlier builds — version 1, and versions 2 and 3 with
+/// a pending delta — open with their legacy checksums and fingerprints,
+/// and Cycle3/Cycle4 over them run with zero trie builds: the reader
+/// re-keys the tries of versions 1 and 2 to the current fingerprint.
 #[test]
 fn legacy_files_serve_cycle3_cycle4_with_zero_builds() {
     let catalog = catalog_from(
@@ -215,9 +175,9 @@ fn legacy_files_serve_cycle3_cycle4_with_zero_builds() {
         .iter()
         .map(|q: &Query| CompiledQuery::compile(q).expect("compiles"))
         .collect();
-    for version in [1, 2] {
+    for version in [1, 2, 3] {
         let producer = Session::new(catalog.clone()).with_pool(2);
-        if version == 2 {
+        if version >= 2 {
             // A pending delta on a relation the queries do not read, so
             // their tries are the stored ones and nothing else.
             let h = Relation::from_pairs(vec![(1, 2), (2, 3)]);
@@ -301,7 +261,9 @@ fn changed_data_makes_stored_tries_unreachable() {
 }
 
 /// A store file on disk round-trips through `save`/`open` exactly like
-/// the in-memory byte path, and a flipped bit is caught by the checksum.
+/// the in-memory byte path, and a flipped bit is caught by a checksum: in
+/// the directory when the file opens, in a trie body by
+/// [`StoredCatalog::verify`].
 #[test]
 fn on_disk_round_trip_and_corruption_detection() {
     let catalog = catalog_from((0..10u32).map(|i| (i, (i + 1) % 10)).collect());
@@ -316,16 +278,132 @@ fn on_disk_round_trip_and_corruption_detection() {
     let reopened = StoredCatalog::open(&path).expect("open");
     assert_eq!(reopened.to_bytes(), stored.to_bytes());
 
-    // Flip one payload bit on disk: open must fail loudly, not serve junk.
-    let mut bytes = std::fs::read(&path).expect("read");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0x40;
-    std::fs::write(&path, &bytes).expect("write");
-    assert!(
-        StoredCatalog::open(&path).is_err(),
-        "corruption must be caught"
-    );
+    // Flip one bit on disk: opening and verifying must fail loudly, not
+    // serve junk.
+    let clean = std::fs::read(&path).expect("read");
+    for at in [30, clean.len() - 1] {
+        let mut bytes = clean.clone();
+        bytes[at] ^= 0x40;
+        std::fs::write(&path, &bytes).expect("write");
+        let err = StoredCatalog::open(&path).and_then(|c| c.verify());
+        assert!(
+            matches!(err, Err(StoreError::ChecksumMismatch { .. })),
+            "byte {at}: {err:?}"
+        );
+    }
     std::fs::remove_file(&path).ok();
+}
+
+/// Saving what was opened writes the file it came from, byte for byte,
+/// whether no stored trie was touched (their bodies are copied unread) or
+/// some were.
+#[test]
+fn saving_an_opened_store_rewrites_its_bytes() {
+    let catalog = catalog_from(
+        (0..16u32)
+            .flat_map(|i| [(i, (i + 1) % 16), (i, (i + 5) % 16)])
+            .collect(),
+    );
+    let plans: Vec<CompiledQuery> = [patterns::path3(), patterns::cycle4()]
+        .iter()
+        .map(|q: &Query| CompiledQuery::compile(q).expect("compiles"))
+        .collect();
+    let file = Session::new(catalog)
+        .with_pool(2)
+        .snapshot(&plans)
+        .expect("snapshot")
+        .to_bytes();
+    let opened = StoredCatalog::from_bytes(&file).expect("opens");
+    assert_eq!(opened.to_bytes(), file, "nothing touched");
+    let session = Session::from_stored(opened).with_pool(2);
+    assert_eq!(
+        session.snapshot(&[]).expect("packages").to_bytes(),
+        file,
+        "session holding untouched entries"
+    );
+    let stats = session
+        .query(&plans[0])
+        .run(&mut CollectSink::new())
+        .expect("serves");
+    assert_eq!(stats.store_entries_verified, 1, "path3 reads one trie");
+    assert_eq!(
+        session.snapshot(&[]).expect("packages").to_bytes(),
+        file,
+        "one entry touched"
+    );
+    assert_eq!(
+        session.snapshot(&plans).expect("packages").to_bytes(),
+        file,
+        "every needed entry touched"
+    );
+}
+
+/// A byte flipped inside the transposed trie's body is found by the first
+/// query that needs that trie: Path3, which reads only the identity trie,
+/// still serves exact rows with zero builds; Cycle4 fails with a typed
+/// error, and with the same error again on a second try, and nothing
+/// panics or serves the damaged bytes.
+#[test]
+fn a_damaged_trie_fails_only_the_queries_that_read_it() {
+    let catalog = catalog_from(
+        (0..24u32)
+            .flat_map(|i| [(i, (i + 1) % 24), (i, (i + 3) % 24), ((i + 5) % 24, i)])
+            .collect(),
+    );
+    let path3 = CompiledQuery::compile(&patterns::path3()).expect("compiles");
+    let cycle4 = CompiledQuery::compile(&patterns::cycle4()).expect("compiles");
+    assert!(path3.atom_plans().iter().all(|ap| ap.perm() == [0, 1]));
+    assert!(cycle4.atom_plans().iter().any(|ap| ap.perm() == [1, 0]));
+    let stored = Session::new(catalog.clone())
+        .snapshot(&[path3.clone(), cycle4.clone()])
+        .expect("snapshot");
+    let mut file = stored.to_bytes();
+    let transposed = stored
+        .tries()
+        .iter()
+        .find(|t| t.perm == [1, 0])
+        .expect("cycle4 stores the transposed trie")
+        .trie()
+        .expect("built");
+    let body: Vec<u8> = transposed
+        .words()
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let at = file
+        .windows(body.len())
+        .rposition(|w| w == body.as_slice())
+        .expect("the body is in the file");
+    file[at + body.len() / 2] ^= 0x04;
+
+    let session =
+        Session::from_stored(StoredCatalog::from_bytes(&file).expect("opens")).with_pool(2);
+    for _ in 0..2 {
+        let mut sink = CollectSink::new();
+        let stats = session.query(&path3).run(&mut sink).expect("path3 serves");
+        assert_eq!(sink.tuples(), sequential(&path3, &catalog));
+        assert_eq!(stats.trie_build_ns, 0, "path3 built nothing");
+    }
+    let first = session
+        .query(&cycle4)
+        .run(&mut CollectSink::new())
+        .expect_err("cycle4 needs the damaged trie");
+    assert!(
+        matches!(
+            first,
+            JoinError::Store {
+                ref perm,
+                error: StoreError::ChecksumMismatch { .. },
+                ..
+            } if perm == &[1, 0]
+        ),
+        "{first:?}"
+    );
+    let again = session
+        .query(&cycle4)
+        .run(&mut CollectSink::new())
+        .expect_err("still damaged");
+    assert_eq!(again, first, "the same error again");
 }
 
 /// Tries built by different pool sizes snapshot to identical bytes — the
