@@ -111,8 +111,7 @@ impl CancelToken {
 
 /// Shared governance state of one query run: a sticky cancellation flag
 /// plus the configured limits. Constructed by the engine from its builder
-/// and environment knobs, shared as an `Arc` with every worker and the
-/// foreground drain.
+/// knobs, shared as an `Arc` with every worker and the foreground drain.
 ///
 /// The flag is *first-wins*: once any limit trips (or the caller
 /// cancels), later trips cannot overwrite the recorded reason.
@@ -134,10 +133,11 @@ impl RunBudget {
         Self::default()
     }
 
-    /// Trips the flag when `duration` has elapsed from now.
+    /// Trips the flag when `duration` has elapsed from now. A deadline
+    /// too far away for an [`Instant`] to hold never trips.
     #[must_use]
     pub fn with_deadline(mut self, duration: Duration) -> Self {
-        self.deadline = Some(Instant::now() + duration);
+        self.deadline = Instant::now().checked_add(duration);
         self
     }
 
@@ -446,6 +446,13 @@ mod tests {
         let b = RunBudget::new().with_deadline(Duration::from_millis(0));
         // A zero deadline is already in the past by the time we poll.
         assert_eq!(b.refresh(), Some(CancelReason::Deadline));
+    }
+
+    #[test]
+    fn an_unrepresentable_deadline_never_trips() {
+        let b = RunBudget::new().with_deadline(Duration::MAX);
+        assert_eq!(b.refresh(), None);
+        assert_eq!(b.cancelled(), None);
     }
 
     #[test]

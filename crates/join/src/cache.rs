@@ -37,31 +37,16 @@
 //!   the winning, stored build;
 //! * evictions tick `cache_evictions`; waiting on a stripe lock another
 //!   worker holds ticks `cache_contention`.
-//!
-//! ## Adaptive caching
-//!
-//! With [`CtjConfig::adaptive`] set, a store starts from the plan-time
-//! mask of [`adaptive_mask`] — a depth whose spec the cost model dropped
-//! starts disabled — and watches the observed hit rate per cached depth:
-//! a depth whose first [`DEMOTE_LOOKUPS`] lookups all missed is *demoted*
-//! — [`PjrStore::depth_enabled`] flips to `false`, the driver stops
-//! probing (and recording) there, and the worker that flipped it ticks
-//! `cache_demotions` once. The shared store demotes globally (relaxed
-//! atomics; a racing hit can at worst lose the depth one probation window
-//! late), the local store per driver. Neither ever changes results — a
-//! disabled depth simply recomputes like plain LFTJ.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use triejax_exec::{suggested_stripes, Striped};
-use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Tally, Value, WORD_BYTES};
 
-use crate::{Catalog, CtjConfig, EngineStats};
+use crate::{CtjConfig, EngineStats};
 
 /// A committed cache entry: matched values and their per-participant trie
 /// indexes (atoms in `atoms_at(depth)` order). `Arc` (not `Rc`) so entries
@@ -82,82 +67,6 @@ pub(crate) enum Looked {
     /// Not present; compute, then [`PjrStore::publish`] under this key
     /// and token.
     Miss(Vec<Value>, u64),
-}
-
-/// Probation window of the adaptive policy: a cached depth whose first
-/// this-many lookups all missed is demoted for the rest of the run.
-pub(crate) const DEMOTE_LOOKUPS: u32 = 64;
-
-/// Plan-time side of the adaptive cache policy: one flag per depth,
-/// `false` where the spec's estimated per-entry reuse is provably below 2
-/// — the product of the non-key prefix domains bounds how many visits
-/// could ever share an entry, so an estimate of 1 means pure overhead.
-/// Depths without a spec (and depths whose estimate is unknown) stay
-/// enabled; the run-time demotion handles what the estimate cannot see.
-/// Empty when `config` is not adaptive, which is what turns the whole
-/// policy off in the stores.
-pub(crate) fn adaptive_mask(
-    config: &CtjConfig,
-    plan: &CompiledQuery,
-    catalog: &Catalog,
-) -> Vec<bool> {
-    if !config.adaptive {
-        return Vec::new();
-    }
-    let card = |name: &str| catalog.get(name).map(|r| r.len());
-    (0..plan.arity())
-        .map(|d| plan.cache_reuse_estimate(d, card).is_none_or(|r| r >= 2))
-        .collect()
-}
-
-/// The adaptive policy's per-depth probation state of one store (every
-/// handle of the shared store sees the same); empty when the policy is
-/// off. Relaxed atomics: a demotion racing a hit can at worst fire one
-/// probation window late, never affects results.
-struct Probation(Vec<DepthProbe>);
-
-#[derive(Default)]
-struct DepthProbe {
-    misses: AtomicU32,
-    hits: AtomicU32,
-    demoted: AtomicBool,
-}
-
-impl Probation {
-    /// Probation from an [`adaptive_mask`]: a depth it disabled starts
-    /// out demoted.
-    fn new(mask: &[bool]) -> Self {
-        let probe = |&on: &bool| DepthProbe {
-            demoted: AtomicBool::new(!on),
-            ..DepthProbe::default()
-        };
-        Probation(mask.iter().map(probe).collect())
-    }
-
-    fn enabled(&self, depth: usize) -> bool {
-        self.0
-            .get(depth)
-            .is_none_or(|p| !p.demoted.load(Ordering::Relaxed))
-    }
-
-    /// Accounts one lookup at `depth`; the one lookup that demotes the
-    /// depth (zero hits through the whole window) ticks `cache_demotions`.
-    fn observe<T: Tally>(&self, depth: usize, hit: bool, stats: &mut EngineStats<T>) {
-        let Some(p) = self.0.get(depth) else {
-            return;
-        };
-        if hit {
-            p.hits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let misses = p.misses.fetch_add(1, Ordering::Relaxed) + 1;
-        if misses >= DEMOTE_LOOKUPS
-            && p.hits.load(Ordering::Relaxed) == 0
-            && !p.demoted.swap(true, Ordering::Relaxed)
-        {
-            stats.cache_demotions += 1;
-        }
-    }
 }
 
 /// Storage + accounting policy for CTJ's partial-join-result cache.
@@ -186,14 +95,6 @@ pub(crate) trait PjrStore {
         rows: Vec<(Value, Vec<u32>)>,
         stats: &mut EngineStats<T>,
     );
-
-    /// Whether the adaptive policy still allows caching at `depth`.
-    /// Always `true` for non-adaptive stores; an adaptive store returns
-    /// `false` once the depth is demoted, and the driver then skips the
-    /// lookup (and the recording) entirely at that depth.
-    fn depth_enabled(&self, _depth: usize) -> bool {
-        true
-    }
 
     /// Maximum `(value, indexes)` pairs per entry
     /// ([`CtjConfig::entry_capacity`]); a longer one is dropped while it
@@ -245,18 +146,15 @@ pub(crate) struct LocalPjr {
     map: HashMap<Key, Entry>,
     max_entries: Option<usize>,
     entry_capacity: Option<usize>,
-    probation: Probation,
 }
 
 impl LocalPjr {
-    /// A store bounded as `config` says, adapting from the
-    /// [`adaptive_mask`] `adaptive` (empty: the policy is off).
-    pub(crate) fn new(config: CtjConfig, adaptive: &[bool]) -> Self {
+    /// A store bounded as `config` says.
+    pub(crate) fn new(config: CtjConfig) -> Self {
         LocalPjr {
             map: HashMap::new(),
             max_entries: config.max_entries,
             entry_capacity: config.entry_capacity,
-            probation: Probation::new(adaptive),
         }
     }
 }
@@ -269,18 +167,12 @@ impl PjrStore for LocalPjr {
         stats: &mut EngineStats<T>,
     ) -> Looked {
         let probe = (depth, key);
-        let hit = self.map.get(&probe).map(Arc::clone);
-        self.probation.observe(depth, hit.is_some(), stats);
-        if let Some(entry) = hit {
+        if let Some(entry) = self.map.get(&probe) {
             stats.cache_hits += 1;
-            return Looked::Hit(entry);
+            return Looked::Hit(Arc::clone(entry));
         }
         stats.cache_misses += 1;
         Looked::Miss(probe.1, 0)
-    }
-
-    fn depth_enabled(&self, depth: usize) -> bool {
-        self.probation.enabled(depth)
     }
 
     fn entry_capacity(&self) -> Option<usize> {
@@ -332,9 +224,6 @@ pub(crate) struct SharedPjrCache {
     /// `None` = unbounded; a zero lane bound disables storing there.
     per_lane_cap: Option<(usize, usize)>,
     entry_capacity: Option<usize>,
-    /// Every worker handle observes and honors it, so a depth demoted
-    /// for one worker is demoted for all.
-    probation: Probation,
 }
 
 /// A plan-side entries hint larger than this is a blown-up upper bound
@@ -345,10 +234,9 @@ const CREDIBLE_HINT_MAX: usize = 1 << 20;
 impl SharedPjrCache {
     /// Builds a cache for `workers` concurrent workers bounded as `config`
     /// says ([`CtjConfig::max_entries`] is the *total* capacity; `None` =
-    /// unbounded), adapting from the [`adaptive_mask`] `adaptive` (empty:
-    /// the policy is off), with an optional expected entry-count hint
-    /// (from [`CompiledQuery`]'s cache-capacity estimate) used to pre-size
-    /// the stripe tables.
+    /// unbounded), with an optional expected entry-count hint (from
+    /// [`triejax_query::CompiledQuery`]'s cache-capacity estimate) used to
+    /// pre-size the stripe tables.
     ///
     /// The stripe count is [`suggested_stripes`] for the worker count,
     /// reduced so a small capacity is never spread thinner than one entry
@@ -356,12 +244,7 @@ impl SharedPjrCache {
     /// remainder spread one-per-lane, so the per-lane bounds sum to
     /// exactly `capacity` — the total of live entries never exceeds it,
     /// and the full configured budget is usable.
-    pub(crate) fn new(
-        workers: usize,
-        config: CtjConfig,
-        adaptive: &[bool],
-        entries_hint: Option<usize>,
-    ) -> Self {
+    pub(crate) fn new(workers: usize, config: CtjConfig, entries_hint: Option<usize>) -> Self {
         let capacity = config.max_entries;
         let mut stripes = suggested_stripes(workers);
         if let Some(cap) = capacity {
@@ -384,7 +267,6 @@ impl SharedPjrCache {
             }),
             per_lane_cap,
             entry_capacity: config.entry_capacity,
-            probation: Probation::new(adaptive),
         }
     }
 
@@ -443,9 +325,8 @@ impl PjrStore for SharedPjrHandle<'_> {
         let probe = (depth, key);
         let hit = stripe.map.get(&probe).map(Arc::clone);
         // Clone the Arc out so the stripe lock is released before the
-        // (potentially deep) replay and the probation accounting.
+        // (potentially deep) replay.
         drop(stripe);
-        self.cache.probation.observe(depth, hit.is_some(), stats);
         if let Some(entry) = hit {
             stats.cache_hits += 1;
             return Looked::Hit(entry);
@@ -453,10 +334,6 @@ impl PjrStore for SharedPjrHandle<'_> {
         stats.cache_misses += 1;
         // Hand the stripe hash back so the publish need not rehash.
         Looked::Miss(probe.1, hash)
-    }
-
-    fn depth_enabled(&self, depth: usize) -> bool {
-        self.cache.probation.enabled(depth)
     }
 
     fn entry_capacity(&self) -> Option<usize> {
@@ -528,13 +405,13 @@ mod tests {
     use super::*;
     use triejax_relation::Counting;
 
-    /// A shared cache of `capacity` total entries, adaptation off.
+    /// A shared cache of `capacity` total entries.
     fn shared(workers: usize, capacity: Option<usize>, hint: Option<usize>) -> SharedPjrCache {
         let config = CtjConfig {
             max_entries: capacity,
             ..CtjConfig::default()
         };
-        SharedPjrCache::new(workers, config, &[], hint)
+        SharedPjrCache::new(workers, config, hint)
     }
 
     fn rows(vals: &[Value]) -> Vec<(Value, Vec<u32>)> {
@@ -555,13 +432,10 @@ mod tests {
 
     #[test]
     fn local_counts_misses_at_lookup_and_drops_when_full() {
-        let mut store = LocalPjr::new(
-            CtjConfig {
-                max_entries: Some(1),
-                ..CtjConfig::default()
-            },
-            &[],
-        );
+        let mut store = LocalPjr::new(CtjConfig {
+            max_entries: Some(1),
+            ..CtjConfig::default()
+        });
         let mut stats = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[7], &mut stats);
         assert_eq!(stats.cache_misses, 1);
@@ -659,77 +533,6 @@ mod tests {
         assert_eq!(s.cache_overflows, 1);
         assert!(matches!(w.lookup(1, vec![9], &mut s), Looked::Miss(..)));
         assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn local_demotes_a_depth_after_a_zero_hit_window() {
-        let mut store = LocalPjr::new(CtjConfig::default(), &[true; 3]);
-        let mut s = EngineStats::<Counting>::new();
-        // Every key distinct: the probation window closes with zero hits.
-        for v in 0..DEMOTE_LOOKUPS {
-            assert!(store.depth_enabled(1), "demotion only fires at the window");
-            miss_key(&mut store, 1, &[v], &mut s);
-        }
-        assert!(!store.depth_enabled(1), "zero-reuse depth is demoted");
-        assert_eq!(s.cache_demotions, 1);
-        // Other depths keep their own probation; a demoted depth is
-        // counted once even if the driver races in another lookup.
-        assert!(store.depth_enabled(2));
-        miss_key(&mut store, 1, &[u32::MAX], &mut s);
-        assert_eq!(s.cache_demotions, 1, "demotion is counted once");
-    }
-
-    #[test]
-    fn a_single_hit_inside_the_window_keeps_the_depth() {
-        let mut store = LocalPjr::new(CtjConfig::default(), &[true; 3]);
-        let mut s = EngineStats::<Counting>::new();
-        let (k, t) = miss_key(&mut store, 1, &[0], &mut s);
-        store.publish(1, k, t, rows(&[1]), &mut s);
-        for v in 0..2 * DEMOTE_LOOKUPS {
-            // Re-probing key 0 every few lookups keeps the hit count
-            // above zero, so the window never closes against the depth.
-            let key = if v % 8 == 0 { 0 } else { v + 1 };
-            store.lookup(1, vec![key], &mut s);
-        }
-        assert!(store.depth_enabled(1), "reused depth must keep its spec");
-        assert_eq!(s.cache_demotions, 0);
-    }
-
-    #[test]
-    fn non_adaptive_stores_never_demote() {
-        let mut store = LocalPjr::new(CtjConfig::default(), &[]);
-        let mut s = EngineStats::<Counting>::new();
-        for v in 0..2 * DEMOTE_LOOKUPS {
-            miss_key(&mut store, 1, &[v], &mut s);
-        }
-        assert!(store.depth_enabled(1));
-        assert_eq!(s.cache_demotions, 0);
-    }
-
-    #[test]
-    fn shared_demotion_is_global_across_handles() {
-        let cache = SharedPjrCache::new(2, CtjConfig::default(), &[true; 3], None);
-        let mut s0 = EngineStats::<Counting>::new();
-        let mut s1 = EngineStats::<Counting>::new();
-        let mut w0 = cache.handle();
-        let mut w1 = cache.handle();
-        // Split the zero-hit probation window across two workers: the one
-        // whose lookup crosses the threshold books the demotion, and the
-        // flag flips for every handle of the store.
-        for v in 0..DEMOTE_LOOKUPS {
-            if v % 2 == 0 {
-                miss_key(&mut w0, 2, &[v, v], &mut s0);
-            } else {
-                miss_key(&mut w1, 2, &[v, v], &mut s1);
-            }
-        }
-        assert!(!w0.depth_enabled(2) && !w1.depth_enabled(2));
-        assert_eq!(
-            s0.cache_demotions + s1.cache_demotions,
-            1,
-            "exactly one worker books the shared demotion"
-        );
-        assert!(w0.depth_enabled(1), "other depths unaffected");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 use triejax_query::CompiledQuery;
 use triejax_relation::{Counting, Tally};
 
-use crate::cache::{adaptive_mask, LocalPjr};
+use crate::cache::LocalPjr;
 use crate::lftj::run_sequential;
 use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink};
 
@@ -21,16 +21,6 @@ pub struct CtjConfig {
     /// for [`crate::ParCtj`] it is the total capacity of the shared
     /// sharded cache, which *evicts* (FIFO per stripe) to stay within it.
     pub max_entries: Option<usize>,
-    /// Cost-based adaptive cache-spec selection (default off, env default
-    /// `TRIEJAX_CACHE_ADAPT` for the parallel engine). At plan time a
-    /// spec whose estimated per-entry reuse
-    /// ([`triejax_query::CompiledQuery::cache_reuse_estimate`]) is below
-    /// 2 is dropped — every visit would build a fresh entry. At run time
-    /// a surviving depth whose whole probation window of lookups never
-    /// hit is demoted (see [`crate::EngineStats::cache_demotions`]).
-    /// Either way the depth simply recomputes like plain LFTJ; results
-    /// never change.
-    pub adaptive: bool,
 }
 
 /// Cached TrieJoin (Kalinsky, Etsion, Kimelfeld — EDBT'17): LeapFrog
@@ -125,9 +115,7 @@ impl Ctj {
         deltas: Option<&DeltaMap>,
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
-        let adaptive = adaptive_mask(&self.config, plan, catalog);
-        let store = LocalPjr::new(self.config, &adaptive);
-        run_sequential(plan, catalog, deltas, store, sink)
+        run_sequential(plan, catalog, deltas, LocalPjr::new(self.config), sink)
     }
 }
 
@@ -233,7 +221,6 @@ mod tests {
         let cfg = CtjConfig {
             entry_capacity: Some(1),
             max_entries: None,
-            adaptive: false,
         };
         let s2 = Ctj::with_config(cfg).execute(&plan, &c, &mut tiny).unwrap();
         assert_eq!(unbounded.into_sorted(), tiny.into_sorted());
@@ -248,7 +235,6 @@ mod tests {
         let cfg = CtjConfig {
             entry_capacity: None,
             max_entries: Some(0),
-            adaptive: false,
         };
         let mut sink = CountSink::default();
         let stats = Ctj::with_config(cfg).execute(&plan, &c, &mut sink).unwrap();
@@ -291,7 +277,7 @@ mod tests {
         tries: &'a TrieSet,
         budget: B,
     ) -> Driver<'a, Counting, LocalPjr, B> {
-        let store = LocalPjr::new(CtjConfig::default(), &[]);
+        let store = LocalPjr::new(CtjConfig::default());
         Driver::new(plan, tries, store, budget).unwrap()
     }
 

@@ -408,7 +408,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         } else {
             None
         };
-        if let Some(spec) = spec.filter(|_| self.cache.depth_enabled(d)) {
+        if let Some(spec) = spec {
             let key: Vec<Value> = spec
                 .key_depths()
                 .iter()
@@ -1209,7 +1209,7 @@ mod tests {
                         bit_leaf_stops += runs[0].0.stops.len();
                     }
                     for config in ctj {
-                        let store = || LocalPjr::new(config, &[]);
+                        let store = || LocalPjr::new(config);
                         let runs = [
                             (
                                 stepped::<NoTally, _, _>(&plan, build(), store(), k),

@@ -35,9 +35,10 @@
 //! the shared cache for each `ParCtj` worker. `Lftj`/`Ctj` run one driver on the
 //! calling thread; `ParLftj`/`ParCtj` are two presets of one parallel
 //! engine body that runs one driver per pool worker, with every builder
-//! written once. Every run knob resolves the same way — the explicit
-//! builder value, else its `TRIEJAX_*` variable, else the default — and
-//! the crate reads the environment in one place.
+//! written once. Every run knob is a builder; four of them — the pool
+//! size, the CTJ cache capacity, the trie-cache size and the trie store —
+//! fall back to a `TRIEJAX_*` variable when unset, and the crate reads
+//! the environment in one place.
 //!
 //! Engines count their work in [`EngineStats`] (operation counts, memory
 //! touches, intermediate results, cache hits, shard/steal scheduling
@@ -102,7 +103,7 @@ pub use generic::GenericJoin;
 pub use intersect::intersect_sorted;
 pub use leapfrog::Leapfrog;
 pub use lftj::Lftj;
-pub use options::{COMPACT_RATIO_ENV, STORE_ENV, TRIE_CACHE_ENV};
+pub use options::{STORE_ENV, TRIE_CACHE_ENV};
 pub use pairwise::PairwiseHash;
 pub use parctj::ParCtj;
 pub use parlftj::ParLftj;

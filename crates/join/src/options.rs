@@ -1,31 +1,25 @@
 //! Run configuration: every knob of the parallel engines, and the one
 //! place `triejax-join` reads the environment.
 //!
-//! Every knob resolves the same way, independently of the others and
-//! when a query runs: the explicit builder value, else its `TRIEJAX_*`
-//! variable, else the built-in default. A variable that is set to
-//! anything unparsable panics instead of falling back — a configured
-//! knob that silently reverted to its default would defeat its purpose
-//! (CI pins `TRIEJAX_POOL=2` or a tiny `TRIEJAX_CACHE_CAP` precisely to
-//! force those paths through the whole suite). Unset and blank are the
-//! same. One knob is process-wide rather than per run: the default trie
+//! Every knob is a builder value. Four have a `TRIEJAX_*` variable that
+//! supplies it when the builder was not called — the pool size, the CTJ
+//! cache capacity, the default trie cache's size and its store — and
+//! each of them resolves independently of the others, when a query runs.
+//! A variable that is set to anything unparsable panics instead of
+//! falling back — a configured knob that silently reverted to its
+//! default would defeat its purpose (CI pins `TRIEJAX_POOL=2` or a tiny
+//! `TRIEJAX_CACHE_CAP` precisely to force those paths through the whole
+//! suite). Unset and blank are the same. The two trie-cache variables
+//! are process-wide rather than per run: they shape the default trie
 //! cache ([`TrieCache::global`], built once per process).
 
 use std::num::NonZeroUsize;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use triejax_exec::{CancelToken, RunBudget, WorkerPool};
 
 use crate::{CtjConfig, TrieCache};
-
-/// Environment variable supplying the default delta-compaction threshold:
-/// a relation's delta is merged into a fresh frozen base when
-/// `delta.len() > ratio × base.len()` after an apply. Read once, when a
-/// session is constructed; unset means `0.5`, and
-/// [`crate::Session::with_compact_ratio`] overrides it per session.
-pub const COMPACT_RATIO_ENV: &str = "TRIEJAX_DELTA_COMPACT_RATIO";
 
 /// Environment variable naming the default cross-query trie cache
 /// capacity in mebibytes; unset or `0` disables the cache.
@@ -42,14 +36,8 @@ pub const STORE_ENV: &str = "TRIEJAX_STORE";
 
 /// Worker count (default one per core).
 const POOL_ENV: &str = "TRIEJAX_POOL";
-/// Wall-clock deadline in milliseconds (default none).
-const DEADLINE_ENV: &str = "TRIEJAX_DEADLINE_MS";
-/// Result-row cap (default none; `0` is valid and delivers nothing).
-const ROW_LIMIT_ENV: &str = "TRIEJAX_ROW_LIMIT";
 /// Total entries of the CTJ cache (default unbounded; `0` disables it).
 const CACHE_CAP_ENV: &str = "TRIEJAX_CACHE_CAP";
-/// Adaptive CTJ cache specs on/off (default off).
-const CACHE_ADAPT_ENV: &str = "TRIEJAX_CACHE_ADAPT";
 
 /// Where unset knobs come from: a variable name to its value, `None`
 /// when unset. [`process_env`] in production; tests pass a fake so they
@@ -76,28 +64,10 @@ fn parsed<T: FromStr>(env: Env, key: &str, what: &str) -> Option<T> {
     )
 }
 
-/// `key` as an on/off switch; panics naming `what` it must be otherwise.
-fn switch(env: Env, key: &str, what: &str) -> Option<bool> {
-    Some(match var(env, key)?.trim() {
-        "1" | "true" | "on" => true,
-        "0" | "false" | "off" => false,
-        other => panic!("{key} must be {what}, got {other:?}"),
-    })
-}
-
 /// The default pool ([`POOL_ENV`]): that many workers, else one per core.
 pub(crate) fn default_pool(env: Env) -> WorkerPool {
     parsed::<NonZeroUsize>(env, POOL_ENV, "a positive integer")
         .map_or_else(WorkerPool::new, |w| WorkerPool::with_workers(w.get()))
-}
-
-/// The session's compaction ratio default ([`COMPACT_RATIO_ENV`]).
-pub(crate) fn compact_ratio(env: Env) -> f64 {
-    let Some(v) = var(env, COMPACT_RATIO_ENV) else {
-        return 0.5;
-    };
-    let ratio = v.trim().parse::<f64>().ok().filter(|r| *r >= 0.0);
-    ratio.unwrap_or_else(|| panic!("{COMPACT_RATIO_ENV} must be a non-negative number, got {v:?}"))
 }
 
 /// The process-wide default trie cache ([`TrieCache::global`]): sized by
@@ -119,20 +89,21 @@ pub(crate) fn default_trie_cache(env: Env) -> Option<TrieCache> {
 }
 
 /// Every knob of one parallel run, as the caller set it (`None` = not
-/// set: resolved from the environment or the default at run time).
+/// set: resolved from its variable, if it has one, or the default at run
+/// time).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RunOptions {
     /// Worker count; unset = `TRIEJAX_POOL` or one per core.
     pub(crate) workers: Option<NonZeroUsize>,
     /// Shard count; unset = seeded from the plan's root-domain estimate.
     pub(crate) granularity: Option<NonZeroUsize>,
-    /// Wall-clock deadline; unset = `TRIEJAX_DEADLINE_MS` or none.
-    pub(crate) deadline: Option<Duration>,
-    /// Result-row cap; unset = `TRIEJAX_ROW_LIMIT` or none.
+    /// Wall-clock deadline; unset = none.
+    pub(crate) deadline: Option<std::time::Duration>,
+    /// Result-row cap; unset = none.
     pub(crate) row_limit: Option<u64>,
-    /// Cap on charged intermediate tuples; no variable.
+    /// Cap on charged intermediate tuples; unset = none.
     pub(crate) intermediate_limit: Option<u64>,
-    /// External cancellation token; no variable.
+    /// External cancellation token; unset = none.
     pub(crate) cancel: Option<CancelToken>,
     /// Cross-query trie cache: unset = [`TrieCache::global`],
     /// `Some(None)` = disabled, `Some(Some(c))` = this cache.
@@ -151,17 +122,14 @@ pub(crate) struct CacheOptions {
     /// [`CtjConfig::max_entries`]: unset = `TRIEJAX_CACHE_CAP` or
     /// unbounded; `Some(None)` is an explicit "unbounded".
     pub(crate) max_entries: Option<Option<usize>>,
-    /// [`CtjConfig::adaptive`]; unset = `TRIEJAX_CACHE_ADAPT` or off.
-    pub(crate) adaptive: Option<bool>,
 }
 
 impl From<CtjConfig> for CacheOptions {
-    /// A whole explicit config: every knob set, the variables ignored.
+    /// A whole explicit config: both knobs set, the variable ignored.
     fn from(config: CtjConfig) -> Self {
         CacheOptions {
             entry_capacity: config.entry_capacity,
             max_entries: Some(config.max_entries),
-            adaptive: Some(config.adaptive),
         }
     }
 }
@@ -179,7 +147,8 @@ pub(crate) struct Resolved {
 }
 
 impl RunOptions {
-    /// Fills every unset knob from `env`, else its default.
+    /// Fills every unset knob from its variable in `env`, if it has one,
+    /// else its default.
     ///
     /// # Panics
     ///
@@ -187,7 +156,7 @@ impl RunOptions {
     /// cannot parse.
     pub(crate) fn resolve(&self, env: Env) -> Resolved {
         Resolved {
-            budget: self.budget(env),
+            budget: self.budget(),
             pool: self.pool(env),
             granularity: self.granularity.map(NonZeroUsize::get),
             trie_cache: self.trie_cache(),
@@ -203,26 +172,19 @@ impl RunOptions {
     }
 
     /// The shared [`RunBudget`] of the run, `None` when nothing governs it.
-    pub(crate) fn budget(&self, env: Env) -> Option<Arc<RunBudget>> {
-        let deadline = self.deadline.or_else(|| {
-            let what = "a non-negative integer of milliseconds";
-            parsed(env, DEADLINE_ENV, what).map(Duration::from_millis)
-        });
-        let row_limit = self
-            .row_limit
-            .or_else(|| parsed(env, ROW_LIMIT_ENV, "a non-negative integer"));
-        if deadline.is_none()
-            && row_limit.is_none()
+    pub(crate) fn budget(&self) -> Option<Arc<RunBudget>> {
+        if self.deadline.is_none()
+            && self.row_limit.is_none()
             && self.intermediate_limit.is_none()
             && self.cancel.is_none()
         {
             return None;
         }
         let mut budget = RunBudget::new();
-        if let Some(d) = deadline {
+        if let Some(d) = self.deadline {
             budget = budget.with_deadline(d);
         }
-        if let Some(l) = row_limit {
+        if let Some(l) = self.row_limit {
             budget = budget.with_row_limit(l);
         }
         if let Some(l) = self.intermediate_limit {
@@ -234,7 +196,7 @@ impl RunOptions {
         Some(Arc::new(budget))
     }
 
-    pub(crate) fn trie_cache(&self) -> Option<Arc<TrieCache>> {
+    fn trie_cache(&self) -> Option<Arc<TrieCache>> {
         match &self.trie_cache {
             Some(choice) => choice.clone(),
             None => TrieCache::global(),
@@ -249,10 +211,6 @@ impl RunOptions {
             max_entries: knobs
                 .max_entries
                 .unwrap_or_else(|| parsed(env, CACHE_CAP_ENV, "a non-negative integer")),
-            adaptive: knobs
-                .adaptive
-                .or_else(|| switch(env, CACHE_ADAPT_ENV, "an on/off spelling"))
-                .unwrap_or(false),
         }
     }
 }
@@ -279,32 +237,43 @@ mod tests {
 
     #[test]
     fn unset_knobs_take_their_variables_and_set_ones_ignore_them() {
-        let env = fake(&[
-            (POOL_ENV, "3"),
-            (ROW_LIMIT_ENV, " 7 "),
-            (CACHE_CAP_ENV, "3"),
-            (CACHE_ADAPT_ENV, "1"),
-        ]);
+        let store =
+            std::env::temp_dir().join(format!("triejax-options-{}.tjx", std::process::id()));
+        triejax_store::StoredCatalog::new().save(&store).unwrap();
+        let path = store.to_str().unwrap().to_owned();
+        let env = |key: &str| match key {
+            POOL_ENV => Some("3".to_owned()),
+            CACHE_CAP_ENV => Some(" 7 ".to_owned()),
+            STORE_ENV => Some(path.clone()),
+            _ => None,
+        };
         let run = ctj().resolve(&env);
         assert_eq!(run.pool.workers(), 3);
-        assert_eq!(run.budget.unwrap().row_limit(), Some(7));
-        let adaptive_cap3 = CtjConfig {
+        let cap7 = CtjConfig {
             entry_capacity: None,
-            max_entries: Some(3),
-            adaptive: true,
+            max_entries: Some(7),
         };
-        assert_eq!(run.ctj, Some(adaptive_cap3));
+        assert_eq!(run.ctj, Some(cap7));
+        let preloaded = default_trie_cache(&env).expect("a store makes a cache");
+        assert_eq!(preloaded.capacity_bytes(), None, "a store alone: unbounded");
+        let sized = |key: &str| match key {
+            TRIE_CACHE_ENV => Some("2".to_owned()),
+            _ => env(key),
+        };
+        let sized = default_trie_cache(&sized).expect("a sized cache");
+        assert_eq!(sized.capacity_bytes(), Some(2 << 20));
+        std::fs::remove_file(&store).unwrap();
 
         let set = RunOptions {
             workers: NonZeroUsize::new(5),
-            row_limit: Some(2),
             cache: CtjConfig::default().into(),
+            trie_cache: Some(None),
             ..ctj()
         }
         .resolve(&env);
         assert_eq!(set.pool.workers(), 5);
-        assert_eq!(set.budget.unwrap().row_limit(), Some(2));
         assert_eq!(set.ctj, Some(CtjConfig::default()), "with_config sets all");
+        assert!(set.trie_cache.is_none(), "without_trie_cache wins");
     }
 
     #[test]
@@ -316,37 +285,29 @@ mod tests {
         assert!(run.budget.is_none(), "ungoverned");
         assert_eq!(run.ctj, Some(CtjConfig::default()));
         assert_eq!(RunOptions::default().resolve(&env).ctj, None, "LFTJ");
-        assert_eq!(compact_ratio(&env), 0.5);
     }
 
-    /// `ParCtj::cache_capacity(n)` used to start from `CtjConfig::default()`,
-    /// turning an unset `TRIEJAX_CACHE_ADAPT` into an explicit "off".
+    /// Variables the library no longer reads are not consulted at all,
+    /// so even unparsable values neither panic nor govern the run. Their
+    /// names are assembled from parts, so that this file spells out only
+    /// the variables it reads (CI compares those with the README).
     #[test]
-    fn a_capacity_alone_keeps_the_adapt_variable() {
-        let mut opts = ctj();
-        opts.cache.max_entries = Some(Some(16));
-        let config = opts.cache_config(&fake(&[(CACHE_ADAPT_ENV, "on")]));
-        assert_eq!(config.max_entries, Some(16));
-        assert!(config.adaptive, "TRIEJAX_CACHE_ADAPT still applies");
-    }
-
-    /// `ParCtj::with_cache_adapt(b)` used to freeze `TRIEJAX_CACHE_CAP` as
-    /// it stood when the builder ran; it resolves when the query runs.
-    #[test]
-    fn an_adapt_choice_alone_reads_the_capacity_at_run_time() {
-        let mut opts = ctj();
-        opts.cache.adaptive = Some(true);
-        let before = opts.cache_config(&fake(&[]));
-        let after = opts.cache_config(&fake(&[(CACHE_CAP_ENV, "2")]));
-        assert_eq!(before.max_entries, None);
-        assert_eq!(after.max_entries, Some(2), "the capacity is not frozen");
-        assert!(before.adaptive && after.adaptive);
-    }
-
-    #[test]
-    #[should_panic(expected = "TRIEJAX_CACHE_ADAPT must be an on/off spelling, got \"maybe\"")]
-    fn a_junk_switch_panics() {
-        ctj().resolve(&fake(&[(CACHE_ADAPT_ENV, " maybe ")]));
+    fn retired_variables_are_ignored() {
+        let retired = [
+            (["CACHE", "ADAPT"], "maybe"),
+            (["DEADLINE", "MS"], "soon"),
+            (["ROW", "LIMIT"], "lots"),
+        ];
+        let env = |key: &str| {
+            let named = |parts: &[&str; 2]| key == format!("TRIEJAX_{}", parts.join("_"));
+            let found = retired.iter().find(|(parts, _)| named(parts));
+            found.map(|(_, value)| (*value).to_owned())
+        };
+        let row_limit = ["TRIEJAX", "ROW", "LIMIT"].join("_");
+        assert_eq!(env(&row_limit).as_deref(), Some("lots"), "the fake is set");
+        let run = ctj().resolve(&env);
+        assert!(run.budget.is_none(), "no budget from the environment");
+        assert_eq!(run.ctj, Some(CtjConfig::default()));
     }
 
     #[test]
@@ -365,11 +326,5 @@ mod tests {
             "LFTJ ignores it"
         );
         ctj().resolve(&env);
-    }
-
-    #[test]
-    #[should_panic(expected = "TRIEJAX_DELTA_COMPACT_RATIO must be a non-negative number")]
-    fn a_negative_compact_ratio_panics() {
-        compact_ratio(&fake(&[(COMPACT_RATIO_ENV, "-0.5")]));
     }
 }

@@ -1,4 +1,4 @@
-use crate::options::{process_env, RunOptions};
+use crate::options::RunOptions;
 use crate::parlftj::parallel_engine;
 use crate::CtjConfig;
 
@@ -28,9 +28,9 @@ use crate::CtjConfig;
 /// an order-preserving [`triejax_exec::OrderedMerge`]. The merged stream
 /// is tuple-for-tuple identical to sequential [`crate::Ctj`] (and
 /// [`crate::Lftj`]) — same tuples, same order. The cache knobs below add
-/// to the shared ones; each unset one resolves from its environment
-/// variable when the query runs (`TRIEJAX_CACHE_CAP`, unset = unbounded;
-/// `TRIEJAX_CACHE_ADAPT`, unset = off).
+/// to the shared ones. An unset capacity resolves from `TRIEJAX_CACHE_CAP`
+/// when the query runs (unset = unbounded); the entry capacity has no
+/// variable.
 ///
 /// # Example
 ///
@@ -61,8 +61,7 @@ impl ParCtj {
     /// Engine with an explicit cache configuration
     /// ([`CtjConfig::max_entries`] is the shared cache's *total*
     /// capacity). An explicit config — even the default unbounded one —
-    /// sets every cache knob, overriding `TRIEJAX_CACHE_CAP` and
-    /// `TRIEJAX_CACHE_ADAPT`.
+    /// sets both cache knobs, overriding `TRIEJAX_CACHE_CAP`.
     pub fn with_config(config: CtjConfig) -> Self {
         Self::new().config(config)
     }
@@ -75,32 +74,10 @@ impl ParCtj {
     }
 
     /// Sets the shared cache's total entry capacity (`0` disables
-    /// caching), keeping the other cache knobs.
+    /// caching), keeping the entry capacity.
     pub fn cache_capacity(mut self, entries: usize) -> Self {
         self.opts.cache.max_entries = Some(Some(entries));
         self
-    }
-
-    /// Enables or disables the cost-based adaptive cache policy
-    /// ([`CtjConfig::adaptive`]), overriding the `TRIEJAX_CACHE_ADAPT`
-    /// environment default and keeping the other cache knobs.
-    pub fn with_cache_adapt(mut self, on: bool) -> Self {
-        self.opts.cache.adaptive = Some(on);
-        self
-    }
-
-    /// The cache configuration this run will use, knob by knob: the
-    /// explicit one if set, otherwise `TRIEJAX_CACHE_CAP` (unset =
-    /// unbounded) and `TRIEJAX_CACHE_ADAPT` (unset = off).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a consulted variable is set to anything its knob
-    /// cannot parse — an explicitly configured capacity that silently
-    /// fell back to unbounded would defeat its purpose (e.g. CI pinning a
-    /// tiny capacity to force the eviction paths).
-    pub fn effective_config(&self) -> CtjConfig {
-        self.opts.cache_config(&process_env)
     }
 }
 
@@ -227,7 +204,6 @@ mod tests {
         let cfg = CtjConfig {
             entry_capacity: Some(1),
             max_entries: Some(2),
-            adaptive: false,
         };
         let mut sink = CollectSink::new();
         let stats = ParCtj::with_config(cfg)
@@ -281,20 +257,19 @@ mod tests {
             .execute(&plan, &c, &mut sink)
             .unwrap();
         assert_eq!(stats.shards, 5);
-        assert_eq!(ParCtj::new().with_granularity(5).granularity(), Some(5));
     }
 
     #[test]
     fn cache_capacity_builder_sets_an_explicit_config() {
+        let unset = |_: &str| None;
         let engine = ParCtj::with_pool(2).cache_capacity(16);
-        assert_eq!(engine.effective_config().max_entries, Some(16));
+        assert_eq!(engine.opts.cache_config(&unset).max_entries, Some(16));
         let engine = ParCtj::with_config(CtjConfig {
             entry_capacity: Some(3),
             max_entries: None,
-            adaptive: false,
         })
         .cache_capacity(5);
-        let cfg = engine.effective_config();
+        let cfg = engine.opts.cache_config(&unset);
         assert_eq!(cfg.entry_capacity, Some(3), "other knobs are kept");
         assert_eq!(cfg.max_entries, Some(5));
     }

@@ -4,14 +4,14 @@ use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, RunBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{NoTally, Tally, Value};
 
-use crate::cache::{adaptive_mask, LocalPjr, NoPjr, PjrStore, SharedPjrCache};
+use crate::cache::{LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::catalog::Served;
 use crate::engine::head_slots;
 use crate::lftj::{Driver, Resumable};
 use crate::options::{process_env, Resolved, RunOptions};
 use crate::shard::{execute_sharded, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
-use crate::{Catalog, CtjConfig, DeltaMap, EngineStats, JoinError, ResultSink, TrieSet};
+use crate::{Catalog, DeltaMap, EngineStats, JoinError, ResultSink, TrieSet};
 
 /// Stamps the surface the two parallel presets share onto `$engine` (a
 /// struct with one `opts: RunOptions` field): `Default`, every builder and
@@ -54,11 +54,6 @@ macro_rules! parallel_engine {
                 engine
             }
 
-            /// The configured worker count, or `None` for automatic.
-            pub fn workers(&self) -> Option<usize> {
-                self.opts.workers.map(std::num::NonZeroUsize::get)
-            }
-
             /// Sets an explicit shard count, keeping the pool size
             /// (otherwise the count is seeded from the plan).
             ///
@@ -71,14 +66,8 @@ macro_rules! parallel_engine {
                 self
             }
 
-            /// The configured shard count, or `None` for plan-seeded.
-            pub fn granularity(&self) -> Option<usize> {
-                self.opts.granularity.map(std::num::NonZeroUsize::get)
-            }
-
-            /// Caps the run's wall-clock time, overriding the
-            /// `TRIEJAX_DEADLINE_MS` environment default. A run that
-            /// outlives the deadline is cancelled cooperatively: workers
+            /// Caps the run's wall-clock time. A run that outlives the
+            /// deadline is cancelled cooperatively: workers
             /// stop at their next poll point, the rows already streamed to
             /// the sink stay an exact prefix of the full result, and the
             /// engine returns [`crate::JoinError::Cancelled`] carrying the
@@ -88,8 +77,7 @@ macro_rules! parallel_engine {
                 self
             }
 
-            /// Caps delivered result rows at `limit`, overriding the
-            /// `TRIEJAX_ROW_LIMIT` environment default. The sink receives
+            /// Caps delivered result rows at `limit`. The sink receives
             /// exactly the first `min(total, limit)` rows of the
             /// sequential result stream and the engine returns
             /// [`crate::JoinError::Cancelled`] with
@@ -132,34 +120,6 @@ macro_rules! parallel_engine {
             pub fn without_trie_cache(mut self) -> Self {
                 self.opts.trie_cache = Some(None);
                 self
-            }
-
-            /// The trie cache the next run will consult: the explicit
-            /// choice if one was made, otherwise the process-wide
-            /// [`crate::TrieCache::global`] (`None` disables caching).
-            ///
-            /// # Panics
-            ///
-            /// Panics when `TRIEJAX_TRIE_CACHE_MB` is consulted (first
-            /// call process-wide) and set to anything but a non-negative
-            /// integer.
-            pub fn effective_trie_cache(&self) -> Option<std::sync::Arc<$crate::TrieCache>> {
-                self.opts.trie_cache()
-            }
-
-            /// The shared [`crate::RunBudget`] the next run will be
-            /// governed by — the explicit builder knobs with
-            /// `TRIEJAX_DEADLINE_MS` / `TRIEJAX_ROW_LIMIT` as per-knob
-            /// environment fallbacks — or `None` when nothing governs the
-            /// run and the engine stays on its zero-cost ungoverned code
-            /// paths.
-            ///
-            /// # Panics
-            ///
-            /// Panics when a consulted environment knob is set to
-            /// anything but a non-negative integer.
-            pub fn effective_budget(&self) -> Option<std::sync::Arc<$crate::RunBudget>> {
-                self.opts.budget(&$crate::options::process_env)
             }
 
             /// Runs the query with an explicit [`crate::Tally`] choice;
@@ -251,9 +211,9 @@ pub(crate) use parallel_engine;
 ///
 /// `ParLftj` and [`crate::ParCtj`] are two presets of one engine: every
 /// builder below is shared, every knob resolves when the query runs (the
-/// explicit value, else its `TRIEJAX_*` variable, else the default), and
-/// they differ only in whether the workers' drivers carry a
-/// partial-join-result cache.
+/// explicit value, else the pool's or trie cache's `TRIEJAX_*` variable
+/// where it has one, else the default), and they differ only in whether
+/// the workers' drivers carry a partial-join-result cache.
 ///
 /// # Example
 ///
@@ -279,19 +239,6 @@ pub struct ParLftj {
 }
 
 parallel_engine!(ParLftj, "par-lftj", ctj: false);
-
-impl ParLftj {
-    /// Engine with an explicit shard count, one worker per shard — the
-    /// pre-pool behaviour, kept for callers that want deterministic
-    /// scheduling in experiments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_pool(shards).with_granularity(shards)
-    }
-}
 
 /// The one parallel engine body, behind both presets and
 /// [`crate::QueryHandle`]: resolves `opts`, builds the query's tries (or
@@ -380,7 +327,6 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
     worker: B,
 ) -> Result<EngineStats<T>, JoinError> {
     let ranges = plan_shards(plan, catalog, set, run.pool.workers(), run.granularity);
-    let adaptive = |config: &CtjConfig| adaptive_mask(config, plan, catalog);
 
     // A lone range runs sequentially: one driver on the calling thread —
     // for CTJ on a worker-local store (no stripe locks to pay when
@@ -389,10 +335,7 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
     if ranges.len() <= 1 {
         let mut stats = match run.ctj {
             None => Driver::new(plan, set, NoPjr, driving)?.run(sink),
-            Some(config) => {
-                let store = LocalPjr::new(config, &adaptive(&config));
-                Driver::new(plan, set, store, driving)?.run(sink)
-            }
+            Some(config) => Driver::new(plan, set, LocalPjr::new(config), driving)?.run(sink),
         };
         stats.shards = 1;
         return Ok(stats);
@@ -408,7 +351,7 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
             // from the plan's entry estimate.
             let workers = run.pool.workers().min(ranges.len());
             let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
-            let cache = SharedPjrCache::new(workers, config, &adaptive(&config), hint);
+            let cache = SharedPjrCache::new(workers, config, hint);
             run_pooled(run, plan, set, &ranges, sink, &worker, || cache.handle())
         }
     };
@@ -562,9 +505,7 @@ where
         ..EngineStats::default()
     };
     served.stamp(&mut stats);
-    let store = run
-        .ctj
-        .map(|config| LocalPjr::new(config, &adaptive_mask(&config, &plan, catalog)));
+    let store = run.ctj.map(LocalPjr::new);
     let shared = run.budget.clone();
     let driving = |b: &Arc<RunBudget>| (BudgetHandle::driving(Arc::clone(b)), shared.clone());
     match (store, &run.budget) {
@@ -643,7 +584,8 @@ mod tests {
             Lftj::new().execute(&plan, &c, &mut reference).unwrap();
             for shards in [1, 2, 3, 7, 64] {
                 let mut sink = CollectSink::new();
-                let stats = ParLftj::with_shards(shards)
+                let stats = ParLftj::with_pool(shards)
+                    .with_granularity(shards)
                     .execute(&plan, &c, &mut sink)
                     .unwrap();
                 assert_eq!(sink.tuples(), reference.tuples(), "{p} x{shards}");
@@ -722,7 +664,8 @@ mod tests {
         let mut reference = CollectSink::new();
         Lftj::new().execute(&plan, &c, &mut reference).unwrap();
         let mut sink = CollectSink::new();
-        ParLftj::with_shards(16)
+        ParLftj::with_pool(16)
+            .with_granularity(16)
             .execute(&plan, &c, &mut sink)
             .unwrap();
         assert_eq!(sink.tuples(), reference.tuples());
@@ -833,9 +776,9 @@ mod tests {
     }
 
     #[test]
-    fn effective_budget_is_none_without_knobs() {
-        assert!(ParLftj::with_pool(4).effective_budget().is_none());
-        let governed = ParLftj::new().with_row_limit(10).effective_budget();
+    fn budget_is_none_without_knobs() {
+        assert!(ParLftj::with_pool(4).opts.budget().is_none());
+        let governed = ParLftj::new().with_row_limit(10).opts.budget();
         assert_eq!(governed.unwrap().row_limit(), Some(10));
     }
 
@@ -863,7 +806,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_shards_panics() {
-        let _ = ParLftj::with_shards(0);
+        let _ = ParLftj::new().with_granularity(0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use triejax_store::{StoreError, StoredCatalog};
 use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
-use crate::options::{compact_ratio, default_pool, process_env, RunOptions};
+use crate::options::{default_pool, process_env, RunOptions};
 use crate::parlftj::{run_batched, run_parallel, BatchRun};
 use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
@@ -80,6 +80,10 @@ const STREAM_BATCH_ROWS: usize = 256;
 /// enough to amortize setting the driver up and resuming it, few enough
 /// that the batch stays in cache while the consumer reads it.
 const INLINE_BATCH_ROWS: u64 = 4096;
+
+/// A session's compaction ratio until [`Session::with_compact_ratio`]
+/// replaces it.
+const DEFAULT_COMPACT_RATIO: f64 = 0.5;
 
 /// Batches buffered in a stream's channel before the producing engine
 /// blocks: bounds the memory between a fast producer and a slow consumer.
@@ -151,9 +155,8 @@ pub struct Session {
     /// scoped workers from it).
     pool: WorkerPool,
     cache: Arc<TrieCache>,
-    /// The compaction ratio: [`crate::COMPACT_RATIO_ENV`] as it stood when the
-    /// session was constructed, unless [`Session::with_compact_ratio`]
-    /// replaced it.
+    /// The compaction ratio: [`DEFAULT_COMPACT_RATIO`], unless
+    /// [`Session::with_compact_ratio`] replaced it.
     compact_ratio: f64,
 }
 
@@ -178,7 +181,7 @@ impl Session {
             }),
             pool: default_pool(&process_env),
             cache: Arc::new(cache),
-            compact_ratio: compact_ratio(&process_env),
+            compact_ratio: DEFAULT_COMPACT_RATIO,
         }
     }
 
@@ -231,11 +234,11 @@ impl Session {
         self
     }
 
-    /// Sets this session's delta-compaction threshold, overriding
-    /// [`crate::COMPACT_RATIO_ENV`]: after an apply leaves a relation with
-    /// `delta.len() > ratio × base.len()`, the delta is merged into a
-    /// fresh frozen base. `0.0` compacts after every apply; `f64::INFINITY`
-    /// disables auto-compaction.
+    /// Sets this session's delta-compaction threshold (default `0.5`):
+    /// after an apply leaves a relation with `delta.len() > ratio ×
+    /// base.len()`, the delta is merged into a fresh frozen base. `0.0`
+    /// compacts after every apply; `f64::INFINITY` disables
+    /// auto-compaction.
     ///
     /// # Panics
     ///
@@ -1177,6 +1180,20 @@ mod tests {
         assert!(stats.results > 0);
         let streamed: Vec<Row> = session.query(&plan).stream().collect();
         assert_eq!(streamed, sink.tuples());
+    }
+
+    /// A deadline too far away to represent governs nothing: the query
+    /// delivers every row and ends `Ok`.
+    #[test]
+    fn an_unrepresentable_deadline_runs_to_completion() {
+        let session = grid_session(2);
+        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
+        let expect = sequential_tuples(&session, &plan);
+        let mut sink = CollectSink::new();
+        let handle = session.query(&plan).with_deadline(Duration::MAX);
+        let stats = handle.run(&mut sink).expect("never cancelled");
+        assert_eq!(sink.tuples(), expect);
+        assert_eq!(stats.results, expect.len() as u64);
     }
 
     #[test]

@@ -41,12 +41,6 @@ pub struct EngineStats<T: Tally = Counting> {
     /// Shared-cache stripe locks that were contended — another worker
     /// held the stripe when this one arrived, so the acquisition waited.
     pub cache_contention: u64,
-    /// Cache specs demoted at run time by the adaptive policy
-    /// (`CtjConfig::adaptive` / `TRIEJAX_CACHE_ADAPT`): a spec whose
-    /// observed hit rate stayed at zero after a fixed number of lookups
-    /// stopped recording and looking up entries at its depth. Each
-    /// demoted depth counts once per run.
-    pub cache_demotions: u64,
     /// Lowest-upper-bound (binary-search) operations issued.
     pub lub_ops: u64,
     /// Child-range expansions (the Midwife operation).
@@ -136,7 +130,6 @@ impl<T: Tally> EngineStats<T> {
             cache_evictions: self.cache_evictions,
             cache_races: self.cache_races,
             cache_contention: self.cache_contention,
-            cache_demotions: self.cache_demotions,
             lub_ops: self.lub_ops,
             expand_ops: self.expand_ops,
             match_ops: self.match_ops,
@@ -162,7 +155,6 @@ impl<T: Tally> EngineStats<T> {
         self.cache_evictions += other.cache_evictions;
         self.cache_races += other.cache_races;
         self.cache_contention += other.cache_contention;
-        self.cache_demotions += other.cache_demotions;
         self.lub_ops += other.lub_ops;
         self.expand_ops += other.expand_ops;
         self.match_ops += other.match_ops;
@@ -219,12 +211,10 @@ mod tests {
         b.cache_contention = 3;
         a.splits = 4;
         b.splits = 1;
-        b.cache_demotions = 1;
         b.access.record(AccessKind::ResultWrite, 8);
         a.merge(&b);
         assert_eq!(a.results, 5);
         assert_eq!(a.splits, 5, "splits sum");
-        assert_eq!(a.cache_demotions, 1, "demotions sum");
         assert_eq!(a.lub_ops, 1);
         assert_eq!(a.match_ops, 7);
         assert_eq!(a.cache_evictions, 5);

@@ -160,7 +160,6 @@ proptest! {
         let cfg = CtjConfig {
             entry_capacity: Some(entry_cap),
             max_entries: Some(max_entries),
-            adaptive: false,
         };
         let mut sink = CollectSink::new();
         Ctj::with_config(cfg).execute(&plan, &catalog, &mut sink).unwrap();
@@ -249,7 +248,8 @@ proptest! {
 
         for shards in [1usize, 2, 7] {
             let mut par = CollectSink::new();
-            let stats = ParLftj::with_shards(shards)
+            let stats = ParLftj::with_pool(shards)
+                .with_granularity(shards)
                 .execute(&plan, &catalog, &mut par)
                 .unwrap();
             prop_assert_eq!(
@@ -262,7 +262,8 @@ proptest! {
             prop_assert_eq!(stats.results as usize, reference.tuples().len());
 
             let mut fast = CollectSink::new();
-            let fstats = ParLftj::with_shards(shards)
+            let fstats = ParLftj::with_pool(shards)
+                .with_granularity(shards)
                 .run_tallied::<NoTally>(&plan, &catalog, &mut fast)
                 .unwrap();
             prop_assert_eq!(fast.tuples(), reference.tuples(),

@@ -330,38 +330,6 @@ impl CompiledQuery {
         Some(total)
     }
 
-    /// Upper-bound estimate of the *reuse factor* of the cache spec at
-    /// `depth`: how many distinct prefix visits could share one cache
-    /// entry. The cached level is revisited once per binding of its
-    /// prefix depths `0..depth`, but entries are keyed only by the
-    /// spec's key depths, so per-entry reuse is bounded by the product
-    /// of the *non-key* prefix depths' domain estimates. An estimate of
-    /// 1 means every visit would build a fresh entry — caching there
-    /// can only cost, and the adaptive CTJ policy drops the spec at
-    /// plan time.
-    ///
-    /// Returns `None` when `depth` has no cache spec or some
-    /// participating cardinality is unknown; callers fall back to
-    /// keeping the spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth >= self.arity()`.
-    pub fn cache_reuse_estimate<F>(&self, depth: usize, cardinality: F) -> Option<usize>
-    where
-        F: Fn(&str) -> Option<usize>,
-    {
-        let spec = self.cache_spec_at(depth)?;
-        let mut reuse = 1usize;
-        for d in 0..depth {
-            if spec.key_depths().contains(&d) {
-                continue;
-            }
-            reuse = reuse.saturating_mul(self.depth_domain_estimate(d, &cardinality)?);
-        }
-        Some(reuse)
-    }
-
     /// Suggested number of root-range shards for a parallel run over
     /// `workers` workers, given the (estimated or exact) root-domain size.
     ///
@@ -582,36 +550,6 @@ mod tests {
         assert_eq!(
             plan.cache_entries_estimate(|_| Some(usize::MAX / 2)),
             Some(usize::MAX)
-        );
-    }
-
-    #[test]
-    fn cache_reuse_estimate_multiplies_the_non_key_prefix() {
-        use std::collections::HashMap;
-        let cards = HashMap::from([("G".to_string(), 42usize)]);
-        let card = |n: &str| cards.get(n).copied();
-
-        // path3: the spec at depth 2 is keyed by {y} (depth 1), so reuse
-        // comes from revisits across x — the one non-key prefix depth.
-        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        assert_eq!(plan.cache_reuse_estimate(2, card), Some(42));
-        assert_eq!(plan.cache_reuse_estimate(1, card), None, "no spec there");
-        assert_eq!(plan.cache_reuse_estimate(2, |_| None), None);
-
-        // cycle4: keyed by {x, z}; only depth 1 (y) is non-key prefix.
-        let plan = CompiledQuery::compile(&patterns::cycle4()).unwrap();
-        assert_eq!(plan.cache_reuse_estimate(3, card), Some(42));
-
-        // A domain of 1 on every non-key prefix depth means each entry is
-        // built exactly once: the adaptive planner's drop threshold.
-        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        assert_eq!(plan.cache_reuse_estimate(2, |_| Some(1)), Some(1));
-
-        // Huge cardinalities saturate instead of overflowing.
-        let plan = CompiledQuery::compile(&patterns::cycle4()).unwrap();
-        assert_eq!(
-            plan.cache_reuse_estimate(3, |_| Some(usize::MAX / 2)),
-            Some(usize::MAX / 2)
         );
     }
 

@@ -34,12 +34,10 @@ fn capacity_ladder() -> [(&'static str, CtjConfig); 3] {
     let tiny = CtjConfig {
         entry_capacity: None,
         max_entries: Some(2),
-        adaptive: false,
     };
     let bounded = CtjConfig {
         entry_capacity: None,
         max_entries: Some(64),
-        adaptive: false,
     };
     [
         ("tiny", tiny),
