@@ -36,15 +36,25 @@ impl Graph {
     where
         I: IntoIterator<Item = (u32, u32)>,
     {
-        let mut set: HashSet<(u32, u32)> = HashSet::new();
-        for (a, b) in edges {
-            assert!(a < num_nodes && b < num_nodes, "edge endpoint out of range");
-            if a != b {
-                set.insert((a, b));
-            }
-        }
-        let mut edges: Vec<(u32, u32)> = set.into_iter().collect();
-        edges.sort_unstable();
+        let keys = edges
+            .into_iter()
+            .filter_map(|(a, b)| {
+                assert!(a < num_nodes && b < num_nodes, "edge endpoint out of range");
+                (a != b).then(|| edge_key(a, b))
+            })
+            .collect();
+        Graph::from_keys(num_nodes, keys)
+    }
+
+    /// Builds a graph from [`edge_key`]s of loop-free edges whose
+    /// endpoints are below `num_nodes`: one sort, one dedup, one unpack.
+    pub(crate) fn from_keys(num_nodes: u32, mut keys: Vec<u64>) -> Graph {
+        keys.sort_unstable();
+        keys.dedup();
+        let edges = keys
+            .into_iter()
+            .map(|key| ((key >> 32) as u32, key as u32))
+            .collect();
         Graph { num_nodes, edges }
     }
 
@@ -112,10 +122,19 @@ impl Graph {
 
     /// The symmetrized graph: every edge also present reversed.
     pub fn undirected(&self) -> Graph {
-        let mut edges = self.edges.clone();
-        edges.extend(self.edges.iter().map(|&(a, b)| (b, a)));
-        Graph::from_edges(self.num_nodes, edges)
+        let keys = self
+            .edges
+            .iter()
+            .flat_map(|&(a, b)| [edge_key(a, b), edge_key(b, a)])
+            .collect();
+        Graph::from_keys(self.num_nodes, keys)
     }
+}
+
+/// Packs a directed edge into one sort key, `a` in the high half, so key
+/// order is the edge list's lexicographic order.
+pub(crate) fn edge_key(a: u32, b: u32) -> u64 {
+    (u64::from(a) << 32) | u64::from(b)
 }
 
 #[cfg(test)]

@@ -8,12 +8,44 @@
 //! Use this to run the harness on the *real* Table-2 datasets: download the
 //! files from <https://snap.stanford.edu/data> and load them with
 //! [`read_snap`].
+//!
+//! # Grammar
+//!
+//! [`read_snap`] reads bytes in one pass and never decodes UTF-8.
+//!
+//! - *Lines* end at `\n`; the last line may lack one. Lines are numbered
+//!   from 1, counting comment and blank lines.
+//! - *Separators* are the ASCII whitespace bytes: space, `\t`, `\r` and
+//!   form feed (`\x0c`). A CRLF line therefore parses like its LF form.
+//!   No other byte separates: `\x0b`, NBSP and the other Unicode spaces
+//!   are token bytes.
+//! - On line 1 only, any number of leading UTF-8 byte-order marks
+//!   (`EF BB BF`) are dropped.
+//! - A line with no token, or whose first token starts with `#`, is a
+//!   comment. Its bytes are not read further, so they need not be UTF-8.
+//! - Every other line is an *edge*: exactly two ids, then optionally a
+//!   token starting with `#` that opens an inline comment to the end of
+//!   the line (its bytes are not read either). Any other third token is
+//!   [`SnapError::BadLine`]: a weight column or two lines glued together
+//!   would otherwise load a graph the file does not describe.
+//! - An *id* is an optional `+` followed by one or more ASCII digits whose
+//!   value fits in a `u64`. Anything else is [`SnapError::BadLine`]: a
+//!   `-`, a second sign, a `#` glued to the digits (`1 2#x`) or any
+//!   non-ASCII byte.
+//! - Ids are densified to `0..n` in first-appearance order, `src` before
+//!   `dst` within a line. Dense id `u32::MAX` is never handed out: the
+//!   edge whose node would take it is [`SnapError::TooManyNodes`].
+//!
+//! Self-loops and repeated edges are accepted and dropped by
+//! [`Graph::from_edges`]'s rules; their nodes still take ids.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::error::Error;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::io::{BufRead, BufReader, Read, Write};
 
+use crate::graph::edge_key;
 use crate::Graph;
 
 /// Errors produced while parsing a SNAP edge list.
@@ -56,14 +88,16 @@ impl fmt::Display for SnapError {
 
 impl Error for SnapError {}
 
-/// Reads a SNAP edge list, densifying node identifiers.
+/// Reads a SNAP edge list, densifying node identifiers. The module
+/// documentation gives the grammar.
 ///
-/// A mutable reference to any [`Read`] can be passed.
+/// A mutable reference to any [`Read`] can be passed; it is buffered here.
 ///
 /// # Errors
 ///
-/// Returns [`SnapError::BadLine`] on malformed input or [`SnapError::Io`]
-/// if reading fails.
+/// Returns [`SnapError::BadLine`] on malformed input,
+/// [`SnapError::TooManyNodes`] when the ids overflow the `u32` id space,
+/// or [`SnapError::Io`] if reading fails.
 ///
 /// # Example
 ///
@@ -77,52 +111,192 @@ impl Error for SnapError {}
 /// # Ok::<(), triejax_graph::snap::SnapError>(())
 /// ```
 pub fn read_snap<R: Read>(reader: R) -> Result<Graph, SnapError> {
-    let reader = BufReader::new(reader);
-    let mut ids: HashMap<u64, u32> = HashMap::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    let densify = |raw: u64, ids: &mut HashMap<u64, u32>| -> Option<u32> {
-        if let Some(&id) = ids.get(&raw) {
-            return Some(id);
+    read_with(reader, IdTable::new())
+}
+
+/// The UTF-8 byte-order mark.
+const BOM: &[u8] = b"\xEF\xBB\xBF";
+
+/// [`read_snap`] with the id table given, so a test can start it near
+/// the end of the id space.
+fn read_with<R: Read>(reader: R, mut ids: IdTable) -> Result<Graph, SnapError> {
+    let mut reader = BufReader::new(reader);
+    let mut line = Vec::new();
+    let mut keys = Vec::new();
+    let mut number = 0;
+    loop {
+        line.clear();
+        let read = reader
+            .read_until(b'\n', &mut line)
+            .map_err(|e| SnapError::Io {
+                message: e.to_string(),
+            })?;
+        if read == 0 {
+            break;
         }
-        let next = u32::try_from(ids.len()).ok()?;
-        ids.insert(raw, next);
-        Some(next)
-    };
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| SnapError::Io {
-            message: e.to_string(),
-        })?;
-        // Strip a UTF-8 byte-order mark: editors on some platforms add
-        // one, and it would otherwise glue itself onto the first token.
-        let line = if i == 0 {
-            line.trim_start_matches('\u{feff}')
-        } else {
-            line.as_str()
+        number += 1;
+        let mut bytes = line.as_slice();
+        if number == 1 {
+            while let Some(rest) = bytes.strip_prefix(BOM) {
+                bytes = rest;
+            }
+        }
+        let (a, b) = match parse_line(bytes) {
+            Line::Comment => continue,
+            Line::Bad => return Err(SnapError::BadLine { line: number }),
+            Line::Edge(a, b) => (a, b),
         };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+        let too_many = || SnapError::TooManyNodes { line: number };
+        let a = ids.densify(a).ok_or_else(too_many)?;
+        let b = ids.densify(b).ok_or_else(too_many)?;
+        if a != b {
+            keys.push(edge_key(a, b));
         }
-        let bad = || SnapError::BadLine { line: i + 1 };
-        let mut it = line.split_whitespace();
-        let (a, b) = match (it.next(), it.next()) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return Err(bad()),
-        };
-        // Trailing tokens are corruption (a truncated line glued to the
-        // next, a weight column this format does not model) unless they
-        // open an inline comment. Accepting them silently would load a
-        // different graph than the file describes.
-        if it.next().is_some_and(|rest| !rest.starts_with('#')) {
-            return Err(bad());
-        }
-        let a: u64 = a.parse().map_err(|_| bad())?;
-        let b: u64 = b.parse().map_err(|_| bad())?;
-        let a = densify(a, &mut ids).ok_or(SnapError::TooManyNodes { line: i + 1 })?;
-        let b = densify(b, &mut ids).ok_or(SnapError::TooManyNodes { line: i + 1 })?;
-        edges.push((a, b));
     }
-    Ok(Graph::from_edges(ids.len() as u32, edges))
+    Ok(Graph::from_keys(ids.len(), keys))
+}
+
+/// One line of a SNAP file, classified.
+enum Line {
+    /// Blank or `#`: nothing to load.
+    Comment,
+    /// Two raw ids.
+    Edge(u64, u64),
+    /// Anything else.
+    Bad,
+}
+
+/// Classifies one line (its `\n` may still be attached: it is whitespace).
+fn parse_line(line: &[u8]) -> Line {
+    let mut rest = line.trim_ascii_start();
+    if rest.first().is_none_or(|&byte| byte == b'#') {
+        return Line::Comment;
+    }
+    let Some(a) = parse_id(&mut rest) else {
+        return Line::Bad;
+    };
+    rest = rest.trim_ascii_start();
+    let Some(b) = parse_id(&mut rest) else {
+        return Line::Bad;
+    };
+    match rest.trim_ascii_start().first() {
+        None | Some(b'#') => Line::Edge(a, b),
+        Some(_) => Line::Bad,
+    }
+}
+
+/// Parses the id at the front of `rest`, `+`? digit+ up to ASCII
+/// whitespace or the end of the line, and advances `rest` past it; `None`
+/// on any other byte or on `u64` overflow.
+fn parse_id(rest: &mut &[u8]) -> Option<u64> {
+    let token = rest.strip_prefix(b"+").unwrap_or(rest);
+    let mut value = 0u64;
+    let mut len = 0;
+    for &byte in token {
+        let digit = byte.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(digit))?;
+        len += 1;
+    }
+    let after = &token[len..];
+    let ends_the_token = after.first().is_none_or(u8::is_ascii_whitespace);
+    if len == 0 || !ends_the_token {
+        return None;
+    }
+    *rest = after;
+    Some(value)
+}
+
+/// Densifies raw ids: an open-addressing `u64 → u32` map with linear
+/// probing, kept at most half full by doubling.
+///
+/// A slot holds a dense id plus one (0 marks a free slot, so a grown
+/// table starts zeroed), and the raw ids sit in id order in `raws`; a
+/// probe that finds an id compares against `raws`. At 4 bytes a slot
+/// the table is a quarter of a `(u64, u32)` slot array: a 60 k-node
+/// graph probes 512 KiB of slots. Id `u32::MAX` is never handed out,
+/// because its slot would hold `u32::MAX + 1`.
+///
+/// The slot of a key is the top bits of its product with a random odd
+/// multiplier (multiply-shift hashing), drawn per table from the standard
+/// library's randomly keyed hasher: the ids come from untrusted text, and
+/// a fixed multiplier would let a crafted file pile every id into one
+/// probe run.
+struct IdTable {
+    /// Dense id plus one per slot; 0 is free.
+    slots: Vec<u32>,
+    /// `raws[i]` is the raw id of dense id `base + i`.
+    raws: Vec<u64>,
+    /// The dense id of `raws[0]`: 0, except in a unit test that starts a
+    /// table at the end of the id space.
+    base: u32,
+    multiplier: u64,
+    /// `64 - log2(slots.len())`.
+    shift: u32,
+}
+
+impl IdTable {
+    /// Slots of a fresh table; a fixed size, never one read from the input.
+    const INITIAL_SLOTS: usize = 1024;
+
+    fn new() -> IdTable {
+        IdTable {
+            slots: vec![0; Self::INITIAL_SLOTS],
+            raws: Vec::new(),
+            base: 0,
+            multiplier: RandomState::new().hash_one(0u64) | 1,
+            shift: 64 - Self::INITIAL_SLOTS.trailing_zeros(),
+        }
+    }
+
+    /// Ids handed out so far, which is also the next id to hand out.
+    fn len(&self) -> u32 {
+        self.base + self.raws.len() as u32
+    }
+
+    /// The slot at which `raw`'s probe run starts.
+    fn home(&self, raw: u64) -> usize {
+        (raw.wrapping_mul(self.multiplier) >> self.shift) as usize
+    }
+
+    /// The dense id of `raw`, handing out the next one if `raw` is new;
+    /// `None` if that would be `u32::MAX`.
+    fn densify(&mut self, raw: u64) -> Option<u32> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(raw);
+        while let Some(id) = self.slots[slot].checked_sub(1) {
+            if self.raws[(id - self.base) as usize] == raw {
+                return Some(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = self.len();
+        if id == u32::MAX {
+            return None;
+        }
+        self.slots[slot] = id + 1;
+        self.raws.push(raw);
+        if self.raws.len() * 2 > self.slots.len() {
+            self.grow();
+        }
+        Some(id)
+    }
+
+    /// Doubles the slots and re-places every id.
+    fn grow(&mut self) {
+        self.slots = vec![0; self.slots.len() * 2];
+        self.shift -= 1;
+        let mask = self.slots.len() - 1;
+        for (&raw, id) in self.raws.iter().zip(self.base..) {
+            let mut slot = self.home(raw);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = id + 1;
+        }
+    }
 }
 
 /// Writes a graph in SNAP format (one `src\tdst` line per edge, with a
@@ -249,6 +423,144 @@ mod tests {
             SnapError::Io { message } => assert!(message.contains("disk on fire")),
             other => panic!("expected Io, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_node_that_would_take_id_u32_max_is_too_many() {
+        let mut ids = IdTable::new();
+        ids.base = u32::MAX - 1; // the last id a node can take
+        assert_eq!(ids.densify(80), Some(u32::MAX - 1));
+        assert_eq!(ids.densify(90), None);
+        assert_eq!(
+            ids.densify(80),
+            Some(u32::MAX - 1),
+            "known ids still resolve"
+        );
+
+        let mut ids = IdTable::new();
+        ids.base = u32::MAX - 2;
+        let g = read_with("1 2\n2 1\n".as_bytes(), ids).unwrap();
+        assert_eq!(g.num_nodes(), u32::MAX, "no wrap to 0");
+        assert_eq!(
+            g.edges(),
+            &[(u32::MAX - 2, u32::MAX - 1), (u32::MAX - 1, u32::MAX - 2)]
+        );
+        let mut ids = IdTable::new();
+        ids.base = u32::MAX - 2;
+        assert_eq!(
+            read_with("# two nodes fit\n1 2\n2 3\n".as_bytes(), ids).unwrap_err(),
+            SnapError::TooManyNodes { line: 3 }
+        );
+    }
+
+    #[test]
+    fn the_id_table_grows_past_its_initial_slots() {
+        let mut ids = IdTable::new();
+        let raws: Vec<u64> = (0..5000u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9) << 20)
+            .collect();
+        for (id, &raw) in (0..).zip(&raws) {
+            assert_eq!(ids.densify(raw), Some(id));
+        }
+        assert!(ids.slots.len() >= 2 * raws.len());
+        for (id, &raw) in (0..).zip(&raws) {
+            assert_eq!(ids.densify(raw), Some(id));
+        }
+    }
+
+    // The tests below pin where the byte grammar differs from, or keeps, a
+    // `str`-based reader's behaviour (`lines()`, `trim()`,
+    // `split_whitespace()`, `u64::from_str`).
+
+    #[test]
+    fn a_non_utf8_byte_in_a_comment_is_skipped() {
+        let g = read_snap(&b"# caf\xe9\n  #\xff\xfe\n1 2 # \xc3(\n"[..]).unwrap();
+        assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    fn a_non_utf8_byte_in_a_data_line_is_a_bad_line() {
+        for text in [&b"1 2\n3\xff 4\n"[..], b"1 2\n3 4\xff\n", b"1 2\n\xff\n"] {
+            assert_eq!(
+                read_snap(text).unwrap_err(),
+                SnapError::BadLine { line: 2 },
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nbsp_and_vertical_tab_do_not_separate() {
+        for text in ["1\u{a0}2\n", "1\x0b2\n", "1 2\u{a0}\n", "\x0b1 2\n"] {
+            assert_eq!(
+                read_snap(text.as_bytes()).unwrap_err(),
+                SnapError::BadLine { line: 1 },
+                "{text:?}"
+            );
+        }
+        // Form feed and a lone carriage return are ASCII whitespace.
+        let g = read_snap("1\x0c2\n3\r4\n".as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2);
+    }
+
+    #[test]
+    fn a_leading_plus_is_accepted() {
+        let g = read_snap("+1 2\n1 +002\n".as_bytes()).unwrap();
+        assert_eq!(
+            (g.num_nodes(), g.num_edges()),
+            (2, 1),
+            "+1, 1 and 002 alias"
+        );
+        for text in ["+ 1\n", "++1 2\n", "1 +\n", "-0 1\n", "1 2+\n"] {
+            assert_eq!(
+                read_snap(text.as_bytes()).unwrap_err(),
+                SnapError::BadLine { line: 1 },
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_leading_byte_order_marks_on_line_one_are_stripped() {
+        let g = read_snap("\u{feff}\u{feff}\u{feff}1 2\n".as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        let g = read_snap("\u{feff}# header\n1 2\n".as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(
+            read_snap("1 2\n\u{feff}2 3\n".as_bytes()).unwrap_err(),
+            SnapError::BadLine { line: 2 },
+            "only line 1 may carry a mark"
+        );
+        assert_eq!(
+            read_snap(" \u{feff}1 2\n".as_bytes()).unwrap_err(),
+            SnapError::BadLine { line: 1 },
+            "only before any other byte"
+        );
+    }
+
+    #[test]
+    fn a_hash_glued_to_an_id_is_a_bad_line() {
+        assert_eq!(
+            read_snap("1 2#x\n".as_bytes()).unwrap_err(),
+            SnapError::BadLine { line: 1 }
+        );
+        assert_eq!(
+            read_snap("1 #2\n".as_bytes()).unwrap_err(),
+            SnapError::BadLine { line: 1 }
+        );
+        assert_eq!(read_snap("1 2 #x\n".as_bytes()).unwrap().num_edges(), 1);
+    }
+
+    #[test]
+    fn a_last_line_without_a_newline_parses() {
+        let g = read_snap("1 2\n2 3".as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2);
+        let g = read_snap("1 2\r\n2 3\r".as_bytes()).unwrap();
+        assert_eq!(g.num_edges(), 2);
+        assert_eq!(
+            read_snap("1 2\n2".as_bytes()).unwrap_err(),
+            SnapError::BadLine { line: 2 }
+        );
     }
 
     #[test]
