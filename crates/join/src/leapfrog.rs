@@ -1,3 +1,21 @@
+//! The leapfrog intersection of one join variable — the paper's
+//! MatchMaker + LUB pair (§3.3) — in three kernels that find the same
+//! values in the same order:
+//!
+//! * [`Leapfrog`] runs over any [`JoinCursor`]s, at every level.
+//! * [`SliceLeapfrog`] runs the same loop, probe for probe, over the
+//!   sibling slices of the last variable's members.
+//! * [`BitLeapfrog`] ANDs the last variable's leaf bitmaps word by word,
+//!   for untallied runs.
+//!
+//! The two leaf kernels are const-generic over their member count `K`:
+//! the paper's patterns join their last variable over a fixed one (Path),
+//! two (Cycle) or three (Clique4) atoms, and with `K` a constant the
+//! member loops unroll — a plain slice walk at `K = 1`, a two-slice
+//! gallop at `K = 2`, a three-word AND at `K = 3`. The driver dispatches
+//! on the member count once per leaf visit, for `K` up to
+//! [`SLICE_MEMBERS`]; a leaf with more members runs on the cursor loop.
+
 use triejax_relation::{seek_in, AccessKind, JoinCursor, Tally, Value, WORD_BYTES};
 
 use crate::EngineStats;
@@ -109,12 +127,14 @@ impl Leapfrog {
     }
 }
 
-/// Most members a [`SliceLeapfrog`] runs over; a level with more falls
-/// back to the cursor loop.
-pub(crate) const SLICE_MEMBERS: usize = 8;
+/// Most members a leaf kernel runs over: the driver instantiates
+/// [`SliceLeapfrog`] and [`BitLeapfrog`] for `K` in `1..=SLICE_MEMBERS`,
+/// and a last level joining more cursors runs on the cursor loop.
+pub(crate) const SLICE_MEMBERS: usize = 4;
 
-/// [`Leapfrog`] for the last join variable, run on the members' sibling
-/// slices ([`JoinCursor::sibling_slice`]) instead of through their cursors.
+/// [`Leapfrog`] for the last join variable, run on the `K` members'
+/// sibling slices ([`JoinCursor::sibling_slice`]) instead of through their
+/// cursors.
 ///
 /// Below the last variable nothing is opened, so all a match needs from a
 /// member is its value array: the kernel keeps one slice and one position
@@ -122,49 +142,44 @@ pub(crate) const SLICE_MEMBERS: usize = 8;
 /// issues exactly the probes of [`Leapfrog::search`]/[`Leapfrog::next`] —
 /// the seek is the same [`seek_in`] — and tallies them identically; the
 /// cursors themselves stay where the level was opened.
-pub(crate) struct SliceLeapfrog<'s> {
-    sets: [&'s [Value]; SLICE_MEMBERS],
+pub(crate) struct SliceLeapfrog<'s, const K: usize> {
+    sets: [&'s [Value]; K],
     /// Offsets into `sets`: 0 is where the member's cursor stands.
-    pos: [usize; SLICE_MEMBERS],
-    k: usize,
+    pos: [usize; K],
     p: usize,
 }
 
-impl<'s> SliceLeapfrog<'s> {
+impl<'s, const K: usize> SliceLeapfrog<'s, K> {
     /// A leapfrog over what `members` have left on their deepest open
-    /// level; `None` when there are more than [`SLICE_MEMBERS`] of them or
-    /// one cannot hand out a slice.
+    /// level; `None` when there are not exactly `K` of them or one cannot
+    /// hand out a slice.
     pub(crate) fn over<Cur: JoinCursor>(cursors: &'s [Cur], members: &[usize]) -> Option<Self> {
-        if members.len() > SLICE_MEMBERS {
-            return None;
+        let members: &[usize; K] = members.try_into().ok()?;
+        let mut sets = [&[][..]; K];
+        for (set, &m) in sets.iter_mut().zip(members) {
+            *set = cursors[m].sibling_slice()?;
         }
-        let mut lf = SliceLeapfrog {
-            sets: [&[]; SLICE_MEMBERS],
-            pos: [0; SLICE_MEMBERS],
-            k: members.len(),
+        Some(SliceLeapfrog {
+            sets,
+            pos: [0; K],
             p: 0,
-        };
-        for (i, &m) in members.iter().enumerate() {
-            lf.sets[i] = cursors[m].sibling_slice()?;
-        }
-        Some(lf)
+        })
     }
 
     /// [`Leapfrog::search`] over the slices.
     #[inline]
     pub(crate) fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
         stats.match_ops += 1;
-        let k = self.k;
         let (mut max, mut p) = (0, 0);
-        for i in 0..k {
+        for i in 0..K {
             let key = *self.sets[i].get(self.pos[i])?;
             if i == 0 || key > max {
                 (max, p) = (key, i);
             }
         }
         let mut agree = 1;
-        while agree < k {
-            p = if p + 1 == k { 0 } else { p + 1 };
+        while agree < K {
+            p = if p + 1 == K { 0 } else { p + 1 };
             let set = self.sets[p];
             let mut key = set[self.pos[p]];
             if key != max {
@@ -208,9 +223,9 @@ impl<'s> SliceLeapfrog<'s> {
     }
 }
 
-/// The last join variable's intersection as word ANDs over the members'
-/// presence bitmaps ([`JoinCursor::sibling_bits`]), for untallied runs over
-/// tries that keep leaf bitmaps.
+/// The last join variable's intersection as word ANDs over the `K`
+/// members' presence bitmaps ([`JoinCursor::sibling_bits`]), for untallied
+/// runs over tries that keep leaf bitmaps.
 ///
 /// It ANDs the members' words up to the shortest bitmap and walks the set
 /// bits in ascending order, so it yields exactly the values
@@ -219,9 +234,8 @@ impl<'s> SliceLeapfrog<'s> {
 /// ([`search`](Self::search)) plus one per yielded value, and no
 /// `lub_ops` — there is no search. It records no memory access; tallied
 /// runs keep the sorted-array kernel, which models the paper's LUB unit.
-pub(crate) struct BitLeapfrog<'s> {
-    sets: [&'s [u64]; SLICE_MEMBERS],
-    k: usize,
+pub(crate) struct BitLeapfrog<'s, const K: usize> {
+    sets: [&'s [u64]; K],
     /// Words every member has: the shortest bitmap's length.
     words: usize,
     /// Next word to AND, and the unvisited set bits of the previous one.
@@ -229,26 +243,24 @@ pub(crate) struct BitLeapfrog<'s> {
     bits: u64,
 }
 
-impl<'s> BitLeapfrog<'s> {
+impl<'s, const K: usize> BitLeapfrog<'s, K> {
     /// A bitmap intersection of what `members` have on their deepest open
-    /// level; `None` when there are none or more than [`SLICE_MEMBERS`] of
-    /// them, or one cannot hand out a bitmap.
+    /// level; `None` when there are not exactly `K` of them or one cannot
+    /// hand out a bitmap.
     pub(crate) fn over<Cur: JoinCursor>(cursors: &'s [Cur], members: &[usize]) -> Option<Self> {
-        if !(1..=SLICE_MEMBERS).contains(&members.len()) {
-            return None;
+        let members: &[usize; K] = members.try_into().ok()?;
+        let mut sets = [&[][..]; K];
+        let mut words = usize::MAX;
+        for (set, &m) in sets.iter_mut().zip(members) {
+            *set = cursors[m].sibling_bits()?;
+            words = words.min(set.len());
         }
-        let mut lf = BitLeapfrog {
-            sets: [&[]; SLICE_MEMBERS],
-            k: members.len(),
-            words: usize::MAX,
+        Some(BitLeapfrog {
+            sets,
+            words,
             w: 0,
             bits: 0,
-        };
-        for (i, &m) in members.iter().enumerate() {
-            lf.sets[i] = cursors[m].sibling_bits()?;
-            lf.words = lf.words.min(lf.sets[i].len());
-        }
-        Some(lf)
+        })
     }
 
     /// The first common value, counting the intersection.
@@ -266,7 +278,7 @@ impl<'s> BitLeapfrog<'s> {
                 return None;
             }
             let w = self.w;
-            self.bits = self.sets[1..self.k]
+            self.bits = self.sets[1..]
                 .iter()
                 .fold(self.sets[0][w], |acc, s| acc & s[w]);
             self.w += 1;
@@ -296,32 +308,87 @@ mod tests {
     /// One side's run: its match sequence and what it tallied.
     type Run = (Vec<Match>, EngineStats<Counting>);
 
+    /// The slice kernel's run over `members`, for `K` of them.
+    fn slice_run<const K: usize>(cursors: &[TrieCursor], members: &[usize]) -> Option<Run> {
+        SliceLeapfrog::<K>::over(cursors, members).map(|mut lf| {
+            let mut stats = EngineStats::<Counting>::default();
+            let mut out = Vec::new();
+            let mut m = lf.search(&mut stats);
+            while let Some(v) = m {
+                out.push((v, lf.cache_positions(cursors, members)));
+                m = lf.next(&mut stats);
+            }
+            (out, stats)
+        })
+    }
+
+    /// The bitmap kernel's values and tallies over `members`, for `K` of
+    /// them, untallied as the driver runs it.
+    fn bit_run<const K: usize>(
+        cursors: &[TrieCursor],
+        members: &[usize],
+    ) -> Option<(Vec<Value>, EngineStats<NoTally>)> {
+        BitLeapfrog::<K>::over(cursors, members).map(|mut lf| {
+            let mut stats = EngineStats::<NoTally>::default();
+            let mut out = Vec::new();
+            let mut m = lf.search(&mut stats);
+            while let Some(v) = m {
+                out.push(v);
+                m = lf.next(&mut stats);
+            }
+            (out, stats)
+        })
+    }
+
+    /// [`slice_run`] instantiated for the member count, as the driver's
+    /// leaf dispatch does: `None` above [`SLICE_MEMBERS`].
+    fn slice_dispatch(cursors: &[TrieCursor], members: &[usize]) -> Option<Run> {
+        match members.len() {
+            1 => slice_run::<1>(cursors, members),
+            2 => slice_run::<2>(cursors, members),
+            3 => slice_run::<3>(cursors, members),
+            4 => slice_run::<4>(cursors, members),
+            _ => None,
+        }
+    }
+
+    /// [`bit_run`] instantiated for the member count.
+    fn bit_dispatch(
+        cursors: &[TrieCursor],
+        members: &[usize],
+    ) -> Option<(Vec<Value>, EngineStats<NoTally>)> {
+        match members.len() {
+            1 => bit_run::<1>(cursors, members),
+            2 => bit_run::<2>(cursors, members),
+            3 => bit_run::<3>(cursors, members),
+            4 => bit_run::<4>(cursors, members),
+            _ => None,
+        }
+    }
+
+    /// Cursors over the unary `tries`, each opened on its only level.
+    fn opened(tries: &[Trie]) -> Vec<TrieCursor<'_>> {
+        let mut cursors: Vec<TrieCursor> = tries.iter().map(TrieCursor::new).collect();
+        for c in &mut cursors {
+            assert!(c.open(&mut NoTally));
+        }
+        cursors
+    }
+
     /// Runs the cursor loop and the slice kernel from the same starting
     /// state — member `i` opened and stepped `skips[i]` keys forward, which
     /// exhausts it when that is its whole set — and returns the cursor
     /// loop's run and the kernel's (`None` where the kernel declines).
     fn both_ways(sets: &[&[Value]], skips: &[usize]) -> (Run, Option<Run>) {
         let tries: Vec<Trie> = sets.iter().map(|s| unary(s)).collect();
-        let mut cursors: Vec<TrieCursor> = tries.iter().map(TrieCursor::new).collect();
-        let mut untallied = AccessCounter::default();
+        let mut cursors = opened(&tries);
         for (c, &skip) in cursors.iter_mut().zip(skips) {
-            assert!(c.open(&mut untallied));
             for _ in 0..skip {
-                c.next(&mut untallied);
+                c.next(&mut NoTally);
             }
         }
         let members: Vec<usize> = (0..sets.len()).collect();
-
-        let sliced = SliceLeapfrog::over(&cursors, &members).map(|mut lf| {
-            let mut stats = EngineStats::<Counting>::default();
-            let mut out = Vec::new();
-            let mut m = lf.search(&mut stats);
-            while let Some(v) = m {
-                out.push((v, lf.cache_positions(&cursors, &members)));
-                m = lf.next(&mut stats);
-            }
-            (out, stats)
-        });
+        let sliced = slice_dispatch(&cursors, &members);
 
         let mut stats = EngineStats::<Counting>::default();
         let mut lf = Leapfrog::new(members);
@@ -364,6 +431,9 @@ mod tests {
 
     #[test]
     fn slice_kernel_declines_more_members_than_it_has_room_for() {
+        // The paper's patterns join their last variable over 1 to 3 atoms;
+        // the kernels are instantiated up to one more.
+        assert_eq!(SLICE_MEMBERS, 4);
         let set: &[Value] = &[1, 2, 3];
         let sets = vec![set; SLICE_MEMBERS + 1];
         let (by_cursor, by_slice) = both_ways(&sets, &vec![0; sets.len()]);
@@ -371,21 +441,30 @@ mod tests {
         assert_eq!(by_cursor.0.len(), 3);
         let (_, at_capacity) = both_ways(&sets[1..], &[0; SLICE_MEMBERS]);
         assert_eq!(at_capacity.expect("fits").0.len(), 3);
+        // An instance runs over exactly its `K` members, no more or fewer.
+        let tries = vec![unary(set); SLICE_MEMBERS + 1];
+        let cursors = opened(&tries);
+        let all: Vec<usize> = (0..tries.len()).collect();
+        assert!(SliceLeapfrog::<SLICE_MEMBERS>::over(&cursors, &all).is_none());
+        assert!(BitLeapfrog::<SLICE_MEMBERS>::over(&cursors, &all).is_none());
+        assert!(SliceLeapfrog::<3>::over(&cursors, &all[..2]).is_none());
+        assert!(BitLeapfrog::<3>::over(&cursors, &all[..2]).is_none());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The rule of this file: the slice kernel is the cursor loop made
-        /// cheaper, so from any starting state — including members already
-        /// part-way through or past their set — both find the same matches
+        /// cheaper, so for every `K` it is instantiated for and from any
+        /// starting state — including members already part-way through or
+        /// past their set, and singleton sets — both find the same matches
         /// at the same positions and tally the same `match_ops`, `lub_ops`
         /// and memory reads.
         #[test]
         fn slice_kernel_equals_the_cursor_loop(
             members in prop::collection::vec(
                 (prop::collection::btree_set(0u32..24, 1..12), 0usize..12),
-                1..=5,
+                1..=SLICE_MEMBERS,
             ),
         ) {
             let sets: Vec<Vec<Value>> =
@@ -396,37 +475,60 @@ mod tests {
             let (by_cursor, by_slice) = both_ways(&sets, &skips);
             prop_assert_eq!(Some(&by_cursor), by_slice.as_ref());
         }
+
+        /// The bitmap kernel yields exactly the slice kernel's values, in
+        /// order, for every `K`, over sets spanning several words.
+        #[test]
+        fn bit_kernel_yields_the_slice_kernels_values(
+            sets in prop::collection::vec(
+                prop::collection::btree_set(0u32..128, 2..40),
+                1..=SLICE_MEMBERS,
+            ),
+        ) {
+            let tries: Vec<Trie> = sets
+                .iter()
+                .map(|s| unary(&s.iter().copied().collect::<Vec<_>>()))
+                .collect();
+            let cursors = opened(&tries);
+            let members: Vec<usize> = (0..tries.len()).collect();
+            let (bits, _) = bit_dispatch(&cursors, &members).expect("whole leaf frames");
+            let (sliced, _) = slice_dispatch(&cursors, &members).expect("fits");
+            let sliced: Vec<Value> = sliced.into_iter().map(|(v, _)| v).collect();
+            prop_assert_eq!(bits, sliced);
+        }
     }
 
     #[test]
     fn bit_kernel_counts_one_match_per_intersection_and_per_value() {
         // Dense unary tries keep a one-parent leaf bitmap; 70 and 130 put
         // matches past the first word and the sets' bitmaps differ in length.
-        let sets: [&[Value]; 3] = [
+        let sets: [&[Value]; 4] = [
             &[1, 4, 6, 9, 11, 70, 130],
             &[0, 4, 9, 11, 70, 71, 130],
             &[4, 5, 9, 70, 100],
+            &[2, 4, 70, 128, 130],
         ];
         let tries: Vec<Trie> = sets.iter().map(|s| unary(s)).collect();
-        let mut cursors: Vec<TrieCursor> = tries.iter().map(TrieCursor::new).collect();
-        for c in &mut cursors {
-            assert!(c.has_leaf_bits());
-            assert!(c.open(&mut NoTally));
+        let mut cursors = opened(&tries);
+        assert!(cursors.iter().all(TrieCursor::has_leaf_bits));
+        for (k, expected) in [
+            (2, vec![4, 9, 11, 70, 130]),
+            (3, vec![4, 9, 70]),
+            (4, vec![4, 70]),
+        ] {
+            let members: Vec<usize> = (0..k).collect();
+            let (out, stats) = bit_dispatch(&cursors, &members).expect("whole leaf frames");
+            assert_eq!(out, run_leapfrog(&sets[..k]), "K = {k}");
+            assert_eq!(out, expected, "K = {k}");
+            let ops = (stats.match_ops, stats.lub_ops);
+            assert_eq!(ops, (1 + expected.len() as u64, 0), "K = {k}");
         }
-        let mut lf = BitLeapfrog::over(&cursors, &[0, 1, 2]).expect("whole leaf frames");
-        let mut stats = EngineStats::<NoTally>::default();
-        let mut out = Vec::new();
-        let mut m = lf.search(&mut stats);
-        while let Some(v) = m {
-            out.push(v);
-            m = lf.next(&mut stats);
-        }
-        assert_eq!(out, run_leapfrog(&sets));
-        assert_eq!(out, vec![4, 9, 70]);
-        assert_eq!((stats.match_ops, stats.lub_ops), (1 + 3, 0));
         // An advanced member hands out no bitmap: the driver falls back.
         cursors[1].next(&mut NoTally);
-        assert!(BitLeapfrog::over(&cursors, &[0, 1, 2]).is_none());
+        for k in 2..=SLICE_MEMBERS {
+            let members: Vec<usize> = (0..k).collect();
+            assert!(bit_dispatch(&cursors, &members).is_none(), "K = {k}");
+        }
     }
 
     #[test]

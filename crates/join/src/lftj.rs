@@ -223,8 +223,8 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     range_sup: Option<Value>,
     /// Whether the last level tries [`BitLeapfrog`] first: an untallied
     /// run whose last variable joins 2..=[`SLICE_MEMBERS`] cursors that all
-    /// keep leaf bitmaps. Decided once here, so runs without bitmaps never
-    /// ask for them.
+    /// keep leaf bitmaps (a single member keeps the plain slice walk).
+    /// Decided once here, so runs without bitmaps never ask for them.
     bit_leaf: bool,
     /// Levels on the current path replaying or recording a PJR entry. A
     /// stopping controller may stop the run only while none is: a cached
@@ -498,12 +498,14 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         true
     }
 
-    /// Runs level `d` as a [`SliceLeapfrog`] over the open cursors'
-    /// sibling slices, recording each match into `pending` and emitting
-    /// its row, when it binds the last variable below the root. `None`
-    /// (nothing done) otherwise or when the level has no slice form; else
-    /// whether the level ran to its end (the budget or a stop may cut it
-    /// short).
+    /// Runs level `d` on a leaf kernel when it binds the last variable
+    /// below the root: a [`SliceLeapfrog`] over the open cursors' sibling
+    /// slices, recording each match into `pending` and emitting its row.
+    /// The kernel is instantiated for the level's member count, one
+    /// dispatch per visit, up to [`SLICE_MEMBERS`]. `None` (nothing done)
+    /// for any other level, more members, or members without a slice
+    /// form; else whether the level ran to its end (the budget or a stop
+    /// may cut it short).
     ///
     /// A level that records nothing runs as a [`BitLeapfrog`] instead when
     /// [`Self::bit_leaf`] allows it and every member hands out a bitmap:
@@ -524,49 +526,71 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         }
         // Out of `self` so the slices can outlive the `&mut self` emits.
         let cursors = std::mem::take(&mut self.cursors);
-        let live = (self.bit_leaf && !(P::CACHING && pending.is_some()))
-            .then(|| BitLeapfrog::over(&cursors, members))
-            .flatten()
-            .map(|mut lf| {
-                let mut m = lf.search(&mut self.stats);
-                while let Some(v) = m {
-                    if self.stops_here(ctl) {
-                        self.stop(d, v, ctl);
-                        return false;
-                    }
-                    self.binding[d] = v;
-                    if !self.emit_result(sink) {
-                        return false;
-                    }
-                    m = lf.next(&mut self.stats);
-                }
-                true
-            })
-            .or_else(|| {
-                SliceLeapfrog::over(&cursors, members).map(|mut lf| {
-                    let mut m = lf.search(&mut self.stats);
-                    while let Some(v) = m {
-                        if self.stops_here(ctl) {
-                            self.stop(d, v, ctl);
-                            return false;
-                        }
-                        self.binding[d] = v;
-                        if P::CACHING
-                            && pending.is_some()
-                            && !self.record(pending, v, lf.cache_positions(&cursors, members))
-                        {
-                            return false;
-                        }
-                        if !self.emit_result(sink) {
-                            return false;
-                        }
-                        m = lf.next(&mut self.stats);
-                    }
-                    true
-                })
-            });
+        // One arm per `K` in `1..=SLICE_MEMBERS`.
+        let live = match members.len() {
+            1 => self.leaf_kernel::<1, C>(&cursors, d, members, pending, sink, ctl),
+            2 => self.leaf_kernel::<2, C>(&cursors, d, members, pending, sink, ctl),
+            3 => self.leaf_kernel::<3, C>(&cursors, d, members, pending, sink, ctl),
+            4 => self.leaf_kernel::<4, C>(&cursors, d, members, pending, sink, ctl),
+            _ => None,
+        };
         self.cursors = cursors;
         live
+    }
+
+    /// [`leaf_level`](Self::leaf_level) over exactly `K` members.
+    fn leaf_kernel<const K: usize, C: SplitSpawn>(
+        &mut self,
+        cursors: &[Cur],
+        d: usize,
+        members: &[usize],
+        pending: &mut Option<Recording>,
+        sink: &mut dyn ResultSink,
+        ctl: &mut C,
+    ) -> Option<bool> {
+        // `bit_leaf` already excludes tallied runs and single members; the
+        // constant half keeps the bitmap kernel out of those instances.
+        let recording = P::CACHING && pending.is_some();
+        let bitmap = if !T::ENABLED && K >= 2 && self.bit_leaf && !recording {
+            BitLeapfrog::<K>::over(cursors, members)
+        } else {
+            None
+        };
+        if let Some(mut lf) = bitmap {
+            let mut m = lf.search(&mut self.stats);
+            while let Some(v) = m {
+                if self.stops_here(ctl) {
+                    self.stop(d, v, ctl);
+                    return Some(false);
+                }
+                self.binding[d] = v;
+                if !self.emit_result(sink) {
+                    return Some(false);
+                }
+                m = lf.next(&mut self.stats);
+            }
+            return Some(true);
+        }
+        let mut lf = SliceLeapfrog::<K>::over(cursors, members)?;
+        let mut m = lf.search(&mut self.stats);
+        while let Some(v) = m {
+            if self.stops_here(ctl) {
+                self.stop(d, v, ctl);
+                return Some(false);
+            }
+            self.binding[d] = v;
+            if P::CACHING
+                && pending.is_some()
+                && !self.record(pending, v, lf.cache_positions(cursors, members))
+            {
+                return Some(false);
+            }
+            if !self.emit_result(sink) {
+                return Some(false);
+            }
+            m = lf.next(&mut self.stats);
+        }
+        Some(true)
     }
 
     /// Leapfrog execution at depth `d`, recording the matches for
@@ -979,7 +1003,7 @@ mod tests {
         for cur in &mut cursors {
             assert!(cur.open(&mut NoTally));
         }
-        assert!(SliceLeapfrog::over(&cursors, &[0, 1, 2]).is_some());
+        assert!(SliceLeapfrog::<3>::over(&cursors, &[0, 1, 2]).is_some());
 
         // ... and answers like the rebuilt relation, row for row, doing
         // the rebuilt run's work to the last tallied read.

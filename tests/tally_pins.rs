@@ -8,8 +8,11 @@
 //! Midwife and MatchMaker units would issue for the same query.
 
 use triejax_graph::{Dataset, Scale};
-use triejax_join::{Catalog, CountSink, Ctj, CtjConfig, EngineStats, Lftj, ParCtj, ParLftj};
-use triejax_query::{patterns::Pattern, CompiledQuery};
+use triejax_join::{
+    Catalog, CollectSink, CountSink, Ctj, CtjConfig, EngineStats, JoinEngine, Lftj, ParCtj,
+    ParLftj, Row, Session,
+};
+use triejax_query::{patterns::Pattern, CompiledQuery, Query};
 use triejax_relation::{Counting, NoTally, Relation, Tally};
 
 /// `[lub_ops, expand_ops, match_ops, results, index_reads, index_bytes]`.
@@ -121,5 +124,56 @@ fn lftj_and_ctj_agree_in_every_field_without_a_cache_spec() {
             .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
             .unwrap();
         assert_eq!(lftj, ctj, "{p}");
+    }
+}
+
+/// A last variable joining five atoms — one more than the leaf kernels
+/// are instantiated for — runs on the cursor loop. It serves the
+/// sequential rows through `run()` and `stream()`, bitmaps or not, and
+/// issues the probes the slice kernel issued for it before the cap was
+/// lowered to four members (pinned on that commit).
+#[test]
+fn a_last_variable_above_the_kernel_cap_keeps_rows_and_tallies() {
+    // A path a-b-c-d-e whose five nodes all point at z.
+    let query = Query::builder("fan5")
+        .head(["a", "b", "c", "d", "e", "z"])
+        .atom("G", ["a", "b"])
+        .atom("G", ["b", "c"])
+        .atom("G", ["c", "d"])
+        .atom("G", ["d", "e"])
+        .atom("G", ["a", "z"])
+        .atom("G", ["b", "z"])
+        .atom("G", ["c", "z"])
+        .atom("G", ["d", "z"])
+        .atom("G", ["e", "z"])
+        .build()
+        .unwrap();
+    let plan = CompiledQuery::compile(&query).unwrap();
+    assert_eq!(plan.atoms_at(plan.arity() - 1).len(), 5);
+    // Dense ids keep leaf bitmaps; the same graph spread x1000 has none.
+    let edges: Vec<(u32, u32)> = (0..12u32)
+        .flat_map(|a| (0..12u32).map(move |b| (a, b)))
+        .filter(|&(a, b)| a != b && (a * 7 + b) % 3 != 0)
+        .collect();
+    let lftj_pin: Pin = [621757, 180588, 96740, 26784, 2349262, 10119400];
+    for spread in [1, 1000] {
+        let mut c = Catalog::new();
+        let scaled = edges.iter().map(|&(a, b)| (a * spread, b * spread));
+        c.insert("G", Relation::from_pairs(scaled));
+        let mut oracle = CollectSink::new();
+        let stats = Lftj::new().execute(&plan, &c, &mut oracle).unwrap();
+        assert_eq!(pin(&stats), lftj_pin, "lftj, spread x{spread}");
+        let pooled = ParLftj::with_pool(1)
+            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
+            .unwrap();
+        assert_eq!(pin(&pooled), lftj_pin, "par-lftj pool 1, spread x{spread}");
+        for pool in [1, 2] {
+            let session = Session::new(c.clone()).with_pool(pool);
+            let mut sink = CollectSink::new();
+            session.query(&plan).run(&mut sink).unwrap();
+            assert_eq!(sink.tuples(), oracle.tuples(), "run, pool {pool}");
+            let got: Vec<Row> = session.query(&plan).stream().collect();
+            assert_eq!(got, oracle.tuples(), "stream, pool {pool}");
+        }
     }
 }
