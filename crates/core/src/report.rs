@@ -87,12 +87,6 @@ impl SimReport {
     pub fn energy_j(&self) -> f64 {
         self.energy.total()
     }
-
-    /// Main-memory accesses (64-byte DRAM bursts) — the Figure 17 metric
-    /// for TrieJax.
-    pub fn dram_accesses(&self) -> u64 {
-        self.mem.dram.accesses()
-    }
 }
 
 #[cfg(test)]

@@ -104,7 +104,7 @@ impl CancelToken {
     }
 
     /// Whether [`cancel`](Self::cancel) has been called.
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         self.fired.load(Ordering::Acquire)
     }
 }

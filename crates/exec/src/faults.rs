@@ -8,10 +8,9 @@
 //! exactly from its seed alone.
 //!
 //! The instrumented sites (see [`FaultEvent`]) call [`fire`], which
-//! applies the matched action in place; [`on_event`] only reports the
-//! match. With no plan installed every hook is a single mutex-guarded
-//! `Option` check, and in non-test builds without the `faults` feature
-//! the hooks do not exist at all.
+//! applies the matched action in place. With no plan installed every hook
+//! is a single mutex-guarded `Option` check, and in non-test builds
+//! without the `faults` feature the hooks do not exist at all.
 //!
 //! Installation is process-global and serialized: [`install`] holds a
 //! static lock for the lifetime of the returned [`FaultGuard`], so
@@ -165,7 +164,7 @@ pub fn set_worker(id: usize) {
 }
 
 /// The current thread's recorded worker id.
-pub fn current_worker() -> usize {
+fn current_worker() -> usize {
     WORKER.with(std::cell::Cell::get)
 }
 
@@ -198,7 +197,7 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
 /// Reports `event` on the current thread and returns the matched action,
 /// if any, consuming the matching rule's once-latch. Sites go through
 /// [`fire`], which applies it.
-pub fn on_event(event: FaultEvent) -> Option<FaultAction> {
+fn on_event(event: FaultEvent) -> Option<FaultAction> {
     let active = ACTIVE
         .lock()
         .unwrap_or_else(PoisonError::into_inner)

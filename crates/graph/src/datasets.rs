@@ -72,7 +72,7 @@ pub enum Scale {
 
 impl Scale {
     /// The divisor applied to node and edge counts.
-    pub fn divisor(self) -> u32 {
+    fn divisor(self) -> u32 {
         match self {
             Scale::Full => 1,
             Scale::Mini => 8,
@@ -181,9 +181,9 @@ impl Dataset {
 
     /// Deterministically generates the synthetic stand-in at `scale`.
     ///
-    /// Node and edge counts equal the profile's counts divided by
-    /// [`Scale::divisor`] (exactly; the generator pads or trims to the
-    /// target edge count).
+    /// Node and edge counts equal the profile's counts divided by the
+    /// scale's divisor, 1, 8 or 40 (exactly; the generator pads or trims to
+    /// the target edge count).
     pub fn generate(self, scale: Scale) -> Graph {
         let p = self.profile();
         let div = scale.divisor();

@@ -17,7 +17,7 @@ use triejax_relation::Relation;
 /// let g = Graph::from_edges(4, vec![(0, 1), (1, 2), (0, 1), (2, 0)]);
 /// assert_eq!(g.num_edges(), 3); // duplicate removed
 /// assert_eq!(g.num_nodes(), 4);
-/// assert_eq!(g.out_degree(0), 1);
+/// assert_eq!(g.max_out_degree(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
@@ -71,13 +71,6 @@ impl Graph {
     /// The sorted, deduplicated edge list.
     pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
-    }
-
-    /// Out-degree of vertex `v`.
-    pub fn out_degree(&self, v: u32) -> usize {
-        let lo = self.edges.partition_point(|&(a, _)| a < v);
-        let hi = self.edges.partition_point(|&(a, _)| a <= v);
-        hi - lo
     }
 
     /// Maximum out-degree over all vertices.
@@ -140,6 +133,15 @@ pub(crate) fn edge_key(a: u32, b: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Graph {
+        /// Out-degree of vertex `v`.
+        fn out_degree(&self, v: u32) -> usize {
+            let lo = self.edges.partition_point(|&(a, _)| a < v);
+            let hi = self.edges.partition_point(|&(a, _)| a <= v);
+            hi - lo
+        }
+    }
 
     #[test]
     fn dedup_and_no_self_loops() {

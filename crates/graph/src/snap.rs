@@ -43,7 +43,7 @@ use std::collections::hash_map::RandomState;
 use std::error::Error;
 use std::fmt;
 use std::hash::BuildHasher;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 
 use crate::graph::edge_key;
 use crate::Graph;
@@ -299,32 +299,29 @@ impl IdTable {
     }
 }
 
-/// Writes a graph in SNAP format (one `src\tdst` line per edge, with a
-/// header comment).
-///
-/// # Errors
-///
-/// Returns [`SnapError::Io`] if writing fails.
-pub fn write_snap<W: Write>(graph: &Graph, mut writer: W) -> Result<(), SnapError> {
-    let io = |e: std::io::Error| SnapError::Io {
-        message: e.to_string(),
-    };
-    writeln!(
-        writer,
-        "# Nodes: {} Edges: {}",
-        graph.num_nodes(),
-        graph.num_edges()
-    )
-    .map_err(io)?;
-    for &(a, b) in graph.edges() {
-        writeln!(writer, "{a}\t{b}").map_err(io)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+
+    /// Writes a graph in SNAP format (one `src\tdst` line per edge, with a
+    /// header comment): the oracle the reader is checked against.
+    fn write_snap<W: Write>(graph: &Graph, mut writer: W) -> Result<(), SnapError> {
+        let io = |e: std::io::Error| SnapError::Io {
+            message: e.to_string(),
+        };
+        writeln!(
+            writer,
+            "# Nodes: {} Edges: {}",
+            graph.num_nodes(),
+            graph.num_edges()
+        )
+        .map_err(io)?;
+        for &(a, b) in graph.edges() {
+            writeln!(writer, "{a}\t{b}").map_err(io)?;
+        }
+        Ok(())
+    }
 
     #[test]
     fn parses_comments_and_whitespace() {

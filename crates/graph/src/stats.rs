@@ -116,7 +116,7 @@ impl std::fmt::Display for GraphStats {
 ///
 /// These predict the unfiltered expansion cost of vertex-programming
 /// pattern matching and upper-bound the path-query result counts.
-pub fn walk_counts(graph: &Graph) -> [f64; 4] {
+fn walk_counts(graph: &Graph) -> [f64; 4] {
     let n = graph.num_nodes() as usize;
     let mut ending_at = vec![1.0f64; n];
     let mut counts = [0.0; 4];
@@ -133,25 +133,25 @@ pub fn walk_counts(graph: &Graph) -> [f64; 4] {
     counts
 }
 
-/// Out-degree histogram: `histogram[d]` = number of vertices with
-/// out-degree `d` (the last bucket aggregates the tail).
-pub fn degree_histogram(graph: &Graph, buckets: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; buckets.max(1)];
-    let mut per_node = vec![0usize; graph.num_nodes() as usize];
-    for &(a, _) in graph.edges() {
-        per_node[a as usize] += 1;
-    }
-    for d in per_node {
-        let b = d.min(hist.len() - 1);
-        hist[b] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Dataset, Scale};
+
+    /// Out-degree histogram: `histogram[d]` = number of vertices with
+    /// out-degree `d` (the last bucket aggregates the tail).
+    fn degree_histogram(graph: &Graph, buckets: usize) -> Vec<usize> {
+        let mut hist = vec![0usize; buckets.max(1)];
+        let mut per_node = vec![0usize; graph.num_nodes() as usize];
+        for &(a, _) in graph.edges() {
+            per_node[a as usize] += 1;
+        }
+        for d in per_node {
+            let b = d.min(hist.len() - 1);
+            hist[b] += 1;
+        }
+        hist
+    }
 
     fn triangle() -> Graph {
         Graph::from_edges(3, vec![(0, 1), (1, 2), (2, 0)])

@@ -242,11 +242,6 @@ impl TrieSet {
         &self.tries
     }
 
-    /// Index into [`tries`](Self::tries) used by each atom plan.
-    pub fn atom_trie_indices(&self) -> &[usize] {
-        &self.atom_trie
-    }
-
     /// Assigns simulated addresses to every trie (for cycle-level
     /// simulation); returns the total index footprint in bytes.
     ///
@@ -366,7 +361,7 @@ mod tests {
         // G(x,y) and G(y,z) share the identity-order trie; G(z,x) needs the
         // swapped order: two distinct tries for three atoms.
         assert_eq!(ts.tries().len(), 2);
-        assert_eq!(ts.atom_trie_indices(), &[0, 0, 1]);
+        assert_eq!(ts.atom_trie, [0, 0, 1]);
         assert!(std::ptr::eq(ts.for_atom(0), ts.for_atom(1)));
     }
 
@@ -408,7 +403,7 @@ mod tests {
             let (par, hits, build_ns) = TrieSet::build_on(&plan, &catalog(), &pool, None).unwrap();
             assert_eq!(hits, 0, "no cache, no hits");
             assert!(build_ns > 0, "cold builds report nonzero build time");
-            assert_eq!(par.atom_trie_indices(), seq.atom_trie_indices());
+            assert_eq!(par.atom_trie, seq.atom_trie);
             assert_eq!(par.tries().len(), seq.tries().len());
             for (a, b) in par.tries().iter().zip(seq.tries()) {
                 assert_eq!(a, b, "parallel build must be byte-identical");

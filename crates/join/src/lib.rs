@@ -1,6 +1,6 @@
 //! Software join engines for the TrieJax reproduction.
 //!
-//! Six engines share one interface ([`JoinEngine`]) and one plan format
+//! Seven engines share one interface ([`JoinEngine`]) and one plan format
 //! ([`triejax_query::CompiledQuery`]):
 //!
 //! * [`Lftj`] — LeapFrog TrieJoin (Veldhuizen, ICDT'14): the WCOJ backbone,

@@ -193,8 +193,8 @@ impl Session {
     /// ([`EngineStats::trie_load_ns`]); one that fails the check fails
     /// that query, and every later one that needs it, with
     /// [`JoinError::Store`]. The file's delta entries are restored as the
-    /// session's pending deltas. Files of store format versions 1–3 open
-    /// too (see `triejax-store`).
+    /// session's pending deltas. Only store format version 4 opens (see
+    /// `triejax-store`).
     ///
     /// # Errors
     ///

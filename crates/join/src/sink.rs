@@ -191,7 +191,7 @@ impl<'m> ShardSink<'m> {
     /// # Panics
     ///
     /// Panics if `arity == 0` or `batch_rows == 0`.
-    pub fn with_batch_rows(
+    fn with_batch_rows(
         merge: &'m OrderedMerge<Vec<Value>>,
         lane: usize,
         arity: usize,

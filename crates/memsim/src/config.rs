@@ -81,11 +81,6 @@ impl MemConfig {
         }
     }
 
-    /// Cycles for a duration given in nanoseconds at this clock.
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
-        (ns * self.freq_ghz).round() as u64
-    }
-
     /// Seconds represented by `cycles` at this clock.
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.freq_ghz * 1e9)
@@ -95,6 +90,13 @@ impl MemConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemConfig {
+        /// Cycles for a duration given in nanoseconds at this clock.
+        fn ns_to_cycles(&self, ns: f64) -> u64 {
+            (ns * self.freq_ghz).round() as u64
+        }
+    }
 
     #[test]
     fn presets_match_table3() {

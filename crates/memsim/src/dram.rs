@@ -150,16 +150,18 @@ impl Dram {
         }
         queued + service
     }
-
-    /// Achievable peak bandwidth in bytes per cycle (all channels).
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        self.config.channels as f64 * 64.0 / self.config.burst_cycles as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dram {
+        /// Achievable peak bandwidth in bytes per cycle (all channels).
+        fn peak_bytes_per_cycle(&self) -> f64 {
+            self.config.channels as f64 * 64.0 / self.config.burst_cycles as f64
+        }
+    }
 
     #[test]
     fn row_hits_are_faster() {

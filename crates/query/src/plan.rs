@@ -9,19 +9,12 @@ use crate::{Query, QueryError, VarId};
 /// indexed as both `T(z,w)` and `T(w,z)`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AtomPlan {
-    atom_index: usize,
     relation: String,
     perm: Vec<usize>,
-    var_order: Vec<VarId>,
     depth_of_level: Vec<usize>,
 }
 
 impl AtomPlan {
-    /// Index of the originating atom in [`Query::atoms`].
-    pub fn atom_index(&self) -> usize {
-        self.atom_index
-    }
-
     /// Relation (table) name the trie is built from.
     pub fn relation(&self) -> &str {
         &self.relation
@@ -30,11 +23,6 @@ impl AtomPlan {
     /// Column permutation: trie level `l` stores relation column `perm[l]`.
     pub fn perm(&self) -> &[usize] {
         &self.perm
-    }
-
-    /// Variable bound at each trie level.
-    pub fn var_order(&self) -> &[VarId] {
-        &self.var_order
     }
 
     /// Global evaluation depth of each trie level (strictly increasing).
@@ -101,7 +89,6 @@ impl CacheSpec {
 pub struct CompiledQuery {
     query: Query,
     order: Vec<VarId>,
-    depth_of_var: Vec<usize>,
     atom_plans: Vec<AtomPlan>,
     atoms_at: Vec<Vec<(usize, usize)>>,
     cache_specs: Vec<CacheSpec>,
@@ -156,16 +143,14 @@ impl CompiledQuery {
 
         // Per-atom trie plans: sort each atom's columns by global depth.
         let mut atom_plans = Vec::with_capacity(query.atoms().len());
-        for (ai, atom) in query.atoms().iter().enumerate() {
+        for atom in query.atoms() {
             let mut cols: Vec<usize> = (0..atom.arity()).collect();
             cols.sort_by_key(|&c| depth_of_var[atom.vars()[c]]);
-            let var_order: Vec<VarId> = cols.iter().map(|&c| atom.vars()[c]).collect();
-            let depth_of_level: Vec<usize> = var_order.iter().map(|&v| depth_of_var[v]).collect();
+            let depth_of_level: Vec<usize> =
+                cols.iter().map(|&c| depth_of_var[atom.vars()[c]]).collect();
             atom_plans.push(AtomPlan {
-                atom_index: ai,
                 relation: atom.relation().to_owned(),
                 perm: cols,
-                var_order,
                 depth_of_level,
             });
         }
@@ -210,7 +195,6 @@ impl CompiledQuery {
         Ok(CompiledQuery {
             query: query.clone(),
             order,
-            depth_of_var,
             atom_plans,
             atoms_at,
             cache_specs,
@@ -231,11 +215,6 @@ impl CompiledQuery {
     /// The variable bound at each depth.
     pub fn order(&self) -> &[VarId] {
         &self.order
-    }
-
-    /// Depth at which each variable is bound (inverse of [`order`](Self::order)).
-    pub fn depth_of_var(&self) -> &[usize] {
-        &self.depth_of_var
     }
 
     /// Per-atom trie plans, in atom order.
@@ -291,7 +270,7 @@ impl CompiledQuery {
     /// # Panics
     ///
     /// Panics if `depth >= self.arity()`.
-    pub fn depth_domain_estimate<F>(&self, depth: usize, cardinality: F) -> Option<usize>
+    fn depth_domain_estimate<F>(&self, depth: usize, cardinality: F) -> Option<usize>
     where
         F: Fn(&str) -> Option<usize>,
     {
@@ -456,7 +435,6 @@ mod tests {
         assert!(CompiledQuery::compile_with_order(&q, vec![0, 1, 5]).is_err());
         let plan = CompiledQuery::compile_with_order(&q, vec![2, 1, 0]).unwrap();
         assert_eq!(plan.order(), &[2, 1, 0]);
-        assert_eq!(plan.depth_of_var(), &[2, 1, 0]);
     }
 
     #[test]

@@ -122,16 +122,6 @@ impl<'a> TrieCursor<'a> {
         f.pos
     }
 
-    /// Sibling range `[lo, hi)` of the current level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor is above the root.
-    pub fn sibling_range(&self) -> (usize, usize) {
-        let f = self.top();
-        (f.lo, f.sib.len())
-    }
-
     /// The current key followed by its unvisited siblings (empty once the
     /// level has ended): what a leapfrog over this level has left to look
     /// at, as one sorted slice.
@@ -489,6 +479,18 @@ pub(crate) fn lower_bound<T: Tally>(
 mod tests {
     use super::*;
     use crate::{AccessCounter, NoTally, Relation};
+
+    impl TrieCursor<'_> {
+        /// Sibling range `[lo, hi)` of the current level.
+        ///
+        /// # Panics
+        ///
+        /// Panics if the cursor is above the root.
+        fn sibling_range(&self) -> (usize, usize) {
+            let f = self.top();
+            (f.lo, f.sib.len())
+        }
+    }
 
     fn trie() -> Trie {
         // Level 0: [1, 3, 7]; children: 1 -> [2, 5], 3 -> [4], 7 -> [1, 9]

@@ -71,19 +71,6 @@ impl AddressSpace {
         }
     }
 
-    /// Allocator with a custom alignment (must be a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `align` is zero or not a power of two.
-    pub fn with_alignment(align: u64) -> Self {
-        assert!(align.is_power_of_two(), "alignment must be a power of two");
-        AddressSpace {
-            next: 0x1000,
-            align,
-        }
-    }
-
     /// Reserves `bytes` of simulated memory and returns its span.
     pub fn alloc(&mut self, bytes: u64) -> ArraySpan {
         let base = self.next.next_multiple_of(self.align);
@@ -100,6 +87,21 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AddressSpace {
+        /// Allocator with a custom alignment (must be a power of two).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `align` is zero or not a power of two.
+        fn with_alignment(align: u64) -> Self {
+            assert!(align.is_power_of_two(), "alignment must be a power of two");
+            AddressSpace {
+                next: 0x1000,
+                align,
+            }
+        }
+    }
 
     #[test]
     fn allocations_are_disjoint_and_aligned() {

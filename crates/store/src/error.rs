@@ -31,11 +31,11 @@ pub enum StoreError {
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Newest version this build understands.
+        /// The one version this build reads.
         supported: u32,
     },
-    /// The hash of a checked section — a legacy payload, the directory,
-    /// or one entry's body — does not match the checksum recorded for it.
+    /// The hash of a checked section — the directory or one entry's body —
+    /// does not match the checksum recorded for it.
     ChecksumMismatch {
         /// Checksum recorded in the file.
         expected: u64,
@@ -73,7 +73,7 @@ impl fmt::Display for StoreError {
             StoreError::BadMagic => write!(f, "not a TrieJax store file (bad magic)"),
             StoreError::UnsupportedVersion { found, supported } => write!(
                 f,
-                "store format version {found} is not supported (this build reads up to \
+                "store format version {found} is not supported (this build reads only \
                  version {supported})"
             ),
             StoreError::ChecksumMismatch { expected, found } => write!(

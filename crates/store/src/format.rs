@@ -7,36 +7,6 @@
 //! on a crafted length field.
 
 use crate::StoreError;
-use triejax_relation::Relation;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Continues a byte-serial 64-bit FNV-1a hash from state `h` over `bytes`.
-fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// 64-bit FNV-1a over a byte slice — the checksum of format versions 1
-/// and 2, kept to read those files.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_from(FNV_OFFSET, bytes)
-}
-
-/// The relation fingerprint of format versions 1 and 2: FNV-1a over the
-/// arity as a little-endian `u64`, then every value as a little-endian
-/// `u32`. Kept to re-key the tries of those files.
-pub(crate) fn legacy_fingerprint(relation: &Relation) -> u64 {
-    let arity = fnv1a64_from(FNV_OFFSET, &(relation.arity() as u64).to_le_bytes());
-    relation
-        .values()
-        .iter()
-        .fold(arity, |h, v| fnv1a64_from(h, &v.to_le_bytes()))
-}
 
 /// Append-only little-endian payload writer.
 #[derive(Debug, Default)]
@@ -144,17 +114,6 @@ impl<'a> Reader<'a> {
             detail: "name is not valid UTF-8".into(),
         })
     }
-
-    /// Reads `n` raw little-endian `u32` words. The byte length is checked
-    /// (with overflow-safe arithmetic) before the vector is allocated, so an
-    /// inflated count cannot trigger an outsized allocation.
-    pub(crate) fn words(&mut self, n: usize) -> Result<Vec<u32>, StoreError> {
-        let nbytes = n.checked_mul(4).ok_or(StoreError::Truncated {
-            needed: usize::MAX,
-            available: self.remaining(),
-        })?;
-        Ok(decode_words(self.take(nbytes)?))
-    }
 }
 
 /// The little-endian `u32` words of `bytes` (a trailing partial word is
@@ -185,7 +144,7 @@ mod tests {
         let mut r2 = Reader::new(&bytes[16..]);
         assert_eq!(&bytes[16..19], b"abc");
         r2.take(3).unwrap();
-        assert_eq!(r2.words(3).unwrap(), vec![1, u32::MAX, 0]);
+        assert_eq!(decode_words(r2.take(12).unwrap()), vec![1, u32::MAX, 0]);
         assert!(r2.is_exhausted());
     }
 
@@ -199,27 +158,11 @@ mod tests {
                 available: 3
             })
         ));
-        // A count claiming billions of words must fail the length check,
-        // not attempt the allocation.
-        let mut r = Reader::new(&[0; 8]);
-        assert!(matches!(
-            r.words(1 << 40),
-            Err(StoreError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_fingerprint_is_byte_fnv_over_arity_and_rows() {
-        // The value earlier builds pinned for this relation.
-        let rel = Relation::from_pairs(vec![(1, 2), (3, 4)]);
-        assert_eq!(legacy_fingerprint(&rel), 8_260_193_526_488_586_819);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+        // A length claiming a terabyte must fail the length check, not
+        // attempt the allocation.
+        let mut w = Writer::new();
+        w.u64(1 << 40);
+        let mut r = Reader::new(w.as_bytes());
+        assert!(matches!(r.string(), Err(StoreError::Truncated { .. })));
     }
 }

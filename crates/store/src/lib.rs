@@ -80,24 +80,19 @@
 //! A query that never reads a trie never pays for it. Callers that want
 //! every byte checked before they serve call [`StoredCatalog::verify`].
 //!
-//! # Older versions
-//!
-//! Versions 1–3 still open, through the eager reader they were written
-//! for: one checksum over the whole payload, every trie decoded and checked
-//! at open. Versions 1 and 2 also hash with byte-serial FNV-1a, and their
-//! tries are re-keyed to the current fingerprint as they open. Saving any
-//! catalog writes version 4.
+//! Files of versions 1–3 are rejected with
+//! [`StoreError::UnsupportedVersion`]; a holder of one re-saves it with an
+//! earlier build that still reads them, and it is written as version 4.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;
 mod format;
-mod legacy;
 
 pub use error::StoreError;
 
-use format::{decode_words, fnv1a64, Reader, Writer};
+use format::{decode_words, Reader, Writer};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
@@ -108,15 +103,11 @@ use triejax_relation::{delta, lane_hash, Relation, RelationDelta, Trie, TrieLayo
 /// The magic bytes opening every store file.
 const MAGIC: &[u8; 8] = b"TJXSTORE";
 
-/// The store format version this build writes. Versions 1–3 are still read
-/// (see the crate docs).
+/// The store format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// The oldest store format version this build reads.
-const MIN_FORMAT_VERSION: u32 = 1;
-
-/// Bytes before the first section: magic, version, section length and
-/// section checksum.
+/// Bytes before the directory: magic, version, directory length and
+/// directory checksum.
 const HEADER_BYTES: usize = 28;
 
 /// Directory entry kinds.
@@ -127,9 +118,9 @@ const DELTA: u64 = 3;
 /// One pre-built trie in a stored catalog, addressed by the same
 /// `(name, fingerprint, perm)` triple the in-process trie cache uses.
 ///
-/// A trie read from a version-4 file is a window into the file's buffer
-/// until its first [`StoredTrie::trie`] call checks and decodes it; one
-/// inserted built, or read from an older file, is ready from the start.
+/// A trie read from a file is a window into the file's buffer until its
+/// first [`StoredTrie::trie`] call checks and decodes it; one inserted
+/// built is ready from the start.
 /// Clones share the window and the outcome of its check.
 #[derive(Debug, Clone)]
 pub struct StoredTrie {
@@ -147,9 +138,9 @@ pub struct StoredTrie {
 /// A stored trie: built, or a window into a file with the outcome of its
 /// check once it has had one.
 enum TrieBody {
-    /// Inserted built (or read from a legacy file): nothing to check.
+    /// Inserted built: nothing to check.
     Built(Arc<Trie>),
-    /// Read from a version-4 file: checked on its first touch.
+    /// Read from a file: checked on its first touch.
     Stored {
         window: Window,
         trie: OnceLock<Result<Arc<Trie>, StoreError>>,
@@ -210,7 +201,7 @@ impl StoredTrie {
         }
     }
 
-    /// The trie. The first call on a trie read from a version-4 file checks
+    /// The trie. The first call on a trie read from a file checks
     /// its body — checksum, decode, [`Trie::from_parts`] and the derived
     /// indexes — and every later call, on any clone, returns that outcome.
     ///
@@ -325,8 +316,7 @@ impl StoredCatalog {
         self.deltas.push((name.into(), delta));
     }
 
-    /// The stored pending deltas, in insertion order (empty for every
-    /// version-1 file).
+    /// The stored pending deltas, in insertion order.
     pub fn deltas(&self) -> &[(String, RelationDelta)] {
         &self.deltas
     }
@@ -442,8 +432,7 @@ impl StoredCatalog {
         StoredCatalog::from_file(Arc::new(std::fs::read(path)?))
     }
 
-    /// Parses the file held in `file`: the header, then the payload of a
-    /// version 1–3 file or the directory of a version-4 file.
+    /// Parses the file held in `file`: the header, then the directory.
     fn from_file(file: Arc<Vec<u8>>) -> Result<Self, StoreError> {
         let bytes = &file[..];
         if bytes.len() < MAGIC.len() {
@@ -457,42 +446,24 @@ impl StoredCatalog {
         }
         let mut h = Reader::new(&bytes[MAGIC.len()..]);
         let version = h.u32()?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
             });
         }
-        let head_len = h.count()?;
+        let dir_len = h.count()?;
         let checksum = h.u64()?;
         let available = bytes.len() - HEADER_BYTES;
-        if available < head_len {
+        if available < dir_len {
             return Err(StoreError::Truncated {
-                needed: head_len,
+                needed: dir_len,
                 available,
             });
         }
-        let head = &bytes[HEADER_BYTES..HEADER_BYTES + head_len];
-        let found = match version {
-            1 | 2 => fnv1a64(head),
-            _ => lane_hash(head),
-        };
-        if found != checksum {
-            return Err(StoreError::ChecksumMismatch {
-                expected: checksum,
-                found,
-            });
-        }
-        let catalog = if version < 4 {
-            if available > head_len {
-                return Err(StoreError::Malformed {
-                    detail: format!("{} trailing bytes after payload", available - head_len),
-                });
-            }
-            legacy::parse(version, head)?
-        } else {
-            parse_directory(head, &file, HEADER_BYTES + head_len)?
-        };
+        let dir = &bytes[HEADER_BYTES..HEADER_BYTES + dir_len];
+        check_body(dir, checksum)?;
+        let catalog = parse_directory(dir, &file, HEADER_BYTES + dir_len)?;
         catalog.check_names()?;
         Ok(catalog)
     }
@@ -809,15 +780,7 @@ fn delta_from_sides(
 }
 
 #[cfg(test)]
-extern crate self as triejax_store;
-
-#[cfg(test)]
-#[path = "../tests/support/legacy.rs"]
-mod legacy_writer;
-
-#[cfg(test)]
 mod tests {
-    use super::legacy_writer::{fnv_fingerprint, legacy_file};
     use super::*;
 
     fn sample_catalog() -> StoredCatalog {
@@ -840,27 +803,14 @@ mod tests {
         cat
     }
 
-    /// Wraps a raw version-3 payload in a valid header (correct checksum),
-    /// so tests can hand-craft payload-level corruption for the legacy
-    /// reader.
-    fn frame_v3(payload: &[u8]) -> Vec<u8> {
-        framed(3, lane_hash(payload), payload)
-    }
-
-    fn framed(version: u32, checksum: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out.extend_from_slice(payload);
-        out
-    }
-
     /// A version-4 file of one hand-made directory and the bodies after it.
     fn frame_v4(dir: Writer, bodies: &[u8]) -> Vec<u8> {
         let dir = dir.into_bytes();
-        let mut out = framed(4, lane_hash(&dir), &dir);
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&(dir.len() as u64).to_le_bytes());
+        out.extend_from_slice(&lane_hash(&dir).to_le_bytes());
+        out.extend_from_slice(&dir);
         out.extend_from_slice(bodies);
         out
     }
@@ -965,15 +915,21 @@ mod tests {
 
     #[test]
     fn unsupported_version_is_rejected() {
-        let mut bytes = sample_catalog().to_bytes();
-        bytes[8] = 99;
-        assert!(matches!(
-            StoredCatalog::from_bytes(&bytes).unwrap_err(),
-            StoreError::UnsupportedVersion {
-                found: 99,
-                supported: FORMAT_VERSION
-            }
-        ));
+        // Versions 1–3 are the formats earlier builds wrote; 0, 5 and
+        // u32::MAX were never written.
+        let valid = sample_catalog().to_bytes();
+        for version in [0, 1, 2, 3, 5, u32::MAX] {
+            let mut bytes = valid.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    StoreError::UnsupportedVersion { found, supported: 4 } if found == version
+                ),
+                "version {version}: {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1041,55 +997,15 @@ mod tests {
             StoredCatalog::from_bytes(&bytes).unwrap_err(),
             StoreError::Malformed { .. }
         ));
-        let mut legacy = legacy_file(&sample_catalog(), 3);
-        legacy.push(0);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&legacy).unwrap_err(),
-            StoreError::Malformed { .. }
-        ));
     }
 
     #[test]
     fn oversize_offset_is_rejected_with_its_own_error() {
         // A binary trie with values [1] and child_starts [0, 9] over a
-        // 1-wide leaf: the offset table points past the leaf level.
-        let expect = |err: StoreError| {
-            assert!(
-                matches!(
-                    err,
-                    StoreError::OversizeOffset {
-                        level: 0,
-                        offset: 9,
-                        limit: 1,
-                        ..
-                    }
-                ),
-                "got {err:?}"
-            );
-        };
-        let words = [1, 0, 9, 5]; // values, starts 0..9 (!), leaf value
-                                  // Version 3, hand-crafted with a valid checksum: caught at open.
-        let mut p = Writer::new();
-        p.u64(0); // rel_count
-        p.u64(1); // trie_count
-        p.string("t");
-        p.u64(0xDEAD); // fingerprint
-        p.u64(2); // perm_len
-        p.u64(0);
-        p.u64(1);
-        p.u64(1); // tuple_count
-        p.u64(2); // level_count
-        p.u64(1); // level 0 values
-        p.u64(2); // level 0 child entries
-        p.u64(1); // level 1 values (leaf)
-        p.u64(0);
-        p.u64(4); // word_count
-        p.words(&words);
-        expect(StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err());
-
-        // Version 4: the same trie is caught on first touch.
+        // 1-wide leaf: the offset table points past the leaf level. It is
+        // caught on first touch.
         let mut body = Writer::new();
-        body.words(&words);
+        body.words(&[1, 0, 9, 5]); // values, starts 0..9 (!), leaf value
         let body = body.into_bytes();
         let mut dir = Writer::new();
         dir.u64(1); // entry_count
@@ -1104,78 +1020,55 @@ mod tests {
         dir.u64(body.len() as u64);
         dir.u64(lane_hash(&body));
         let opened = StoredCatalog::from_bytes(&frame_v4(dir, &body)).unwrap();
-        expect(opened.verify().unwrap_err());
+        let err = opened.verify().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::OversizeOffset {
+                    level: 0,
+                    offset: 9,
+                    limit: 1,
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
     fn malformed_payloads_are_rejected_not_panicked_on() {
-        // Row buffer not divisible by arity.
-        let mut p = Writer::new();
-        p.u64(1);
-        p.string("r");
-        p.u64(2); // arity
-        p.u64(3); // word_count — not a multiple of 2
-        p.words(&[1, 2, 3]);
-        p.u64(0);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
-            StoreError::Malformed { .. }
-        ));
-
-        // Zero-arity relation.
-        let mut p = Writer::new();
-        p.u64(1);
-        p.string("r");
-        p.u64(0);
-        p.u64(0);
-        p.u64(0);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
-            StoreError::Malformed { .. }
-        ));
-
-        // Non-UTF-8 name.
-        let mut p = Writer::new();
-        p.u64(1);
-        p.u64(2);
-        p.bytes(&[0xFF, 0xFE]);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
-            StoreError::Malformed { .. }
-        ));
-
-        // Inflated word count: claims 2^40 words in an 8-byte payload.
-        let mut p = Writer::new();
-        p.u64(1);
-        p.string("r");
-        p.u64(2);
-        p.u64(1 << 40);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err(),
-            StoreError::Truncated { .. }
-        ));
-
-        // Version 4: a relation body of 3 words under arity 2, an entry
-        // of an unknown kind, and one that starts past its predecessor.
-        let relation = |kind: u64, arity: u64, offset: u64| {
+        // One relation entry over a 3-word body, its key fields as given.
+        let relation = |kind: u64, name: &[u8], arity: u64, offset: u64, len: u64| {
             let body: Vec<u8> = [1u32, 2, 3].iter().flat_map(|w| w.to_le_bytes()).collect();
             let mut dir = Writer::new();
             dir.u64(1);
             dir.u64(kind);
-            dir.string("r");
+            dir.u64(name.len() as u64);
+            dir.bytes(name);
             dir.u64(arity);
             dir.u64(offset);
-            dir.u64(body.len() as u64);
+            dir.u64(len);
             dir.u64(lane_hash(&body));
             StoredCatalog::from_bytes(&frame_v4(dir, &body)).unwrap_err()
         };
-        for err in [
-            relation(RELATION, 2, 0),
-            relation(9, 1, 0),
-            relation(RELATION, 1, 4),
+        for (what, err) in [
+            ("3 words under arity 2", relation(RELATION, b"r", 2, 0, 12)),
+            ("zero arity", relation(RELATION, b"r", 0, 0, 12)),
+            (
+                "non-UTF-8 name",
+                relation(RELATION, &[0xFF, 0xFE], 1, 0, 12),
+            ),
+            ("unknown kind", relation(9, b"r", 1, 0, 12)),
+            ("past its predecessor", relation(RELATION, b"r", 1, 4, 12)),
         ] {
-            assert!(matches!(err, StoreError::Malformed { .. }), "{err:?}");
+            assert!(
+                matches!(err, StoreError::Malformed { .. }),
+                "{what}: {err:?}"
+            );
         }
+        // Inflated word count: claims 2^40 words over a 12-byte body.
+        let err = relation(RELATION, b"r", 1, 0, 4 << 40);
+        assert!(matches!(err, StoreError::Truncated { .. }), "{err:?}");
     }
 
     #[test]
@@ -1208,13 +1101,11 @@ mod tests {
             ("a delta without its relation", orphan, "no relation"),
             ("two deltas of one relation", doubled, "two deltas"),
         ] {
-            for (version, bytes) in [(4, cat.to_bytes()), (3, legacy_file(&cat, 3))] {
-                let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
-                assert!(
-                    matches!(err, StoreError::Malformed { ref detail } if detail.contains(says)),
-                    "{what}, version {version}: {err:?}"
-                );
-            }
+            let err = StoredCatalog::from_bytes(&cat.to_bytes()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Malformed { ref detail } if detail.contains(says)),
+                "{what}: {err:?}"
+            );
         }
     }
 
@@ -1263,64 +1154,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_files_open_with_their_tries_re_keyed() {
-        let mut cat = sample_catalog();
-        // A stale trie, keyed by data the file no longer holds.
-        let stale = Relation::from_pairs(vec![(5, 6)]);
-        cat.insert_trie(
-            "edge",
-            fnv_fingerprint(&stale),
-            vec![0, 1],
-            Arc::new(Trie::build(&stale)),
-        );
-        let fresh = cat.relations()[0].1.fingerprint();
-        for version in [1, 2, 3] {
-            let mut file = cat.clone();
-            if version >= 2 {
-                file.insert_delta(
-                    "edge",
-                    RelationDelta::from_parts(
-                        Relation::from_pairs(vec![(7, 8)]),
-                        Relation::from_pairs(vec![(1, 2)]),
-                    )
-                    .unwrap(),
-                );
-            }
-            let bytes = legacy_file(&file, version);
-            let back = StoredCatalog::from_bytes(&bytes)
-                .unwrap_or_else(|e| panic!("version {version} does not open: {e}"));
-            assert_eq!(back.relations(), file.relations());
-            assert_eq!(back.deltas(), file.deltas());
-            let keys: Vec<u64> = back.tries().iter().map(|t| t.fingerprint).collect();
-            assert_eq!(
-                keys,
-                [fresh, fresh, fnv_fingerprint(&stale)],
-                "version {version}: live tries re-keyed, the stale one left alone"
-            );
-            assert!(back.tries().iter().all(StoredTrie::is_checked));
-            // Saving again writes version 4 with the current keys.
-            let again = StoredCatalog::from_bytes(&back.to_bytes()).unwrap();
-            assert_eq!(again.tries()[0].fingerprint, fresh);
-            assert_eq!(again.to_bytes(), file.to_bytes());
-        }
-        // A legacy file checked with the new hash, or a lane-hashed file
-        // checked with the old one, is a checksum mismatch.
-        let v1 = legacy_file(&sample_catalog(), 1);
-        let mut as_v3 = v1.clone();
-        as_v3[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert!(matches!(
-            StoredCatalog::from_bytes(&as_v3).unwrap_err(),
-            StoreError::ChecksumMismatch { .. }
-        ));
-        let mut as_v2 = legacy_file(&sample_catalog(), 3);
-        as_v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert!(matches!(
-            StoredCatalog::from_bytes(&as_v2).unwrap_err(),
-            StoreError::ChecksumMismatch { .. }
-        ));
-    }
-
-    #[test]
     fn a_trie_filed_under_a_non_permutation_is_rejected() {
         let edges = Relation::from_pairs(vec![(1, 2), (2, 3)]);
         let unary = Relation::from_tuples(1, vec![vec![1u32], vec![2]]).unwrap();
@@ -1343,49 +1176,36 @@ mod tests {
                 perm.clone(),
                 Arc::new(Trie::build(rel)),
             );
-            for bytes in [cat.to_bytes(), legacy_file(&cat, 3)] {
-                let err = StoredCatalog::from_bytes(&bytes).unwrap_err();
-                assert!(
-                    matches!(err, StoreError::Malformed { ref detail } if detail.contains("permutation")),
-                    "perm {perm:?}: {err:?}"
-                );
-            }
+            let err = StoredCatalog::from_bytes(&cat.to_bytes()).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Malformed { ref detail } if detail.contains("permutation")),
+                "perm {perm:?}: {err:?}"
+            );
         }
     }
 
     #[test]
     fn overlapping_delta_sides_are_rejected_at_parse_time() {
-        // Hand-craft a v3 payload whose delta lists (1,2) as both insert
-        // and tombstone — from_parts can't see this (it only checks
-        // arity), so the store validates disjointness itself.
-        let mut p = Writer::new();
-        p.u64(0); // rel_count
-        p.u64(0); // trie_count
-        p.u64(1); // delta_count
-        p.string("r");
-        p.u64(2); // arity
-        p.u64(2); // insert words
-        p.words(&[1, 2]);
-        p.u64(2); // tombstone words
-        p.words(&[1, 2]);
-        let err = StoredCatalog::from_bytes(&frame_v3(&p.into_bytes())).unwrap_err();
+        // Hand-craft a delta entry that lists (1,2) as both insert and
+        // tombstone — from_parts can't see this (it only checks arity), so
+        // the store validates disjointness itself.
+        let mut body = Writer::new();
+        body.words(&[1, 2, 1, 2]);
+        let body = body.into_bytes();
+        let mut dir = Writer::new();
+        dir.u64(1); // entry_count
+        dir.u64(DELTA);
+        dir.string("r");
+        dir.u64(2); // arity
+        dir.u64(2); // insert words
+        dir.u64(2); // tombstone words
+        dir.u64(0); // offset
+        dir.u64(body.len() as u64);
+        dir.u64(lane_hash(&body));
+        let err = StoredCatalog::from_bytes(&frame_v4(dir, &body)).unwrap_err();
         assert!(
             matches!(err, StoreError::Malformed { ref detail } if detail.contains("insert and tombstone")),
             "got {err:?}"
         );
-    }
-
-    #[test]
-    fn version_1_files_do_not_carry_a_delta_section() {
-        // A v1 frame whose payload *ends* in delta-looking bytes must be
-        // rejected as unparsed bytes, not silently parsed.
-        let v1 = legacy_file(&sample_catalog(), 1);
-        let mut payload = v1[HEADER_BYTES..].to_vec();
-        payload.extend_from_slice(&0u64.to_le_bytes());
-        let bytes = framed(1, fnv1a64(&payload), &payload);
-        assert!(matches!(
-            StoredCatalog::from_bytes(&bytes).unwrap_err(),
-            StoreError::Malformed { ref detail } if detail.contains("unparsed")
-        ));
     }
 }

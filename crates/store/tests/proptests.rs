@@ -2,19 +2,15 @@
 //! short, one bit flipped, a length field made to lie — opening it and
 //! checking every trie returns a typed [`StoreError`], never a panic or an
 //! outsized allocation, and a flipped bit past the header is always caught
-//! by a checksum. The same holds for files of format version 3, which the
-//! legacy reader opens.
-
-mod support;
+//! by a checksum.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use support::legacy::legacy_file;
 use triejax_relation::{lane_hash, Relation, RelationDelta, Trie, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
-/// Bytes before the payload: magic, version, payload length, checksum.
+/// Bytes before the directory: magic, version, directory length, checksum.
 const HEADER: usize = 28;
 
 /// Every permutation of `0..n` for `n <= 3`, in lexicographic order.
@@ -75,9 +71,9 @@ fn field(bytes: &[u8], at: &mut usize, fields: &mut Vec<usize>, is_length: bool)
     v
 }
 
-/// Offsets (within the directory) of every field of a version-4 directory
-/// that counts bytes or entries, or places a body.
-fn length_fields_v4(dir: &[u8]) -> Vec<usize> {
+/// Offsets (within the directory) of every field of the directory that
+/// counts bytes or entries, or places a body.
+fn length_fields(dir: &[u8]) -> Vec<usize> {
     let mut fields = Vec::new();
     let mut at = 0;
     let f = &mut fields;
@@ -113,40 +109,6 @@ fn length_fields_v4(dir: &[u8]) -> Vec<usize> {
     fields
 }
 
-/// Offsets (within the payload) of every field of a version-3 payload that
-/// counts bytes or entries.
-fn length_fields_v3(payload: &[u8]) -> Vec<usize> {
-    let mut fields = Vec::new();
-    let mut at = 0;
-    let (p, f) = (payload, &mut fields);
-    for _ in 0..field(p, &mut at, f, true) {
-        at += field(p, &mut at, f, true); // name
-        field(p, &mut at, f, false); // arity
-        at += 4 * field(p, &mut at, f, true);
-    }
-    for _ in 0..field(p, &mut at, f, true) {
-        at += field(p, &mut at, f, true); // name
-        field(p, &mut at, f, false); // fingerprint
-        for _ in 0..field(p, &mut at, f, true) {
-            field(p, &mut at, f, false); // perm entry
-        }
-        field(p, &mut at, f, false); // tuple count
-        for _ in 0..field(p, &mut at, f, true) {
-            field(p, &mut at, f, true); // values
-            field(p, &mut at, f, true); // child entries
-        }
-        at += 4 * field(p, &mut at, f, true);
-    }
-    for _ in 0..field(p, &mut at, f, true) {
-        at += field(p, &mut at, f, true); // name
-        field(p, &mut at, f, false); // arity
-        at += 4 * field(p, &mut at, f, true); // inserts
-        at += 4 * field(p, &mut at, f, true); // tombstones
-    }
-    assert_eq!(at, payload.len(), "the walk covers the payload");
-    fields
-}
-
 /// Opens `bytes` and checks every trie in it.
 fn open_and_verify(bytes: &[u8]) -> Result<StoredCatalog, StoreError> {
     let catalog = StoredCatalog::from_bytes(bytes)?;
@@ -154,14 +116,13 @@ fn open_and_verify(bytes: &[u8]) -> Result<StoredCatalog, StoreError> {
     Ok(catalog)
 }
 
-/// `bytes`' header around a new first section `head` (a version-3 payload
-/// or a version-4 directory of the same length), with a correct checksum,
-/// and `bytes`' bodies after it.
-fn reframe(bytes: &[u8], head: &[u8]) -> Vec<u8> {
+/// `bytes`' header around a new directory `dir` of the same length, with a
+/// correct checksum, and `bytes`' bodies after it.
+fn reframe(bytes: &[u8], dir: &[u8]) -> Vec<u8> {
     let mut out = bytes[..20].to_vec();
-    out.extend_from_slice(&lane_hash(head).to_le_bytes());
-    out.extend_from_slice(head);
-    out.extend_from_slice(&bytes[HEADER + head.len()..]);
+    out.extend_from_slice(&lane_hash(dir).to_le_bytes());
+    out.extend_from_slice(dir);
+    out.extend_from_slice(&bytes[HEADER + dir.len()..]);
     out
 }
 
@@ -176,8 +137,7 @@ fn arb_shape() -> impl Strategy<Value = (usize, Vec<Vec<Value>>, usize)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cuts, bit flips and lying length fields all give a typed error, on
-    /// version-4 files and version-3 ones alike.
+    /// Cuts, bit flips and lying length fields all give a typed error.
     #[test]
     fn damaged_files_give_typed_errors(
         shapes in prop::collection::vec(arb_shape(), 1..3),
@@ -185,50 +145,40 @@ proptest! {
         cut in any::<u64>(),
         lie in any::<u64>(),
     ) {
-        let catalog = catalog(&shapes, &delta);
-        for version in [4, 3] {
-            let bytes = match version {
-                4 => catalog.to_bytes(),
-                _ => legacy_file(&catalog, 3),
-            };
-            prop_assert!(open_and_verify(&bytes).is_ok());
+        let bytes = catalog(&shapes, &delta).to_bytes();
+        prop_assert!(open_and_verify(&bytes).is_ok());
 
-            // Cut anywhere: inside the header, or short of the sections
-            // it announces.
-            let cut = (cut % bytes.len() as u64) as usize;
-            let err = open_and_verify(&bytes[..cut]).unwrap_err();
-            prop_assert!(matches!(err, StoreError::Truncated { .. }), "v{} cut {}: {:?}", version, cut, err);
+        // Cut anywhere: inside the header, or short of the sections it
+        // announces.
+        let cut = (cut % bytes.len() as u64) as usize;
+        let err = open_and_verify(&bytes[..cut]).unwrap_err();
+        prop_assert!(matches!(err, StoreError::Truncated { .. }), "cut {}: {:?}", cut, err);
 
-            // Every single-bit flip fails; past the header it is a
-            // checksum mismatch.
-            for bit in 0..bytes.len() * 8 {
-                let mut flipped = bytes.clone();
-                flipped[bit / 8] ^= 1 << (bit % 8);
-                let err = open_and_verify(&flipped).unwrap_err();
+        // Every single-bit flip fails; past the header it is a checksum
+        // mismatch.
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let err = open_and_verify(&flipped).unwrap_err();
+            prop_assert!(
+                bit / 8 < HEADER || matches!(err, StoreError::ChecksumMismatch { .. }),
+                "bit {}: {:?}", bit, err
+            );
+        }
+
+        // Each length field in turn claiming more than it holds, under a
+        // valid checksum so the parser itself has to catch it.
+        let dir_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
+        let dir = &bytes[HEADER..HEADER + dir_len];
+        for at in length_fields(dir) {
+            let truth = u64::from_le_bytes(dir[at..at + 8].try_into().unwrap());
+            for claim in [truth + 1 + lie % 64, 1 << 40, u64::MAX - lie % 4] {
+                let mut lying = dir.to_vec();
+                lying[at..at + 8].copy_from_slice(&claim.to_le_bytes());
                 prop_assert!(
-                    bit / 8 < HEADER || matches!(err, StoreError::ChecksumMismatch { .. }),
-                    "v{} bit {}: {:?}", version, bit, err
+                    open_and_verify(&reframe(&bytes, &lying)).is_err(),
+                    "field at {} claiming {} (truly {}) parsed", at, claim, truth
                 );
-            }
-
-            // Each length field in turn claiming more than it holds, under
-            // a valid checksum so the parser itself has to catch it.
-            let head_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap()) as usize;
-            let head = &bytes[HEADER..HEADER + head_len];
-            let fields = match version {
-                4 => length_fields_v4(head),
-                _ => length_fields_v3(head),
-            };
-            for at in fields {
-                let truth = u64::from_le_bytes(head[at..at + 8].try_into().unwrap());
-                for claim in [truth + 1 + lie % 64, 1 << 40, u64::MAX - lie % 4] {
-                    let mut lying = head.to_vec();
-                    lying[at..at + 8].copy_from_slice(&claim.to_le_bytes());
-                    prop_assert!(
-                        open_and_verify(&reframe(&bytes, &lying)).is_err(),
-                        "v{}: field at {} claiming {} (truly {}) parsed", version, at, claim, truth
-                    );
-                }
             }
         }
     }

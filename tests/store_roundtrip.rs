@@ -7,10 +7,6 @@
 //! found by the first query that needs it, which fails with a typed error,
 //! while queries that do not need it keep serving.
 
-#[path = "../crates/store/tests/support/legacy.rs"]
-mod legacy;
-
-use legacy::legacy_file;
 use proptest::prelude::*;
 use std::sync::Arc;
 use triejax_join::{
@@ -158,53 +154,6 @@ fn cycle3_cycle4_serve_with_zero_builds_after_reopen() {
         producer.trie_cache().insertions(),
         "reopened cache holds exactly the stored tries"
     );
-}
-
-/// Files written by earlier builds — version 1, and versions 2 and 3 with
-/// a pending delta — open with their legacy checksums and fingerprints,
-/// and Cycle3/Cycle4 over them run with zero trie builds: the reader
-/// re-keys the tries of versions 1 and 2 to the current fingerprint.
-#[test]
-fn legacy_files_serve_cycle3_cycle4_with_zero_builds() {
-    let catalog = catalog_from(
-        (0..24u32)
-            .flat_map(|i| [(i, (i + 1) % 24), (i, (i + 3) % 24), ((i + 5) % 24, i)])
-            .collect(),
-    );
-    let plans: Vec<CompiledQuery> = [patterns::cycle3(), patterns::cycle4()]
-        .iter()
-        .map(|q: &Query| CompiledQuery::compile(q).expect("compiles"))
-        .collect();
-    for version in [1, 2, 3] {
-        let producer = Session::new(catalog.clone()).with_pool(2);
-        if version >= 2 {
-            // A pending delta on a relation the queries do not read, so
-            // their tries are the stored ones and nothing else.
-            let h = Relation::from_pairs(vec![(1, 2), (2, 3)]);
-            let none = Relation::new(2).expect("arity 2");
-            producer.apply("H", &h, &none).expect("applies");
-        }
-        let stored = producer.snapshot(&plans).expect("snapshot");
-        let file = legacy_file(&stored, version);
-        let reopened = StoredCatalog::from_bytes(&file)
-            .unwrap_or_else(|e| panic!("version {version} does not open: {e}"));
-        assert_eq!(reopened.deltas(), stored.deltas());
-        let reopened = Session::from_stored(reopened).with_pool(2);
-        for plan in &plans {
-            let mut sink = CollectSink::new();
-            let stats = reopened.query(plan).run(&mut sink).expect("serves");
-            assert_eq!(
-                sink.tuples(),
-                sequential(plan, &catalog),
-                "version {version}"
-            );
-            assert_eq!(
-                stats.trie_build_ns, 0,
-                "version {version}: the re-keyed stored tries serve"
-            );
-            assert!(stats.trie_cache_hits > 0);
-        }
-    }
 }
 
 /// A checksum-valid file holding a trie filed under a permutation that is
