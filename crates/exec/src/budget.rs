@@ -1,12 +1,11 @@
-//! Query governance: cancellation, deadlines, and result/intermediate
-//! budgets, cheaply pollable from every worker of a parallel run.
+//! Query governance: cancellation, deadlines and result-row quotas,
+//! cheaply pollable from every worker of a parallel run.
 //!
 //! A [`RunBudget`] is the shared governance state of one query run:
 //! a sticky cancellation flag (first tripped reason wins), an optional
-//! wall-clock deadline, an optional result-row quota, and an optional
-//! intermediate-tuple budget. It is carried as an `Arc` through the pool,
-//! the split controllers, and the merge drain, and polled at the natural
-//! boundaries of every engine loop.
+//! wall-clock deadline and an optional result-row quota. It is shared as
+//! an `Arc` by every pool task and the merge drain, and polled at the
+//! natural boundaries of every engine loop.
 //!
 //! Engines stay zero-cost when un-governed through the [`Budget`] trait:
 //! a kernel generic over `B: Budget` monomorphizes with [`NoBudget`] into
@@ -45,8 +44,6 @@ pub enum CancelReason {
     Deadline,
     /// The result-row quota was reached.
     RowLimit,
-    /// The intermediate-tuple budget was exhausted.
-    MemoryBudget,
 }
 
 impl std::fmt::Display for CancelReason {
@@ -55,7 +52,6 @@ impl std::fmt::Display for CancelReason {
             CancelReason::External => "cancelled by the caller",
             CancelReason::Deadline => "wall-clock deadline passed",
             CancelReason::RowLimit => "result-row limit reached",
-            CancelReason::MemoryBudget => "intermediate-tuple budget exhausted",
         };
         f.write_str(s)
     }
@@ -69,7 +65,6 @@ fn encode(reason: CancelReason) -> u8 {
         CancelReason::External => 1,
         CancelReason::Deadline => 2,
         CancelReason::RowLimit => 3,
-        CancelReason::MemoryBudget => 4,
     }
 }
 
@@ -79,7 +74,7 @@ fn decode(flag: u8) -> Option<CancelReason> {
         1 => Some(CancelReason::External),
         2 => Some(CancelReason::Deadline),
         3 => Some(CancelReason::RowLimit),
-        _ => Some(CancelReason::MemoryBudget),
+        _ => unreachable!("the flag only ever holds `encode`'s values"),
     }
 }
 
@@ -121,8 +116,6 @@ pub struct RunBudget {
     deadline: Option<Instant>,
     row_limit: Option<u64>,
     produced: AtomicU64,
-    intermediate_limit: Option<u64>,
-    intermediates: AtomicU64,
     external: Option<CancelToken>,
 }
 
@@ -146,14 +139,6 @@ impl RunBudget {
     #[must_use]
     pub fn with_row_limit(mut self, limit: u64) -> Self {
         self.row_limit = Some(limit);
-        self
-    }
-
-    /// Caps charged intermediate tuples (cache entry rows, materialized
-    /// candidate sets) at `limit`.
-    #[must_use]
-    pub fn with_intermediate_limit(mut self, limit: u64) -> Self {
-        self.intermediate_limit = Some(limit);
         self
     }
 
@@ -229,20 +214,6 @@ impl RunBudget {
         }
         allowed
     }
-
-    /// Charges `n` intermediate tuples against the memory budget.
-    /// Returns `false` (and trips the flag) once the budget is exceeded.
-    pub fn charge_intermediates(&self, n: u64) -> bool {
-        let Some(limit) = self.intermediate_limit else {
-            return true;
-        };
-        let prev = self.intermediates.fetch_add(n, Ordering::AcqRel);
-        if prev + n > limit {
-            self.cancel(CancelReason::MemoryBudget);
-            return false;
-        }
-        true
-    }
 }
 
 /// Per-kernel budget interface. Join kernels are generic over it so that
@@ -260,10 +231,6 @@ pub trait Budget {
     /// Charges one result row; `false` means the row (and everything
     /// after it) must not be emitted.
     fn charge_row(&mut self) -> bool;
-
-    /// Charges `n` intermediate tuples; `false` means the memory budget
-    /// tripped and the kernel should stop.
-    fn charge_intermediates(&mut self, n: u64) -> bool;
 }
 
 /// The zero-cost default: no checks, no state, nothing to trip. Kernels
@@ -282,11 +249,6 @@ impl Budget for NoBudget {
 
     #[inline(always)]
     fn charge_row(&mut self) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn charge_intermediates(&mut self, _n: u64) -> bool {
         true
     }
 }
@@ -369,11 +331,6 @@ impl Budget for BudgetHandle {
             self.budget.cancelled().is_none()
         }
     }
-
-    #[inline]
-    fn charge_intermediates(&mut self, n: u64) -> bool {
-        self.budget.charge_intermediates(n)
-    }
 }
 
 #[cfg(test)]
@@ -385,7 +342,6 @@ mod tests {
         let b = RunBudget::new();
         assert_eq!(b.cancelled(), None);
         assert_eq!(b.charge_rows(1_000_000), 1_000_000);
-        assert!(b.charge_intermediates(1_000_000));
         assert_eq!(b.refresh(), None);
     }
 
@@ -419,15 +375,6 @@ mod tests {
         let b = RunBudget::new().with_row_limit(10);
         b.cancel(CancelReason::External);
         assert_eq!(b.charge_rows(4), 0);
-    }
-
-    #[test]
-    fn intermediate_budget_trips_once_exceeded() {
-        let b = RunBudget::new().with_intermediate_limit(10);
-        assert!(b.charge_intermediates(10), "exactly the budget is fine");
-        assert_eq!(b.cancelled(), None);
-        assert!(!b.charge_intermediates(1));
-        assert_eq!(b.cancelled(), Some(CancelReason::MemoryBudget));
     }
 
     #[test]
@@ -506,19 +453,27 @@ mod tests {
         const { assert!(!NoBudget::GOVERNED) }
         assert_eq!(b.poll(), None);
         assert!(b.charge_row());
-        assert!(b.charge_intermediates(u64::MAX));
     }
+
+    const REASONS: [CancelReason; 3] = [
+        CancelReason::External,
+        CancelReason::Deadline,
+        CancelReason::RowLimit,
+    ];
 
     #[test]
     fn reasons_display_distinctly() {
-        let reasons = [
-            CancelReason::External,
-            CancelReason::Deadline,
-            CancelReason::RowLimit,
-            CancelReason::MemoryBudget,
-        ];
         let rendered: std::collections::BTreeSet<String> =
-            reasons.iter().map(ToString::to_string).collect();
-        assert_eq!(rendered.len(), reasons.len());
+            REASONS.iter().map(ToString::to_string).collect();
+        assert_eq!(rendered.len(), REASONS.len());
+    }
+
+    #[test]
+    fn every_reason_round_trips_through_the_flag() {
+        for reason in REASONS {
+            assert_ne!(encode(reason), LIVE, "{reason:?} must not read as live");
+            assert_eq!(decode(encode(reason)), Some(reason));
+        }
+        assert_eq!(decode(LIVE), None);
     }
 }

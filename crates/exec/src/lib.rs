@@ -42,11 +42,10 @@
 //! Two further layers make the runtime governable and testable:
 //!
 //! * [`RunBudget`] / [`Budget`] — cooperative cancellation and query
-//!   budgets (deadline, row quota, intermediate-tuple budget). Kernels
-//!   generic over [`Budget`] stay zero-cost when un-governed
-//!   ([`NoBudget`]) and poll a shared flag when governed
-//!   ([`BudgetHandle`]); a tripped budget winds the whole pool run down
-//!   cooperatively instead of abandoning merge lanes.
+//!   budgets (deadline, row quota). Kernels generic over [`Budget`] stay
+//!   zero-cost when un-governed ([`NoBudget`]) and poll a shared flag
+//!   when governed ([`BudgetHandle`]); a tripped budget winds the whole
+//!   pool run down cooperatively instead of abandoning merge lanes.
 //! * `faults` (tests / `--features faults` only) — a deterministic
 //!   fault-injection harness that forces panics and delays at precise
 //!   `(worker, event, ordinal)` points, so the no-hang/no-lost-lane

@@ -95,13 +95,6 @@ pub(crate) trait PjrStore {
         rows: Vec<(Value, Vec<u32>)>,
         stats: &mut EngineStats<T>,
     );
-
-    /// Maximum `(value, indexes)` pairs per entry
-    /// ([`CtjConfig::entry_capacity`]); a longer one is dropped while it
-    /// is being recorded.
-    fn entry_capacity(&self) -> Option<usize> {
-        None
-    }
 }
 
 /// The store of a run without a PJR cache: plain LFTJ.
@@ -145,7 +138,6 @@ fn record_stored<T: Tally>(rows: &[(Value, Vec<u32>)], stats: &mut EngineStats<T
 pub(crate) struct LocalPjr {
     map: HashMap<Key, Entry>,
     max_entries: Option<usize>,
-    entry_capacity: Option<usize>,
 }
 
 impl LocalPjr {
@@ -154,7 +146,6 @@ impl LocalPjr {
         LocalPjr {
             map: HashMap::new(),
             max_entries: config.max_entries,
-            entry_capacity: config.entry_capacity,
         }
     }
 }
@@ -173,10 +164,6 @@ impl PjrStore for LocalPjr {
         }
         stats.cache_misses += 1;
         Looked::Miss(probe.1, 0)
-    }
-
-    fn entry_capacity(&self) -> Option<usize> {
-        self.entry_capacity
     }
 
     fn publish<T: Tally>(
@@ -223,7 +210,6 @@ pub(crate) struct SharedPjrCache {
     /// lane bounds sum to *exactly* the configured total capacity.
     /// `None` = unbounded; a zero lane bound disables storing there.
     per_lane_cap: Option<(usize, usize)>,
-    entry_capacity: Option<usize>,
 }
 
 /// A plan-side entries hint larger than this is a blown-up upper bound
@@ -266,7 +252,6 @@ impl SharedPjrCache {
                 fifo: VecDeque::new(),
             }),
             per_lane_cap,
-            entry_capacity: config.entry_capacity,
         }
     }
 
@@ -334,10 +319,6 @@ impl PjrStore for SharedPjrHandle<'_> {
         stats.cache_misses += 1;
         // Hand the stripe hash back so the publish need not rehash.
         Looked::Miss(probe.1, hash)
-    }
-
-    fn entry_capacity(&self) -> Option<usize> {
-        self.cache.entry_capacity
     }
 
     fn publish<T: Tally>(
@@ -409,7 +390,6 @@ mod tests {
     fn shared(workers: usize, capacity: Option<usize>, hint: Option<usize>) -> SharedPjrCache {
         let config = CtjConfig {
             max_entries: capacity,
-            ..CtjConfig::default()
         };
         SharedPjrCache::new(workers, config, hint)
     }
@@ -434,7 +414,6 @@ mod tests {
     fn local_counts_misses_at_lookup_and_drops_when_full() {
         let mut store = LocalPjr::new(CtjConfig {
             max_entries: Some(1),
-            ..CtjConfig::default()
         });
         let mut stats = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[7], &mut stats);

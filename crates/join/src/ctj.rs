@@ -7,15 +7,12 @@ use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink};
 
 /// Configuration of the software partial-join-result cache.
 ///
-/// Both limits default to unbounded, matching CTJ's use of "the available
-/// system memory" (paper §2.2); the hardware PJR cache in `triejax` has its
-/// own fixed SRAM geometry.
+/// The capacity defaults to unbounded, matching CTJ's use of "the
+/// available system memory" (paper §2.2); the hardware PJR cache in
+/// `triejax` has its own fixed SRAM geometry and insertion-buffer
+/// overflow rule (§3.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CtjConfig {
-    /// Maximum `(value, indexes)` pairs per cache entry; an entry exceeding
-    /// this while being filled is discarded, mirroring the hardware
-    /// insertion-buffer overflow rule (paper §3.5).
-    pub entry_capacity: Option<usize>,
     /// Maximum number of live cache entries. For sequential [`Ctj`] this
     /// bounds the worker-local store, which *drops* further insertions;
     /// for [`crate::ParCtj`] it is the total capacity of the shared
@@ -212,15 +209,14 @@ mod tests {
     }
 
     #[test]
-    fn entry_capacity_overflow_discards_but_stays_correct() {
+    fn max_entries_overflow_discards_but_stays_correct() {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
         let mut unbounded = CollectSink::new();
         let s1 = Ctj::new().execute(&plan, &c, &mut unbounded).unwrap();
         let mut tiny = CollectSink::new();
         let cfg = CtjConfig {
-            entry_capacity: Some(1),
-            max_entries: None,
+            max_entries: Some(1),
         };
         let s2 = Ctj::with_config(cfg).execute(&plan, &c, &mut tiny).unwrap();
         assert_eq!(unbounded.into_sorted(), tiny.into_sorted());
@@ -233,7 +229,6 @@ mod tests {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
         let cfg = CtjConfig {
-            entry_capacity: None,
             max_entries: Some(0),
         };
         let mut sink = CountSink::default();
@@ -301,37 +296,6 @@ mod tests {
         assert_eq!(capped.tuples(), &full.tuples()[..3]);
         assert_eq!(stats.results, 3);
         assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));
-    }
-
-    #[test]
-    fn intermediate_budget_stops_ctj_with_a_prefix() {
-        use std::sync::Arc;
-        use triejax_exec::{BudgetHandle, CancelReason, RunBudget};
-
-        // Heavily shared y values: lots of cached intermediate tuples.
-        let mut edges = Vec::new();
-        for x in 0..20u32 {
-            edges.push((x, 100));
-        }
-        for z in 200..220u32 {
-            edges.push((100, z));
-        }
-        let c = catalog(&edges);
-        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let tries = TrieSet::build(&plan, &c).unwrap();
-
-        let mut full = CollectSink::new();
-        ctj_driver(&plan, &tries, NoBudget).run(&mut full);
-
-        let shared = Arc::new(RunBudget::new().with_intermediate_limit(5));
-        let mut capped = CollectSink::new();
-        ctj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
-        assert_eq!(shared.cancelled(), Some(CancelReason::MemoryBudget));
-        assert!(
-            full.tuples().starts_with(capped.tuples()),
-            "delivered rows must be a prefix"
-        );
-        assert!(capped.tuples().len() < full.tuples().len());
     }
 
     #[test]

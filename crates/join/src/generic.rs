@@ -1,12 +1,10 @@
-use triejax_exec::{Budget, NoBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, Counting, Tally, Trie, Value, WORD_BYTES};
 
 use crate::engine::head_order;
 use crate::intersect::intersect_sorted;
 use crate::sink::BatchEmitter;
-use crate::viewset::{merged_catalog, plan_touches_delta};
-use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink, TrieSet};
+use crate::{Catalog, EngineStats, JoinEngine, JoinError, ResultSink, TrieSet};
 
 /// Generic Join in the EmptyHeaded style (Aberger et al., SIGMOD'16): a
 /// worst-case-optimal join that materializes, per variable, the
@@ -63,50 +61,10 @@ impl GenericJoin {
         sink: &mut dyn ResultSink,
     ) -> Result<EngineStats<T>, JoinError> {
         let tries = TrieSet::build(plan, catalog)?;
-        let mut driver = GjDriver::budgeted(plan, &tries, NoBudget)?;
+        let mut driver = GjDriver::new(plan, &tries)?;
         driver.level(0, sink);
         driver.emitter.flush(sink);
         Ok(driver.stats)
-    }
-
-    /// Runs the query with the pending mutations in `deltas` folded in.
-    /// Generic Join reads raw trie level slices rather than cursors, so a
-    /// delta-touching plan materializes each mutated relation's merged
-    /// view (`base ∪ inserts − tombstones`) and builds fresh tries over
-    /// it — correct but not incremental, the documented trade-off of this
-    /// engine. When no atom of the plan touches a non-empty delta this is
-    /// exactly [`run_tallied`](Self::run_tallied).
-    ///
-    /// # Errors
-    ///
-    /// As [`run_tallied`](Self::run_tallied), plus an arity mismatch
-    /// between a delta and its atom (`merge_into` panics on mismatched
-    /// arity, so the mismatch is reported before merging).
-    pub fn run_tallied_with<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        if !plan_touches_delta(plan, deltas) {
-            return self.run_tallied(plan, catalog, sink);
-        }
-        // Same validation the MergeSet engines perform per atom, so the
-        // two delta paths fail identically on malformed input.
-        for ap in plan.atom_plans() {
-            if let Some(d) = deltas.get(ap.relation()).filter(|d| !d.is_empty()) {
-                if d.arity() != ap.arity() {
-                    return Err(JoinError::ArityMismatch {
-                        name: ap.relation().to_owned(),
-                        atom_arity: ap.arity(),
-                        relation_arity: d.arity(),
-                    });
-                }
-            }
-        }
-        let merged = merged_catalog(catalog, deltas);
-        self.run_tallied(plan, &merged, sink)
     }
 }
 
@@ -125,12 +83,8 @@ impl JoinEngine for GenericJoin {
     }
 }
 
-/// The Generic Join backtracking driver, generic over a [`Budget`] like
-/// the LFTJ/CTJ drivers: [`NoBudget`] compiles governance away; a
-/// [`triejax_exec::BudgetHandle`] polls the root loop, charges rows at
-/// emission, and charges every materialized candidate buffer against the
-/// intermediate budget.
-struct GjDriver<'a, T: Tally, B: Budget = NoBudget> {
+/// The Generic Join backtracking driver.
+struct GjDriver<'a, T: Tally> {
     plan: &'a CompiledQuery,
     tries: &'a TrieSet,
     /// Per atom: stack of open ranges, one per bound trie level.
@@ -152,12 +106,11 @@ struct GjDriver<'a, T: Tally, B: Budget = NoBudget> {
     hints: Vec<Vec<usize>>,
     binding: Vec<Value>,
     emitter: BatchEmitter,
-    budget: B,
     stats: EngineStats<T>,
 }
 
-impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
-    fn budgeted(plan: &'a CompiledQuery, tries: &'a TrieSet, budget: B) -> Result<Self, JoinError> {
+impl<'a, T: Tally> GjDriver<'a, T> {
+    fn new(plan: &'a CompiledQuery, tries: &'a TrieSet) -> Result<Self, JoinError> {
         Ok(GjDriver {
             plan,
             tries,
@@ -169,7 +122,6 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
             hints: vec![Vec::new(); plan.arity()],
             binding: vec![0; plan.arity()],
             emitter: BatchEmitter::new(head_order(plan)?),
-            budget,
             stats: EngineStats::default(),
         })
     }
@@ -186,24 +138,18 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
         &level.values()[lo..hi]
     }
 
-    /// Emits the current binding; returns `false` when the budget refused
-    /// the row and the driver must stop.
-    fn emit_result(&mut self, sink: &mut dyn ResultSink) -> bool {
-        if B::GOVERNED && !self.budget.charge_row() {
-            return false;
-        }
+    /// Emits the current binding.
+    fn emit_result(&mut self, sink: &mut dyn ResultSink) {
         self.emitter.push(&self.binding, sink);
         self.stats.results += 1;
         self.stats.access.record(
             AccessKind::ResultWrite,
             self.binding.len() as u64 * WORD_BYTES,
         );
-        true
     }
 
-    /// Returns `false` when the budget stopped the run at this level or
-    /// below; range stacks are unwound normally either way.
-    fn level(&mut self, d: usize, sink: &mut dyn ResultSink) -> bool {
+    /// Binds depth `d` to each of its candidates in turn and descends.
+    fn level(&mut self, d: usize, sink: &mut dyn ResultSink) {
         let parts: &'a [(usize, usize)] = self.plan.atoms_at(d);
         self.stats.match_ops += 1;
 
@@ -236,65 +182,45 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
                 .record(AccessKind::Intermediate, acc.len() as u64 * WORD_BYTES);
         }
 
-        let mut live = true;
-        if B::GOVERNED && parts.len() > 1 && !self.budget.charge_intermediates(acc.len() as u64) {
-            // Memory budget exhausted by this candidate buffer: wind down
-            // without descending into it.
-            live = false;
-        }
         let last = d + 1 == self.plan.arity();
         let mut pushed = std::mem::take(&mut self.pushed[d]);
         let mut hints = std::mem::take(&mut self.hints[d]);
         hints.clear();
         hints.resize(parts.len(), 0);
-        if live {
-            for &v in &acc {
-                self.binding[d] = v;
-                if d == 0 && B::GOVERNED && self.budget.poll().is_some() {
-                    // Root-level advance: the budget poll point.
-                    live = false;
-                    break;
-                }
-                if last {
-                    if !self.emit_result(sink) {
-                        live = false;
-                        break;
-                    }
+        for &v in &acc {
+            self.binding[d] = v;
+            if last {
+                self.emit_result(sink);
+                continue;
+            }
+            // Descend: locate v in every continuing participant and push
+            // its child range.
+            pushed.clear();
+            for (pi, &(a, lvl)) in parts.iter().enumerate() {
+                if !self.plan.atom_plans()[a].continues_below(lvl) {
                     continue;
                 }
-                // Descend: locate v in every continuing participant and
-                // push its child range.
-                pushed.clear();
-                for (pi, &(a, lvl)) in parts.iter().enumerate() {
-                    if !self.plan.atom_plans()[a].continues_below(lvl) {
-                        continue;
-                    }
-                    let level = self.tries.for_atom(a).level(lvl);
-                    let (lo, hi) = if lvl == 0 {
-                        (0, level.len())
-                    } else {
-                        *self.ranges[a].last().expect("parent level must be open")
-                    };
-                    let values = &level.values()[lo..hi];
-                    let rel = gallop_search(values, hints[pi], v, &mut self.stats);
-                    hints[pi] = rel;
-                    let pos = lo + rel;
-                    // Midwife-equivalent: read the child range pair.
-                    self.stats.expand_ops += 1;
-                    self.stats
-                        .access
-                        .record(AccessKind::IndexRead, 2 * WORD_BYTES);
-                    self.ranges[a].push(level.child_range(pos));
-                    pushed.push(a);
-                }
-                let descended = self.level(d + 1, sink);
-                for &a in &pushed {
-                    self.ranges[a].pop();
-                }
-                if !descended {
-                    live = false;
-                    break;
-                }
+                let level = self.tries.for_atom(a).level(lvl);
+                let (lo, hi) = if lvl == 0 {
+                    (0, level.len())
+                } else {
+                    *self.ranges[a].last().expect("parent level must be open")
+                };
+                let values = &level.values()[lo..hi];
+                let rel = gallop_search(values, hints[pi], v, &mut self.stats);
+                hints[pi] = rel;
+                let pos = lo + rel;
+                // Midwife-equivalent: read the child range pair.
+                self.stats.expand_ops += 1;
+                self.stats
+                    .access
+                    .record(AccessKind::IndexRead, 2 * WORD_BYTES);
+                self.ranges[a].push(level.child_range(pos));
+                pushed.push(a);
+            }
+            self.level(d + 1, sink);
+            for &a in &pushed {
+                self.ranges[a].pop();
             }
         }
         // Return the buffers (with their grown capacity) for the next
@@ -304,7 +230,6 @@ impl<'a, T: Tally, B: Budget> GjDriver<'a, T, B> {
         self.order[d] = order;
         self.pushed[d] = pushed;
         self.hints[d] = hints;
-        live
     }
 }
 
@@ -412,33 +337,6 @@ mod tests {
         let mut sink = CountSink::default();
         let stats = GenericJoin::new().execute(&plan, &c, &mut sink).unwrap();
         assert_eq!(stats.results, 0);
-    }
-
-    #[test]
-    fn budgeted_driver_delivers_an_exact_row_limited_prefix() {
-        use std::sync::Arc;
-        use triejax_exec::{BudgetHandle, CancelReason, RunBudget};
-
-        let c = catalog(&test_edges());
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let mut full = CollectSink::new();
-        GenericJoin::new().execute(&plan, &c, &mut full).unwrap();
-        assert!(full.tuples().len() > 2);
-
-        let tries = TrieSet::build(&plan, &c).unwrap();
-        let shared = Arc::new(RunBudget::new().with_row_limit(2));
-        let mut capped = CollectSink::new();
-        let mut driver = GjDriver::<Counting, BudgetHandle>::budgeted(
-            &plan,
-            &tries,
-            BudgetHandle::driving(Arc::clone(&shared)),
-        )
-        .unwrap();
-        driver.level(0, &mut capped);
-        driver.emitter.flush(&mut capped);
-        assert_eq!(capped.tuples(), &full.tuples()[..2]);
-        assert_eq!(driver.stats.results, 2);
-        assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));
     }
 
     #[test]

@@ -179,10 +179,9 @@ impl SplitSpawn for NoSplit {
 ///   view of the cache all workers share.
 /// * `B: Budget` — [`NoBudget`] compiles every cancellation check away;
 ///   a [`triejax_exec::BudgetHandle`] polls for deadline/token trips at
-///   the task's top level, charges the row quota at every emission and
-///   every cache-entry tuple against the intermediate budget. A governed
-///   driver stops early, still flushing what the emitter buffered, so the
-///   delivered rows stay an exact stream prefix.
+///   the task's top level and charges the row quota at every emission. A
+///   governed driver stops early, still flushing what the emitter
+///   buffered, so the delivered rows stay an exact stream prefix.
 /// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for runs to the
 ///   end, a [`BatchStop`] that ends each batch of a [`Resumable`] run.
 /// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
@@ -471,33 +470,6 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         true
     }
 
-    /// Appends the match `v` at `positions` to the entry being recorded,
-    /// or drops the entry when it outgrows its capacity. Returns `false`
-    /// when the intermediate budget refused the tuple and the driver must
-    /// stop (the entry is dropped then too).
-    fn record(&mut self, pending: &mut Option<Recording>, v: Value, positions: Vec<u32>) -> bool {
-        let Some(p) = pending.as_mut() else {
-            return true;
-        };
-        if self
-            .cache
-            .entry_capacity()
-            .is_some_and(|cap| p.len() >= cap)
-        {
-            // Insertion-buffer overflow: drop the partial entry.
-            self.stats.cache_overflows += 1;
-            *pending = None;
-        } else if B::GOVERNED && !self.budget.charge_intermediates(1) {
-            // Memory budget exhausted: the flag is tripped; drop the
-            // partial entry and wind down.
-            *pending = None;
-            return false;
-        } else {
-            p.push((v, positions));
-        }
-        true
-    }
-
     /// Runs level `d` on a leaf kernel when it binds the last variable
     /// below the root: a [`SliceLeapfrog`] over the open cursors' sibling
     /// slices, recording each match into `pending` and emitting its row.
@@ -579,11 +551,10 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 return Some(false);
             }
             self.binding[d] = v;
-            if P::CACHING
-                && pending.is_some()
-                && !self.record(pending, v, lf.cache_positions(cursors, members))
-            {
-                return Some(false);
+            if P::CACHING {
+                if let Some(p) = pending.as_mut() {
+                    p.push((v, lf.cache_positions(cursors, members)));
+                }
             }
             if !self.emit_result(sink) {
                 return Some(false);
@@ -655,14 +626,10 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
                 live = false;
                 break;
             }
-            if P::CACHING && pending.is_some() {
-                let positions = parts
-                    .iter()
-                    .map(|&(a, _)| self.cursors[a].cache_pos())
-                    .collect();
-                if !self.record(&mut pending, v, positions) {
-                    live = false;
-                    break;
+            if P::CACHING {
+                if let Some(p) = pending.as_mut() {
+                    let positions = parts.iter().map(|&(a, _)| self.cursors[a].cache_pos());
+                    p.push((v, positions.collect()));
                 }
             }
             let descended = if d + 1 == self.plan.arity() {
@@ -1163,13 +1130,12 @@ mod tests {
             .filter(|&(a, b)| a != b && (a * 5 + b * 3) % 4 != 0)
             .collect();
         let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
-        // Tiny entries overflow while recording: a pinned level whose
-        // entry is dropped must still not be stopped in.
+        // A tiny store drops most entries at publish: a recording level
+        // whose entry is dropped must still not be stopped in.
         let ctj = [
             CtjConfig::default(),
             CtjConfig {
-                entry_capacity: Some(2),
-                ..CtjConfig::default()
+                max_entries: Some(2),
             },
         ];
         let (mut bit_leaf_stops, mut overshoots) = (0, 0);

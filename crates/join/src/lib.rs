@@ -1,6 +1,6 @@
 //! Software join engines for the TrieJax reproduction.
 //!
-//! Seven engines share one interface ([`JoinEngine`]) and one plan format
+//! Six engines share one interface ([`JoinEngine`]) and one plan format
 //! ([`triejax_query::CompiledQuery`]):
 //!
 //! * [`Lftj`] — LeapFrog TrieJoin (Veldhuizen, ICDT'14): the WCOJ backbone,
@@ -10,10 +10,9 @@
 //!   hardware (paper §2.2).
 //! * [`GenericJoin`] — the set-intersection WCOJ formulation used by
 //!   EmptyHeaded (Aberger et al., SIGMOD'16).
-//! * [`PairwiseHash`] / [`PairwiseSortMerge`] — traditional left-deep
-//!   binary join plans (hash and Q100's sort-merge operators), the
-//!   algorithm class of Q100 and Graphicionado's pattern expansion; both
-//!   materialize every intermediate relation.
+//! * [`PairwiseHash`] — a traditional left-deep binary hash-join plan,
+//!   the algorithm class of Q100 and Graphicionado's pattern expansion;
+//!   it materializes every intermediate relation.
 //! * [`ParLftj`] / [`ParCtj`] — LFTJ and CTJ parallelized on the shared
 //!   `triejax-exec` runtime: the first join variable's domain is split
 //!   into many contiguous root ranges, scheduled on a work-stealing
@@ -90,7 +89,6 @@ mod row;
 mod session;
 mod shard;
 mod sink;
-mod sortmerge;
 mod stats;
 mod triecache;
 mod viewset;
@@ -110,7 +108,6 @@ pub use parlftj::ParLftj;
 pub use row::Row;
 pub use session::{QueryHandle, ResultStream, Session, WatchStream, WatchUpdate};
 pub use sink::{CollectSink, CountSink, ResultSink, ShardSink};
-pub use sortmerge::PairwiseSortMerge;
 pub use stats::EngineStats;
 pub use triecache::TrieCache;
 pub use triejax_exec::{CancelReason, CancelToken, RunBudget};

@@ -101,37 +101,17 @@ pub(crate) struct RunOptions {
     pub(crate) deadline: Option<std::time::Duration>,
     /// Result-row cap; unset = none.
     pub(crate) row_limit: Option<u64>,
-    /// Cap on charged intermediate tuples; unset = none.
-    pub(crate) intermediate_limit: Option<u64>,
     /// External cancellation token; unset = none.
     pub(crate) cancel: Option<CancelToken>,
     /// Cross-query trie cache: unset = [`TrieCache::global`],
     /// `Some(None)` = disabled, `Some(Some(c))` = this cache.
     pub(crate) trie_cache: Option<Option<Arc<TrieCache>>>,
-    /// `true` runs CTJ with the cache knobs below; `false` runs LFTJ.
+    /// `true` runs CTJ with the cache capacity below; `false` runs LFTJ.
     pub(crate) ctj: bool,
-    /// The CTJ cache knobs.
-    pub(crate) cache: CacheOptions,
-}
-
-/// The CTJ cache knobs of a [`RunOptions`], each set independently.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct CacheOptions {
-    /// [`CtjConfig::entry_capacity`]; no variable, default unbounded.
-    pub(crate) entry_capacity: Option<usize>,
-    /// [`CtjConfig::max_entries`]: unset = `TRIEJAX_CACHE_CAP` or
-    /// unbounded; `Some(None)` is an explicit "unbounded".
+    /// The CTJ cache's total capacity, [`CtjConfig::max_entries`]: unset
+    /// = `TRIEJAX_CACHE_CAP` or unbounded; `Some(None)` is an explicit
+    /// "unbounded".
     pub(crate) max_entries: Option<Option<usize>>,
-}
-
-impl From<CtjConfig> for CacheOptions {
-    /// A whole explicit config: both knobs set, the variable ignored.
-    fn from(config: CtjConfig) -> Self {
-        CacheOptions {
-            entry_capacity: config.entry_capacity,
-            max_entries: Some(config.max_entries),
-        }
-    }
 }
 
 /// A [`RunOptions`] with every knob filled in.
@@ -173,11 +153,7 @@ impl RunOptions {
 
     /// The shared [`RunBudget`] of the run, `None` when nothing governs it.
     pub(crate) fn budget(&self) -> Option<Arc<RunBudget>> {
-        if self.deadline.is_none()
-            && self.row_limit.is_none()
-            && self.intermediate_limit.is_none()
-            && self.cancel.is_none()
-        {
+        if self.deadline.is_none() && self.row_limit.is_none() && self.cancel.is_none() {
             return None;
         }
         let mut budget = RunBudget::new();
@@ -186,9 +162,6 @@ impl RunOptions {
         }
         if let Some(l) = self.row_limit {
             budget = budget.with_row_limit(l);
-        }
-        if let Some(l) = self.intermediate_limit {
-            budget = budget.with_intermediate_limit(l);
         }
         if let Some(t) = &self.cancel {
             budget = budget.with_cancel_token(t.clone());
@@ -203,12 +176,10 @@ impl RunOptions {
         }
     }
 
-    /// The CTJ cache configuration, knob by knob.
+    /// The CTJ cache configuration: the set capacity, else the variable.
     pub(crate) fn cache_config(&self, env: Env) -> CtjConfig {
-        let knobs = self.cache;
         CtjConfig {
-            entry_capacity: knobs.entry_capacity,
-            max_entries: knobs
+            max_entries: self
                 .max_entries
                 .unwrap_or_else(|| parsed(env, CACHE_CAP_ENV, "a non-negative integer")),
         }
@@ -250,7 +221,6 @@ mod tests {
         let run = ctj().resolve(&env);
         assert_eq!(run.pool.workers(), 3);
         let cap7 = CtjConfig {
-            entry_capacity: None,
             max_entries: Some(7),
         };
         assert_eq!(run.ctj, Some(cap7));
@@ -266,13 +236,13 @@ mod tests {
 
         let set = RunOptions {
             workers: NonZeroUsize::new(5),
-            cache: CtjConfig::default().into(),
+            max_entries: Some(None),
             trie_cache: Some(None),
             ..ctj()
         }
         .resolve(&env);
         assert_eq!(set.pool.workers(), 5);
-        assert_eq!(set.ctj, Some(CtjConfig::default()), "with_config sets all");
+        assert_eq!(set.ctj, Some(CtjConfig::default()), "explicit wins");
         assert!(set.trie_cache.is_none(), "without_trie_cache wins");
     }
 

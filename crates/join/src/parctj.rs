@@ -27,10 +27,9 @@ use crate::CtjConfig;
 /// shards on the work-stealing pool, [`crate::ShardSink`] batches through
 /// an order-preserving [`triejax_exec::OrderedMerge`]. The merged stream
 /// is tuple-for-tuple identical to sequential [`crate::Ctj`] (and
-/// [`crate::Lftj`]) — same tuples, same order. The cache knobs below add
-/// to the shared ones. An unset capacity resolves from `TRIEJAX_CACHE_CAP`
-/// when the query runs (unset = unbounded); the entry capacity has no
-/// variable.
+/// [`crate::Lftj`]) — same tuples, same order. The cache capacity below
+/// adds to the shared knobs. An unset capacity resolves from
+/// `TRIEJAX_CACHE_CAP` when the query runs (unset = unbounded).
 ///
 /// # Example
 ///
@@ -61,7 +60,7 @@ impl ParCtj {
     /// Engine with an explicit cache configuration
     /// ([`CtjConfig::max_entries`] is the shared cache's *total*
     /// capacity). An explicit config — even the default unbounded one —
-    /// sets both cache knobs, overriding `TRIEJAX_CACHE_CAP`.
+    /// sets the capacity, overriding `TRIEJAX_CACHE_CAP`.
     pub fn with_config(config: CtjConfig) -> Self {
         Self::new().config(config)
     }
@@ -69,14 +68,14 @@ impl ParCtj {
     /// Sets the cache configuration, keeping the scheduling knobs; see
     /// [`with_config`](Self::with_config).
     pub fn config(mut self, config: CtjConfig) -> Self {
-        self.opts.cache = config.into();
+        self.opts.max_entries = Some(config.max_entries);
         self
     }
 
     /// Sets the shared cache's total entry capacity (`0` disables
-    /// caching), keeping the entry capacity.
+    /// caching).
     pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.opts.cache.max_entries = Some(Some(entries));
+        self.opts.max_entries = Some(Some(entries));
         self
     }
 }
@@ -202,7 +201,6 @@ mod tests {
         let mut reference = CollectSink::new();
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
         let cfg = CtjConfig {
-            entry_capacity: Some(1),
             max_entries: Some(2),
         };
         let mut sink = CollectSink::new();
@@ -264,14 +262,8 @@ mod tests {
         let unset = |_: &str| None;
         let engine = ParCtj::with_pool(2).cache_capacity(16);
         assert_eq!(engine.opts.cache_config(&unset).max_entries, Some(16));
-        let engine = ParCtj::with_config(CtjConfig {
-            entry_capacity: Some(3),
-            max_entries: None,
-        })
-        .cache_capacity(5);
-        let cfg = engine.opts.cache_config(&unset);
-        assert_eq!(cfg.entry_capacity, Some(3), "other knobs are kept");
-        assert_eq!(cfg.max_entries, Some(5));
+        let engine = ParCtj::with_config(CtjConfig { max_entries: None }).cache_capacity(5);
+        assert_eq!(engine.opts.cache_config(&unset).max_entries, Some(5));
     }
 
     #[test]
@@ -301,33 +293,6 @@ mod tests {
                  ordered prefix"
             );
         }
-    }
-
-    #[test]
-    fn intermediate_budget_cancels_with_a_prefix() {
-        let c = catalog(&hub_edges());
-        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let mut reference = CollectSink::new();
-        Ctj::new().execute(&plan, &c, &mut reference).unwrap();
-        let mut sink = CollectSink::new();
-        // The hub entry alone holds 20 match rows, so a budget of 5 must
-        // trip while it is being recorded.
-        let err = ParCtj::with_pool(2)
-            .with_intermediate_limit(5)
-            .execute(&plan, &c, &mut sink)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            JoinError::Cancelled {
-                reason: triejax_exec::CancelReason::MemoryBudget,
-                ..
-            }
-        ));
-        assert!(
-            reference.tuples().starts_with(sink.tuples()),
-            "delivered rows stay a prefix after a memory-budget trip"
-        );
-        assert!(sink.tuples().len() < reference.tuples().len());
     }
 
     #[test]

@@ -88,14 +88,6 @@ macro_rules! parallel_engine {
                 self
             }
 
-            /// Caps charged intermediate tuples — for CTJ, the rows
-            /// recorded into partial-join-result cache entries — at
-            /// `limit`.
-            pub fn with_intermediate_limit(mut self, limit: u64) -> Self {
-                self.opts.intermediate_limit = Some(limit);
-                self
-            }
-
             /// Ties every run of this engine to `token`: firing it from
             /// any thread cancels the run cooperatively (see
             /// [`with_deadline`](Self::with_deadline) for the delivery

@@ -26,8 +26,8 @@ pub struct EngineStats<T: Tally = Counting> {
     /// Partial-join cache misses on cacheable lookups (CTJ only).
     pub cache_misses: u64,
     /// Cache entries discarded due to capacity overflow (CTJ only): an
-    /// entry that outgrew `entry_capacity` while being filled, or an
-    /// insertion into a full store that does not evict.
+    /// insertion into a full store that does not evict, i.e. sequential
+    /// CTJ's store once it holds `max_entries` entries.
     pub cache_overflows: u64,
     /// Cache entries evicted to make room for newer ones (the shared
     /// sharded cache of `ParCtj` only; the sequential store drops new

@@ -27,8 +27,8 @@ use crate::{Catalog, JoinError, TrieSet};
 /// without an entry (or with an [empty](RelationDelta::is_empty) one) are
 /// served straight from their frozen base tries.
 ///
-/// Every engine's `run_tallied_with` accepts one of these next to the
-/// frozen [`Catalog`]; [`crate::Session`] maintains one per epoch and
+/// Every trie engine's `run_tallied_with` accepts one of these next to
+/// the frozen [`Catalog`]; [`crate::Session`] maintains one per epoch and
 /// threads it through automatically.
 pub type DeltaMap = HashMap<String, RelationDelta>;
 
@@ -268,26 +268,6 @@ pub(crate) fn plan_touches_delta(plan: &CompiledQuery, deltas: &DeltaMap) -> boo
     plan.atom_plans()
         .iter()
         .any(|ap| deltas.get(ap.relation()).is_some_and(|d| !d.is_empty()))
-}
-
-/// A frozen catalog with every pending delta folded in: each mutated
-/// relation is replaced by its merged contents (`base ∪ inserts −
-/// tombstones`). The materializing fallback for engines that read trie
-/// levels directly instead of walking [`JoinCursor`]s
-/// ([`crate::GenericJoin`], the pairwise engines). Deltas naming
-/// relations the catalog does not hold are ignored — plan resolution
-/// reports the missing relation exactly like the frozen path — and so
-/// are deltas whose arity mismatches their base relation (resolution
-/// then reports the arity error, never a merge panic).
-pub(crate) fn merged_catalog(catalog: &Catalog, deltas: &DeltaMap) -> Catalog {
-    let mut merged = Catalog::new();
-    for (name, rel) in catalog.iter() {
-        match deltas.get(name).filter(|d| !d.is_empty()) {
-            Some(d) if d.arity() == rel.arity() => merged.insert(name, d.merge_into(rel)),
-            _ => merged.insert(name, rel.clone()),
-        }
-    }
-    merged
 }
 
 #[cfg(test)]

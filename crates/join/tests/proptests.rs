@@ -148,7 +148,6 @@ proptest! {
     #[test]
     fn ctj_cache_limits_never_change_results(
         edges in arb_edges(10, 60),
-        entry_cap in 0usize..4,
         max_entries in 0usize..4,
     ) {
         let mut catalog = Catalog::new();
@@ -158,7 +157,6 @@ proptest! {
         let mut reference = CollectSink::new();
         Lftj::new().execute(&plan, &catalog, &mut reference).unwrap();
         let cfg = CtjConfig {
-            entry_capacity: Some(entry_cap),
             max_entries: Some(max_entries),
         };
         let mut sink = CollectSink::new();

@@ -27,16 +27,14 @@ use triejax_relation::Relation;
 
 const POOLS: [usize; 3] = [1, 2, 7];
 
-/// The capacity ladder from the issue: tiny (constant eviction), a small
-/// bounded cache, and unbounded. All explicit, so a `TRIEJAX_CACHE_CAP`
+/// The capacity ladder: tiny (constant eviction), a small bounded cache,
+/// and unbounded. All explicit, so a `TRIEJAX_CACHE_CAP`
 /// test environment cannot change what this suite asserts.
 fn capacity_ladder() -> [(&'static str, CtjConfig); 3] {
     let tiny = CtjConfig {
-        entry_capacity: None,
         max_entries: Some(2),
     };
     let bounded = CtjConfig {
-        entry_capacity: None,
         max_entries: Some(64),
     };
     [

@@ -3,8 +3,8 @@
 //! the base, re-inserting tombstoned rows, deleting never-present rows)
 //! must answer every paper pattern **tuple-for-tuple, in order** like a
 //! catalog rebuilt from scratch over the merged view — through every
-//! engine (sequential LFTJ/CTJ/GenericJoin and the pool engines at sizes
-//! 1/2/7, both tally modes), and at **every compaction
+//! trie engine (sequential LFTJ/CTJ and the pool engines at sizes 1/2/7,
+//! both tally modes), and at **every compaction
 //! threshold**: eager (ratio 0), the default 0.5, and never (∞) must all
 //! produce the same stream.
 
@@ -12,8 +12,8 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use triejax_join::{
-    Catalog, CollectSink, Counting, Ctj, DeltaMap, GenericJoin, JoinEngine, Lftj, NoTally, ParCtj,
-    ParLftj, Row, Session,
+    Catalog, CollectSink, Counting, Ctj, DeltaMap, JoinEngine, Lftj, NoTally, ParCtj, ParLftj, Row,
+    Session,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::Relation;
@@ -76,7 +76,6 @@ fn check_every_engine(
     }
     check_seq!("lftj", Lftj::new());
     check_seq!("ctj", Ctj::new());
-    check_seq!("generic", GenericJoin::new());
 
     for pool in POOL_SIZES {
         for counting in [true, false] {

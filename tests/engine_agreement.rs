@@ -7,7 +7,6 @@ use triejax::{TrieJax, TrieJaxConfig};
 use triejax_graph::{Dataset, Scale};
 use triejax_join::{
     Catalog, CollectSink, CountSink, Ctj, GenericJoin, JoinEngine, Lftj, PairwiseHash,
-    PairwiseSortMerge,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery};
 use triejax_relation::Relation;
@@ -18,7 +17,6 @@ fn engines() -> Vec<Box<dyn JoinEngine>> {
         Box::new(Ctj::new()),
         Box::new(GenericJoin::new()),
         Box::new(PairwiseHash::new()),
-        Box::new(PairwiseSortMerge::new()),
     ]
 }
 
