@@ -7,10 +7,10 @@
 //!   [`PjrStore::CACHING`] `= false` compiles every lookup, recording and
 //!   publish step of the driver away, the way `NoBudget` folds away
 //!   governance.
-//! * [`LocalPjr`] — the single-threaded store used by sequential
-//!   [`crate::Ctj`] (and by `ParCtj`'s one-shard fast path): a plain
-//!   `HashMap`, misses counted at lookup, insertions *dropped* once
-//!   `max_entries` live entries exist.
+//! * [`LocalPjr`] — the single-threaded store of every CTJ run that plans
+//!   one root range (sequential [`crate::Ctj`] always does): a plain
+//!   `HashMap`, misses counted at lookup, insertions *dropped* once the
+//!   capacity's worth of live entries exist.
 //! * [`SharedPjrCache`] — the concurrent store shared by every
 //!   [`crate::ParCtj`] worker, mirroring the paper's on-chip PJR cache
 //!   that all TrieJax lanes share (§3.5). Entries are striped over
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use triejax_exec::{suggested_stripes, Striped};
 use triejax_relation::{AccessKind, Tally, Value, WORD_BYTES};
 
-use crate::{CtjConfig, EngineStats};
+use crate::EngineStats;
 
 /// A committed cache entry: matched values and their per-participant trie
 /// indexes (atoms in `atoms_at(depth)` order). `Arc` (not `Rc`) so entries
@@ -129,23 +129,25 @@ fn record_stored<T: Tally>(rows: &[(Value, Vec<u32>)], stats: &mut EngineStats<T
         .record(AccessKind::Intermediate, words * WORD_BYTES);
 }
 
-/// The worker-local PJR store of sequential [`crate::Ctj`].
+/// The worker-local PJR store of a one-range CTJ run (sequential
+/// [`crate::Ctj`], and any `ParCtj` run that plans one range).
 ///
-/// Capacity semantics match CTJ's software description: once
-/// [`CtjConfig::max_entries`] live entries exist, further insertions are
+/// Capacity semantics match CTJ's software description: once the
+/// capacity's worth of live entries exist, further insertions are
 /// dropped (counted as `cache_overflows`) — the single-query sequential
-/// engine has no churn to survive, so it never evicts.
+/// run has no churn to survive, so it never evicts.
 pub(crate) struct LocalPjr {
     map: HashMap<Key, Entry>,
     max_entries: Option<usize>,
 }
 
 impl LocalPjr {
-    /// A store bounded as `config` says.
-    pub(crate) fn new(config: CtjConfig) -> Self {
+    /// A store of at most `max_entries` live entries (`None` =
+    /// unbounded).
+    pub(crate) fn new(max_entries: Option<usize>) -> Self {
         LocalPjr {
             map: HashMap::new(),
-            max_entries: config.max_entries,
+            max_entries,
         }
     }
 }
@@ -218,9 +220,9 @@ pub(crate) struct SharedPjrCache {
 const CREDIBLE_HINT_MAX: usize = 1 << 20;
 
 impl SharedPjrCache {
-    /// Builds a cache for `workers` concurrent workers bounded as `config`
-    /// says ([`CtjConfig::max_entries`] is the *total* capacity; `None` =
-    /// unbounded), with an optional expected entry-count hint (from
+    /// Builds a cache for `workers` concurrent workers holding at most
+    /// `capacity` live entries in total (`None` = unbounded), with an
+    /// optional expected entry-count hint (from
     /// [`triejax_query::CompiledQuery`]'s cache-capacity estimate) used to
     /// pre-size the stripe tables.
     ///
@@ -230,8 +232,11 @@ impl SharedPjrCache {
     /// remainder spread one-per-lane, so the per-lane bounds sum to
     /// exactly `capacity` — the total of live entries never exceeds it,
     /// and the full configured budget is usable.
-    pub(crate) fn new(workers: usize, config: CtjConfig, entries_hint: Option<usize>) -> Self {
-        let capacity = config.max_entries;
+    pub(crate) fn new(
+        workers: usize,
+        capacity: Option<usize>,
+        entries_hint: Option<usize>,
+    ) -> Self {
         let mut stripes = suggested_stripes(workers);
         if let Some(cap) = capacity {
             stripes = stripes.min(prev_power_of_two(cap.max(1)));
@@ -388,10 +393,7 @@ mod tests {
 
     /// A shared cache of `capacity` total entries.
     fn shared(workers: usize, capacity: Option<usize>, hint: Option<usize>) -> SharedPjrCache {
-        let config = CtjConfig {
-            max_entries: capacity,
-        };
-        SharedPjrCache::new(workers, config, hint)
+        SharedPjrCache::new(workers, capacity, hint)
     }
 
     fn rows(vals: &[Value]) -> Vec<(Value, Vec<u32>)> {
@@ -412,9 +414,7 @@ mod tests {
 
     #[test]
     fn local_counts_misses_at_lookup_and_drops_when_full() {
-        let mut store = LocalPjr::new(CtjConfig {
-            max_entries: Some(1),
-        });
+        let mut store = LocalPjr::new(Some(1));
         let mut stats = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[7], &mut stats);
         assert_eq!(stats.cache_misses, 1);

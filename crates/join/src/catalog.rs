@@ -200,17 +200,18 @@ impl TrieSet {
             atom_trie.push(idx);
         }
         // Cold builds: many misses become independent pool tasks; a lone
-        // miss parallelizes *within* the build instead. Only this section
-        // is timed, so a fully-served query reports build_ns == 0.
+        // miss parallelizes *within* the build instead, and so does every
+        // miss on a one-worker pool, which has no second thread to give.
+        // Only this section is timed, so a fully-served query reports
+        // build_ns == 0.
         let build_t0 = (!pending.is_empty()).then(std::time::Instant::now);
-        let built: Vec<Trie> = if pending.len() == 1 {
-            vec![build_one(pending[0].rel, pending[0].perm, Some(pool))]
-        } else if !pending.is_empty() {
+        let built: Vec<Trie> = if pending.len() > 1 && pool.workers() > 1 {
             let (tries, _stats) =
                 pool.run(&pending, |_ctx, _lane, pb| build_one(pb.rel, pb.perm, None));
             tries
         } else {
-            Vec::new()
+            let build = |pb: &PendingBuild<'_>| build_one(pb.rel, pb.perm, Some(pool));
+            pending.iter().map(build).collect()
         };
         served.build_ns = build_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         for (pb, trie) in pending.iter().zip(built) {

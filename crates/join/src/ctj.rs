@@ -1,24 +1,4 @@
-use triejax_query::CompiledQuery;
-use triejax_relation::{Counting, Tally};
-
-use crate::cache::LocalPjr;
-use crate::lftj::run_sequential;
-use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink};
-
-/// Configuration of the software partial-join-result cache.
-///
-/// The capacity defaults to unbounded, matching CTJ's use of "the
-/// available system memory" (paper §2.2); the hardware PJR cache in
-/// `triejax` has its own fixed SRAM geometry and insertion-buffer
-/// overflow rule (§3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CtjConfig {
-    /// Maximum number of live cache entries. For sequential [`Ctj`] this
-    /// bounds the worker-local store, which *drops* further insertions;
-    /// for [`crate::ParCtj`] it is the total capacity of the shared
-    /// sharded cache, which *evicts* (FIFO per stripe) to stay within it.
-    pub max_entries: Option<usize>,
-}
+use crate::TrieJoin;
 
 /// Cached TrieJoin (Kalinsky, Etsion, Kimelfeld — EDBT'17): LeapFrog
 /// TrieJoin extended with a partial-join-result cache, the algorithm
@@ -28,6 +8,14 @@ pub struct CtjConfig {
 /// keys the list of matching `(value, index)` pairs by the bindings of the
 /// spec's key depths. A later visit with the same key bindings replays the
 /// list instead of recomputing the leapfrog intersection.
+///
+/// The sequential CTJ preset of the one trie-join engine: [`crate::Lftj`]
+/// with the cache switched on. Its cache is unbounded by default,
+/// matching CTJ's use of "the available system memory" (paper §2.2);
+/// [`with_cache_capacity`](TrieJoin::with_cache_capacity) bounds it, and
+/// the store then drops insertions past the bound. The hardware PJR
+/// cache in `triejax` has its own fixed SRAM geometry and
+/// insertion-buffer overflow rule (§3.5).
 ///
 /// # Example
 ///
@@ -47,98 +35,18 @@ pub struct CtjConfig {
 /// assert_eq!(stats.cache_hits, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Ctj {
-    config: CtjConfig,
-}
-
-impl Ctj {
-    /// Engine with unbounded cache; identical to `Default::default()`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Engine with an explicit cache configuration.
-    pub fn with_config(config: CtjConfig) -> Self {
-        Ctj { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> CtjConfig {
-        self.config
-    }
-
-    /// Runs the query with an explicit [`Tally`] choice; see
-    /// [`crate::Lftj::run_tallied`] for the counting/fast trade-off.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JoinError`] when the catalog is missing a relation or a
-    /// relation's arity mismatches its atom.
-    pub fn run_tallied<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        self.run(plan, catalog, None, sink)
-    }
-
-    /// Runs the query with the pending mutations in `deltas` folded in;
-    /// see [`crate::Lftj::run_tallied_with`] for the merge semantics and
-    /// the frozen fast path. Partial-join-result caching works unchanged
-    /// on merged views: entries are keyed by bindings alone, and the
-    /// merged relation is just another (virtual) relation instance.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_tallied`](Self::run_tallied), plus an arity mismatch
-    /// between a delta and its atom.
-    pub fn run_tallied_with<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        self.run(plan, catalog, Some(deltas), sink)
-    }
-
-    /// The trie-join driver over a worker-local store.
-    fn run<T: Tally>(
-        &self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: Option<&DeltaMap>,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        run_sequential(plan, catalog, deltas, LocalPjr::new(self.config), sink)
-    }
-}
-
-impl JoinEngine for Ctj {
-    fn name(&self) -> &'static str {
-        "ctj"
-    }
-
-    fn execute(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats, JoinError> {
-        self.run_tallied::<Counting>(plan, catalog, sink)
-    }
-}
+pub type Ctj = TrieJoin<true, false>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::LocalPjr;
     use crate::lftj::Driver;
-    use crate::{CollectSink, CountSink, Lftj, TrieSet};
+    use crate::{Catalog, CollectSink, CountSink, JoinEngine, Lftj, TrieSet};
     use triejax_exec::{Budget, NoBudget};
     use triejax_query::patterns::{self, Pattern};
-    use triejax_relation::Relation;
+    use triejax_query::CompiledQuery;
+    use triejax_relation::{Counting, Relation};
 
     fn catalog(edges: &[(u32, u32)]) -> Catalog {
         let mut c = Catalog::new();
@@ -215,10 +123,10 @@ mod tests {
         let mut unbounded = CollectSink::new();
         let s1 = Ctj::new().execute(&plan, &c, &mut unbounded).unwrap();
         let mut tiny = CollectSink::new();
-        let cfg = CtjConfig {
-            max_entries: Some(1),
-        };
-        let s2 = Ctj::with_config(cfg).execute(&plan, &c, &mut tiny).unwrap();
+        let s2 = Ctj::new()
+            .with_cache_capacity(Some(1))
+            .execute(&plan, &c, &mut tiny)
+            .unwrap();
         assert_eq!(unbounded.into_sorted(), tiny.into_sorted());
         assert!(s2.cache_overflows > 0);
         assert!(s2.intermediates <= s1.intermediates);
@@ -228,11 +136,11 @@ mod tests {
     fn max_entries_zero_disables_caching() {
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let cfg = CtjConfig {
-            max_entries: Some(0),
-        };
         let mut sink = CountSink::default();
-        let stats = Ctj::with_config(cfg).execute(&plan, &c, &mut sink).unwrap();
+        let stats = Ctj::new()
+            .with_cache_capacity(Some(0))
+            .execute(&plan, &c, &mut sink)
+            .unwrap();
         assert_eq!(stats.cache_hits, 0);
         let mut reference = CountSink::default();
         Lftj::new().execute(&plan, &c, &mut reference).unwrap();
@@ -272,7 +180,7 @@ mod tests {
         tries: &'a TrieSet,
         budget: B,
     ) -> Driver<'a, Counting, LocalPjr, B> {
-        let store = LocalPjr::new(CtjConfig::default());
+        let store = LocalPjr::new(None);
         Driver::new(plan, tries, store, budget).unwrap()
     }
 

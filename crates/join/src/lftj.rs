@@ -1,22 +1,25 @@
-use triejax_exec::{Budget, NoBudget};
+use triejax_exec::Budget;
 use triejax_query::CompiledQuery;
-use triejax_relation::{AccessKind, Counting, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
+use triejax_relation::{AccessKind, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
 
-use crate::cache::{Looked, NoPjr, PjrStore};
+use crate::cache::{Looked, PjrStore};
 use crate::engine::{head_order, head_slots};
 use crate::leapfrog::{BitLeapfrog, SliceLeapfrog, SLICE_MEMBERS};
 use crate::sink::BatchEmitter;
-use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
-use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, ResultSink, TrieSet};
+use crate::viewset::CursorSet;
+use crate::{EngineStats, JoinError, Leapfrog, ResultSink, TrieJoin};
 
 /// LeapFrog TrieJoin (Veldhuizen, ICDT'14): the worst-case-optimal join
 /// that backtracks over trie indexes, materializing *no* intermediate
 /// results at the cost of recomputing recurring partial joins (paper §2.2).
 ///
-/// [`JoinEngine::execute`] runs the instrumented kernel (every memory
-/// touch counted, as the paper figures require); [`Lftj::run_tallied`]
-/// exposes the same kernel generic over a [`Tally`], so
-/// `run_tallied::<NoTally>` runs with all instrumentation compiled away.
+/// The sequential LFTJ preset of the one trie-join engine: one worker on
+/// the calling thread, tries built for the run, no `TRIEJAX_*` variable
+/// read. [`JoinEngine::execute`](crate::JoinEngine::execute) runs the
+/// instrumented kernel (every memory touch counted, as the paper figures
+/// require); [`run_tallied`](TrieJoin::run_tallied) exposes the same
+/// kernel generic over a [`Tally`], so `run_tallied::<NoTally>` runs with
+/// all instrumentation compiled away.
 ///
 /// # Example
 ///
@@ -34,97 +37,9 @@ use crate::{Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, Leapfrog, Res
 /// assert_eq!(stats.intermediates, 0); // LFTJ never materializes
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Lftj {
-    _private: (),
-}
-
-impl Lftj {
-    /// Creates the engine; identical to `Default::default()`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Runs the query with an explicit [`Tally`] choice.
-    ///
-    /// `run_tallied::<Counting>` is what [`JoinEngine::execute`] calls;
-    /// `run_tallied::<triejax_relation::NoTally>` is the zero-overhead
-    /// fast path (identical results, no access accounting).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JoinError`] when the catalog is missing a relation or a
-    /// relation's arity mismatches its atom.
-    pub fn run_tallied<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        run_sequential(plan, catalog, None, NoPjr, sink)
-    }
-
-    /// Runs the query over `catalog` with the pending mutations in
-    /// `deltas` folded in: every atom over a mutated relation walks a
-    /// [`triejax_relation::MergeCursor`] presenting
-    /// `base ∪ inserts − tombstones`, without rebuilding the base trie.
-    /// When no atom of the plan touches a non-empty delta this is exactly
-    /// [`run_tallied`](Self::run_tallied) — the frozen fast path,
-    /// monomorphized to plain trie cursors.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_tallied`](Self::run_tallied), plus an arity mismatch
-    /// between a delta and its atom.
-    pub fn run_tallied_with<T: Tally>(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        run_sequential(plan, catalog, Some(deltas), NoPjr, sink)
-    }
-}
-
-impl JoinEngine for Lftj {
-    fn name(&self) -> &'static str {
-        "lftj"
-    }
-
-    fn execute(
-        &mut self,
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats, JoinError> {
-        self.run_tallied::<Counting>(plan, catalog, sink)
-    }
-}
-
-/// The sequential engines' body: one ungoverned [`Driver`] over `cache`
-/// on the calling thread, walking plain trie cursors unless an atom of
-/// the plan reads a relation with a pending delta in `deltas`.
-pub(crate) fn run_sequential<T: Tally, P: PjrStore>(
-    plan: &CompiledQuery,
-    catalog: &Catalog,
-    deltas: Option<&DeltaMap>,
-    cache: P,
-    sink: &mut dyn ResultSink,
-) -> Result<EngineStats<T>, JoinError> {
-    fn drive<'a, T: Tally, P: PjrStore, S: CursorSet<'a>>(
-        plan: &'a CompiledQuery,
-        set: &'a S,
-        cache: P,
-        sink: &mut dyn ResultSink,
-    ) -> Result<EngineStats<T>, JoinError> {
-        Ok(Driver::new(plan, set, cache, NoBudget)?.run(sink))
-    }
-    match deltas.filter(|d| plan_touches_delta(plan, d)) {
-        None => drive(plan, &TrieSet::build(plan, catalog)?, cache, sink),
-        Some(d) => drive(plan, &MergeSet::build(plan, catalog, d)?, cache, sink),
-    }
-}
+///
+/// [`NoTally`]: triejax_relation::NoTally
+pub type Lftj = TrieJoin<false, false>;
 
 /// The match list of a cache entry while its level is being computed.
 type Recording = Vec<(Value, Vec<u32>)>;
@@ -163,21 +78,22 @@ impl SplitSpawn for NoSplit {
 
 /// The trie-join driver: the Cached TrieJoin control flow of paper
 /// Figure 4 as recursive backtracking over trie cursors — and, without a
-/// cache, plain LFTJ. Every trie engine runs it: [`Lftj`] and
-/// [`crate::Ctj`] on the calling thread, each worker of
-/// [`crate::ParLftj`]/[`crate::ParCtj`] (one driver per worker, reused
-/// across that worker's shards), and each term of a standing query.
+/// cache, plain LFTJ. Every trie join runs it: a one-range run (always
+/// [`Lftj`] and [`crate::Ctj`]) as one driver on the calling thread, a
+/// pooled run as one driver per worker, reused across that worker's
+/// shards, and each term of a standing query.
 ///
 /// It is generic over five axes, each monomorphizing away when unused:
 ///
-/// * `T: Tally` — [`Counting`] charges every simulated word touch,
-///   [`triejax_relation::NoTally`] none.
-/// * `P: PjrStore` — the partial-join-result cache. [`NoPjr`] is LFTJ:
-///   its `CACHING = false` compiles the spec lookup, the recording and
-///   the publish away. [`crate::cache::LocalPjr`] is sequential CTJ's
-///   store, a [`crate::cache::SharedPjrHandle`] one `ParCtj` worker's
-///   view of the cache all workers share.
-/// * `B: Budget` — [`NoBudget`] compiles every cancellation check away;
+/// * `T: Tally` — [`triejax_relation::Counting`] charges every simulated
+///   word touch, [`triejax_relation::NoTally`] none.
+/// * `P: PjrStore` — the partial-join-result cache.
+///   [`crate::cache::NoPjr`] is LFTJ: its `CACHING = false` compiles the
+///   spec lookup, the recording and the publish away.
+///   [`crate::cache::LocalPjr`] is a one-range CTJ run's store, a
+///   [`crate::cache::SharedPjrHandle`] one pooled CTJ worker's view of the
+///   cache all workers share.
+/// * `B: Budget` — [`triejax_exec::NoBudget`] compiles every cancellation check away;
 ///   a [`triejax_exec::BudgetHandle`] polls for deadline/token trips at
 ///   the task's top level and charges the row quota at every emission. A
 ///   governed driver stops early, still flushing what the emitter
@@ -811,9 +727,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectSink, CountSink};
+    use crate::cache::NoPjr;
+    use crate::viewset::MergeSet;
+    use crate::{Catalog, CollectSink, CountSink, DeltaMap, JoinEngine, TrieSet};
+    use triejax_exec::NoBudget;
     use triejax_query::patterns;
-    use triejax_relation::{NoTally, Relation};
+    use triejax_relation::{Counting, NoTally, Relation};
 
     fn catalog(edges: &[(u32, u32)]) -> Catalog {
         let mut c = Catalog::new();
@@ -990,7 +909,12 @@ mod tests {
         assert_eq!(counting.tuples(), oracle.tuples());
         assert_eq!(fast.tuples(), oracle.tuples());
         assert_eq!(stats.results, 6);
-        assert_eq!(stats, rebuilt_stats);
+        // Equal in everything but the wall-clock time the builds took.
+        let work = |s: EngineStats| EngineStats {
+            trie_build_ns: 0,
+            ..s
+        };
+        assert_eq!(work(stats), work(rebuilt_stats));
     }
 
     /// The LFTJ driver: no cache, governed by `budget`.
@@ -1121,7 +1045,6 @@ mod tests {
     #[test]
     fn a_driver_stopped_every_k_rows_resumes_in_sequential_order() {
         use crate::cache::LocalPjr;
-        use crate::CtjConfig;
         use triejax_query::patterns::Pattern;
         use triejax_relation::RelationDelta;
 
@@ -1132,12 +1055,7 @@ mod tests {
         let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
         // A tiny store drops most entries at publish: a recording level
         // whose entry is dropped must still not be stopped in.
-        let ctj = [
-            CtjConfig::default(),
-            CtjConfig {
-                max_entries: Some(2),
-            },
-        ];
+        let ctj = [None, Some(2)];
         let (mut bit_leaf_stops, mut overshoots) = (0, 0);
         for (c, dense) in [(catalog(&edges), true), (catalog(&spread), false)] {
             let base = c.get("G").unwrap();
@@ -1198,8 +1116,8 @@ mod tests {
                     if bit_leaf {
                         bit_leaf_stops += runs[0].0.stops.len();
                     }
-                    for config in ctj {
-                        let store = || LocalPjr::new(config);
+                    for capacity in ctj {
+                        let store = || LocalPjr::new(capacity);
                         let runs = [
                             (
                                 stepped::<NoTally, _, _>(&plan, build(), store(), k),
@@ -1211,7 +1129,7 @@ mod tests {
                             ),
                         ];
                         for (run, want) in runs {
-                            assert_eq!(&run.rows, want, "{context} ctj {config:?}");
+                            assert_eq!(&run.rows, want, "{context} ctj {capacity:?}");
                             let (_, full) = run.batches.split_last().unwrap();
                             assert!(full.iter().all(|&b| b as u64 >= k), "{context}");
                             overshoots += full.iter().filter(|&&b| b as u64 > k).count();

@@ -25,19 +25,25 @@
 //!   on-chip PJR cache every TrieJax lane shares, and the reason its hit
 //!   counts match sequential CTJ's instead of being capped below them.
 //!
-//! The four trie engines are presets of **one trie-join driver**: the
-//! Cached TrieJoin control flow of paper Figure 4, which with no cache
-//! is LFTJ. It is generic over the [`Tally`], the run's budget, the stop
-//! controller of a batched run, the cursor (frozen trie or merged view of
-//! a mutated relation) and the partial-join-result store — none for LFTJ,
-//! compiled away; a worker-local one for sequential CTJ; a handle onto
-//! the shared cache for each `ParCtj` worker. `Lftj`/`Ctj` run one driver on the
-//! calling thread; `ParLftj`/`ParCtj` are two presets of one parallel
-//! engine body that runs one driver per pool worker, with every builder
-//! written once. Every run knob is a builder; four of them — the pool
-//! size, the CTJ cache capacity, the trie-cache size and the trie store —
-//! fall back to a `TRIEJAX_*` variable when unset, and the crate reads
-//! the environment in one place.
+//! The four trie engines are presets of **one engine type**, [`TrieJoin`],
+//! whose partial-join-result cache is a configuration bit, as in the
+//! paper's machine: every builder, run method and [`JoinEngine`] impl is
+//! written once, and a preset chooses only its defaults and its name.
+//! The sequential presets `Lftj`/`Ctj` run one worker, build their own
+//! tries and read no environment variable; `ParLftj`/`ParCtj` follow the
+//! process defaults. Every run goes through one engine body, which runs
+//! one **trie-join driver** on the calling thread when the run plans a
+//! single root range (always at one worker) and one per pool worker
+//! otherwise. The driver is the Cached TrieJoin control flow of paper
+//! Figure 4, which with no cache is LFTJ. It is generic over the
+//! [`Tally`], the run's budget, the stop controller of a batched run, the
+//! cursor (frozen trie or merged view of a mutated relation) and the
+//! partial-join-result store — none for LFTJ, compiled away; a
+//! worker-local one for a one-range CTJ run; a handle onto the shared
+//! cache for each pooled CTJ worker. Every run knob is a builder; four of
+//! them — the pool size, the CTJ cache capacity, the trie-cache size and
+//! the trie store — fall back to a `TRIEJAX_*` variable when unset (in
+//! the pooled presets), and the crate reads the environment in one place.
 //!
 //! Engines count their work in [`EngineStats`] (operation counts, memory
 //! touches, intermediate results, cache hits, shard/steal scheduling
@@ -94,7 +100,7 @@ mod triecache;
 mod viewset;
 
 pub use catalog::{Catalog, TrieSet};
-pub use ctj::{Ctj, CtjConfig};
+pub use ctj::Ctj;
 pub use engine::JoinEngine;
 pub use error::JoinError;
 pub use generic::GenericJoin;
@@ -104,7 +110,7 @@ pub use lftj::Lftj;
 pub use options::{STORE_ENV, TRIE_CACHE_ENV};
 pub use pairwise::PairwiseHash;
 pub use parctj::ParCtj;
-pub use parlftj::ParLftj;
+pub use parlftj::{ParLftj, TrieJoin};
 pub use row::Row;
 pub use session::{QueryHandle, ResultStream, Session, WatchStream, WatchUpdate};
 pub use sink::{CollectSink, CountSink, ResultSink, ShardSink};

@@ -1,4 +1,4 @@
-//! Run configuration: every knob of the parallel engines, and the one
+//! Run configuration: every knob of the trie-join engine, and the one
 //! place `triejax-join` reads the environment.
 //!
 //! Every knob is a builder value. Four have a `TRIEJAX_*` variable that
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use triejax_exec::{CancelToken, RunBudget, WorkerPool};
 
-use crate::{CtjConfig, TrieCache};
+use crate::TrieCache;
 
 /// Environment variable naming the default cross-query trie cache
 /// capacity in mebibytes; unset or `0` disables the cache.
@@ -88,7 +88,7 @@ pub(crate) fn default_trie_cache(env: Env) -> Option<TrieCache> {
     Some(cache)
 }
 
-/// Every knob of one parallel run, as the caller set it (`None` = not
+/// Every knob of one trie-join run, as the caller set it (`None` = not
 /// set: resolved from its variable, if it has one, or the default at run
 /// time).
 #[derive(Debug, Clone, Default)]
@@ -108,9 +108,8 @@ pub(crate) struct RunOptions {
     pub(crate) trie_cache: Option<Option<Arc<TrieCache>>>,
     /// `true` runs CTJ with the cache capacity below; `false` runs LFTJ.
     pub(crate) ctj: bool,
-    /// The CTJ cache's total capacity, [`CtjConfig::max_entries`]: unset
-    /// = `TRIEJAX_CACHE_CAP` or unbounded; `Some(None)` is an explicit
-    /// "unbounded".
+    /// The CTJ cache's total entry capacity: unset = `TRIEJAX_CACHE_CAP`
+    /// or unbounded; `Some(None)` is an explicit "unbounded".
     pub(crate) max_entries: Option<Option<usize>>,
 }
 
@@ -122,8 +121,9 @@ pub(crate) struct Resolved {
     /// zero-cost [`triejax_exec::NoBudget`] code paths.
     pub(crate) budget: Option<Arc<RunBudget>>,
     pub(crate) trie_cache: Option<Arc<TrieCache>>,
-    /// The cache configuration of a CTJ run; `None` for LFTJ.
-    pub(crate) ctj: Option<CtjConfig>,
+    /// The cache capacity of a CTJ run (`Some(None)` = unbounded);
+    /// `None` for LFTJ.
+    pub(crate) ctj: Option<Option<usize>>,
 }
 
 impl RunOptions {
@@ -140,7 +140,10 @@ impl RunOptions {
             pool: self.pool(env),
             granularity: self.granularity.map(NonZeroUsize::get),
             trie_cache: self.trie_cache(),
-            ctj: self.ctj.then(|| self.cache_config(env)),
+            ctj: self.ctj.then(|| {
+                self.max_entries
+                    .unwrap_or_else(|| parsed(env, CACHE_CAP_ENV, "a non-negative integer"))
+            }),
         }
     }
 
@@ -173,15 +176,6 @@ impl RunOptions {
         match &self.trie_cache {
             Some(choice) => choice.clone(),
             None => TrieCache::global(),
-        }
-    }
-
-    /// The CTJ cache configuration: the set capacity, else the variable.
-    pub(crate) fn cache_config(&self, env: Env) -> CtjConfig {
-        CtjConfig {
-            max_entries: self
-                .max_entries
-                .unwrap_or_else(|| parsed(env, CACHE_CAP_ENV, "a non-negative integer")),
         }
     }
 }
@@ -220,10 +214,7 @@ mod tests {
         };
         let run = ctj().resolve(&env);
         assert_eq!(run.pool.workers(), 3);
-        let cap7 = CtjConfig {
-            max_entries: Some(7),
-        };
-        assert_eq!(run.ctj, Some(cap7));
+        assert_eq!(run.ctj, Some(Some(7)));
         let preloaded = default_trie_cache(&env).expect("a store makes a cache");
         assert_eq!(preloaded.capacity_bytes(), None, "a store alone: unbounded");
         let sized = |key: &str| match key {
@@ -242,8 +233,56 @@ mod tests {
         }
         .resolve(&env);
         assert_eq!(set.pool.workers(), 5);
-        assert_eq!(set.ctj, Some(CtjConfig::default()), "explicit wins");
+        assert_eq!(set.ctj, Some(None), "explicit wins");
         assert!(set.trie_cache.is_none(), "without_trie_cache wins");
+    }
+
+    /// The four presets of the trie-join engine under every variable the
+    /// library reads. The sequential presets take none of them: one
+    /// worker, so one planned range, no trie cache, and an unbounded PJR
+    /// cache. The pooled presets take them all; the two trie-cache
+    /// variables through the process-wide default built from them, as
+    /// nothing reads those from `env`.
+    #[test]
+    fn presets_resolve_their_own_defaults() {
+        use crate::shard::plan_shards;
+        use crate::{Catalog, Ctj, JoinEngine, Lftj, ParCtj, ParLftj, TrieSet};
+        use triejax_query::{patterns, CompiledQuery};
+        use triejax_relation::Relation;
+
+        let env = fake(&[
+            (POOL_ENV, "3"),
+            (CACHE_CAP_ENV, "7"),
+            (TRIE_CACHE_ENV, "2"),
+            (STORE_ENV, "never-opened.tjx"),
+        ]);
+        let mut catalog = Catalog::new();
+        let edges = (0..40u32).map(|i| (i, (i * 7 + 3) % 40));
+        catalog.insert("G", Relation::from_pairs(edges));
+        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
+        let tries = TrieSet::build(&plan, &catalog).unwrap();
+        let global = TrieCache::global().as_ref().map(Arc::as_ptr);
+        let presets = [
+            (Lftj::new().name(), Lftj::new().opts),
+            (Ctj::new().name(), Ctj::new().opts),
+            (ParLftj::new().name(), ParLftj::new().opts),
+            (ParCtj::new().name(), ParCtj::new().opts),
+        ];
+        // (name, CTJ capacity, workers, planned ranges, trie cache)
+        let want = [
+            ("lftj", None, 1, 1, None),
+            ("ctj", Some(None), 1, 1, None),
+            ("par-lftj", None, 3, 12, global),
+            ("par-ctj", Some(Some(7)), 3, 12, global),
+        ];
+        for ((name, opts), want) in presets.into_iter().zip(want) {
+            let run = opts.resolve(&env);
+            let workers = run.pool.workers();
+            let ranges = plan_shards(&plan, &catalog, &tries, workers, run.granularity);
+            let cache = run.trie_cache.as_ref().map(Arc::as_ptr);
+            assert_eq!((name, run.ctj, workers, ranges.len(), cache), want);
+            assert!(run.budget.is_none(), "{name}");
+        }
     }
 
     #[test]
@@ -253,7 +292,7 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         assert_eq!(run.pool.workers(), cores, "blank is unset");
         assert!(run.budget.is_none(), "ungoverned");
-        assert_eq!(run.ctj, Some(CtjConfig::default()));
+        assert_eq!(run.ctj, Some(None));
         assert_eq!(RunOptions::default().resolve(&env).ctj, None, "LFTJ");
     }
 
@@ -277,7 +316,7 @@ mod tests {
         assert_eq!(env(&row_limit).as_deref(), Some("lots"), "the fake is set");
         let run = ctj().resolve(&env);
         assert!(run.budget.is_none(), "no budget from the environment");
-        assert_eq!(run.ctj, Some(CtjConfig::default()));
+        assert_eq!(run.ctj, Some(None));
     }
 
     #[test]

@@ -1,6 +1,4 @@
-use crate::options::RunOptions;
-use crate::parlftj::parallel_engine;
-use crate::CtjConfig;
+use crate::TrieJoin;
 
 /// Parallel Cached TrieJoin: root-partitioned CTJ on the shared
 /// [`triejax_exec::WorkerPool`] runtime, with **one partial-join-result
@@ -17,19 +15,19 @@ use crate::CtjConfig;
 /// [`crate::Ctj`]'s; the shared cache restores them — a property the
 /// conformance suite asserts.) The cache is lock-striped
 /// ([`triejax_exec::Striped`]) with hash-determined stripe selection,
-/// bounded by [`CtjConfig::max_entries`] as a *total* capacity with
-/// per-stripe FIFO eviction, and insert races resolve first-writer-wins
-/// with race-deduped miss accounting (`EngineStats::{cache_evictions,
-/// cache_races, cache_contention}` report the churn).
+/// bounded by [`with_cache_capacity`](TrieJoin::with_cache_capacity) as a
+/// *total* capacity with per-stripe FIFO eviction, and insert races
+/// resolve first-writer-wins with race-deduped miss accounting
+/// (`EngineStats::{cache_evictions, cache_races, cache_contention}` report
+/// the churn).
 ///
 /// `ParCtj` is [`crate::ParLftj`] with the cache switched on: the same
 /// engine, builders, scheduling and emission — plan-seeded root-range
 /// shards on the work-stealing pool, [`crate::ShardSink`] batches through
 /// an order-preserving [`triejax_exec::OrderedMerge`]. The merged stream
 /// is tuple-for-tuple identical to sequential [`crate::Ctj`] (and
-/// [`crate::Lftj`]) — same tuples, same order. The cache capacity below
-/// adds to the shared knobs. An unset capacity resolves from
-/// `TRIEJAX_CACHE_CAP` when the query runs (unset = unbounded).
+/// [`crate::Lftj`]) — same tuples, same order. An unset capacity resolves
+/// from `TRIEJAX_CACHE_CAP` when the query runs (unset = unbounded).
 ///
 /// # Example
 ///
@@ -49,36 +47,7 @@ use crate::CtjConfig;
 /// assert_eq!(seq.tuples(), par.tuples()); // identical, order included
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ParCtj {
-    opts: RunOptions,
-}
-
-parallel_engine!(ParCtj, "par-ctj", ctj: true);
-
-impl ParCtj {
-    /// Engine with an explicit cache configuration
-    /// ([`CtjConfig::max_entries`] is the shared cache's *total*
-    /// capacity). An explicit config — even the default unbounded one —
-    /// sets the capacity, overriding `TRIEJAX_CACHE_CAP`.
-    pub fn with_config(config: CtjConfig) -> Self {
-        Self::new().config(config)
-    }
-
-    /// Sets the cache configuration, keeping the scheduling knobs; see
-    /// [`with_config`](Self::with_config).
-    pub fn config(mut self, config: CtjConfig) -> Self {
-        self.opts.max_entries = Some(config.max_entries);
-        self
-    }
-
-    /// Sets the shared cache's total entry capacity (`0` disables
-    /// caching).
-    pub fn cache_capacity(mut self, entries: usize) -> Self {
-        self.opts.max_entries = Some(Some(entries));
-        self
-    }
-}
+pub type ParCtj = TrieJoin<true, true>;
 
 #[cfg(test)]
 mod tests {
@@ -175,7 +144,7 @@ mod tests {
         // Explicitly unbounded so a TRIEJAX_CACHE_CAP test environment
         // cannot shrink the cache under this exact-count assertion.
         let par = ParCtj::with_pool(2)
-            .config(CtjConfig::default())
+            .with_cache_capacity(None)
             .execute(&plan, &c, &mut par_sink)
             .unwrap();
         assert_eq!(seq_sink.count(), par_sink.count());
@@ -200,11 +169,9 @@ mod tests {
         let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
         let mut reference = CollectSink::new();
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
-        let cfg = CtjConfig {
-            max_entries: Some(2),
-        };
         let mut sink = CollectSink::new();
-        let stats = ParCtj::with_config(cfg)
+        let stats = ParCtj::new()
+            .with_cache_capacity(Some(2))
             .with_granularity(6)
             .execute(&plan, &c, &mut sink)
             .unwrap();
@@ -220,7 +187,7 @@ mod tests {
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
         let mut sink = CollectSink::new();
         let stats = ParCtj::with_pool(2)
-            .cache_capacity(2)
+            .with_cache_capacity(Some(2))
             .with_granularity(8)
             .execute(&plan, &c, &mut sink)
             .unwrap();
@@ -260,10 +227,12 @@ mod tests {
     #[test]
     fn cache_capacity_builder_sets_an_explicit_config() {
         let unset = |_: &str| None;
-        let engine = ParCtj::with_pool(2).cache_capacity(16);
-        assert_eq!(engine.opts.cache_config(&unset).max_entries, Some(16));
-        let engine = ParCtj::with_config(CtjConfig { max_entries: None }).cache_capacity(5);
-        assert_eq!(engine.opts.cache_config(&unset).max_entries, Some(5));
+        let engine = ParCtj::with_pool(2).with_cache_capacity(Some(16));
+        assert_eq!(engine.opts.resolve(&unset).ctj, Some(Some(16)));
+        let engine = ParCtj::new()
+            .with_cache_capacity(None)
+            .with_cache_capacity(Some(5));
+        assert_eq!(engine.opts.resolve(&unset).ctj, Some(Some(5)));
     }
 
     #[test]

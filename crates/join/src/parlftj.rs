@@ -1,8 +1,10 @@
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use triejax_exec::{Budget, BudgetHandle, NoBudget, PoolStats, RunBudget};
+use triejax_exec::{Budget, BudgetHandle, CancelToken, NoBudget, PoolStats, RunBudget};
 use triejax_query::CompiledQuery;
-use triejax_relation::{NoTally, Tally, Value};
+use triejax_relation::{Counting, NoTally, Tally, Value};
 
 use crate::cache::{LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::catalog::Served;
@@ -11,171 +13,36 @@ use crate::lftj::{Driver, Resumable};
 use crate::options::{process_env, Resolved, RunOptions};
 use crate::shard::{execute_sharded, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
-use crate::{Catalog, DeltaMap, EngineStats, JoinError, ResultSink, TrieSet};
+use crate::{
+    Catalog, DeltaMap, EngineStats, JoinEngine, JoinError, ResultSink, TrieCache, TrieSet,
+};
 
-/// Stamps the surface the two parallel presets share onto `$engine` (a
-/// struct with one `opts: RunOptions` field): `Default`, every builder and
-/// run method, and [`crate::JoinEngine`] under `$name`. `$ctj` says
-/// whether the preset's drivers carry the PJR cache. Everything here is
-/// written once; the runs all go through [`run_parallel`].
-macro_rules! parallel_engine {
-    ($engine:ident, $name:literal, ctj: $ctj:literal) => {
-        impl Default for $engine {
-            fn default() -> Self {
-                $engine {
-                    opts: $crate::options::RunOptions {
-                        ctj: $ctj,
-                        ..Default::default()
-                    },
-                }
-            }
-        }
-
-        impl $engine {
-            /// Engine with the default pool size (the `TRIEJAX_POOL`
-            /// environment variable, else one worker per core) and
-            /// plan-seeded shard granularity; identical to
-            /// `Default::default()`.
-            pub fn new() -> Self {
-                Self::default()
-            }
-
-            /// Engine with an explicit pool (worker) count; shard
-            /// granularity is still seeded from the plan.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `workers == 0`.
-            pub fn with_pool(workers: usize) -> Self {
-                let mut engine = Self::default();
-                let workers =
-                    std::num::NonZeroUsize::new(workers).expect("workers must be positive");
-                engine.opts.workers = Some(workers);
-                engine
-            }
-
-            /// Sets an explicit shard count, keeping the pool size
-            /// (otherwise the count is seeded from the plan).
-            ///
-            /// # Panics
-            ///
-            /// Panics if `shards == 0`.
-            pub fn with_granularity(mut self, shards: usize) -> Self {
-                let shards = std::num::NonZeroUsize::new(shards).expect("shards must be positive");
-                self.opts.granularity = Some(shards);
-                self
-            }
-
-            /// Caps the run's wall-clock time. A run that outlives the
-            /// deadline is cancelled cooperatively: workers
-            /// stop at their next poll point, the rows already streamed to
-            /// the sink stay an exact prefix of the full result, and the
-            /// engine returns [`crate::JoinError::Cancelled`] carrying the
-            /// partial [`crate::EngineStats`].
-            pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-                self.opts.deadline = Some(deadline);
-                self
-            }
-
-            /// Caps delivered result rows at `limit`. The sink receives
-            /// exactly the first `min(total, limit)` rows of the
-            /// sequential result stream and the engine returns
-            /// [`crate::JoinError::Cancelled`] with
-            /// [`triejax_exec::CancelReason::RowLimit`] when the cap
-            /// actually truncated the run.
-            pub fn with_row_limit(mut self, limit: u64) -> Self {
-                self.opts.row_limit = Some(limit);
-                self
-            }
-
-            /// Ties every run of this engine to `token`: firing it from
-            /// any thread cancels the run cooperatively (see
-            /// [`with_deadline`](Self::with_deadline) for the delivery
-            /// contract).
-            pub fn with_cancel_token(mut self, token: $crate::CancelToken) -> Self {
-                self.opts.cancel = Some(token);
-                self
-            }
-
-            /// Consults (and fills) `cache` before building tries,
-            /// overriding the `TRIEJAX_TRIE_CACHE_MB` process default.
-            /// Share one cache across engines to amortize trie
-            /// construction over a query stream; see
-            /// [`crate::TrieCache`].
-            pub fn with_trie_cache(mut self, cache: std::sync::Arc<$crate::TrieCache>) -> Self {
-                self.opts.trie_cache = Some(Some(cache));
-                self
-            }
-
-            /// Disables trie caching for this engine even when
-            /// `TRIEJAX_TRIE_CACHE_MB` configures a process-wide cache.
-            pub fn without_trie_cache(mut self) -> Self {
-                self.opts.trie_cache = Some(None);
-                self
-            }
-
-            /// Runs the query with an explicit [`crate::Tally`] choice;
-            /// see [`crate::Lftj::run_tallied`] for the counting/fast
-            /// trade-off. The usual pairing for pure throughput is
-            /// [`crate::NoTally`].
-            ///
-            /// # Errors
-            ///
-            /// Returns a [`crate::JoinError`] when the catalog is missing
-            /// a relation, a relation's arity mismatches its atom, or the
-            /// plan projects variables away from the head.
-            pub fn run_tallied<T: $crate::Tally>(
-                &mut self,
-                plan: &triejax_query::CompiledQuery,
-                catalog: &$crate::Catalog,
-                sink: &mut dyn $crate::ResultSink,
-            ) -> Result<$crate::EngineStats<T>, $crate::JoinError> {
-                $crate::parlftj::run_parallel(&self.opts, plan, catalog, None, sink)
-            }
-
-            /// Runs the query over `catalog` with the pending mutations
-            /// in `deltas` folded in: every atom over a mutated relation
-            /// walks a [`triejax_relation::MergeCursor`] presenting
-            /// `base ∪ inserts − tombstones`, without rebuilding the base
-            /// trie. When no atom of the plan touches a non-empty delta,
-            /// this is exactly [`run_tallied`](Self::run_tallied) — the
-            /// frozen fast path, monomorphized to plain trie cursors.
-            /// Cache-spec validity is unaffected: PJR entries are keyed by
-            /// bindings alone, and a merged view changes which bindings
-            /// occur, not what an entry means.
-            ///
-            /// # Errors
-            ///
-            /// As [`run_tallied`](Self::run_tallied), plus an arity
-            /// mismatch between a delta and its atom.
-            pub fn run_tallied_with<T: $crate::Tally>(
-                &mut self,
-                plan: &triejax_query::CompiledQuery,
-                catalog: &$crate::Catalog,
-                deltas: &$crate::DeltaMap,
-                sink: &mut dyn $crate::ResultSink,
-            ) -> Result<$crate::EngineStats<T>, $crate::JoinError> {
-                $crate::parlftj::run_parallel(&self.opts, plan, catalog, Some(deltas), sink)
-            }
-        }
-
-        impl $crate::JoinEngine for $engine {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn execute(
-                &mut self,
-                plan: &triejax_query::CompiledQuery,
-                catalog: &$crate::Catalog,
-                sink: &mut dyn $crate::ResultSink,
-            ) -> Result<$crate::EngineStats, $crate::JoinError> {
-                self.run_tallied::<$crate::Counting>(plan, catalog, sink)
-            }
-        }
-    };
+/// The trie join: LeapFrog TrieJoin, or Cached TrieJoin when `CTJ` is
+/// set, run by one trie-join driver per worker of a
+/// [`triejax_exec::WorkerPool`] over root-range shards — or, when the
+/// run plans a single range (always at one worker), by one driver on the
+/// calling thread.
+///
+/// The paper's machine is one join engine whose partial-join-result cache
+/// is a configuration bit (§3, §3.5), and so is this type: every run knob
+/// is a builder below, written once, and each resolves when the query
+/// runs (the explicit value, else its `TRIEJAX_*` variable where it has
+/// one, else the default). The four public engines are presets of it —
+/// [`Lftj`](crate::Lftj), [`Ctj`](crate::Ctj), [`ParLftj`] and
+/// [`ParCtj`](crate::ParCtj) — and the two const parameters choose only
+/// the preset's defaults ([`Default`]) and its [`JoinEngine::name`]:
+///
+/// * `CTJ` — whether the drivers carry a partial-join-result cache.
+/// * `POOLED` — whether the defaults follow the process: `TRIEJAX_POOL`
+///   workers (else one per core), the process-wide [`TrieCache::global`]
+///   and a `TRIEJAX_CACHE_CAP`-bounded PJR cache. Without it the preset runs
+///   one worker that builds its own tries, with an unbounded PJR cache,
+///   and reads no variable at all: the paper figures' and the tests'
+///   oracle.
+#[derive(Debug, Clone)]
+pub struct TrieJoin<const CTJ: bool, const POOLED: bool> {
+    pub(crate) opts: RunOptions,
 }
-pub(crate) use parallel_engine;
 
 /// Parallel LeapFrog TrieJoin: root-partitioned LFTJ on the shared
 /// [`triejax_exec::WorkerPool`] runtime.
@@ -201,12 +68,6 @@ pub(crate) use parallel_engine;
 /// speed. [`EngineStats::shards`] and [`EngineStats::steals`] report how
 /// the run was scheduled.
 ///
-/// `ParLftj` and [`crate::ParCtj`] are two presets of one engine: every
-/// builder below is shared, every knob resolves when the query runs (the
-/// explicit value, else the pool's or trie cache's `TRIEJAX_*` variable
-/// where it has one, else the default), and they differ only in whether
-/// the workers' drivers carry a partial-join-result cache.
-///
 /// # Example
 ///
 /// ```
@@ -225,14 +86,180 @@ pub(crate) use parallel_engine;
 /// assert_eq!(seq.tuples(), par.tuples()); // identical, order included
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct ParLftj {
-    opts: RunOptions,
+pub type ParLftj = TrieJoin<false, true>;
+
+impl<const CTJ: bool, const POOLED: bool> Default for TrieJoin<CTJ, POOLED> {
+    fn default() -> Self {
+        let opts = RunOptions {
+            ctj: CTJ,
+            ..RunOptions::default()
+        };
+        if POOLED {
+            return TrieJoin { opts };
+        }
+        TrieJoin {
+            opts: RunOptions {
+                workers: Some(NonZeroUsize::MIN),
+                trie_cache: Some(None),
+                max_entries: Some(None),
+                ..opts
+            },
+        }
+    }
 }
 
-parallel_engine!(ParLftj, "par-lftj", ctj: false);
+impl<const CTJ: bool, const POOLED: bool> TrieJoin<CTJ, POOLED> {
+    /// The preset's engine; identical to `Default::default()`.
+    pub fn new() -> Self {
+        Self::default()
+    }
 
-/// The one parallel engine body, behind both presets and
+    /// The preset's engine with an explicit pool (worker) count; shard
+    /// granularity is still seeded from the plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn with_pool(workers: usize) -> Self {
+        let mut engine = Self::default();
+        let workers = NonZeroUsize::new(workers).expect("workers must be positive");
+        engine.opts.workers = Some(workers);
+        engine
+    }
+
+    /// Sets an explicit shard count, keeping the pool size (otherwise the
+    /// count is seeded from the plan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards == 0`.
+    pub fn with_granularity(mut self, shards: usize) -> Self {
+        let shards = NonZeroUsize::new(shards).expect("shards must be positive");
+        self.opts.granularity = Some(shards);
+        self
+    }
+
+    /// Sets the partial-join-result cache's total entry capacity
+    /// (CTJ only): `Some(0)` disables caching, and `None` is an explicit
+    /// "unbounded" that overrides `TRIEJAX_CACHE_CAP`. A one-range run's
+    /// worker-local store *drops* insertions past the capacity; the cache
+    /// a pooled run's workers share *evicts* (FIFO per stripe) to stay
+    /// within it.
+    pub fn with_cache_capacity(mut self, entries: Option<usize>) -> Self {
+        self.opts.max_entries = Some(entries);
+        self
+    }
+
+    /// Caps the run's wall-clock time. A run that outlives the deadline
+    /// is cancelled cooperatively: workers stop at their next poll point,
+    /// the rows already streamed to the sink stay an exact prefix of the
+    /// full result, and the engine returns [`JoinError::Cancelled`]
+    /// carrying the partial [`EngineStats`].
+    pub fn with_deadline(mut self, deadline: Duration) -> Self {
+        self.opts.deadline = Some(deadline);
+        self
+    }
+
+    /// Caps delivered result rows at `limit`. The sink receives exactly
+    /// the first `min(total, limit)` rows of the sequential result stream
+    /// and the engine returns [`JoinError::Cancelled`] with
+    /// [`triejax_exec::CancelReason::RowLimit`] when the cap actually
+    /// truncated the run.
+    pub fn with_row_limit(mut self, limit: u64) -> Self {
+        self.opts.row_limit = Some(limit);
+        self
+    }
+
+    /// Ties every run of this engine to `token`: firing it from any
+    /// thread cancels the run cooperatively (see
+    /// [`with_deadline`](Self::with_deadline) for the delivery contract).
+    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
+        self.opts.cancel = Some(token);
+        self
+    }
+
+    /// Consults (and fills) `cache` before building tries, overriding the
+    /// preset's default. Share one cache across engines to amortize trie
+    /// construction over a query stream; see [`TrieCache`].
+    pub fn with_trie_cache(mut self, cache: Arc<TrieCache>) -> Self {
+        self.opts.trie_cache = Some(Some(cache));
+        self
+    }
+
+    /// Disables trie caching for this engine even when
+    /// `TRIEJAX_TRIE_CACHE_MB` configures a process-wide cache.
+    pub fn without_trie_cache(mut self) -> Self {
+        self.opts.trie_cache = Some(None);
+        self
+    }
+
+    /// Runs the query with an explicit [`Tally`] choice.
+    ///
+    /// `run_tallied::<Counting>` is what [`JoinEngine::execute`] calls;
+    /// `run_tallied::<triejax_relation::NoTally>` is the zero-overhead
+    /// fast path (identical results, no access accounting).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JoinError`] when the catalog is missing a relation, a
+    /// relation's arity mismatches its atom, or the plan projects
+    /// variables away from the head.
+    pub fn run_tallied<T: Tally>(
+        &mut self,
+        plan: &CompiledQuery,
+        catalog: &Catalog,
+        sink: &mut dyn ResultSink,
+    ) -> Result<EngineStats<T>, JoinError> {
+        run_parallel(&self.opts, plan, catalog, None, sink)
+    }
+
+    /// Runs the query over `catalog` with the pending mutations in
+    /// `deltas` folded in: every atom over a mutated relation walks a
+    /// [`triejax_relation::MergeCursor`] presenting
+    /// `base ∪ inserts − tombstones`, without rebuilding the base trie.
+    /// When no atom of the plan touches a non-empty delta, this is exactly
+    /// [`run_tallied`](Self::run_tallied) — the frozen fast path,
+    /// monomorphized to plain trie cursors. Partial-join-result caching
+    /// works unchanged on merged views: entries are keyed by bindings
+    /// alone, and a merged view changes which bindings occur, not what an
+    /// entry means.
+    ///
+    /// # Errors
+    ///
+    /// As [`run_tallied`](Self::run_tallied), plus an arity mismatch
+    /// between a delta and its atom.
+    pub fn run_tallied_with<T: Tally>(
+        &mut self,
+        plan: &CompiledQuery,
+        catalog: &Catalog,
+        deltas: &DeltaMap,
+        sink: &mut dyn ResultSink,
+    ) -> Result<EngineStats<T>, JoinError> {
+        run_parallel(&self.opts, plan, catalog, Some(deltas), sink)
+    }
+}
+
+impl<const CTJ: bool, const POOLED: bool> JoinEngine for TrieJoin<CTJ, POOLED> {
+    fn name(&self) -> &'static str {
+        match (CTJ, POOLED) {
+            (false, false) => "lftj",
+            (true, false) => "ctj",
+            (false, true) => "par-lftj",
+            (true, true) => "par-ctj",
+        }
+    }
+
+    fn execute(
+        &mut self,
+        plan: &CompiledQuery,
+        catalog: &Catalog,
+        sink: &mut dyn ResultSink,
+    ) -> Result<EngineStats, JoinError> {
+        self.run_tallied::<Counting>(plan, catalog, sink)
+    }
+}
+
+/// The one engine body, behind every [`TrieJoin`] preset and
 /// [`crate::QueryHandle`]: resolves `opts`, builds the query's tries (or
 /// merged views, when an atom reads a relation with a pending delta in
 /// `deltas`) on the pool, and runs the join. A governed run that was cut
@@ -327,7 +354,7 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
     if ranges.len() <= 1 {
         let mut stats = match run.ctj {
             None => Driver::new(plan, set, NoPjr, driving)?.run(sink),
-            Some(config) => Driver::new(plan, set, LocalPjr::new(config), driving)?.run(sink),
+            Some(capacity) => Driver::new(plan, set, LocalPjr::new(capacity), driving)?.run(sink),
         };
         stats.shards = 1;
         return Ok(stats);
@@ -337,13 +364,13 @@ fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
     head_slots(plan)?;
     let (mut stats, pool_stats) = match run.ctj {
         None => run_pooled(run, plan, set, &ranges, sink, &worker, || NoPjr),
-        Some(config) => {
+        Some(capacity) => {
             // One cache shared by every worker, striped for the workers
             // the run uses (never more than it has ranges), pre-sized
             // from the plan's entry estimate.
             let workers = run.pool.workers().min(ranges.len());
             let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
-            let cache = SharedPjrCache::new(workers, config, hint);
+            let cache = SharedPjrCache::new(workers, capacity, hint);
             run_pooled(run, plan, set, &ranges, sink, &worker, || cache.handle())
         }
     };
@@ -629,7 +656,8 @@ mod tests {
         );
     }
 
-    /// Both presets of the engine, each paired with a pattern it runs.
+    /// Both pooled presets of the engine, each paired with a pattern it
+    /// runs.
     fn presets(workers: usize) -> [(Pattern, Box<dyn JoinEngine>); 2] {
         [
             (Pattern::Cycle4, Box::new(ParLftj::with_pool(workers))),

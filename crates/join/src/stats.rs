@@ -49,8 +49,9 @@ pub struct EngineStats<T: Tally = Counting> {
     /// searches, or per-level intersection calls for Generic Join, or
     /// probe operations for hash joins).
     pub match_ops: u64,
-    /// Root-range shards executed (parallel engines; 1 when an engine ran
-    /// its sequential fast path, 0 for the inherently sequential engines).
+    /// Root-range shards executed by a trie join (1 when it ran one
+    /// range on the calling thread, always so for `Lftj`/`Ctj`; 0 for the
+    /// other engines).
     pub shards: u64,
     /// Shards obtained by work stealing — a sibling worker's queue ran dry
     /// and took the shard — rather than from the owning worker's queue
@@ -62,12 +63,12 @@ pub struct EngineStats<T: Tally = Counting> {
     /// valid.
     pub splits: u64,
     /// Wall-clock nanoseconds spent building (or fetching) the query's
-    /// [`crate::TrieSet`] before the join proper started (parallel engines
-    /// only; the sequential engines report 0). Set once per run by the
+    /// [`crate::TrieSet`] before the join proper started (trie joins
+    /// only; the other engines report 0). Set once per run by the
     /// driving engine, so merging per-shard stats does not inflate it.
     pub trie_build_ns: u64,
     /// Tries served from the cross-query [`crate::TrieCache`] instead of
-    /// being built (parallel engines with a trie cache only).
+    /// being built (trie joins with a trie cache only).
     pub trie_cache_hits: u64,
     /// Wall-clock nanoseconds spent checking and decoding store entries
     /// on their first touch (see `triejax-store`): the part of fetching

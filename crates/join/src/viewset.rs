@@ -110,17 +110,6 @@ pub(crate) struct MergeSet {
 }
 
 impl MergeSet {
-    /// Builds every view the plan needs, sequentially on the caller's
-    /// thread and without cache consultation.
-    pub(crate) fn build(
-        plan: &CompiledQuery,
-        catalog: &Catalog,
-        deltas: &DeltaMap,
-    ) -> Result<MergeSet, JoinError> {
-        let sources = current_sources(plan, catalog, deltas)?;
-        Self::assemble(plan, &sources, None, None, &mut ViewMemo::new()).map(|(s, _)| s)
-    }
-
     /// Builds every view with cold trie builds parallelized on `pool`,
     /// consulting (and filling) `cache` when one is given. Returns the
     /// set and what it cost: tries served from the cache, nanoseconds
@@ -275,6 +264,19 @@ mod tests {
     use super::*;
     use triejax_query::patterns;
     use triejax_relation::Counting;
+
+    impl MergeSet {
+        /// Builds every view the plan needs, sequentially on the caller's
+        /// thread and without cache consultation.
+        pub(crate) fn build(
+            plan: &CompiledQuery,
+            catalog: &Catalog,
+            deltas: &DeltaMap,
+        ) -> Result<MergeSet, JoinError> {
+            let sources = current_sources(plan, catalog, deltas)?;
+            Self::assemble(plan, &sources, None, None, &mut ViewMemo::new()).map(|(s, _)| s)
+        }
+    }
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use triejax_join::{
-    Catalog, CollectSink, Counting, Ctj, CtjConfig, GenericJoin, JoinEngine, Lftj, NoTally,
-    PairwiseHash, ParLftj,
+    Catalog, CollectSink, Counting, Ctj, GenericJoin, JoinEngine, Lftj, NoTally, PairwiseHash,
+    ParLftj,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery, Query};
 use triejax_relation::{Relation, Value};
@@ -156,11 +156,11 @@ proptest! {
         let plan = CompiledQuery::compile(&q).unwrap();
         let mut reference = CollectSink::new();
         Lftj::new().execute(&plan, &catalog, &mut reference).unwrap();
-        let cfg = CtjConfig {
-            max_entries: Some(max_entries),
-        };
         let mut sink = CollectSink::new();
-        Ctj::with_config(cfg).execute(&plan, &catalog, &mut sink).unwrap();
+        Ctj::new()
+            .with_cache_capacity(Some(max_entries))
+            .execute(&plan, &catalog, &mut sink)
+            .unwrap();
         prop_assert_eq!(sink.into_sorted(), reference.into_sorted());
     }
 

@@ -16,9 +16,7 @@
 //!   counters prove the path actually ran.
 
 use proptest::prelude::*;
-use triejax_join::{
-    Catalog, CollectSink, Counting, Ctj, CtjConfig, JoinEngine, Lftj, NoTally, ParCtj,
-};
+use triejax_join::{Catalog, CollectSink, Counting, Ctj, JoinEngine, Lftj, NoTally, ParCtj};
 use triejax_query::{
     patterns::{self, Pattern},
     CompiledQuery,
@@ -30,17 +28,11 @@ const POOLS: [usize; 3] = [1, 2, 7];
 /// The capacity ladder: tiny (constant eviction), a small bounded cache,
 /// and unbounded. All explicit, so a `TRIEJAX_CACHE_CAP`
 /// test environment cannot change what this suite asserts.
-fn capacity_ladder() -> [(&'static str, CtjConfig); 3] {
-    let tiny = CtjConfig {
-        max_entries: Some(2),
-    };
-    let bounded = CtjConfig {
-        max_entries: Some(64),
-    };
+fn capacity_ladder() -> [(&'static str, Option<usize>); 3] {
     [
-        ("tiny", tiny),
-        ("bounded", bounded),
-        ("unbounded", CtjConfig::default()),
+        ("tiny", Some(2)),
+        ("bounded", Some(64)),
+        ("unbounded", None),
     ]
 }
 
@@ -76,9 +68,9 @@ fn check_cache_conformance(catalog: &Catalog, pattern: Pattern) {
     assert_eq!(ctj_sink.tuples(), reference, "{pattern}: sequential ctj");
 
     for pool in POOLS {
-        for (label, config) in capacity_ladder() {
+        for (label, capacity) in capacity_ladder() {
             for counting in [true, false] {
-                let mut engine = ParCtj::with_pool(pool).config(config);
+                let mut engine = ParCtj::with_pool(pool).with_cache_capacity(capacity);
                 let mut sink = CollectSink::new();
                 let results = if counting {
                     engine
@@ -178,7 +170,7 @@ fn shared_cache_hit_count_is_at_least_sequential_ctjs() {
     for pool in [2, 3, 7] {
         let mut par_sink = CollectSink::new();
         let par = ParCtj::with_pool(pool)
-            .config(CtjConfig::default()) // explicitly unbounded
+            .with_cache_capacity(None) // explicitly unbounded
             .execute(&plan, &catalog, &mut par_sink)
             .expect("runs");
         assert_eq!(par_sink.tuples(), seq_sink.tuples());
@@ -210,12 +202,12 @@ fn unbounded_shared_cache_stats_are_tally_mode_independent() {
     let plan = CompiledQuery::compile(&patterns::path4()).expect("compiles");
     let mut a = CollectSink::new();
     let counting = ParCtj::with_pool(3)
-        .config(CtjConfig::default())
+        .with_cache_capacity(None)
         .run_tallied::<Counting>(&plan, &catalog, &mut a)
         .expect("runs");
     let mut b = CollectSink::new();
     let fast = ParCtj::with_pool(3)
-        .config(CtjConfig::default())
+        .with_cache_capacity(None)
         .run_tallied::<NoTally>(&plan, &catalog, &mut b)
         .expect("runs");
     assert_eq!(a.tuples(), b.tuples());
@@ -249,7 +241,9 @@ fn constant_eviction_keeps_results_exact() {
             .expect("runs");
 
         for counting in [true, false] {
-            let mut engine = ParCtj::with_pool(2).cache_capacity(2).with_granularity(8);
+            let mut engine = ParCtj::with_pool(2)
+                .with_cache_capacity(Some(2))
+                .with_granularity(8);
             let mut sink = CollectSink::new();
             let evictions = if counting {
                 let stats = engine
@@ -288,7 +282,7 @@ fn zero_capacity_shared_cache_is_exact_and_hitless() {
         .expect("runs");
     let mut sink = CollectSink::new();
     let stats = ParCtj::with_pool(2)
-        .cache_capacity(0)
+        .with_cache_capacity(Some(0))
         .execute(&plan, &catalog, &mut sink)
         .expect("runs");
     assert_eq!(sink.tuples(), reference.tuples());
