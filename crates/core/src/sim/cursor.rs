@@ -78,7 +78,7 @@ impl SimCursor {
     /// # Panics
     ///
     /// Panics if the range is empty — trie nodes always have children.
-    pub fn open_range(&mut self, lo: u32, hi: u32) {
+    pub fn open_child_range(&mut self, lo: u32, hi: u32) {
         assert!(lo < hi, "trie child ranges are never empty");
         self.frames.push(Frame { lo, hi, pos: lo });
     }
@@ -194,7 +194,7 @@ mod tests {
         let ((lo, hi), addrs) = c.child_range(&t);
         assert_eq!((lo, hi), (0, 2));
         assert_eq!(addrs[1] - addrs[0], 4);
-        c.open_range(lo, hi);
+        c.open_child_range(lo, hi);
         assert_eq!(c.key(&t), 2);
     }
 

@@ -574,7 +574,7 @@ impl<'a> Simulator<'a> {
                 for addr in addrs {
                     t += self.mem.read(addr, t);
                 }
-                self.threads[tid].cursors[a].open_range(lo, hi);
+                self.threads[tid].cursors[a].open_child_range(lo, hi);
             }
             // Fetch the first value of the newly opened range.
             if !self.threads[tid].cursors[a].at_end() {

@@ -10,8 +10,8 @@
 //! Engines stay zero-cost when un-governed through the [`Budget`] trait:
 //! a kernel generic over `B: Budget` monomorphizes with [`NoBudget`] into
 //! exactly the code it had before budgets existed (every check is an
-//! inlined constant), mirroring the `NoTally`/`NoSplit` pattern used for
-//! instrumentation and splitting. Governed runs use a [`BudgetHandle`],
+//! inlined constant), mirroring the `NoTally` pattern used for
+//! instrumentation. Governed runs use a [`BudgetHandle`],
 //! whose hot path is a single relaxed-ish atomic load with a periodic
 //! deadline/external refresh.
 //!

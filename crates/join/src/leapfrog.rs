@@ -55,12 +55,6 @@ impl Leapfrog {
         &self.members
     }
 
-    /// Consumes the leapfrog, returning its member vector so drivers can
-    /// recycle the allocation across level visits.
-    pub fn into_members(self) -> Vec<usize> {
-        self.members
-    }
-
     /// Aligns all members on the smallest common value at-or-after their
     /// positions. Returns the matched value, or `None` if any member is
     /// exhausted first. Cursors are left positioned on the match.
@@ -132,6 +126,32 @@ impl Leapfrog {
 /// and a last level joining more cursors runs on the cursor loop.
 pub(crate) const SLICE_MEMBERS: usize = 4;
 
+/// Where a leaf kernel stood on its last match: what a stopped driver
+/// keeps to re-create the kernel over the same slices and go on from that
+/// match.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum LeafAt {
+    /// A [`SliceLeapfrog`]'s member offsets and round-robin pointer.
+    Slice([usize; SLICE_MEMBERS], usize),
+    /// A [`BitLeapfrog`]'s next word and the unvisited bits of the last.
+    Bits(usize, u64),
+}
+
+/// A leaf kernel as the driver's one leaf loop runs it.
+pub(crate) trait LeafKernel {
+    /// The first common value.
+    fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value>;
+    /// The next common value, in ascending order.
+    fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value>;
+    /// Where the kernel stands, for [`restore`](Self::restore).
+    fn mark(&self) -> LeafAt;
+    /// Puts a kernel made over the same slices back at its `mark`.
+    fn restore(&mut self, at: LeafAt);
+    /// The [`JoinCursor::cache_pos`] tokens of the current match, in
+    /// member order: what a PJR-cache entry records.
+    fn cache_positions(&self) -> Vec<u32>;
+}
+
 /// [`Leapfrog`] for the last join variable, run on the `K` members'
 /// sibling slices ([`JoinCursor::sibling_slice`]) instead of through their
 /// cursors.
@@ -147,6 +167,8 @@ pub(crate) struct SliceLeapfrog<'s, const K: usize> {
     /// Offsets into `sets`: 0 is where the member's cursor stands.
     pos: [usize; K],
     p: usize,
+    /// The members' [`JoinCursor::cache_pos`] at offset 0, when recording.
+    base: [u32; K],
 }
 
 impl<'s, const K: usize> SliceLeapfrog<'s, K> {
@@ -163,12 +185,23 @@ impl<'s, const K: usize> SliceLeapfrog<'s, K> {
             sets,
             pos: [0; K],
             p: 0,
+            base: [0; K],
         })
     }
 
+    /// Reads where the `members` it was made [`over`](Self::over) stand,
+    /// for [`cache_positions`](LeafKernel::cache_positions).
+    pub(crate) fn positions_from<Cur: JoinCursor>(&mut self, cursors: &[Cur], members: &[usize]) {
+        for (b, &m) in self.base.iter_mut().zip(members) {
+            *b = cursors[m].cache_pos();
+        }
+    }
+}
+
+impl<const K: usize> LeafKernel for SliceLeapfrog<'_, K> {
     /// [`Leapfrog::search`] over the slices.
     #[inline]
-    pub(crate) fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+    fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
         stats.match_ops += 1;
         let (mut max, mut p) = (0, 0);
         for i in 0..K {
@@ -200,7 +233,7 @@ impl<'s, const K: usize> SliceLeapfrog<'s, K> {
 
     /// [`Leapfrog::next`] over the slices.
     #[inline]
-    pub(crate) fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+    fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
         let p = self.p;
         self.pos[p] += 1;
         if self.pos[p] >= self.sets[p].len() {
@@ -210,16 +243,23 @@ impl<'s, const K: usize> SliceLeapfrog<'s, K> {
         self.search(stats)
     }
 
-    /// The [`JoinCursor::cache_pos`] tokens of the current match, in
-    /// member order — what a PJR-cache entry records. `cursors` and
-    /// `members` are the ones this leapfrog was made [`over`](Self::over).
-    pub(crate) fn cache_positions<Cur: JoinCursor>(
-        &self,
-        cursors: &[Cur],
-        members: &[usize],
-    ) -> Vec<u32> {
-        let at = |(&m, &pos): (&usize, &usize)| cursors[m].cache_pos() + pos as u32;
-        members.iter().zip(&self.pos).map(at).collect()
+    fn mark(&self) -> LeafAt {
+        let mut pos = [0; SLICE_MEMBERS];
+        pos[..K].copy_from_slice(&self.pos);
+        LeafAt::Slice(pos, self.p)
+    }
+
+    fn restore(&mut self, at: LeafAt) {
+        let LeafAt::Slice(pos, p) = at else {
+            unreachable!("a slice kernel resumes from its own mark")
+        };
+        self.pos.copy_from_slice(&pos[..K]);
+        self.p = p;
+    }
+
+    fn cache_positions(&self) -> Vec<u32> {
+        let at = |(&base, &pos): (&u32, &usize)| base + pos as u32;
+        self.base.iter().zip(&self.pos).map(at).collect()
     }
 }
 
@@ -231,7 +271,7 @@ impl<'s, const K: usize> SliceLeapfrog<'s, K> {
 /// bits in ascending order, so it yields exactly the values
 /// [`SliceLeapfrog`] matches, in the same order. It does different work
 /// though, and counts it by its own rule: one `match_op` per intersection
-/// ([`search`](Self::search)) plus one per yielded value, and no
+/// ([`search`](LeafKernel::search)) plus one per yielded value, and no
 /// `lub_ops` — there is no search. It records no memory access; tallied
 /// runs keep the sorted-array kernel, which models the paper's LUB unit.
 pub(crate) struct BitLeapfrog<'s, const K: usize> {
@@ -262,17 +302,18 @@ impl<'s, const K: usize> BitLeapfrog<'s, K> {
             bits: 0,
         })
     }
+}
 
+impl<const K: usize> LeafKernel for BitLeapfrog<'_, K> {
     /// The first common value, counting the intersection.
     #[inline]
-    pub(crate) fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+    fn search<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
         stats.match_ops += 1;
         self.next(stats)
     }
 
-    /// The next common value in ascending order.
     #[inline]
-    pub(crate) fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
+    fn next<T: Tally>(&mut self, stats: &mut EngineStats<T>) -> Option<Value> {
         while self.bits == 0 {
             if self.w >= self.words {
                 return None;
@@ -287,6 +328,21 @@ impl<'s, const K: usize> BitLeapfrog<'s, K> {
         self.bits &= self.bits - 1;
         stats.match_ops += 1;
         Some(((self.w - 1) * 64 + bit) as Value)
+    }
+
+    fn mark(&self) -> LeafAt {
+        LeafAt::Bits(self.w, self.bits)
+    }
+
+    fn restore(&mut self, at: LeafAt) {
+        let LeafAt::Bits(w, bits) = at else {
+            unreachable!("a bitmap kernel resumes from its own mark")
+        };
+        (self.w, self.bits) = (w, bits);
+    }
+
+    fn cache_positions(&self) -> Vec<u32> {
+        unreachable!("a recording level keeps the sorted kernel")
     }
 }
 
@@ -314,8 +370,12 @@ mod tests {
             let mut stats = EngineStats::<Counting>::default();
             let mut out = Vec::new();
             let mut m = lf.search(&mut stats);
+            // With a match, no member is at its end.
+            if m.is_some() {
+                lf.positions_from(cursors, members);
+            }
             while let Some(v) = m {
-                out.push((v, lf.cache_positions(cursors, members)));
+                out.push((v, lf.cache_positions()));
                 m = lf.next(&mut stats);
             }
             (out, stats)

@@ -1,13 +1,16 @@
-use triejax_exec::Budget;
-use triejax_query::CompiledQuery;
-use triejax_relation::{AccessKind, JoinCursor, Tally, TrieCursor, Value, WORD_BYTES};
+use std::sync::Arc;
 
-use crate::cache::{Looked, PjrStore};
-use crate::engine::{head_order, head_slots};
-use crate::leapfrog::{BitLeapfrog, SliceLeapfrog, SLICE_MEMBERS};
+use triejax_exec::{Budget, RunBudget};
+use triejax_query::CompiledQuery;
+use triejax_relation::{AccessKind, JoinCursor, NoTally, Tally, TrieCursor, Value, WORD_BYTES};
+
+use crate::cache::{Entry, Looked, PjrStore};
+use crate::engine::head_order;
+use crate::leapfrog::{BitLeapfrog, LeafAt, LeafKernel, SliceLeapfrog, SLICE_MEMBERS};
+use crate::parlftj::{settle, BatchRun};
 use crate::sink::BatchEmitter;
 use crate::viewset::CursorSet;
-use crate::{EngineStats, JoinError, Leapfrog, ResultSink, TrieJoin};
+use crate::{CountSink, EngineStats, JoinError, Leapfrog, ResultSink, TrieJoin};
 
 /// LeapFrog TrieJoin (Veldhuizen, ICDT'14): the worst-case-optimal join
 /// that backtracks over trie indexes, materializing *no* intermediate
@@ -44,109 +47,199 @@ pub type Lftj = TrieJoin<false, false>;
 /// The match list of a cache entry while its level is being computed.
 type Recording = Vec<(Value, Vec<u32>)>;
 
-/// The stop protocol between a driver's level loops and the run that
-/// owns it.
-///
-/// A *stopping* controller ([`STOPS`](SplitSpawn::STOPS)) ends the run once
-/// [`batch_full`](SplitSpawn::batch_full) says so, and the driver hands it
-/// every tail the stop left unvisited through
-/// [`handoff`](SplitSpawn::handoff), as `(depth, prefix, min, sup)`, so
-/// [`Driver::run_tail`] resumes each one.
-pub(crate) trait SplitSpawn {
-    /// `true` only for a stopping controller; `false` compiles every stop
-    /// check out of the driver.
-    const STOPS: bool = false;
-    /// Whether a run that has emitted `results` rows must stop at its
-    /// next stop point (only asked when [`STOPS`](Self::STOPS)).
-    fn batch_full(&self, _results: u64) -> bool {
-        false
-    }
-    /// Takes the unvisited tail `[min, sup)` at `depth` under the bound
-    /// `prefix` (one value per level above `depth`).
-    fn handoff(&mut self, depth: usize, prefix: &[Value], min: Value, sup: Option<Value>);
+/// What one depth of the frame stack does with its level.
+enum Mode {
+    /// Leapfrog over the level's open cursors.
+    Leapfrog,
+    /// Replay a PJR entry: the entry, and the index of its next item.
+    Replay(Entry, usize),
 }
 
-/// The no-op controller of runs that never stop early: the generic
-/// drivers monomorphize their stop checks away.
-pub(crate) struct NoSplit;
+/// One depth of the frame stack.
+struct Frame {
+    /// The depth's member cursors, fixed when the driver is built, and
+    /// the leapfrog's position among them.
+    lf: Leapfrog,
+    mode: Mode,
+    /// The entry the level records when its cache lookup missed: the key
+    /// and token to publish it under, and its matches so far.
+    record: Option<(Vec<Value>, u64, Recording)>,
+}
 
-impl SplitSpawn for NoSplit {
-    fn handoff(&mut self, _depth: usize, _prefix: &[Value], _min: Value, _sup: Option<Value>) {
-        unreachable!("NoSplit never stops a run")
+/// Where a frame stack goes on from.
+#[derive(Clone, Copy, Debug)]
+enum Next {
+    /// Enter depth `d`: look its cache spec up, then replay or open it.
+    Open(usize),
+    /// Visit depth `d`'s bound match: descend, or emit at the last depth.
+    Visit(usize),
+    /// Move depth `d` on to its next match.
+    Advance(usize),
+    /// Go on with depth `d`'s leaf kernel from its last match
+    /// ([`Stack::mark`]).
+    Leaf(usize),
+    /// The root range is through.
+    Done,
+}
+
+/// How a leaf kernel's run over its level ended.
+enum Ran {
+    /// Past its last match.
+    Through,
+    /// At a match, with the batch full.
+    Stopped(LeafAt),
+    /// The budget refused a row.
+    Refused,
+}
+
+/// The state of a trie join that outlives its cursors: one [`Frame`] per
+/// depth and where the stack goes on from, the bindings, the emitter, the
+/// budget and the stats.
+pub(crate) struct Stack<T: Tally, B> {
+    frames: Vec<Frame>,
+    at: Next,
+    /// Where the last depth's leaf kernel stood when the run stopped in it.
+    mark: Option<LeafAt>,
+    binding: Vec<Value>,
+    emitter: BatchEmitter,
+    budget: B,
+    stats: EngineStats<T>,
+    /// The root range `[min, sup)` the run is in.
+    range: (Value, Option<Value>),
+}
+
+impl<T: Tally, B: Budget> Stack<T, B> {
+    fn new(plan: &CompiledQuery, budget: B) -> Result<Self, JoinError> {
+        let frame = |d| Frame {
+            lf: Leapfrog::new(plan.atoms_at(d).iter().map(|&(a, _)| a).collect()),
+            mode: Mode::Leapfrog,
+            record: None,
+        };
+        Ok(Stack {
+            frames: (0..plan.arity()).map(frame).collect(),
+            at: Next::Done,
+            mark: None,
+            binding: vec![0; plan.arity()],
+            emitter: BatchEmitter::new(head_order(plan)?),
+            budget,
+            stats: EngineStats::default(),
+            range: (0, None),
+        })
+    }
+
+    /// Points the stack at the root range `[min, sup)` (`None` = unbounded
+    /// above).
+    fn enter(&mut self, min: Value, sup: Option<Value>) {
+        self.range = (min, sup);
+        self.at = Next::Open(0);
+    }
+
+    /// Emits the current binding; `false` when the budget refused the row
+    /// (quota exhausted or run cancelled) and the run must end.
+    fn emit(&mut self, sink: &mut dyn ResultSink) -> bool {
+        if B::GOVERNED && !self.budget.charge_row() {
+            return false;
+        }
+        self.emitter.push(&self.binding, sink);
+        self.stats.results += 1;
+        let bytes = self.binding.len() as u64 * WORD_BYTES;
+        self.stats.access.record(AccessKind::ResultWrite, bytes);
+        true
+    }
+
+    /// Runs the last depth `d` on the leaf kernel `lf`, from the start or
+    /// from the match `from` marks: records each match into `record` when
+    /// the level records, and emits its row. One loop for both kernels,
+    /// whatever the cursors or the PJR store.
+    #[inline]
+    fn leaf<L: LeafKernel>(
+        &mut self,
+        lf: &mut L,
+        d: usize,
+        from: Option<LeafAt>,
+        mut record: Option<&mut Recording>,
+        sink: &mut dyn ResultSink,
+        stop_at: u64,
+    ) -> Ran {
+        let mut m = match from {
+            Some(at) => {
+                lf.restore(at);
+                Some(self.binding[d])
+            }
+            None => lf.search(&mut self.stats),
+        };
+        while let Some(v) = m {
+            self.binding[d] = v;
+            if self.stats.results >= stop_at {
+                return Ran::Stopped(lf.mark());
+            }
+            if let Some(rows) = record.as_mut() {
+                rows.push((v, lf.cache_positions()));
+            }
+            if !self.emit(sink) {
+                return Ran::Refused;
+            }
+            m = lf.next(&mut self.stats);
+        }
+        Ran::Through
     }
 }
 
 /// The trie-join driver: the Cached TrieJoin control flow of paper
-/// Figure 4 as recursive backtracking over trie cursors — and, without a
-/// cache, plain LFTJ. Every trie join runs it: a one-range run (always
-/// [`Lftj`] and [`crate::Ctj`]) as one driver on the calling thread, a
-/// pooled run as one driver per worker, reused across that worker's
-/// shards, and each term of a standing query.
+/// Figure 4 — and, without a cache, plain LFTJ — as one loop over an
+/// explicit stack of per-depth frames. Each frame holds its depth's
+/// members, its leapfrog position, a mode (leapfrog, or replay of a PJR
+/// entry at an index) and the entry it records, if any. Every trie join
+/// runs it: a one-range run (always [`Lftj`] and [`crate::Ctj`]) as one
+/// driver on the calling thread, a pooled run as one driver per worker,
+/// reused across that worker's shards, a one-worker stream a batch at a
+/// time ([`Resumable`]), and each term of a standing query.
 ///
-/// It is generic over five axes, each monomorphizing away when unused:
+/// Since the frames own the whole state of the run, running a range is
+/// "enter it, resume until done", and a batch is "resume until `n` rows
+/// are out". A stopped driver stands at a match point at any depth —
+/// inside a replaying level at its index, inside a recording level with
+/// its entry half-built, inside a leaf kernel at its mark — and goes on
+/// from there.
+///
+/// It is generic over four axes, each monomorphizing away when unused:
 ///
 /// * `T: Tally` — [`triejax_relation::Counting`] charges every simulated
 ///   word touch, [`triejax_relation::NoTally`] none.
 /// * `P: PjrStore` — the partial-join-result cache.
 ///   [`crate::cache::NoPjr`] is LFTJ: its `CACHING = false` compiles the
-///   spec lookup, the recording and the publish away.
+///   spec lookup and the publish away, so no level ever records.
 ///   [`crate::cache::LocalPjr`] is a one-range CTJ run's store, a
 ///   [`crate::cache::SharedPjrHandle`] one pooled CTJ worker's view of the
 ///   cache all workers share.
-/// * `B: Budget` — [`triejax_exec::NoBudget`] compiles every cancellation check away;
-///   a [`triejax_exec::BudgetHandle`] polls for deadline/token trips at
-///   the task's top level and charges the row quota at every emission. A
-///   governed driver stops early, still flushing what the emitter
-///   buffered, so the delivered rows stay an exact stream prefix.
-/// * the [`SplitSpawn`] controller of a run — [`NoSplit`] for runs to the
-///   end, a [`BatchStop`] that ends each batch of a [`Resumable`] run.
+/// * `B: Budget` — [`triejax_exec::NoBudget`] compiles every cancellation
+///   check away; a [`triejax_exec::BudgetHandle`] polls for deadline/token
+///   trips at every root match and charges the row quota at every
+///   emission. A governed driver stops early, still flushing what the
+///   emitter buffered, so the delivered rows stay an exact stream prefix.
 /// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
 ///   [`TrieCursor`]s over frozen relations (the default) or
 ///   [`triejax_relation::MergeCursor`]s over mutated ones
 ///   (`base ∪ delta − tombstones`).
 ///
-/// The driver restricts one level — `range_depth` — to the value range
-/// `[range_min, range_sup)`: the parallel engines give each shard a
-/// contiguous slice of the first join variable's domain (`range_depth`
-/// 0), and a resumed tail is a slice of an inner level under a bound
-/// prefix ([`Driver::run_tail`]), which keeps every shard's emission
-/// order identical to the sequential engine's. Entering that level clamps
-/// every participating cursor to the range ([`JoinCursor::open_range`]),
-/// so the leapfrog never probes outside the shard.
+/// The root level is clamped to the range `[min, sup)`
+/// ([`JoinCursor::open_root_range`]): a shard's contiguous slice of the
+/// first variable's domain, so shards emit in the sequential order.
 ///
-/// Cache entries are keyed by `(depth, key bindings)` only — never by the
-/// range or the executing worker — which is sound because a valid
-/// [`triejax_query::CacheSpec`] guarantees the memoized match list
-/// depends on nothing but the key bindings. Partial-join results
-/// therefore replay across ranges, across a pooled driver's shards and,
-/// with the shared store, across workers. A budget-stopped level never
-/// publishes its partially recorded entry.
+/// Cache entries are keyed by `(depth, key bindings)` only, which a valid
+/// [`triejax_query::CacheSpec`] makes sound: they replay across ranges,
+/// shards and, with the shared store, workers. An entry is published only
+/// when its level is through: a level the budget stopped never publishes.
 pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor = TrieCursor<'a>> {
     plan: &'a CompiledQuery,
     cursors: Vec<Cur>,
-    binding: Vec<Value>,
-    emitter: BatchEmitter,
-    /// Per depth: participating cursor indices, preallocated once so the
-    /// recursive driver never allocates per node.
-    members_at: Vec<Vec<usize>>,
-    cache: P,
-    /// Level the `[range_min, range_sup)` restriction applies to: 0 for
-    /// shards (and sequential runs, where the range is unbounded), the
-    /// tail's level for a resumed tail.
-    range_depth: usize,
-    range_min: Value,
-    range_sup: Option<Value>,
     /// Whether the last level tries [`BitLeapfrog`] first: an untallied
     /// run whose last variable joins 2..=[`SLICE_MEMBERS`] cursors that all
     /// keep leaf bitmaps (a single member keeps the plain slice walk).
     /// Decided once here, so runs without bitmaps never ask for them.
     bit_leaf: bool,
-    /// Levels on the current path replaying or recording a PJR entry. A
-    /// stopping controller may stop the run only while none is: a cached
-    /// level cannot resume mid-entry. Kept only for stopping controllers.
-    pinned: usize,
-    budget: B,
-    pub(crate) stats: EngineStats<T>,
+    cache: P,
+    stack: Stack<T, B>,
 }
 
 impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, Cur> {
@@ -158,496 +251,416 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         cache: P,
         budget: B,
     ) -> Result<Self, JoinError> {
+        Ok(Self::over(plan, set, cache, Stack::new(plan, budget)?))
+    }
+
+    /// A driver running `stack` on fresh cursors over `set`.
+    fn over<S: CursorSet<'a, Cur = Cur>>(
+        plan: &'a CompiledQuery,
+        set: &'a S,
+        cache: P,
+        stack: Stack<T, B>,
+    ) -> Self {
         let cursors: Vec<Cur> = (0..plan.atom_plans().len())
             .map(|i| set.cursor(i))
             .collect();
-        let n = plan.arity();
-        let members_at: Vec<Vec<usize>> = (0..n)
-            .map(|d| plan.atoms_at(d).iter().map(|&(a, _)| a).collect())
-            .collect();
         let bit_leaf = !T::ENABLED
-            && members_at.last().is_some_and(|m| {
+            && stack.frames.last().is_some_and(|f| {
+                let m = f.lf.members();
                 (2..=SLICE_MEMBERS).contains(&m.len())
                     && m.iter().all(|&a| cursors[a].has_leaf_bits())
             });
-        Ok(Driver {
+        Driver {
             plan,
             cursors,
-            binding: vec![0; n],
-            emitter: BatchEmitter::new(head_order(plan)?),
-            members_at,
-            cache,
-            range_depth: 0,
-            range_min: 0,
-            range_sup: None,
             bit_leaf,
-            pinned: 0,
-            budget,
-            stats: EngineStats::default(),
-        })
-    }
-
-    /// The parts a [`Resumable`] run keeps between batches.
-    fn into_parts(self) -> (P, B, EngineStats<T>) {
-        (self.cache, self.budget, self.stats)
+            cache,
+            stack,
+        }
     }
 
     /// Emits tuples straight through to the sink instead of batching —
     /// for sinks that batch themselves (the parallel engines' per-shard
     /// [`crate::ShardSink`]s).
     pub(crate) fn emit_passthrough(&mut self) {
-        self.emitter.passthrough();
+        self.stack.emitter.passthrough();
     }
 
-    /// Runs the full backtracking join and returns its stats.
+    /// The stats the driver has accumulated.
+    pub(crate) fn stats(&self) -> &EngineStats<T> {
+        &self.stack.stats
+    }
+
+    /// Runs the full join and returns its stats.
     pub(crate) fn run(mut self, sink: &mut dyn ResultSink) -> EngineStats<T> {
         self.run_range(0, None, sink);
-        self.stats
+        self.stack.stats
     }
 
-    /// Runs one root-range shard `[root_min, root_sup)` (`None` =
-    /// unbounded above), keeping the cache and the accumulated stats
-    /// across calls.
-    pub(crate) fn run_range(
-        &mut self,
-        root_min: Value,
-        root_sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-    ) {
-        self.run_tail(0, &[], root_min, root_sup, sink, &mut NoSplit);
+    /// Runs one root-range shard `[min, sup)` (`None` = unbounded above),
+    /// keeping the cache and the accumulated stats across calls.
+    pub(crate) fn run_range(&mut self, min: Value, sup: Option<Value>, sink: &mut dyn ResultSink) {
+        self.stack.enter(min, sup);
+        self.resume(sink, u64::MAX);
+        self.stack.emitter.flush(sink);
     }
 
-    /// Runs one tail: binds `prefix` (the values matched above level
-    /// `depth` when the tail was handed off), then joins level `depth`
-    /// restricted to `[min, sup)` and everything below it, asking `ctl`
-    /// whether to stop at every match point. A root shard is the tail
-    /// with an empty prefix.
-    ///
-    /// The run that handed the tail off held exactly these prefix values
-    /// open at every participating cursor, so each rebind seek lands on
-    /// its value by construction. The prefix levels are unwound before
-    /// returning so a pooled driver can run further shards.
-    pub(crate) fn run_tail<C: SplitSpawn>(
-        &mut self,
-        depth: usize,
-        prefix: &[Value],
-        min: Value,
-        sup: Option<Value>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) {
-        assert_eq!(
-            prefix.len(),
-            depth,
-            "a tail's prefix binds every level above it"
-        );
-        self.range_depth = depth;
-        self.range_min = min;
-        self.range_sup = sup;
-        for (q, &v) in prefix.iter().enumerate() {
-            for &(a, lvl) in self.plan.atoms_at(q) {
-                if lvl > 0 {
-                    self.stats.expand_ops += 1;
+    /// Runs the join on from where the stack stands: through the root
+    /// range (`true`), or until `stop_at` rows are out, up to the next
+    /// match point at whatever depth (`false`; the stack stands there).
+    fn resume(&mut self, sink: &mut dyn ResultSink, stop_at: u64) -> bool {
+        let mut at = self.stack.at;
+        let done = loop {
+            at = match at {
+                Next::Open(d) => self.open(d, sink, stop_at),
+                Next::Visit(0) if B::GOVERNED && self.stack.budget.poll().is_some() => {
+                    // Polling at the root before the (possibly expensive)
+                    // subtree visit bounds the overshoot past a deadline
+                    // by one root value.
+                    self.cancel(0)
                 }
-                let opened = self.cursors[a].open(&mut self.stats.access);
-                assert!(opened, "a tail's prefix level must be non-empty");
-                let found = self.cursors[a].seek(v, &mut self.stats.access);
-                assert!(
-                    found && self.cursors[a].key() == v,
-                    "a tail's prefix value must exist in every participant"
-                );
-            }
-            self.binding[q] = v;
-        }
-        self.level(depth, sink, ctl);
-        self.emitter.flush(sink);
-        for q in (0..depth).rev() {
-            for &(a, _) in self.plan.atoms_at(q) {
-                self.cursors[a].up();
-            }
-        }
-        self.range_depth = 0;
-        self.range_min = 0;
-        self.range_sup = None;
-    }
-
-    /// Emits the current binding; returns `false` when the budget refused
-    /// the row (quota exhausted or run cancelled) and the driver must stop.
-    fn emit_result(&mut self, sink: &mut dyn ResultSink) -> bool {
-        if B::GOVERNED && !self.budget.charge_row() {
-            return false;
-        }
-        self.emitter.push(&self.binding, sink);
-        self.stats.results += 1;
-        self.stats.access.record(
-            AccessKind::ResultWrite,
-            self.binding.len() as u64 * WORD_BYTES,
-        );
-        true
-    }
-
-    /// Whether a stopping controller ends the run at this match point.
-    #[inline]
-    fn stops_here<C: SplitSpawn>(&self, ctl: &C) -> bool {
-        C::STOPS && self.pinned == 0 && ctl.batch_full(self.stats.results)
-    }
-
-    /// The upper bound of level `d`: the task's own at its ranged level,
-    /// none below it.
-    fn sup_at(&self, d: usize) -> Option<Value> {
-        (d == self.range_depth).then_some(self.range_sup).flatten()
-    }
-
-    /// Stops the run at the match `v` of depth `d`, before visiting it:
-    /// hands `ctl` every tail the task has left, root-most first — past the
-    /// bound value at each level from the task's own down to `d - 1`, then
-    /// from `v` on at `d`.
-    fn stop<C: SplitSpawn>(&self, d: usize, v: Value, ctl: &mut C) {
-        for q in self.range_depth..d {
-            let sup = self.sup_at(q);
-            let next = self.binding[q].checked_add(1);
-            if let Some(min) = next.filter(|&m| sup.is_none_or(|s| m < s)) {
-                ctl.handoff(q, &self.binding[..q], min, sup);
-            }
-        }
-        ctl.handoff(d, &self.binding[..d], v, self.sup_at(d));
-    }
-
-    /// Returns `false` when the budget or a stopping controller stopped
-    /// the run at this level or below; cursors are unwound normally either
-    /// way.
-    fn level<C: SplitSpawn>(&mut self, d: usize, sink: &mut dyn ResultSink, ctl: &mut C) -> bool {
-        let mut record_key = None;
-        let spec = if P::CACHING {
-            self.plan.cache_spec_at(d)
-        } else {
-            None
+                Next::Visit(_) | Next::Leaf(_) if self.stack.stats.results >= stop_at => {
+                    break false;
+                }
+                Next::Visit(d) => self.visit(d, sink),
+                Next::Advance(d) => self.advance(d, sink, stop_at),
+                Next::Leaf(d) => {
+                    let from = self.stack.mark.take();
+                    self.leaf_level(d, from, sink, stop_at)
+                        .expect("a leaf kernel resumes over the slices it stopped on")
+                }
+                Next::Done => break true,
+            };
         };
-        if let Some(spec) = spec {
+        self.stack.at = at;
+        done
+    }
+
+    /// Enters depth `d`: replays its PJR entry on a cache hit; else opens
+    /// the level on every participant (clamped to the range at the root)
+    /// and leapfrogs to its first match, recording the matches on a miss.
+    fn open(&mut self, d: usize, sink: &mut dyn ResultSink, stop_at: u64) -> Next {
+        let stack = &mut self.stack;
+        if let Some(spec) = P::CACHING.then(|| self.plan.cache_spec_at(d)).flatten() {
             let key: Vec<Value> = spec
                 .key_depths()
                 .iter()
-                .map(|&kd| self.binding[kd])
+                .map(|&kd| stack.binding[kd])
                 .collect();
             // Cache lookup: hash probe over the key words. The store
             // accounts the hit/miss and, on a miss, hands the key back
-            // for the publish once the level completes.
-            self.stats
-                .access
-                .record(AccessKind::Intermediate, key.len() as u64 * WORD_BYTES);
-            match self.cache.lookup(d, key, &mut self.stats) {
+            // for the publish once the level is through.
+            let bytes = key.len() as u64 * WORD_BYTES;
+            stack.stats.access.record(AccessKind::Intermediate, bytes);
+            match self.cache.lookup(d, key, &mut stack.stats) {
                 Looked::Hit(entry) => {
-                    self.pinned += usize::from(C::STOPS);
-                    let live = self.replay(d, &entry, sink, ctl);
-                    self.pinned -= usize::from(C::STOPS);
-                    return live;
+                    stack.frames[d].mode = Mode::Replay(entry, 0);
+                    return self.advance(d, sink, stop_at);
                 }
-                Looked::Miss(key, token) => record_key = Some((key, token)),
+                Looked::Miss(key, token) => {
+                    stack.frames[d].record = Some((key, token, Vec::new()));
+                }
             }
         }
-        self.compute(d, record_key, sink, ctl)
-    }
-
-    /// Cache hit: iterate the stored `(value, index)` list, re-opening each
-    /// participating cursor directly at the stored index (paper Fig. 3,
-    /// step 5: "read next z from cache").
-    fn replay<C: SplitSpawn>(
-        &mut self,
-        d: usize,
-        entry: &[(Value, Vec<u32>)],
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) -> bool {
-        let last = d + 1 == self.plan.arity();
         let parts = self.plan.atoms_at(d);
-        for (v, positions) in entry {
-            self.stats.access.record(
-                AccessKind::Intermediate,
-                (1 + positions.len()) as u64 * WORD_BYTES,
-            );
-            self.binding[d] = *v;
-            if last {
-                if !self.emit_result(sink) {
-                    return false;
-                }
-            } else {
-                for (i, &(a, _)) in parts.iter().enumerate() {
-                    self.cursors[a].reopen_at(positions[i], *v, &mut self.stats.access);
-                }
-                let live = self.level(d + 1, sink, ctl);
-                for &(a, _) in parts {
-                    self.cursors[a].up();
-                }
-                if !live {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Runs level `d` on a leaf kernel when it binds the last variable
-    /// below the root: a [`SliceLeapfrog`] over the open cursors' sibling
-    /// slices, recording each match into `pending` and emitting its row.
-    /// The kernel is instantiated for the level's member count, one
-    /// dispatch per visit, up to [`SLICE_MEMBERS`]. `None` (nothing done)
-    /// for any other level, more members, or members without a slice
-    /// form; else whether the level ran to its end (the budget or a stop
-    /// may cut it short).
-    ///
-    /// A level that records nothing runs as a [`BitLeapfrog`] instead when
-    /// [`Self::bit_leaf`] allows it and every member hands out a bitmap:
-    /// the same rows in the same order, as word ANDs. A recording level
-    /// keeps the sorted kernel, whose positions the cache entry stores.
-    fn leaf_level<C: SplitSpawn>(
-        &mut self,
-        d: usize,
-        members: &[usize],
-        pending: &mut Option<Recording>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) -> Option<bool> {
-        // A one-level plan's root stays on the cursor loop, which polls
-        // the budget at the task's top level.
-        if d + 1 != self.plan.arity() || d == 0 {
-            return None;
-        }
-        // Out of `self` so the slices can outlive the `&mut self` emits.
-        let cursors = std::mem::take(&mut self.cursors);
-        // One arm per `K` in `1..=SLICE_MEMBERS`.
-        let live = match members.len() {
-            1 => self.leaf_kernel::<1, C>(&cursors, d, members, pending, sink, ctl),
-            2 => self.leaf_kernel::<2, C>(&cursors, d, members, pending, sink, ctl),
-            3 => self.leaf_kernel::<3, C>(&cursors, d, members, pending, sink, ctl),
-            4 => self.leaf_kernel::<4, C>(&cursors, d, members, pending, sink, ctl),
-            _ => None,
-        };
-        self.cursors = cursors;
-        live
-    }
-
-    /// [`leaf_level`](Self::leaf_level) over exactly `K` members.
-    fn leaf_kernel<const K: usize, C: SplitSpawn>(
-        &mut self,
-        cursors: &[Cur],
-        d: usize,
-        members: &[usize],
-        pending: &mut Option<Recording>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) -> Option<bool> {
-        // `bit_leaf` already excludes tallied runs and single members; the
-        // constant half keeps the bitmap kernel out of those instances.
-        let recording = P::CACHING && pending.is_some();
-        let bitmap = if !T::ENABLED && K >= 2 && self.bit_leaf && !recording {
-            BitLeapfrog::<K>::over(cursors, members)
-        } else {
-            None
-        };
-        if let Some(mut lf) = bitmap {
-            let mut m = lf.search(&mut self.stats);
-            while let Some(v) = m {
-                if self.stops_here(ctl) {
-                    self.stop(d, v, ctl);
-                    return Some(false);
-                }
-                self.binding[d] = v;
-                if !self.emit_result(sink) {
-                    return Some(false);
-                }
-                m = lf.next(&mut self.stats);
-            }
-            return Some(true);
-        }
-        let mut lf = SliceLeapfrog::<K>::over(cursors, members)?;
-        let mut m = lf.search(&mut self.stats);
-        while let Some(v) = m {
-            if self.stops_here(ctl) {
-                self.stop(d, v, ctl);
-                return Some(false);
-            }
-            self.binding[d] = v;
-            if P::CACHING {
-                if let Some(p) = pending.as_mut() {
-                    p.push((v, lf.cache_positions(cursors, members)));
-                }
-            }
-            if !self.emit_result(sink) {
-                return Some(false);
-            }
-            m = lf.next(&mut self.stats);
-        }
-        Some(true)
-    }
-
-    /// Leapfrog execution at depth `d`, recording the matches for
-    /// insertion into the cache once the level completes when the lookup
-    /// handed back a `record_key`.
-    fn compute<C: SplitSpawn>(
-        &mut self,
-        d: usize,
-        record_key: Option<(Vec<Value>, u64)>,
-        sink: &mut dyn ResultSink,
-        ctl: &mut C,
-    ) -> bool {
-        // Open level d on every participant (clamped to the task's range
-        // at its ranged depth, so shards never leapfrog outside their
-        // slice).
-        let parts = self.plan.atoms_at(d);
-        let ranged = d == self.range_depth && (self.range_min > 0 || self.range_sup.is_some());
         for (i, &(a, lvl)) in parts.iter().enumerate() {
             if lvl > 0 {
-                self.stats.expand_ops += 1;
+                stack.stats.expand_ops += 1;
             }
-            let opened = if ranged {
-                self.cursors[a].open_range(self.range_min, self.range_sup, &mut self.stats.access)
-            } else {
-                self.cursors[a].open(&mut self.stats.access)
-            };
-            if !opened {
+            let cursor = &mut self.cursors[a];
+            if !open_level(cursor, d, stack.range, &mut stack.stats.access) {
                 for &(b, _) in &parts[..i] {
                     self.cursors[b].up();
                 }
-                return true;
+                stack.frames[d].record = None;
+                return up_from(d);
             }
         }
+        // A last level below the root runs on sibling slices when it can;
+        // a one-level plan's root stays on the cursor loop, which polls the
+        // budget at the root.
+        if d + 1 == self.plan.arity() && d > 0 {
+            if let Some(next) = self.leaf_level(d, None, sink, stop_at) {
+                return next;
+            }
+        }
+        let m = self.stack.frames[d]
+            .lf
+            .search(&mut self.cursors, &mut self.stack.stats);
+        self.matched(d, m)
+    }
 
-        // A recorded level must observe every one of its matches — a stop
-        // inside it would publish a truncated entry whose replays silently
-        // drop rows — so it pins the run against stops.
-        let pin = C::STOPS && record_key.is_some();
-        self.pinned += usize::from(pin);
-        let mut pending: Option<Recording> = record_key.as_ref().map(|_| Vec::new());
-        // Recycle this depth's member vector: the recursion must not
-        // allocate per visited node.
-        let mut lf = Leapfrog::new(std::mem::take(&mut self.members_at[d]));
-        // A last level that ran on sibling slices skips the cursor loop.
-        let sliced = self.leaf_level(d, lf.members(), &mut pending, sink, ctl);
-        let mut live = sliced.unwrap_or(true);
-        let mut m = match sliced {
-            Some(_) => None,
-            None => lf.search(&mut self.cursors, &mut self.stats),
+    /// Binds depth `d`'s match `m` and visits it, or closes the level when
+    /// there is none.
+    #[inline]
+    fn matched(&mut self, d: usize, m: Option<Value>) -> Next {
+        match m {
+            Some(v) => {
+                self.stack.binding[d] = v;
+                Next::Visit(d)
+            }
+            None => self.close(d),
+        }
+    }
+
+    /// Visits depth `d`'s bound match: records it when the level records,
+    /// then enters the next depth, or emits the row at the last.
+    #[inline]
+    fn visit(&mut self, d: usize, sink: &mut dyn ResultSink) -> Next {
+        if P::CACHING {
+            let frame = &mut self.stack.frames[d];
+            if let Some((_, _, rows)) = frame.record.as_mut() {
+                let positions = frame
+                    .lf
+                    .members()
+                    .iter()
+                    .map(|&a| self.cursors[a].cache_pos());
+                rows.push((self.stack.binding[d], positions.collect()));
+            }
+        }
+        if d + 1 < self.plan.arity() {
+            Next::Open(d + 1)
+        } else if self.stack.emit(sink) {
+            Next::Advance(d)
+        } else {
+            self.cancel(d)
+        }
+    }
+
+    /// Moves depth `d` on: leapfrogs to its next match, or replays its
+    /// entry's next item, re-opening each participating cursor directly at
+    /// the stored index (paper Fig. 3, step 5: "read next z from cache").
+    #[inline]
+    fn advance(&mut self, d: usize, sink: &mut dyn ResultSink, stop_at: u64) -> Next {
+        let last = d + 1 == self.plan.arity();
+        let Stack { frames, stats, .. } = &mut self.stack;
+        let frame = &mut frames[d];
+        let m = match &mut frame.mode {
+            Mode::Leapfrog => frame.lf.next(&mut self.cursors, stats),
+            Mode::Replay(..) if last => return self.replay_last(d, sink, stop_at),
+            Mode::Replay(entry, next) => {
+                let members = frame.lf.members();
+                entry.get(*next).map(|(v, positions)| {
+                    if *next > 0 {
+                        for &a in members {
+                            self.cursors[a].up();
+                        }
+                    }
+                    *next += 1;
+                    let bytes = (1 + positions.len()) as u64 * WORD_BYTES;
+                    stats.access.record(AccessKind::Intermediate, bytes);
+                    for (&a, &pos) in members.iter().zip(positions) {
+                        self.cursors[a].reopen_at(pos, *v, &mut stats.access);
+                    }
+                    *v
+                })
+            }
         };
-        while let Some(v) = m {
-            self.binding[d] = v;
-            if d == self.range_depth && B::GOVERNED && self.budget.poll().is_some() {
-                // Polling at the task's top level before the (possibly
-                // expensive) subtree visit bounds the overshoot past a
-                // deadline by one value there.
-                live = false;
-                break;
-            }
-            if self.stops_here(ctl) {
-                self.stop(d, v, ctl);
-                live = false;
-                break;
-            }
-            if P::CACHING {
-                if let Some(p) = pending.as_mut() {
-                    let positions = parts.iter().map(|&(a, _)| self.cursors[a].cache_pos());
-                    p.push((v, positions.collect()));
-                }
-            }
-            let descended = if d + 1 == self.plan.arity() {
-                self.emit_result(sink)
-            } else {
-                self.level(d + 1, sink, ctl)
-            };
-            if !descended {
-                live = false;
-                break;
-            }
-            m = lf.next(&mut self.cursors, &mut self.stats);
-        }
-        self.members_at[d] = lf.into_members();
-        for &(a, _) in parts {
-            self.cursors[a].up();
-        }
-        self.pinned -= usize::from(pin);
+        self.matched(d, m)
+    }
 
-        // The level is fully analyzed: commit the entry (paper §3.5). The
-        // store applies its capacity policy (drop / evict / lose an
-        // insert race) and the matching accounting. A budget-stopped
-        // level never publishes: its match list is truncated and a replay
-        // of it would silently drop rows from an un-cancelled rerun.
-        if P::CACHING && live {
-            if let (Some((key, token)), Some(p)) = (record_key, pending) {
-                self.cache.publish(d, key, token, p, &mut self.stats);
+    /// Replays the last depth `d`'s entry from its index, emitting a row
+    /// per item in one loop — up to an item the batch has no room for,
+    /// which [`Next::Visit`] emits when the run resumes.
+    fn replay_last(&mut self, d: usize, sink: &mut dyn ResultSink, stop_at: u64) -> Next {
+        let stack = &mut self.stack;
+        let Mode::Replay(entry, mut i) =
+            std::mem::replace(&mut stack.frames[d].mode, Mode::Leapfrog)
+        else {
+            unreachable!("only a replaying level replays")
+        };
+        let mut refused = false;
+        while let Some((v, words)) = entry.get(i).map(|(v, p)| (*v, 1 + p.len())) {
+            i += 1;
+            let bytes = words as u64 * WORD_BYTES;
+            stack.stats.access.record(AccessKind::Intermediate, bytes);
+            stack.binding[d] = v;
+            if stack.stats.results >= stop_at {
+                stack.frames[d].mode = Mode::Replay(entry, i);
+                return Next::Visit(d);
+            }
+            if !stack.emit(sink) {
+                refused = true;
+                break;
             }
         }
-        live
+        stack.frames[d].mode = Mode::Replay(entry, i);
+        if refused {
+            self.cancel(d)
+        } else {
+            self.close(d)
+        }
+    }
+
+    /// Closes depth `d` once its level is through, and moves the depth
+    /// above on. The level is fully analyzed, so its entry is committed
+    /// (paper §3.5): the store applies its capacity policy (drop / evict /
+    /// lose an insert race) and the matching accounting.
+    fn close(&mut self, d: usize) -> Next {
+        let frame = &mut self.stack.frames[d];
+        // A replaying level has its last item's cursors open.
+        let open = match frame.mode {
+            Mode::Leapfrog => true,
+            Mode::Replay(_, next) => next > 0 && d + 1 < self.plan.arity(),
+        };
+        if open {
+            for &a in frame.lf.members() {
+                self.cursors[a].up();
+            }
+        }
+        frame.mode = Mode::Leapfrog;
+        if P::CACHING {
+            if let Some((key, token, rows)) = frame.record.take() {
+                let stats = &mut self.stack.stats;
+                self.cache.publish(d, key, token, rows, stats);
+            }
+        }
+        up_from(d)
+    }
+
+    /// Ends the run where the budget cut it: closes every depth from `top`
+    /// up and publishes nothing — a truncated match list replayed by an
+    /// un-cancelled rerun would silently drop rows.
+    #[cold]
+    fn cancel(&mut self, top: usize) -> Next {
+        for d in (0..=top).rev() {
+            self.stack.frames[d].record = None;
+            self.close(d);
+        }
+        Next::Done
+    }
+
+    /// Runs the last depth `d` on a leaf kernel ([`leaf`](Self::leaf),
+    /// instantiated for the level's member count, one dispatch per visit,
+    /// up to [`SLICE_MEMBERS`]). `None` (nothing done) for more members,
+    /// or members without a slice form.
+    fn leaf_level(
+        &mut self,
+        d: usize,
+        from: Option<LeafAt>,
+        sink: &mut dyn ResultSink,
+        stop_at: u64,
+    ) -> Option<Next> {
+        // One arm per `K` in `1..=SLICE_MEMBERS`.
+        let ran = match self.stack.frames[d].lf.members().len() {
+            1 => self.leaf::<1>(d, from, sink, stop_at),
+            2 => self.leaf::<2>(d, from, sink, stop_at),
+            3 => self.leaf::<3>(d, from, sink, stop_at),
+            4 => self.leaf::<4>(d, from, sink, stop_at),
+            _ => None,
+        }?;
+        Some(match ran {
+            Ran::Through => self.close(d),
+            Ran::Stopped(at) => {
+                self.stack.mark = Some(at);
+                Next::Leaf(d)
+            }
+            Ran::Refused => self.cancel(d),
+        })
+    }
+
+    /// [`leaf_level`](Self::leaf_level) over exactly `K` members: a
+    /// [`SliceLeapfrog`] over their sibling slices, or — for a level that
+    /// records nothing, when [`Self::bit_leaf`] allows — a [`BitLeapfrog`]
+    /// yielding the same rows as word ANDs.
+    fn leaf<const K: usize>(
+        &mut self,
+        d: usize,
+        from: Option<LeafAt>,
+        sink: &mut dyn ResultSink,
+        stop_at: u64,
+    ) -> Option<Ran> {
+        let frame = &self.stack.frames[d];
+        let members: [usize; K] = frame.lf.members().try_into().ok()?;
+        let recording = P::CACHING && frame.record.is_some();
+        let cursors = &self.cursors;
+        // `bit_leaf` already excludes tallied runs and single members; the
+        // constant half keeps the bitmap kernel out of those instances.
+        if !T::ENABLED && K >= 2 && self.bit_leaf && !recording {
+            if let Some(mut lf) = BitLeapfrog::<K>::over(cursors, &members) {
+                return Some(self.stack.leaf(&mut lf, d, from, None, sink, stop_at));
+            }
+        }
+        let mut lf = SliceLeapfrog::<K>::over(cursors, &members)?;
+        if !recording {
+            return Some(self.stack.leaf(&mut lf, d, from, None, sink, stop_at));
+        }
+        lf.positions_from(cursors, &members);
+        let mut record = self.stack.frames[d].record.take();
+        let rows = record.as_mut().map(|(_, _, rows)| rows);
+        let ran = self.stack.leaf(&mut lf, d, from, rows, sink, stop_at);
+        self.stack.frames[d].record = record;
+        Some(ran)
+    }
+
+    /// Seats fresh cursors on a stopped stack: every depth with open
+    /// cursors re-opens its members and seeks them to its bound value —
+    /// but a leaf kernel's level is only opened, as its mark counts from
+    /// there. Untallied, so the run's stats read as if it never stopped.
+    fn reseat(&mut self) {
+        let (top, leaf) = match self.stack.at {
+            Next::Visit(d) => (d, false),
+            Next::Leaf(d) => (d, true),
+            _ => return,
+        };
+        for (d, frame) in self.stack.frames[..=top].iter().enumerate() {
+            // A replayed last level has nothing open.
+            if matches!(frame.mode, Mode::Replay(..)) && d + 1 == self.plan.arity() {
+                continue;
+            }
+            let v = self.stack.binding[d];
+            for &a in frame.lf.members() {
+                let cursor = &mut self.cursors[a];
+                let seated = open_level(cursor, d, self.stack.range, &mut NoTally)
+                    && (leaf && d == top || cursor.seek(v, &mut NoTally) && cursor.key() == v);
+                assert!(seated, "a stopped run's bound values are in its cursors");
+            }
+        }
     }
 }
 
-/// One unvisited tail of a trie level: `[min, sup)` at `depth`, under the
-/// values `prefix` binds at the levels above (a root range when `depth`
-/// is 0).
-#[derive(Debug)]
-struct Tail {
-    depth: usize,
-    prefix: Vec<Value>,
-    min: Value,
-    sup: Option<Value>,
-}
-
-/// The controller of one batch of a [`Resumable`] run: stops the driver
-/// at its first stop point once `stop_at` rows are out,
-/// and keeps the run's unvisited tails as a stack, the next to resume on
-/// top.
-struct BatchStop {
-    stop_at: u64,
-    tails: Vec<Tail>,
-}
-
-impl SplitSpawn for BatchStop {
-    const STOPS: bool = true;
-
-    fn batch_full(&self, results: u64) -> bool {
-        results >= self.stop_at
-    }
-
-    /// A stop hands its tails over root-most first, so the deepest — the
-    /// siblings the run stopped among — ends up on top.
-    fn handoff(&mut self, depth: usize, prefix: &[Value], min: Value, sup: Option<Value>) {
-        self.tails.push(Tail {
-            depth,
-            prefix: prefix.to_vec(),
-            min,
-            sup,
-        });
+/// Opens `cursor`'s level at depth `d`: the root clamped to `range`, any
+/// other level whole.
+#[inline]
+fn open_level<Cur: JoinCursor, T: Tally>(
+    cursor: &mut Cur,
+    d: usize,
+    (min, sup): (Value, Option<Value>),
+    tally: &mut T,
+) -> bool {
+    match d {
+        0 => cursor.open_root_range(min, sup, tally),
+        _ => cursor.open(tally),
     }
 }
 
-/// The sink of a driver whose emitter collects: no row ever reaches it.
-struct NoSink;
-
-impl ResultSink for NoSink {
-    fn push(&mut self, _tuple: &[Value]) {
-        unreachable!("a collecting emitter keeps its rows")
+/// Where a stack goes once depth `d` is closed: on with the depth above,
+/// or done at the root.
+fn up_from(d: usize) -> Next {
+    match d {
+        0 => Next::Done,
+        _ => Next::Advance(d - 1),
     }
 }
 
 /// A trie join run a batch of rows at a time on the caller's thread: the
 /// engine of a one-worker [`crate::ResultStream`].
 ///
-/// It owns what outlives a batch — the plan, the cursor set, the driver's
-/// owned parts (PJR store, budget, accumulated stats) — and the stack of
-/// unvisited tails. Each [`step`](Self::step) builds a [`Driver`] over the
-/// set and resumes tails deepest-first through [`Driver::run_tail`]
-/// until the batch is full. The driver then stops at its next match
-/// point at any depth, recording one tail per open level. A stop never
-/// fires while a level on the current path replays or records a PJR
-/// entry, because a cached level cannot resume mid-entry; there the batch
-/// overshoots to the first point past it. The stack's depths increase
-/// towards the top, so it holds at most the seeded root ranges plus one
-/// tail per level.
+/// It keeps what outlives a batch: the plan, the cursor set, the root
+/// ranges still to enter, the PJR store and the [`Stack`]. The cursors
+/// borrow the set, so they live one batch: each [`step`](Self::step)
+/// builds a [`Driver`] around the stack, seats its cursors where the stack
+/// stopped, and resumes it for exactly `rows` rows.
 pub(crate) struct Resumable<T: Tally, S, P, B> {
     plan: CompiledQuery,
     set: S,
-    /// The driver's owned parts between batches (`None` only while one
-    /// runs).
-    parts: Option<(P, B, EngineStats<T>)>,
-    tails: Vec<Tail>,
+    /// The root ranges still to enter, the next on top.
+    ranges: Vec<(Value, Option<Value>)>,
+    /// The run's PJR store and stack between batches (`None` only while
+    /// one runs).
+    state: Option<(P, Stack<T, B>)>,
+    /// The budget the run's result is settled against.
+    shared: Option<Arc<RunBudget>>,
 }
 
 impl<T: Tally, S, P: PjrStore, B: Budget> Resumable<T, S, P, B>
@@ -655,7 +668,8 @@ where
     S: for<'s> CursorSet<'s>,
 {
     /// A run of `plan` over `set` that visits the root `ranges` in order,
-    /// adding to `stats`.
+    /// adding to `stats`, governed by `budget`'s handle and settled
+    /// against its shared budget.
     ///
     /// # Errors
     ///
@@ -666,61 +680,64 @@ where
         ranges: &[(Value, Option<Value>)],
         stats: EngineStats<T>,
         cache: P,
-        budget: B,
+        (budget, shared): (B, Option<Arc<RunBudget>>),
     ) -> Result<Self, JoinError> {
-        head_slots(&plan)?;
-        let tails = ranges
-            .iter()
-            .rev()
-            .map(|&(min, sup)| Tail {
-                depth: 0,
-                prefix: Vec::new(),
-                min,
-                sup,
-            })
-            .collect();
+        let mut stack = Stack::new(&plan, budget)?;
+        stack.stats = stats;
+        let mut ranges: Vec<_> = ranges.iter().rev().copied().collect();
+        if let Some((min, sup)) = ranges.pop() {
+            stack.enter(min, sup);
+        }
         Ok(Resumable {
             plan,
             set,
-            parts: Some((cache, budget, stats)),
-            tails,
+            ranges,
+            state: Some((cache, stack)),
+            shared,
         })
     }
 
-    /// Appends the next `rows` rows to `out` — more when the stop falls
-    /// inside a cached level, fewer when the run ends or its budget stops
-    /// it — and returns whether the run has rows left. The driver writes
-    /// them straight into `out`.
-    pub(crate) fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
-        let (cache, budget, stats) = self.parts.take().expect("a batch panicked");
-        let mut driver = Driver::new(&self.plan, &self.set, cache, budget)
-            .expect("emission plan validated when the run was created");
-        driver.stats = stats;
-        driver.emitter.collect(std::mem::take(out));
-        let mut ctl = BatchStop {
-            stop_at: driver.stats.results + rows,
-            tails: std::mem::take(&mut self.tails),
-        };
-        while !ctl.batch_full(driver.stats.results) {
-            let Some(t) = ctl.tails.pop() else {
-                break;
-            };
-            driver.run_tail(t.depth, &t.prefix, t.min, t.sup, &mut NoSink, &mut ctl);
-            if B::GOVERNED && driver.budget.poll().is_some() {
-                // A tripped budget ends the run: nothing past the cut
-                // resumes.
-                ctl.tails.clear();
+    /// Appends the next `rows` rows to `out` — fewer when the run ends or
+    /// its budget stops it — and returns whether the run has work left.
+    /// The driver writes them straight into `out`.
+    fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
+        let (cache, stack) = self.state.take().expect("a batch panicked");
+        let mut driver = Driver::over(&self.plan, &self.set, cache, stack);
+        driver.reseat();
+        driver.stack.emitter.collect(std::mem::take(out));
+        let stop_at = driver.stack.stats.results + rows;
+        // A collecting emitter hands no row to its sink.
+        let mut unused = CountSink::default();
+        let more = loop {
+            if !driver.resume(&mut unused, stop_at) {
+                break true;
             }
-        }
-        *out = driver.emitter.take_rows();
-        self.tails = ctl.tails;
-        self.parts = Some(driver.into_parts());
-        !self.tails.is_empty()
+            // A tripped budget ends the run: no range past the cut starts.
+            let tripped = B::GOVERNED && driver.stack.budget.poll().is_some();
+            match self.ranges.pop() {
+                Some((min, sup)) if !tripped => driver.stack.enter(min, sup),
+                _ => break false,
+            }
+        };
+        *out = driver.stack.emitter.take_rows();
+        self.state = Some((driver.cache, driver.stack));
+        more
+    }
+}
+
+impl<S, P, B> BatchRun for Resumable<NoTally, S, P, B>
+where
+    S: for<'s> CursorSet<'s> + Send,
+    P: PjrStore + Send,
+    B: Budget + Send,
+{
+    fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
+        Resumable::step(self, rows, out)
     }
 
-    /// The run's accumulated stats.
-    pub(crate) fn into_stats(self) -> EngineStats<T> {
-        self.parts.expect("a batch panicked").2
+    fn finish(self: Box<Self>) -> Result<EngineStats, JoinError> {
+        let stats = self.state.expect("a batch panicked").1.stats;
+        settle(stats, self.shared.as_deref()).map(|s| s.to_counting())
     }
 }
 
@@ -728,6 +745,7 @@ where
 mod tests {
     use super::*;
     use crate::cache::NoPjr;
+    use crate::engine::head_slots;
     use crate::viewset::MergeSet;
     use crate::{Catalog, CollectSink, CountSink, DeltaMap, JoinEngine, TrieSet};
     use triejax_exec::NoBudget;
@@ -989,22 +1007,45 @@ mod tests {
     }
 
     /// What a [`Resumable`] run stopped every `k` rows delivered: the rows,
-    /// the rows of each batch, and the depth each batch stopped at.
-    struct Stepped {
+    /// the rows of each batch, where each batch stopped, and the run's
+    /// stats and PJR store.
+    struct Stepped<P> {
         rows: Vec<Vec<Value>>,
         batches: Vec<usize>,
-        stops: Vec<usize>,
-        results: u64,
+        stops: Vec<Stop>,
+        stats: EngineStats,
+        cache: P,
     }
 
-    fn stepped<T: Tally, S, P: PjrStore>(plan: &CompiledQuery, set: S, cache: P, k: u64) -> Stepped
+    /// Where a batch stopped: the depth of the frame stack's top, whether
+    /// it stood in a bitmap leaf, and whether a level on the stack was
+    /// recording a PJR entry.
+    #[derive(Clone, Copy)]
+    struct Stop {
+        depth: usize,
+        bits: bool,
+        recording: bool,
+    }
+
+    fn stepped<T: Tally, S, P: PjrStore>(
+        plan: &CompiledQuery,
+        set: S,
+        cache: P,
+        k: u64,
+    ) -> Stepped<P>
     where
         S: for<'s> CursorSet<'s>,
     {
         let stats = EngineStats::default();
-        let mut run =
-            Resumable::<T, _, _, _>::new(plan.clone(), set, &[(0, None)], stats, cache, NoBudget)
-                .unwrap();
+        let mut run = Resumable::<T, _, _, _>::new(
+            plan.clone(),
+            set,
+            &[(0, None)],
+            stats,
+            cache,
+            (NoBudget, None),
+        )
+        .unwrap();
         let (mut sink, mut batch) = (CollectSink::new(), Vec::new());
         let (mut batches, mut stops) = (Vec::new(), Vec::new());
         loop {
@@ -1015,16 +1056,40 @@ mod tests {
             if !more {
                 break;
             }
-            stops.push(run.tails.last().expect("a stopped run has tails").depth);
-            let depths: Vec<usize> = run.tails.iter().map(|t| t.depth).collect();
-            assert!(depths.windows(2).all(|w| w[0] < w[1]), "{depths:?}");
+            let (_, stack) = run.state.as_ref().unwrap();
+            let (depth, bits) = match stack.at {
+                Next::Visit(d) => (d, false),
+                Next::Leaf(d) => (d, matches!(stack.mark, Some(LeafAt::Bits(..)))),
+                at => panic!("a stopped run stands at a match, not at {at:?}"),
+            };
+            let recording = stack.frames[..=depth].iter().any(|f| f.record.is_some());
+            stops.push(Stop {
+                depth,
+                bits,
+                recording,
+            });
         }
+        let (cache, stack) = run.state.unwrap();
         Stepped {
             rows: sink.tuples().to_vec(),
             batches,
             stops,
-            results: run.into_stats().results,
+            stats: stack.stats.to_counting(),
+            cache,
         }
+    }
+
+    /// The rows and stats of one unstopped driver over `set`.
+    fn unstopped<'a, T: Tally, S: CursorSet<'a>, P: PjrStore>(
+        plan: &'a CompiledQuery,
+        set: &'a S,
+        cache: P,
+    ) -> (Vec<Vec<Value>>, EngineStats) {
+        let mut sink = CollectSink::new();
+        let stats = Driver::<T, _, _, _>::new(plan, set, cache, NoBudget)
+            .unwrap()
+            .run(&mut sink);
+        (sink.tuples().to_vec(), stats.to_counting())
     }
 
     /// The sequential order of `plan` over `set`: one unstopped driver.
@@ -1036,12 +1101,24 @@ mod tests {
         sink.tuples().to_vec()
     }
 
-    /// A driver stopped after every k rows and resumed through its tails
-    /// reproduces the sequential order, on all five paper patterns, LFTJ
-    /// and CTJ, frozen tries and views with a pending delta, with and
-    /// without leaf bitmaps. LFTJ batches are exactly k rows and stop at
-    /// every depth; CTJ batches may overshoot, never undershoot. (Beyond
-    /// k = 1..=7, one k ends its first batch exactly at a root boundary.)
+    /// Asserts that `run` did what the unstopped run `want` did, rows and
+    /// stats, in batches of exactly `k` rows but the last.
+    fn exact<P>(run: &Stepped<P>, want: &(Vec<Vec<Value>>, EngineStats), k: u64, context: &str) {
+        assert_eq!(run.rows, want.0, "{context}");
+        assert_eq!(run.stats, want.1, "{context}");
+        let (last, full) = run.batches.split_last().unwrap();
+        assert!(full.iter().all(|&b| b as u64 == k), "{context}: {full:?}");
+        assert!(*last as u64 <= k, "{context}");
+    }
+
+    /// A driver stopped after every k rows and resumed from its frame
+    /// stack reproduces the unstopped run — its rows in sequential order
+    /// and its stats to the last counter — on all five paper patterns,
+    /// LFTJ and CTJ, frozen tries and views with a pending delta, with and
+    /// without leaf bitmaps. Every batch but the last is exactly k rows,
+    /// the stops fall at every depth, inside bitmap leaves and inside
+    /// recording levels. (Beyond k = 1..=7, one k ends its first batch
+    /// exactly at a root boundary.)
     #[test]
     fn a_driver_stopped_every_k_rows_resumes_in_sequential_order() {
         use crate::cache::LocalPjr;
@@ -1054,9 +1131,9 @@ mod tests {
             .collect();
         let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
         // A tiny store drops most entries at publish: a recording level
-        // whose entry is dropped must still not be stopped in.
+        // whose entry is dropped is stopped in like any other.
         let ctj = [None, Some(2)];
-        let (mut bit_leaf_stops, mut overshoots) = (0, 0);
+        let (mut bit_leaf_stops, mut recording_stops) = (0, 0);
         for (c, dense) in [(catalog(&edges), true), (catalog(&spread), false)] {
             let base = c.get("G").unwrap();
             let (ins, del) = if dense {
@@ -1080,6 +1157,18 @@ mod tests {
                 let bit_leaf = Driver::<NoTally, _, _, _>::new(&plan, &tries, NoPjr, NoBudget)
                     .unwrap()
                     .bit_leaf;
+                // The unstopped runs each stepped run must equal.
+                let lftj_full = [
+                    unstopped::<NoTally, _, _>(&plan, &tries, NoPjr),
+                    unstopped::<Counting, _, _>(&plan, &tries, NoPjr),
+                    unstopped::<NoTally, _, _>(&plan, &merged, NoPjr),
+                ];
+                let ctj_full = ctj.map(|capacity| {
+                    [
+                        unstopped::<NoTally, _, _>(&plan, &tries, LocalPjr::new(capacity)),
+                        unstopped::<Counting, _, _>(&plan, &merged, LocalPjr::new(capacity)),
+                    ]
+                });
                 // Plus the rows under the first root value: a batch of
                 // that many stops at the root.
                 let root = head_slots(&plan).unwrap()[0];
@@ -1092,47 +1181,30 @@ mod tests {
                     let view = || MergeSet::build(&plan, &c, &deltas).unwrap();
                     let context = format!("{pattern} dense={dense} k={k}");
                     let runs = [
-                        (
-                            stepped::<NoTally, _, _>(&plan, build(), NoPjr, k),
-                            &frozen_order,
-                        ),
-                        (
-                            stepped::<Counting, _, _>(&plan, build(), NoPjr, k),
-                            &frozen_order,
-                        ),
-                        (
-                            stepped::<NoTally, _, _>(&plan, view(), NoPjr, k),
-                            &merged_order,
-                        ),
+                        stepped::<NoTally, _, _>(&plan, build(), NoPjr, k),
+                        stepped::<Counting, _, _>(&plan, build(), NoPjr, k),
+                        stepped::<NoTally, _, _>(&plan, view(), NoPjr, k),
                     ];
-                    for (i, (run, want)) in runs.iter().enumerate() {
-                        assert_eq!(&run.rows, *want, "{context} lftj run {i}");
-                        assert_eq!(run.results, want.len() as u64);
-                        let (last, full) = run.batches.split_last().unwrap();
-                        assert!(full.iter().all(|&b| b as u64 == k), "{context}: {full:?}");
-                        assert!(*last as u64 <= k);
-                        lftj_stops.extend(run.stops.iter().copied());
+                    assert_eq!(lftj_full[0].0, frozen_order);
+                    assert_eq!(lftj_full[2].0, merged_order);
+                    for (run, want) in runs.iter().zip(&lftj_full) {
+                        exact(run, want, k, &context);
+                        lftj_stops.extend(run.stops.iter().map(|s| s.depth));
                     }
                     if bit_leaf {
-                        bit_leaf_stops += runs[0].0.stops.len();
+                        bit_leaf_stops += runs[0].stops.iter().filter(|s| s.bits).count();
                     }
-                    for capacity in ctj {
+                    for (capacity, full) in ctj.into_iter().zip(&ctj_full) {
                         let store = || LocalPjr::new(capacity);
                         let runs = [
-                            (
-                                stepped::<NoTally, _, _>(&plan, build(), store(), k),
-                                &frozen_order,
-                            ),
-                            (
-                                stepped::<Counting, _, _>(&plan, view(), store(), k),
-                                &merged_order,
-                            ),
+                            stepped::<NoTally, _, _>(&plan, build(), store(), k),
+                            stepped::<Counting, _, _>(&plan, view(), store(), k),
                         ];
-                        for (run, want) in runs {
-                            assert_eq!(&run.rows, want, "{context} ctj {capacity:?}");
-                            let (_, full) = run.batches.split_last().unwrap();
-                            assert!(full.iter().all(|&b| b as u64 >= k), "{context}");
-                            overshoots += full.iter().filter(|&&b| b as u64 > k).count();
+                        assert_eq!(full[0].0, frozen_order);
+                        assert_eq!(full[1].0, merged_order);
+                        for (run, want) in runs.iter().zip(full) {
+                            exact(run, want, k, &context);
+                            recording_stops += run.stops.iter().filter(|s| s.recording).count();
                         }
                     }
                 }
@@ -1145,14 +1217,54 @@ mod tests {
             "some batches stopped inside bitmap leaves"
         );
         assert!(
-            overshoots > 0,
-            "some CTJ batches ran on through a cached level"
+            recording_stops > 0,
+            "some CTJ batches stopped inside a recording level"
         );
+    }
+
+    /// A stop inside a recording level never publishes a truncated entry:
+    /// after a CTJ run stepped one row at a time, a full run on the same
+    /// store — where every lookup hits — replays the sequential rows.
+    #[test]
+    fn entries_recorded_across_stops_are_whole() {
+        use crate::cache::LocalPjr;
+        use triejax_query::patterns::Pattern;
+
+        let edges: Vec<(u32, u32)> = (0..9u32)
+            .flat_map(|a| (0..9u32).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && (a * 5 + b * 3) % 4 != 0)
+            .collect();
+        let c = catalog(&edges);
+        let mut replayed = 0;
+        for pattern in Pattern::PAPER {
+            let plan = CompiledQuery::compile(&pattern.query()).unwrap();
+            let tries = TrieSet::build(&plan, &c).unwrap();
+            let want = sequential(&plan, &tries);
+            let run = stepped::<NoTally, _, _>(
+                &plan,
+                TrieSet::build(&plan, &c).unwrap(),
+                LocalPjr::new(None),
+                1,
+            );
+            assert_eq!(run.rows, want, "{pattern}");
+            let mut sink = CollectSink::new();
+            let stats = Driver::<NoTally, _, _, _>::new(&plan, &tries, run.cache, NoBudget)
+                .unwrap()
+                .run(&mut sink);
+            assert_eq!(sink.tuples(), want, "{pattern}");
+            assert_eq!(stats.cache_misses, 0, "{pattern}: every lookup hits");
+            if run.stats.cache_misses > 0 {
+                assert!(run.stops.iter().any(|s| s.recording), "{pattern}");
+                assert!(stats.cache_hits > 0, "{pattern}");
+                replayed += 1;
+            }
+        }
+        assert!(replayed > 0, "some pattern caches");
     }
 
     /// A budget that trips ends a resumable run at once: a zero deadline or
     /// a pre-fired token before any row, a row limit after exactly its rows
-    /// — with tails still pending, none is resumed.
+    /// — with the run stopped mid-range, nothing past the cut is resumed.
     #[test]
     fn a_tripped_budget_ends_a_resumable_run() {
         use std::sync::Arc;
@@ -1192,19 +1304,24 @@ mod tests {
                 &[(0, None)],
                 stats,
                 NoPjr,
-                handle,
+                (handle, Some(Arc::clone(&shared))),
             )
             .unwrap();
             let (mut sink, mut batch) = (CollectSink::new(), Vec::new());
-            // One row per batch: the limit trips while tails are pending.
+            // One row per batch: the limit trips mid-range.
             while run.step(1, &mut batch) {
                 sink.push_rows(&batch, 3);
                 batch.clear();
             }
             sink.push_rows(&batch, 3);
             assert_eq!(sink.tuples(), &full[..rows], "{reason:?}");
-            assert_eq!(shared.cancelled(), Some(reason));
-            assert_eq!(run.into_stats().results, rows as u64);
+            match Box::new(run).finish() {
+                Err(JoinError::Cancelled { reason: r, partial }) => {
+                    assert_eq!(r, reason);
+                    assert_eq!(partial.results, rows as u64);
+                }
+                other => panic!("expected {reason:?}, got {other:?}"),
+            }
         }
     }
 }

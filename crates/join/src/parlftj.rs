@@ -284,7 +284,7 @@ pub(crate) fn run_parallel<T: Tally>(
 
 /// A finished run's result: its stats, or [`JoinError::Cancelled`]
 /// carrying them when `budget` cut the run short.
-fn settle<T: Tally>(
+pub(crate) fn settle<T: Tally>(
     stats: EngineStats<T>,
     budget: Option<&RunBudget>,
 ) -> Result<EngineStats<T>, JoinError> {
@@ -428,7 +428,7 @@ where
     let mut stats = EngineStats::default();
     for slot in drivers {
         if let Some(driver) = slot.into_inner().expect("worker driver poisoned") {
-            stats.merge(&driver.stats);
+            stats.merge(driver.stats());
         }
     }
     (stats, pool_stats)
@@ -438,33 +438,12 @@ where
 /// what a one-worker [`crate::ResultStream`] pulls. The cursor set, PJR
 /// store and budget behind it are erased.
 pub(crate) trait BatchRun: Send {
-    /// Appends the next batch of about `rows` rows to `out` (see
-    /// [`Resumable::step`]); `false` once the run has no rows left.
+    /// Appends the next batch of `rows` rows to `out`; `false` once the
+    /// run has no rows left.
     fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool;
 
     /// The run's result, as [`run_parallel`] would have returned it.
     fn finish(self: Box<Self>) -> Result<EngineStats, JoinError>;
-}
-
-/// A [`Resumable`] run plus the budget its result is settled against.
-struct Batched<S, P, B> {
-    run: Resumable<NoTally, S, P, B>,
-    budget: Option<Arc<RunBudget>>,
-}
-
-impl<S, P, B> BatchRun for Batched<S, P, B>
-where
-    S: for<'s> CursorSet<'s> + Send,
-    P: PjrStore + Send,
-    B: Budget + Send,
-{
-    fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
-        self.run.step(rows, out)
-    }
-
-    fn finish(self: Box<Self>) -> Result<EngineStats, JoinError> {
-        settle(self.run.into_stats(), self.budget.as_deref()).map(|s| s.to_counting())
-    }
 }
 
 /// The one-worker counterpart of [`run_parallel`] under the resolved
@@ -506,17 +485,16 @@ where
         ranges: &[(Value, Option<Value>)],
         stats: EngineStats<NoTally>,
         store: P,
-        (budget, shared): (B, Option<Arc<RunBudget>>),
+        budget: (B, Option<Arc<RunBudget>>),
     ) -> Result<Box<dyn BatchRun>, JoinError>
     where
         S: for<'s> CursorSet<'s> + Send + 'static,
         P: PjrStore + Send + 'static,
         B: Budget + Send + 'static,
     {
-        Ok(Box::new(Batched {
-            run: Resumable::new(plan, set, ranges, stats, store, budget)?,
-            budget: shared,
-        }))
+        Ok(Box::new(Resumable::new(
+            plan, set, ranges, stats, store, budget,
+        )?))
     }
     let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity);
     let mut stats = EngineStats {

@@ -77,7 +77,7 @@ use crate::{
 const STREAM_BATCH_ROWS: usize = 256;
 
 /// Rows a one-worker stream's join emits per refill before it stops:
-/// enough to amortize setting the driver up and resuming it, few enough
+/// enough to amortize seating the driver's cursors and resuming it, few enough
 /// that the batch stays in cache while the consumer reads it.
 const INLINE_BATCH_ROWS: u64 = 4096;
 
@@ -856,10 +856,11 @@ impl QueryHandle {
 ///   the [`JoinError::Cancelled`] carrying the partial stats.
 /// * **Memory** — at one worker the join runs on the consumer's thread
 ///   and buffers one batch of rows: each refill resumes the join where
-///   the last one stopped and stops it again once the batch is full. A
-///   stop cannot fall inside a level that replays or records a
-///   partial-join-result entry ([`QueryHandle::with_ctj`]), so there the
-///   batch grows by the rest of that level's output. On a larger pool a
+///   the last one stopped and stops it again once the batch is full, so
+///   every batch but the last holds exactly the batch size, with the
+///   partial-join-result cache ([`QueryHandle::with_ctj`]) too. Between
+///   refills it keeps one frame per join depth, plus the cache entry a
+///   stopped level replays or records. On a larger pool a
 ///   producer thread runs the pool into a bounded channel, which blocks
 ///   it after a fixed number of batches; but the pool's ordered merge
 ///   behind it has no backpressure, so shards that finish ahead of the
@@ -1112,8 +1113,10 @@ mod tests {
     }
 
     /// At one worker the join runs on the consumer's thread — no producer
-    /// thread — and still streams the sequential order in batches, with
-    /// the stats a `run()` reports.
+    /// thread — and still streams the sequential order in batches of
+    /// exactly `INLINE_BATCH_ROWS` rows but the last, with the stats a
+    /// `run()` reports; with the PJR cache on too, where a batch ends
+    /// inside replaying and recording levels.
     #[test]
     fn one_worker_streams_run_on_the_consumers_thread() {
         let session = grid_session(1);
@@ -1123,18 +1126,27 @@ mod tests {
             expect.len() as u64 > 2 * INLINE_BATCH_ROWS,
             "several batches"
         );
-        let mut stream = session.query(&plan).stream();
-        assert!(matches!(stream.source, Source::Inline(_)));
-        let first = stream.next().unwrap();
-        assert_eq!(
-            stream.batch.len(),
-            INLINE_BATCH_ROWS as usize * plan.arity()
-        );
-        assert_eq!(first, expect[0]);
-        let rest: Vec<Row> = stream.by_ref().collect();
-        assert_eq!(rest, expect[1..]);
-        let stats = stream.outcome().unwrap().as_ref().unwrap();
-        assert_eq!((stats.results, stats.shards), (expect.len() as u64, 1));
+        for (ctj, query) in [
+            (false, session.query(&plan)),
+            (true, session.query(&plan).with_ctj()),
+        ] {
+            let mut stream = query.stream();
+            assert!(matches!(stream.source, Source::Inline(_)));
+            let (mut rows, mut batches) = (Vec::new(), Vec::new());
+            while stream.refill() {
+                batches.push(stream.batch.len() / plan.arity());
+                rows.extend(stream.batch.chunks(plan.arity()).map(Row::from));
+            }
+            assert_eq!(rows, expect, "ctj={ctj}");
+            let (last, full) = batches.split_last().unwrap();
+            assert!(full.len() >= 2, "ctj={ctj}: {batches:?}");
+            let exact = |&b: &usize| b as u64 == INLINE_BATCH_ROWS;
+            assert!(full.iter().all(exact), "ctj={ctj}: {batches:?}");
+            assert!(*last as u64 <= INLINE_BATCH_ROWS, "ctj={ctj}");
+            let stats = stream.outcome().unwrap().as_ref().unwrap();
+            assert_eq!((stats.results, stats.shards), (expect.len() as u64, 1));
+            assert_eq!(stats.cache_hits > 0, ctj);
+        }
         let pooled = grid_session(2).query(&plan).stream();
         assert!(matches!(pooled.source, Source::Producer(_)));
     }

@@ -270,45 +270,6 @@ impl<'a> TrieCursor<'a> {
         self.push(lo, hi, counter)
     }
 
-    /// Descends one level restricted to values in `[min, sup)` (`sup =
-    /// None` means unbounded above): the any-depth generalization of
-    /// [`open_root_range`](Self::open_root_range). Above the root it *is*
-    /// `open_root_range`; on an inner node it reads the child-range words
-    /// like [`open`](Self::open) and then locates the bounds by counted
-    /// binary search within the child range.
-    ///
-    /// A resumed run enters its tail this way: it re-binds the tail's
-    /// prefix, then opens the tail's level restricted to `[min, sup)`.
-    ///
-    /// Returns `false` (cursor depth unchanged) when no child value falls
-    /// inside the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on a leaf-level node or on an ended level.
-    pub fn open_range<T: Tally>(
-        &mut self,
-        min: Value,
-        sup: Option<Value>,
-        counter: &mut T,
-    ) -> bool {
-        if self.frames.is_empty() {
-            return self.open_root_range(min, sup, counter);
-        }
-        let (lo, hi) = self.child_range(counter);
-        let values = self.levels[self.frames.len()].values();
-        let lo = if min == 0 {
-            lo
-        } else {
-            lower_bound(values, lo, hi, min, counter)
-        };
-        let hi = match sup {
-            Some(s) => lower_bound(values, lo, hi, s, counter),
-            None => hi,
-        };
-        self.push(lo, hi, counter)
-    }
-
     /// Ascends one level.
     ///
     /// # Panics
@@ -779,11 +740,11 @@ mod tests {
     }
 
     #[test]
-    fn open_range_above_the_root_is_open_root_range() {
+    fn open_root_range_past_the_last_root_value_keeps_the_level_end() {
         let t = trie();
         let mut cur = TrieCursor::new(&t);
         let mut c = AccessCounter::default();
-        assert!(cur.open_range(3, Some(8), &mut c));
+        assert!(cur.open_root_range(3, Some(8), &mut c));
         assert_eq!((cur.depth(), cur.key()), (1, 3));
         assert!(cur.next(&mut c));
         assert_eq!(cur.key(), 7);
@@ -794,31 +755,16 @@ mod tests {
     }
 
     #[test]
-    fn open_range_on_an_inner_level_clamps_and_counts() {
-        // Children of 7: [1, 9].
+    fn open_root_range_counts_its_probes() {
+        // Root level: [1, 3, 7].
         let t = trie();
         let mut cur = TrieCursor::new(&t);
         let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        cur.seek(7, &mut c);
-        let mut c = AccessCounter::default();
-        assert!(cur.open_range(2, None, &mut c));
-        assert_eq!((cur.depth(), cur.key()), (2, 9));
-        // Child-range words, two lower_bound probes over [1, 9], first
-        // in-range value: exactly four tallied reads.
-        assert_eq!(c.index_reads, 4);
-        assert_eq!(c.index_bytes, (2 + 2 + 1) as u64 * WORD_BYTES);
-        assert!(!cur.next(&mut c));
-    }
-
-    #[test]
-    fn open_range_with_an_empty_window_stays_put() {
-        // Children of 1: [2, 5].
-        let t = trie();
-        let mut cur = TrieCursor::new(&t);
-        let mut c = AccessCounter::default();
-        cur.open(&mut c);
-        assert!(!cur.open_range(6, Some(9), &mut c));
-        assert_eq!((cur.depth(), cur.key()), (1, 1));
+        assert!(cur.open_root_range(2, None, &mut c));
+        assert_eq!((cur.depth(), cur.key()), (1, 3));
+        // Two lower_bound probes over [1, 3, 7] and the first in-range
+        // value; an unbounded sup costs nothing: exactly three reads.
+        assert_eq!(c.index_reads, 3);
+        assert_eq!(c.index_bytes, 3 * WORD_BYTES);
     }
 }

@@ -2,8 +2,8 @@
 //! behind it.
 //!
 //! [`JoinCursor`] captures exactly the operations LeapFrog TrieJoin and
-//! Cached TrieJoin perform — open/up/next/seek plus the range opens of
-//! sharded and resumed runs, the positional replay hooks of the PJR cache
+//! Cached TrieJoin perform — open/up/next/seek plus the root-range open
+//! of sharded runs, the positional replay hooks of the PJR cache
 //! and the sibling-slice view the leaf-level kernel runs on.
 //! [`crate::TrieCursor`] implements it by plain delegation (so the
 //! frozen-trie path monomorphizes to today's code, access tallies
@@ -22,10 +22,9 @@ use crate::{Tally, TrieCursor, Value};
 ///
 /// * [`fresh`](Self::fresh) yields an above-the-root cursor over the same
 ///   underlying data.
-/// * [`open_root_range`](Self::open_root_range) /
-///   [`open_range`](Self::open_range) open a level restricted to a value
-///   range: the root for a shard, an inner level under a re-bound prefix
-///   for a resumed run's tail.
+/// * [`open_root_range`](Self::open_root_range) opens the root level
+///   restricted to a value range: a shard's slice of the first join
+///   variable's domain.
 /// * [`sibling_slice`](Self::sibling_slice) lets the engines run the last
 ///   join variable's leapfrog on bare sorted slices instead of through
 ///   the cursor, for cursors whose open level is one array.
@@ -59,12 +58,6 @@ pub trait JoinCursor {
         sup: Option<Value>,
         counter: &mut T,
     ) -> bool;
-
-    /// Descends one level restricted to values in `[min, sup)`. Above the
-    /// root this is [`open_root_range`](Self::open_root_range); on an
-    /// inner node it opens the child level clamped to the window. Returns
-    /// `false` (depth unchanged) when no child value falls inside it.
-    fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool;
 
     /// Ascends one level.
     fn up(&mut self);
@@ -148,10 +141,6 @@ impl<'a> JoinCursor for TrieCursor<'a> {
         counter: &mut T,
     ) -> bool {
         TrieCursor::open_root_range(self, min, sup, counter)
-    }
-
-    fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool {
-        TrieCursor::open_range(self, min, sup, counter)
     }
 
     #[inline]

@@ -364,12 +364,8 @@ impl JoinCursor for MergeCursor<'_> {
             self.frames.is_empty(),
             "root range opens from above the root"
         );
-        self.open_range(min, sup, counter)
-    }
-
-    fn open_range<T: Tally>(&mut self, min: Value, sup: Option<Value>, counter: &mut T) -> bool {
-        let kids = self.kids(counter);
-        let values = self.values(self.frames.len(), kids.patched);
+        let kids = self.view.root;
+        let values = self.values(0, kids.patched);
         let (lo, hi) = (kids.lo as usize, kids.hi as usize);
         // An unbounded side needs no probing, as on a plain trie.
         let lo = match min {
@@ -511,7 +507,7 @@ mod tests {
         // Neither side: empty view, open refuses.
         let mut cur = MergeCursor::new(None, None, &none);
         assert!(!cur.open(&mut AccessCounter::default()));
-        assert!(!cur.open_range(1, None, &mut AccessCounter::default()));
+        assert!(!cur.open_root_range(1, None, &mut AccessCounter::default()));
         assert_eq!(cur.depth(), 0);
     }
 
@@ -591,23 +587,21 @@ mod tests {
     }
 
     #[test]
-    fn open_range_skips_tombstoned_leaves() {
-        // Children of 1 in the merged view: base [2, 6, 8] minus tomb (1,6).
-        let base_rel = Relation::from_pairs(vec![(1, 2), (1, 6), (1, 8)]);
+    fn open_root_range_skips_tombstoned_leaves() {
+        // The merged root level: base [2, 6, 8] minus the tombstoned 6.
+        let base_rel = Relation::from_tuples(1, vec![vec![2], vec![6], vec![8]]).unwrap();
         let base = Trie::build(&base_rel);
-        let tomb = Relation::from_pairs(vec![(1, 6)]);
+        let tomb = Relation::from_tuples(1, vec![vec![6]]).unwrap();
         let mut cur = MergeCursor::new(Some(&base), None, &tomb);
         let mut c = AccessCounter::default();
-        assert!(cur.open(&mut c));
-        assert!(cur.open_range(3, None, &mut c));
+        assert!(cur.open_root_range(3, None, &mut c));
         assert_eq!(cur.key(), 8, "the tombstoned 6 is not in the level");
         assert!(!cur.next(&mut c));
         // A window holding only the tombstoned value is empty: the
-        // cursor stays where it was.
+        // cursor stays above the root.
         let mut windowed = cur.fresh();
-        assert!(windowed.open(&mut c));
-        assert!(!windowed.open_range(3, Some(7), &mut c));
-        assert_eq!(windowed.depth(), 1);
+        assert!(!windowed.open_root_range(3, Some(7), &mut c));
+        assert_eq!(windowed.depth(), 0);
     }
 
     #[test]

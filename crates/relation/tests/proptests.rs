@@ -101,7 +101,7 @@ fn step<C: JoinCursor>(
     let can_open = cur.depth() < arity && (cur.depth() == 0 || live);
     let answer = match op {
         0 if can_open => Some(cur.open(c) as u64),
-        1 if can_open => Some(cur.open_range(v, (w > 0).then_some(v + w), c) as u64),
+        1 if cur.depth() == 0 => Some(cur.open_root_range(v, (w > 0).then_some(v + w), c) as u64),
         2 if live => Some(cur.next(c) as u64),
         3 if live => Some(cur.seek(v, c) as u64),
         4 if cur.depth() > 0 => {
@@ -334,7 +334,7 @@ proptest! {
     /// hands one out exactly when its leaf frame is the whole child list
     /// of its parent, as a set equal to `sibling_slice`. Under random
     /// operation scripts on dense and spread ids, a frame narrowed by
-    /// `open_range`, or moved by `next` or `seek`, gets `None`.
+    /// `open_root_range`, or moved by `next` or `seek`, gets `None`.
     #[test]
     fn sibling_bits_equal_the_whole_sibling_slice(
         arity in 1usize..=3,
