@@ -36,8 +36,8 @@
 //!
 //! [`WorkerPool::new`] runs one worker per core
 //! ([`std::thread::available_parallelism`]); this crate reads no
-//! environment. `triejax-join` resolves its `TRIEJAX_POOL` knob into an
-//! explicit [`WorkerPool::with_workers`].
+//! environment, and neither does `triejax-join`: a worker count is an
+//! explicit [`WorkerPool::with_workers`] or this default.
 //!
 //! Two further layers make the runtime governable and testable:
 //!

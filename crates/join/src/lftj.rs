@@ -17,8 +17,8 @@ use crate::{CountSink, EngineStats, JoinError, Leapfrog, ResultSink, TrieJoin};
 /// results at the cost of recomputing recurring partial joins (paper §2.2).
 ///
 /// The sequential LFTJ preset of the one trie-join engine: one worker on
-/// the calling thread, tries built for the run, no `TRIEJAX_*` variable
-/// read. [`JoinEngine::execute`](crate::JoinEngine::execute) runs the
+/// the calling thread, tries built for the run.
+/// [`JoinEngine::execute`](crate::JoinEngine::execute) runs the
 /// instrumented kernel (every memory touch counted, as the paper figures
 /// require); [`run_tallied`](TrieJoin::run_tallied) exposes the same
 /// kernel generic over a [`Tally`], so `run_tallied::<NoTally>` runs with

@@ -28,22 +28,19 @@
 //! The four trie engines are presets of **one engine type**, [`TrieJoin`],
 //! whose partial-join-result cache is a configuration bit, as in the
 //! paper's machine: every builder, run method and [`JoinEngine`] impl is
-//! written once, and a preset chooses only its defaults and its name.
-//! The sequential presets `Lftj`/`Ctj` run one worker, build their own
-//! tries and read no environment variable; `ParLftj`/`ParCtj` follow the
-//! process defaults. Every run goes through one engine body, which runs
-//! one **trie-join driver** on the calling thread when the run plans a
-//! single root range (always at one worker) and one per pool worker
-//! otherwise. The driver is the Cached TrieJoin control flow of paper
-//! Figure 4, which with no cache is LFTJ. It is generic over the
-//! [`Tally`], the run's budget, the stop controller of a batched run, the
-//! cursor (frozen trie or merged view of a mutated relation) and the
-//! partial-join-result store — none for LFTJ, compiled away; a
-//! worker-local one for a one-range CTJ run; a handle onto the shared
-//! cache for each pooled CTJ worker. Every run knob is a builder; four of
-//! them — the pool size, the CTJ cache capacity, the trie-cache size and
-//! the trie store — fall back to a `TRIEJAX_*` variable when unset (in
-//! the pooled presets), and the crate reads the environment in one place.
+//! written once, and a preset chooses only its worker default and its
+//! name: the sequential presets `Lftj`/`Ctj` run one worker,
+//! `ParLftj`/`ParCtj` one per core. Every run goes through one engine
+//! body, which runs one **trie-join driver** on the calling thread when
+//! the run plans a single root range (always at one worker) and one per
+//! pool worker otherwise. The driver is the Cached TrieJoin control flow
+//! of paper Figure 4, which with no cache is LFTJ. It is generic over the
+//! [`Tally`], the run's budget, the cursor (frozen trie or merged view of
+//! a mutated relation) and the partial-join-result store — none for
+//! LFTJ, compiled away; a worker-local one for a one-range CTJ run; a
+//! handle onto the shared cache for each pooled CTJ worker. Every run
+//! knob is a builder with a fixed default, and the crate reads no
+//! environment.
 //!
 //! Engines count their work in [`EngineStats`] (operation counts, memory
 //! touches, intermediate results, cache hits, shard/steal scheduling
@@ -107,7 +104,6 @@ pub use generic::GenericJoin;
 pub use intersect::intersect_sorted;
 pub use leapfrog::Leapfrog;
 pub use lftj::Lftj;
-pub use options::{STORE_ENV, TRIE_CACHE_ENV};
 pub use pairwise::PairwiseHash;
 pub use parctj::ParCtj;
 pub use parlftj::{ParLftj, TrieJoin};

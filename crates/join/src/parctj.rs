@@ -26,8 +26,8 @@ use crate::TrieJoin;
 /// shards on the work-stealing pool, [`crate::ShardSink`] batches through
 /// an order-preserving [`triejax_exec::OrderedMerge`]. The merged stream
 /// is tuple-for-tuple identical to sequential [`crate::Ctj`] (and
-/// [`crate::Lftj`]) — same tuples, same order. An unset capacity resolves
-/// from `TRIEJAX_CACHE_CAP` when the query runs (unset = unbounded).
+/// [`crate::Lftj`]) — same tuples, same order. An unset capacity is
+/// unbounded.
 ///
 /// # Example
 ///
@@ -141,8 +141,8 @@ mod tests {
         let mut seq_sink = CountSink::default();
         let seq = Ctj::new().execute(&plan, &c, &mut seq_sink).unwrap();
         let mut par_sink = CountSink::default();
-        // Explicitly unbounded so a TRIEJAX_CACHE_CAP test environment
-        // cannot shrink the cache under this exact-count assertion.
+        // Explicitly unbounded: the exact counts below assume no entry
+        // is ever evicted.
         let par = ParCtj::with_pool(2)
             .with_cache_capacity(None)
             .execute(&plan, &c, &mut par_sink)
@@ -170,7 +170,7 @@ mod tests {
         let mut reference = CollectSink::new();
         Ctj::new().execute(&plan, &c, &mut reference).unwrap();
         let mut sink = CollectSink::new();
-        let stats = ParCtj::new()
+        let stats = ParCtj::with_pool(4)
             .with_cache_capacity(Some(2))
             .with_granularity(6)
             .execute(&plan, &c, &mut sink)
@@ -226,13 +226,12 @@ mod tests {
 
     #[test]
     fn cache_capacity_builder_sets_an_explicit_config() {
-        let unset = |_: &str| None;
         let engine = ParCtj::with_pool(2).with_cache_capacity(Some(16));
-        assert_eq!(engine.opts.resolve(&unset).ctj, Some(Some(16)));
+        assert_eq!(engine.opts.resolve().ctj, Some(Some(16)));
         let engine = ParCtj::new()
             .with_cache_capacity(None)
             .with_cache_capacity(Some(5));
-        assert_eq!(engine.opts.resolve(&unset).ctj, Some(Some(5)));
+        assert_eq!(engine.opts.resolve().ctj, Some(Some(5)));
     }
 
     #[test]

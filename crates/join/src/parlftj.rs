@@ -10,7 +10,7 @@ use crate::cache::{LocalPjr, NoPjr, PjrStore, SharedPjrCache};
 use crate::catalog::Served;
 use crate::engine::head_slots;
 use crate::lftj::{Driver, Resumable};
-use crate::options::{process_env, Resolved, RunOptions};
+use crate::options::{Resolved, RunOptions};
 use crate::shard::{execute_sharded, plan_shards};
 use crate::viewset::{plan_touches_delta, CursorSet, MergeSet};
 use crate::{
@@ -26,19 +26,19 @@ use crate::{
 /// The paper's machine is one join engine whose partial-join-result cache
 /// is a configuration bit (§3, §3.5), and so is this type: every run knob
 /// is a builder below, written once, and each resolves when the query
-/// runs (the explicit value, else its `TRIEJAX_*` variable where it has
-/// one, else the default). The four public engines are presets of it —
-/// [`Lftj`](crate::Lftj), [`Ctj`](crate::Ctj), [`ParLftj`] and
-/// [`ParCtj`](crate::ParCtj) — and the two const parameters choose only
-/// the preset's defaults ([`Default`]) and its [`JoinEngine::name`]:
+/// runs (the explicit value, else the default). The four public engines
+/// are presets of it — [`Lftj`](crate::Lftj), [`Ctj`](crate::Ctj),
+/// [`ParLftj`] and [`ParCtj`](crate::ParCtj) — and the two const
+/// parameters choose only the preset's worker default ([`Default`]) and
+/// its [`JoinEngine::name`]:
 ///
 /// * `CTJ` — whether the drivers carry a partial-join-result cache.
-/// * `POOLED` — whether the defaults follow the process: `TRIEJAX_POOL`
-///   workers (else one per core), the process-wide [`TrieCache::global`]
-///   and a `TRIEJAX_CACHE_CAP`-bounded PJR cache. Without it the preset runs
-///   one worker that builds its own tries, with an unbounded PJR cache,
-///   and reads no variable at all: the paper figures' and the tests'
+/// * `POOLED` — whether the default pool is one worker per core. Without
+///   it the preset runs one worker: the paper figures' and the tests'
 ///   oracle.
+///
+/// Every preset builds its own tries unless given a [`TrieCache`], and a
+/// CTJ preset's PJR cache is unbounded unless given a capacity.
 #[derive(Debug, Clone)]
 pub struct TrieJoin<const CTJ: bool, const POOLED: bool> {
     pub(crate) opts: RunOptions,
@@ -90,19 +90,11 @@ pub type ParLftj = TrieJoin<false, true>;
 
 impl<const CTJ: bool, const POOLED: bool> Default for TrieJoin<CTJ, POOLED> {
     fn default() -> Self {
-        let opts = RunOptions {
-            ctj: CTJ,
-            ..RunOptions::default()
-        };
-        if POOLED {
-            return TrieJoin { opts };
-        }
         TrieJoin {
             opts: RunOptions {
-                workers: Some(NonZeroUsize::MIN),
-                trie_cache: Some(None),
-                max_entries: Some(None),
-                ..opts
+                ctj: CTJ,
+                workers: (!POOLED).then_some(NonZeroUsize::MIN),
+                ..RunOptions::default()
             },
         }
     }
@@ -140,13 +132,12 @@ impl<const CTJ: bool, const POOLED: bool> TrieJoin<CTJ, POOLED> {
     }
 
     /// Sets the partial-join-result cache's total entry capacity
-    /// (CTJ only): `Some(0)` disables caching, and `None` is an explicit
-    /// "unbounded" that overrides `TRIEJAX_CACHE_CAP`. A one-range run's
-    /// worker-local store *drops* insertions past the capacity; the cache
-    /// a pooled run's workers share *evicts* (FIFO per stripe) to stay
-    /// within it.
+    /// (CTJ only): `Some(0)` disables caching, and `None`, the default,
+    /// is unbounded. A one-range run's worker-local store *drops*
+    /// insertions past the capacity; the cache a pooled run's workers
+    /// share *evicts* (FIFO per stripe) to stay within it.
     pub fn with_cache_capacity(mut self, entries: Option<usize>) -> Self {
-        self.opts.max_entries = Some(entries);
+        self.opts.max_entries = entries;
         self
     }
 
@@ -178,18 +169,12 @@ impl<const CTJ: bool, const POOLED: bool> TrieJoin<CTJ, POOLED> {
         self
     }
 
-    /// Consults (and fills) `cache` before building tries, overriding the
-    /// preset's default. Share one cache across engines to amortize trie
-    /// construction over a query stream; see [`TrieCache`].
+    /// Consults (and fills) `cache` before building tries; without it
+    /// the engine builds every trie it needs. Share one cache across
+    /// engines to amortize trie construction over a query stream; see
+    /// [`TrieCache`].
     pub fn with_trie_cache(mut self, cache: Arc<TrieCache>) -> Self {
-        self.opts.trie_cache = Some(Some(cache));
-        self
-    }
-
-    /// Disables trie caching for this engine even when
-    /// `TRIEJAX_TRIE_CACHE_MB` configures a process-wide cache.
-    pub fn without_trie_cache(mut self) -> Self {
-        self.opts.trie_cache = Some(None);
+        self.opts.trie_cache = Some(cache);
         self
     }
 
@@ -271,7 +256,7 @@ pub(crate) fn run_parallel<T: Tally>(
     deltas: Option<&DeltaMap>,
     sink: &mut dyn ResultSink,
 ) -> Result<EngineStats<T>, JoinError> {
-    let run = opts.resolve(&process_env);
+    let run = opts.resolve();
     let Some(shared) = run.budget.clone() else {
         // Ungoverned: NoBudget compiles every governance check away.
         return run_budgeted(&run, plan, catalog, deltas, sink, NoBudget, NoBudget);

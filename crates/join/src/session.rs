@@ -64,7 +64,7 @@ use triejax_store::{StoreError, StoredCatalog};
 use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
-use crate::options::{default_pool, process_env, RunOptions};
+use crate::options::RunOptions;
 use crate::parlftj::{run_batched, run_parallel, BatchRun};
 use crate::viewset::{AtomSource, MergeSet, ViewMemo};
 use crate::{
@@ -161,9 +161,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Creates a session over `catalog` with the default pool size
-    /// (`TRIEJAX_POOL`, else one worker per core) and a fresh unbounded
-    /// trie cache.
+    /// Creates a session over `catalog` with the default pool size (one
+    /// worker per core) and a fresh unbounded trie cache.
     pub fn new(catalog: Catalog) -> Self {
         Session::from_parts(catalog, DeltaMap::new(), TrieCache::unbounded())
     }
@@ -179,7 +178,7 @@ impl Session {
                 apply: Mutex::new(()),
                 watchers: Mutex::new(Vec::new()),
             }),
-            pool: default_pool(&process_env),
+            pool: WorkerPool::new(),
             cache: Arc::new(cache),
             compact_ratio: DEFAULT_COMPACT_RATIO,
         }
@@ -537,7 +536,7 @@ impl Session {
             deltas: state.deltas,
             opts: RunOptions {
                 workers: NonZeroUsize::new(self.pool.workers()),
-                trie_cache: Some(Some(Arc::clone(&self.cache))),
+                trie_cache: Some(Arc::clone(&self.cache)),
                 ..RunOptions::default()
             },
         }
@@ -810,7 +809,7 @@ impl QueryHandle {
     /// [`ResultStream`] for the delivery and cancellation contract.
     pub fn stream(self) -> ResultStream {
         let arity = self.plan.arity();
-        let run = self.opts.resolve(&process_env);
+        let run = self.opts.resolve();
         let (source, outcome) = if run.pool.workers() == 1 {
             match run_batched(&run, self.plan, &self.catalog, Some(&self.deltas)) {
                 Ok(join) => (Source::Inline(join), None),

@@ -28,13 +28,11 @@
 //! footprint ([`Trie::bytes`]) with per-stripe FIFO eviction; the entry
 //! just published is never evicted by its own insert.
 //!
-//! The process-wide default instance honours the `TRIEJAX_TRIE_CACHE_MB`
-//! environment variable (read once per process): unset or `0` disables
-//! caching; engines can override per instance with
-//! `with_trie_cache`/`without_trie_cache`. Setting `TRIEJAX_STORE` to a
-//! saved catalog path additionally *preloads* the default cache with every
-//! trie in the store, so a cold process serves its first query with zero
-//! trie builds.
+//! There is no process-wide instance: an engine consults exactly the
+//! cache it was given (`with_trie_cache`), and a [`crate::Session`] owns
+//! its own. [`TrieCache::preload`] fills a cache with every trie of a
+//! saved catalog, so a cold process serves its first query with zero trie
+//! builds.
 //!
 //! A preloaded entry is a [`StoredTrie`]: until a lookup wants it, it is a
 //! window into the store file, charged at its stored size. The first
@@ -47,13 +45,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use triejax_exec::{suggested_stripes, Striped};
 use triejax_relation::{MergedView, Relation, Trie};
 use triejax_store::{StoreError, StoredCatalog, StoredTrie};
-
-use crate::options::{default_trie_cache, process_env};
 
 /// Cache key: relation name, content fingerprint of the *base* relation,
 /// and the column permutation the trie is built in.
@@ -189,27 +185,6 @@ impl TrieCache {
     /// persistent store) never rehashes the full row buffer per query.
     pub fn fingerprint(relation: &Relation) -> u64 {
         relation.fingerprint()
-    }
-
-    /// The process-wide default cache, configured **once per process**:
-    /// sized by `TRIEJAX_TRIE_CACHE_MB` (`None` when unset, empty, or `0`)
-    /// and preloaded from the [`StoredCatalog`] named by `TRIEJAX_STORE`
-    /// when that is set (creating an unbounded cache if no size was given).
-    /// An explicit size of `0` disables caching even when a store is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on first use) if the size variable does not parse as a
-    /// non-negative integer, or if the store path cannot be opened and
-    /// validated — a broken store file should fail loudly at startup, not
-    /// silently degrade every query to cold builds.
-    ///
-    /// [`StoredCatalog`]: triejax_store::StoredCatalog
-    pub fn global() -> Option<Arc<TrieCache>> {
-        static GLOBAL: OnceLock<Option<Arc<TrieCache>>> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| default_trie_cache(&process_env).map(Arc::new))
-            .clone()
     }
 
     /// Files every trie of a stored catalog, making them servable under
@@ -696,20 +671,5 @@ mod tests {
             .lookup("G", fp.wrapping_add(1), &[0, 1])
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn env_parse_rejects_junk() {
-        let junk = |key: &str| (key == crate::TRIE_CACHE_ENV).then(|| "junk".to_owned());
-        let err = std::panic::catch_unwind(|| default_trie_cache(&junk)).unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("a formatted panic");
-        assert!(msg.contains("TRIEJAX_TRIE_CACHE_MB must be a non-negative integer"));
-        let sized = |key: &str| (key == crate::TRIE_CACHE_ENV).then(|| " 64 ".to_owned());
-        let cache = default_trie_cache(&sized).expect("a sized cache");
-        assert_eq!(cache.capacity_bytes(), Some(64 << 20));
-        assert!(
-            default_trie_cache(&|_: &str| None).is_none(),
-            "unset: no cache"
-        );
     }
 }

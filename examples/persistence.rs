@@ -8,8 +8,9 @@
 //! by construction.
 //!
 //! Run with: `cargo run --release --example persistence -- [PATH]`
-//! (default `triejax_catalog.tjx` in the current directory). CI uses
-//! this binary to create the store its `TRIEJAX_STORE` test leg opens.
+//! (default `triejax_catalog.tjx` in the current directory). Its
+//! assertions check the zero-build reopen and that a damaged store is
+//! detected; CI runs it on every push.
 
 use triejax_join::{Catalog, CollectSink, Session, StoredCatalog};
 use triejax_query::{patterns, CompiledQuery};

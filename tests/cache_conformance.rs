@@ -26,8 +26,7 @@ use triejax_relation::Relation;
 const POOLS: [usize; 3] = [1, 2, 7];
 
 /// The capacity ladder: tiny (constant eviction), a small bounded cache,
-/// and unbounded. All explicit, so a `TRIEJAX_CACHE_CAP`
-/// test environment cannot change what this suite asserts.
+/// and unbounded. Each is set explicitly on every engine the suite runs.
 fn capacity_ladder() -> [(&'static str, Option<usize>); 3] {
     [
         ("tiny", Some(2)),

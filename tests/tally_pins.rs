@@ -76,8 +76,8 @@ fn one_worker_pool_and_untallied_runs_do_the_same_operations() {
             .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
             .unwrap();
         assert_eq!(pin(&pooled), lftj_pin, "par-lftj pool 1, {p}");
-        // An explicit capacity, so a TRIEJAX_CACHE_CAP leg cannot shrink
-        // the one-shard run's worker-local cache under the pin.
+        // An explicit, unbounded capacity: the pin counts every entry
+        // the one-shard run's worker-local cache records.
         let pooled = ParCtj::with_pool(1)
             .with_cache_capacity(None)
             .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
