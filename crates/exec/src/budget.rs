@@ -7,18 +7,16 @@
 //! an `Arc` by every pool task and the merge drain, and polled at the
 //! natural boundaries of every engine loop.
 //!
-//! Engines stay zero-cost when un-governed through the [`Budget`] trait:
-//! a kernel generic over `B: Budget` monomorphizes with [`NoBudget`] into
-//! exactly the code it had before budgets existed (every check is an
-//! inlined constant), mirroring the `NoTally` pattern used for
-//! instrumentation. Governed runs use a [`BudgetHandle`],
-//! whose hot path is a single relaxed-ish atomic load with a periodic
-//! deadline/external refresh.
+//! An engine holds its budget as a value, `Option<BudgetHandle>`: `None`
+//! when nothing governs the run, so an ungoverned run pays one branch per
+//! check and touches no shared state. A governed run holds a
+//! [`BudgetHandle`], whose hot path is a single atomic load with a
+//! periodic deadline/external refresh.
 //!
 //! # Example
 //!
 //! ```
-//! use triejax_exec::{Budget, BudgetHandle, CancelReason, RunBudget};
+//! use triejax_exec::{BudgetHandle, CancelReason, RunBudget};
 //! use std::sync::Arc;
 //!
 //! let budget = Arc::new(RunBudget::new().with_row_limit(2));
@@ -216,43 +214,6 @@ impl RunBudget {
     }
 }
 
-/// Per-kernel budget interface. Join kernels are generic over it so that
-/// un-governed runs ([`NoBudget`]) compile to exactly the unchecked code,
-/// while governed runs ([`BudgetHandle`]) poll a shared [`RunBudget`].
-pub trait Budget {
-    /// `true` when this budget can ever trip (lets cold setup code skip
-    /// governance bookkeeping entirely).
-    const GOVERNED: bool;
-
-    /// Polls for cancellation. Called at the root-loop boundaries of
-    /// every kernel; must be cheap enough for a per-root-value check.
-    fn poll(&mut self) -> Option<CancelReason>;
-
-    /// Charges one result row; `false` means the row (and everything
-    /// after it) must not be emitted.
-    fn charge_row(&mut self) -> bool;
-}
-
-/// The zero-cost default: no checks, no state, nothing to trip. Kernels
-/// monomorphized with `NoBudget` are byte-identical to pre-governance
-/// builds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoBudget;
-
-impl Budget for NoBudget {
-    const GOVERNED: bool = false;
-
-    #[inline(always)]
-    fn poll(&mut self) -> Option<CancelReason> {
-        None
-    }
-
-    #[inline(always)]
-    fn charge_row(&mut self) -> bool {
-        true
-    }
-}
-
 /// How often (in polls) a [`BudgetHandle`] pays for a full
 /// [`RunBudget::refresh`] instead of the flag-only fast check.
 const REFRESH_PERIOD: u32 = 64;
@@ -267,7 +228,7 @@ const REFRESH_PERIOD: u32 = 64;
 /// the emit point:
 ///
 /// * [`driving`](Self::driving) — emits straight into the caller's sink,
-///   so [`charge_row`](Budget::charge_row) draws from the shared quota.
+///   so [`charge_row`](Self::charge_row) draws from the shared quota.
 /// * [`worker`](Self::worker) — emits into a merge lane that the drain
 ///   will re-order and cap, so `charge_row` only checks the flag (the
 ///   drain owns the quota; a worker drawing from it out of stream order
@@ -301,17 +262,11 @@ impl BudgetHandle {
         }
     }
 
-    /// The shared budget behind this handle.
-    pub fn shared(&self) -> &Arc<RunBudget> {
-        &self.budget
-    }
-}
-
-impl Budget for BudgetHandle {
-    const GOVERNED: bool = true;
-
+    /// Polls for cancellation: the flag, and every `REFRESH_PERIOD`-th
+    /// call the deadline and the token too. Cheap enough for a
+    /// per-root-value check.
     #[inline]
-    fn poll(&mut self) -> Option<CancelReason> {
+    pub fn poll(&mut self) -> Option<CancelReason> {
         if let Some(reason) = self.budget.cancelled() {
             return Some(reason);
         }
@@ -323,8 +278,10 @@ impl Budget for BudgetHandle {
         None
     }
 
+    /// Charges one result row; `false` means the row (and everything
+    /// after it) must not be emitted.
     #[inline]
-    fn charge_row(&mut self) -> bool {
+    pub fn charge_row(&mut self) -> bool {
         if self.charges_quota {
             self.budget.charge_rows(1) == 1
         } else {
@@ -445,14 +402,6 @@ mod tests {
             assert!(w.charge_row(), "workers emit freely until the flag trips");
         }
         assert_eq!(shared.charge_rows(3), 3, "the drain still owns all 3 rows");
-    }
-
-    #[test]
-    fn no_budget_is_inert() {
-        let mut b = NoBudget;
-        const { assert!(!NoBudget::GOVERNED) }
-        assert_eq!(b.poll(), None);
-        assert!(b.charge_row());
     }
 
     const REASONS: [CancelReason; 3] = [

@@ -41,11 +41,11 @@
 //!
 //! Two further layers make the runtime governable and testable:
 //!
-//! * [`RunBudget`] / [`Budget`] — cooperative cancellation and query
-//!   budgets (deadline, row quota). Kernels generic over [`Budget`] stay
-//!   zero-cost when un-governed ([`NoBudget`]) and poll a shared flag
-//!   when governed ([`BudgetHandle`]); a tripped budget winds the whole
-//!   pool run down cooperatively instead of abandoning merge lanes.
+//! * [`RunBudget`] / [`BudgetHandle`] — cooperative cancellation and
+//!   query budgets (deadline, row quota). A kernel holds an
+//!   `Option<BudgetHandle>`: `None` when un-governed, else a handle that
+//!   polls the shared flag; a tripped budget winds the whole pool run
+//!   down cooperatively instead of abandoning merge lanes.
 //! * `faults` (tests / `--features faults` only) — a deterministic
 //!   fault-injection harness that forces panics and delays at precise
 //!   `(worker, event, ordinal)` points, so the no-hang/no-lost-lane
@@ -86,7 +86,7 @@ mod pool;
 mod split;
 mod striped;
 
-pub use budget::{Budget, BudgetHandle, CancelReason, CancelToken, NoBudget, RunBudget};
+pub use budget::{BudgetHandle, CancelReason, CancelToken, RunBudget};
 pub use merge::OrderedMerge;
 pub use pool::{PoolStats, WorkerCtx, WorkerPool};
 pub use split::Spawner;

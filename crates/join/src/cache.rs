@@ -1,25 +1,24 @@
-//! Partial-join-result (PJR) cache stores for the trie-join driver.
+//! The partial-join-result (PJR) store of the trie-join driver.
 //!
-//! The driver ([`crate::lftj::Driver`]) is generic over a [`PjrStore`],
-//! which owns both the entry storage *and* the hit/miss accounting policy:
+//! The driver ([`crate::lftj::Driver`]) holds its store as a value,
+//! `Option<Pjr>`: `None` is LFTJ — no level ever looks a spec up, records
+//! or publishes — and a [`Pjr`] owns both the entry storage *and* the
+//! hit/miss accounting policy:
 //!
-//! * [`NoPjr`] — no cache at all: LFTJ. Zero-sized, and its
-//!   [`PjrStore::CACHING`] `= false` compiles every lookup, recording and
-//!   publish step of the driver away, the way `NoBudget` folds away
-//!   governance.
-//! * [`LocalPjr`] — the single-threaded store of every CTJ run that plans
-//!   one root range (sequential [`crate::Ctj`] always does): a plain
-//!   `HashMap`, misses counted at lookup, insertions *dropped* once the
-//!   capacity's worth of live entries exist.
-//! * [`SharedPjrCache`] — the concurrent store shared by every
-//!   [`crate::ParCtj`] worker, mirroring the paper's on-chip PJR cache
-//!   that all TrieJax lanes share (§3.5). Entries are striped over
-//!   [`triejax_exec::Striped`] lock lanes by key hash (hash-determined so
-//!   every worker finds its siblings' entries), `Arc`-shared, bounded by a
-//!   configurable total capacity with per-stripe FIFO **eviction** (a
-//!   long-running shared cache must churn, not clog), and insert races are
-//!   resolved **first-writer-wins**: the losing worker discards its
-//!   duplicate build and the published entry serves all future replays.
+//! * [`Pjr::Local`] — the single-threaded store of every CTJ run that
+//!   plans one root range (sequential [`crate::Ctj`] always does): a plain
+//!   `HashMap`, misses counted at lookup, no locks.
+//! * [`Pjr::Shared`] — one pooled worker's handle on the
+//!   [`SharedPjrCache`] every [`crate::ParCtj`] worker shares, mirroring
+//!   the paper's on-chip PJR cache that all TrieJax lanes share (§3.5).
+//!   Entries are striped over [`triejax_exec::Striped`] lock lanes by key
+//!   hash (hash-determined so every worker finds its siblings' entries)
+//!   and `Arc`-shared, and insert races are resolved
+//!   **first-writer-wins**: the losing worker discards its duplicate
+//!   build and the published entry serves all future replays.
+//!
+//! Both stores are unbounded, matching CTJ's use of "the available system
+//! memory" (paper §2.2): an entry, once published, lives for the run.
 //!
 //! ## Accounting
 //!
@@ -35,11 +34,11 @@
 //!   double-counting an entry two workers raced to build;
 //! * `intermediates` (the Figure 18 metric) is likewise counted only for
 //!   the winning, stored build;
-//! * evictions tick `cache_evictions`; waiting on a stripe lock another
-//!   worker holds ticks `cache_contention`.
+//! * waiting on a stripe lock another worker holds ticks
+//!   `cache_contention`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -59,63 +58,68 @@ type Key = (usize, Vec<Value>);
 
 /// Outcome of a cache probe; a miss hands the key back so the driver can
 /// publish the computed entry without re-building (or cloning) it, plus a
-/// store-specific token ([`SharedPjrCache`]'s stripe hash; zero for the
+/// store-specific token (the shared cache's stripe hash; zero for the
 /// local store) so the publish need not rehash the key.
 pub(crate) enum Looked {
     /// The entry was present; replay it.
     Hit(Entry),
-    /// Not present; compute, then [`PjrStore::publish`] under this key
-    /// and token.
+    /// Not present; compute, then [`Pjr::publish`] under this key and
+    /// token.
     Miss(Vec<Value>, u64),
 }
 
-/// Storage + accounting policy for CTJ's partial-join-result cache.
-pub(crate) trait PjrStore {
-    /// `false` only for [`NoPjr`]: the driver then never looks a spec up,
-    /// records or publishes, and the checks compile away.
-    const CACHING: bool = true;
+/// The PJR store of one CTJ driver (see the module docs).
+pub(crate) enum Pjr {
+    /// A one-range run's own map.
+    Local(HashMap<Key, Entry>),
+    /// One pooled worker's view of the cache all workers share.
+    Shared(Arc<SharedPjrCache>),
+}
+
+impl Pjr {
+    /// An empty store of a one-range run.
+    pub(crate) fn local() -> Self {
+        Pjr::Local(HashMap::new())
+    }
 
     /// Probes for `(depth, key)`, ticking `cache_hits` or `cache_misses`.
-    fn lookup<T: Tally>(
+    pub(crate) fn lookup<T: Tally>(
         &mut self,
         depth: usize,
         key: Vec<Value>,
         stats: &mut EngineStats<T>,
-    ) -> Looked;
+    ) -> Looked {
+        let map = match self {
+            Pjr::Local(map) => map,
+            Pjr::Shared(cache) => return cache.lookup(depth, key, stats),
+        };
+        let probe = (depth, key);
+        if let Some(entry) = map.get(&probe) {
+            stats.cache_hits += 1;
+            return Looked::Hit(Arc::clone(entry));
+        }
+        stats.cache_misses += 1;
+        Looked::Miss(probe.1, 0)
+    }
 
     /// Commits a fully-computed match list for `(depth, key)` after a
-    /// miss (`token` is the one the miss handed back). Implementations
-    /// may drop it (capacity), evict for it, or discover a sibling
-    /// already published it (insert race).
-    fn publish<T: Tally>(
+    /// miss (`token` is the one the miss handed back). The shared store
+    /// may find a sibling already published it (insert race).
+    pub(crate) fn publish<T: Tally>(
         &mut self,
         depth: usize,
         key: Vec<Value>,
         token: u64,
         rows: Vec<(Value, Vec<u32>)>,
         stats: &mut EngineStats<T>,
-    );
-}
-
-/// The store of a run without a PJR cache: plain LFTJ.
-pub(crate) struct NoPjr;
-
-impl PjrStore for NoPjr {
-    const CACHING: bool = false;
-
-    fn lookup<T: Tally>(&mut self, _: usize, _: Vec<Value>, _: &mut EngineStats<T>) -> Looked {
-        unreachable!("a driver without a cache never looks a spec up")
-    }
-
-    fn publish<T: Tally>(
-        &mut self,
-        _: usize,
-        _: Vec<Value>,
-        _: u64,
-        _: Vec<(Value, Vec<u32>)>,
-        _: &mut EngineStats<T>,
     ) {
-        unreachable!("a driver without a cache never records an entry")
+        match self {
+            Pjr::Local(map) => {
+                record_stored(&rows, stats);
+                map.insert((depth, key), Arc::new(rows));
+            }
+            Pjr::Shared(cache) => cache.publish(depth, key, token, rows, stats),
+        }
     }
 }
 
@@ -127,70 +131,6 @@ fn record_stored<T: Tally>(rows: &[(Value, Vec<u32>)], stats: &mut EngineStats<T
     stats
         .access
         .record(AccessKind::Intermediate, words * WORD_BYTES);
-}
-
-/// The worker-local PJR store of a one-range CTJ run (sequential
-/// [`crate::Ctj`], and any `ParCtj` run that plans one range).
-///
-/// Capacity semantics match CTJ's software description: once the
-/// capacity's worth of live entries exist, further insertions are
-/// dropped (counted as `cache_overflows`) — the single-query sequential
-/// run has no churn to survive, so it never evicts.
-pub(crate) struct LocalPjr {
-    map: HashMap<Key, Entry>,
-    max_entries: Option<usize>,
-}
-
-impl LocalPjr {
-    /// A store of at most `max_entries` live entries (`None` =
-    /// unbounded).
-    pub(crate) fn new(max_entries: Option<usize>) -> Self {
-        LocalPjr {
-            map: HashMap::new(),
-            max_entries,
-        }
-    }
-}
-
-impl PjrStore for LocalPjr {
-    fn lookup<T: Tally>(
-        &mut self,
-        depth: usize,
-        key: Vec<Value>,
-        stats: &mut EngineStats<T>,
-    ) -> Looked {
-        let probe = (depth, key);
-        if let Some(entry) = self.map.get(&probe) {
-            stats.cache_hits += 1;
-            return Looked::Hit(Arc::clone(entry));
-        }
-        stats.cache_misses += 1;
-        Looked::Miss(probe.1, 0)
-    }
-
-    fn publish<T: Tally>(
-        &mut self,
-        depth: usize,
-        key: Vec<Value>,
-        _token: u64,
-        rows: Vec<(Value, Vec<u32>)>,
-        stats: &mut EngineStats<T>,
-    ) {
-        if self.max_entries.is_some_and(|max| self.map.len() >= max) {
-            stats.cache_overflows += 1;
-            return;
-        }
-        record_stored(&rows, stats);
-        self.map.insert((depth, key), Arc::new(rows));
-    }
-}
-
-/// One lock stripe of the shared cache: entry storage plus the FIFO
-/// insertion order that drives eviction. Eviction is the only removal, so
-/// every key in `fifo` is live in `map`.
-struct PjrStripe {
-    map: HashMap<Key, Entry>,
-    fifo: VecDeque<Key>,
 }
 
 /// The concurrent PJR cache shared by every [`crate::ParCtj`] worker.
@@ -206,12 +146,7 @@ struct PjrStripe {
 /// `(plan, catalog)` pair that built them, so sharing a cache *across
 /// queries* would be unsound. [`crate::ParCtj`] builds one per run.
 pub(crate) struct SharedPjrCache {
-    stripes: Striped<PjrStripe>,
-    /// Per-lane live-entry bounds as `(base, extra)`: lane `l` holds at
-    /// most `base + 1` entries when `l < extra`, else `base` — so the
-    /// lane bounds sum to *exactly* the configured total capacity.
-    /// `None` = unbounded; a zero lane bound disables storing there.
-    per_lane_cap: Option<(usize, usize)>,
+    stripes: Striped<HashMap<Key, Entry>>,
 }
 
 /// A plan-side entries hint larger than this is a blown-up upper bound
@@ -220,100 +155,36 @@ pub(crate) struct SharedPjrCache {
 const CREDIBLE_HINT_MAX: usize = 1 << 20;
 
 impl SharedPjrCache {
-    /// Builds a cache for `workers` concurrent workers holding at most
-    /// `capacity` live entries in total (`None` = unbounded), with an
-    /// optional expected entry-count hint (from
-    /// [`triejax_query::CompiledQuery`]'s cache-capacity estimate) used to
-    /// pre-size the stripe tables.
-    ///
-    /// The stripe count is [`suggested_stripes`] for the worker count,
-    /// reduced so a small capacity is never spread thinner than one entry
-    /// per stripe. The capacity divides across the stripes with the
-    /// remainder spread one-per-lane, so the per-lane bounds sum to
-    /// exactly `capacity` — the total of live entries never exceeds it,
-    /// and the full configured budget is usable.
-    pub(crate) fn new(
-        workers: usize,
-        capacity: Option<usize>,
-        entries_hint: Option<usize>,
-    ) -> Self {
-        let mut stripes = suggested_stripes(workers);
-        if let Some(cap) = capacity {
-            stripes = stripes.min(prev_power_of_two(cap.max(1)));
-        }
-        let per_lane_cap = capacity.map(|cap| (cap / stripes, cap % stripes));
+    /// Builds a cache striped for `workers` concurrent workers
+    /// ([`suggested_stripes`]), with an optional expected entry-count hint
+    /// (from [`triejax_query::CompiledQuery`]'s cache-capacity estimate)
+    /// used to pre-size the stripe tables.
+    pub(crate) fn new(workers: usize, entries_hint: Option<usize>) -> Self {
+        let stripes = suggested_stripes(workers);
         // Pre-size each stripe toward its expected share of the entries —
         // but only when the upper-bound hint is small enough to be a
         // credible working-set estimate.
-        let mut seed = entries_hint
+        let seed = entries_hint
             .filter(|&h| h <= CREDIBLE_HINT_MAX)
             .map_or(0, |h| h / stripes);
-        if let Some((base, extra)) = per_lane_cap {
-            seed = seed.min(base + usize::from(extra > 0));
-        }
         SharedPjrCache {
-            stripes: Striped::with_stripes(stripes, || PjrStripe {
-                map: HashMap::with_capacity(seed),
-                fifo: VecDeque::new(),
-            }),
-            per_lane_cap,
+            stripes: Striped::with_stripes(stripes, || HashMap::with_capacity(seed)),
         }
     }
 
-    /// Number of lock stripes (for tests/diagnostics).
-    #[cfg(test)]
-    pub(crate) fn stripes(&self) -> usize {
-        self.stripes.stripes()
-    }
-
-    /// A handle for one worker; each pool worker drives its own
-    /// [`crate::lftj::Driver`] through its own handle.
-    pub(crate) fn handle(&self) -> SharedPjrHandle<'_> {
-        SharedPjrHandle { cache: self }
-    }
-
-    /// Total live entries across all stripes (requires exclusive access;
-    /// used by tests after a run has joined).
-    #[cfg(test)]
-    pub(crate) fn len(&mut self) -> usize {
-        self.stripes.iter_mut().map(|s| s.map.len()).sum()
-    }
-}
-
-/// Stable stripe hash. [`DefaultHasher::new`] is fixed-key SipHash, so
-/// every worker maps a key to the same stripe — required for cross-worker
-/// entry reuse.
-fn stripe_hash(depth: usize, key: &[Value]) -> u64 {
-    let mut h = DefaultHasher::new();
-    depth.hash(&mut h);
-    key.hash(&mut h);
-    h.finish()
-}
-
-/// Largest power of two `<= x` (callers guarantee `x >= 1`).
-fn prev_power_of_two(x: usize) -> usize {
-    1 << (usize::BITS - 1 - x.leading_zeros())
-}
-
-/// One worker's view of a [`SharedPjrCache`].
-pub(crate) struct SharedPjrHandle<'c> {
-    cache: &'c SharedPjrCache,
-}
-
-impl PjrStore for SharedPjrHandle<'_> {
     fn lookup<T: Tally>(
-        &mut self,
+        &self,
         depth: usize,
         key: Vec<Value>,
         stats: &mut EngineStats<T>,
     ) -> Looked {
         let hash = stripe_hash(depth, &key);
-        let (stripe, contended) = self.cache.stripes.lock(hash);
+        let (stripe, contended) = self.stripes.lock(hash);
         if contended {
             stats.cache_contention += 1;
         }
         let probe = (depth, key);
-        let hit = stripe.map.get(&probe).map(Arc::clone);
+        let hit = stripe.get(&probe).map(Arc::clone);
         // Clone the Arc out so the stripe lock is released before the
         // (potentially deep) replay.
         drop(stripe);
@@ -327,7 +198,7 @@ impl PjrStore for SharedPjrHandle<'_> {
     }
 
     fn publish<T: Tally>(
-        &mut self,
+        &self,
         depth: usize,
         key: Vec<Value>,
         hash: u64,
@@ -341,12 +212,12 @@ impl PjrStore for SharedPjrHandle<'_> {
         // half-inserted entry.
         #[cfg(feature = "faults")]
         triejax_exec::faults::fire(triejax_exec::faults::FaultEvent::CacheInsert);
-        let (mut stripe, contended) = self.cache.stripes.lock(hash);
+        let (mut stripe, contended) = self.stripes.lock(hash);
         if contended {
             stats.cache_contention += 1;
         }
         let full_key = (depth, key);
-        if stripe.map.contains_key(&full_key) {
+        if stripe.contains_key(&full_key) {
             // Insert race lost: a sibling published this entry between our
             // miss and now. First writer wins — drop the duplicate build,
             // reclassify our earlier miss as a late hit so summed misses
@@ -356,34 +227,19 @@ impl PjrStore for SharedPjrHandle<'_> {
             stats.cache_races += 1;
             return;
         }
-        let lane_cap = self
-            .cache
-            .per_lane_cap
-            .map(|(base, extra)| base + usize::from(self.cache.stripes.lane(hash) < extra));
-        match lane_cap {
-            Some(0) => {
-                // Capacity 0 disables caching entirely.
-                stats.cache_overflows += 1;
-            }
-            Some(cap) => {
-                while stripe.map.len() >= cap {
-                    let oldest = stripe
-                        .fifo
-                        .pop_front()
-                        .expect("every live entry is FIFO-tracked");
-                    stripe.map.remove(&oldest);
-                    stats.cache_evictions += 1;
-                }
-                record_stored(&rows, stats);
-                stripe.fifo.push_back(full_key.clone());
-                stripe.map.insert(full_key, Arc::new(rows));
-            }
-            None => {
-                record_stored(&rows, stats);
-                stripe.map.insert(full_key, Arc::new(rows));
-            }
-        }
+        record_stored(&rows, stats);
+        stripe.insert(full_key, Arc::new(rows));
     }
+}
+
+/// Stable stripe hash. [`DefaultHasher::new`] is fixed-key SipHash, so
+/// every worker maps a key to the same stripe — required for cross-worker
+/// entry reuse.
+fn stripe_hash(depth: usize, key: &[Value]) -> u64 {
+    let mut h = DefaultHasher::new();
+    depth.hash(&mut h);
+    key.hash(&mut h);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -391,21 +247,16 @@ mod tests {
     use super::*;
     use triejax_relation::Counting;
 
-    /// A shared cache of `capacity` total entries.
-    fn shared(workers: usize, capacity: Option<usize>, hint: Option<usize>) -> SharedPjrCache {
-        SharedPjrCache::new(workers, capacity, hint)
+    /// Total live entries across all stripes, once every worker is done.
+    fn live_entries(cache: &mut SharedPjrCache) -> usize {
+        cache.stripes.iter_mut().map(|s| s.len()).sum()
     }
 
     fn rows(vals: &[Value]) -> Vec<(Value, Vec<u32>)> {
         vals.iter().map(|&v| (v, vec![0, 1])).collect()
     }
 
-    fn miss_key<S: PjrStore>(
-        store: &mut S,
-        d: usize,
-        k: &[Value],
-        s: &mut EngineStats,
-    ) -> (Vec<Value>, u64) {
+    fn miss_key(store: &mut Pjr, d: usize, k: &[Value], s: &mut EngineStats) -> (Vec<Value>, u64) {
         match store.lookup(d, k.to_vec(), s) {
             Looked::Miss(key, token) => (key, token),
             Looked::Hit(_) => panic!("expected a miss"),
@@ -413,24 +264,25 @@ mod tests {
     }
 
     #[test]
-    fn local_counts_misses_at_lookup_and_drops_when_full() {
-        let mut store = LocalPjr::new(Some(1));
+    fn local_counts_misses_at_lookup_and_keeps_every_entry() {
+        let mut store = Pjr::local();
         let mut stats = EngineStats::<Counting>::new();
         let (k, t) = miss_key(&mut store, 1, &[7], &mut stats);
         assert_eq!(stats.cache_misses, 1);
         store.publish(1, k, t, rows(&[1, 2]), &mut stats);
         assert_eq!(stats.intermediates, 2);
-        // Second distinct key: the full map drops the insertion.
         let (k, t) = miss_key(&mut store, 1, &[8], &mut stats);
         store.publish(1, k, t, rows(&[3]), &mut stats);
-        assert_eq!(stats.cache_overflows, 1);
-        assert_eq!(stats.cache_evictions, 0, "local never evicts");
-        // The first entry is still live and hits.
-        assert!(matches!(
-            store.lookup(1, vec![7], &mut stats),
-            Looked::Hit(_)
-        ));
-        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats.intermediates, 3);
+        // Both entries are live and hit.
+        for key in [7, 8] {
+            assert!(matches!(
+                store.lookup(1, vec![key], &mut stats),
+                Looked::Hit(_)
+            ));
+        }
+        assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2));
+        assert_eq!(stats.cache_evictions, 0, "nothing is ever evicted");
     }
 
     /// The dedupe fix: when two workers race to build the same entry, the
@@ -438,9 +290,9 @@ mod tests {
     /// loser's miss is reclassified as a late hit plus a race.
     #[test]
     fn insert_race_dedupes_the_shared_miss_count() {
-        let cache = shared(2, None, None);
-        let mut w0 = cache.handle();
-        let mut w1 = cache.handle();
+        let cache = Arc::new(SharedPjrCache::new(2, None));
+        let mut w0 = Pjr::Shared(Arc::clone(&cache));
+        let mut w1 = Pjr::Shared(Arc::clone(&cache));
         let mut s0 = EngineStats::<Counting>::new();
         let mut s1 = EngineStats::<Counting>::new();
 
@@ -469,12 +321,12 @@ mod tests {
 
     #[test]
     fn entries_published_by_one_handle_hit_on_another() {
-        let cache = shared(4, None, None);
+        let cache = Arc::new(SharedPjrCache::new(4, None));
         let mut s = EngineStats::<Counting>::new();
-        let mut w0 = cache.handle();
+        let mut w0 = Pjr::Shared(Arc::clone(&cache));
         let (k, t) = miss_key(&mut w0, 1, &[3], &mut s);
         w0.publish(1, k, t, rows(&[10, 11]), &mut s);
-        let mut w1 = cache.handle();
+        let mut w1 = Pjr::Shared(Arc::clone(&cache));
         match w1.lookup(1, vec![3], &mut s) {
             Looked::Hit(entry) => assert_eq!(entry.len(), 2),
             Looked::Miss(..) => panic!("sibling's entry must be visible"),
@@ -484,85 +336,32 @@ mod tests {
     }
 
     #[test]
-    fn tiny_capacity_evicts_fifo_per_stripe() {
-        // Capacity 1 collapses to a single stripe holding one entry.
-        let mut cache = shared(4, Some(1), None);
-        assert_eq!(cache.stripes(), 1);
-        let mut s = EngineStats::<Counting>::new();
-        let mut w = cache.handle();
-        for v in 0..5u32 {
-            let (k, t) = miss_key(&mut w, 1, &[v], &mut s);
-            w.publish(1, k, t, rows(&[v]), &mut s);
-        }
-        assert_eq!(s.cache_evictions, 4, "each insert after the first evicts");
-        assert_eq!(cache.len(), 1, "never more live entries than capacity");
-        // Only the newest key survives.
-        let mut w = cache.handle();
-        assert!(matches!(w.lookup(1, vec![4], &mut s), Looked::Hit(_)));
-        assert!(matches!(w.lookup(1, vec![0], &mut s), Looked::Miss(..)));
-    }
-
-    #[test]
-    fn capacity_zero_disables_caching() {
-        let mut cache = shared(2, Some(0), None);
-        let mut s = EngineStats::<Counting>::new();
-        let mut w = cache.handle();
-        let (k, t) = miss_key(&mut w, 1, &[9], &mut s);
-        w.publish(1, k, t, rows(&[1]), &mut s);
-        assert_eq!(s.cache_overflows, 1);
-        assert!(matches!(w.lookup(1, vec![9], &mut s), Looked::Miss(..)));
-        assert_eq!(cache.len(), 0);
-    }
-
-    #[test]
-    fn total_capacity_is_honored_exactly_across_stripes() {
-        // 10 does not divide evenly over the stripes: the remainder must
-        // be spread so the whole configured budget is usable — no more,
-        // no less.
-        let mut cache = shared(4, Some(10), None);
-        let stripes = cache.stripes();
-        assert!(stripes <= 8, "stripe count shrinks to fit the capacity");
-        let mut s = EngineStats::<Counting>::new();
-        let mut w = cache.handle();
-        for v in 0..200u32 {
-            let (k, t) = miss_key(&mut w, 1, &[v], &mut s);
-            w.publish(1, k, t, rows(&[v]), &mut s);
-        }
-        assert_eq!(
-            cache.len(),
-            10,
-            "every stripe saturated: live entries must equal the capacity"
-        );
-        assert!(s.cache_evictions > 0);
-    }
-
-    #[test]
     fn huge_entries_hint_does_not_reserve_memory() {
         // An upper-bound estimate like |G|^2 is not a credible working
         // set; the stripe tables must start small.
-        let cache = shared(4, None, Some(200_000_000));
+        let cache = SharedPjrCache::new(4, Some(200_000_000));
         let (stripe, _) = cache.stripes.lock(0);
-        assert_eq!(stripe.map.capacity(), 0, "blown-up hint must be ignored");
+        assert_eq!(stripe.capacity(), 0, "blown-up hint must be ignored");
         drop(stripe);
         // A credible hint does pre-size.
-        let cache = shared(4, None, Some(16_000));
+        let cache = SharedPjrCache::new(4, Some(16_000));
         let (stripe, _) = cache.stripes.lock(0);
-        assert!(stripe.map.capacity() >= 16_000 / 16);
+        assert!(stripe.capacity() >= 16_000 / 16);
     }
 
     /// Hammer one shared cache from several threads; the merged counters
     /// must balance: every lookup is a hit or a miss, misses equal stored
-    /// builds (unbounded, so no eviction/overflow re-builds).
+    /// builds.
     #[test]
     fn concurrent_accounting_balances() {
-        let cache = shared(4, None, None);
+        let cache = Arc::new(SharedPjrCache::new(4, None));
         let stats: Vec<EngineStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|t| {
                     let cache = &cache;
                     scope.spawn(move || {
                         let mut s = EngineStats::<Counting>::new();
-                        let mut w = cache.handle();
+                        let mut w = Pjr::Shared(Arc::clone(cache));
                         for i in 0..400u32 {
                             let key = vec![(i * 7 + t) % 97];
                             if let Looked::Miss(k, t) = w.lookup(1, key, &mut s) {
@@ -582,7 +381,7 @@ mod tests {
         }
         assert_eq!(merged.cache_hits + merged.cache_misses, 4 * 400);
         assert_eq!(merged.cache_misses, 97, "misses == unique entry builds");
-        let mut cache = cache;
-        assert_eq!(cache.len(), 97);
+        let mut cache = Arc::into_inner(cache).expect("every handle is dropped");
+        assert_eq!(live_entries(&mut cache), 97);
     }
 }

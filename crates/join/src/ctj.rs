@@ -10,12 +10,10 @@ use crate::TrieJoin;
 /// list instead of recomputing the leapfrog intersection.
 ///
 /// The sequential CTJ preset of the one trie-join engine: [`crate::Lftj`]
-/// with the cache switched on. Its cache is unbounded by default,
-/// matching CTJ's use of "the available system memory" (paper §2.2);
-/// [`with_cache_capacity`](TrieJoin::with_cache_capacity) bounds it, and
-/// the store then drops insertions past the bound. The hardware PJR
-/// cache in `triejax` has its own fixed SRAM geometry and
-/// insertion-buffer overflow rule (§3.5).
+/// with the cache switched on. Its cache is unbounded, matching CTJ's use
+/// of "the available system memory" (paper §2.2). The hardware PJR cache
+/// in `triejax` has its own fixed SRAM geometry and insertion-buffer
+/// overflow rule (§3.5).
 ///
 /// # Example
 ///
@@ -40,10 +38,10 @@ pub type Ctj = TrieJoin<true, false>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::LocalPjr;
+    use crate::cache::Pjr;
     use crate::lftj::Driver;
     use crate::{Catalog, CollectSink, CountSink, JoinEngine, Lftj, TrieSet};
-    use triejax_exec::{Budget, NoBudget};
+    use triejax_exec::BudgetHandle;
     use triejax_query::patterns::{self, Pattern};
     use triejax_query::CompiledQuery;
     use triejax_relation::{Counting, Relation};
@@ -117,37 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn max_entries_overflow_discards_but_stays_correct() {
-        let c = catalog(&test_edges());
-        let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
-        let mut unbounded = CollectSink::new();
-        let s1 = Ctj::new().execute(&plan, &c, &mut unbounded).unwrap();
-        let mut tiny = CollectSink::new();
-        let s2 = Ctj::new()
-            .with_cache_capacity(Some(1))
-            .execute(&plan, &c, &mut tiny)
-            .unwrap();
-        assert_eq!(unbounded.into_sorted(), tiny.into_sorted());
-        assert!(s2.cache_overflows > 0);
-        assert!(s2.intermediates <= s1.intermediates);
-    }
-
-    #[test]
-    fn max_entries_zero_disables_caching() {
-        let c = catalog(&test_edges());
-        let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
-        let mut sink = CountSink::default();
-        let stats = Ctj::new()
-            .with_cache_capacity(Some(0))
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(stats.cache_hits, 0);
-        let mut reference = CountSink::default();
-        Lftj::new().execute(&plan, &c, &mut reference).unwrap();
-        assert_eq!(sink.count(), reference.count());
-    }
-
-    #[test]
     fn ctj_does_fewer_lub_ops_than_lftj_when_cache_helps() {
         // Heavily shared y values make caching pay off.
         let mut edges = Vec::new();
@@ -175,32 +142,31 @@ mod tests {
 
     /// The CTJ driver: an unbounded worker-local cache, governed by
     /// `budget`.
-    fn ctj_driver<'a, B: Budget>(
+    fn ctj_driver<'a>(
         plan: &'a CompiledQuery,
         tries: &'a TrieSet,
-        budget: B,
-    ) -> Driver<'a, Counting, LocalPjr, B> {
-        let store = LocalPjr::new(None);
-        Driver::new(plan, tries, store, budget).unwrap()
+        budget: Option<BudgetHandle>,
+    ) -> Driver<'a, Counting> {
+        Driver::new(plan, tries, Some(Pjr::local()), budget).unwrap()
     }
 
     #[test]
     fn budgeted_ctj_row_limit_is_an_exact_prefix() {
         use std::sync::Arc;
-        use triejax_exec::{BudgetHandle, CancelReason, RunBudget};
+        use triejax_exec::{CancelReason, RunBudget};
 
         let c = catalog(&test_edges());
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        ctj_driver(&plan, &tries, NoBudget).run(&mut full);
+        ctj_driver(&plan, &tries, None).run(&mut full);
         assert!(full.tuples().len() > 3);
 
         let shared = Arc::new(RunBudget::new().with_row_limit(3));
         let mut capped = CollectSink::new();
-        let stats =
-            ctj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
+        let handle = BudgetHandle::driving(Arc::clone(&shared));
+        let stats = ctj_driver(&plan, &tries, Some(handle)).run(&mut capped);
         assert_eq!(capped.tuples(), &full.tuples()[..3]);
         assert_eq!(stats.results, 3);
         assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));

@@ -1,10 +1,10 @@
 use std::sync::Arc;
 
-use triejax_exec::{Budget, RunBudget};
+use triejax_exec::{BudgetHandle, RunBudget};
 use triejax_query::CompiledQuery;
 use triejax_relation::{AccessKind, JoinCursor, NoTally, Tally, TrieCursor, Value, WORD_BYTES};
 
-use crate::cache::{Entry, Looked, PjrStore};
+use crate::cache::{Entry, Looked, Pjr};
 use crate::engine::head_order;
 use crate::leapfrog::{BitLeapfrog, LeafAt, LeafKernel, SliceLeapfrog, SLICE_MEMBERS};
 use crate::parlftj::{settle, BatchRun};
@@ -94,22 +94,22 @@ enum Ran {
 
 /// The state of a trie join that outlives its cursors: one [`Frame`] per
 /// depth and where the stack goes on from, the bindings, the emitter, the
-/// budget and the stats.
-pub(crate) struct Stack<T: Tally, B> {
+/// budget (`None` when nothing governs the run) and the stats.
+pub(crate) struct Stack<T: Tally> {
     frames: Vec<Frame>,
     at: Next,
     /// Where the last depth's leaf kernel stood when the run stopped in it.
     mark: Option<LeafAt>,
     binding: Vec<Value>,
     emitter: BatchEmitter,
-    budget: B,
+    budget: Option<BudgetHandle>,
     stats: EngineStats<T>,
     /// The root range `[min, sup)` the run is in.
     range: (Value, Option<Value>),
 }
 
-impl<T: Tally, B: Budget> Stack<T, B> {
-    fn new(plan: &CompiledQuery, budget: B) -> Result<Self, JoinError> {
+impl<T: Tally> Stack<T> {
+    fn new(plan: &CompiledQuery, budget: Option<BudgetHandle>) -> Result<Self, JoinError> {
         let frame = |d| Frame {
             lf: Leapfrog::new(plan.atoms_at(d).iter().map(|&(a, _)| a).collect()),
             mode: Mode::Leapfrog,
@@ -134,10 +134,18 @@ impl<T: Tally, B: Budget> Stack<T, B> {
         self.at = Next::Open(0);
     }
 
+    /// Polls the budget: `true` once it tripped, never when nothing
+    /// governs the run.
+    #[inline]
+    fn tripped(&mut self) -> bool {
+        self.budget.as_mut().is_some_and(|b| b.poll().is_some())
+    }
+
     /// Emits the current binding; `false` when the budget refused the row
     /// (quota exhausted or run cancelled) and the run must end.
+    #[inline]
     fn emit(&mut self, sink: &mut dyn ResultSink) -> bool {
-        if B::GOVERNED && !self.budget.charge_row() {
+        if self.budget.is_some() && !self.charge_row() {
             return false;
         }
         self.emitter.push(&self.binding, sink);
@@ -145,6 +153,15 @@ impl<T: Tally, B: Budget> Stack<T, B> {
         let bytes = self.binding.len() as u64 * WORD_BYTES;
         self.stats.access.record(AccessKind::ResultWrite, bytes);
         true
+    }
+
+    /// Charges the current row to the budget of a governed run. Out of
+    /// line and marked cold, so the ungoverned emit is one test and a
+    /// branch the hot loops predict.
+    #[cold]
+    #[inline(never)]
+    fn charge_row(&mut self) -> bool {
+        self.budget.as_mut().is_some_and(BudgetHandle::charge_row)
     }
 
     /// Runs the last depth `d` on the leaf kernel `lf`, from the start or
@@ -202,25 +219,28 @@ impl<T: Tally, B: Budget> Stack<T, B> {
 /// its entry half-built, inside a leaf kernel at its mark — and goes on
 /// from there.
 ///
-/// It is generic over four axes, each monomorphizing away when unused:
+/// It is generic over the two axes that change its inner loops:
 ///
 /// * `T: Tally` — [`triejax_relation::Counting`] charges every simulated
 ///   word touch, [`triejax_relation::NoTally`] none.
-/// * `P: PjrStore` — the partial-join-result cache.
-///   [`crate::cache::NoPjr`] is LFTJ: its `CACHING = false` compiles the
-///   spec lookup and the publish away, so no level ever records.
-///   [`crate::cache::LocalPjr`] is a one-range CTJ run's store, a
-///   [`crate::cache::SharedPjrHandle`] one pooled CTJ worker's view of the
-///   cache all workers share.
-/// * `B: Budget` — [`triejax_exec::NoBudget`] compiles every cancellation
-///   check away; a [`triejax_exec::BudgetHandle`] polls for deadline/token
-///   trips at every root match and charges the row quota at every
-///   emission. A governed driver stops early, still flushing what the
-///   emitter buffered, so the delivered rows stay an exact stream prefix.
 /// * `Cur: JoinCursor` — the cursors its [`CursorSet`] hands out: plain
 ///   [`TrieCursor`]s over frozen relations (the default) or
 ///   [`triejax_relation::MergeCursor`]s over mutated ones
 ///   (`base ∪ delta − tombstones`).
+///
+/// and holds two run-time values, so governed and ungoverned runs, LFTJ
+/// and CTJ, share one instance per tally and cursor:
+///
+/// * the PJR store, `Option<Pjr>` — `None` is LFTJ: no level looks a
+///   spec up, so none records or publishes. [`Pjr::Local`] is a one-range
+///   CTJ run's store, [`Pjr::Shared`] one pooled CTJ worker's view of the
+///   cache all workers share. The driver asks whether a store is present
+///   once per level open, and which one once per lookup or publish.
+/// * the budget, `Option<BudgetHandle>` — `None` when nothing governs the
+///   run; a handle polls for deadline/token trips at every root match and
+///   charges the row quota at every emission. A governed driver stops
+///   early, still flushing what the emitter buffered, so the delivered
+///   rows stay an exact stream prefix.
 ///
 /// The root level is clamped to the range `[min, sup)`
 /// ([`JoinCursor::open_root_range`]): a shard's contiguous slice of the
@@ -230,7 +250,7 @@ impl<T: Tally, B: Budget> Stack<T, B> {
 /// [`triejax_query::CacheSpec`] makes sound: they replay across ranges,
 /// shards and, with the shared store, workers. An entry is published only
 /// when its level is through: a level the budget stopped never publishes.
-pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor = TrieCursor<'a>> {
+pub(crate) struct Driver<'a, T: Tally, Cur: JoinCursor = TrieCursor<'a>> {
     plan: &'a CompiledQuery,
     cursors: Vec<Cur>,
     /// Whether the last level tries [`BitLeapfrog`] first: an untallied
@@ -238,18 +258,18 @@ pub(crate) struct Driver<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor =
     /// keep leaf bitmaps (a single member keeps the plain slice walk).
     /// Decided once here, so runs without bitmaps never ask for them.
     bit_leaf: bool,
-    cache: P,
-    stack: Stack<T, B>,
+    cache: Option<Pjr>,
+    stack: Stack<T>,
 }
 
-impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, Cur> {
+impl<'a, T: Tally, Cur: JoinCursor> Driver<'a, T, Cur> {
     /// A driver over `set`'s cursors, caching in `cache`, governed by
     /// `budget` (see the type docs).
     pub(crate) fn new<S: CursorSet<'a, Cur = Cur>>(
         plan: &'a CompiledQuery,
         set: &'a S,
-        cache: P,
-        budget: B,
+        cache: Option<Pjr>,
+        budget: Option<BudgetHandle>,
     ) -> Result<Self, JoinError> {
         Ok(Self::over(plan, set, cache, Stack::new(plan, budget)?))
     }
@@ -258,8 +278,8 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
     fn over<S: CursorSet<'a, Cur = Cur>>(
         plan: &'a CompiledQuery,
         set: &'a S,
-        cache: P,
-        stack: Stack<T, B>,
+        cache: Option<Pjr>,
+        stack: Stack<T>,
     ) -> Self {
         let cursors: Vec<Cur> = (0..plan.atom_plans().len())
             .map(|i| set.cursor(i))
@@ -313,7 +333,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
         let done = loop {
             at = match at {
                 Next::Open(d) => self.open(d, sink, stop_at),
-                Next::Visit(0) if B::GOVERNED && self.stack.budget.poll().is_some() => {
+                Next::Visit(0) if self.stack.tripped() => {
                     // Polling at the root before the (possibly expensive)
                     // subtree visit bounds the overshoot past a deadline
                     // by one root value.
@@ -341,7 +361,11 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
     /// and leapfrogs to its first match, recording the matches on a miss.
     fn open(&mut self, d: usize, sink: &mut dyn ResultSink, stop_at: u64) -> Next {
         let stack = &mut self.stack;
-        if let Some(spec) = P::CACHING.then(|| self.plan.cache_spec_at(d)).flatten() {
+        let cached = match &mut self.cache {
+            Some(cache) => self.plan.cache_spec_at(d).map(|spec| (cache, spec)),
+            None => None,
+        };
+        if let Some((cache, spec)) = cached {
             let key: Vec<Value> = spec
                 .key_depths()
                 .iter()
@@ -352,7 +376,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             // for the publish once the level is through.
             let bytes = key.len() as u64 * WORD_BYTES;
             stack.stats.access.record(AccessKind::Intermediate, bytes);
-            match self.cache.lookup(d, key, &mut stack.stats) {
+            match cache.lookup(d, key, &mut stack.stats) {
                 Looked::Hit(entry) => {
                     stack.frames[d].mode = Mode::Replay(entry, 0);
                     return self.advance(d, sink, stop_at);
@@ -407,16 +431,14 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
     /// then enters the next depth, or emits the row at the last.
     #[inline]
     fn visit(&mut self, d: usize, sink: &mut dyn ResultSink) -> Next {
-        if P::CACHING {
-            let frame = &mut self.stack.frames[d];
-            if let Some((_, _, rows)) = frame.record.as_mut() {
-                let positions = frame
-                    .lf
-                    .members()
-                    .iter()
-                    .map(|&a| self.cursors[a].cache_pos());
-                rows.push((self.stack.binding[d], positions.collect()));
-            }
+        let frame = &mut self.stack.frames[d];
+        if let Some((_, _, rows)) = frame.record.as_mut() {
+            let positions = frame
+                .lf
+                .members()
+                .iter()
+                .map(|&a| self.cursors[a].cache_pos());
+            rows.push((self.stack.binding[d], positions.collect()));
         }
         if d + 1 < self.plan.arity() {
             Next::Open(d + 1)
@@ -494,8 +516,8 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
 
     /// Closes depth `d` once its level is through, and moves the depth
     /// above on. The level is fully analyzed, so its entry is committed
-    /// (paper §3.5): the store applies its capacity policy (drop / evict /
-    /// lose an insert race) and the matching accounting.
+    /// (paper §3.5): the store keeps it, or finds a sibling worker already
+    /// published it (an insert race), and accounts for either.
     fn close(&mut self, d: usize) -> Next {
         let frame = &mut self.stack.frames[d];
         // A replaying level has its last item's cursors open.
@@ -509,11 +531,9 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
             }
         }
         frame.mode = Mode::Leapfrog;
-        if P::CACHING {
-            if let Some((key, token, rows)) = frame.record.take() {
-                let stats = &mut self.stack.stats;
-                self.cache.publish(d, key, token, rows, stats);
-            }
+        if let Some((key, token, rows)) = frame.record.take() {
+            let cache = self.cache.as_mut().expect("only a store records");
+            cache.publish(d, key, token, rows, &mut self.stack.stats);
         }
         up_from(d)
     }
@@ -572,7 +592,7 @@ impl<'a, T: Tally, P: PjrStore, B: Budget, Cur: JoinCursor> Driver<'a, T, P, B, 
     ) -> Option<Ran> {
         let frame = &self.stack.frames[d];
         let members: [usize; K] = frame.lf.members().try_into().ok()?;
-        let recording = P::CACHING && frame.record.is_some();
+        let recording = frame.record.is_some();
         let cursors = &self.cursors;
         // `bit_leaf` already excludes tallied runs and single members; the
         // constant half keeps the bitmap kernel out of those instances.
@@ -647,29 +667,30 @@ fn up_from(d: usize) -> Next {
 /// engine of a one-worker [`crate::ResultStream`].
 ///
 /// It keeps what outlives a batch: the plan, the cursor set, the root
-/// ranges still to enter, the PJR store and the [`Stack`]. The cursors
-/// borrow the set, so they live one batch: each [`step`](Self::step)
-/// builds a [`Driver`] around the stack, seats its cursors where the stack
-/// stopped, and resumes it for exactly `rows` rows.
-pub(crate) struct Resumable<T: Tally, S, P, B> {
+/// ranges still to enter, the PJR store (local, when the run is CTJ) and
+/// the [`Stack`]. The cursors borrow the set, so they live one batch:
+/// each [`step`](Self::step) builds a [`Driver`] around the stack, seats
+/// its cursors where the stack stopped, and resumes it for exactly `rows`
+/// rows.
+pub(crate) struct Resumable<T: Tally, S> {
     plan: CompiledQuery,
     set: S,
     /// The root ranges still to enter, the next on top.
     ranges: Vec<(Value, Option<Value>)>,
     /// The run's PJR store and stack between batches (`None` only while
     /// one runs).
-    state: Option<(P, Stack<T, B>)>,
+    state: Option<(Option<Pjr>, Stack<T>)>,
     /// The budget the run's result is settled against.
     shared: Option<Arc<RunBudget>>,
 }
 
-impl<T: Tally, S, P: PjrStore, B: Budget> Resumable<T, S, P, B>
+impl<T: Tally, S> Resumable<T, S>
 where
     S: for<'s> CursorSet<'s>,
 {
     /// A run of `plan` over `set` that visits the root `ranges` in order,
-    /// adding to `stats`, governed by `budget`'s handle and settled
-    /// against its shared budget.
+    /// adding to `stats`, caching in `cache` (LFTJ when `None`), governed
+    /// by `shared` (ungoverned when `None`) and settled against it.
     ///
     /// # Errors
     ///
@@ -679,9 +700,10 @@ where
         set: S,
         ranges: &[(Value, Option<Value>)],
         stats: EngineStats<T>,
-        cache: P,
-        (budget, shared): (B, Option<Arc<RunBudget>>),
+        cache: Option<Pjr>,
+        shared: Option<Arc<RunBudget>>,
     ) -> Result<Self, JoinError> {
+        let budget = shared.clone().map(BudgetHandle::driving);
         let mut stack = Stack::new(&plan, budget)?;
         stack.stats = stats;
         let mut ranges: Vec<_> = ranges.iter().rev().copied().collect();
@@ -713,7 +735,7 @@ where
                 break true;
             }
             // A tripped budget ends the run: no range past the cut starts.
-            let tripped = B::GOVERNED && driver.stack.budget.poll().is_some();
+            let tripped = driver.stack.tripped();
             match self.ranges.pop() {
                 Some((min, sup)) if !tripped => driver.stack.enter(min, sup),
                 _ => break false,
@@ -725,11 +747,9 @@ where
     }
 }
 
-impl<S, P, B> BatchRun for Resumable<NoTally, S, P, B>
+impl<S> BatchRun for Resumable<NoTally, S>
 where
     S: for<'s> CursorSet<'s> + Send,
-    P: PjrStore + Send,
-    B: Budget + Send,
 {
     fn step(&mut self, rows: u64, out: &mut Vec<Value>) -> bool {
         Resumable::step(self, rows, out)
@@ -744,11 +764,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::NoPjr;
     use crate::engine::head_slots;
     use crate::viewset::MergeSet;
     use crate::{Catalog, CollectSink, CountSink, DeltaMap, JoinEngine, TrieSet};
-    use triejax_exec::NoBudget;
     use triejax_query::patterns;
     use triejax_relation::{Counting, NoTally, Relation};
 
@@ -936,31 +954,30 @@ mod tests {
     }
 
     /// The LFTJ driver: no cache, governed by `budget`.
-    fn lftj_driver<'a, B: Budget>(
+    fn lftj_driver<'a>(
         plan: &'a CompiledQuery,
         tries: &'a TrieSet,
-        budget: B,
-    ) -> Driver<'a, Counting, NoPjr, B> {
-        Driver::new(plan, tries, NoPjr, budget).unwrap()
+        budget: Option<BudgetHandle>,
+    ) -> Driver<'a, Counting> {
+        Driver::new(plan, tries, None, budget).unwrap()
     }
 
     #[test]
     fn budgeted_driver_delivers_an_exact_row_limited_prefix() {
-        use std::sync::Arc;
-        use triejax_exec::{BudgetHandle, CancelReason, RunBudget};
+        use triejax_exec::CancelReason;
 
         let c = catalog(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        lftj_driver(&plan, &tries, NoBudget).run(&mut full);
+        lftj_driver(&plan, &tries, None).run(&mut full);
         assert!(full.tuples().len() > 2);
 
         let shared = Arc::new(RunBudget::new().with_row_limit(2));
         let mut capped = CollectSink::new();
-        let stats =
-            lftj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut capped);
+        let handle = BudgetHandle::driving(Arc::clone(&shared));
+        let stats = lftj_driver(&plan, &tries, Some(handle)).run(&mut capped);
         assert_eq!(capped.tuples(), &full.tuples()[..2]);
         assert_eq!(stats.results, 2);
         assert_eq!(shared.cancelled(), Some(CancelReason::RowLimit));
@@ -968,8 +985,7 @@ mod tests {
 
     #[test]
     fn cancelled_token_stops_a_budgeted_driver_before_any_row() {
-        use std::sync::Arc;
-        use triejax_exec::{BudgetHandle, CancelToken, RunBudget};
+        use triejax_exec::CancelToken;
 
         let c = catalog(&[(0, 1), (1, 2), (2, 3)]);
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
@@ -979,8 +995,8 @@ mod tests {
         token.cancel();
         let shared = Arc::new(RunBudget::new().with_cancel_token(token));
         let mut sink = CollectSink::new();
-        let stats =
-            lftj_driver(&plan, &tries, BudgetHandle::driving(Arc::clone(&shared))).run(&mut sink);
+        let handle = BudgetHandle::driving(Arc::clone(&shared));
+        let stats = lftj_driver(&plan, &tries, Some(handle)).run(&mut sink);
         assert!(sink.tuples().is_empty(), "poll at the first root advance");
         assert_eq!(stats.results, 0);
     }
@@ -992,10 +1008,10 @@ mod tests {
         let tries = TrieSet::build(&plan, &c).unwrap();
 
         let mut full = CollectSink::new();
-        lftj_driver(&plan, &tries, NoBudget).run(&mut full);
+        lftj_driver(&plan, &tries, None).run(&mut full);
 
         // Two shards on one reused driver, as a pool worker runs them.
-        let mut driver = lftj_driver(&plan, &tries, NoBudget);
+        let mut driver = lftj_driver(&plan, &tries, None);
         let mut lo = CollectSink::new();
         driver.run_range(0, Some(3), &mut lo);
         let mut hi = CollectSink::new();
@@ -1009,12 +1025,12 @@ mod tests {
     /// What a [`Resumable`] run stopped every `k` rows delivered: the rows,
     /// the rows of each batch, where each batch stopped, and the run's
     /// stats and PJR store.
-    struct Stepped<P> {
+    struct Stepped {
         rows: Vec<Vec<Value>>,
         batches: Vec<usize>,
         stops: Vec<Stop>,
         stats: EngineStats,
-        cache: P,
+        cache: Option<Pjr>,
     }
 
     /// Where a batch stopped: the depth of the frame stack's top, whether
@@ -1027,25 +1043,13 @@ mod tests {
         recording: bool,
     }
 
-    fn stepped<T: Tally, S, P: PjrStore>(
-        plan: &CompiledQuery,
-        set: S,
-        cache: P,
-        k: u64,
-    ) -> Stepped<P>
+    fn stepped<T: Tally, S>(plan: &CompiledQuery, set: S, cache: Option<Pjr>, k: u64) -> Stepped
     where
         S: for<'s> CursorSet<'s>,
     {
         let stats = EngineStats::default();
-        let mut run = Resumable::<T, _, _, _>::new(
-            plan.clone(),
-            set,
-            &[(0, None)],
-            stats,
-            cache,
-            (NoBudget, None),
-        )
-        .unwrap();
+        let mut run =
+            Resumable::<T, _>::new(plan.clone(), set, &[(0, None)], stats, cache, None).unwrap();
         let (mut sink, mut batch) = (CollectSink::new(), Vec::new());
         let (mut batches, mut stops) = (Vec::new(), Vec::new());
         loop {
@@ -1080,13 +1084,13 @@ mod tests {
     }
 
     /// The rows and stats of one unstopped driver over `set`.
-    fn unstopped<'a, T: Tally, S: CursorSet<'a>, P: PjrStore>(
+    fn unstopped<'a, T: Tally, S: CursorSet<'a>>(
         plan: &'a CompiledQuery,
         set: &'a S,
-        cache: P,
+        cache: Option<Pjr>,
     ) -> (Vec<Vec<Value>>, EngineStats) {
         let mut sink = CollectSink::new();
-        let stats = Driver::<T, _, _, _>::new(plan, set, cache, NoBudget)
+        let stats = Driver::<T, _>::new(plan, set, cache, None)
             .unwrap()
             .run(&mut sink);
         (sink.tuples().to_vec(), stats.to_counting())
@@ -1095,7 +1099,7 @@ mod tests {
     /// The sequential order of `plan` over `set`: one unstopped driver.
     fn sequential<'a, S: CursorSet<'a>>(plan: &'a CompiledQuery, set: &'a S) -> Vec<Vec<Value>> {
         let mut sink = CollectSink::new();
-        Driver::<NoTally, _, _, _>::new(plan, set, NoPjr, NoBudget)
+        Driver::<NoTally, _>::new(plan, set, None, None)
             .unwrap()
             .run(&mut sink);
         sink.tuples().to_vec()
@@ -1103,7 +1107,7 @@ mod tests {
 
     /// Asserts that `run` did what the unstopped run `want` did, rows and
     /// stats, in batches of exactly `k` rows but the last.
-    fn exact<P>(run: &Stepped<P>, want: &(Vec<Vec<Value>>, EngineStats), k: u64, context: &str) {
+    fn exact(run: &Stepped, want: &(Vec<Vec<Value>>, EngineStats), k: u64, context: &str) {
         assert_eq!(run.rows, want.0, "{context}");
         assert_eq!(run.stats, want.1, "{context}");
         let (last, full) = run.batches.split_last().unwrap();
@@ -1121,7 +1125,6 @@ mod tests {
     /// exactly at a root boundary.)
     #[test]
     fn a_driver_stopped_every_k_rows_resumes_in_sequential_order() {
-        use crate::cache::LocalPjr;
         use triejax_query::patterns::Pattern;
         use triejax_relation::RelationDelta;
 
@@ -1130,9 +1133,6 @@ mod tests {
             .filter(|&(a, b)| a != b && (a * 5 + b * 3) % 4 != 0)
             .collect();
         let spread: Vec<_> = edges.iter().map(|&(a, b)| (a * 1000, b * 1000)).collect();
-        // A tiny store drops most entries at publish: a recording level
-        // whose entry is dropped is stopped in like any other.
-        let ctj = [None, Some(2)];
         let (mut bit_leaf_stops, mut recording_stops) = (0, 0);
         for (c, dense) in [(catalog(&edges), true), (catalog(&spread), false)] {
             let base = c.get("G").unwrap();
@@ -1154,21 +1154,19 @@ mod tests {
                 let (frozen_order, merged_order) =
                     (sequential(&plan, &tries), sequential(&plan, &merged));
                 assert!(!frozen_order.is_empty() && frozen_order != merged_order);
-                let bit_leaf = Driver::<NoTally, _, _, _>::new(&plan, &tries, NoPjr, NoBudget)
+                let bit_leaf = Driver::<NoTally, _>::new(&plan, &tries, None, None)
                     .unwrap()
                     .bit_leaf;
                 // The unstopped runs each stepped run must equal.
                 let lftj_full = [
-                    unstopped::<NoTally, _, _>(&plan, &tries, NoPjr),
-                    unstopped::<Counting, _, _>(&plan, &tries, NoPjr),
-                    unstopped::<NoTally, _, _>(&plan, &merged, NoPjr),
+                    unstopped::<NoTally, _>(&plan, &tries, None),
+                    unstopped::<Counting, _>(&plan, &tries, None),
+                    unstopped::<NoTally, _>(&plan, &merged, None),
                 ];
-                let ctj_full = ctj.map(|capacity| {
-                    [
-                        unstopped::<NoTally, _, _>(&plan, &tries, LocalPjr::new(capacity)),
-                        unstopped::<Counting, _, _>(&plan, &merged, LocalPjr::new(capacity)),
-                    ]
-                });
+                let ctj_full = [
+                    unstopped::<NoTally, _>(&plan, &tries, Some(Pjr::local())),
+                    unstopped::<Counting, _>(&plan, &merged, Some(Pjr::local())),
+                ];
                 // Plus the rows under the first root value: a batch of
                 // that many stops at the root.
                 let root = head_slots(&plan).unwrap()[0];
@@ -1181,9 +1179,9 @@ mod tests {
                     let view = || MergeSet::build(&plan, &c, &deltas).unwrap();
                     let context = format!("{pattern} dense={dense} k={k}");
                     let runs = [
-                        stepped::<NoTally, _, _>(&plan, build(), NoPjr, k),
-                        stepped::<Counting, _, _>(&plan, build(), NoPjr, k),
-                        stepped::<NoTally, _, _>(&plan, view(), NoPjr, k),
+                        stepped::<NoTally, _>(&plan, build(), None, k),
+                        stepped::<Counting, _>(&plan, build(), None, k),
+                        stepped::<NoTally, _>(&plan, view(), None, k),
                     ];
                     assert_eq!(lftj_full[0].0, frozen_order);
                     assert_eq!(lftj_full[2].0, merged_order);
@@ -1194,18 +1192,15 @@ mod tests {
                     if bit_leaf {
                         bit_leaf_stops += runs[0].stops.iter().filter(|s| s.bits).count();
                     }
-                    for (capacity, full) in ctj.into_iter().zip(&ctj_full) {
-                        let store = || LocalPjr::new(capacity);
-                        let runs = [
-                            stepped::<NoTally, _, _>(&plan, build(), store(), k),
-                            stepped::<Counting, _, _>(&plan, view(), store(), k),
-                        ];
-                        assert_eq!(full[0].0, frozen_order);
-                        assert_eq!(full[1].0, merged_order);
-                        for (run, want) in runs.iter().zip(full) {
-                            exact(run, want, k, &context);
-                            recording_stops += run.stops.iter().filter(|s| s.recording).count();
-                        }
+                    let runs = [
+                        stepped::<NoTally, _>(&plan, build(), Some(Pjr::local()), k),
+                        stepped::<Counting, _>(&plan, view(), Some(Pjr::local()), k),
+                    ];
+                    assert_eq!(ctj_full[0].0, frozen_order);
+                    assert_eq!(ctj_full[1].0, merged_order);
+                    for (run, want) in runs.iter().zip(&ctj_full) {
+                        exact(run, want, k, &context);
+                        recording_stops += run.stops.iter().filter(|s| s.recording).count();
                     }
                 }
                 let every_depth: std::collections::BTreeSet<usize> = (0..plan.arity()).collect();
@@ -1227,7 +1222,6 @@ mod tests {
     /// store — where every lookup hits — replays the sequential rows.
     #[test]
     fn entries_recorded_across_stops_are_whole() {
-        use crate::cache::LocalPjr;
         use triejax_query::patterns::Pattern;
 
         let edges: Vec<(u32, u32)> = (0..9u32)
@@ -1240,15 +1234,15 @@ mod tests {
             let plan = CompiledQuery::compile(&pattern.query()).unwrap();
             let tries = TrieSet::build(&plan, &c).unwrap();
             let want = sequential(&plan, &tries);
-            let run = stepped::<NoTally, _, _>(
+            let run = stepped::<NoTally, _>(
                 &plan,
                 TrieSet::build(&plan, &c).unwrap(),
-                LocalPjr::new(None),
+                Some(Pjr::local()),
                 1,
             );
             assert_eq!(run.rows, want, "{pattern}");
             let mut sink = CollectSink::new();
-            let stats = Driver::<NoTally, _, _, _>::new(&plan, &tries, run.cache, NoBudget)
+            let stats = Driver::<NoTally, _>::new(&plan, &tries, run.cache, None)
                 .unwrap()
                 .run(&mut sink);
             assert_eq!(sink.tuples(), want, "{pattern}");
@@ -1267,9 +1261,8 @@ mod tests {
     /// — with the run stopped mid-range, nothing past the cut is resumed.
     #[test]
     fn a_tripped_budget_ends_a_resumable_run() {
-        use std::sync::Arc;
         use std::time::Duration;
-        use triejax_exec::{BudgetHandle, CancelReason, CancelToken, RunBudget};
+        use triejax_exec::{CancelReason, CancelToken};
 
         let c = catalog(&[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 3), (2, 4)]);
         let plan = CompiledQuery::compile(&patterns::path3()).unwrap();
@@ -1296,15 +1289,14 @@ mod tests {
         for (budget, rows, reason) in budgets {
             let shared = Arc::new(budget);
             let set = TrieSet::build(&plan, &c).unwrap();
-            let handle = BudgetHandle::driving(Arc::clone(&shared));
             let stats = EngineStats::default();
-            let mut run = Resumable::<NoTally, _, _, _>::new(
+            let mut run = Resumable::<NoTally, _>::new(
                 plan.clone(),
                 set,
                 &[(0, None)],
                 stats,
-                NoPjr,
-                (handle, Some(Arc::clone(&shared))),
+                None,
+                Some(Arc::clone(&shared)),
             )
             .unwrap();
             let (mut sink, mut batch) = (CollectSink::new(), Vec::new());

@@ -20,7 +20,7 @@
 //!   spawn-on-match multithreading, paper §3.4), and emitted through
 //!   batched [`ShardSink`]s into an order-preserving merge. `ParCtj`
 //!   shares **one sharded partial-join-result cache across all workers**
-//!   (lock-striped, bounded with per-stripe FIFO eviction,
+//!   (lock-striped, unbounded,
 //!   first-writer-wins insert races) — the software analogue of the
 //!   on-chip PJR cache every TrieJax lane shares, and the reason its hit
 //!   counts match sequential CTJ's instead of being capped below them.
@@ -35,12 +35,12 @@
 //! the run plans a single root range (always at one worker) and one per
 //! pool worker otherwise. The driver is the Cached TrieJoin control flow
 //! of paper Figure 4, which with no cache is LFTJ. It is generic over the
-//! [`Tally`], the run's budget, the cursor (frozen trie or merged view of
-//! a mutated relation) and the partial-join-result store — none for
-//! LFTJ, compiled away; a worker-local one for a one-range CTJ run; a
-//! handle onto the shared cache for each pooled CTJ worker. Every run
-//! knob is a builder with a fixed default, and the crate reads no
-//! environment.
+//! [`Tally`] and the cursor (frozen trie or merged view of a mutated
+//! relation) only; the run's budget and its partial-join-result store are
+//! values it holds — no store for LFTJ, a worker-local one for a
+//! one-range CTJ run, a handle onto the shared cache for each pooled CTJ
+//! worker. Every run knob is a builder with a fixed default, and the
+//! crate reads no environment.
 //!
 //! Engines count their work in [`EngineStats`] (operation counts, memory
 //! touches, intermediate results, cache hits, shard/steal scheduling

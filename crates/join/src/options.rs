@@ -2,8 +2,8 @@
 //!
 //! Every knob is a builder value or a fixed default, and a run resolves
 //! them from nothing else: [`RunOptions::resolve`] reads no environment
-//! and no process-wide state. An unset pool is one worker per core, an
-//! unset trie cache is none, and an unset CTJ capacity is unbounded.
+//! and no process-wide state. An unset pool is one worker per core and
+//! an unset trie cache is none; a CTJ run's PJR cache is unbounded.
 
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -28,23 +28,20 @@ pub(crate) struct RunOptions {
     pub(crate) cancel: Option<CancelToken>,
     /// Cross-query trie cache; unset = none.
     pub(crate) trie_cache: Option<Arc<TrieCache>>,
-    /// `true` runs CTJ with the cache capacity below; `false` runs LFTJ.
+    /// `true` runs CTJ; `false` runs LFTJ.
     pub(crate) ctj: bool,
-    /// The CTJ cache's total entry capacity; unset = unbounded.
-    pub(crate) max_entries: Option<usize>,
 }
 
 /// A [`RunOptions`] with every knob filled in.
 pub(crate) struct Resolved {
     pub(crate) pool: WorkerPool,
     pub(crate) granularity: Option<usize>,
-    /// `None` when nothing governs the run, so the engine stays on its
-    /// zero-cost [`triejax_exec::NoBudget`] code paths.
+    /// `None` when nothing governs the run: its drivers then hold no
+    /// budget handle.
     pub(crate) budget: Option<Arc<RunBudget>>,
     pub(crate) trie_cache: Option<Arc<TrieCache>>,
-    /// The cache capacity of a CTJ run (`Some(None)` = unbounded);
-    /// `None` for LFTJ.
-    pub(crate) ctj: Option<Option<usize>>,
+    /// Whether the run carries a PJR cache (CTJ).
+    pub(crate) ctj: bool,
 }
 
 impl RunOptions {
@@ -57,7 +54,7 @@ impl RunOptions {
                 .map_or_else(WorkerPool::new, |w| WorkerPool::with_workers(w.get())),
             granularity: self.granularity.map(NonZeroUsize::get),
             trie_cache: self.trie_cache.clone(),
-            ctj: self.ctj.then_some(self.max_entries),
+            ctj: self.ctj,
         }
     }
 
@@ -114,12 +111,12 @@ mod tests {
             (ParLftj::new().name(), ParLftj::new().opts),
             (ParCtj::new().name(), ParCtj::new().opts),
         ];
-        // (name, CTJ capacity, workers)
+        // (name, CTJ, workers)
         let want = [
-            ("lftj", None, 1),
-            ("ctj", Some(None), 1),
-            ("par-lftj", None, cores),
-            ("par-ctj", Some(None), cores),
+            ("lftj", false, 1),
+            ("ctj", true, 1),
+            ("par-lftj", false, cores),
+            ("par-ctj", true, cores),
         ];
         for ((name, opts), want) in presets.into_iter().zip(want) {
             let run = opts.resolve();
@@ -141,7 +138,7 @@ mod tests {
         assert_eq!(run.pool.workers(), cores, "one worker per core");
         assert!(run.budget.is_none(), "ungoverned");
         assert!(run.trie_cache.is_none(), "no trie cache");
-        assert_eq!(run.ctj, Some(None), "an unbounded PJR cache");
-        assert_eq!(RunOptions::default().resolve().ctj, None, "LFTJ");
+        assert!(run.ctj, "a PJR cache");
+        assert!(!RunOptions::default().resolve().ctj, "LFTJ");
     }
 }

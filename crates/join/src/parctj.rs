@@ -14,20 +14,18 @@ use crate::TrieJoin;
 /// caches this design replaced structurally capped hits below sequential
 /// [`crate::Ctj`]'s; the shared cache restores them — a property the
 /// conformance suite asserts.) The cache is lock-striped
-/// ([`triejax_exec::Striped`]) with hash-determined stripe selection,
-/// bounded by [`with_cache_capacity`](TrieJoin::with_cache_capacity) as a
-/// *total* capacity with per-stripe FIFO eviction, and insert races
-/// resolve first-writer-wins with race-deduped miss accounting
-/// (`EngineStats::{cache_evictions, cache_races, cache_contention}` report
-/// the churn).
+/// ([`triejax_exec::Striped`]) with hash-determined stripe selection and
+/// unbounded, like sequential [`crate::Ctj`]'s; insert races resolve
+/// first-writer-wins with race-deduped miss accounting
+/// (`EngineStats::{cache_races, cache_contention}` report the
+/// contention).
 ///
 /// `ParCtj` is [`crate::ParLftj`] with the cache switched on: the same
 /// engine, builders, scheduling and emission — plan-seeded root-range
 /// shards on the work-stealing pool, [`crate::ShardSink`] batches through
 /// an order-preserving [`triejax_exec::OrderedMerge`]. The merged stream
 /// is tuple-for-tuple identical to sequential [`crate::Ctj`] (and
-/// [`crate::Lftj`]) — same tuples, same order. An unset capacity is
-/// unbounded.
+/// [`crate::Lftj`]) — same tuples, same order.
 ///
 /// # Example
 ///
@@ -141,10 +139,7 @@ mod tests {
         let mut seq_sink = CountSink::default();
         let seq = Ctj::new().execute(&plan, &c, &mut seq_sink).unwrap();
         let mut par_sink = CountSink::default();
-        // Explicitly unbounded: the exact counts below assume no entry
-        // is ever evicted.
         let par = ParCtj::with_pool(2)
-            .with_cache_capacity(None)
             .execute(&plan, &c, &mut par_sink)
             .unwrap();
         assert_eq!(seq_sink.count(), par_sink.count());
@@ -161,41 +156,6 @@ mod tests {
         assert_eq!(par.cache_misses, 1, "y=100's entry is built exactly once");
         assert_eq!(par.cache_hits, 29);
         assert_eq!(seq.cache_hits, 29);
-    }
-
-    #[test]
-    fn bounded_caches_stay_correct_in_parallel() {
-        let c = catalog(&test_edges());
-        let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
-        let mut reference = CollectSink::new();
-        Ctj::new().execute(&plan, &c, &mut reference).unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParCtj::with_pool(4)
-            .with_cache_capacity(Some(2))
-            .with_granularity(6)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert!(stats.shards > 1);
-    }
-
-    #[test]
-    fn tiny_shared_capacity_evicts_and_stays_exact() {
-        let c = catalog(&test_edges());
-        let plan = CompiledQuery::compile(&patterns::path4()).unwrap();
-        let mut reference = CollectSink::new();
-        Ctj::new().execute(&plan, &c, &mut reference).unwrap();
-        let mut sink = CollectSink::new();
-        let stats = ParCtj::with_pool(2)
-            .with_cache_capacity(Some(2))
-            .with_granularity(8)
-            .execute(&plan, &c, &mut sink)
-            .unwrap();
-        assert_eq!(sink.tuples(), reference.tuples());
-        assert!(
-            stats.cache_evictions > 0,
-            "a 2-entry shared cache must churn on path4"
-        );
     }
 
     #[test]
@@ -222,16 +182,6 @@ mod tests {
             .execute(&plan, &c, &mut sink)
             .unwrap();
         assert_eq!(stats.shards, 5);
-    }
-
-    #[test]
-    fn cache_capacity_builder_sets_an_explicit_config() {
-        let engine = ParCtj::with_pool(2).with_cache_capacity(Some(16));
-        assert_eq!(engine.opts.resolve().ctj, Some(Some(16)));
-        let engine = ParCtj::new()
-            .with_cache_capacity(None)
-            .with_cache_capacity(Some(5));
-        assert_eq!(engine.opts.resolve().ctj, Some(Some(5)));
     }
 
     #[test]

@@ -2,11 +2,11 @@ use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use triejax_exec::{Budget, BudgetHandle, CancelToken, NoBudget, PoolStats, RunBudget};
+use triejax_exec::{BudgetHandle, CancelToken, RunBudget};
 use triejax_query::CompiledQuery;
-use triejax_relation::{Counting, NoTally, Tally, Value};
+use triejax_relation::{Counting, Tally, Value};
 
-use crate::cache::{LocalPjr, NoPjr, PjrStore, SharedPjrCache};
+use crate::cache::{Pjr, SharedPjrCache};
 use crate::catalog::Served;
 use crate::engine::head_slots;
 use crate::lftj::{Driver, Resumable};
@@ -38,7 +38,7 @@ use crate::{
 ///   oracle.
 ///
 /// Every preset builds its own tries unless given a [`TrieCache`], and a
-/// CTJ preset's PJR cache is unbounded unless given a capacity.
+/// CTJ preset's PJR cache is unbounded.
 #[derive(Debug, Clone)]
 pub struct TrieJoin<const CTJ: bool, const POOLED: bool> {
     pub(crate) opts: RunOptions,
@@ -128,16 +128,6 @@ impl<const CTJ: bool, const POOLED: bool> TrieJoin<CTJ, POOLED> {
     pub fn with_granularity(mut self, shards: usize) -> Self {
         let shards = NonZeroUsize::new(shards).expect("shards must be positive");
         self.opts.granularity = Some(shards);
-        self
-    }
-
-    /// Sets the partial-join-result cache's total entry capacity
-    /// (CTJ only): `Some(0)` disables caching, and `None`, the default,
-    /// is unbounded. A one-range run's worker-local store *drops*
-    /// insertions past the capacity; the cache a pooled run's workers
-    /// share *evicts* (FIFO per stripe) to stay within it.
-    pub fn with_cache_capacity(mut self, entries: Option<usize>) -> Self {
-        self.opts.max_entries = entries;
         self
     }
 
@@ -247,8 +237,9 @@ impl<const CTJ: bool, const POOLED: bool> JoinEngine for TrieJoin<CTJ, POOLED> {
 /// The one engine body, behind every [`TrieJoin`] preset and
 /// [`crate::QueryHandle`]: resolves `opts`, builds the query's tries (or
 /// merged views, when an atom reads a relation with a pending delta in
-/// `deltas`) on the pool, and runs the join. A governed run that was cut
-/// short returns [`JoinError::Cancelled`] with its partial stats.
+/// `deltas`) on the pool, and runs the join over them ([`run_set`]). A
+/// governed run that was cut short returns [`JoinError::Cancelled`] with
+/// its partial stats.
 pub(crate) fn run_parallel<T: Tally>(
     opts: &RunOptions,
     plan: &CompiledQuery,
@@ -257,14 +248,23 @@ pub(crate) fn run_parallel<T: Tally>(
     sink: &mut dyn ResultSink,
 ) -> Result<EngineStats<T>, JoinError> {
     let run = opts.resolve();
-    let Some(shared) = run.budget.clone() else {
-        // Ungoverned: NoBudget compiles every governance check away.
-        return run_budgeted(&run, plan, catalog, deltas, sink, NoBudget, NoBudget);
+    // The pool exists before the tries so construction itself runs on it
+    // (partitioned builds, or one task per cold trie). build_on times only
+    // actual cold-build work, so a query fully served from the cache (or
+    // a preloaded store) reports trie_build_ns == 0 exactly.
+    let cache = run.trie_cache.as_deref();
+    let (mut stats, served) = match deltas.filter(|d| plan_touches_delta(plan, d)) {
+        None => {
+            let (tries, served) = TrieSet::serve_on(plan, catalog, &run.pool, cache)?;
+            (run_set(&run, plan, catalog, &tries, sink)?, served)
+        }
+        Some(d) => {
+            let (set, served) = MergeSet::build_on(plan, catalog, d, &run.pool, cache)?;
+            (run_set(&run, plan, catalog, &set, sink)?, served)
+        }
     };
-    let driving = BudgetHandle::driving(Arc::clone(&shared));
-    let worker = BudgetHandle::worker(Arc::clone(&shared));
-    let stats = run_budgeted(&run, plan, catalog, deltas, sink, driving, worker)?;
-    settle(stats, Some(&shared))
+    served.stamp(&mut stats);
+    settle(stats, run.budget.as_deref())
 }
 
 /// A finished run's result: its stats, or [`JoinError::Cancelled`]
@@ -282,115 +282,49 @@ pub(crate) fn settle<T: Tally>(
     }
 }
 
-/// Builds the cursor set — a [`TrieSet`] for frozen plans (plain trie
-/// cursors, the pre-delta code paths), a [`MergeSet`] for delta-touching
-/// ones — and runs [`run_set`] over it. `driving` governs the
-/// single-shard fast path (it charges the row quota at emit time);
-/// `worker` is cloned into every pooled driver (flag polling only — the
-/// ordered drain owns the quota in a parallel run).
-fn run_budgeted<T: Tally, B: Budget + Clone + Send + Sync>(
-    run: &Resolved,
-    plan: &CompiledQuery,
-    catalog: &Catalog,
-    deltas: Option<&DeltaMap>,
-    sink: &mut dyn ResultSink,
-    driving: B,
-    worker: B,
-) -> Result<EngineStats<T>, JoinError> {
-    // The pool exists before the tries so construction itself runs on it
-    // (partitioned builds, or one task per cold trie). build_on times only
-    // actual cold-build work, so a query fully served from the cache (or
-    // a preloaded store) reports trie_build_ns == 0 exactly.
-    let cache = run.trie_cache.as_deref();
-    let (mut stats, served) = match deltas.filter(|d| plan_touches_delta(plan, d)) {
-        None => {
-            let (tries, served) = TrieSet::serve_on(plan, catalog, &run.pool, cache)?;
-            let stats = run_set(run, plan, catalog, &tries, sink, driving, worker)?;
-            (stats, served)
-        }
-        Some(d) => {
-            let (set, served) = MergeSet::build_on(plan, catalog, d, &run.pool, cache)?;
-            let stats = run_set(run, plan, catalog, &set, sink, driving, worker)?;
-            (stats, served)
-        }
-    };
-    served.stamp(&mut stats);
-    Ok(stats)
-}
-
-/// The engine body over one cursor set: plans the shards, then runs
-/// either the single-shard fast path on the calling thread or the pool,
-/// with the store the run's engine calls for.
-fn run_set<'s, T: Tally, B: Budget + Clone + Send + Sync, S: CursorSet<'s>>(
+/// The engine body over one cursor set — a [`TrieSet`] for frozen plans,
+/// a [`MergeSet`] for delta-touching ones: plans the shards, then runs
+/// either one driver on the calling thread or one per pool worker.
+fn run_set<'s, T: Tally, S: CursorSet<'s>>(
     run: &Resolved,
     plan: &'s CompiledQuery,
     catalog: &Catalog,
     set: &'s S,
     sink: &mut dyn ResultSink,
-    driving: B,
-    worker: B,
 ) -> Result<EngineStats<T>, JoinError> {
     let ranges = plan_shards(plan, catalog, set, run.pool.workers(), run.granularity);
 
-    // A lone range runs sequentially: one driver on the calling thread —
-    // for CTJ on a worker-local store (no stripe locks to pay when
-    // nothing is shared), whose capacity bounds live entries by dropping
-    // new inserts rather than evicting.
+    // A lone range runs sequentially: one driver on the calling thread,
+    // charging the row quota as it emits — for CTJ on a worker-local
+    // store, with no stripe locks to pay when nothing is shared.
     if ranges.len() <= 1 {
-        let mut stats = match run.ctj {
-            None => Driver::new(plan, set, NoPjr, driving)?.run(sink),
-            Some(capacity) => Driver::new(plan, set, LocalPjr::new(capacity), driving)?.run(sink),
-        };
+        let store = run.ctj.then(Pjr::local);
+        let budget = run.budget.clone().map(BudgetHandle::driving);
+        let mut stats = Driver::new(plan, set, store, budget)?.run(sink);
         stats.shards = 1;
         return Ok(stats);
     }
 
     // Validate the emission plan up front so shard workers cannot fail.
     head_slots(plan)?;
-    let (mut stats, pool_stats) = match run.ctj {
-        None => run_pooled(run, plan, set, &ranges, sink, &worker, || NoPjr),
-        Some(capacity) => {
-            // One cache shared by every worker, striped for the workers
-            // the run uses (never more than it has ranges), pre-sized
-            // from the plan's entry estimate.
-            let workers = run.pool.workers().min(ranges.len());
-            let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
-            let cache = SharedPjrCache::new(workers, capacity, hint);
-            run_pooled(run, plan, set, &ranges, sink, &worker, || cache.handle())
-        }
-    };
-    stats.shards = pool_stats.tasks as u64;
-    stats.steals = pool_stats.steals;
-    Ok(stats)
-}
-
-/// Runs the planned shards on the pool with one driver per worker —
-/// created on the worker's first shard over the store `cache` hands it,
-/// reused for the rest — and returns the drivers' summed stats beside the
-/// pool's. Cache counters sum cleanly because the shared store already
-/// deduplicated insert races (a raced build is a late hit plus a
-/// `cache_races` tick, never a second miss).
-fn run_pooled<'s, T, B, S, P>(
-    run: &Resolved,
-    plan: &'s CompiledQuery,
-    set: &'s S,
-    ranges: &[(Value, Option<Value>)],
-    sink: &mut dyn ResultSink,
-    worker: &B,
-    cache: impl Fn() -> P + Sync,
-) -> (EngineStats<T>, PoolStats)
-where
-    T: Tally,
-    B: Budget + Clone + Send + Sync,
-    S: CursorSet<'s>,
-    P: PjrStore + Send,
-{
-    // Addressed by `WorkerCtx::worker`: a slot's mutex is only ever taken
-    // by its owning worker during the run.
+    // For CTJ, one cache shared by every worker, striped for the workers
+    // the run uses (never more than it has ranges), pre-sized from the
+    // plan's entry estimate.
+    let shared = run.ctj.then(|| {
+        let workers = run.pool.workers().min(ranges.len());
+        let hint = plan.cache_entries_estimate(|name| catalog.get(name).map(|r| r.len()));
+        Arc::new(SharedPjrCache::new(workers, hint))
+    });
+    // One driver per worker, created on its first shard and reused for
+    // the rest; it only polls the budget's flag, as the ordered drain
+    // owns the row quota. Addressed by `WorkerCtx::worker`: a slot's
+    // mutex is only ever taken by its owning worker during the run.
     let drivers: Vec<Mutex<Option<_>>> =
         (0..run.pool.workers()).map(|_| Mutex::new(None)).collect();
     let new_driver = || {
-        let mut d = Driver::new(plan, set, cache(), worker.clone())
+        let store = shared.clone().map(Pjr::Shared);
+        let budget = run.budget.clone().map(BudgetHandle::worker);
+        let mut d = Driver::new(plan, set, store, budget)
             .expect("emission plan validated before the parallel phase");
         d.emit_passthrough(); // the ShardSink already batches
         d
@@ -398,7 +332,7 @@ where
     let budget = run.budget.as_deref();
     let pool_stats = execute_sharded(
         &run.pool,
-        ranges,
+        &ranges,
         plan.arity(),
         sink,
         budget,
@@ -410,18 +344,25 @@ where
                 .run_range(min, sup, out);
         },
     );
-    let mut stats = EngineStats::default();
+    // Cache counters sum cleanly because the shared store already
+    // deduplicated insert races (a raced build is a late hit plus a
+    // `cache_races` tick, never a second miss).
+    let mut stats = EngineStats {
+        shards: pool_stats.tasks as u64,
+        steals: pool_stats.steals,
+        ..EngineStats::default()
+    };
     for slot in drivers {
         if let Some(driver) = slot.into_inner().expect("worker driver poisoned") {
             stats.merge(driver.stats());
         }
     }
-    (stats, pool_stats)
+    Ok(stats)
 }
 
 /// A one-worker run, a batch of rows at a time on the caller's thread:
-/// what a one-worker [`crate::ResultStream`] pulls. The cursor set, PJR
-/// store and budget behind it are erased.
+/// what a one-worker [`crate::ResultStream`] pulls. The cursor set behind
+/// it is erased.
 pub(crate) trait BatchRun: Send {
     /// Appends the next batch of `rows` rows to `out`; `false` once the
     /// run has no rows left.
@@ -454,7 +395,8 @@ pub(crate) fn run_batched(
 }
 
 /// [`run_batched`] over a built set (with what fetching its tries cost):
-/// the planned root ranges, the run's store and budget.
+/// the planned root ranges, a local store when the run is CTJ, and the
+/// run's budget.
 fn batched_over<S>(
     run: &Resolved,
     plan: CompiledQuery,
@@ -464,38 +406,17 @@ fn batched_over<S>(
 where
     S: for<'s> CursorSet<'s> + Send + 'static,
 {
-    fn boxed<S, P, B>(
-        plan: CompiledQuery,
-        set: S,
-        ranges: &[(Value, Option<Value>)],
-        stats: EngineStats<NoTally>,
-        store: P,
-        budget: (B, Option<Arc<RunBudget>>),
-    ) -> Result<Box<dyn BatchRun>, JoinError>
-    where
-        S: for<'s> CursorSet<'s> + Send + 'static,
-        P: PjrStore + Send + 'static,
-        B: Budget + Send + 'static,
-    {
-        Ok(Box::new(Resumable::new(
-            plan, set, ranges, stats, store, budget,
-        )?))
-    }
     let ranges = plan_shards(&plan, catalog, &set, 1, run.granularity);
     let mut stats = EngineStats {
         shards: ranges.len() as u64,
         ..EngineStats::default()
     };
     served.stamp(&mut stats);
-    let store = run.ctj.map(LocalPjr::new);
-    let shared = run.budget.clone();
-    let driving = |b: &Arc<RunBudget>| (BudgetHandle::driving(Arc::clone(b)), shared.clone());
-    match (store, &run.budget) {
-        (None, None) => boxed(plan, set, &ranges, stats, NoPjr, (NoBudget, None)),
-        (None, Some(b)) => boxed(plan, set, &ranges, stats, NoPjr, driving(b)),
-        (Some(s), None) => boxed(plan, set, &ranges, stats, s, (NoBudget, None)),
-        (Some(s), Some(b)) => boxed(plan, set, &ranges, stats, s, driving(b)),
-    }
+    let store = run.ctj.then(Pjr::local);
+    let budget = run.budget.clone();
+    Ok(Box::new(Resumable::new(
+        plan, set, &ranges, stats, store, budget,
+    )?))
 }
 
 #[cfg(test)]

@@ -56,12 +56,11 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use triejax_exec::{CancelToken, NoBudget, WorkerPool};
+use triejax_exec::{CancelToken, WorkerPool};
 use triejax_query::{CompiledQuery, VarId};
 use triejax_relation::{NoTally, Relation, RelationDelta, Value};
 use triejax_store::{StoreError, StoredCatalog};
 
-use crate::cache::NoPjr;
 use crate::engine::head_slots;
 use crate::lftj::Driver;
 use crate::options::RunOptions;
@@ -720,7 +719,7 @@ impl Watcher {
             }
             let (set, ..) = MergeSet::assemble(term, &sources, None, Some(cache), memo)?;
             let mut sink = CollectSink::new();
-            Driver::<NoTally, _, _, _>::new(term, &set, NoPjr, NoBudget)?.run(&mut sink);
+            Driver::<NoTally, _>::new(term, &set, None, None)?.run(&mut sink);
             rows.extend_from_slice(sink.tuples());
         }
         // Sorting by the watched plan's binding order restores its

@@ -25,13 +25,9 @@ pub struct EngineStats<T: Tally = Counting> {
     pub cache_hits: u64,
     /// Partial-join cache misses on cacheable lookups (CTJ only).
     pub cache_misses: u64,
-    /// Cache entries discarded due to capacity overflow (CTJ only): an
-    /// insertion into a full store that does not evict, i.e. sequential
-    /// CTJ's store once it holds `max_entries` entries.
-    pub cache_overflows: u64,
-    /// Cache entries evicted to make room for newer ones (the shared
-    /// sharded cache of `ParCtj` only; the sequential store drops new
-    /// insertions instead of evicting old entries).
+    /// Cache entries evicted to make room for newer ones. Always 0: the
+    /// PJR cache is unbounded, so no entry is ever evicted. Kept so
+    /// reports that read it stay valid.
     pub cache_evictions: u64,
     /// Insert races lost on the shared cache: a sibling worker published
     /// the same entry first, so this worker's duplicate build was
@@ -127,7 +123,6 @@ impl<T: Tally> EngineStats<T> {
             intermediates: self.intermediates,
             cache_hits: self.cache_hits,
             cache_misses: self.cache_misses,
-            cache_overflows: self.cache_overflows,
             cache_evictions: self.cache_evictions,
             cache_races: self.cache_races,
             cache_contention: self.cache_contention,
@@ -152,7 +147,6 @@ impl<T: Tally> EngineStats<T> {
         self.intermediates += other.intermediates;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.cache_overflows += other.cache_overflows;
         self.cache_evictions += other.cache_evictions;
         self.cache_races += other.cache_races;
         self.cache_contention += other.cache_contention;

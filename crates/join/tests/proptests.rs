@@ -144,26 +144,6 @@ proptest! {
         }
     }
 
-    /// CTJ with adversarially tiny cache limits still agrees with LFTJ.
-    #[test]
-    fn ctj_cache_limits_never_change_results(
-        edges in arb_edges(10, 60),
-        max_entries in 0usize..4,
-    ) {
-        let mut catalog = Catalog::new();
-        catalog.insert("G", Relation::from_pairs(edges));
-        let q = triejax_query::patterns::path4();
-        let plan = CompiledQuery::compile(&q).unwrap();
-        let mut reference = CollectSink::new();
-        Lftj::new().execute(&plan, &catalog, &mut reference).unwrap();
-        let mut sink = CollectSink::new();
-        Ctj::new()
-            .with_cache_capacity(Some(max_entries))
-            .execute(&plan, &catalog, &mut sink)
-            .unwrap();
-        prop_assert_eq!(sink.into_sorted(), reference.into_sorted());
-    }
-
     /// The `Counting` and `NoTally` kernels produce identical result sets
     /// (tuple-for-tuple, order included) on arbitrary graphs and every
     /// paper pattern, with identical results and expansions — only the

@@ -2,18 +2,12 @@
 //! `ParCtj`.
 //!
 //! The shared cache changes *what is reused* but must never change *what
-//! is produced*: whatever the pool size, total capacity (and therefore
-//! eviction churn), or tally mode, `ParCtj` has to stay tuple-for-tuple
-//! identical — same tuples, same order — to sequential `Ctj` and `Lftj`.
-//! On top of conformance, the suite locks in the two properties that
-//! motivated sharing:
-//!
-//! * **effectiveness** — with an unbounded shared cache, the parallel hit
-//!   count is at least sequential CTJ's (per-worker caches were
-//!   structurally capped below it);
-//! * **churn-safety** — a 2-entry capacity makes every stripe evict
-//!   constantly, and results must remain exact while the eviction
-//!   counters prove the path actually ran.
+//! is produced*: whatever the pool size or tally mode, `ParCtj` has to
+//! stay tuple-for-tuple identical — same tuples, same order — to
+//! sequential `Ctj` and `Lftj`. On top of conformance, the suite locks in
+//! the property that motivated sharing — **effectiveness**: the parallel
+//! hit count is at least sequential CTJ's (per-worker caches were
+//! structurally capped below it).
 
 use proptest::prelude::*;
 use triejax_join::{Catalog, CollectSink, Counting, Ctj, JoinEngine, Lftj, NoTally, ParCtj};
@@ -24,16 +18,6 @@ use triejax_query::{
 use triejax_relation::Relation;
 
 const POOLS: [usize; 3] = [1, 2, 7];
-
-/// The capacity ladder: tiny (constant eviction), a small bounded cache,
-/// and unbounded. Each is set explicitly on every engine the suite runs.
-fn capacity_ladder() -> [(&'static str, Option<usize>); 3] {
-    [
-        ("tiny", Some(2)),
-        ("bounded", Some(64)),
-        ("unbounded", None),
-    ]
-}
 
 fn catalog_from(edges: Vec<(u32, u32)>) -> Catalog {
     let mut c = Catalog::new();
@@ -49,8 +33,8 @@ fn power_law(raw: u64, n: u32) -> u32 {
     ((u * u * u) * f64::from(n)) as u32
 }
 
-/// Asserts every (pool, capacity, tally) combination of shared-cache
-/// `ParCtj` is tuple-for-tuple identical to sequential `Ctj` AND `Lftj`.
+/// Asserts every (pool, tally) combination of shared-cache `ParCtj` is
+/// tuple-for-tuple identical to sequential `Ctj` AND `Lftj`.
 fn check_cache_conformance(catalog: &Catalog, pattern: Pattern) {
     let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
 
@@ -67,28 +51,26 @@ fn check_cache_conformance(catalog: &Catalog, pattern: Pattern) {
     assert_eq!(ctj_sink.tuples(), reference, "{pattern}: sequential ctj");
 
     for pool in POOLS {
-        for (label, capacity) in capacity_ladder() {
-            for counting in [true, false] {
-                let mut engine = ParCtj::with_pool(pool).with_cache_capacity(capacity);
-                let mut sink = CollectSink::new();
-                let results = if counting {
-                    engine
-                        .run_tallied::<Counting>(&plan, catalog, &mut sink)
-                        .expect("runs")
-                        .results
-                } else {
-                    engine
-                        .run_tallied::<NoTally>(&plan, catalog, &mut sink)
-                        .expect("runs")
-                        .results
-                };
-                assert_eq!(
-                    sink.tuples(),
-                    reference,
-                    "{pattern}: parctj pool={pool} cap={label} counting={counting}"
-                );
-                assert_eq!(results as usize, reference.len());
-            }
+        for counting in [true, false] {
+            let mut engine = ParCtj::with_pool(pool);
+            let mut sink = CollectSink::new();
+            let results = if counting {
+                engine
+                    .run_tallied::<Counting>(&plan, catalog, &mut sink)
+                    .expect("runs")
+                    .results
+            } else {
+                engine
+                    .run_tallied::<NoTally>(&plan, catalog, &mut sink)
+                    .expect("runs")
+                    .results
+            };
+            assert_eq!(
+                sink.tuples(),
+                reference,
+                "{pattern}: parctj pool={pool} counting={counting}"
+            );
+            assert_eq!(results as usize, reference.len());
         }
     }
 }
@@ -96,8 +78,8 @@ fn check_cache_conformance(catalog: &Catalog, pattern: Pattern) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Uniform random graphs: every pool size, capacity, and tally mode
-    /// agrees with the sequential engines, in emission order.
+    /// Uniform random graphs: every pool size and tally mode agrees with
+    /// the sequential engines, in emission order.
     #[test]
     fn shared_cache_parctj_conforms_on_random_graphs(
         edges in prop::collection::btree_set((0u32..22, 0u32..22), 1..130),
@@ -169,7 +151,6 @@ fn shared_cache_hit_count_is_at_least_sequential_ctjs() {
     for pool in [2, 3, 7] {
         let mut par_sink = CollectSink::new();
         let par = ParCtj::with_pool(pool)
-            .with_cache_capacity(None) // explicitly unbounded
             .execute(&plan, &catalog, &mut par_sink)
             .expect("runs");
         assert_eq!(par_sink.tuples(), seq_sink.tuples());
@@ -192,21 +173,19 @@ fn shared_cache_hit_count_is_at_least_sequential_ctjs() {
     }
 }
 
-/// With an unbounded shared cache the hit/miss totals are deterministic
-/// even under insert races (a race is reclassified, never re-counted), so
-/// the two tally modes must report identical cache stats.
+/// The shared cache's hit/miss totals are deterministic even under
+/// insert races (a race is reclassified, never re-counted), so the two
+/// tally modes must report identical cache stats.
 #[test]
 fn unbounded_shared_cache_stats_are_tally_mode_independent() {
     let catalog = catalog_from(funnel_edges());
     let plan = CompiledQuery::compile(&patterns::path4()).expect("compiles");
     let mut a = CollectSink::new();
     let counting = ParCtj::with_pool(3)
-        .with_cache_capacity(None)
         .run_tallied::<Counting>(&plan, &catalog, &mut a)
         .expect("runs");
     let mut b = CollectSink::new();
     let fast = ParCtj::with_pool(3)
-        .with_cache_capacity(None)
         .run_tallied::<NoTally>(&plan, &catalog, &mut b)
         .expect("runs");
     assert_eq!(a.tuples(), b.tuples());
@@ -214,77 +193,4 @@ fn unbounded_shared_cache_stats_are_tally_mode_independent() {
     assert_eq!(counting.cache_misses, fast.cache_misses);
     assert_eq!(counting.intermediates, fast.intermediates);
     assert_eq!(fast.memory_accesses(), 0);
-}
-
-/// Eviction stress: a 2-entry total capacity makes every stripe evict on
-/// nearly every publish. Results must stay exact and the eviction
-/// counters must prove the churn path ran — this is the path a
-/// happy-path-only suite never touches.
-#[test]
-fn constant_eviction_keeps_results_exact() {
-    // Deterministic scrambled graph: enough distinct cache keys that a
-    // 2-entry cache cannot hold even one stripe's working set.
-    let mut edges = Vec::new();
-    for i in 0..60u32 {
-        edges.push((i, (i * 17 + 5) % 60));
-        edges.push((i, (i * 31 + 11) % 60));
-        edges.push(((i * 13 + 7) % 60, i));
-    }
-    let catalog = catalog_from(edges);
-
-    for pattern in [Pattern::Path3, Pattern::Path4, Pattern::Cycle4] {
-        let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
-        let mut reference = CollectSink::new();
-        Ctj::new()
-            .execute(&plan, &catalog, &mut reference)
-            .expect("runs");
-
-        for counting in [true, false] {
-            let mut engine = ParCtj::with_pool(2)
-                .with_cache_capacity(Some(2))
-                .with_granularity(8);
-            let mut sink = CollectSink::new();
-            let evictions = if counting {
-                let stats = engine
-                    .run_tallied::<Counting>(&plan, &catalog, &mut sink)
-                    .expect("runs");
-                assert_eq!(stats.shards, 8, "{pattern}: stress must shard");
-                stats.cache_evictions
-            } else {
-                engine
-                    .run_tallied::<NoTally>(&plan, &catalog, &mut sink)
-                    .expect("runs")
-                    .cache_evictions
-            };
-            assert_eq!(
-                sink.tuples(),
-                reference.tuples(),
-                "{pattern}: eviction churn changed the result stream"
-            );
-            assert!(
-                evictions > 0,
-                "{pattern}: a 2-entry cache must evict on this workload"
-            );
-        }
-    }
-}
-
-/// Capacity zero disables caching entirely and must still be exact (and
-/// report zero hits — nothing can be stored, so nothing can replay).
-#[test]
-fn zero_capacity_shared_cache_is_exact_and_hitless() {
-    let catalog = catalog_from(funnel_edges());
-    let plan = CompiledQuery::compile(&patterns::path4()).expect("compiles");
-    let mut reference = CollectSink::new();
-    Lftj::new()
-        .execute(&plan, &catalog, &mut reference)
-        .expect("runs");
-    let mut sink = CollectSink::new();
-    let stats = ParCtj::with_pool(2)
-        .with_cache_capacity(Some(0))
-        .execute(&plan, &catalog, &mut sink)
-        .expect("runs");
-    assert_eq!(sink.tuples(), reference.tuples());
-    assert_eq!(stats.cache_hits, 0);
-    assert!(stats.cache_overflows > 0, "builds are dropped, not stored");
 }

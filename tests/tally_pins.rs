@@ -5,12 +5,16 @@
 //! (ARCHITECTURE.md, "an optimisation of this loop may not change a
 //! tally"). The pins were captured on the commit before the slice-frame
 //! and leaf-kernel rewrite; they are the operations the paper's LUB,
-//! Midwife and MatchMaker units would issue for the same query.
+//! Midwife and MatchMaker units would issue for the same query. A budget
+//! that never trips changes none of them: governed and ungoverned runs
+//! share one driver instance, so each pinned engine also runs governed.
+
+use std::time::Duration;
 
 use triejax_graph::{Dataset, Scale};
 use triejax_join::{
     Catalog, CollectSink, CountSink, Ctj, EngineStats, JoinEngine, Lftj, ParCtj, ParLftj, Row,
-    Session,
+    Session, TrieJoin,
 };
 use triejax_query::{patterns::Pattern, CompiledQuery, Query};
 use triejax_relation::{Counting, NoTally, Relation, Tally};
@@ -36,6 +40,35 @@ fn catalog() -> Catalog {
     c
 }
 
+/// `engine` as pinned (`rows` is `None`), or governed by a budget that
+/// never trips on a run of `rows` rows: a one-hour deadline and a row
+/// limit above the result count.
+fn with_budget<const CTJ: bool, const POOLED: bool>(
+    engine: TrieJoin<CTJ, POOLED>,
+    rows: Option<u64>,
+) -> TrieJoin<CTJ, POOLED> {
+    match rows {
+        None => engine,
+        Some(rows) => engine
+            .with_deadline(Duration::from_secs(3600))
+            .with_row_limit(rows + 1),
+    }
+}
+
+/// The pin and the rows of a `Counting` run of `engine`, which must
+/// return `Ok`.
+fn pinned_run<const CTJ: bool, const POOLED: bool>(
+    mut engine: TrieJoin<CTJ, POOLED>,
+    plan: &CompiledQuery,
+    catalog: &Catalog,
+) -> (Pin, Vec<Vec<u32>>) {
+    let mut sink = CollectSink::new();
+    let stats = engine
+        .run_tallied::<Counting>(plan, catalog, &mut sink)
+        .unwrap();
+    (pin(&stats), sink.tuples().to_vec())
+}
+
 /// Per `Pattern::PAPER` entry, in order: the LFTJ pin, then the CTJ pin.
 #[rustfmt::skip]
 const PINS: [(Pin, Pin); 5] = [
@@ -51,13 +84,18 @@ fn sequential_counting_tallies_are_pinned() {
     let c = catalog();
     for (p, (lftj_pin, ctj_pin)) in Pattern::PAPER.into_iter().zip(PINS) {
         let plan = CompiledQuery::compile(&p.query()).unwrap();
-        let lftj = Lftj::new()
-            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
-            .unwrap();
-        let ctj = Ctj::new()
-            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
-            .unwrap();
-        assert_eq!((pin(&lftj), pin(&ctj)), (lftj_pin, ctj_pin), "{p}");
+        let (_, rows) = pinned_run(Lftj::new(), &plan, &c);
+        for budget in [None, Some(lftj_pin[3])] {
+            let lftj = pinned_run(with_budget(Lftj::new(), budget), &plan, &c);
+            let ctj = pinned_run(with_budget(Ctj::new(), budget), &plan, &c);
+            let governed = budget.is_some();
+            assert_eq!(
+                (lftj.0, ctj.0),
+                (lftj_pin, ctj_pin),
+                "{p} governed={governed}"
+            );
+            assert!(lftj.1 == rows && ctj.1 == rows, "{p} governed={governed}");
+        }
     }
 }
 
@@ -76,13 +114,15 @@ fn one_worker_pool_and_untallied_runs_do_the_same_operations() {
             .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
             .unwrap();
         assert_eq!(pin(&pooled), lftj_pin, "par-lftj pool 1, {p}");
-        // An explicit, unbounded capacity: the pin counts every entry
-        // the one-shard run's worker-local cache records.
-        let pooled = ParCtj::with_pool(1)
-            .with_cache_capacity(None)
-            .run_tallied::<Counting>(&plan, &c, &mut CountSink::default())
-            .unwrap();
-        assert_eq!(pin(&pooled), ctj_pin, "par-ctj pool 1, {p}");
+        // The pin counts every entry the one-shard run's worker-local
+        // cache records, governed or not.
+        let (_, rows) = pinned_run(Ctj::new(), &plan, &c);
+        for budget in [None, Some(ctj_pin[3])] {
+            let pooled = pinned_run(with_budget(ParCtj::with_pool(1), budget), &plan, &c);
+            let governed = budget.is_some();
+            assert_eq!(pooled.0, ctj_pin, "par-ctj pool 1, {p} governed={governed}");
+            assert!(pooled.1 == rows, "par-ctj pool 1, {p} governed={governed}");
+        }
 
         // NoTally records no access. It expands and emits what the pins
         // say; where leaf bitmaps exist it intersects them instead of
