@@ -28,7 +28,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 /// *lane += 1;
 /// assert!(!contended); // nobody else held the stripe
 /// drop(lane);
-/// assert_eq!(counters.stripes(), 4);
+/// assert_eq!(*counters.lock(0x9e3779b97f4a7c15).0, 1);
 /// ```
 #[derive(Debug)]
 pub struct Striped<T> {
@@ -45,13 +45,8 @@ impl<T> Striped<T> {
         }
     }
 
-    /// Number of stripes (always a power of two).
-    pub fn stripes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The stripe index owning `hash`.
-    pub fn lane(&self, hash: u64) -> usize {
+    fn lane(&self, hash: u64) -> usize {
         (hash & (self.lanes.len() as u64 - 1)) as usize
     }
 
@@ -106,10 +101,11 @@ mod tests {
 
     #[test]
     fn stripe_count_rounds_up_to_a_power_of_two() {
-        assert_eq!(Striped::with_stripes(1, || 0u32).stripes(), 1);
-        assert_eq!(Striped::with_stripes(3, || 0u32).stripes(), 4);
-        assert_eq!(Striped::with_stripes(8, || 0u32).stripes(), 8);
-        assert_eq!(Striped::with_stripes(0, || 0u32).stripes(), 1);
+        let stripes = |n| Striped::with_stripes(n, || 0u32).lanes.len();
+        assert_eq!(stripes(1), 1);
+        assert_eq!(stripes(3), 4);
+        assert_eq!(stripes(8), 8);
+        assert_eq!(stripes(0), 1);
     }
 
     #[test]
@@ -117,7 +113,7 @@ mod tests {
         let s: Striped<()> = Striped::with_stripes(8, || ());
         for h in [0u64, 1, 7, 8, u64::MAX, 0x9e37_79b9_7f4a_7c15] {
             let lane = s.lane(h);
-            assert!(lane < s.stripes());
+            assert!(lane < s.lanes.len());
             assert_eq!(lane, s.lane(h), "same hash, same lane");
         }
         // With a power-of-two lane count the mask uses the low bits.

@@ -177,7 +177,7 @@ impl TrieSet {
                     if let Some(c) = cache {
                         let fp = *fingerprints
                             .entry(ap.relation())
-                            .or_insert_with(|| TrieCache::fingerprint(rel));
+                            .or_insert_with(|| rel.fingerprint());
                         match served.fetch(c, ap.relation(), fp, ap.perm())? {
                             Some(t) => hit = Some(t),
                             None => fingerprint = Some(fp),

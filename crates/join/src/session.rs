@@ -3,9 +3,9 @@
 //! A [`Session`] owns what a serving process shares across queries — the
 //! catalog, one worker-pool configuration, and one cross-query
 //! [`TrieCache`] — and hands out per-query [`QueryHandle`]s that carry
-//! their own budgets (row limits, deadlines, shard granularity). A handle
-//! either runs synchronously into any [`ResultSink`], or becomes a
-//! pull-based [`ResultStream`]: an iterator that delivers tuples in the
+//! their own budgets (row limits, deadlines). A handle either runs
+//! synchronously into any [`ResultSink`], or becomes a pull-based
+//! [`ResultStream`]: an iterator that delivers tuples in the
 //! **exact sequential order** while the join is still running, and whose
 //! `Drop` cancels the run cooperatively — walking away from a stream can
 //! never hang the pool or leak a runaway query.
@@ -736,9 +736,9 @@ impl Watcher {
 }
 
 /// One query's configuration against a [`Session`]: the per-query budgets
-/// (row limit, deadline, shard granularity, engine) layered
-/// over the session's pool and trie cache. Unset knobs resolve as for
-/// [`crate::ParLftj`] when the query runs.
+/// (row limit, deadline, engine) layered over the session's pool and trie
+/// cache. Unset knobs resolve as for [`crate::ParLftj`] when the query
+/// runs.
 ///
 /// Consume it with [`QueryHandle::stream`] for incremental pull-based
 /// delivery, or [`QueryHandle::run`] to drive a sink synchronously.
@@ -763,17 +763,6 @@ impl QueryHandle {
     /// sequential prefix.
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.opts.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets an explicit shard count for this query (the per-query shard
-    /// budget; defaults to the plan-seeded granularity).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0`.
-    pub fn with_granularity(mut self, shards: usize) -> Self {
-        self.opts.granularity = Some(NonZeroUsize::new(shards).expect("shards must be positive"));
         self
     }
 
@@ -1300,16 +1289,6 @@ mod tests {
         let a = session.snapshot(&plans).unwrap().to_bytes();
         let b = session.snapshot(&plans).unwrap().to_bytes();
         assert_eq!(a, b, "same state must serialize to the same bytes");
-    }
-
-    /// Granularity 0 used to pass the builder and panic inside the run —
-    /// under `stream()` on the producer thread, re-raised by `next()`.
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_granularity_panics_at_the_builder() {
-        let session = grid_session(2);
-        let plan = CompiledQuery::compile(&patterns::cycle3()).unwrap();
-        let _ = session.query(&plan).with_granularity(0);
     }
 
     #[test]

@@ -12,17 +12,13 @@
 //!   covers every distinct `(relation, perm)` build of the plan);
 //! * **freshness** — replacing a relation under the same catalog name
 //!   changes its content fingerprint, so the stale trie is unreachable
-//!   and the new data is joined, not the cached old one;
-//! * **zero capacity** — a 0-byte cache admits nothing, hits stay at
-//!   zero forever, and results remain exact;
-//! * **bounded capacity** — a cache smaller than the working set evicts
-//!   under pooled engine traffic, and results remain exact.
+//!   and the new data is joined, not the cached old one.
 
 use std::sync::Arc;
 
 use triejax_join::{Catalog, CollectSink, JoinEngine, Lftj, ParCtj, ParLftj, TrieCache};
 use triejax_query::{patterns::Pattern, CompiledQuery};
-use triejax_relation::{Relation, Trie};
+use triejax_relation::Relation;
 
 const POOLS: [usize; 3] = [1, 2, 7];
 
@@ -136,60 +132,4 @@ fn changed_relation_is_rebuilt_not_served_stale() {
         cache.len() > 1,
         "old and new entries coexist under one name"
     );
-}
-
-/// A zero-capacity cache admits nothing: every run rebuilds, hits stay
-/// at zero, and the results are still exact.
-#[test]
-fn zero_capacity_cache_never_hits_and_stays_exact() {
-    let catalog = catalog_from(hub_edges());
-    let plan = CompiledQuery::compile(&Pattern::Cycle3.query()).expect("compiles");
-    let reference = reference_tuples(&plan, &catalog);
-    let cache = Arc::new(TrieCache::with_capacity_mb(0));
-
-    for round in 0..3 {
-        let mut sink = CollectSink::new();
-        let stats = ParCtj::with_pool(2)
-            .with_trie_cache(cache.clone())
-            .execute(&plan, &catalog, &mut sink)
-            .expect("runs");
-        assert_eq!(sink.tuples(), reference, "round {round}");
-        assert_eq!(stats.trie_cache_hits, 0, "round {round}");
-    }
-    assert_eq!(cache.len(), 0, "nothing may be admitted");
-    assert!(cache.overflows() > 0, "the overflow path must have run");
-}
-
-/// A byte-bounded cache smaller than the working set, shared by pooled
-/// runs of every paper pattern: each run needs `G` in both column orders
-/// and the cache holds only one, so the runs keep evicting each other's
-/// tries while serving and filling the rest. No run's rows or order may
-/// change.
-#[test]
-fn a_bounded_cache_evicts_under_engine_traffic_and_stays_exact() {
-    let edges = hub_edges();
-    let catalog = catalog_from(edges.clone());
-    let relation = Relation::from_pairs(edges);
-    let trie_bytes = [[0, 1], [1, 0]].map(|perm| Trie::build(&relation.permute(&perm)).bytes());
-    let capacity = trie_bytes[0].max(trie_bytes[1]);
-    assert!(
-        capacity < trie_bytes[0] + trie_bytes[1],
-        "smaller than the working set"
-    );
-    let cache = Arc::new(TrieCache::new(Some(capacity)));
-
-    for pattern in Pattern::PAPER {
-        let plan = CompiledQuery::compile(&pattern.query()).expect("compiles");
-        let reference = reference_tuples(&plan, &catalog);
-        for pool in [1, 2, 4] {
-            let mut sink = CollectSink::new();
-            ParLftj::with_pool(pool)
-                .with_trie_cache(cache.clone())
-                .execute(&plan, &catalog, &mut sink)
-                .expect("runs");
-            assert_eq!(sink.tuples(), reference, "{pattern}/pool {pool}");
-            assert!(cache.bytes() <= capacity, "{pattern}/pool {pool}");
-        }
-    }
-    assert!(cache.evictions() > 0, "the bounded cache must have evicted");
 }
